@@ -69,48 +69,55 @@ impl fmt::Display for AuditViolation {
     }
 }
 
-/// FNV-1a over a stream of `u64` words.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// Streaming fingerprint over `u64` words: one multiply–xorshift round per
+/// word. Every round is a bijection of the running state, so a change to
+/// any single word always changes the result, and the chaining makes the
+/// result depend on word order (swaps are caught with probability
+/// 1 − 2⁻⁶⁴).
+struct Fingerprint(u64);
+
+impl Fingerprint {
+    fn new() -> Fingerprint {
+        Fingerprint(0x9e37_79b9_7f4a_7c15)
     }
-    h
+
+    fn word(&mut self, w: u64) {
+        let x = (self.0 ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        self.0 = x ^ (x >> 32);
+    }
 }
 
 /// Fingerprint of one core's allocation list.
 fn core_fingerprint(core: usize, allocs: &[Allocation]) -> u64 {
-    fnv1a(
-        std::iter::once(core as u64).chain(
-            allocs
-                .iter()
-                .flat_map(|a| [a.start.as_nanos(), a.end.as_nanos(), a.vcpu.0 as u64]),
-        ),
-    )
+    let mut h = Fingerprint::new();
+    h.word(core as u64);
+    for a in allocs {
+        h.word(a.start.as_nanos());
+        h.word(a.end.as_nanos());
+        h.word(a.vcpu.0 as u64);
+    }
+    h.0
 }
 
 /// Fingerprint of the whole placement map (home cores and allocation
-/// triples, in vCPU-id order).
+/// triples, in home-core then vCPU-id order).
 fn placement_fingerprint(table: &Table) -> u64 {
-    let mut words: Vec<u64> = Vec::new();
+    let mut h = Fingerprint::new();
     for core in 0..table.n_cores() {
         for &v in table.vcpus_homed_on(core) {
             let Some(p) = table.placement(v) else {
                 continue;
             };
-            words.push(v.0 as u64);
-            words.push(p.home_core as u64);
+            h.word(v.0 as u64);
+            h.word(p.home_core as u64);
             for &(c, s, e) in &p.allocations {
-                words.push(c as u64);
-                words.push(s.as_nanos());
-                words.push(e.as_nanos());
+                h.word(c as u64);
+                h.word(s.as_nanos());
+                h.word(e.as_nanos());
             }
         }
     }
-    fnv1a(words)
+    h.0
 }
 
 /// The audit fact store: fingerprints of a table known-good at install

@@ -37,7 +37,7 @@ use serde::Serialize;
 
 // Leading `::` paths: `fleet` is both this module's name and the
 // control-plane crate; the explicit root keeps the imports unambiguous.
-use ::fleet::{Fleet, FleetConfig, FleetCounters, HostState, RungCounters};
+use ::fleet::{Fleet, FleetConfig, FleetCounters, HostState, RungCounters, StepPhases};
 use rtsched::time::Nanos;
 use workloads::churn::{sap_trace, ChurnConfig, ChurnOp};
 use xensim::fault::HostFaultConfig;
@@ -156,9 +156,12 @@ pub struct FleetPoint {
     /// per-cause fallback breakdown).
     pub batch: xensim::stats::BatchStats,
     /// Partitioned-engine (per-socket PDES) counters aggregated across
-    /// every host simulator (windows advanced, mailbox traffic, lookahead
-    /// stalls, and the per-cause decline breakdown).
+    /// every host simulator. All zero: fleet hosts run the sequential
+    /// hybrid engine (DESIGN.md §5.14); the block is kept so the schema
+    /// stays stable.
     pub pdes: xensim::stats::PdesStats,
+    /// Where `Fleet::step`'s wall-clock went, per phase.
+    pub step_phases: StepLedger,
     /// The fleet counters mirrored into the single-host recovery schema.
     pub recovery: RecoveryStats,
     /// VMs still owned when the replay ended.
@@ -179,6 +182,65 @@ pub struct FleetPoint {
     pub admit_p99_ns: Option<u64>,
     /// Worst admission-to-install latency (simulated ms).
     pub admit_max_ms: f64,
+}
+
+/// The `Fleet::step` phase ledger of one cell. Host time: the only block
+/// of a cell that differs between two runs of the same seed.
+#[derive(Debug, Clone, Serialize)]
+pub struct StepLedger {
+    /// Always `"wall"` — never comparable with the simulated-time fields.
+    pub clock: &'static str,
+    /// `Fleet::step` calls (churn horizon plus convergence drain).
+    pub steps: u64,
+    /// Wall-clock of all steps (ns), measured around the phases.
+    pub total_ns: u64,
+    /// One row per phase, in execution order.
+    pub phases: Vec<PhaseShare>,
+}
+
+/// One phase of the [`StepLedger`].
+#[derive(Debug, Clone, Serialize)]
+pub struct PhaseShare {
+    /// Phase name (`faults`, `corruptions`, `audit`, `evacuate`, `parked`,
+    /// `installs`, `prewarm`, `host_sims`).
+    pub phase: &'static str,
+    /// Wall-clock spent in the phase (ns).
+    pub ns: u64,
+    /// `ns / total_ns`.
+    pub share: f64,
+}
+
+impl StepLedger {
+    fn new(p: &StepPhases) -> StepLedger {
+        let total = p.total_ns.max(1) as f64;
+        StepLedger {
+            clock: "wall",
+            steps: p.steps,
+            total_ns: p.total_ns,
+            phases: p
+                .phases()
+                .into_iter()
+                .map(|(phase, ns)| PhaseShare {
+                    phase,
+                    ns,
+                    share: ns as f64 / total,
+                })
+                .collect(),
+        }
+    }
+}
+
+impl FleetPoint {
+    /// The cell with the wall-clock ledger's times zeroed (its step count
+    /// stays): everything two runs of one seed must agree on byte for byte.
+    pub fn model_only(mut self) -> FleetPoint {
+        self.step_phases.total_ns = 0;
+        for ph in &mut self.step_phases.phases {
+            ph.ns = 0;
+            ph.share = 0.0;
+        }
+        self
+    }
 }
 
 /// Scale knobs per mode: (hosts, churn horizon, drains derive from
@@ -303,14 +365,16 @@ fn run_cell(
         assert!(counters.installs > 0, "no table ever installed");
     } else {
         // Invariant 3: every corruption the chaos schedule lands on a live
-        // host is flagged by the continuous audit the same epoch — none
-        // survive undetected, and the audit never cries wolf.
+        // host is flagged by the continuous audit — none survive
+        // undetected (a crash may discard one before it is counted), and
+        // the audit never cries wolf.
         assert!(
             counters.corruptions_injected > 0,
             "chaos preset injected no corruptions (seed {seed}, intensity {intensity})"
         );
         assert_eq!(
-            counters.corruptions_detected, counters.corruptions_injected,
+            counters.corruptions_detected + counters.corruptions_lost_to_crash,
+            counters.corruptions_injected,
             "undetected table corruption (seed {seed}, intensity {intensity})"
         );
     }
@@ -331,6 +395,7 @@ fn run_cell(
         cache_misses: stats.misses,
         batch: fleet.batch_stats(),
         pdes: fleet.pdes_stats(),
+        step_phases: StepLedger::new(fleet.step_phases()),
         recovery: fleet.recovery_stats(),
         live_vms_final: fleet.live_vms(),
         convergence_epochs,
@@ -346,6 +411,12 @@ fn run_cell(
 /// effects. Tests exercise this directly; only [`run_with_seed`] writes
 /// the artifacts.
 pub fn sweep(quick: bool, seed: u64) -> FleetReport {
+    sweep_timed(quick, seed).0
+}
+
+/// [`sweep`] plus the wall-clock of replaying the cells — and only that:
+/// stamping the provenance spawns `git`, whose cost is not the fleet's.
+fn sweep_timed(quick: bool, seed: u64) -> (FleetReport, std::time::Duration) {
     let (n_hosts, duration) = cell_shape(quick);
     let seeds: Vec<u64> = if quick {
         vec![seed]
@@ -366,11 +437,13 @@ pub fn sweep(quick: bool, seed: u64) -> FleetReport {
     // Each cell is fully determined by (seed, intensity); measuring
     // concurrently and reassembling in grid order reproduces the
     // sequential sweep byte-for-byte.
+    let t0 = Instant::now();
     let points = rayon::par_map_indices(cells.len(), |k| {
         let (s, i) = cells[k];
         measure(n_hosts, s, i, duration)
     });
-    FleetReport {
+    let wall = t0.elapsed();
+    let report = FleetReport {
         meta: FleetMeta {
             quick,
             hosts: n_hosts,
@@ -384,7 +457,8 @@ pub fn sweep(quick: bool, seed: u64) -> FleetReport {
             git_rev: git_rev(),
         },
         points,
-    }
+    };
+    (report, wall)
 }
 
 /// Builds the `BENCH_fleet.json` snapshot from a finished sweep.
@@ -434,6 +508,40 @@ fn bench(quick: bool, seed: u64, report: &FleetReport, wall_ns: u64) -> BenchSna
     }
 }
 
+/// Prints where `Fleet::step`'s wall-clock went, summed over all cells.
+fn print_step_phases(report: &FleetReport) {
+    let ledgers = || report.points.iter().map(|p| &p.step_phases);
+    let total: u64 = ledgers().map(|l| l.total_ns).sum();
+    let steps: u64 = ledgers().map(|l| l.steps).sum();
+    let mut by_phase: Vec<(&str, u64)> = Vec::new();
+    for ledger in ledgers() {
+        for (k, ph) in ledger.phases.iter().enumerate() {
+            if k == by_phase.len() {
+                by_phase.push((ph.phase, 0));
+            }
+            by_phase[k].1 += ph.ns;
+        }
+    }
+    let rows: Vec<Vec<String>> = by_phase
+        .iter()
+        .map(|&(phase, ns)| {
+            vec![
+                phase.to_string(),
+                format!("{:.1}", ns as f64 / 1e6),
+                format!("{:.1}", 100.0 * ns as f64 / total.max(1) as f64),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!(
+            "Fleet::step phases (wall clock): {steps} steps, {:.0} us/step",
+            total as f64 / 1e3 / steps.max(1) as f64
+        ),
+        &["phase", "wall (ms)", "share (%)"],
+        &rows,
+    );
+}
+
 /// Runs the fleet chaos soak with the default seed.
 pub fn run(quick: bool) -> bool {
     run_with_seed(quick, DEFAULT_SEED)
@@ -443,9 +551,7 @@ pub fn run(quick: bool) -> bool {
 /// refreshes (`full`) or gates (`--quick`) `BENCH_fleet.json`. Returns
 /// `false` when the quick regression gate tripped.
 pub fn run_with_seed(quick: bool, seed: u64) -> bool {
-    let t0 = Instant::now();
-    let report = sweep(quick, seed);
-    let wall = t0.elapsed();
+    let (report, wall) = sweep_timed(quick, seed);
 
     let rows: Vec<Vec<String>> = report
         .points
@@ -484,6 +590,7 @@ pub fn run_with_seed(quick: bool, seed: u64) -> bool {
         ],
         &rows,
     );
+    print_step_phases(&report);
     write_json("fleet", &report);
 
     let snap = bench(quick, seed, &report, wall.as_nanos() as u64);
@@ -523,20 +630,24 @@ pub fn run_with_seed(quick: bool, seed: u64) -> bool {
 mod tests {
     use super::*;
 
+    fn model_json(p: FleetPoint) -> String {
+        serde_json::to_string_pretty(&p.model_only()).unwrap()
+    }
+
     #[test]
     fn zero_intensity_cell_is_byte_identical_to_faultless() {
         // `fleet_chaos(seed, 0.0)` installs no engine; the epoch-driven
         // control loop on top must replay the pristine run bit-for-bit.
         let zeroed = measure(6, DEFAULT_SEED, 0.0, Nanos::from_secs(1));
         let clean = measure_faultless(6, DEFAULT_SEED, Nanos::from_secs(1));
-        assert_eq!(
-            serde_json::to_string_pretty(&zeroed).unwrap(),
-            serde_json::to_string_pretty(&clean).unwrap(),
-            "zero-intensity fleet cell diverged from the faultless baseline"
-        );
         assert_eq!(zeroed.counters.crashes, 0);
         assert_eq!(zeroed.convergence_epochs, 0);
         assert!(zeroed.admit_samples > 0);
+        assert_eq!(
+            model_json(zeroed),
+            model_json(clean),
+            "zero-intensity fleet cell diverged from the faultless baseline"
+        );
     }
 
     #[test]
@@ -544,8 +655,8 @@ mod tests {
         let a = measure(8, 7, 1.0, Nanos::from_secs(3));
         let b = measure(8, 7, 1.0, Nanos::from_secs(3));
         assert_eq!(
-            serde_json::to_string_pretty(&a).unwrap(),
-            serde_json::to_string_pretty(&b).unwrap(),
+            model_json(a),
+            model_json(b),
             "fleet cell is not deterministic per (seed, intensity)"
         );
     }
@@ -584,6 +695,17 @@ mod tests {
             } else {
                 assert!(p.counters.crashes > 0, "full-intensity cell saw no crash");
             }
+            // The phase ledger closes: one entry per step, and the phases
+            // account for the measured step wall-clock.
+            let ledger = &p.step_phases;
+            assert_eq!(ledger.steps, p.epochs + p.convergence_epochs);
+            let attributed: u64 = ledger.phases.iter().map(|ph| ph.ns).sum();
+            assert!(
+                attributed <= ledger.total_ns && attributed * 100 >= ledger.total_ns * 95,
+                "phases sum to {attributed} ns of {} ns measured",
+                ledger.total_ns
+            );
+            assert_eq!(p.pdes, xensim::stats::PdesStats::default());
         }
         let snap = bench(true, DEFAULT_SEED, &report, 1_000_000);
         assert_eq!(snap.entries.len(), 2);

@@ -65,15 +65,25 @@ pub fn write_json_to<T: Serialize>(dir: &Path, name: &str, value: &T) -> PathBuf
 
 /// The short git revision of the working tree, or `"unknown"` outside a
 /// repository. Artifact metadata records this so every `results/*.json`
-/// file names the code that produced it.
+/// file names the code that produced it: `<rev>-dirty` when tracked files
+/// differ from that commit (an artifact cut before its own commit names
+/// the parent it was built on, and says so).
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => format!("{rev}-dirty"),
+        _ => rev,
+    }
 }
 
 /// Formats a nanosecond value as milliseconds with two decimals.

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -156,6 +157,14 @@ pub struct FleetCounters {
     /// detected exactly once, the epoch it lands).
     #[serde(default)]
     pub corruptions_detected: u64,
+    /// Injected corruptions still uncounted when their host crashed (the
+    /// damaged copy died with the simulator). Every epoch
+    /// `corruptions_injected == corruptions_detected +
+    /// corruptions_lost_to_crash`, except that a corruption which restores
+    /// an already flagged table to its audited content is counted only when
+    /// the pending repair install commits.
+    #[serde(default)]
+    pub corruptions_lost_to_crash: u64,
     /// Audit violations on hosts with no outstanding corruption. Must
     /// stay zero: a nonzero value means the audit flagged a table the
     /// control plane installed itself.
@@ -203,6 +212,58 @@ enum Rung {
     Delta,
     CachePlan,
     Ladder(ReplanPath),
+}
+
+/// Wall-clock ledger of [`Fleet::step`]: nanoseconds accumulated per phase
+/// since boot, in phase order. The phase fields sum to `total_ns` up to one
+/// clock read per step. Host time, not simulated time: only `steps` is
+/// reproducible across runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StepPhases {
+    /// `Fleet::step` calls accumulated.
+    pub steps: u64,
+    /// Whole steps, measured around all phases.
+    pub total_ns: u64,
+    /// Host crash / restart / degradation transitions.
+    pub faults_ns: u64,
+    /// Table-corruption injection.
+    pub corruptions_ns: u64,
+    /// Continuous table audit of every live host.
+    pub audit_ns: u64,
+    /// Evacuation queue.
+    pub evacuate_ns: u64,
+    /// Parked-VM retries.
+    pub parked_ns: u64,
+    /// Mask, stage and commit pending table installs.
+    pub installs_ns: u64,
+    /// Speculative plan-cache warming.
+    pub prewarm_ns: u64,
+    /// Advancing every live host's simulator by one epoch.
+    pub host_sims_ns: u64,
+}
+
+impl StepPhases {
+    /// `(name, ns)` per phase, in the order [`Fleet::step`] runs them.
+    pub fn phases(&self) -> [(&'static str, u64); 8] {
+        [
+            ("faults", self.faults_ns),
+            ("corruptions", self.corruptions_ns),
+            ("audit", self.audit_ns),
+            ("evacuate", self.evacuate_ns),
+            ("parked", self.parked_ns),
+            ("installs", self.installs_ns),
+            ("prewarm", self.prewarm_ns),
+            ("host_sims", self.host_sims_ns),
+        ]
+    }
+}
+
+/// Nanoseconds since `mark`, which advances to now.
+fn lap(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = (now - *mark).as_nanos() as u64;
+    *mark = now;
+    ns
 }
 
 /// Where a live VM currently is.
@@ -276,6 +337,7 @@ pub struct Fleet {
     flavor_freq: BTreeMap<(usize, u32), u64>,
     counters: FleetCounters,
     rungs: RungCounters,
+    phases: StepPhases,
     admit_to_install: Histogram,
     boot_cfg: HostConfig,
     boot_plan: Arc<Plan>,
@@ -285,21 +347,7 @@ pub struct Fleet {
 impl Fleet {
     /// Builds the fleet with every host booted (probe-only) and online.
     pub fn new(cfg: FleetConfig) -> Result<Fleet, PlanError> {
-        // Hosts with an even core count model two sockets so the host
-        // simulators can run the partitioned (per-socket PDES) engine.
-        // `ipi_cross_latency` stays `None` — cross-socket IPIs cost the
-        // same as intra-socket ones — so every simulated timing is
-        // byte-identical to the historical flat machine; only the engine's
-        // internal execution strategy (and its `stats.pdes` counters)
-        // changes.
-        let machine = {
-            let mut m = Machine::small(cfg.cores_per_host);
-            if cfg.cores_per_host >= 2 && cfg.cores_per_host.is_multiple_of(2) {
-                m.n_sockets = 2;
-                m.cores_per_socket = cfg.cores_per_host / 2;
-            }
-            m
-        };
+        let machine = Machine::small(cfg.cores_per_host);
         let probe = VcpuSpec::capped(cfg.probe_utilization, cfg.latency_goal);
         let boot_cfg = probe_config(cfg.cores_per_host, probe);
         let cache = SharedPlanCache::new(cfg.cache_capacity);
@@ -327,6 +375,7 @@ impl Fleet {
             flavor_freq: BTreeMap::new(),
             counters: FleetCounters::default(),
             rungs: RungCounters::default(),
+            phases: StepPhases::default(),
             admit_to_install: Histogram::new(),
             boot_cfg,
             boot_plan,
@@ -518,19 +567,31 @@ impl Fleet {
     /// identical under any thread count, including
     /// `rayon::force_sequential`.
     pub fn step(&mut self, now: Nanos) {
+        let t0 = Instant::now();
+        let mut mark = t0;
         self.apply_host_faults(now);
+        self.phases.faults_ns += lap(&mut mark);
         self.inject_corruptions(now);
+        self.phases.corruptions_ns += lap(&mut mark);
         self.audit_tables();
+        self.phases.audit_ns += lap(&mut mark);
         self.process_evacuations(now);
+        self.phases.evacuate_ns += lap(&mut mark);
         self.process_parked(now);
+        self.phases.parked_ns += lap(&mut mark);
         self.process_installs(now);
+        self.phases.installs_ns += lap(&mut mark);
         self.prewarm_cache();
+        self.phases.prewarm_ns += lap(&mut mark);
         rayon::par_map_mut(&mut self.hosts, |_, h| {
             let local = now - h.epoch_base;
             if let Some(sim) = h.sim.as_mut() {
                 sim.run_until(local);
             }
         });
+        self.phases.host_sims_ns += lap(&mut mark);
+        self.phases.steps += 1;
+        self.phases.total_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Verifies the conservation invariant: the ledger and the physical
@@ -586,6 +647,11 @@ impl Fleet {
         &self.cache
     }
 
+    /// Wall-clock ledger of [`Fleet::step`], per phase, since boot.
+    pub fn step_phases(&self) -> &StepPhases {
+        &self.phases
+    }
+
     /// Aggregate dense-batching counters across the live host simulators.
     /// Counters die with a crashed host's simulator, so this reports the
     /// currently running fleet, not a lifetime total.
@@ -606,7 +672,8 @@ impl Fleet {
     }
 
     /// Aggregate partitioned-engine (PDES) counters across the live host
-    /// simulators; same lifetime caveat as [`Fleet::batch_stats`].
+    /// simulators; same lifetime caveat as [`Fleet::batch_stats`]. Fleet
+    /// hosts run the sequential hybrid engine, so every field stays zero.
     pub fn pdes_stats(&self) -> xensim::stats::PdesStats {
         let mut total = xensim::stats::PdesStats::default();
         for h in &self.hosts {
@@ -917,16 +984,18 @@ impl Fleet {
                     continue;
                 }
                 let kind = CorruptionKind::ALL[(ev.class % 3) as usize];
-                let Some(tab) = self.hosts[i].tableau_mut() else {
+                let Some(live) = self.hosts[i]
+                    .tableau()
+                    .map(|tab| tab.dispatcher().newest_table())
+                else {
                     continue;
                 };
-                let live = tab.dispatcher().newest_table().clone();
                 // The event's salt seeds the mutation; salts that pick a
                 // no-op (e.g. a swap of two identical probe ids) slide to
                 // the next one.
                 let corrupted =
-                    (0..16u64).find_map(|k| corrupt_table(&live, kind, ev.salt.wrapping_add(k)));
-                let Some(bad) = corrupted else {
+                    (0..16u64).find_map(|k| corrupt_table(live, kind, ev.salt.wrapping_add(k)));
+                let (Some(bad), Some(tab)) = (corrupted, self.hosts[i].tableau_mut()) else {
                     continue;
                 };
                 if tab.dispatcher_mut().corrupt_newest_table(bad).is_ok() {
@@ -949,31 +1018,29 @@ impl Fleet {
         // so verdicts shard across workers; flagging and counters drain
         // sequentially in host order.
         let verdicts = rayon::par_map_mut(&mut self.hosts, |_, h| {
-            if h.sim.is_none() {
-                return false;
-            }
-            let Some(tab) = h.tableau_mut() else {
-                return false;
-            };
-            let live = tab.dispatcher().newest_table().clone();
-            !h.auditor.audit_full(&live).is_empty()
+            h.tableau().is_some_and(|tab| {
+                !h.auditor
+                    .audit_full(tab.dispatcher().newest_table())
+                    .is_empty()
+            })
         });
         for (i, violated) in verdicts.into_iter().enumerate() {
             if !violated {
                 continue;
             }
             let h = &mut self.hosts[i];
+            // A corruption landing while the repair install is still
+            // pending (backoff, degradation, or a storm is deferring it) is
+            // seen here too, and the same install repairs it.
+            self.counters.corruptions_detected += h.pending_corruptions;
+            let fresh = std::mem::take(&mut h.pending_corruptions) > 0;
             if h.audit_flagged {
-                // Already flagged; the repair install is pending (backoff,
-                // degradation, or a storm is deferring it).
                 continue;
             }
-            if h.pending_corruptions == 0 {
+            if !fresh {
                 self.counters.audit_false_positives += 1;
                 continue;
             }
-            self.counters.corruptions_detected += h.pending_corruptions;
-            h.pending_corruptions = 0;
             h.audit_flagged = true;
             // Re-install the (sound) target plan over the damaged copy.
             h.dirty = true;
@@ -1007,7 +1074,7 @@ impl Fleet {
         h.next_install_try = Nanos::ZERO;
         // The corrupted copy (if any) died with the simulator; the reboot
         // re-baselines the auditor.
-        h.pending_corruptions = 0;
+        self.counters.corruptions_lost_to_crash += std::mem::take(&mut h.pending_corruptions);
         h.audit_flagged = false;
         h.host_cfg = self.boot_cfg.clone();
         h.plan = self.boot_plan.clone();
@@ -1138,7 +1205,12 @@ impl Fleet {
                     h.install_attempts = 0;
                     h.next_install_try = Nanos::ZERO;
                     h.auditor = staged_auditor;
-                    h.audit_flagged = false;
+                    if std::mem::take(&mut h.audit_flagged) {
+                        // Corruptions that left the flagged table audit-clean
+                        // again (one undoing another) are repaired with it.
+                        self.counters.corruptions_detected +=
+                            std::mem::take(&mut h.pending_corruptions);
+                    }
                     self.counters.installs += 1;
                     for (_, req) in h.awaiting.drain(..) {
                         self.admit_to_install.record(switch_at - req);
@@ -1531,6 +1603,115 @@ mod tests {
             assert_eq!(c.audit_false_positives, 0);
             assert!(!fleet.hosts[0].audit_flagged);
         }
+    }
+
+    /// A fleet of one host whose installs a storm interrupts for the next
+    /// 300 ms (the retry backoff then lands the repair at +400 ms), with
+    /// `events` scheduled `(epochs from now, class, salt)`.
+    fn storm_deferred_corruptions(events: &[(u64, u8, u64)]) -> (Fleet, Nanos) {
+        use xensim::fault::InstallStormFaults;
+        let mut fleet = small_fleet(1);
+        fleet
+            .admit(Nanos(1), 1, flavor(1, 250_000))
+            .expect("admits");
+        let now = epochs(&mut fleet, Nanos::ZERO, 4);
+        fleet.arm_faults(
+            HostFaultConfig {
+                seed: 5,
+                storm: InstallStormFaults {
+                    interval: Nanos::from_secs(1),
+                    duration: Nanos::from_millis(1),
+                    interrupt_prob: 1.0,
+                },
+                ..HostFaultConfig::none()
+            },
+            Nanos::from_secs(10),
+        );
+        fleet.storm_windows = vec![(now, now + Nanos::from_millis(300))];
+        fleet.corruption_events[0] = events
+            .iter()
+            .map(|&(k, class, salt)| CorruptionEvent {
+                at: now + Nanos(k * 50_000_000 + 1),
+                class,
+                salt,
+            })
+            .collect();
+        (fleet, now)
+    }
+
+    fn corruption_ledger(fleet: &Fleet) -> (u64, u64, u64) {
+        let c = fleet.counters();
+        (
+            c.corruptions_injected,
+            c.corruptions_detected,
+            c.corruptions_lost_to_crash,
+        )
+    }
+
+    #[test]
+    fn corruption_on_an_already_flagged_host_is_counted() {
+        // Corruption -> storm-deferred repair -> second corruption ->
+        // commit: the second one used to stay in `pending_corruptions`.
+        let (mut fleet, mut now) = storm_deferred_corruptions(&[(0, 0, 7), (2, 2, 3)]);
+        let installs_before = fleet.counters().installs;
+        for k in 1..=10u64 {
+            now = epochs(&mut fleet, now, 1);
+            let (injected, detected, lost) = corruption_ledger(&fleet);
+            assert_eq!(injected, detected + lost, "epoch {k}");
+            if k == 3 {
+                assert_eq!(injected, 2, "both corruptions landed");
+                assert!(fleet.hosts[0].audit_flagged, "the storm defers the repair");
+                assert_eq!(fleet.counters().installs, installs_before);
+            }
+        }
+        assert_eq!(corruption_ledger(&fleet), (2, 2, 0));
+        assert_eq!(fleet.counters().installs, installs_before + 1);
+        assert!(fleet.counters().install_retries > 0);
+        assert_eq!(fleet.counters().audit_false_positives, 0);
+        assert!(!fleet.hosts[0].audit_flagged);
+    }
+
+    #[test]
+    fn corruption_undoing_another_is_counted_at_the_repair_or_the_crash() {
+        // The same bit flipped twice restores the audited table: the audit
+        // cannot see the second flip, so the repair install (or the crash
+        // that discards the table) accounts for it.
+        for crash in [false, true] {
+            let (mut fleet, now) = storm_deferred_corruptions(&[(0, 0, 7), (2, 0, 7)]);
+            let now = epochs(&mut fleet, now, 3);
+            assert_eq!(corruption_ledger(&fleet), (2, 1, 0));
+            assert_eq!(fleet.hosts[0].pending_corruptions, 1);
+            if crash {
+                fleet.inject_crash(0, now, now + Nanos::from_millis(200));
+            }
+            let _ = epochs(&mut fleet, now, 10);
+            assert_eq!(
+                corruption_ledger(&fleet),
+                (2, 1 + u64::from(!crash), crash as u64)
+            );
+            assert_eq!(fleet.counters().audit_false_positives, 0);
+        }
+    }
+
+    #[test]
+    fn fleet_hosts_run_the_sequential_engine() {
+        // Hosts are single-socket on the default hybrid engine: no
+        // partitioned run and no walk down its decline ladder.
+        let mut fleet = small_fleet(3);
+        for vm in 0..6u64 {
+            fleet
+                .admit(Nanos(1), vm, flavor(1, 125_000))
+                .expect("admits");
+        }
+        epochs(&mut fleet, Nanos::ZERO, 8);
+        for h in &fleet.hosts {
+            let stats = h.sim.as_ref().expect("host is up").stats();
+            assert_eq!(stats.pdes.partitioned_runs, 0);
+            assert_eq!(stats.pdes.declines(), 0);
+        }
+        assert!(fleet.batch_stats().batched_events > 0, "dense batching off");
+        assert_eq!(fleet.pdes_stats(), xensim::stats::PdesStats::default());
+        assert_eq!(fleet.step_phases().steps, 8);
     }
 
     #[test]

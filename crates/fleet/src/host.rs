@@ -10,7 +10,7 @@ use tableau_core::table::Table;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
 use workloads::churn::Flavor;
 use xensim::sched::BusyLoop;
-use xensim::{EngineKind, Machine, Sim};
+use xensim::{Machine, Sim};
 
 /// Control-plane view of one host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +64,10 @@ pub(crate) struct FleetHost {
     /// Install-time fingerprints of the table the control plane believes
     /// is installed; the per-epoch audit checks the live table against it.
     pub auditor: TableAuditor,
-    /// Corruptions injected since the audit last ran clean (drained into
-    /// the detection counter the epoch the audit flags them).
+    /// Corruptions injected and not yet accounted for: drained into the
+    /// detection counter when the audit next sees a violation (normally
+    /// the epoch they land) or the flagged host's repair install commits,
+    /// and into `corruptions_lost_to_crash` if the host crashes first.
     pub pending_corruptions: u64,
     /// Whether the audit has flagged the live table and a repair install
     /// is in flight; repeat violations of the same corruption are expected
@@ -131,14 +133,11 @@ impl FleetHost {
         let mut boot = (**boot_plan).clone();
         boot.table = masked;
         let auditor = TableAuditor::new(&boot.table);
+        // The default sequential hybrid (dense-batching) engine: fleet
+        // parallelism is per-host sharding in `Fleet::step`, and a control
+        // epoch is ~15 events per host — far below what a per-socket PDES
+        // split/merge costs (DESIGN.md §5.14).
         let mut sim = Sim::new(*machine, Box::new(Tableau::from_plan(&boot)));
-        if machine.n_sockets > 1 {
-            // Multi-socket hosts run the partitioned (per-socket PDES)
-            // engine; it declines back to the sequential path whenever a
-            // precondition fails (faults armed, cross-socket placements,
-            // …), so enabling it is always behavior-preserving.
-            sim.set_engine(EngineKind::Partitioned);
-        }
         for core in 0..machine.n_cores() {
             sim.add_vcpu(Box::new(BusyLoop), core, true);
         }
@@ -169,6 +168,12 @@ impl FleetHost {
     /// Whether the host accepts new placements.
     pub fn placeable(&self) -> bool {
         self.state == HostState::Online
+    }
+
+    /// The Tableau scheduler inside the simulator (`None` while down).
+    pub fn tableau(&self) -> Option<&Tableau> {
+        let sched: &dyn std::any::Any = self.sim.as_ref()?.scheduler();
+        sched.downcast_ref::<Tableau>()
     }
 
     /// Mutable access to the Tableau scheduler inside the simulator.

@@ -41,7 +41,7 @@ mod control;
 mod host;
 pub mod queue;
 
-pub use control::{Fleet, FleetConfig, FleetCounters, RungCounters, VmLocation};
+pub use control::{Fleet, FleetConfig, FleetCounters, RungCounters, StepPhases, VmLocation};
 pub use host::HostState;
 
 use tableau_core::planner::ReplanError;

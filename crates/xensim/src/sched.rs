@@ -231,7 +231,10 @@ pub enum PdesDecline {
 /// `Send` so boxed schedulers can ride inside simulations that a fleet
 /// control plane steps from worker threads (hosts are sharded across
 /// threads; each simulation is owned by exactly one thread at a time).
-pub trait VmScheduler: Send {
+/// `Any` so a harness holding only `&dyn VmScheduler` (see
+/// [`crate::Sim::scheduler`]) can upcast and `downcast_ref` to the concrete
+/// scheduler without a mutable borrow.
+pub trait VmScheduler: Send + std::any::Any {
     /// Short name for reports ("credit", "rtds", "tableau", ...).
     fn name(&self) -> &'static str;
 

@@ -546,6 +546,12 @@ impl Sim {
         &mut *self.vcpus[vcpu.0 as usize].workload
     }
 
+    /// Shared access to the scheduler under test (read-only inspection,
+    /// e.g. auditing the table a dispatcher is running).
+    pub fn scheduler(&self) -> &dyn VmScheduler {
+        &*self.sched
+    }
+
     /// Mutable access to the scheduler under test.
     pub fn scheduler_mut(&mut self) -> &mut dyn VmScheduler {
         &mut *self.sched
