@@ -14,14 +14,36 @@
 //! different configuration is a different table, and serving it would
 //! silently change the guarantees the tenant was sold.
 //!
-//! **Hit-path cost.** A hit performs no allocation and builds no key: the
-//! request is reduced to a 64-bit FNV fingerprint of its cheap scalars
-//! (core/NUMA counts, per-VM shape, option scalars), the fingerprint
-//! indexes a bucket map hashed by identity, and the few candidate slots are
-//! confirmed by a *streaming* comparison directly against the live
-//! `HostConfig`/`PlannerOptions`. The full canonical [`Key`] — which owns
-//! vectors — is materialized only when a brand-new slot is inserted on a
-//! miss, where its cost disappears behind the planner run.
+//! **Hit-path cost.** A lookup performs no allocation and builds no key:
+//! the request is reduced to a 64-bit *content* fingerprint — its scalars
+//! (core/NUMA counts, VM count, option scalars) and then every VM's
+//! `(vcpus, numa_node)` and every vCPU's `(ppm, latency, capped)`, folded in
+//! two independent multiply lanes so the walk is not one serial dependency
+//! chain — the fingerprint indexes a bucket map hashed by identity, and the
+//! candidate (one, barring a 64-bit collision) is confirmed by a *streaming*
+//! comparison directly against the live `HostConfig`/`PlannerOptions`. The
+//! walk is paid on every request — 0.2 µs for a 140-VM request that is
+//! already in the CPU cache — and buys buckets of one. An earlier revision
+//! hashed the scalars only, on the argument that every hashed word adds
+//! multiplier latency to the hit path, so every shape of one VM count
+//! shared a bucket that [`key_matches`] searched linearly; real churn is a
+//! long tail of *distinct* same-sized shapes, and on the benchmark's (a
+//! chain of 1 800 single-VM deltas on a ~140-VM host, `e2ebench`
+//! `plan-ladder`) the median miss probe cost 77 µs and the median insert
+//! 94 µs around a 364 µs delta replan, the median hit 3.9 µs. With the
+//! content hash the same probe is 2.4 µs hash included, the hit 2.9 µs
+//! (what is left is reading the request itself: ~280 cache lines of
+//! `HostConfig`), the insert 18 µs (the evicted plan is freed inside it).
+//! The full canonical [`Key`] — which owns vectors — is materialized only
+//! when a brand-new slot is inserted on a miss, where its cost disappears
+//! behind the planner run.
+//!
+//! **Insert cost.** Slots are append-only (a key keeps its counters for
+//! life), but everything an insert scans is bounded by the capacity: the
+//! cache keeps the indices of the slots that currently hold a plan, so
+//! `len`, the LRU victim search and the warm path's "is anything evictable"
+//! test cost the same on a stripe that has seen ten thousand shapes as on a
+//! fresh one.
 //!
 //! Entries are shared via [`Arc`]; eviction is least-recently-used with a
 //! fixed capacity and clears only the plan — the slot's key and counters
@@ -145,12 +167,12 @@ fn fnv_word(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
-/// 64-bit fingerprint of a request's cheap scalars — one multiply per word,
-/// no allocation, and deliberately *not* a walk of the per-VM data: FNV's
-/// xor-multiply chain is serial, so every extra word adds multiplier
-/// latency to the hit path. Hosts that agree on all scalars but differ in
-/// VM shape simply share a bucket and are split by [`key_matches`].
-fn fingerprint(host: &HostConfig, opts: &PlannerOptions) -> u64 {
+/// 64-bit hash of a request's scalars alone: core/NUMA/VM counts and the
+/// option scalars. [`SharedPlanCache`] routes a request to its lock stripe
+/// by this value — *not* by the content [`fingerprint`] — so that all shapes
+/// of one size keep sharing a stripe (capacity is per stripe; deployments
+/// size their recurring set against that routing).
+fn scalar_hash(host: &HostConfig, opts: &PlannerOptions) -> u64 {
     let mut h = FNV_OFFSET;
     h = fnv_word(h, host.n_cores as u64);
     h = fnv_word(h, host.numa_nodes as u64);
@@ -164,9 +186,44 @@ fn fingerprint(host: &HostConfig, opts: &PlannerOptions) -> u64 {
     h
 }
 
+/// 64-bit content fingerprint of a request, the bucket-map key: the
+/// [`scalar_hash`] extended by every VM's `(vcpus, numa_node)` and every
+/// vCPU's `(ppm, latency, capped)`, in positional order (vCPU ids are
+/// positional, so order is part of the key). No allocation. FNV's
+/// xor-multiply chain is serial, so the words go down two independent lanes
+/// — one word per VM in the first, one per vCPU in the second — and the
+/// multiplier latencies overlap; the lanes are crossed at the end so each
+/// half of the result depends on both. Distinct shapes land in distinct
+/// buckets (up to a 64-bit collision, which [`key_matches`] resolves), so a
+/// probe confirms one candidate however many same-sized shapes the cache has
+/// seen.
+fn fingerprint(host: &HostConfig, opts: &PlannerOptions) -> u64 {
+    let mut a = scalar_hash(host, opts);
+    let mut b = FNV_OFFSET;
+    for vm in &host.vms {
+        let node = vm.numa_node.map_or(0, |n| n as u64 + 1);
+        a = fnv_word(a, (vm.vcpus.len() as u64) << 32 | node);
+        for s in &vm.vcpus {
+            // ppm <= 10^6 < 2^20: utilization and the cap bit fill the low
+            // 21 bits, the latency (rotated, so none of it is lost) the rest.
+            let sla = (s.utilization.ppm() as u64) << 1 | s.capped as u64;
+            b = fnv_word(b, s.latency.as_nanos().rotate_left(21) ^ sla);
+        }
+    }
+    a ^ b.rotate_left(32)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`key_matches`] calls made by this thread (the crowded-index tests).
+    static KEY_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Full equality between a stored key and a live request, streamed directly
 /// off the request without building a [`Key`].
 fn key_matches(key: &Key, host: &HostConfig, opts: &PlannerOptions) -> bool {
+    #[cfg(test)]
+    KEY_PROBES.with(|n| n.set(n.get() + 1));
     let o = &key.opts;
     if key.n_cores != host.n_cores
         || key.numa_nodes != host.numa_nodes
@@ -275,6 +332,10 @@ pub struct PlanCache {
     slots: Vec<Slot>,
     /// fingerprint -> indices into `slots` (collisions share a bucket).
     buckets: BucketMap,
+    /// Indices of the slots currently holding a plan, in no particular
+    /// order; at most `capacity` long, so nothing an insert scans grows
+    /// with the slots ever created.
+    live: Vec<u32>,
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -291,6 +352,7 @@ impl PlanCache {
         PlanCache {
             slots: Vec::new(),
             buckets: BucketMap::default(),
+            live: Vec::new(),
             capacity: capacity.max(1),
             tick: 0,
             hits: 0,
@@ -317,14 +379,64 @@ impl PlanCache {
 
     /// Index of the slot matching `(host, opts)`, if one exists.
     fn find(&self, host: &HostConfig, opts: &PlannerOptions) -> Option<usize> {
-        let fp = fingerprint(host, opts);
+        self.find_in(fingerprint(host, opts), host, opts)
+    }
+
+    fn find_in(&self, fp: u64, host: &HostConfig, opts: &PlannerOptions) -> Option<usize> {
         self.buckets.get(&fp).and_then(|bucket| {
             bucket
                 .iter()
-                .copied()
-                .map(|i| i as usize)
+                .map(|&i| i as usize)
                 .find(|&i| key_matches(&self.slots[i].key, host, opts))
         })
+    }
+
+    /// Index of the slot matching `(host, opts)`, created empty (no plan,
+    /// zero counters) if the key is new.
+    fn slot_for(&mut self, host: &HostConfig, opts: &PlannerOptions) -> usize {
+        let fp = fingerprint(host, opts);
+        if let Some(i) = self.find_in(fp, host, opts) {
+            return i;
+        }
+        let idx = self.slots.len();
+        self.slots.push(Slot {
+            key: Key::of(host, opts),
+            plan: None,
+            used: 0,
+            hits: 0,
+            misses: 0,
+        });
+        self.buckets.entry(fp).or_default().push(idx as u32);
+        idx
+    }
+
+    /// Stores `plan` in slot `idx` at the current tick. Filling an empty
+    /// slot of a full cache first evicts the least-recently-used plan
+    /// (clearing only the plan; the key keeps its counters) — among the
+    /// never-hit ones only when `warm`.
+    fn fill(&mut self, idx: usize, plan: Arc<Plan>, warm: bool) {
+        if self.slots[idx].plan.is_none() {
+            if self.live.len() >= self.capacity {
+                let victim = (0..self.live.len())
+                    .filter(|&at| !warm || self.slots[self.live[at] as usize].hits == 0)
+                    .min_by_key(|&at| self.slots[self.live[at] as usize].used);
+                if let Some(at) = victim {
+                    let evicted = self.live.swap_remove(at);
+                    self.slots[evicted as usize].plan = None;
+                }
+            }
+            self.live.push(idx as u32);
+        }
+        let slot = &mut self.slots[idx];
+        slot.plan = Some(plan);
+        slot.used = self.tick;
+    }
+
+    /// Whether caching one more plan could only displace a plan that has
+    /// served a real request — the condition under which a warm declines.
+    fn full_of_proven_demand(&self) -> bool {
+        self.live.len() >= self.capacity
+            && !self.live.iter().any(|&i| self.slots[i as usize].hits == 0)
     }
 
     /// Hit-only probe: returns the cached plan for `(host, opts)` without
@@ -361,37 +473,8 @@ impl PlanCache {
     /// evict entries that have never served a hit; a demanded install
     /// evicts the least-recently-used filled slot unconditionally.
     fn install(&mut self, host: &HostConfig, opts: &PlannerOptions, plan: Arc<Plan>, warm: bool) {
-        let idx = match self.find(host, opts) {
-            Some(i) => i,
-            None => {
-                let fp = fingerprint(host, opts);
-                let idx = self.slots.len();
-                self.slots.push(Slot {
-                    key: Key::of(host, opts),
-                    plan: None,
-                    used: 0,
-                    hits: 0,
-                    misses: 0,
-                });
-                self.buckets.entry(fp).or_default().push(idx as u32);
-                idx
-            }
-        };
-        if self.slots[idx].plan.is_none() && self.len() >= self.capacity {
-            // Evict the least-recently-used filled slot, as on a miss.
-            if let Some(victim) = self
-                .slots
-                .iter_mut()
-                .filter(|s| s.plan.is_some() && (!warm || s.hits == 0))
-                .min_by_key(|s| s.used)
-            {
-                victim.plan = None;
-            }
-        }
-        let tick = self.tick;
-        let slot = &mut self.slots[idx];
-        slot.plan = Some(plan);
-        slot.used = tick;
+        let idx = self.slot_for(host, opts);
+        self.fill(idx, plan, warm);
     }
 
     /// Speculatively pre-plans `(host, opts)` so the predicted request hits.
@@ -427,11 +510,9 @@ impl PlanCache {
         if self.warm_spent >= self.warm_budget {
             return Ok(None);
         }
-        if self.len() >= self.capacity
-            && !self.slots.iter().any(|s| s.plan.is_some() && s.hits == 0)
-        {
-            // Every cached plan has proven demand; decline before spending
-            // the planner run on a table we could not keep.
+        if self.full_of_proven_demand() {
+            // Decline before spending the planner run on a table we could
+            // not keep.
             return Ok(None);
         }
         let fresh = Arc::new(plan(host, opts)?);
@@ -454,61 +535,17 @@ impl PlanCache {
         host: &HostConfig,
         opts: &PlannerOptions,
     ) -> Result<Arc<Plan>, PlanError> {
-        self.tick += 1;
-        let fp = fingerprint(host, opts);
-        let found = self.buckets.get(&fp).and_then(|bucket| {
-            bucket
-                .iter()
-                .copied()
-                .find(|&i| key_matches(&self.slots[i as usize].key, host, opts))
-        });
-        if let Some(i) = found {
-            let slot = &mut self.slots[i as usize];
-            if let Some(cached) = &slot.plan {
-                let cached = cached.clone();
-                slot.used = self.tick;
-                slot.hits += 1;
-                self.hits += 1;
-                return Ok(cached);
-            }
+        if let Some(cached) = self.lookup(host, opts) {
+            return Ok(cached);
         }
-
         // Miss: materialize the slot first so even a failed planner run is
         // charged to the key's counters.
-        let idx = match found {
-            Some(i) => i as usize,
-            None => {
-                let idx = self.slots.len();
-                self.slots.push(Slot {
-                    key: Key::of(host, opts),
-                    plan: None,
-                    used: 0,
-                    hits: 0,
-                    misses: 0,
-                });
-                self.buckets.entry(fp).or_default().push(idx as u32);
-                idx
-            }
-        };
+        let idx = self.slot_for(host, opts);
         self.slots[idx].misses += 1;
         self.misses += 1;
 
         let fresh = Arc::new(plan(host, opts)?);
-        if self.len() >= self.capacity {
-            // Evict the least-recently-used filled slot (clearing only the
-            // plan; the key keeps its counters).
-            if let Some(victim) = self
-                .slots
-                .iter_mut()
-                .filter(|s| s.plan.is_some())
-                .min_by_key(|s| s.used)
-            {
-                victim.plan = None;
-            }
-        }
-        let slot = &mut self.slots[idx];
-        slot.plan = Some(fresh.clone());
-        slot.used = self.tick;
+        self.fill(idx, fresh.clone(), false);
         Ok(fresh)
     }
 
@@ -550,7 +587,7 @@ impl PlanCache {
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.plan.is_some()).count()
+        self.live.len()
     }
 
     /// `true` if the cache holds no plans.
@@ -560,14 +597,14 @@ impl PlanCache {
 
     /// Drops every cached plan (per-key statistics are retained).
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            s.plan = None;
+        for i in self.live.drain(..) {
+            self.slots[i as usize].plan = None;
         }
     }
 }
 
 /// Lock stripes in a [`SharedPlanCache`] — a power of two so the
-/// fingerprint's low bits route uniformly.
+/// scalar hash's low bits route uniformly.
 const SHARDS: usize = 8;
 
 /// A lock-striped, shareable [`PlanCache`].
@@ -576,11 +613,11 @@ const SHARDS: usize = 8;
 /// the plan cache is the one structure every host's replan path touches, so
 /// a single `&mut PlanCache` would serialize the whole control plane (or
 /// force unsafe sharing). `SharedPlanCache` stripes the key space over
-/// [`SHARDS`] independently locked [`PlanCache`]s, routed by the same
-/// request [`fingerprint`] the hit path computes anyway: every method takes
-/// `&self`, two requests for different stripes never contend, and two
-/// requests for the *same* shape serialize on one stripe — exactly the
-/// ordering a correct cache needs.
+/// [`SHARDS`] independently locked [`PlanCache`]s, routed by the request's
+/// [`scalar_hash`] (a prefix of the [`fingerprint`] the lookup computes):
+/// every method takes `&self`, two requests for different stripes never
+/// contend, and two requests for the *same* shape serialize on one stripe —
+/// exactly the ordering a correct cache needs.
 ///
 /// The speculative warm budget stays **global** (one counter behind its own
 /// mutex, not per stripe): `begin_warm_epoch` opens a fleet-wide allowance
@@ -623,9 +660,17 @@ impl SharedPlanCache {
         }
     }
 
+    /// The stripe a request routes to: a function of its scalars only, so
+    /// same-sized shapes compete for one stripe's capacity whatever their
+    /// VMs are.
+    fn stripe_of(host: &HostConfig, opts: &PlannerOptions) -> usize {
+        (scalar_hash(host, opts) as usize) & (SHARDS - 1)
+    }
+
     fn shard(&self, host: &HostConfig, opts: &PlannerOptions) -> MutexGuard<'_, PlanCache> {
-        let i = (fingerprint(host, opts) as usize) & (SHARDS - 1);
-        self.shards[i].lock().expect("plan cache stripe poisoned")
+        self.shards[SharedPlanCache::stripe_of(host, opts)]
+            .lock()
+            .expect("plan cache stripe poisoned")
     }
 
     /// Caps the speculative planner runs each warm epoch may spend,
@@ -759,10 +804,7 @@ impl SharedPlanCache {
                 triage.push(Triage::Done(None));
                 continue;
             }
-            if shard.len() >= shard.capacity
-                && !shard.slots.iter().any(|s| s.plan.is_some() && s.hits == 0)
-            {
-                // Caching the result could only evict proven demand.
+            if shard.full_of_proven_demand() {
                 self.refund_warm();
                 triage.push(Triage::Done(None));
                 continue;
@@ -1196,6 +1238,81 @@ mod tests {
         let _ = cache.get_or_plan(&h1, &opts).unwrap();
         let _ = cache.get_or_plan(&h2, &opts).unwrap();
         assert_eq!(cache.misses(), 2);
+    }
+
+    /// A 2-core host of `n` single-vCPU VMs; `salt` picks the utilizations,
+    /// so equal `n` with different salts gives equal scalars, different VMs.
+    fn salted_host(n: usize, salt: u32) -> HostConfig {
+        let mut h = HostConfig::new(2);
+        for i in 0..n as u32 {
+            let u = Utilization::from_ppm(10_000 + salt * 16 + i);
+            h.add_vm(VmSpec::uniform(
+                format!("vm{i}"),
+                1,
+                VcpuSpec::capped(u, Nanos::from_millis(20)),
+            ));
+        }
+        h
+    }
+
+    #[test]
+    fn crowded_same_count_shapes_probe_at_most_two_candidates() {
+        // 1 600 distinct shapes of one VM count: equal scalars, so one
+        // stripe, and before the content fingerprint one bucket that every
+        // lookup and insert searched linearly.
+        let opts = PlannerOptions::default();
+        let dummy = Arc::new(plan(&salted_host(4, 0), &opts).unwrap());
+        let mut cache = PlanCache::new(32);
+        for salt in 0..1600 {
+            cache.insert(&salted_host(4, salt), &opts, dummy.clone());
+        }
+        assert_eq!(cache.len(), 32);
+        assert_eq!(cache.stats().per_key.len(), 1600);
+
+        let probes = |f: &mut dyn FnMut()| {
+            let before = KEY_PROBES.with(|n| n.get());
+            f();
+            KEY_PROBES.with(|n| n.get()) - before
+        };
+        // A hit, a lookup of an evicted shape, a lookup and an insert of a
+        // shape never seen, a re-insert of a resident one.
+        assert!(probes(&mut || assert!(cache.lookup(&salted_host(4, 1599), &opts).is_some())) <= 2);
+        assert!(probes(&mut || assert!(cache.lookup(&salted_host(4, 0), &opts).is_none())) <= 2);
+        assert!(probes(&mut || assert!(cache.lookup(&salted_host(4, 1600), &opts).is_none())) <= 2);
+        assert!(probes(&mut || cache.insert(&salted_host(4, 1600), &opts, dummy.clone())) <= 2);
+        assert!(probes(&mut || cache.insert(&salted_host(4, 1599), &opts, dummy.clone())) <= 2);
+        assert_eq!(cache.len(), 32);
+        // LRU order is untouched by the index: the oldest resident went.
+        assert!(cache.lookup(&salted_host(4, 1568), &opts).is_none());
+        assert!(cache.lookup(&salted_host(4, 1569), &opts).is_some());
+    }
+
+    /// Stripes of the 1..=8-VM `salted_host`s under default options, read
+    /// off the revision whose buckets and stripes shared one scalar hash.
+    const STRIPES_BEFORE: [usize; 8] = [5, 4, 7, 6, 1, 0, 3, 2];
+
+    #[test]
+    fn stripe_is_picked_by_the_scalars_not_the_vms() {
+        // Deployments size their recurring set against stripes picked by VM
+        // count (the benchmark's 176 recurring shapes are): equal scalars
+        // must keep meaning equal stripe, and the routing itself is pinned
+        // to the values it had when buckets were keyed by the same hash.
+        let opts = PlannerOptions::default();
+        for n in [2usize, 5, 8] {
+            let stripe = SharedPlanCache::stripe_of(&salted_host(n, 0), &opts);
+            for salt in 1..40 {
+                let other = salted_host(n, salt);
+                assert_ne!(
+                    fingerprint(&other, &opts),
+                    fingerprint(&salted_host(n, 0), &opts)
+                );
+                assert_eq!(SharedPlanCache::stripe_of(&other, &opts), stripe);
+            }
+        }
+        let stripes: Vec<usize> = (1..=8)
+            .map(|n| SharedPlanCache::stripe_of(&salted_host(n, 0), &opts))
+            .collect();
+        assert_eq!(stripes, STRIPES_BEFORE);
     }
 
     #[test]

@@ -23,9 +23,10 @@ use std::collections::HashMap;
 use rtsched::generator::{generate_schedule_with_preferences, Stage};
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::time::Nanos;
-use rtsched::verify::task_max_blackout;
 
-use crate::planner::{period_for, plan, Plan, PlanError, PlannerOptions, VcpuParams};
+use crate::planner::{
+    blackout_in_table, period_for, plan, Plan, PlanError, PlannerOptions, VcpuParams,
+};
 use crate::postprocess::{coalesce_with, CoalesceReport};
 use crate::table::{Allocation, Table};
 use crate::vcpu::{HostConfig, VcpuId};
@@ -362,19 +363,7 @@ pub fn plan_incremental(
     let mut worst_blackout = Vec::with_capacity(new_keys.len());
     for nid in 0..new_keys.len() as u32 {
         let vcpu = VcpuId(nid);
-        let blackout = match table.placement(vcpu) {
-            None => hyperperiod,
-            Some(p) => {
-                let mut sched = rtsched::MultiCoreSchedule::idle(hyperperiod, 1);
-                let mut ivs: Vec<(Nanos, Nanos)> =
-                    p.allocations.iter().map(|&(_, s, e)| (s, e)).collect();
-                ivs.sort_unstable();
-                for (s, e) in ivs {
-                    sched.cores[0].push(rtsched::Segment::new(s, e, TaskId(nid)));
-                }
-                task_max_blackout(TaskId(nid), &sched)
-            }
-        };
+        let blackout = blackout_in_table(&table, vcpu, hyperperiod);
         worst_blackout.push((vcpu, blackout));
     }
     let mut split_vcpus: Vec<VcpuId> = Vec::new();

@@ -39,7 +39,6 @@ use rtsched::hyperperiod::PeriodCandidates;
 use rtsched::signature::CoreSharing;
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::time::Nanos;
-use rtsched::verify::task_max_blackout;
 
 use crate::postprocess::{coalesce_with, CoalesceReport, DEFAULT_THRESHOLD};
 use crate::table::{Allocation, Table};
@@ -510,27 +509,11 @@ pub(crate) fn translate(
 
 /// Observed worst-case cyclic service gap of `vcpu` in `table` — the
 /// blackout the latency-goal validation checks. Pure function of the vCPU's
-/// interval set in the table.
+/// interval set in the table; the whole hyperperiod if it never runs.
 pub(crate) fn blackout_in_table(table: &Table, vcpu: VcpuId, hyperperiod: Nanos) -> Nanos {
-    let ivs: Vec<(Nanos, Nanos)> = table
+    table
         .placement(vcpu)
-        .map(|p| p.allocations.iter().map(|&(_, s, e)| (s, e)).collect())
-        .unwrap_or_default();
-    if ivs.is_empty() {
-        hyperperiod
-    } else {
-        // Reuse the rtsched helper on a synthetic single-task schedule.
-        let mut sched = rtsched::MultiCoreSchedule::idle(hyperperiod, 1);
-        let mut merged = ivs;
-        merged.sort_unstable();
-        for (s, e) in merged {
-            // Allocations of one vCPU never overlap (checked by
-            // Table::new), but cross-core ones can touch; push merges
-            // only same-task adjacency, which is what we want.
-            sched.cores[0].push(rtsched::Segment::new(s, e, TaskId(vcpu.0)));
-        }
-        task_max_blackout(TaskId(vcpu.0), &sched)
-    }
+        .map_or(hyperperiod, |p| p.max_blackout(hyperperiod))
 }
 
 /// Like [`plan`], additionally returning the per-stage wall-clock breakdown.

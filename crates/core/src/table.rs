@@ -10,6 +10,17 @@
 //! overlap at most two allocations — so resolving "who runs at time `t`"
 //! inspects a bounded number of records regardless of table size, touching
 //! at most two cache lines in the hot path.
+//!
+//! **Compile cost.** A table is compiled on every plan and every delta
+//! splice, so the build is linear in what it writes. Slice starts and
+//! segment ends both ascend, so the slice index is one forward merge walk
+//! over the segment ends — `O(slices + segments)` — not a binary search per
+//! slice (a 44-core, 1 ms-goal plan has ~117 000 slices over ~22 000
+//! segments; the searches were the planner's largest stage, above EDF
+//! simulation). Placement lists are sized by a counting pass, and a vCPU
+//! that sits on one core — every vCPU of a partitioned plan — skips the
+//! per-vCPU sort and home-core vote: its list is pushed from that core's
+//! start-sorted table, so it is in order already and that core is its home.
 
 use std::sync::Arc;
 
@@ -163,11 +174,19 @@ impl CpuTable {
             seg_vcpu.push(NO_VCPU);
         }
 
-        // Slice index: the segment containing each slice start.
-        let mut slices = vec![0u32; n_slices];
-        for (s, slot) in slices.iter_mut().enumerate() {
-            let slice_start = slice_len * s as u64;
-            *slot = seg_end.partition_point(|&e| e <= slice_start) as u32;
+        // Slice index: the segment containing each slice start. Both
+        // sequences ascend, so one forward walk serves every slice; the last
+        // segment ends at `table_len`, past every slice start, which bounds
+        // the walk.
+        let mut slices = Vec::with_capacity(n_slices);
+        let mut seg = 0usize;
+        let mut slice_start = Nanos::ZERO;
+        for _ in 0..n_slices {
+            while seg_end[seg] <= slice_start {
+                seg += 1;
+            }
+            slices.push(seg as u32);
+            slice_start += slice_len;
         }
         Ok(CpuTable {
             allocations,
@@ -186,26 +205,26 @@ impl CpuTable {
     /// [`CpuTable::new`] — are the same structure; only `seg_vcpu` needs the
     /// ids substituted. The reuse is *checked*, not trusted: every `(start,
     /// end)` pair must match the representative's and the reserved segments
-    /// must line up one-to-one with the allocations; any mismatch returns
-    /// `None` and the caller builds the table from scratch. The result is
-    /// field-for-field what [`CpuTable::new`] would produce (the slice and
-    /// segment arrays depend only on interval geometry, which is equal by
-    /// the check; `allocations` and `seg_vcpu` carry this core's ids).
+    /// must line up one-to-one with the allocations; any mismatch hands the
+    /// allocations back and the caller builds the table from scratch. The
+    /// result is field-for-field what [`CpuTable::new`] would produce (the
+    /// slice and segment arrays depend only on interval geometry, which is
+    /// equal by the check; `allocations` and `seg_vcpu` carry this core's
+    /// ids).
     pub fn stamped_from(
         rep: &CpuTable,
         allocations: Vec<Allocation>,
         table_len: Nanos,
-    ) -> Option<CpuTable> {
-        if rep.allocations.len() != allocations.len() {
-            return None;
-        }
-        if rep.seg_end.last() != Some(&table_len) {
-            return None;
-        }
-        for (a, b) in rep.allocations.iter().zip(&allocations) {
-            if a.start != b.start || a.end != b.end {
-                return None;
-            }
+    ) -> Result<CpuTable, Vec<Allocation>> {
+        let geometry_matches = rep.allocations.len() == allocations.len()
+            && rep.seg_end.last() == Some(&table_len)
+            && rep
+                .allocations
+                .iter()
+                .zip(&allocations)
+                .all(|(a, b)| a.start == b.start && a.end == b.end);
+        if !geometry_matches {
+            return Err(allocations);
         }
         // Each allocation flattens to exactly one reserved segment, in
         // order; substitute ids positionally.
@@ -214,22 +233,40 @@ impl CpuTable {
         for v in seg_vcpu.iter_mut() {
             if *v != NO_VCPU {
                 if rep.allocations.get(next).map(|a| a.vcpu.0) != Some(*v) {
-                    return None;
+                    return Err(allocations);
                 }
                 *v = allocations[next].vcpu.0;
                 next += 1;
             }
         }
         if next != allocations.len() {
-            return None;
+            return Err(allocations);
         }
-        Some(CpuTable {
+        Ok(CpuTable {
             allocations,
             slice_len: rep.slice_len,
             slices: rep.slices.clone(),
             seg_end: rep.seg_end.clone(),
             seg_vcpu,
         })
+    }
+
+    /// Core `core`'s table: `rep`'s geometry re-stamped when one is offered
+    /// and checks out, a fresh build otherwise.
+    fn compile(
+        core: usize,
+        allocations: Vec<Allocation>,
+        table_len: Nanos,
+        rep: Option<&CpuTable>,
+    ) -> Result<CpuTable, String> {
+        let allocations = match rep {
+            Some(rep) => match CpuTable::stamped_from(rep, allocations, table_len) {
+                Ok(stamped) => return Ok(stamped),
+                Err(allocations) => allocations,
+            },
+            None => allocations,
+        };
+        CpuTable::new(allocations, table_len).map_err(|e| format!("core {core}: {e}"))
     }
 
     /// Returns the allocations in time order.
@@ -349,6 +386,53 @@ pub struct VcpuPlacement {
     pub home_core: usize,
 }
 
+impl VcpuPlacement {
+    /// Orders the allocations by start, rejects a vCPU reserved on two cores
+    /// at once, and picks the home core — the per-vCPU tail of every table
+    /// constructor. Lists are pushed core by core from start-sorted core
+    /// tables, so a vCPU that sits on one core is in order already and that
+    /// core is its home: no sort, no per-core vote.
+    fn settle(&mut self, vid: usize) -> Result<(), String> {
+        let first_core = self.allocations.first().map_or(0, |a| a.0);
+        let one_core = self.allocations.iter().all(|a| a.0 == first_core);
+        if !one_core {
+            self.allocations.sort_by_key(|&(_, s, _)| s);
+        }
+        for w in self.allocations.windows(2) {
+            if w[0].2 > w[1].1 {
+                return Err(format!(
+                    "vCPU v{vid} has overlapping allocations at {}",
+                    w[1].1
+                ));
+            }
+        }
+        self.home_core = if one_core {
+            first_core
+        } else {
+            home_of(&self.allocations)
+        };
+        Ok(())
+    }
+
+    /// Worst cyclic service gap of this vCPU in a table of length
+    /// `table_len`: the longest stretch without an allocation, wrapping
+    /// from the last allocation over the table edge to the first. One pass:
+    /// the list is sorted and non-overlapping (every [`Table`] constructor
+    /// guarantees it), and pieces that touch — a split vCPU handing over
+    /// between cores — simply contribute a zero gap. `table_len` if the
+    /// vCPU never runs.
+    pub fn max_blackout(&self, table_len: Nanos) -> Nanos {
+        let (Some(first), Some(last)) = (self.allocations.first(), self.allocations.last()) else {
+            return table_len;
+        };
+        let wrap = (table_len - last.2) + first.1;
+        self.allocations
+            .windows(2)
+            .map(|w| w[1].1.saturating_sub(w[0].2))
+            .fold(wrap, Nanos::max)
+    }
+}
+
 /// A complete Tableau scheduling table.
 ///
 /// # Examples
@@ -417,22 +501,16 @@ impl Table {
         stamps: &[Option<usize>],
     ) -> Result<Table, String> {
         let mut cpus: Vec<CpuTable> = Vec::with_capacity(per_core.len());
-        for (core, allocs) in per_core.iter().enumerate() {
-            let stamped = stamps
+        for (core, allocs) in per_core.into_iter().enumerate() {
+            let rep = stamps
                 .get(core)
                 .copied()
                 .flatten()
-                .filter(|&rep| rep < core)
-                .and_then(|rep| CpuTable::stamped_from(&cpus[rep], allocs.clone(), len));
-            let cpu = match stamped {
-                Some(c) => c,
-                None => {
-                    CpuTable::new(allocs.clone(), len).map_err(|e| format!("core {core}: {e}"))?
-                }
-            };
+                .filter(|&rep| rep < core);
+            let cpu = CpuTable::compile(core, allocs, len, rep.map(|rep| &cpus[rep]))?;
             cpus.push(cpu);
         }
-        Table::assemble(len, per_core, cpus)
+        Table::assemble(len, cpus)
     }
 
     /// Like [`Table::new`], splicing in compiled per-core tables from a
@@ -452,21 +530,11 @@ impl Table {
         donors: &[Option<&CpuTable>],
     ) -> Result<Table, String> {
         let mut cpus: Vec<CpuTable> = Vec::with_capacity(per_core.len());
-        for (core, allocs) in per_core.iter().enumerate() {
-            let donated = donors
-                .get(core)
-                .copied()
-                .flatten()
-                .and_then(|rep| CpuTable::stamped_from(rep, allocs.clone(), len));
-            let cpu = match donated {
-                Some(c) => c,
-                None => {
-                    CpuTable::new(allocs.clone(), len).map_err(|e| format!("core {core}: {e}"))?
-                }
-            };
-            cpus.push(cpu);
+        for (core, allocs) in per_core.into_iter().enumerate() {
+            let donor = donors.get(core).copied().flatten();
+            cpus.push(CpuTable::compile(core, allocs, len, donor)?);
         }
-        Table::assemble(len, per_core, cpus)
+        Table::assemble(len, cpus)
     }
 
     /// Like [`Table::new`], but starting from a previous table and replacing
@@ -544,17 +612,7 @@ impl Table {
         // [`Table::assemble`] does; untouched vCPUs cannot have gained an
         // overlap (their allocation sets are unchanged).
         for &v in &touched {
-            let p = Arc::make_mut(&mut placements[v as usize]);
-            p.allocations.sort_by_key(|&(_, s, _)| s);
-            for w in p.allocations.windows(2) {
-                if w[0].2 > w[1].1 {
-                    return Err(format!(
-                        "vCPU v{v} has overlapping allocations at {}",
-                        w[1].1
-                    ));
-                }
-            }
-            p.home_core = home_of(&p.allocations);
+            Arc::make_mut(&mut placements[v as usize]).settle(v as usize)?;
         }
         // A fresh build sizes placements to the highest id with allocations.
         while placements.last().is_some_and(|p| p.allocations.is_empty()) {
@@ -564,15 +622,22 @@ impl Table {
         // splice whose translate step left a departed vCPU's allocations
         // behind would survive the pops above with a live placement the new
         // table should not carry. Cross-check every touched id against the
-        // spliced per-core tables before committing.
+        // spliced per-core tables before committing — against the cores its
+        // placement names, at the start each entry names (core tables are
+        // start-sorted), so the check costs a search per touched vCPU, not a
+        // walk of every core.
         for &v in &touched {
-            let on_cores = cpus
-                .iter()
-                .any(|c| c.allocations().iter().any(|a| a.vcpu.0 == v));
-            let placed = placements
-                .get(v as usize)
-                .is_some_and(|p| !p.allocations.is_empty());
-            if placed && !on_cores {
+            let Some(p) = placements.get(v as usize) else {
+                continue;
+            };
+            let on_cores = p.allocations.iter().any(|&(c, start, _)| {
+                let allocs = cpus[c].allocations();
+                let at = allocs.partition_point(|a| a.start < start);
+                allocs
+                    .get(at)
+                    .is_some_and(|a| a.start == start && a.vcpu.0 == v)
+            });
+            if !p.allocations.is_empty() && !on_cores {
                 debug_assert!(false, "stale placement for vCPU v{v} survived the splice");
                 return Err(format!("stale placement for vCPU v{v} survived the splice"));
             }
@@ -606,48 +671,36 @@ impl Table {
 
     /// Shared tail of the constructors: placement metadata, cross-core
     /// overlap validation, and home-core assignment.
-    fn assemble(
-        len: Nanos,
-        per_core: Vec<Vec<Allocation>>,
-        cpus: Vec<CpuTable>,
-    ) -> Result<Table, String> {
-        // Build per-vCPU placements.
-        let max_vcpu = per_core
+    fn assemble(len: Nanos, cpus: Vec<CpuTable>) -> Result<Table, String> {
+        // Build per-vCPU placements, each list sized by a counting pass.
+        let mut counts: Vec<usize> = Vec::new();
+        for a in cpus.iter().flat_map(|c| &c.allocations) {
+            let v = a.vcpu.0 as usize;
+            if v >= counts.len() {
+                counts.resize(v + 1, 0);
+            }
+            counts[v] += 1;
+        }
+        let mut placements: Vec<VcpuPlacement> = counts
             .iter()
-            .flatten()
-            .map(|a| a.vcpu.0)
-            .max()
-            .map(|m| m as usize + 1)
-            .unwrap_or(0);
-        let mut placements = vec![
-            VcpuPlacement {
-                allocations: Vec::new(),
+            .map(|&n| VcpuPlacement {
+                allocations: Vec::with_capacity(n),
                 home_core: 0,
-            };
-            max_vcpu
-        ];
-        for (core, allocs) in per_core.iter().enumerate() {
-            for a in allocs {
+            })
+            .collect();
+        for (core, cpu) in cpus.iter().enumerate() {
+            for a in &cpu.allocations {
                 placements[a.vcpu.0 as usize]
                     .allocations
                     .push((core, a.start, a.end));
             }
         }
+        // Order, cross-core overlap check, home core.
         for (vid, p) in placements.iter_mut().enumerate() {
-            p.allocations.sort_by_key(|&(_, s, _)| s);
-            // Cross-core overlap check.
-            for w in p.allocations.windows(2) {
-                if w[0].2 > w[1].1 {
-                    return Err(format!(
-                        "vCPU v{vid} has overlapping allocations at {}",
-                        w[1].1
-                    ));
-                }
-            }
-            p.home_core = home_of(&p.allocations);
+            p.settle(vid)?;
         }
 
-        let mut homed = vec![Vec::new(); per_core.len()];
+        let mut homed = vec![Vec::new(); cpus.len()];
         for (vid, p) in placements.iter().enumerate() {
             if !p.allocations.is_empty() {
                 homed[p.home_core].push(VcpuId(vid as u32));
@@ -895,11 +948,11 @@ mod tests {
     fn stamped_cpu_table_rejects_geometry_mismatch() {
         let rep = CpuTable::new(vec![alloc(0, 2, 0)], ms(10)).unwrap();
         // Different interval.
-        assert!(CpuTable::stamped_from(&rep, vec![alloc(0, 3, 5)], ms(10)).is_none());
+        assert!(CpuTable::stamped_from(&rep, vec![alloc(0, 3, 5)], ms(10)).is_err());
         // Different count.
-        assert!(CpuTable::stamped_from(&rep, vec![], ms(10)).is_none());
+        assert!(CpuTable::stamped_from(&rep, vec![], ms(10)).is_err());
         // Different table length.
-        assert!(CpuTable::stamped_from(&rep, vec![alloc(0, 2, 5)], ms(20)).is_none());
+        assert!(CpuTable::stamped_from(&rep, vec![alloc(0, 2, 5)], ms(20)).is_err());
     }
 
     #[test]

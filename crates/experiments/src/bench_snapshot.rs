@@ -35,6 +35,7 @@ use tableau_core::cache::PlanCache;
 use tableau_core::dispatch::Dispatcher;
 use tableau_core::plan_delta;
 use tableau_core::planner::{plan, PlannerOptions};
+use tableau_core::table::{Allocation, Table};
 use tableau_core::vcpu::VcpuId;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
 use workloads::{IntrinsicLatency, IoStress};
@@ -116,6 +117,82 @@ fn bench_host_with_goal(n_cores: usize, n_vms: usize, pct: u32, goal: Nanos) -> 
         h.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
     }
     h
+}
+
+/// How many same-sized shapes the crowded cache rows keep in the index —
+/// the length of the delta chain `e2ebench`'s `plan-ladder` replays.
+const CROWD: u32 = 1_600;
+
+/// One shape of the crowd: 31 identical resident VMs and a last VM only
+/// `salt` tells apart, as consecutive shapes of a delta chain are. Equal
+/// scalars, so before the content fingerprint all of them shared one bucket
+/// and each probe compared its way through the 31 equal VMs of every
+/// candidate.
+fn crowd_host(salt: u32) -> HostConfig {
+    let mut h = bench_host(16, 31, 25);
+    let spec = VcpuSpec::capped(Utilization::from_ppm(50_000 + salt), Nanos::from_millis(20));
+    h.add_vm(VmSpec::uniform("churned", 1, spec));
+    h
+}
+
+/// Times a hit and an insert on a [`PlanCache`] that has seen [`CROWD`]
+/// same-sized shapes (32 resident, the rest evicted tombstones).
+fn crowded_cache_entries(iters: u64, opts: &PlannerOptions) -> [BenchEntry; 2] {
+    // The plans' content is irrelevant to the index: one small plan stands
+    // in for all of them.
+    let stand_in = Arc::new(plan(&bench_host(2, 4, 25), opts).expect("stand-in plans"));
+    let crowded = || {
+        let mut c = PlanCache::new(32);
+        for salt in 0..CROWD {
+            c.insert(&crowd_host(salt), opts, stand_in.clone());
+        }
+        c
+    };
+    let hit = {
+        let mut c = crowded();
+        let newest = crowd_host(CROWD - 1);
+        time_entry("cache/hit_crowded", iters.max(100), move || {
+            c.lookup(&newest, opts)
+                .expect("the newest shape is resident")
+        })
+    };
+    let insert = {
+        let mut c = crowded();
+        // A never-seen shape per call (warm-up included), built outside
+        // the timed region.
+        let n = iters.max(100);
+        let fresh: Vec<HostConfig> = (CROWD..).map(crowd_host).take(n as usize + 1).collect();
+        let mut next = 0;
+        let stand_in = stand_in.clone();
+        time_entry("cache/insert_crowded", n, move || {
+            c.insert(&fresh[next], opts, stand_in.clone());
+            next += 1;
+        })
+    };
+    [hit, insert]
+}
+
+/// Times [`Table::new`] on the allocation lists of a 44-core plan whose 176
+/// VMs all differ (1 ms goal): no stamped core, every slice index built.
+/// The per-iteration clone of the input lists is inside the timed call
+/// (the constructor takes them by value).
+fn table_compile_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
+    let mut host = HostConfig::new(44);
+    for i in 0..176u32 {
+        let spec = VcpuSpec::capped(
+            Utilization::from_ppm(50_000 + i * 7_919 % 150_000),
+            Nanos::from_millis(1),
+        );
+        host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+    }
+    let p = plan(&host, opts).expect("all-unique paper-scale host plans");
+    let len = p.table.len();
+    let per_core: Vec<Vec<Allocation>> = (0..p.table.n_cores())
+        .map(|c| p.table.cpu(c).allocations().to_vec())
+        .collect();
+    time_entry("table/compile_176", iters, move || {
+        Table::new(len, per_core.clone()).expect("planned lists compile")
+    })
 }
 
 /// The paper-scale verification substrate: a 44-core, 176-task schedule
@@ -204,7 +281,7 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     let mut clustered = PlannerOptions::default();
     clustered.gen.first_stage = Stage::Clustered;
 
-    let entries = vec![
+    let mut entries = vec![
         time_entry("plan/partitioned", iters, || {
             let p = plan(&easy, &defaults).expect("easy set plans");
             assert_eq!(p.stage, Stage::Partitioned);
@@ -255,11 +332,14 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
         {
             let mut c = PlanCache::new(4);
             c.get_or_plan(&easy, &defaults).expect("plans");
+            let (easy, defaults) = (&easy, &defaults);
             time_entry("cache/hit", iters.max(100), move || {
-                c.get_or_plan(&easy, &defaults).expect("plans")
+                c.get_or_plan(easy, defaults).expect("plans")
             })
         },
     ];
+    entries.extend(crowded_cache_entries(iters, &defaults));
+    entries.push(table_compile_entry(paper_iters, &defaults));
     // The ISSUE 8 acceptance bar: re-certifying a single-bin delta through
     // the rule engine must be at least 5x cheaper than a full single-pass
     // verify of the same 176-task host (the expected gap is far larger).
@@ -864,7 +944,10 @@ mod tests {
                 "verify/full_176",
                 "verify/delta_incremental",
                 "cache/miss",
-                "cache/hit"
+                "cache/hit",
+                "cache/hit_crowded",
+                "cache/insert_crowded",
+                "table/compile_176"
             ]
         );
         assert_eq!(planner.meta.schema, SCHEMA);
