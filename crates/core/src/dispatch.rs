@@ -77,7 +77,7 @@ impl Decision {
 /// the core was in. Per-core time moves forward, so the next lookup resumes
 /// from here — the steady state is a few compares and one forward step over
 /// the flattened segment array, with no division and no re-scan.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SlotCursor {
     /// Epoch index the cursor was built against (`usize::MAX` = invalid).
     epoch: usize,
@@ -176,6 +176,29 @@ impl Dispatcher {
         }
     }
 
+    /// Rebuilds `core`'s second level against `epoch` if it was built
+    /// against another one (the core adopted a new table, or `set_capped` /
+    /// `set_quarantined` invalidated it): the lazy refresh every decision
+    /// starts with.
+    fn refresh_level2(&mut self, core: usize, epoch: usize) {
+        if epoch == self.level2_epoch[core] {
+            return;
+        }
+        let eligible = self.level2_eligible(self.tables.epoch_table(epoch), core);
+        self.level2[core].set_eligible(&eligible);
+        if self.quarantined.iter().any(|&q| q) {
+            let demoted: Vec<VcpuId> = eligible
+                .iter()
+                .copied()
+                .filter(|&v| self.is_quarantined(v))
+                .collect();
+            if !demoted.is_empty() {
+                self.level2[core].set_demoted(&demoted);
+            }
+        }
+        self.level2_epoch[core] = epoch;
+    }
+
     /// Makes a scheduling decision for `core` at absolute time `now`.
     ///
     /// `is_runnable` reports guest state (runnable vs. blocked); the
@@ -189,23 +212,7 @@ impl Dispatcher {
         mut is_runnable: impl FnMut(VcpuId) -> bool,
     ) -> Decision {
         let epoch = self.tables.confirm(core, now);
-
-        // Refresh second-level eligibility if this core adopted a new table.
-        if epoch != self.level2_epoch[core] {
-            let eligible = self.level2_eligible(self.tables.epoch_table(epoch), core);
-            self.level2[core].set_eligible(&eligible);
-            if self.quarantined.iter().any(|&q| q) {
-                let demoted: Vec<VcpuId> = eligible
-                    .iter()
-                    .copied()
-                    .filter(|&v| self.is_quarantined(v))
-                    .collect();
-                if !demoted.is_empty() {
-                    self.level2[core].set_demoted(&demoted);
-                }
-            }
-            self.level2_epoch[core] = epoch;
-        }
+        self.refresh_level2(core, epoch);
 
         // Slot lookup via the per-core cursor: resume from the last
         // segment; division only on a table wrap or an epoch change.
@@ -295,22 +302,31 @@ impl Dispatcher {
         self.level2[core].charge(vcpu, amount);
     }
 
-    /// Precomputes `core`'s dispatch decisions over `[from, horizon]` as a
-    /// dense window — the read-only half of the dense-phase fast path.
+    /// Precomputes `core`'s dispatch decisions from `from` on as a dense
+    /// window — the read-only half of the dense-phase fast path.
     ///
-    /// Emits one `(vcpu, absolute until)` pair per table segment, starting
-    /// with the segment containing `from` and continuing (wrapping rounds)
-    /// until a segment ends strictly after `horizon`. Returns `false` —
-    /// mutating nothing — unless the window is provably equivalent to
-    /// calling [`Dispatcher::decide`] at every slice boundary:
+    /// Fills `out` with one `(vcpu, absolute until)` pair per table
+    /// segment, starting with the segment containing `from` and continuing
+    /// (wrapping rounds) until a segment ends strictly after the window's
+    /// end: `horizon`, or one nanosecond before the returned bound if that
+    /// comes first. The bound is the round boundary at which `core` next
+    /// adopts a newer table ([`TableManager::next_adoption`];
+    /// [`Nanos::MAX`] when settled): decisions strictly before it are
+    /// exact, the caller plans the rest in a fresh window starting at or
+    /// after it. Returns `None` — mutating nothing but `out`, whose
+    /// contents are then meaningless — unless the window is provably
+    /// equivalent to calling [`Dispatcher::decide`] at every slice
+    /// boundary:
     ///
-    /// * the table manager is settled: nothing staged, and `core` is (or
-    ///   would confirm onto) the newest epoch, so no switch lands
-    ///   mid-window;
-    /// * `core`'s second level is in sync with that epoch (no lazy refresh
-    ///   pending from `set_capped` / `set_quarantined` / a table switch)
-    ///   and its eligible set is empty, so every level-2 pick is a
-    ///   side-effect-free `None` and every level-2 charge a no-op;
+    /// * nothing is staged (a commit would publish mid-window);
+    /// * `core`'s second level is empty under the epoch in force at `from`,
+    ///   so every level-2 pick is a side-effect-free `None` and every
+    ///   level-2 charge a no-op; if it was built against another epoch
+    ///   (the window opens on a table switch, or `set_capped` /
+    ///   `set_quarantined` invalidated it), the set it still holds must be
+    ///   empty too and nothing may be quarantined — then the lazy refresh
+    ///   `decide` would run first replaces an empty set by an empty set,
+    ///   and [`Dispatcher::dense_commit`] runs it;
     /// * no SLA monitor is attached (dispatches would feed it);
     /// * no IPI request is pending anywhere (a de-schedule would consume
     ///   one and trigger a hand-off IPI);
@@ -319,22 +335,25 @@ impl Dispatcher {
     ///
     /// Runnability is sampled once per slot at build time; the caller
     /// guarantees guest state cannot change inside the window (the
-    /// simulator abandons a batch on any block or wake). On `false`,
-    /// slices already emitted must be discarded by the caller.
+    /// simulator abandons a batch on any block or wake).
     pub fn dense_plan(
         &self,
         core: usize,
         from: Nanos,
         horizon: Nanos,
         mut is_runnable: impl FnMut(VcpuId) -> bool,
-        mut emit: impl FnMut(Option<VcpuId>, Nanos),
-    ) -> bool {
+        out: &mut Vec<(Option<VcpuId>, Nanos)>,
+    ) -> Option<Nanos> {
+        out.clear();
         if self.monitor.is_some() || self.tables.has_staged() {
-            return false;
+            return None;
         }
         let epoch = self.tables.peek_epoch(core, from);
-        if epoch + 1 != self.tables.n_epochs() || self.level2_epoch[core] != epoch {
-            return false;
+        if self.level2_epoch[core] != epoch
+            && (self.level2[core].eligible().next().is_some()
+                || self.quarantined.iter().any(|&q| q))
+        {
+            return None;
         }
         let table = self.tables.epoch_table(epoch);
         if !table
@@ -342,24 +361,29 @@ impl Dispatcher {
             .iter()
             .all(|&v| self.is_capped(v))
         {
-            return false;
+            return None;
         }
         if self.ipi_request.iter().any(|r| r.is_some()) {
-            return false;
+            return None;
         }
+        let bound = self.tables.next_adoption(core, from);
+        let horizon = horizon.min(bound - Nanos(1));
         let len = table.len();
         let cpu = table.cpu(core);
         let n_segs = cpu.n_segments();
         let mut round_base = from - from % len;
         let mut seg = cpu.segment_at(from - round_base);
-        // Slots and the runnability snapshot are time-invariant inside a
-        // window, so a segment's decision (and its single-homed proof) is
-        // computed once on first visit and replayed on every later round —
-        // long windows cost O(segments) checks, not O(slices).
-        let mut memo: Vec<Option<(Option<VcpuId>, Nanos)>> = vec![None; n_segs];
         loop {
-            let (vcpu, rel_until) = match memo[seg] {
-                Some(d) => d,
+            // Slots and the runnability snapshot are time-invariant inside
+            // a window, so a segment's decision (and its single-homed
+            // proof) is computed on the first lap only; every later lap
+            // replays the slice one round back — long windows cost
+            // O(segments) checks, not O(slices).
+            let (vcpu, until) = match out.len().checked_sub(n_segs) {
+                Some(lap_back) => {
+                    let (vcpu, until) = out[lap_back];
+                    (vcpu, until + len)
+                }
                 None => {
                     let slot = cpu.segment_slot(seg);
                     let vcpu = match slot.vcpu() {
@@ -368,26 +392,24 @@ impl Dispatcher {
                                 .placement(v)
                                 .is_some_and(|p| p.allocations.iter().all(|&(c, _, _)| c == core));
                             if !single_homed {
-                                return false;
+                                return None;
                             }
                             Some(v)
                         }
                         _ => None,
                     };
-                    let d = (vcpu, slot.until());
-                    memo[seg] = Some(d);
-                    d
+                    let until = round_base + slot.until();
+                    seg += 1;
+                    if seg == n_segs {
+                        seg = 0;
+                        round_base += len;
+                    }
+                    (vcpu, until)
                 }
             };
-            let until = round_base + rel_until;
-            emit(vcpu, until);
+            out.push((vcpu, until));
             if until > horizon {
-                return true;
-            }
-            seg += 1;
-            if seg == n_segs {
-                seg = 0;
-                round_base += len;
+                return Some(bound);
             }
         }
     }
@@ -401,11 +423,16 @@ impl Dispatcher {
     /// callbacks would have: cleared `core`'s ownership at every
     /// de-schedule and re-asserted it at every dispatch (net: only the
     /// final dispatch survives), advanced the table view once per decision
-    /// (net: the last decision's confirm), and rebuilt the slot cursor
-    /// (net: the cursor of the last decision). Level-2 state is untouched
-    /// — its eligible set was empty for the whole window.
+    /// (net: the last decision's confirm — a window never spans an
+    /// adoption boundary, so every decision in it confirmed the same
+    /// epoch), run the lazy level-2 refresh at the first decision if the
+    /// second level was built against another epoch (net: an empty set
+    /// replaced by an empty set and the epoch stamp, which is all
+    /// `dense_plan` admits), and rebuilt the slot cursor (net: the cursor
+    /// of the last decision).
     pub fn dense_commit(&mut self, core: usize, at: Nanos, running: Option<VcpuId>) {
         let epoch = self.tables.confirm(core, at);
+        self.refresh_level2(core, epoch);
         for o in &mut self.owner {
             if *o == Some(core) {
                 *o = None;
@@ -561,6 +588,12 @@ impl Dispatcher {
             .get(vcpu.0 as usize)
             .copied()
             .unwrap_or(false)
+    }
+
+    /// The epoch index `core`'s table view currently holds (see
+    /// [`TableManager::core_epoch`]; diagnostics/tests).
+    pub fn core_epoch(&self, core: usize) -> usize {
+        self.tables.core_epoch(core)
     }
 
     /// Whether the table-switch protocol is fully quiescent (nothing
@@ -880,6 +913,230 @@ mod tests {
         assert_eq!(violations[0].vcpu, VcpuId(0));
         assert_eq!(violations[0].observed, ms(7));
         assert_eq!(violations[0].bound, ms(2));
+    }
+
+    /// Everything the dense fast path must leave exactly as the generic
+    /// callbacks would: cursors, owners, per-core table views, and each
+    /// core's second level (epoch stamp, budgets, demotions).
+    type DispatchState = (
+        Vec<SlotCursor>,
+        Vec<Option<usize>>,
+        Vec<usize>,
+        Vec<usize>,
+        Vec<(Vec<(VcpuId, Nanos)>, Vec<VcpuId>)>,
+    );
+
+    fn dispatch_state(d: &Dispatcher) -> DispatchState {
+        (
+            d.cursor.clone(),
+            d.owner.clone(),
+            (0..d.n_cores()).map(|c| d.core_epoch(c)).collect(),
+            d.level2_epoch.clone(),
+            d.level2
+                .iter()
+                .map(|l| {
+                    (
+                        l.eligible().map(|v| (v, l.budget(v))).collect(),
+                        l.demoted().to_vec(),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// Table A (two_core_dispatcher's) and a different table B of the same
+    /// length; all vCPUs capped, every reservation single-homed.
+    fn table_b() -> Table {
+        Table::new(
+            ms(10),
+            vec![vec![alloc(0, 4, 1), alloc(6, 9, 0)], vec![alloc(2, 7, 2)]],
+        )
+        .unwrap()
+    }
+
+    /// One `(core, time, vcpu, until)` per decision.
+    type Decisions = Vec<(usize, Nanos, Option<VcpuId>, Nanos)>;
+
+    /// The generic path: `decide` at every slice boundary of every core up
+    /// to `end`, in global time order, de-scheduling the incumbent first.
+    fn drive_generic(d: &mut Dispatcher, end: Nanos) -> Decisions {
+        let n = d.n_cores();
+        let mut next = vec![Nanos::ZERO; n];
+        let mut incumbent: Vec<Option<VcpuId>> = vec![None; n];
+        let mut log = Vec::new();
+        loop {
+            let core = (0..n).min_by_key(|&c| (next[c], c)).unwrap();
+            let now = next[core];
+            if now > end {
+                return log;
+            }
+            if let Some(v) = incumbent[core].take() {
+                assert_eq!(d.on_descheduled(v, core), None);
+            }
+            let dec = d.decide(core, now, |_| true);
+            incumbent[core] = dec.vcpu();
+            log.push((core, now, dec.vcpu(), dec.until()));
+            next[core] = dec.until();
+        }
+    }
+
+    /// The dense path, driven the way the simulator drives it: windows of
+    /// at most `span` opened at the earliest pending boundary, every core
+    /// planned up front, decisions consumed up to the window's end (the
+    /// horizon or one nanosecond before the validity bound), one commit
+    /// per core per window.
+    fn drive_dense(d: &mut Dispatcher, end: Nanos, span: Nanos) -> Decisions {
+        let n = d.n_cores();
+        let mut next = vec![Nanos::ZERO; n];
+        let mut log = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let from = *next.iter().min().unwrap();
+            if from > end {
+                return log;
+            }
+            let mut cap = end.min(from + span);
+            let mut windows = Vec::new();
+            for core in 0..n {
+                let bound = d
+                    .dense_plan(core, from, cap, |_| true, &mut out)
+                    .expect("capped single-homed tables stay dense");
+                assert!(bound > from);
+                cap = cap.min(bound - Nanos(1));
+                windows.push(out.clone());
+            }
+            for (core, slices) in windows.iter().enumerate() {
+                let mut last = None;
+                for &(vcpu, until) in slices {
+                    if until <= next[core] {
+                        continue;
+                    }
+                    if next[core] > cap {
+                        break;
+                    }
+                    log.push((core, next[core], vcpu, until));
+                    last = Some((next[core], vcpu));
+                    next[core] = until;
+                }
+                assert!(next[core] > cap, "window under-ran its end");
+                if let Some((at, running)) = last {
+                    d.dense_commit(core, at, running);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_windows_across_a_switch_match_decide_at_every_boundary() {
+        // Two pending switches: to table B at 20 ms, back to A's layout at
+        // 40 ms. Some spans open a window exactly on a boundary, the widest
+        // is cut by both.
+        let end = Nanos::from_micros(57_300);
+        let install = |d: &mut Dispatcher| {
+            let a = d.newest_table().clone();
+            assert_eq!(d.install_table(table_b(), ms(3)), Ok(ms(20)));
+            assert_eq!(d.install_table(a, ms(27)), Ok(ms(40)));
+        };
+        let mut generic = two_core_dispatcher(vec![true; 3]);
+        install(&mut generic);
+        let mut want = drive_generic(&mut generic, end);
+        want.sort();
+        for span_us in [700, 5_000, 10_000, 13_000, 100_000] {
+            let mut dense = two_core_dispatcher(vec![true; 3]);
+            install(&mut dense);
+            let mut got = drive_dense(&mut dense, end, Nanos::from_micros(span_us));
+            got.sort();
+            assert_eq!(got, want, "decisions diverged at span {span_us} us");
+            assert_eq!(
+                dispatch_state(&dense),
+                dispatch_state(&generic),
+                "state diverged at span {span_us} us"
+            );
+            assert_eq!(dense.core_epoch(0), 2);
+        }
+    }
+
+    #[test]
+    fn dense_plan_is_cut_at_the_adoption_boundary_and_rolls_past_it() {
+        let mut d = two_core_dispatcher(vec![true; 3]);
+        let mut out = Vec::new();
+        assert_eq!(
+            d.dense_plan(0, ms(1), ms(100), |_| true, &mut out),
+            Some(Nanos::MAX)
+        );
+        assert!(out.last().unwrap().1 > ms(100));
+
+        let switch_at = d.install_table(table_b(), ms(3)).expect("installs");
+        assert_eq!(
+            d.dense_plan(0, ms(3), ms(100), |_| true, &mut out),
+            Some(switch_at)
+        );
+        // Table A's slices, ending at the boundary and not past it.
+        assert_eq!(out.first(), Some(&(None, ms(5))));
+        assert_eq!(out.last(), Some(&(None, switch_at)));
+        // A window opened on the boundary runs table B and is unbounded; the
+        // second level's stale epoch stamp does not decline it (its set is
+        // empty under both tables) and the commit brings it in sync.
+        assert_eq!(
+            d.dense_plan(0, switch_at, ms(100), |_| true, &mut out),
+            Some(Nanos::MAX)
+        );
+        assert_eq!(out.first(), Some(&(Some(VcpuId(1)), switch_at + ms(4))));
+        assert_eq!(d.level2_epoch[0], 0);
+        d.dense_commit(0, switch_at, Some(VcpuId(1)));
+        assert_eq!((d.core_epoch(0), d.level2_epoch[0]), (1, 1));
+        // A staged, uncommitted install still declines.
+        let staged = d.begin_table_switch(table_b(), switch_at).unwrap();
+        assert_eq!(
+            d.dense_plan(0, switch_at, ms(100), |_| true, &mut out),
+            None
+        );
+        d.commit_table_switch(staged).unwrap();
+        assert!(d
+            .dense_plan(0, switch_at, ms(100), |_| true, &mut out)
+            .is_some());
+    }
+
+    #[test]
+    fn dense_plan_declines_once_the_new_epoch_homes_an_uncapped_vcpu() {
+        // vCPU 3 is uncapped and appears on core 1 only in the new table.
+        let mut d = two_core_dispatcher(vec![true, true, true, false]);
+        let b = Table::new(
+            ms(10),
+            vec![
+                vec![alloc(0, 3, 0), alloc(5, 8, 1)],
+                vec![alloc(0, 5, 2), alloc(5, 9, 3)],
+            ],
+        )
+        .unwrap();
+        let switch_at = d.install_table(b, ms(3)).expect("installs");
+        let mut out = Vec::new();
+        // Up to the switch core 1 stays dense, bounded at the boundary ...
+        assert_eq!(
+            d.dense_plan(1, ms(3), ms(100), |_| true, &mut out),
+            Some(switch_at)
+        );
+        // ... from the boundary on its second level is live: decline.
+        assert_eq!(
+            d.dense_plan(1, switch_at, ms(100), |_| true, &mut out),
+            None
+        );
+        // Core 0 homes only capped vCPUs under both tables.
+        assert_eq!(
+            d.dense_plan(0, switch_at, ms(100), |_| true, &mut out),
+            Some(Nanos::MAX)
+        );
+        // A stale, non-empty second level declines too: once core 1 ran
+        // table B generically, switching back to an all-capped table must
+        // go through `decide`'s refresh, not the commit's.
+        let _ = d.decide(1, switch_at, |_| true);
+        let back = d
+            .install_table(
+                two_core_dispatcher(vec![]).newest_table().clone(),
+                switch_at,
+            )
+            .expect("installs");
+        assert_eq!(d.dense_plan(1, back, ms(100), |_| true, &mut out), None);
     }
 
     #[test]

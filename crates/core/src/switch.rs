@@ -306,9 +306,23 @@ impl TableManager {
         view.epoch
     }
 
-    /// Number of committed epochs; `n_epochs() - 1` is the newest index.
-    pub fn n_epochs(&self) -> usize {
-        self.epochs.len()
+    /// The table-round boundary at which `core`, seen from `now`, next
+    /// adopts a newer epoch: [`TableManager::peek_epoch`] is constant over
+    /// `[now, boundary)` and changes exactly at `boundary`. [`Nanos::MAX`]
+    /// when every committed epoch is already adopted at `now` (staged
+    /// installs are invisible until committed).
+    ///
+    /// A core re-reads its pointer only at wraps, so the boundary is the
+    /// first wrap strictly after the earliest pending arm time —
+    /// `len * (arm / len + 1)`, the `switch_at` of its install — and never
+    /// the wrap `now` already sits behind. Dense-phase batching caps each
+    /// window one nanosecond before it, so no window spans a table switch.
+    pub fn next_adoption(&self, core: usize, now: Nanos) -> Nanos {
+        let epoch = self.peek_epoch(core, now);
+        match self.activations[epoch + 1..].iter().min() {
+            Some(&arm) => (self.len * (arm / self.len + 1)).max(self.len * (now / self.len + 1)),
+            None => Nanos::MAX,
+        }
     }
 
     /// The table at epoch index `epoch` (as returned by
@@ -603,6 +617,60 @@ mod tests {
         // The manager still works afterwards.
         let at = m.install(table(10, 3), ms(30)).expect("installs");
         assert_eq!(at, ms(50));
+    }
+
+    #[test]
+    fn next_adoption_is_the_switch_time_of_the_earliest_pending_install() {
+        let mut m = TableManager::new(table(10, 0));
+        // Settled: no boundary, from any time.
+        assert_eq!(m.next_adoption(0, ms(0)), Nanos::MAX);
+        assert_eq!(m.next_adoption(1, ms(57)), Nanos::MAX);
+
+        // Staged installs are invisible until committed.
+        let staged = m.begin_install(table(10, 1), ms(3)).unwrap();
+        assert_eq!(m.next_adoption(0, ms(3)), Nanos::MAX);
+        let switch_at = m.commit_install(staged).unwrap();
+        assert_eq!(switch_at, ms(20));
+        for core in 0..2 {
+            assert_eq!(m.next_adoption(core, ms(3)), switch_at);
+            assert_eq!(m.next_adoption(core, ms(19)), switch_at);
+        }
+
+        // A second install one round later: the earlier boundary wins, and
+        // from it on the later one is next.
+        let later = m.install(table(10, 2), ms(12)).expect("installs");
+        assert_eq!(later, ms(30));
+        assert_eq!(m.next_adoption(0, ms(12)), switch_at);
+        assert_eq!(m.next_adoption(0, switch_at), later);
+        assert_eq!(m.next_adoption(0, later), Nanos::MAX);
+
+        // The view changes exactly at each reported boundary and not one
+        // nanosecond before, whether or not the core confirmed in between.
+        assert_eq!(m.peek_epoch(0, switch_at - Nanos(1)), 0);
+        assert_eq!(m.peek_epoch(0, switch_at), 1);
+        assert_eq!(m.confirm(0, switch_at - Nanos(1)), 0);
+        assert_eq!(m.peek_epoch(0, later - Nanos(1)), 1);
+        assert_eq!(m.peek_epoch(0, later), 2);
+        assert_eq!(m.confirm(0, later - Nanos(1)), 1);
+        assert_eq!(m.next_adoption(0, later - Nanos(1)), later);
+        assert_eq!(m.confirm(0, later), 2);
+        assert_eq!(m.next_adoption(0, later), Nanos::MAX);
+        // Core 1 never looked: same answers from its stale view.
+        assert_eq!(m.next_adoption(1, later - Nanos(1)), later);
+        assert_eq!(m.next_adoption(1, later), Nanos::MAX);
+    }
+
+    #[test]
+    fn next_adoption_of_a_late_install_is_the_next_wrap() {
+        // An install stamped in the past (arm time already behind the
+        // core's confirmed boundary) is picked up at the core's next wrap,
+        // not at its nominal switch time.
+        let mut m = TableManager::new(table(10, 0));
+        assert_eq!(m.confirm(0, ms(47)), 0);
+        m.install(table(10, 1), ms(3)).expect("installs");
+        assert_eq!(m.next_adoption(0, ms(47)), ms(50));
+        assert_eq!(m.peek_epoch(0, ms(50) - Nanos(1)), 0);
+        assert_eq!(m.peek_epoch(0, ms(50)), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The fleet controller: placement, evacuation, backpressure, installs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -598,33 +598,51 @@ impl Fleet {
     /// state (host tenant lists + queues) describe exactly the same VM
     /// set, with no VM in two places.
     pub fn check_conservation(&self) -> Result<(), String> {
-        let mut seen: BTreeMap<u64, String> = BTreeMap::new();
-        let mut place = |vm: u64, at: String, want: VmLocation| -> Result<(), String> {
-            if let Some(prev) = seen.insert(vm, at.clone()) {
-                return Err(format!("vm {vm} duplicated: {prev} and {at}"));
+        // Runs every control epoch over every live VM: where a VM was found
+        // is kept as the `Copy` location it should have in the ledger, and
+        // only a failing check renders it as text.
+        fn at(loc: VmLocation) -> String {
+            match loc {
+                VmLocation::Placed(host) => format!("host{host}"),
+                VmLocation::Evacuating => "evacuating".into(),
+                VmLocation::Parked => "parked".into(),
+            }
+        }
+        let mut seen: HashMap<u64, VmLocation> = HashMap::with_capacity(self.locations.len());
+        let mut place = |vm: u64, found: VmLocation| -> Result<(), String> {
+            if let Some(prev) = seen.insert(vm, found) {
+                return Err(format!(
+                    "vm {vm} duplicated: {} and {}",
+                    at(prev),
+                    at(found)
+                ));
             }
             match self.locations.get(&vm) {
-                Some(&loc) if loc == want => Ok(()),
-                Some(&loc) => Err(format!("vm {vm} at {at} but ledger says {loc:?}")),
-                None => Err(format!("vm {vm} at {at} but not in the ledger")),
+                Some(&loc) if loc == found => Ok(()),
+                Some(&loc) => Err(format!("vm {vm} at {} but ledger says {loc:?}", at(found))),
+                None => Err(format!("vm {vm} at {} but not in the ledger", at(found))),
             }
         };
         for h in &self.hosts {
             for t in &h.tenants {
-                place(t.vm, format!("host{}", h.id), VmLocation::Placed(h.id))?;
+                place(t.vm, VmLocation::Placed(h.id))?;
             }
         }
         for e in self.evacuating.iter() {
-            place(e.vm, "evacuating".into(), VmLocation::Evacuating)?;
+            place(e.vm, VmLocation::Evacuating)?;
         }
         for e in self.parked.iter() {
-            place(e.vm, "parked".into(), VmLocation::Parked)?;
+            place(e.vm, VmLocation::Parked)?;
         }
-        for &vm in self.locations.keys() {
-            if !seen.contains_key(&vm) {
-                return Err(format!(
-                    "vm {vm} is in the ledger but placed nowhere (lost)"
-                ));
+        // Every VM found is a distinct ledger entry, so equal counts mean
+        // none is missing.
+        if seen.len() != self.locations.len() {
+            for &vm in self.locations.keys() {
+                if !seen.contains_key(&vm) {
+                    return Err(format!(
+                        "vm {vm} is in the ledger but placed nowhere (lost)"
+                    ));
+                }
             }
         }
         Ok(())
@@ -1285,6 +1303,40 @@ mod tests {
         assert!(fleet.admit_to_install().max() > Nanos::ZERO);
         let r = *fleet.rungs();
         assert!(r.cache_plan + r.cache_hit + r.delta >= 1);
+    }
+
+    #[test]
+    fn conservation_failures_name_the_vm_and_where_it_was_found() {
+        let mut fleet = small_fleet(2);
+        let h = fleet
+            .admit(Nanos::from_millis(1), 7, flavor(1, 250_000))
+            .expect("admits");
+        fleet.check_conservation().expect("sound fleet");
+
+        fleet.locations.insert(7, VmLocation::Parked);
+        assert_eq!(
+            fleet.check_conservation().unwrap_err(),
+            format!("vm 7 at host{h} but ledger says Parked")
+        );
+        fleet.locations.remove(&7);
+        assert_eq!(
+            fleet.check_conservation().unwrap_err(),
+            format!("vm 7 at host{h} but not in the ledger")
+        );
+        fleet.locations.insert(7, VmLocation::Placed(h));
+        fleet.locations.insert(9, VmLocation::Evacuating);
+        assert_eq!(
+            fleet.check_conservation().unwrap_err(),
+            "vm 9 is in the ledger but placed nowhere (lost)"
+        );
+        fleet.locations.remove(&9);
+        let twin = fleet.hosts[h].tenants[0];
+        fleet.hosts[1 - h].tenants.push(twin);
+        let (lo, hi) = (h.min(1 - h), h.max(1 - h));
+        assert_eq!(
+            fleet.check_conservation().unwrap_err(),
+            format!("vm 7 duplicated: host{lo} and host{hi}")
+        );
     }
 
     #[test]

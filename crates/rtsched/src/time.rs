@@ -53,6 +53,9 @@ impl Nanos {
     /// One second.
     pub const SECOND: Nanos = Nanos(1_000_000_000);
 
+    /// The largest representable time: "never" as a deadline or bound.
+    pub const MAX: Nanos = Nanos(u64::MAX);
+
     /// Creates a duration from whole nanoseconds.
     pub const fn from_nanos(ns: u64) -> Nanos {
         Nanos(ns)

@@ -12,8 +12,8 @@ use tableau_core::guardian::CoreEvent;
 use tableau_core::planner::Plan;
 use tableau_core::vcpu::VcpuId as TcVcpu;
 use xensim::sched::{
-    DenseCosts, DenseSlice, DeschedulePlan, PdesDecline, PdesSplit, SchedDecision, VcpuId,
-    VcpuView, VmScheduler, WakeupPlan,
+    DenseCosts, DenseSlice, DenseWindow, DeschedulePlan, PdesDecline, PdesSplit, SchedDecision,
+    VcpuId, VcpuView, VmScheduler, WakeupPlan,
 };
 
 use crate::costs::TableauCosts;
@@ -64,6 +64,9 @@ pub struct Tableau {
     /// Placement itself is table-driven; the hints decide which partition
     /// owns a table-less vCPU's state in a partitioned (PDES) run.
     homes: Vec<usize>,
+    /// The dispatcher's side of the last dense window (reused buffer; the
+    /// simulator's slices are converted from it).
+    dense_scratch: Vec<(Option<TcVcpu>, Nanos)>,
 }
 
 fn tc(v: VcpuId) -> TcVcpu {
@@ -110,6 +113,7 @@ impl Tableau {
             blocked: Vec::new(),
             core_events: Vec::new(),
             homes: Vec::new(),
+            dense_scratch: Vec::new(),
         }
     }
 
@@ -345,27 +349,30 @@ impl VmScheduler for Tableau {
         horizon: Nanos,
         view: VcpuView<'_>,
         out: &mut Vec<DenseSlice>,
-    ) -> Option<DenseCosts> {
-        // The dispatcher enforces the equivalence guards (settled tables,
+    ) -> Option<DenseWindow> {
+        // The dispatcher enforces the equivalence guards (nothing staged,
         // empty second level, no monitor, no pending hand-offs, single-homed
-        // reservations). No adapter-side guard is needed on top: with an
-        // empty second level a stale `last_pick` level-2 charge at the first
-        // in-batch de-schedule would be a no-op anyway.
-        let ok = self.dispatcher.dense_plan(
+        // reservations) and bounds the window at the next table switch. No
+        // adapter-side guard is needed on top: with an empty second level a
+        // stale `last_pick` level-2 charge at the first in-batch de-schedule
+        // would be a no-op anyway.
+        let valid_before = self.dispatcher.dense_plan(
             core,
             from,
             horizon,
             |v| view.is_runnable(VcpuId(v.0)),
-            |vcpu, until| {
-                out.push(DenseSlice {
-                    vcpu: vcpu.map(|v| VcpuId(v.0)),
-                    until,
-                })
+            &mut self.dense_scratch,
+        )?;
+        out.extend(self.dense_scratch.iter().map(|&(vcpu, until)| DenseSlice {
+            vcpu: vcpu.map(|v| VcpuId(v.0)),
+            until,
+        }));
+        Some(DenseWindow {
+            costs: DenseCosts {
+                schedule: self.costs.schedule_base,
+                deschedule: self.costs.deschedule_base,
             },
-        );
-        ok.then_some(DenseCosts {
-            schedule: self.costs.schedule_base,
-            deschedule: self.costs.deschedule_base,
+            valid_before,
         })
     }
 
@@ -423,6 +430,7 @@ impl VmScheduler for Tableau {
                     blocked: self.blocked.clone(),
                     core_events: Vec::new(),
                     homes: self.homes.clone(),
+                    dense_scratch: Vec::new(),
                 }) as Box<dyn VmScheduler>
             })
             .collect();

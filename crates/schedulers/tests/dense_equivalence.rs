@@ -6,19 +6,24 @@
 //! handled-event stream, statistics, and trace must be bit-for-bit
 //! identical to both reference engines — modulo the `SimStats::batch`
 //! counters and the `TraceClass::BATCH` markers, which exist only to
-//! observe the batching itself. These tests drive the Tableau scheduler
-//! (the only dense-capable one) through scenarios that enter, exit, and
-//! decline batches: pure busy loops (whole-horizon windows), compute/block
-//! cyclers (mid-window bails), external wake-ups (batching suppressed
-//! while foreign events are pending), and a mid-run table install (the
-//! settled-tables guard).
+//! observe the batching itself — and so must the scheduler state the
+//! batch's commits reconstruct (per-vCPU pick counts, per-core table
+//! epochs), sampled at every `run_until` boundary. These tests drive the
+//! Tableau scheduler (the only dense-capable one) through scenarios that
+//! enter, exit, resume, and decline batches: pure busy loops
+//! (whole-horizon windows), compute/block cyclers (mid-window bails),
+//! external wake-ups (batching suppressed while foreign events are
+//! pending), runs cut into slices (timers parked at one `run_until` and
+//! resumed or un-parked at the next), and table installs between slices
+//! (windows bounded at the switch, staged installs declining).
 
 use proptest::prelude::*;
 
 use rtsched::time::Nanos;
-use schedulers::tableau::Tableau;
+use schedulers::tableau::{PickCounts, Tableau};
 use tableau_core::planner::{plan, Plan, PlannerOptions};
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
+use tableau_core::Table;
 use xensim::sched::{BusyLoop, GuestAction, GuestWorkload, VcpuId};
 use xensim::trace::{TraceClass, TraceRecord};
 use xensim::{EngineKind, Machine, Sim, SimStats};
@@ -57,10 +62,55 @@ impl GuestWorkload for Cycler {
     }
 }
 
+/// A table of `p`'s shape that schedules differently: on every core the
+/// reservations keep their place and rotate their owners by `k`. `k == 0`
+/// is the planned table itself.
+fn variant(p: &Plan, k: usize) -> Table {
+    let t = &p.table;
+    let per_core = (0..t.n_cores())
+        .map(|c| {
+            let allocs = t.cpu(c).allocations();
+            (0..allocs.len())
+                .map(|i| tableau_core::Allocation {
+                    vcpu: allocs[(i + k) % allocs.len()].vcpu,
+                    ..allocs[i]
+                })
+                .collect()
+        })
+        .collect();
+    Table::new(t.len(), per_core).unwrap()
+}
+
+/// What the harness does between two `run_until` slices.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Nothing: `run_until` returns and is entered again.
+    Pause,
+    /// `push_external` for `vcpu`, due `delay` after the boundary.
+    Wake { vcpu: u32, delay: Nanos },
+    /// Commits [`variant`] `table`, stamped `ahead` of the boundary (a
+    /// control plane that runs ahead of its simulator, as the fleet's does).
+    Install { table: usize, ahead: Nanos },
+    /// Stages [`variant`] `table` without committing it.
+    Stage { table: usize },
+    /// Rolls a staged install back (a no-op with nothing staged).
+    Abort,
+}
+
+/// The scheduler state a batch's commits reconstruct, at one `run_until`
+/// boundary: the clock, the events handled, every vCPU's pick counts and
+/// every core's table epoch.
+type Checkpoint = (Nanos, u64, Vec<PickCounts>, Vec<usize>);
+
 /// Everything an engine can influence, with the batch-only observability
 /// stripped: `SimStats::batch` zeroed and `TraceClass::BATCH` records
 /// dropped (they are the *only* permitted difference between engines).
-type Observation = (Vec<(Nanos, u64, String)>, SimStats, Vec<TraceRecord>, u64);
+type Observation = (
+    Vec<(Nanos, u64, String)>,
+    SimStats,
+    Vec<TraceRecord>,
+    Vec<Checkpoint>,
+);
 
 struct Scenario<'a> {
     cores: usize,
@@ -68,12 +118,32 @@ struct Scenario<'a> {
     /// Per-vCPU `(burst_us, wait_us)`; `wait_us == 0` means a pure busy
     /// loop. Cycled over the vCPU population.
     mix: &'a [(u64, u64)],
-    /// External wake-ups `(at_us, vcpu)`.
+    /// External wake-ups `(at_us, vcpu)`, queued before the run starts.
     events: &'a [(u64, u32)],
-    /// Re-install the (identical) table at this time, exercising the
-    /// two-phase switch with batching active.
-    reinstall_at: Option<Nanos>,
+    /// The run is cut at each of these times, in order (a time already
+    /// passed cuts nothing), and the step is taken there.
+    script: &'a [(Nanos, Step)],
     horizon: Nanos,
+}
+
+fn checkpoint(sim: &mut Sim, n_vcpus: usize, cores: usize) -> Checkpoint {
+    let (now, events) = (sim.now(), sim.events_processed());
+    let t = tableau(sim);
+    (
+        now,
+        events,
+        (0..n_vcpus as u32)
+            .map(|v| t.pick_counts(VcpuId(v)))
+            .collect(),
+        (0..cores).map(|c| t.dispatcher().core_epoch(c)).collect(),
+    )
+}
+
+fn tableau(sim: &mut Sim) -> &mut Tableau {
+    sim.scheduler_mut()
+        .as_any()
+        .downcast_mut::<Tableau>()
+        .unwrap()
 }
 
 /// Builds, drives, and drains one run of `s` under `kind`, returning the
@@ -101,16 +171,32 @@ fn run(kind: EngineKind, s: &Scenario<'_>) -> (Observation, xensim::stats::Batch
     for &(at_us, v) in s.events {
         sim.push_external(Nanos::from_micros(at_us), VcpuId(v % n_vcpus as u32), 0);
     }
-    if let Some(at) = s.reinstall_at {
+    let mut checkpoints = Vec::new();
+    for &(at, step) in s.script {
         sim.run_until(at);
-        let t = sim
-            .scheduler_mut()
-            .as_any()
-            .downcast_mut::<Tableau>()
-            .unwrap();
-        t.install_table(p.table.clone(), at).unwrap();
+        checkpoints.push(checkpoint(&mut sim, n_vcpus, s.cores));
+        match step {
+            Step::Pause => {}
+            Step::Wake { vcpu, delay } => {
+                sim.push_external(sim.now() + delay, VcpuId(vcpu % n_vcpus as u32), 0)
+            }
+            // Installs racing a staged one are rejected with a typed error,
+            // identically under every engine.
+            Step::Install { table, ahead } => {
+                let at = sim.now() + ahead;
+                let _ = tableau(&mut sim).install_table(variant(&p, table), at);
+            }
+            Step::Stage { table } => {
+                let at = sim.now();
+                let _ = tableau(&mut sim)
+                    .dispatcher_mut()
+                    .begin_table_switch(variant(&p, table), at);
+            }
+            Step::Abort => tableau(&mut sim).dispatcher_mut().abort_table_switch(),
+        }
     }
     sim.run_until(s.horizon);
+    checkpoints.push(checkpoint(&mut sim, n_vcpus, s.cores));
     let log = sim.take_event_log();
     let trace: Vec<TraceRecord> = sim
         .trace()
@@ -121,7 +207,7 @@ fn run(kind: EngineKind, s: &Scenario<'_>) -> (Observation, xensim::stats::Batch
     let batch = sim.stats().batch;
     let mut stats = sim.stats().clone();
     stats.batch = Default::default();
-    ((log, stats, trace, sim.events_processed()), batch)
+    ((log, stats, trace, checkpoints), batch)
 }
 
 fn observe(kind: EngineKind, s: &Scenario<'_>) -> Observation {
@@ -129,21 +215,27 @@ fn observe(kind: EngineKind, s: &Scenario<'_>) -> Observation {
 }
 
 /// Runs all three engines and asserts pairwise equality, returning the
-/// hybrid run's batch counters for scenario-specific assertions.
-fn assert_three_way(s: &Scenario<'_>) -> xensim::stats::BatchStats {
+/// hybrid run's observation and batch counters for scenario-specific
+/// assertions.
+fn assert_three_way(s: &Scenario<'_>) -> (Observation, xensim::stats::BatchStats) {
     let heap = observe(EngineKind::Heap, s);
     let wheel = observe(EngineKind::Wheel, s);
     assert_eq!(heap.0, wheel.0, "heap/wheel event streams diverged");
     assert_eq!(heap.1, wheel.1, "heap/wheel stats diverged");
     assert_eq!(heap.2, wheel.2, "heap/wheel traces diverged");
-    assert_eq!(heap.3, wheel.3, "heap/wheel event counts diverged");
+    assert_eq!(heap.3, wheel.3, "heap/wheel scheduler state diverged");
 
     let (hybrid, batch) = run(EngineKind::Hybrid, s);
     assert_eq!(heap.0, hybrid.0, "heap/hybrid event streams diverged");
     assert_eq!(heap.1, hybrid.1, "heap/hybrid stats diverged");
     assert_eq!(heap.2, hybrid.2, "heap/hybrid traces diverged");
-    assert_eq!(heap.3, hybrid.3, "heap/hybrid event counts diverged");
-    batch
+    assert_eq!(heap.3, hybrid.3, "heap/hybrid scheduler state diverged");
+    (hybrid, batch)
+}
+
+/// Every core's table epoch at the end of an observed run.
+fn final_epochs(obs: &Observation) -> &[usize] {
+    &obs.3.last().expect("the horizon checkpoint").3
 }
 
 #[test]
@@ -153,10 +245,10 @@ fn pure_dense_phase_batches_nearly_everything() {
         vms_per_core: 4,
         mix: &[(0, 0)],
         events: &[],
-        reinstall_at: None,
+        script: &[],
         horizon: Nanos::from_secs(1),
     };
-    let batch = assert_three_way(&s);
+    let (_, batch) = assert_three_way(&s);
     assert!(batch.batch_entries > 0, "batching never engaged: {batch:?}");
     assert_eq!(
         batch.fallback_block, 0,
@@ -176,10 +268,10 @@ fn guest_blocks_bail_and_reenter() {
         // Half busy loops, half cyclers that block mid-slot.
         mix: &[(0, 0), (1_300, 900)],
         events: &[],
-        reinstall_at: None,
+        script: &[],
         horizon: Nanos::from_millis(400),
     };
-    let batch = assert_three_way(&s);
+    let (_, batch) = assert_three_way(&s);
     assert!(
         batch.fallback_block > 0,
         "cyclers should break batches: {batch:?}"
@@ -193,25 +285,206 @@ fn external_wakeups_suppress_then_release_batching() {
         vms_per_core: 4,
         mix: &[(0, 0), (700, 1_100)],
         events: &[(1_000, 0), (7_500, 2), (90_000, 1), (250_000, 3)],
-        reinstall_at: None,
+        script: &[],
         horizon: Nanos::from_millis(400),
     };
-    let batch = assert_three_way(&s);
+    let (_, batch) = assert_three_way(&s);
     assert!(batch.batch_entries > 0, "batching never engaged: {batch:?}");
 }
 
-#[test]
-fn mid_run_table_install_declines_until_settled() {
-    let s = Scenario {
+fn ms(v: u64) -> Nanos {
+    Nanos::from_millis(v)
+}
+
+/// The pure dense host of the install scenarios: two cores, four busy
+/// loops each, half a second.
+fn install_scenario<'a>(script: &'a [(Nanos, Step)]) -> Scenario<'a> {
+    Scenario {
         cores: 2,
         vms_per_core: 4,
         mix: &[(0, 0)],
         events: &[],
-        reinstall_at: Some(Nanos::from_millis(137)),
-        horizon: Nanos::from_millis(500),
-    };
-    let batch = assert_three_way(&s);
-    assert!(batch.batch_entries > 0, "batching never engaged: {batch:?}");
+        script,
+        horizon: ms(500),
+    }
+}
+
+#[test]
+fn mid_run_table_install_stays_dense_across_the_switch() {
+    let script = [(
+        ms(137),
+        Step::Install {
+            table: 0,
+            ahead: Nanos::ZERO,
+        },
+    )];
+    let s = install_scenario(&script);
+    let (obs, batch) = assert_three_way(&s);
+    assert_eq!(
+        batch.fallback_window, 0,
+        "a committed install must bound windows, not decline them: {batch:?}"
+    );
+    // Declining until every core had adopted the new table left 194 events
+    // of this run batched; bounded windows take all but the first decisions.
+    assert!(batch.batched_events > 194, "{batch:?}");
+    assert_eq!(
+        batch.batched_events + 2,
+        obs.3.last().unwrap().1,
+        "only the two boot re-schedules go through the queue: {batch:?}"
+    );
+    assert_eq!(final_epochs(&obs), [1, 1]);
+}
+
+#[test]
+fn a_different_table_switches_in_mid_batch() {
+    let p = paper_plan(2, 4);
+    assert_ne!(variant(&p, 1), variant(&p, 0));
+    assert_eq!(variant(&p, 1).len(), p.table.len());
+    let script = [(
+        ms(137),
+        Step::Install {
+            table: 1,
+            ahead: Nanos::ZERO,
+        },
+    )];
+    let s = install_scenario(&script);
+    let (obs, batch) = assert_three_way(&s);
+    assert_eq!(batch.fallback_window, 0, "{batch:?}");
+    assert_eq!(final_epochs(&obs), [1, 1]);
+    // The switch is real: the same run without it dispatches differently.
+    let stay = install_scenario(&[]);
+    assert_ne!(obs.2, observe(EngineKind::Hybrid, &stay).2);
+}
+
+#[test]
+fn two_installs_inside_one_round_adopt_the_newer_at_one_boundary() {
+    let len = paper_plan(2, 4).table.len();
+    let round = len * (ms(137) / len);
+    let script = [
+        (
+            round + len / 4,
+            Step::Install {
+                table: 1,
+                ahead: Nanos::ZERO,
+            },
+        ),
+        (
+            round + len / 2,
+            Step::Install {
+                table: 2,
+                ahead: Nanos::ZERO,
+            },
+        ),
+    ];
+    let s = install_scenario(&script);
+    let (obs, batch) = assert_three_way(&s);
+    assert_eq!(batch.fallback_window, 0, "{batch:?}");
+    assert_eq!(final_epochs(&obs), [2, 2]);
+}
+
+#[test]
+fn install_within_a_microsecond_of_a_wrap_switches_one_round_later() {
+    let len = paper_plan(2, 4).table.len();
+    let wrap = len * (ms(137) / len + 1);
+    let script = [
+        (
+            wrap - Nanos(700),
+            Step::Install {
+                table: 1,
+                ahead: Nanos::ZERO,
+            },
+        ),
+        // The wrap 700 ns later adopts nothing (the pointer is armed half a
+        // round past it); the next one is the switch. A cut one nanosecond
+        // before it and one on it: the window that ends there and the one
+        // that opens there.
+        (wrap + len - Nanos(1), Step::Pause),
+        (wrap + len, Step::Pause),
+    ];
+    let s = install_scenario(&script);
+    let (obs, batch) = assert_three_way(&s);
+    assert_eq!(batch.fallback_window, 0, "{batch:?}");
+    assert_eq!(obs.3[1].3, [0, 0], "adopted before the switch time");
+    assert_eq!(final_epochs(&obs), [1, 1]);
+}
+
+#[test]
+fn staged_install_declines_until_aborted_and_leaves_no_trace() {
+    let script = [
+        (ms(137), Step::Stage { table: 1 }),
+        (ms(212), Step::Abort),
+        (ms(262), Step::Pause),
+    ];
+    let s = install_scenario(&script);
+    let (obs, batch) = assert_three_way(&s);
+    assert!(
+        batch.fallback_window > 0,
+        "a staged install must decline windows: {batch:?}"
+    );
+    assert_eq!(final_epochs(&obs), [0, 0]);
+    // Staged and rolled back, the run is the run that never staged.
+    let plain = [
+        (ms(137), Step::Pause),
+        (ms(212), Step::Pause),
+        (ms(262), Step::Pause),
+    ];
+    let plain = install_scenario(&plain);
+    let b = observe(EngineKind::Hybrid, &plain);
+    assert_eq!((obs.0, obs.1, obs.2, obs.3), (b.0, b.1, b.2, b.3));
+}
+
+#[test]
+fn sliced_runs_park_resume_and_unpark() {
+    // 50 ms control epochs over a dense host, a wake-up landing between
+    // two of them, a cut in the past, and a control plane installing one
+    // epoch ahead of the simulator.
+    let script = [
+        (ms(50), Step::Pause),
+        (
+            ms(100),
+            Step::Wake {
+                vcpu: 3,
+                delay: Nanos::from_micros(1_300),
+            },
+        ),
+        (ms(150), Step::Pause),
+        (ms(60), Step::Pause),
+        // A wake-up due before the next cut, which itself comes before any
+        // parked timer: only the wake-up's own un-park gets it handled.
+        (
+            ms(170),
+            Step::Wake {
+                vcpu: 6,
+                delay: Nanos(200),
+            },
+        ),
+        (ms(170) + Nanos(400), Step::Pause),
+        (
+            ms(200),
+            Step::Install {
+                table: 1,
+                ahead: ms(50),
+            },
+        ),
+        (ms(250), Step::Pause),
+        (ms(300), Step::Pause),
+        (ms(350), Step::Pause),
+        (ms(400), Step::Pause),
+        (ms(450), Step::Pause),
+    ];
+    let s = install_scenario(&script);
+    let (obs, batch) = assert_three_way(&s);
+    assert_eq!(batch.fallback_window, 0, "{batch:?}");
+    assert_eq!(final_epochs(&obs), [1, 1]);
+    assert_eq!(obs.3[3].0, ms(150), "a past horizon rewound the clock");
+}
+
+/// Folds a third of the waits to zero so pure busy loops (dense phases)
+/// are common, not a measure-zero draw.
+fn fold_mix(mix: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    mix.into_iter()
+        .map(|(b, w)| (b, if w % 3 == 0 { 0 } else { w }))
+        .collect()
 }
 
 proptest! {
@@ -227,30 +500,69 @@ proptest! {
         events in proptest::collection::vec((0u64..400_000, any::<u32>()), 0..12),
         horizon_ms in 50u64..300,
     ) {
-        // Fold a third of the waits to zero so pure busy loops (dense
-        // phases) are common, not a measure-zero draw.
-        let mix: Vec<(u64, u64)> = mix
+        let mix = fold_mix(mix);
+        let s = Scenario {
+            cores,
+            vms_per_core,
+            mix: &mix,
+            events: &events,
+            script: &[],
+            horizon: Nanos::from_millis(horizon_ms),
+        };
+        assert_three_way(&s);
+    }
+
+    /// The same contract with the run cut into random slices (a quarter of
+    /// them the fleet's 50 ms epoch, a quarter under 80 us) and a random
+    /// step between slices:
+    /// nothing, a wake-up, an install of a different or the same table
+    /// stamped now or an epoch ahead, a staged install, an abort.
+    #[test]
+    fn sliced_runs_with_installs_are_observationally_equivalent(
+        cores in 1usize..=3,
+        vms_per_core in 2usize..=4,
+        mix in proptest::collection::vec((1u64..3_000, 0u64..2_000), 1..4),
+        events in proptest::collection::vec((0u64..400_000, any::<u32>()), 0..4),
+        steps in proptest::collection::vec((0u64..80_000, 0u8..9, any::<u32>()), 1..12),
+        tail_ms in 1u64..120,
+    ) {
+        let mix = fold_mix(mix);
+        let mut at = Nanos::ZERO;
+        let script: Vec<(Nanos, Step)> = steps
             .into_iter()
-            .map(|(b, w)| (b, if w % 3 == 0 { 0 } else { w }))
+            .map(|(slice_us, pick, arg)| {
+                at += match slice_us % 4 {
+                    0 => ms(50),
+                    1 => Nanos(slice_us),
+                    _ => Nanos::from_micros(slice_us),
+                };
+                let table = arg as usize % 3;
+                let step = match pick {
+                    0..=2 => Step::Pause,
+                    3 => Step::Wake {
+                        vcpu: arg,
+                        delay: Nanos::from_micros(arg as u64 % 3_000),
+                    },
+                    4 => Step::Wake {
+                        vcpu: arg,
+                        delay: Nanos(arg as u64 % 2_000),
+                    },
+                    5 => Step::Install { table, ahead: Nanos::ZERO },
+                    6 => Step::Install { table, ahead: ms(50) },
+                    7 => Step::Stage { table },
+                    _ => Step::Abort,
+                };
+                (at, step)
+            })
             .collect();
         let s = Scenario {
             cores,
             vms_per_core,
             mix: &mix,
             events: &events,
-            reinstall_at: None,
-            horizon: Nanos::from_millis(horizon_ms),
+            script: &script,
+            horizon: at + Nanos::from_millis(tail_ms),
         };
-        let heap = observe(EngineKind::Heap, &s);
-        let wheel = observe(EngineKind::Wheel, &s);
-        let hybrid = observe(EngineKind::Hybrid, &s);
-        prop_assert_eq!(&heap.0, &wheel.0, "heap/wheel event streams diverged");
-        prop_assert_eq!(&heap.1, &wheel.1, "heap/wheel stats diverged");
-        prop_assert_eq!(&heap.2, &wheel.2, "heap/wheel traces diverged");
-        prop_assert_eq!(heap.3, wheel.3, "heap/wheel event counts diverged");
-        prop_assert_eq!(&heap.0, &hybrid.0, "heap/hybrid event streams diverged");
-        prop_assert_eq!(&heap.1, &hybrid.1, "heap/hybrid stats diverged");
-        prop_assert_eq!(&heap.2, &hybrid.2, "heap/hybrid traces diverged");
-        prop_assert_eq!(heap.3, hybrid.3, "heap/hybrid event counts diverged");
+        assert_three_way(&s);
     }
 }

@@ -176,6 +176,20 @@ pub struct DenseCosts {
     pub deschedule: Nanos,
 }
 
+/// What a scheduler certifies about one core's dense window (see
+/// [`VmScheduler::dense_window`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenseWindow {
+    /// The flat per-decision costs over the window.
+    pub costs: DenseCosts,
+    /// The emitted slices are exact only for decisions strictly before this
+    /// time ([`Nanos::MAX`]: no such bound). A scheduler that knows its
+    /// decision sequence changes at a future instant — a timed table switch
+    /// — bounds the window there instead of declining it; the simulator
+    /// asks for a fresh window once it gets that far.
+    pub valid_before: Nanos,
+}
+
 /// A scheduler's opt-in to the partitioned (per-socket conservative PDES)
 /// engine: one independent scheduler clone per socket, plus the placement
 /// facts the simulator needs to route events and bound the lookahead. See
@@ -306,11 +320,13 @@ pub trait VmScheduler: Send + std::any::Any {
     }
 
     /// Emits into `out` the exact sequence of decisions this scheduler
-    /// would make for `core` at every decision boundary in `(from, horizon]`,
+    /// would make for `core` at every decision boundary in `[from, end]`,
     /// assuming the runnable set in `view` does not change, and returns the
-    /// flat per-decision costs. Slices must be contiguous, strictly
-    /// increasing in `until`, start with the slice containing `from`, and
-    /// extend until `until > horizon`.
+    /// flat per-decision costs plus the window's validity bound; `end` is
+    /// `horizon`, or one nanosecond before [`DenseWindow::valid_before`] if
+    /// that comes first. Slices must be contiguous, strictly increasing in
+    /// `until`, start with the slice containing `from`, and extend until
+    /// `until > end`.
     ///
     /// Returning `None` (the default) means "cannot guarantee exactness
     /// right now" — the simulator falls back to calling
@@ -326,7 +342,7 @@ pub trait VmScheduler: Send + std::any::Any {
         horizon: Nanos,
         view: VcpuView<'_>,
         out: &mut Vec<DenseSlice>,
-    ) -> Option<DenseCosts> {
+    ) -> Option<DenseWindow> {
         let _ = (core, from, horizon, view, out);
         None
     }

@@ -279,6 +279,30 @@ fn parked_slot(home: usize) -> VcpuSlot {
     }
 }
 
+/// A core timer held outside the event queue by the dense batch:
+/// `(time, seq, core, gen)` — the queue key plus the payload of an
+/// [`Event::CoreTimer`].
+type Timer = (Nanos, u64, usize, u64);
+
+/// One core's share of a dense window: the scheduler's precomputed
+/// decision sequence and the batch's progress through it. Pooled in
+/// [`Sim`] and reset per window, so a batch allocates nothing at steady
+/// state.
+#[derive(Default)]
+struct CoreWindow {
+    slices: Vec<DenseSlice>,
+    costs: DenseCosts,
+    /// The next slice to consider.
+    next_idx: usize,
+    /// First picked slice not yet committed (`usize::MAX`: none).
+    commit_from: usize,
+    /// One past the last picked slice.
+    picked_to: usize,
+    /// Time of the latest pick (what the scheduler sees as its decision
+    /// time on commit).
+    last_decided: Nanos,
+}
+
 /// A deterministic discrete-event hypervisor simulation.
 pub struct Sim {
     machine: Machine,
@@ -301,6 +325,17 @@ pub struct Sim {
     /// doubles per bail (capped), so churny workloads that momentarily
     /// look dense pay the window-construction cost ever more rarely.
     batch_bails: u32,
+    /// Core timers a cleanly ended dense batch left untaken, parked here
+    /// instead of going back into the queue: the next `run_until` resumes
+    /// the batch from this list, so a quiescent table-driven host never
+    /// pays the queue's drain-and-refill at a call boundary. Non-empty only
+    /// while the queue is empty — every path into the queue un-parks first
+    /// ([`Sim::unpark`], original `(time, seq)` keys), which is what keeps
+    /// all engines bit-for-bit equal. PDES lanes never park: their queues
+    /// are re-keyed at every window boundary.
+    parked: Vec<Timer>,
+    /// Per-core dense-window scratch (see [`CoreWindow`]).
+    dense: Vec<CoreWindow>,
     cores: Vec<CoreState>,
     vcpus: Vec<VcpuSlot>,
     /// Runnable flags mirroring vCPU states, for cheap scheduler views.
@@ -356,6 +391,8 @@ impl Sim {
             pending_other: 0,
             batch_cooldown: 0,
             batch_bails: 0,
+            parked: Vec::new(),
+            dense: Vec::new(),
             cores: (0..n)
                 .map(|_| CoreState {
                     running: None,
@@ -400,6 +437,7 @@ impl Sim {
         if kind.repr() == self.events.kind() {
             return;
         }
+        self.unpark();
         let mut next = EventQueue::new(kind);
         while let Some((at, seq, event)) = self.events.pop() {
             next.push(at, seq, event);
@@ -593,6 +631,9 @@ impl Sim {
     }
 
     fn push(&mut self, at: Nanos, event: Event) {
+        if !self.parked.is_empty() {
+            self.unpark();
+        }
         // Timer faults perturb hypervisor timers (decision expiry, burst
         // completion, ticks) only; external events, IPIs, and guest-internal
         // timers are delivered precisely. Adjustment only ever delays.
@@ -687,14 +728,12 @@ impl Sim {
             }
         }
 
-        if self.kind == EngineKind::Partitioned && self.try_run_partitioned(end) {
-            self.now = end;
-            self.stats.trace_dropped = self.trace.dropped();
-            return;
+        if !(self.kind == EngineKind::Partitioned && self.try_run_partitioned(end)) {
+            self.run_events(end);
         }
-
-        self.run_events(end);
-        self.now = end;
+        // An `end` in the past handles nothing and must not rewind the
+        // clock either: parked timers and queued events are all `>= now`.
+        self.now = self.now.max(end);
         self.stats.trace_dropped = self.trace.dropped();
     }
 
@@ -709,10 +748,18 @@ impl Sim {
                 && self.batch_cooldown <= self.events_processed
                 && self.sched.dense_capable()
             {
-                // The batch advances as far as it can; anything it could
-                // not take (a bail re-arm, future timers) is back in the
-                // queue for the generic pop below.
+                // The batch advances as far as it can. A bail re-arms
+                // through the queue for the generic pop below; a clean end
+                // leaves the untaken timers parked.
                 self.dense_batch(limit);
+            }
+            if !self.parked.is_empty() {
+                // The queue is empty while timers are parked: with every
+                // one of them past the limit there is nothing to pop.
+                if self.parked.iter().all(|p| p.0 > limit) {
+                    break;
+                }
+                self.unpark();
             }
             let Some((at, seq, event)) = self.events.pop_if_at_most(limit) else {
                 break;
@@ -873,6 +920,7 @@ impl Sim {
         }
 
         // ---- Split: route the master queue and state into lanes.
+        self.unpark();
         let per = self.machine.cores_per_socket;
         let mut seeds: Vec<Vec<(Nanos, u64, Event)>> = (0..n_sockets).map(|_| Vec::new()).collect();
         while let Some((at, seq, event)) = self.events.pop() {
@@ -905,6 +953,8 @@ impl Sim {
                 pending_other: 0,
                 batch_cooldown: 0,
                 batch_bails: 0,
+                parked: Vec::new(),
+                dense: Vec::new(),
                 cores: self.cores.clone(),
                 vcpus,
                 flags: self.flags.clone(),
@@ -1155,8 +1205,43 @@ impl Sim {
     /// blocks, the window under-runs), the batch commits, puts every
     /// untaken timer back with its original `(time, seq)` key, finishes the
     /// in-flight operation through the generic helpers, and returns — the
-    /// caller's event loop continues seamlessly.
+    /// caller's event loop continues seamlessly. A batch that ends cleanly
+    /// (horizon reached, or nothing due) instead leaves its untaken timers
+    /// parked in [`Sim::parked`], where the next call picks them up.
     fn dense_batch(&mut self, end: Nanos) {
+        let mut pending = std::mem::take(&mut self.parked);
+        if pending.is_empty() {
+            // Cheap gate: nothing due before the horizon means nothing to
+            // batch. Otherwise drain the queue: all core timers, by
+            // precondition.
+            let mut next = self.events.pop_if_at_most(end);
+            if next.is_none() {
+                self.parked = pending;
+                return;
+            }
+            while let Some((at, seq, event)) = next {
+                let Event::CoreTimer { core, gen } = event else {
+                    unreachable!("non-timer event {event:?} in a dense batch (pending_other == 0)");
+                };
+                pending.push((at, seq, core, gen));
+                next = self.events.pop();
+            }
+        }
+        let mut win = std::mem::take(&mut self.dense);
+        win.resize_with(self.cores.len(), CoreWindow::default);
+        self.dense_windows(end, &mut pending, &mut win);
+        if self.part.is_some() {
+            Self::restore_timers(&mut self.events, &mut pending);
+        }
+        self.parked = pending;
+        self.dense = win;
+    }
+
+    /// The window loop of [`Sim::dense_batch`] over the drained timers in
+    /// `pending`. On return `pending` holds the timers of a cleanly ended
+    /// batch (all past `end`), or nothing after a bail, which hands them
+    /// back to the queue itself.
+    fn dense_windows(&mut self, end: Nanos, pending: &mut Vec<Timer>, win: &mut [CoreWindow]) {
         // One window's construction cost is bounded by capping how much
         // simulated time it may cover (one second ≈ a few thousand slices
         // per core, so even a `run_until` spanning hours cannot make a
@@ -1165,81 +1250,57 @@ impl Sim {
         // event-queue round-trip, no generic event in between.
         const WINDOW_CAP: Nanos = Nanos(1_000_000_000);
 
-        // Cheap gate: nothing due before the horizon means nothing to batch.
-        let Some((at0, seq0, ev0)) = self.events.pop_if_at_most(end) else {
-            return;
-        };
-        let Event::CoreTimer {
-            core: core0,
-            gen: gen0,
-        } = ev0
-        else {
-            unreachable!("non-timer event {ev0:?} in a dense batch (pending_other == 0)");
-        };
-        let mut pending: Vec<(Nanos, u64, usize, u64)> = vec![(at0, seq0, core0, gen0)];
-
-        // Drain the rest of the queue: all core timers, by precondition.
-        while let Some((at, seq, event)) = self.events.pop() {
-            let Event::CoreTimer { core, gen } = event else {
-                unreachable!("non-timer event {event:?} in a dense batch (pending_other == 0)");
-            };
-            pending.push((at, seq, core, gen));
-        }
-
-        // Per-core window storage and bookkeeping: the next slice to
-        // consider, the committed/picked range, and the time of the latest
-        // pick (what the scheduler sees as its decision time on commit).
-        // Allocated once and reset per window.
-        let n = self.cores.len();
-        let mut windows: Vec<Vec<DenseSlice>> = (0..n).map(|_| Vec::new()).collect();
-        let mut costs: Vec<DenseCosts> = Vec::with_capacity(n);
-        let mut next_idx = vec![0usize; n];
-        let mut commit_from = vec![usize::MAX; n];
-        let mut picked_to = vec![0usize; n];
-        let mut last_decided = vec![Nanos::ZERO; n];
-
-        'window: loop {
-            // Each window starts at the earliest untaken timer (which is
-            // `>= self.now`); an empty pending list or one entirely past
-            // the horizon ends the batch.
+        loop {
+            // An empty pending list or one entirely past the horizon ends
+            // the batch.
             let first = pending.iter().map(|p| p.0).min();
             let Some(first) = first.filter(|&f| f <= end) else {
                 self.batch_bails = 0;
-                self.dense_restore(&pending);
                 return;
             };
-            let cap = end.min(first.max(self.now) + WINDOW_CAP);
+            // Each window starts at the earliest untaken timer, not at the
+            // clock: after a window that stopped short of a table switch
+            // the clock is still before the switch and the timers are at or
+            // past it, so the next window opens on the new table.
+            let from = first.max(self.now);
+            let mut cap = end.min(from + WINDOW_CAP);
 
             // Ask the scheduler for every owned core's decision window up
             // front (all cores sequentially; the partition's range in lane
             // mode); any core declining aborts the attempt before any
-            // state changes.
+            // state changes. A window is cut where its earliest validity
+            // bound falls (the roll below continues from there).
             let (lo, hi) = self
                 .part
                 .as_ref()
-                .map_or((0, n), |p| (p.core_lo, p.core_hi));
-            costs.clear();
-            costs.resize(n, DenseCosts::default());
-            for core in lo..hi {
-                let out = &mut windows[core];
-                out.clear();
+                .map_or((0, win.len()), |p| (p.core_lo, p.core_hi));
+            let mut valid_before = Nanos::MAX;
+            for (core, w) in win.iter_mut().enumerate().take(hi).skip(lo) {
+                w.slices.clear();
                 let view = VcpuView {
                     runnable: &self.flags,
                 };
-                match self.sched.dense_window(core, self.now, cap, view, out) {
-                    Some(c) => costs[core] = c,
+                match self
+                    .sched
+                    .dense_window(core, from, cap, view, &mut w.slices)
+                {
+                    Some(certified) => {
+                        w.costs = certified.costs;
+                        valid_before = valid_before.min(certified.valid_before);
+                    }
                     None => {
-                        self.dense_restore(&pending);
+                        Self::restore_timers(&mut self.events, pending);
                         self.stats.batch.fallback_window += 1;
                         self.batch_cooldown = self.events_processed + self.bail_cooldown(0);
                         return;
                     }
                 }
+                w.next_idx = 0;
+                w.commit_from = usize::MAX;
+                w.picked_to = 0;
+                w.last_decided = Nanos::ZERO;
             }
-            next_idx.fill(0);
-            commit_from.fill(usize::MAX);
-            picked_to.fill(0);
-            last_decided.fill(Nanos::ZERO);
+            cap = cap.min(valid_before - Nanos(1));
             let mut batched: u64 = 0;
 
             self.stats.batch.batch_entries += 1;
@@ -1313,13 +1374,8 @@ impl Sim {
                         GuestAction::Block | GuestAction::BlockFor(_) => {
                             // The guest blocks: sync the scheduler, hand the
                             // timers back, and finish generically.
-                            self.dense_commit_all(
-                                &windows,
-                                &mut commit_from,
-                                &picked_to,
-                                &last_decided,
-                            );
-                            self.dense_restore(&pending);
+                            self.dense_commit_all(win);
+                            Self::restore_timers(&mut self.events, pending);
                             if let GuestAction::BlockFor(delay) = action {
                                 let slot = &mut self.vcpus[vcpu.0 as usize];
                                 slot.wake_gen += 1;
@@ -1328,14 +1384,8 @@ impl Sim {
                             }
                             self.block_running(core, vcpu);
                             self.resched(core);
-                            self.stats.batch.batched_events += batched;
-                            self.stats.batch.batch_exits += 1;
+                            self.dense_bailed(batched);
                             self.stats.batch.fallback_block += 1;
-                            self.trace.emit(self.now, TraceClass::BATCH, || {
-                                TraceEvent::BatchExit { batched }
-                            });
-                            self.batch_cooldown =
-                                self.events_processed + self.bail_cooldown(batched);
                             return;
                         }
                     }
@@ -1346,6 +1396,7 @@ impl Sim {
                 // under the dense contract — flat cost, no IPIs) and take the
                 // next slice from the precomputed window.
                 self.apply_progress(core);
+                let costs = win[core].costs;
                 if let Some(vcpu) = self.cores[core].running.take() {
                     let slot = &mut self.vcpus[vcpu.0 as usize];
                     slot.state = VState::Runnable;
@@ -1359,47 +1410,37 @@ impl Sim {
                             vcpu,
                             ran,
                         });
-                    self.stats
-                        .ops
-                        .record(OpKind::Deschedule, costs[core].deschedule);
-                    self.cores[core].pending_overhead += costs[core].deschedule;
+                    self.stats.ops.record(OpKind::Deschedule, costs.deschedule);
+                    self.cores[core].pending_overhead += costs.deschedule;
                 }
                 self.cores[core].gen += 1;
 
-                let w = &windows[core];
-                let mut i = next_idx[core];
-                while i < w.len() && w[i].until <= self.now {
+                let w = &mut win[core];
+                let mut i = w.next_idx;
+                while i < w.slices.len() && w.slices[i].until <= self.now {
                     i += 1;
                 }
-                if i >= w.len() {
+                if i >= w.slices.len() {
                     // The window under-ran the horizon (contract violation —
                     // windows must extend past it); bail into the generic pick.
                     debug_assert!(false, "dense window exhausted before the horizon");
-                    self.dense_commit_all(&windows, &mut commit_from, &picked_to, &last_decided);
-                    self.dense_restore(&pending);
+                    self.dense_commit_all(win);
+                    Self::restore_timers(&mut self.events, pending);
                     self.resched_pick(core);
-                    self.stats.batch.batched_events += batched;
-                    self.stats.batch.batch_exits += 1;
+                    self.dense_bailed(batched);
                     self.stats.batch.fallback_window += 1;
-                    self.trace
-                        .emit(self.now, TraceClass::BATCH, || TraceEvent::BatchExit {
-                            batched,
-                        });
-                    self.batch_cooldown = self.events_processed + self.bail_cooldown(batched);
                     return;
                 }
-                let slice = w[i];
-                if commit_from[core] == usize::MAX {
-                    commit_from[core] = i;
+                let slice = w.slices[i];
+                if w.commit_from == usize::MAX {
+                    w.commit_from = i;
                 }
-                next_idx[core] = i + 1;
-                picked_to[core] = i + 1;
-                last_decided[core] = self.now;
-                self.stats
-                    .ops
-                    .record(OpKind::Schedule, costs[core].schedule);
+                w.next_idx = i + 1;
+                w.picked_to = i + 1;
+                w.last_decided = self.now;
+                self.stats.ops.record(OpKind::Schedule, costs.schedule);
                 let overhead =
-                    costs[core].schedule + std::mem::take(&mut self.cores[core].pending_overhead);
+                    costs.schedule + std::mem::take(&mut self.cores[core].pending_overhead);
                 let until = slice.until.max(self.now + Nanos(1));
                 self.cores[core].decision_until = until;
                 let gen = self.cores[core].gen;
@@ -1456,13 +1497,8 @@ impl Sim {
                             // Blocks straight off the dispatch: sync, restore,
                             // and resume the pick loop generically (the generic
                             // path `continue`s inside `resched_pick` here).
-                            self.dense_commit_all(
-                                &windows,
-                                &mut commit_from,
-                                &picked_to,
-                                &last_decided,
-                            );
-                            self.dense_restore(&pending);
+                            self.dense_commit_all(win);
+                            Self::restore_timers(&mut self.events, pending);
                             if let GuestAction::BlockFor(delay) = action {
                                 let slot = &mut self.vcpus[vcpu.0 as usize];
                                 slot.wake_gen += 1;
@@ -1471,14 +1507,8 @@ impl Sim {
                             }
                             self.block_running(core, vcpu);
                             self.resched_pick(core);
-                            self.stats.batch.batched_events += batched;
-                            self.stats.batch.batch_exits += 1;
+                            self.dense_bailed(batched);
                             self.stats.batch.fallback_block += 1;
-                            self.trace.emit(self.now, TraceClass::BATCH, || {
-                                TraceEvent::BatchExit { batched }
-                            });
-                            self.batch_cooldown =
-                                self.events_processed + self.bail_cooldown(batched);
                             return;
                         }
                     }
@@ -1491,11 +1521,11 @@ impl Sim {
                 pending.push((fire.max(self.now), self.seq, core, gen));
             }
 
-            // Window horizon reached: sync the scheduler, then either hand
-            // untaken timers back (batch done) or roll into the next
+            // Window end reached: sync the scheduler, then either leave the
+            // untaken timers parked (batch done) or roll into the next
             // window. No cooldown either way, and the bail streak resets:
             // the attempt paid for itself.
-            self.dense_commit_all(&windows, &mut commit_from, &picked_to, &last_decided);
+            self.dense_commit_all(win);
             self.stats.batch.batched_events += batched;
             self.stats.batch.batch_exits += 1;
             self.stats.batch.fallback_horizon += 1;
@@ -1505,11 +1535,22 @@ impl Sim {
                 });
             if cap >= end {
                 self.batch_bails = 0;
-                self.dense_restore(&pending);
                 return;
             }
-            continue 'window;
         }
+    }
+
+    /// Closes out a batch that bailed mid-window after `batched` events:
+    /// exit accounting and the re-attempt cooldown (the per-cause fallback
+    /// counter is the caller's).
+    fn dense_bailed(&mut self, batched: u64) {
+        self.stats.batch.batched_events += batched;
+        self.stats.batch.batch_exits += 1;
+        self.trace
+            .emit(self.now, TraceClass::BATCH, || TraceEvent::BatchExit {
+                batched,
+            });
+        self.batch_cooldown = self.events_processed + self.bail_cooldown(batched);
     }
 
     /// Registers a bailed batch attempt and returns how many events the
@@ -1531,35 +1572,34 @@ impl Sim {
         COOLDOWN << self.batch_bails
     }
 
-    /// Replays the cumulative effect of a batch's picks on the scheduler
+    /// Replays the cumulative effect of a window's picks on the scheduler
     /// (see [`VmScheduler::dense_commit`]), in core order.
-    fn dense_commit_all(
-        &mut self,
-        windows: &[Vec<DenseSlice>],
-        commit_from: &mut [usize],
-        picked_to: &[usize],
-        last_decided: &[Nanos],
-    ) {
-        for core in 0..windows.len() {
-            let from = commit_from[core];
-            if from == usize::MAX || from >= picked_to[core] {
+    fn dense_commit_all(&mut self, win: &mut [CoreWindow]) {
+        for (core, w) in win.iter_mut().enumerate() {
+            if w.commit_from == usize::MAX || w.commit_from >= w.picked_to {
                 continue;
             }
-            let consumed = &windows[core][from..picked_to[core]];
+            let consumed = &w.slices[w.commit_from..w.picked_to];
             let running = self.cores[core].running.is_some();
             self.sched
-                .dense_commit(core, last_decided[core], consumed, running);
-            commit_from[core] = usize::MAX;
+                .dense_commit(core, w.last_decided, consumed, running);
+            w.commit_from = usize::MAX;
         }
     }
 
-    /// Hands unconsumed batch timers back to the queue with their original
-    /// `(time, seq)` keys. A raw re-push: no seq is allocated and
+    /// Hands core timers held outside the queue back to it with their
+    /// original `(time, seq)` keys. A raw re-push: no seq is allocated and
     /// `pending_other` is untouched, since every entry is a core timer.
-    fn dense_restore(&mut self, pending: &[(Nanos, u64, usize, u64)]) {
-        for &(at, seq, core, gen) in pending {
-            self.events.push(at, seq, Event::CoreTimer { core, gen });
+    fn restore_timers(events: &mut EventQueue, timers: &mut Vec<Timer>) {
+        for (at, seq, core, gen) in timers.drain(..) {
+            events.push(at, seq, Event::CoreTimer { core, gen });
         }
+    }
+
+    /// Returns the parked timers of a cleanly ended batch to the queue.
+    /// Must run before anything else enters or leaves the queue.
+    fn unpark(&mut self) {
+        Self::restore_timers(&mut self.events, &mut self.parked);
     }
 
     fn handle(&mut self, event: Event) {
@@ -2246,6 +2286,24 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn run_until_a_past_time_is_a_no_op() {
+        let run = |rewind: bool| {
+            let mut sim = Sim::new(Machine::small(1), Box::new(ToyScheduler::new(1)));
+            let a = sim.add_vcpu(Box::new(BusyLoop), 0, true);
+            sim.run_until(ms(20));
+            if rewind {
+                let events = sim.events_processed();
+                sim.run_until(ms(5));
+                assert_eq!(sim.now(), ms(20), "the clock was rewound");
+                assert_eq!(sim.events_processed(), events);
+            }
+            sim.run_until(ms(40));
+            (sim.stats().vcpu(a).service, sim.events_processed())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     /// Fingerprint of a run for byte-level replay comparisons.

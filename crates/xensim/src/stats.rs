@@ -273,17 +273,19 @@ pub struct BatchStats {
     /// Events advanced through the batched inner loop instead of the
     /// event-at-a-time engine.
     pub batched_events: u64,
-    /// Dense phases entered.
+    /// Dense windows entered (one per `run_until` of a quiescent host, plus
+    /// one per window cap or table switch crossed inside a batch).
     pub batch_entries: u64,
-    /// Dense phases exited (every entry exits; kept separately so a crash
+    /// Dense windows exited (every entry exits; kept separately so a crash
     /// mid-batch would be visible as an imbalance).
     pub batch_exits: u64,
-    /// Exits because the batch reached the run horizon (the normal case).
+    /// Exits because the window reached its end: the run horizon, the
+    /// window cap, or a table switch (the normal case).
     pub fallback_horizon: u64,
     /// Exits because a guest blocked mid-batch (the runnable set changed).
     pub fallback_block: u64,
     /// Entry attempts abandoned because the scheduler declined to produce
-    /// a dense window (unsettled tables, level-2 work pending, ...).
+    /// a dense window (a staged install, level-2 work pending, ...).
     pub fallback_window: u64,
 }
 
