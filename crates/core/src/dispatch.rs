@@ -467,21 +467,15 @@ impl Dispatcher {
         // running — else a capped vCPU's needed IPI can be suppressed (or a
         // useless one sent) based on a table that core isn't executing.
         let epoch0 = self.tables.confirm(0, now);
-        let candidate = self.tables.epoch_table(epoch0).wakeup_target(vcpu, now)?;
-        let epoch = self.tables.confirm(candidate, now);
-        let table = self.tables.epoch_table(epoch);
-        let target = table.wakeup_target(vcpu, now)?;
-        if self.is_capped(vcpu) {
-            // Only worth interrupting if the vCPU's slot is active now.
-            let t = now % table.len();
-            let active = table
-                .placement(vcpu)?
-                .allocations
-                .iter()
-                .any(|&(c, s, e)| c == target && s <= t && t < e);
-            return active.then_some(target);
+        let mut route = self.tables.epoch_table(epoch0).wakeup_route(vcpu, now)?;
+        let epoch = self.tables.confirm(route.0, now);
+        if epoch != epoch0 {
+            route = self.tables.epoch_table(epoch).wakeup_route(vcpu, now)?;
         }
-        Some(target)
+        // A capped vCPU is only worth interrupting for if its slot is
+        // active now.
+        let (target, active) = route;
+        (active || !self.is_capped(vcpu)).then_some(target)
     }
 
     /// Installs a table pushed by the planner; returns the absolute time at

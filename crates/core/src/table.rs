@@ -760,21 +760,28 @@ impl Table {
     /// the core where the vCPU currently has an allocation, or the core of
     /// its *next* upcoming allocation (its home core for service).
     pub fn wakeup_target(&self, vcpu: VcpuId, now: Nanos) -> Option<usize> {
+        self.wakeup_route(vcpu, now).map(|(core, _)| core)
+    }
+
+    /// [`Table::wakeup_target`] together with whether the vCPU's slot on
+    /// that core is *active* at `now` (it covers `now`) rather than
+    /// upcoming — one placement walk answers both.
+    pub(crate) fn wakeup_route(&self, vcpu: VcpuId, now: Nanos) -> Option<(usize, bool)> {
         let p = self.placement(vcpu)?;
         let t = now % self.len;
         // Current allocation?
         for &(core, s, e) in &p.allocations {
             if s <= t && t < e {
-                return Some(core);
+                return Some((core, true));
             }
         }
         // Next allocation in this round, else the first of the next round.
         for &(core, s, _) in &p.allocations {
             if s > t {
-                return Some(core);
+                return Some((core, false));
             }
         }
-        p.allocations.first().map(|&(core, _, _)| core)
+        p.allocations.first().map(|&(core, _, _)| (core, false))
     }
 
     /// vCPU ids with at least one allocation whose home core is `core`

@@ -631,13 +631,22 @@ pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
         pure_dense(EngineKind::Wheel),
     );
     // The dense-batching bar: advancing a settled dense phase from the
-    // per-core slice-table windows measures ~3.3x cheaper than draining
-    // the same boundaries through the generic event loop (see
-    // EXPERIMENTS.md). The floor is set below that, and compares fastest
-    // iterations, so timing noise on a loaded shared runner cannot flake
-    // the gate; the committed trajectory tracks the real ratio.
+    // per-core slice-table windows measures ~1.85x cheaper than taking
+    // the same boundaries one generic event at a time (see
+    // EXPERIMENTS.md; it was ~3.3x while the unbatched twin still paid a
+    // wheel round-trip per boundary — core timers now live in per-core
+    // registers under both engines, so what is left is the per-decision
+    // virtual `schedule` call against a replayed window). The floor
+    // compares fastest iterations and sits under what 98 of 100 quick cuts
+    // on a loaded shared runner measured (1.52x and up; the other two read
+    // 1.32x and 1.41x), so timing noise does not flake the gate; the
+    // committed trajectory tracks the real ratio.
+    println!(
+        "dense pair: unbatched/batched = {:.2} (fastest iterations)",
+        unbatched_min / batched_min
+    );
     assert!(
-        batched_min * 2.5 < unbatched_min,
+        batched_min * 1.4 < unbatched_min,
         "dense batching (min {batched_min:.0} ns) must be well below the \
          unbatched twin (min {unbatched_min:.0} ns)",
     );

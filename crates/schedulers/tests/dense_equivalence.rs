@@ -13,9 +13,10 @@
 //! enter, exit, resume, and decline batches: pure busy loops
 //! (whole-horizon windows), compute/block cyclers (mid-window bails),
 //! external wake-ups (batching suppressed while foreign events are
-//! pending), runs cut into slices (timers parked at one `run_until` and
-//! resumed or un-parked at the next), and table installs between slices
-//! (windows bounded at the switch, staged installs declining).
+//! pending), runs cut into slices (timers left armed in their registers by
+//! one `run_until`, picked up by the next call's batch or by its generic
+//! loop), and table installs between slices (windows bounded at the switch,
+//! staged installs declining).
 
 use proptest::prelude::*;
 
@@ -434,7 +435,7 @@ fn staged_install_declines_until_aborted_and_leaves_no_trace() {
 }
 
 #[test]
-fn sliced_runs_park_resume_and_unpark() {
+fn sliced_runs_resume_from_the_armed_timers() {
     // 50 ms control epochs over a dense host, a wake-up landing between
     // two of them, a cut in the past, and a control plane installing one
     // epoch ahead of the simulator.
@@ -450,7 +451,7 @@ fn sliced_runs_park_resume_and_unpark() {
         (ms(150), Step::Pause),
         (ms(60), Step::Pause),
         // A wake-up due before the next cut, which itself comes before any
-        // parked timer: only the wake-up's own un-park gets it handled.
+        // armed timer: that slice is the queue's alone, the registers wait.
         (
             ms(170),
             Step::Wake {

@@ -193,6 +193,35 @@ fn dense_steady_state_partitions_and_batches() {
     );
 }
 
+/// The same run cut into slices, fleet-style 50 ms epochs and odd cuts
+/// alike: each `run_until` splits the armed timer registers into the lanes,
+/// the lanes' dense batches leave them armed when they stop, and the finish
+/// hands them back — the sliced partitioned run is the unsliced wheel run.
+#[test]
+fn sliced_partitioned_runs_carry_the_timer_registers_across_calls() {
+    let s = Scenario {
+        cores_per_socket: 2,
+        vms_per_core: 4,
+        mix: &[(0, 0), (1_300, 900), (0, 0)],
+        events: &[(61_000, 5)],
+        horizon: Nanos::from_millis(300),
+    };
+    let wheel = observe(EngineKind::Wheel, &s);
+    for workers in [1usize, 2] {
+        let part = rayon::with_threads(workers, || {
+            let (mut sim, _) = build(EngineKind::Partitioned, &s);
+            for cut_us in [50_000, 50_001, 77_777, 100_000, 150_000, 150_400, 250_000] {
+                sim.run_until(Nanos::from_micros(cut_us));
+            }
+            sim.run_until(s.horizon);
+            let (obs, pdes) = drain(sim);
+            assert_eq!(pdes.partitioned_runs, 8, "{pdes:?}");
+            obs
+        });
+        assert_eq!(wheel, part, "sliced run diverged at {workers} workers");
+    }
+}
+
 /// Blocking guests and external wake-ups: lanes enter and leave dense
 /// batches, vCPUs block and wake through the table's wake-up targets.
 #[test]

@@ -26,6 +26,7 @@ pub mod net;
 pub mod sched;
 pub mod sim;
 pub mod stats;
+mod timers;
 pub mod trace;
 pub mod wheel;
 

@@ -353,6 +353,14 @@ impl PdesStats {
 }
 
 /// Whole-simulation statistics.
+///
+/// All of it is a function of the events *handled* — and a core timer
+/// superseded by a later decision on its core is not one: the wheel-backed
+/// engines overwrite it in its core's register, the reference heap discards
+/// it when it surfaces, and neither counts it anywhere (here, in
+/// `Sim::events_processed`, or in [`BatchStats::batched_events`]). Apart
+/// from [`SimStats::batch`] and [`SimStats::pdes`], every field is equal
+/// bit for bit under every `EngineKind`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Scheduler operation overheads.

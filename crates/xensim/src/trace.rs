@@ -136,10 +136,12 @@ pub struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// Creates a disabled buffer with the given capacity.
+    /// Creates a disabled buffer with the given capacity. The ring itself
+    /// is reserved by [`TraceBuffer::set_enabled`]: a buffer that is never
+    /// switched on (every simulation carries one) holds no memory.
     pub fn new(capacity: usize) -> TraceBuffer {
         TraceBuffer {
-            records: Vec::with_capacity(capacity.max(1)),
+            records: Vec::new(),
             capacity: capacity.max(1),
             head: 0,
             wrapped: false,
@@ -184,9 +186,21 @@ impl TraceBuffer {
         self.push_record(rec);
     }
 
-    /// Enables or disables recording.
+    /// Enables or disables recording. Enabling reserves the whole ring up
+    /// front (spools are unbounded and grow on demand), so recording never
+    /// reallocates.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
+        if enabled && self.capacity != usize::MAX {
+            self.records
+                .reserve_exact(self.capacity - self.records.len());
+        }
+    }
+
+    /// Records the ring has memory reserved for.
+    #[cfg(test)]
+    pub(crate) fn reserved(&self) -> usize {
+        self.records.capacity()
     }
 
     /// Whether recording is on.
@@ -374,6 +388,22 @@ mod tests {
         t.set_enabled(true);
         t.record(us(2), TraceEvent::Idle { core: 0 });
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn the_ring_is_reserved_on_enabling_not_on_construction() {
+        let mut t = TraceBuffer::new(1 << 10);
+        assert_eq!(t.reserved(), 0);
+        t.record(us(1), TraceEvent::Idle { core: 0 });
+        assert_eq!(t.reserved(), 0, "a disabled buffer allocated");
+        t.set_enabled(true);
+        let reserved = t.reserved();
+        assert!(reserved >= 1 << 10);
+        for i in 0..(1u64 << 10) {
+            t.record(us(i), TraceEvent::Idle { core: 0 });
+        }
+        assert_eq!(t.reserved(), reserved, "filling the ring reallocated");
+        assert_eq!((t.len(), t.dropped()), (1 << 10, 0));
     }
 
     #[test]

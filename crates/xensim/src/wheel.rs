@@ -4,9 +4,9 @@
 //! binary heap costs O(log n) comparisons (and a cache-hostile percolation)
 //! per insert and per pop; calendar-queue designs — the ones ns-3-class
 //! simulators use — exploit the fact that a scheduler workload is a dense
-//! band of near-future timers (decision expiries, slice boundaries, IPI
-//! deliveries) plus a sparse far tail, and make both operations O(1)
-//! amortized.
+//! band of near-future events (IPI deliveries, guest wake-ups, ticks; core
+//! timers are kept out of it, in the per-core registers of `crate::timers`)
+//! plus a sparse far tail, and make both operations O(1) amortized.
 //!
 //! Geometry (three levels, nearest first):
 //!
@@ -176,13 +176,21 @@ impl<T: Ord> TimingWheel<T> {
         self.pop_if_at_most(Nanos(u64::MAX))
     }
 
-    /// Removes and returns the earliest entry if its time is `<= limit`
-    /// (the fused peek-then-pop the simulation loop runs per event).
+    /// Removes and returns the earliest entry if its time is `<= limit`.
     #[inline]
     pub fn pop_if_at_most(&mut self, limit: Nanos) -> Option<Entry<T>> {
+        self.pop_if_key_at_most(limit, u64::MAX)
+    }
+
+    /// Removes and returns the earliest entry if its `(time, seq)` key is
+    /// `<= (limit, seq_limit)` (the fused peek-then-pop the simulation loop
+    /// runs per event, bounded by the horizon or by the key of a timer held
+    /// outside the wheel).
+    #[inline]
+    pub fn pop_if_key_at_most(&mut self, limit: Nanos, seq_limit: u64) -> Option<Entry<T>> {
         loop {
-            if let Some(Reverse((at, _, _))) = self.current.peek() {
-                if *at > limit {
+            if let Some(Reverse((at, seq, _))) = self.current.peek() {
+                if (*at, *seq) > (limit, seq_limit) {
                     return None;
                 }
                 let Reverse(e) = self.current.pop().expect("peeked");
@@ -211,7 +219,7 @@ impl<T: Ord> TimingWheel<T> {
                     // needed, no heap touched.
                     let e = slot.pop().expect("len checked");
                     self.near_count -= 1;
-                    if e.0 <= limit {
+                    if (e.0, e.1) <= (limit, seq_limit) {
                         self.len -= 1;
                         return Some(e);
                     }
@@ -429,6 +437,33 @@ mod tests {
         w.push(Nanos(4097), 2, 2);
         assert_eq!(w.pop_if_at_most(Nanos(4096)), None);
         assert_eq!(w.pop(), Some((Nanos(4097), 2, 2)));
+    }
+
+    #[test]
+    fn pop_if_key_at_most_breaks_a_same_instant_tie_by_seq() {
+        let mut w = TimingWheel::new();
+        w.push(Nanos(100), 5, 0);
+        w.push(Nanos(100), 9, 1);
+        assert_eq!(w.pop_if_key_at_most(Nanos(100), 4), None);
+        assert_eq!(
+            w.pop_if_key_at_most(Nanos(100), 5),
+            Some((Nanos(100), 5, 0))
+        );
+        assert_eq!(w.pop_if_key_at_most(Nanos(100), 8), None);
+        assert_eq!(w.pop_if_key_at_most(Nanos(99), u64::MAX), None);
+        assert_eq!(
+            w.pop_if_key_at_most(Nanos(101), 0),
+            Some((Nanos(100), 9, 1))
+        );
+        // The single-entry slot path: refused on `seq` alone, the entry
+        // must still be there for the next call.
+        w.push(Nanos(5000), 3, 2);
+        assert_eq!(w.pop_if_key_at_most(Nanos(5000), 2), None);
+        assert_eq!(w.len(), 1);
+        assert_eq!(
+            w.pop_if_key_at_most(Nanos(5000), 3),
+            Some((Nanos(5000), 3, 2))
+        );
     }
 
     /// The property the engine swap rests on: against a uniform random

@@ -8,17 +8,24 @@
 //! across randomized scenarios with fault injection active. If these
 //! properties hold, every `results/*.json` regenerates byte-identically
 //! under the new engine.
+//!
+//! The heap is also the oracle for the per-core timer registers: it keeps
+//! every event, core timers included, in one queue and discards a
+//! superseded timer when it surfaces, where the wheel-backed engines
+//! overwrite it in its core's register. The slotted arm below makes
+//! superseded timers the dominant traffic and holds all four engines to
+//! the same stream.
 
 use proptest::prelude::*;
 
 use rtsched::time::Nanos;
 use xensim::fault::FaultConfig;
 use xensim::sched::{
-    DeschedulePlan, GuestAction, GuestWorkload, IpiTargets, SchedDecision, VcpuId, VcpuView,
-    VmScheduler,
+    DeschedulePlan, GuestAction, GuestWorkload, IpiTargets, PdesDecline, PdesSplit, SchedDecision,
+    VcpuId, VcpuView, VmScheduler,
 };
 use xensim::trace::TraceRecord;
-use xensim::{EngineKind, Machine, Sim, SimStats, WakeupPlan};
+use xensim::{EngineKind, Machine, Sim, SimStats, TraceClass, WakeupPlan};
 
 /// A scheduler whose picks rotate by a seed — arbitrary on purpose, to
 /// generate irregular event traffic rather than a sensible policy.
@@ -218,6 +225,194 @@ proptest! {
         prop_assert_eq!(&heap.1, &hybrid.1, "hybrid stats diverged");
         prop_assert_eq!(&heap.2, &hybrid.2, "hybrid trace diverged");
         prop_assert_eq!(heap.3, hybrid.3, "hybrid event count diverged");
+    }
+}
+
+/// A table-like scheduler: time is cut into slots of `slot` ns, slot `k` on
+/// a core belongs to the `k`-th (mod n) vCPU homed there, and every
+/// decision — an idle one included — expires at the slot end. A guest that
+/// blocks mid-slot leaves an idle-until-slot-end timer behind; its wake-up
+/// re-schedules the core and supersedes that timer, so an I/O guest piles
+/// one superseded timer per wake-up onto the slot-end instant. Stateless
+/// apart from the homes, hence trivially partitionable.
+#[derive(Clone)]
+struct Slotted {
+    slot: Nanos,
+    homes: Vec<usize>,
+}
+
+impl VmScheduler for Slotted {
+    fn name(&self) -> &'static str {
+        "slotted"
+    }
+
+    fn schedule(&mut self, core: usize, now: Nanos, view: VcpuView<'_>) -> (SchedDecision, Nanos) {
+        let k = now / self.slot;
+        let until = self.slot * (k + 1);
+        let local: Vec<u32> = (0..self.homes.len() as u32)
+            .filter(|&v| self.homes[v as usize] == core)
+            .collect();
+        let owner = local
+            .get(k as usize % local.len().max(1))
+            .map(|&v| VcpuId(v));
+        match owner.filter(|&v| view.is_runnable(v)) {
+            Some(v) => (SchedDecision::run(v, until), Nanos(300)),
+            None => (SchedDecision::idle(until), Nanos(300)),
+        }
+    }
+
+    fn on_wakeup(&mut self, vcpu: VcpuId, _now: Nanos, _view: VcpuView<'_>) -> WakeupPlan {
+        WakeupPlan {
+            ipi_cores: IpiTargets::one(self.homes[vcpu.0 as usize]),
+            cost: Nanos(200),
+        }
+    }
+
+    fn on_block(&mut self, _vcpu: VcpuId, _core: usize, _now: Nanos) {}
+
+    fn on_descheduled(
+        &mut self,
+        _vcpu: VcpuId,
+        _core: usize,
+        _ran: Nanos,
+        _now: Nanos,
+    ) -> DeschedulePlan {
+        DeschedulePlan {
+            ipi_cores: IpiTargets::NONE,
+            cost: Nanos(100),
+        }
+    }
+
+    fn pdes_split(&self, machine: &Machine) -> Result<PdesSplit, PdesDecline> {
+        Ok(PdesSplit {
+            parts: (0..machine.n_sockets)
+                .map(|_| Box::new(self.clone()) as Box<dyn VmScheduler>)
+                .collect(),
+            vcpu_sockets: self
+                .homes
+                .iter()
+                .map(|&h| Some(machine.socket_of(h)))
+                .collect(),
+            socket_local_ipis: false,
+        })
+    }
+
+    fn pdes_merge(&mut self, _machine: &Machine, _parts: Vec<Box<dyn VmScheduler>>) {}
+
+    fn register_vcpu(&mut self, vcpu: VcpuId, home: usize) {
+        debug_assert_eq!(vcpu.0 as usize, self.homes.len());
+        self.homes.push(home);
+    }
+
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// One run of the slotted I/O scenario on a two-socket machine: every vCPU
+/// an `IoStress`-style cycler (`burst` us of compute, `wait` us asleep),
+/// all runnable at boot. Batch/PDES bookkeeping — *how* events were
+/// processed — is normalized away.
+fn observe_slotted(
+    engine: EngineKind,
+    cores_per_socket: usize,
+    slot_us: u64,
+    vcpus: &[(u64, u64)],
+    events: &[(u64, u32)],
+    horizon: Nanos,
+) -> Observation {
+    let mut machine = Machine::small(cores_per_socket * 2);
+    machine.n_sockets = 2;
+    machine.cores_per_socket = cores_per_socket;
+    let machine = machine.with_cross_ipi_latency(Nanos::from_micros(7));
+    let sched = Slotted {
+        slot: Nanos::from_micros(slot_us),
+        homes: Vec::new(),
+    };
+    let mut sim = Sim::new(machine, Box::new(sched));
+    sim.set_engine(engine);
+    sim.enable_tracing();
+    sim.enable_event_log();
+    for (i, &(burst, wait)) in vcpus.iter().enumerate() {
+        let cycler = Cycler {
+            burst_us: burst,
+            wait_us: wait,
+            compute_next: false,
+        };
+        sim.add_vcpu(Box::new(cycler), i % machine.n_cores(), true);
+    }
+    for &(at_us, v) in events {
+        let target = VcpuId(v % vcpus.len() as u32);
+        sim.push_external(Nanos::from_micros(at_us), target, 0);
+    }
+    let (log, mut stats, mut trace, handled) = rayon::with_threads(2, || observe(sim, horizon));
+    if engine == EngineKind::Partitioned {
+        let pdes = stats.pdes;
+        assert!(pdes.partitioned_runs > 0, "declined: {pdes:?}");
+    }
+    trace.retain(|r| !r.event.class().intersects(TraceClass::BATCH));
+    stats.batch = Default::default();
+    stats.pdes = Default::default();
+    (log, stats, trace, handled)
+}
+
+/// Asserts that no line of `log` is a superseded timer: a core's decision
+/// generation only grows, so a `CoreTimer` carrying an older generation
+/// than one already handled on its core was overtaken before it fired.
+/// Returns how many generations were skipped outright — each a decision
+/// whose timer was armed and overtaken, so a lower bound on the timers
+/// superseded in the run.
+fn superseded_generations(log: &[(Nanos, u64, String)]) -> u64 {
+    let mut newest: Vec<u64> = Vec::new();
+    let mut skipped = 0;
+    for (at, seq, line) in log {
+        let Some(fields) = line.strip_prefix("CoreTimer { core: ") else {
+            continue;
+        };
+        let (core, gen) = fields
+            .trim_end_matches(" }")
+            .split_once(", gen: ")
+            .expect("CoreTimer debug format");
+        let (core, gen): (usize, u64) = (core.parse().unwrap(), gen.parse().unwrap());
+        if newest.len() <= core {
+            newest.resize(core + 1, 0);
+        }
+        assert!(
+            gen >= newest[core],
+            "superseded timer handled at {at:?} #{seq}: {line} after gen {}",
+            newest[core]
+        );
+        skipped += (gen - newest[core]).saturating_sub(1);
+        newest[core] = gen;
+    }
+    skipped
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Heap, wheel, hybrid and partitioned engines agree line for line —
+    /// and on `events_processed` — when most armed timers are superseded,
+    /// dozens of them due at the same slot-end instant.
+    #[test]
+    fn superseded_timers_surface_on_no_engine(
+        cores_per_socket in 1usize..=2,
+        slot_us in 400u64..3_000,
+        vcpus in proptest::collection::vec((5u64..20, 20u64..50), 2..10),
+        events in proptest::collection::vec((0u64..12_000, any::<u32>()), 0..16),
+    ) {
+        let horizon = Nanos::from_millis(12);
+        let run = |engine| observe_slotted(engine, cores_per_socket, slot_us, &vcpus, &events, horizon);
+        let heap = run(EngineKind::Heap);
+        for engine in [EngineKind::Wheel, EngineKind::Hybrid, EngineKind::Partitioned] {
+            let other = run(engine);
+            prop_assert_eq!(&heap.0, &other.0, "{:?}: event stream diverged", engine);
+            prop_assert_eq!(&heap.1, &other.1, "{:?}: stats diverged", engine);
+            prop_assert_eq!(&heap.2, &other.2, "{:?}: trace diverged", engine);
+            prop_assert_eq!(heap.3, other.3, "{:?}: event count diverged", engine);
+        }
+        let superseded = superseded_generations(&heap.0);
+        prop_assert!(superseded >= 48, "only {} timers were superseded", superseded);
     }
 }
 

@@ -355,6 +355,49 @@ fn exact_lookahead_boundary_arrivals() {
     assert_eq!(wheel.3, part.3, "event counts diverged");
 }
 
+/// `run_until` cut into 37 us slices under quanta of up to 400 us: nearly
+/// every cut falls between some core timer's arming and its firing. The
+/// armed register is keyed provisionally inside its lane, so it has to come
+/// through the boundary merge (re-keyed), the finish (copied back to the
+/// master) and the next call's split (copied into a lane again) carrying
+/// exactly the `seq` the sequential engine gave it — the logs compare it.
+#[test]
+fn armed_timers_survive_split_window_merge_and_finish() {
+    let machine = two_socket(2, 5);
+    let vcpus = [(50, 30), (80, 20), (40, 60), (70, 10), (300, 0), (20, 45)];
+    let events = [(900, 1), (2_500, 3), (2_537, 0), (7_000, 5)];
+    let slice = Nanos::from_micros(37);
+    let horizon = slice * 271;
+    let sliced = |engine: EngineKind, workers: usize| {
+        let mut sim = build(engine, machine, 11, &vcpus, &events, 400, true);
+        rayon::with_threads(workers, || (1..=271).for_each(|k| sim.run_until(slice * k)));
+        sim
+    };
+    // The reference is the sequential wheel run in one piece.
+    let wheel = observe(sliced(EngineKind::Wheel, 1), horizon);
+    let whole = build(EngineKind::Wheel, machine, 11, &vcpus, &events, 400, true);
+    assert_eq!(
+        wheel,
+        observe(whole, horizon),
+        "slicing changed the wheel run"
+    );
+    for workers in [1usize, 2] {
+        let sim = sliced(EngineKind::Partitioned, workers);
+        assert!(sim.stats().pdes.partitioned_runs > 200);
+        let part = observe_partitioned(sim, horizon, workers);
+        assert_eq!(
+            wheel.0, part.0,
+            "event streams diverged at {workers} workers"
+        );
+        assert_eq!(wheel.1, part.1, "stats diverged at {workers} workers");
+        assert_eq!(wheel.2, part.2, "traces diverged at {workers} workers");
+        assert_eq!(
+            wheel.3, part.3,
+            "event counts diverged at {workers} workers"
+        );
+    }
+}
+
 /// The partitioned engine generates real cross-socket mailbox traffic in
 /// the chatter scenario (the equivalence above is not vacuous), and the
 /// window counters move.
