@@ -12,20 +12,21 @@
 //! 2. Diff each bin against the previous plan's recorded packing
 //!    ([`Plan::core_bins`]): a bin whose `(cost, period)` tuple sequence is
 //!    positionally unchanged is **clean** — its allocations, coalescing
-//!    report, compiled slice table ([`CpuTable`]), and blackout bounds are
-//!    reused under a positional vCPU-id relabeling, exactly like the
-//!    generator's `BinSignature` stamps. Everything else is **dirty** and is
-//!    re-simulated, re-verified, and re-coalesced from scratch.
-//! 3. Splice the clean cores into the new [`Table`]. When every clean bin
-//!    keeps its vCPU ids verbatim (the common join / leave-of-last case —
-//!    ids below the churned VM never shift), [`Table::patched_from`]
-//!    patches the previous table in place: untouched cores keep their
-//!    compiled slice tables and placement entries by `Arc` reference, and
-//!    only vCPUs on dirtied cores are re-validated. Otherwise (e.g. a
-//!    teardown in the middle of the host shifts later ids) each clean
-//!    core's artifacts are reused under a positional relabeling via
-//!    [`Table::new_with_donors`] — the donation is geometry-checked and
-//!    the cross-core placement validation runs on the full allocation set.
+//!    report, compiled slice table ([`crate::table::CpuTable`]), and blackout
+//!    bounds are reused under a positional vCPU-id relabeling, exactly like
+//!    the generator's `BinSignature` stamps. Everything else is **dirty** and
+//!    is re-simulated, re-verified, and re-coalesced from scratch.
+//! 3. Splice the clean cores into the new [`Table`] by patching the
+//!    previous one in place ([`Table::patched_from`]). A clean bin that
+//!    keeps its vCPU ids verbatim (every clean bin of a join or a
+//!    leave-of-last — ids below the churned VM never shift) is not touched:
+//!    its compiled slice table and placement entries are kept by `Arc`
+//!    reference. A clean bin whose ids shifted (a teardown in the middle of
+//!    the host moves every later id down) hands the splice its previous
+//!    allocations under a positional relabeling; the splice re-stamps them
+//!    onto the previous core's geometry — checked allocation by allocation
+//!    — instead of recompiling. Only vCPUs on dirtied or relabeled cores
+//!    are re-validated.
 //!
 //! The output is **field-identical** to what a full [`crate::planner::plan`]
 //! of the same host would produce (pinned by the `prop_delta` property
@@ -40,18 +41,17 @@
 //! config falls out of plain partitioning. Aborting is the designed
 //! fallback trigger — the caller continues down the replanning ladder.
 
-use std::collections::HashMap;
-
 use rtsched::edf::simulate_edf;
 use rtsched::generator::Stage;
 use rtsched::partition::worst_fit_decreasing_with_preferences;
-use rtsched::rules::{verify_with_engine, RuleEngine};
+use rtsched::rules::verify_bin;
 use rtsched::time::Nanos;
+use rtsched::verify::verify_schedule;
 use rtsched::MultiCoreSchedule;
 
 use crate::planner::{blackout_in_table, translate, Plan, PlannerOptions};
 use crate::postprocess::{coalesce_with, CoalesceReport};
-use crate::table::{Allocation, CpuTable, Table};
+use crate::table::{Allocation, Table};
 use crate::vcpu::{HostConfig, VcpuId};
 
 /// What a completed delta replan reused and what it rebuilt.
@@ -205,161 +205,100 @@ pub fn plan_delta(
             })
     };
 
-    // When every clean bin also keeps its vCPU ids verbatim — the common
-    // join / leave-of-last case, since `translate` numbers vCPUs in host
-    // order and ids below the churned VM never shift — the splice can
-    // patch the previous table wholesale ([`Table::patched_from`]) instead
-    // of relabeling and re-assembling core by core.
-    let identity = r.bins.cores.iter().enumerate().all(|(core, new_bin)| {
-        !tuples_match(core, new_bin)
-            || new_bin
-                .iter()
-                .zip(&prev.core_bins[core])
-                .all(|(nt, pv)| nt.id.0 == pv.0)
-    });
-
     let mut coalesce_by_core: Vec<CoalesceReport> = Vec::with_capacity(host.n_cores);
     let mut blackout_by_id: Vec<Option<Nanos>> =
         vec![None; id_cap(&mut tr.vcpus.iter().map(|&(v, _)| v.0 as usize))];
     let mut clean_cores: Vec<usize> = Vec::new();
     let mut dirty_cores: Vec<usize> = Vec::new();
 
-    let table = if identity {
-        // Id-stable splice: clean cores keep their compiled tables and
-        // placement entries inside `prev.table`; only the dirtied bins (and
-        // the trivially cheap dedicated cores) are rebuilt and patched in.
-        let mut updates: Vec<(usize, Vec<Allocation>)> = Vec::new();
-        for (core, new_bin) in r.bins.cores.iter().enumerate() {
-            let report = prev.coalesce_by_core.get(core);
-            let blackouts: Option<Vec<(u32, Nanos)>> = new_bin
-                .iter()
-                .map(|nt| {
-                    prev_blackout
-                        .get(nt.id.0 as usize)
-                        .copied()
-                        .flatten()
-                        .map(|b| (nt.id.0, b))
-                })
-                .collect();
-            match (tuples_match(core, new_bin), report, blackouts) {
-                (true, Some(report), Some(blackouts)) => {
-                    coalesce_by_core.push(report.clone());
-                    for (v, b) in blackouts {
-                        blackout_by_id[v as usize] = Some(b);
-                    }
-                    clean_cores.push(core);
+    // The splice patches the previous table ([`Table::patched_from`]):
+    // only the cores listed in `updates` are recompiled and only the vCPUs
+    // on them re-validated. A clean bin that keeps its vCPU ids verbatim —
+    // every clean bin of a join or a leave-of-last, since `translate`
+    // numbers vCPUs in host order and ids below the churned VM never shift
+    // — is not listed at all: its compiled table and placement entries stay
+    // inside `prev.table`. A clean bin whose ids shifted (a leave in the
+    // middle of the host moves every later id down) is listed with its
+    // previous allocations relabeled position by position, which the splice
+    // re-stamps onto the previous core's geometry instead of recompiling.
+    let mut updates: Vec<(usize, Vec<Allocation>)> = Vec::new();
+    for (core, new_bin) in r.bins.cores.iter().enumerate() {
+        let prev_bin = &prev.core_bins[core];
+        let reused = tuples_match(core, new_bin)
+            .then(|| {
+                // A bin holds a handful of vCPUs: the id substitution is a
+                // scan of the pairs, not a map.
+                let subst = |v: VcpuId| {
+                    let at = prev_bin.iter().position(|&pv| pv == v)?;
+                    Some(VcpuId(new_bin[at].id.0))
+                };
+                let report = prev.coalesce_by_core.get(core)?.relabel(subst)?;
+                let blackouts: Vec<(u32, Nanos)> = prev_bin
+                    .iter()
+                    .zip(new_bin)
+                    .map(|(pv, nt)| Some((nt.id.0, (*prev_blackout.get(pv.0 as usize)?)?)))
+                    .collect::<Option<_>>()?;
+                let same_ids = new_bin.iter().zip(prev_bin).all(|(nt, pv)| nt.id.0 == pv.0);
+                let relabeled: Option<Vec<Allocation>> = if same_ids {
+                    None
+                } else {
+                    let prev_allocs = prev.table.cpu(core).allocations().iter();
+                    Some(
+                        prev_allocs
+                            .map(|a| {
+                                Some(Allocation {
+                                    vcpu: subst(a.vcpu)?,
+                                    ..*a
+                                })
+                            })
+                            .collect::<Option<_>>()?,
+                    )
+                };
+                Some((report, blackouts, relabeled))
+            })
+            .flatten();
+        match reused {
+            Some((report, blackouts, relabeled)) => {
+                coalesce_by_core.push(report);
+                for (v, b) in blackouts {
+                    blackout_by_id[v as usize] = Some(b);
                 }
-                _ => {
-                    // Dirty (or clean but with inconsistent metadata):
-                    // rebuild this bin exactly as the full pipeline would.
-                    let (allocs, report) =
-                        rebuild_bin(core, new_bin, hyperperiod, opts.coalesce_threshold)?;
+                if let Some(allocs) = relabeled {
                     updates.push((core, allocs));
-                    coalesce_by_core.push(report);
-                    dirty_cores.push(core);
                 }
+                clean_cores.push(core);
+            }
+            None => {
+                // Dirty (or clean but with inconsistent metadata): rebuild
+                // this bin exactly as the full pipeline would.
+                let (allocs, report) =
+                    rebuild_bin(core, new_bin, hyperperiod, opts.coalesce_threshold)?;
+                updates.push((core, allocs));
+                coalesce_by_core.push(report);
+                dirty_cores.push(core);
             }
         }
-        // Dedicated cores: rebuilt fresh (one wall-to-wall allocation
-        // each), exactly as in the full pipeline.
-        for (i, &vcpu) in tr.dedicated.iter().enumerate() {
-            updates.push((
-                tr.shared_cores + i,
-                vec![Allocation {
-                    start: Nanos::ZERO,
-                    end: hyperperiod,
-                    vcpu,
-                }],
-            ));
-            coalesce_by_core.push(CoalesceReport::default());
-        }
-        Table::patched_from(&prev.table, updates).map_err(|e| {
-            if e.starts_with("stale placement") {
-                DeltaAbort::StalePlacement(e)
-            } else {
-                DeltaAbort::Bin(e)
-            }
-        })?
-    } else {
-        // Relabeling splice: some clean bin changed vCPU ids (e.g. a leave
-        // in the middle of the host shifts every later id down), so each
-        // clean core's artifacts are reused under a positional relabeling
-        // and the table is re-assembled from the full allocation set.
-        let mut per_core: Vec<Vec<Allocation>> = Vec::with_capacity(host.n_cores);
-        for (core, new_bin) in r.bins.cores.iter().enumerate() {
-            let prev_bin = &prev.core_bins[core];
-            let reused = tuples_match(core, new_bin).then(|| {
-                let map: HashMap<u32, u32> = prev_bin
-                    .iter()
-                    .zip(new_bin)
-                    .map(|(pv, nt)| (pv.0, nt.id.0))
-                    .collect();
-                let allocs: Option<Vec<Allocation>> = prev
-                    .table
-                    .cpu(core)
-                    .allocations()
-                    .iter()
-                    .map(|a| {
-                        map.get(&a.vcpu.0).map(|&v| Allocation {
-                            vcpu: VcpuId(v),
-                            ..*a
-                        })
-                    })
-                    .collect();
-                let report = prev
-                    .coalesce_by_core
-                    .get(core)
-                    .and_then(|rep| rep.relabel(|v| map.get(&v.0).copied().map(VcpuId)));
-                let blackouts: Option<Vec<(u32, Nanos)>> = prev_bin
-                    .iter()
-                    .zip(new_bin)
-                    .map(|(pv, nt)| {
-                        prev_blackout
-                            .get(pv.0 as usize)
-                            .copied()
-                            .flatten()
-                            .map(|b| (nt.id.0, b))
-                    })
-                    .collect();
-                (allocs, report, blackouts)
-            });
-
-            match reused {
-                Some((Some(allocs), Some(report), Some(blackouts))) => {
-                    per_core.push(allocs);
-                    coalesce_by_core.push(report);
-                    for (v, b) in blackouts {
-                        blackout_by_id[v as usize] = Some(b);
-                    }
-                    clean_cores.push(core);
-                }
-                _ => {
-                    let (allocs, report) =
-                        rebuild_bin(core, new_bin, hyperperiod, opts.coalesce_threshold)?;
-                    per_core.push(allocs);
-                    coalesce_by_core.push(report);
-                    dirty_cores.push(core);
-                }
-            }
-        }
-        for &vcpu in &tr.dedicated {
-            per_core.push(vec![Allocation {
+    }
+    // Dedicated cores: rebuilt fresh (one wall-to-wall allocation each),
+    // exactly as in the full pipeline.
+    for (i, &vcpu) in tr.dedicated.iter().enumerate() {
+        updates.push((
+            tr.shared_cores + i,
+            vec![Allocation {
                 start: Nanos::ZERO,
                 end: hyperperiod,
                 vcpu,
-            }]);
-            coalesce_by_core.push(CoalesceReport::default());
+            }],
+        ));
+        coalesce_by_core.push(CoalesceReport::default());
+    }
+    let table = Table::patched_from(&prev.table, updates).map_err(|e| {
+        if e.starts_with("stale placement") {
+            DeltaAbort::StalePlacement(e)
+        } else {
+            DeltaAbort::Bin(e)
         }
-
-        // Splice: clean cores donate their compiled slice tables; the
-        // donation is geometry-checked and the cross-core validation runs
-        // on the full allocation set either way.
-        let mut donors: Vec<Option<&CpuTable>> = vec![None; host.n_cores];
-        for &c in &clean_cores {
-            donors[c] = Some(prev.table.cpu(c));
-        }
-        Table::new_with_donors(hyperperiod, per_core, &donors).map_err(DeltaAbort::Bin)?
-    };
+    })?;
 
     // Aggregate coalescing report, absorbed in core order like the full
     // pipeline (dedicated cores contribute nothing).
@@ -423,23 +362,23 @@ fn rebuild_bin(
             m.task, m.deadline
         ))
     })?;
-    let mut one = MultiCoreSchedule::idle(hyperperiod, 1);
-    one.cores[0] = sched;
-    // Incremental verification: assert the rebuilt bin's facts into a
-    // one-core rule engine and re-derive the invariants from them — the
-    // cost is O(this bin), and across a delta O(dirtied bins), never
-    // O(host). A decline (or any violation) degrades to the full
-    // single-pass verifier, which is authoritative for the error text.
-    let mut engine = RuleEngine::new(hyperperiod, 1);
-    let _ = engine.apply_delta(0, new_bin.to_vec(), one.cores[0].segments().to_vec());
-    let violations = verify_with_engine(&mut engine, new_bin, &one);
-    if let Some(v) = violations.first() {
-        return Err(DeltaAbort::Bin(format!(
-            "core {core}: {v} ({} violation(s) total)",
-            violations.len()
-        )));
+    // Incremental verification: the rule engine's invariants derived from
+    // this bin's facts alone, on the borrowed bin and segments — the cost
+    // is O(this bin), and across a delta O(dirtied bins), never O(host). A
+    // decline (or any violation) degrades to the full single-pass verifier,
+    // which is authoritative for the error text.
+    if !matches!(verify_bin(new_bin, sched.segments(), hyperperiod), Ok(v) if v.is_empty()) {
+        let mut one = MultiCoreSchedule::idle(hyperperiod, 1);
+        one.cores[0] = sched.clone();
+        let violations = verify_schedule(new_bin, &one);
+        if let Some(v) = violations.first() {
+            return Err(DeltaAbort::Bin(format!(
+                "core {core}: {v} ({} violation(s) total)",
+                violations.len()
+            )));
+        }
     }
-    let mut allocs: Vec<Allocation> = one.cores[0]
+    let mut allocs: Vec<Allocation> = sched
         .segments()
         .iter()
         .map(|s| Allocation {

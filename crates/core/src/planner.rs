@@ -29,7 +29,6 @@
 //! index order, so the produced [`Plan`] is bit-identical to a sequential
 //! run (pinned by `tests/prop_parallel.rs`).
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -605,17 +604,22 @@ pub fn plan_timed(
         let stamp = sharing.stamp_of(core).expect("stamped iff not direct");
         let remapped = (stamp.rep < core).then(|| &coalesced[stamp.rep]).and_then(
             |(rep_allocs, rep_report)| {
-                let map: HashMap<u32, u32> = stamp.map.iter().map(|&(r, t)| (r.0, t.0)).collect();
+                // One pair per task of the bin — a handful: the id
+                // substitution is a scan of the pairs, not a map.
+                let subst = |v: VcpuId| {
+                    let (_, to) = stamp.map.iter().find(|(rep_id, _)| rep_id.0 == v.0)?;
+                    Some(VcpuId(to.0))
+                };
                 let allocs: Vec<Allocation> = rep_allocs
                     .iter()
                     .map(|a| {
-                        map.get(&a.vcpu.0).map(|&v| Allocation {
-                            vcpu: VcpuId(v),
+                        Some(Allocation {
+                            vcpu: subst(a.vcpu)?,
                             ..*a
                         })
                     })
                     .collect::<Option<_>>()?;
-                let report = rep_report.relabel(|v| map.get(&v.0).copied().map(VcpuId))?;
+                let report = rep_report.relabel(subst)?;
                 Some((allocs, report))
             },
         );

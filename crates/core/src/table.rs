@@ -12,15 +12,22 @@
 //! at most two cache lines in the hot path.
 //!
 //! **Compile cost.** A table is compiled on every plan and every delta
-//! splice, so the build is linear in what it writes. Slice starts and
-//! segment ends both ascend, so the slice index is one forward merge walk
-//! over the segment ends — `O(slices + segments)` — not a binary search per
-//! slice (a 44-core, 1 ms-goal plan has ~117 000 slices over ~22 000
-//! segments; the searches were the planner's largest stage, above EDF
-//! simulation). Placement lists are sized by a counting pass, and a vCPU
-//! that sits on one core — every vCPU of a partitioned plan — skips the
-//! per-vCPU sort and home-core vote: its list is pushed from that core's
-//! start-sorted table, so it is in order already and that core is its home.
+//! splice, so the build is linear in what it writes and shaped for the
+//! branch predictor. One pass over a core's allocations validates them,
+//! finds the slice length and sizes the segment arrays exactly; the
+//! flattening pass writes every gap and lets the next entry overwrite the
+//! ones that do not exist. Slice `k` starts at `k * slice_len`, so each
+//! segment owns the run of slices below `ceil(end / slice_len)`: the slice
+//! index is filled run by run, one division per *segment* and one fixed
+//! block store per run — `O(slices + segments)` with no per-slice compare
+//! (a 44-core, 1 ms-goal plan has ~117 000 slices over ~22 000 segments;
+//! the merge walk this replaced mispredicted once per segment and was the
+//! planner's largest stage; the binary search before it survives only in
+//! `tests/prop_table.rs`). Placement lists are sized by a counting pass,
+//! and a vCPU that sits on one core — every vCPU of a partitioned plan —
+//! skips the per-vCPU sort and home-core vote: its list is pushed from that
+//! core's start-sorted table, so it is in order already and that core is
+//! its home.
 
 use std::sync::Arc;
 
@@ -127,6 +134,16 @@ impl CpuTable {
     /// Returns a message if allocations are unsorted, overlapping, empty, or
     /// extend past `table_len`.
     pub fn new(allocations: Vec<Allocation>, table_len: Nanos) -> Result<CpuTable, String> {
+        // One pass validates, finds the slice length — the shortest
+        // allocation (see module docs); an empty core gets a single slice
+        // covering the whole table — and counts the idle gaps, so the
+        // segment arrays below are allocated at their final size. An
+        // overlap is reported only once every allocation passed the
+        // per-allocation checks, as two separate passes would.
+        let mut slice_len = table_len;
+        let mut n_gaps = 0usize;
+        let mut overlap: Option<&Allocation> = None;
+        let mut t = Nanos::ZERO;
         for a in &allocations {
             if a.start >= a.end {
                 return Err(format!("empty allocation [{}, {})", a.start, a.end));
@@ -137,57 +154,68 @@ impl CpuTable {
                     a.start, a.end
                 ));
             }
-        }
-        for w in allocations.windows(2) {
-            if w[0].end > w[1].start {
-                return Err(format!(
-                    "allocations overlap or unsorted at [{}, {})",
-                    w[1].start, w[1].end
-                ));
+            if a.start < t {
+                overlap = overlap.or(Some(a));
             }
-        }
-
-        // Slice length: the shortest allocation (see module docs). An empty
-        // core gets a single slice covering the whole table.
-        let slice_len = allocations
-            .iter()
-            .map(|a| a.len())
-            .min()
-            .unwrap_or(table_len);
-        let n_slices = table_len.div_ceil(slice_len) as usize;
-
-        // Flatten into gap-free segments (idle gaps made explicit).
-        let mut seg_end = Vec::with_capacity(allocations.len() * 2 + 1);
-        let mut seg_vcpu = Vec::with_capacity(seg_end.capacity());
-        let mut t = Nanos::ZERO;
-        for a in &allocations {
-            if a.start > t {
-                seg_end.push(a.start);
-                seg_vcpu.push(NO_VCPU);
-            }
-            seg_end.push(a.end);
-            seg_vcpu.push(a.vcpu.0);
+            n_gaps += usize::from(a.start > t);
+            slice_len = slice_len.min(a.len());
             t = a.end;
         }
-        if t < table_len || seg_end.is_empty() {
-            seg_end.push(table_len);
-            seg_vcpu.push(NO_VCPU);
+        if let Some(a) = overlap {
+            return Err(format!(
+                "allocations overlap or unsorted at [{}, {})",
+                a.start, a.end
+            ));
         }
+        let n_slices = table_len.div_ceil(slice_len) as usize;
 
-        // Slice index: the segment containing each slice start. Both
-        // sequences ascend, so one forward walk serves every slice; the last
-        // segment ends at `table_len`, past every slice start, which bounds
-        // the walk.
-        let mut slices = Vec::with_capacity(n_slices);
-        let mut seg = 0usize;
-        let mut slice_start = Nanos::ZERO;
-        for _ in 0..n_slices {
-            while seg_end[seg] <= slice_start {
-                seg += 1;
-            }
-            slices.push(seg as u32);
-            slice_start += slice_len;
+        // Flatten into gap-free segments (idle gaps made explicit). Whether
+        // an allocation is preceded by a gap is a coin toss to the branch
+        // predictor, so the gap's end is always written and the cursor
+        // steps over it only when the gap exists; the allocation's own
+        // entry lands on top of it otherwise.
+        let n_segments =
+            allocations.len() + n_gaps + usize::from(t < table_len || allocations.is_empty());
+        let mut seg_end = vec![table_len; n_segments + 1];
+        let mut seg_vcpu = vec![NO_VCPU; n_segments + 1];
+        let mut n = 0usize;
+        let mut t = Nanos::ZERO;
+        for a in &allocations {
+            seg_end[n] = a.start;
+            n += usize::from(a.start > t);
+            seg_end[n] = a.end;
+            seg_vcpu[n] = a.vcpu.0;
+            n += 1;
+            t = a.end;
         }
+        // A trailing gap (or the one segment of an empty core) is already
+        // there: the arrays were filled with its end and its vCPU.
+        debug_assert_eq!(n + usize::from(t < table_len || n == 0), n_segments);
+        seg_end.truncate(n_segments);
+        seg_vcpu.truncate(n_segments);
+
+        // Slice index: the segment containing each slice start. Slice `k`
+        // starts at `k * slice_len`, so the slices starting before a
+        // segment's end are exactly the first `ceil(end / slice_len)`: each
+        // segment owns one run of the index, found by one division and
+        // filled without looking at a slice start. Runs are short (a
+        // handful of slices), so a loop per run would mispredict its exit
+        // once per segment; instead every run is written as one fixed block
+        // — spilling into the next run's slots, which that run then
+        // overwrites — plus a tail for the rare long run. The last segment
+        // ends at `table_len`, which closes the index at `n_slices`.
+        const BLOCK: usize = 8;
+        let mut slices = vec![0u32; n_slices + BLOCK];
+        let mut at = 0usize;
+        for (seg, end) in seg_end.iter().enumerate() {
+            let upto = (end.div_ceil(slice_len) as usize).min(n_slices);
+            slices[at..at + BLOCK].fill(seg as u32);
+            if upto > at + BLOCK {
+                slices[at + BLOCK..upto].fill(seg as u32);
+            }
+            at = upto;
+        }
+        slices.truncate(n_slices);
         Ok(CpuTable {
             allocations,
             slice_len,
@@ -375,7 +403,9 @@ fn home_of(allocations: &[(usize, Nanos, Nanos)]) -> usize {
 
 /// Per-vCPU placement metadata derived from the table, used for wake-up
 /// routing and second-level eligibility (Sec. 6, "Efficient wake-ups").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The default is a vCPU with no allocation (the placeholder a table keeps
+/// for ids below its highest that it does not schedule).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VcpuPlacement {
     /// All allocations of this vCPU as `(core, start, end)`, sorted by start.
     pub allocations: Vec<(usize, Nanos, Nanos)>,
@@ -516,8 +546,14 @@ impl Table {
     /// Like [`Table::new`], splicing in compiled per-core tables from a
     /// *donor* (typically the previous plan's table): `donors[core] =
     /// Some(cpu)` proposes reusing `cpu`'s slice index and segment arrays
-    /// for this core. This is the delta-replanning splice: untouched cores
-    /// keep their compiled form without re-running the slice build.
+    /// for this core.
+    ///
+    /// No longer the delta-replanning splice — that is
+    /// [`Table::patched_from`], which offers an updated core its previous
+    /// self as the donor. Nothing in the workspace calls this but
+    /// `tests/prop_table.rs` (right and wrong donors both yield
+    /// [`Table::new`]'s table); once that case moves onto `patched_from` /
+    /// [`CpuTable::stamped_from`] this constructor can be deleted.
     ///
     /// Every donation is *checked*, not trusted — [`CpuTable::stamped_from`]
     /// verifies positional `(start, end)` geometry and id alignment, and the
@@ -541,78 +577,93 @@ impl Table {
     /// only the cores listed in `updates`; every core not listed keeps its
     /// compiled table, its vCPU ids, and its placement entries verbatim.
     ///
-    /// This is the delta-replanning splice for id-stable churn (a VM join,
-    /// or a leave of the highest-numbered VM): untouched cores carry exactly
+    /// This is the delta-replanning splice: untouched cores carry exactly
     /// the same `(vcpu, start, end)` triples as before, so their placements,
     /// home cores, and slice tables are reused wholesale instead of being
     /// rebuilt from the full allocation set. Updated cores are validated by
-    /// [`CpuTable::new`] as usual, and every vCPU that gained or lost an
-    /// allocation on an updated core is re-sorted, re-checked for cross-core
-    /// overlap, and re-homed — so the result is field-identical to what
-    /// [`Table::new`] would build from the combined allocation lists.
+    /// [`CpuTable::new`] as usual — or, when an update only renames the
+    /// vCPUs of the core it replaces (a leave in the middle of the host
+    /// shifts every later id down), by [`CpuTable::stamped_from`] against
+    /// that core — and every vCPU that gained or lost an allocation on an
+    /// updated core is re-sorted, re-checked for cross-core overlap, and
+    /// re-homed — so the result is field-identical to what [`Table::new`]
+    /// would build from the combined allocation lists.
     pub fn patched_from(
         prev: &Table,
         updates: Vec<(usize, Vec<Allocation>)>,
     ) -> Result<Table, String> {
         let len = prev.len;
         let mut cpus = prev.cpus.clone();
-        let mut placements = prev.placements.clone();
-
-        // vCPUs whose allocation set changes: everything previously on an
-        // updated core, plus everything newly placed there.
-        let mut touched: Vec<u32> = Vec::new();
-        for &(core, ref allocs) in &updates {
+        let mut updated = vec![false; cpus.len()];
+        for &(core, _) in &updates {
             if core >= cpus.len() {
                 return Err(format!("update for core {core} out of range"));
             }
-            touched.extend(prev.cpus[core].allocations().iter().map(|a| a.vcpu.0));
-            touched.extend(allocs.iter().map(|a| a.vcpu.0));
+            updated[core] = true;
         }
-        touched.sort_unstable();
-        touched.dedup();
 
-        // Grow the placement vector for ids the updates introduce.
-        if let Some(max_new) = updates
-            .iter()
-            .flat_map(|(_, a)| a.iter().map(|x| x.vcpu.0))
+        // vCPUs whose allocation set changes: everything previously on an
+        // updated core, plus everything newly placed there — marked per id
+        // (placements are indexed by id already) and read back in ascending
+        // order.
+        let new_ids = updates.iter().flat_map(|(_, a)| a.iter().map(|x| x.vcpu.0));
+        let id_cap = new_ids
             .max()
-        {
-            if max_new as usize >= placements.len() {
-                placements.resize(
-                    max_new as usize + 1,
-                    Arc::new(VcpuPlacement {
-                        allocations: Vec::new(),
-                        home_core: 0,
-                    }),
-                );
+            .map_or(0, |v| v as usize + 1)
+            .max(prev.placements.len());
+        let mut is_touched = vec![false; id_cap];
+        for (core, allocs) in &updates {
+            for a in prev.cpus[*core].allocations().iter().chain(allocs) {
+                is_touched[a.vcpu.0 as usize] = true;
             }
         }
+        let touched: Vec<u32> = (0..id_cap as u32)
+            .filter(|&v| is_touched[v as usize])
+            .collect();
 
-        // Drop the touched vCPUs' allocations on updated cores, then re-add
-        // from the new lists (a fresh build pushes in core order; within one
-        // vCPU equal starts are impossible in a valid table, so the sort
-        // below reproduces the fresh build's ordering exactly).
-        let updated_cores: Vec<usize> = updates.iter().map(|&(c, _)| c).collect();
+        // Each touched vCPU's list is rebuilt: what it keeps on untouched
+        // cores, then what the updates place (a fresh build pushes in core
+        // order; within one vCPU equal starts are impossible in a valid
+        // table, so the sort in `settle` reproduces the fresh build's
+        // ordering exactly). Plain lists until they are settled — a shared
+        // `Arc` would pay an atomic per pushed allocation.
+        let mut rebuilt = vec![VcpuPlacement::default(); id_cap];
         for &v in &touched {
-            Arc::make_mut(&mut placements[v as usize])
-                .allocations
-                .retain(|&(c, _, _)| !updated_cores.contains(&c));
+            let kept = prev
+                .placements
+                .get(v as usize)
+                .map_or(&[][..], |p| &p.allocations);
+            let kept = kept.iter().filter(|&&(c, _, _)| !updated[c]);
+            rebuilt[v as usize].allocations.extend(kept);
         }
         for (core, allocs) in updates {
             for a in &allocs {
-                Arc::make_mut(&mut placements[a.vcpu.0 as usize])
+                rebuilt[a.vcpu.0 as usize]
                     .allocations
                     .push((core, a.start, a.end));
             }
-            cpus[core] =
-                Arc::new(CpuTable::new(allocs, len).map_err(|e| format!("core {core}: {e}"))?);
+            // A core that keeps its geometry and changes only its ids (a
+            // clean bin relabeled by the delta planner, a dedicated core)
+            // is re-stamped from its previous self; the offer is checked
+            // allocation by allocation and a rebuilt core fails it at the
+            // first one that moved.
+            cpus[core] = Arc::new(CpuTable::compile(
+                core,
+                allocs,
+                len,
+                Some(&prev.cpus[core]),
+            )?);
         }
 
         // Re-validate and re-home the touched vCPUs exactly as
         // [`Table::assemble`] does; untouched vCPUs cannot have gained an
         // overlap (their allocation sets are unchanged).
+        let mut placements = prev.placements.clone();
+        placements.resize_with(id_cap, Arc::default);
         for &v in &touched {
-            Arc::make_mut(&mut placements[v as usize]).settle(v as usize)?;
+            let mut p = std::mem::take(&mut rebuilt[v as usize]);
+            p.settle(v as usize)?;
+            placements[v as usize] = Arc::new(p);
         }
         // A fresh build sizes placements to the highest id with allocations.
         while placements.last().is_some_and(|p| p.allocations.is_empty()) {
@@ -647,7 +698,7 @@ impl Table {
         // that still exist at their (ascending-id) position.
         let mut homed = prev.homed.clone();
         for list in &mut homed {
-            list.retain(|v| touched.binary_search(&v.0).is_err());
+            list.retain(|v| !is_touched[v.0 as usize]);
         }
         for &v in &touched {
             let Some(p) = placements.get(v as usize) else {

@@ -24,6 +24,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use rtsched::edf::simulate_edf;
 use rtsched::generator::Stage;
 use rtsched::rules::RuleEngine;
 use rtsched::schedule::{CoreSchedule, MultiCoreSchedule, Segment};
@@ -34,7 +35,7 @@ use schedulers::tableau::Tableau;
 use tableau_core::cache::PlanCache;
 use tableau_core::dispatch::Dispatcher;
 use tableau_core::plan_delta;
-use tableau_core::planner::{plan, PlannerOptions};
+use tableau_core::planner::{period_for, plan, PlannerOptions};
 use tableau_core::table::{Allocation, Table};
 use tableau_core::vcpu::VcpuId;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
@@ -101,6 +102,19 @@ fn time_entry<R>(name: &str, iters: u64, mut f: impl FnMut() -> R) -> BenchEntry
         total_ns: total.as_nanos() as u64,
         mean_ns: total.as_nanos() as f64 / iters as f64,
     }
+}
+
+/// The fastest of `iters` individually timed calls (ns), after one untimed
+/// warm-up — the noise-robust figure the in-run ratio assertions compare.
+fn fastest_ns<R>(iters: u64, mut f: impl FnMut() -> R) -> f64 {
+    std::hint::black_box(f());
+    (0..iters)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// `n_vms` single-vCPU VMs at `pct`% utilization with a 20 ms goal.
@@ -172,19 +186,59 @@ fn crowded_cache_entries(iters: u64, opts: &PlannerOptions) -> [BenchEntry; 2] {
     [hit, insert]
 }
 
+/// The `plan-ladder` cold shape: 44 cores, 176 single-vCPU VMs at the 1 ms
+/// goal, every VM its own utilization (5–20 % of a core, `salt` shifts the
+/// lot), so no two bins share a signature and no stamp ever applies.
+fn unique_host_176(salt: u32) -> HostConfig {
+    let mut host = HostConfig::new(44);
+    for i in 0..176u32 {
+        let spec = VcpuSpec::capped(
+            Utilization::from_ppm(50_000 + (i * 7_919 + salt) % 150_000),
+            Nanos::from_millis(1),
+        );
+        host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+    }
+    host
+}
+
+/// Times [`simulate_edf`] on one bin of the paper's shape — four 25 % tasks
+/// at the 1 ms goal over the standard hyperperiod: 156 periods, 624 jobs.
+fn edf_bin_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
+    let spec = VcpuSpec::capped(Utilization::from_percent(25), Nanos::from_millis(1));
+    let period = period_for(&spec, &opts.candidates);
+    let cost = spec.utilization.budget_in(period);
+    let bin: Vec<PeriodicTask> = (0..4)
+        .map(|i| PeriodicTask::implicit(TaskId(i), cost, period))
+        .collect();
+    let horizon = opts.candidates.hyperperiod();
+    time_entry("edf/bin_4x1ms", iters.max(100), || {
+        simulate_edf(&bin, horizon).expect("a full bin is feasible")
+    })
+}
+
+/// Times a delta replan between two all-unique 176-VM hosts: no bin of the
+/// new host matches the old one's, so all 44 are re-simulated and spliced
+/// — the delta rung's worst case, to be read against `plan/unique_176_1ms`
+/// (a full plan of the same host, which the result is checked to equal).
+fn delta_all_dirty_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
+    let (prev_host, host) = (unique_host_176(0), unique_host_176(4_001));
+    let prev = plan(&prev_host, opts).expect("all-unique paper-scale host plans");
+    let delta = || plan_delta(&prev_host, &prev, &host, opts).expect("same geometry, stage 1");
+    let full = plan(&host, opts).expect("all-unique paper-scale host plans");
+    assert!(delta().0 == full, "a delta result is the full plan");
+    time_entry("plan/delta_all_dirty_176", iters, || {
+        let (p, report) = delta();
+        assert_eq!(report.dirty_cores.len(), 44, "every bin dirtied");
+        p
+    })
+}
+
 /// Times [`Table::new`] on the allocation lists of a 44-core plan whose 176
 /// VMs all differ (1 ms goal): no stamped core, every slice index built.
 /// The per-iteration clone of the input lists is inside the timed call
 /// (the constructor takes them by value).
 fn table_compile_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
-    let mut host = HostConfig::new(44);
-    for i in 0..176u32 {
-        let spec = VcpuSpec::capped(
-            Utilization::from_ppm(50_000 + i * 7_919 % 150_000),
-            Nanos::from_millis(1),
-        );
-        host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
-    }
+    let host = unique_host_176(0);
     let p = plan(&host, opts).expect("all-unique paper-scale host plans");
     let len = p.table.len();
     let per_core: Vec<Vec<Allocation>> = (0..p.table.n_cores())
@@ -226,34 +280,40 @@ fn verify_host_176() -> (Vec<Vec<PeriodicTask>>, Vec<Vec<Segment>>, MultiCoreSch
     (bins, slots, sched)
 }
 
-/// Times one full single-pass verify of the 176-task host.
-fn verify_full_entry(iters: u64) -> BenchEntry {
+/// Times one full single-pass verify of the 176-task host; also returns
+/// the fastest single call (ns).
+fn verify_full_entry(iters: u64) -> (BenchEntry, f64) {
     let (bins, _, sched) = verify_host_176();
     let tasks: Vec<PeriodicTask> = bins.into_iter().flatten().collect();
-    time_entry("verify/full_176", iters.max(100), || {
+    let mut verify = || {
         let v = verify_schedule(&tasks, &sched);
         assert!(v.is_empty(), "bench schedule must be valid");
         v
-    })
+    };
+    let entry = time_entry("verify/full_176", iters.max(100), &mut verify);
+    (entry, fastest_ns(iters.max(100), verify))
 }
 
 /// Times re-certifying a single-bin delta through the rule engine on the
-/// same host: one retract+assert plus an O(dirty-core) re-derivation.
-fn verify_delta_entry(iters: u64) -> BenchEntry {
+/// same host: one retract+assert plus an O(dirty-core) re-derivation. Also
+/// returns the fastest single call (ns).
+fn verify_delta_entry(iters: u64) -> (BenchEntry, f64) {
     let (bins, slots, sched) = verify_host_176();
     let mut engine = RuleEngine::from_bins(sched.hyperperiod, &bins, &sched);
     assert!(
         engine.verdict().expect("engine certifies").is_empty(),
         "bench schedule must be valid"
     );
-    time_entry("verify/delta_incremental", iters.max(100), || {
+    let mut recertify = || {
         engine
             .apply_delta(0, bins[0].clone(), slots[0].clone())
             .expect("re-asserting a self-contained bin");
         let v = engine.verdict().expect("engine certifies");
         assert!(v.is_empty());
         v
-    })
+    };
+    let entry = time_entry("verify/delta_incremental", iters.max(100), &mut recertify);
+    (entry, fastest_ns(iters.max(100), recertify))
 }
 
 pub(crate) fn meta(quick: bool, seed: u64) -> BenchMeta {
@@ -281,6 +341,8 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     let mut clustered = PlannerOptions::default();
     clustered.gen.first_stage = Stage::Clustered;
 
+    let (verify_full, verify_full_min) = verify_full_entry(iters);
+    let (verify_delta, verify_delta_min) = verify_delta_entry(iters);
     let mut entries = vec![
         time_entry("plan/partitioned", iters, || {
             let p = plan(&easy, &defaults).expect("easy set plans");
@@ -306,6 +368,16 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
         time_entry("plan/clustered_176", paper_iters, || {
             plan(&paper, &clustered).expect("paper-scale clustered set plans")
         }),
+        // The same scale with nothing to memoize: every bin simulated,
+        // verified, coalesced and compiled on its own.
+        {
+            let unique = unique_host_176(0);
+            time_entry("plan/unique_176_1ms", paper_iters, || {
+                let p = plan(&unique, &defaults).expect("all-unique paper-scale host plans");
+                assert_eq!(p.stage, Stage::Partitioned);
+                p
+            })
+        },
         // Single-VM churn on the same paper-scale host: the 175-VM plan is
         // delta-patched to the 176-VM shape. One bin is dirtied (WFD ties
         // break by index, so prior assignments are stable); 43 cores reuse
@@ -321,8 +393,10 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
                 p
             })
         },
-        verify_full_entry(iters),
-        verify_delta_entry(iters),
+        delta_all_dirty_entry(paper_iters, &defaults),
+        edf_bin_entry(iters, &defaults),
+        verify_full,
+        verify_delta,
         time_entry("cache/miss", iters, || {
             // A fresh cache per iteration: the full miss path (key build,
             // plan, insert).
@@ -340,22 +414,21 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     ];
     entries.extend(crowded_cache_entries(iters, &defaults));
     entries.push(table_compile_entry(paper_iters, &defaults));
-    // The ISSUE 8 acceptance bar: re-certifying a single-bin delta through
-    // the rule engine must be at least 5x cheaper than a full single-pass
-    // verify of the same 176-task host (the expected gap is far larger).
-    let mean = |n: &str| {
-        entries
-            .iter()
-            .find(|e| e.name == n)
-            .map(|e| e.mean_ns)
-            .expect("verify entries present")
-    };
+    // What the rule engine is for: re-certifying one bin of a 176-task
+    // host must stay well below a full single-pass verify of it. The full
+    // pass lost its hashing (26.9 -> ~6 us) while the engine's one-bin path
+    // was array work already (~0.5 us), so the pair reads ~11x where it
+    // read ~38x; the floor compares fastest iterations and sits at half of
+    // that. It guards the engine's O(delta) factoring — a verdict that
+    // re-derives clean cores would read ~1x — not a speed record.
+    println!(
+        "verify pair: full/delta = {:.1} (fastest iterations)",
+        verify_full_min / verify_delta_min
+    );
     assert!(
-        mean("verify/delta_incremental") * 5.0 < mean("verify/full_176"),
-        "incremental delta verify ({:.0} ns) must be >= 5x cheaper than the \
-         full pass ({:.0} ns)",
-        mean("verify/delta_incremental"),
-        mean("verify/full_176")
+        verify_delta_min * 5.0 < verify_full_min,
+        "incremental delta verify (min {verify_delta_min:.0} ns) must be >= 5x cheaper \
+         than the full pass (min {verify_full_min:.0} ns)",
     );
     BenchSnapshot {
         meta: meta(quick, seed),
@@ -949,7 +1022,10 @@ mod tests {
                 "plan/clustered",
                 "plan/partitioned_176",
                 "plan/clustered_176",
+                "plan/unique_176_1ms",
                 "plan/delta_single_vm",
+                "plan/delta_all_dirty_176",
+                "edf/bin_4x1ms",
                 "verify/full_176",
                 "verify/delta_incremental",
                 "cache/miss",
@@ -976,14 +1052,37 @@ mod tests {
         };
         assert!(mean("cache/hit") * 10.0 < mean("cache/miss"));
         // The delta patch recomputes one bin out of 44 and reuses every
-        // other core's compiled schedule; even with quick-mode iteration
-        // counts it must beat the full memoized replan by an order of
-        // magnitude (the expected gap is far larger).
+        // other core's compiled schedule, so it must stay far below the
+        // full memoized replan of the same host. The floor was 10x on the
+        // snapshot's quick-mode means (one and two calls) while that replan
+        // hashed every segment three times over; hash-free it costs half as
+        // much, whereas most of the delta is translating, packing and
+        // splicing 176 VMs, which nothing made cheaper. Now: fastest of 12
+        // alternating calls, 8x — the pair reads 15-20x optimized and
+        // 8.7-12.6x in the unoptimized build this test runs in (28 runs).
+        let opts = PlannerOptions::default();
+        let paper = bench_host_with_goal(44, 176, 25, Nanos::from_millis(1));
+        let paper_prev = bench_host_with_goal(44, 175, 25, Nanos::from_millis(1));
+        let prev_plan = plan(&paper_prev, &opts).expect("175-VM host plans");
+        let ns = |f: &dyn Fn()| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos() as f64
+        };
+        let (mut full_min, mut delta_min) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..12 {
+            full_min = full_min.min(ns(&|| {
+                std::hint::black_box(plan(&paper, &opts)).expect("paper-scale set plans");
+            }));
+            delta_min = delta_min.min(ns(&|| {
+                std::hint::black_box(plan_delta(&paper_prev, &prev_plan, &paper, &opts))
+                    .expect("single-VM add delta applies");
+            }));
+        }
+        println!("delta pair: full/delta = {:.1}", full_min / delta_min);
         assert!(
-            mean("plan/delta_single_vm") * 10.0 < mean("plan/partitioned_176"),
-            "delta {} ns vs full {} ns",
-            mean("plan/delta_single_vm"),
-            mean("plan/partitioned_176")
+            delta_min * 8.0 < full_min,
+            "delta {delta_min:.0} ns vs full {full_min:.0} ns (fastest iterations)",
         );
     }
 

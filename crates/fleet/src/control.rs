@@ -10,7 +10,9 @@ use rtsched::time::Nanos;
 use tableau_core::audit::{corrupt_table, CorruptionKind, TableAuditor};
 use tableau_core::cache::SharedPlanCache;
 use tableau_core::plan_delta;
-use tableau_core::planner::{plan_with_fallback, Plan, PlanError, PlannerOptions, ReplanPath};
+use tableau_core::planner::{
+    plan_with_fallback, Plan, PlanError, PlannerOptions, ReplanError, ReplanPath,
+};
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec};
 use workloads::churn::Flavor;
 use workloads::Histogram;
@@ -938,12 +940,16 @@ impl Fleet {
                 self.counters.resizes += 1;
                 Ok(())
             }
-            Ok(_) | Err(_) => {
+            rejected => {
                 self.counters.resize_rejections += 1;
-                match plan_with_fallback(Some((&h.host_cfg, &h.plan)), &next, &self.cfg.planner) {
-                    Err(error) => Err(FleetError::ResizeInfeasible { vm, error }),
-                    Ok(_) => Err(FleetError::UnknownVm(vm)), // unreachable shape drift
-                }
+                // Every rung failed — or one produced a plan whose
+                // hyperperiod drifted, which cannot reach the dispatcher
+                // (the install protocol would reject it): no rung failed
+                // then, so that rejection carries an empty trail.
+                let error = rejected.err().unwrap_or(ReplanError {
+                    attempts: Vec::new(),
+                });
+                Err(FleetError::ResizeInfeasible { vm, error })
             }
         }
     }
@@ -1570,6 +1576,57 @@ mod tests {
         assert_eq!(fleet.counters().resize_rejections, 1);
         fleet.check_conservation().expect("conservation");
         epochs(&mut fleet, Nanos::ZERO, 4);
+    }
+
+    #[test]
+    fn rejected_resize_reports_the_ladder_trail_and_touches_nothing() {
+        let mut fleet = small_fleet(1);
+        fleet
+            .admit(Nanos(1), 1, flavor(1, 125_000))
+            .expect("admits");
+        fleet
+            .admit(Nanos(1), 2, flavor(1, 250_000))
+            .expect("admits");
+        epochs(&mut fleet, Nanos::ZERO, 4);
+        let flavors = |fleet: &Fleet| -> Vec<(u64, Flavor)> {
+            let tenants = fleet.hosts[0].tenants.iter();
+            tenants.map(|t| (t.vm, t.flavor)).collect()
+        };
+        let tenants = flavors(&fleet);
+        let (committed, plan, dirty) = {
+            let h = &fleet.hosts[0];
+            (h.committed_ppm, h.plan.clone(), h.dirty)
+        };
+        assert!(!dirty, "installs settled");
+        let (rungs, resizes) = (fleet.rungs, fleet.counters().resizes);
+
+        // What the ladder itself says about the impossible shape.
+        let huge = flavor(8, 900_000);
+        let mut next = fleet.boot_cfg.clone();
+        for &(vm, flavor) in &tenants {
+            let flavor = if vm == 2 { huge } else { flavor };
+            push_tenant(&mut next, &Tenant { vm, flavor }, fleet.cfg.latency_goal);
+        }
+        let h = &fleet.hosts[0];
+        let want = plan_with_fallback(Some((&h.host_cfg, &h.plan)), &next, &fleet.cfg.planner)
+            .expect_err("over capacity on every rung");
+        assert!(!want.attempts.is_empty());
+
+        match fleet.resize(Nanos::from_millis(300), 2, huge) {
+            Err(FleetError::ResizeInfeasible { vm: 2, error }) => {
+                assert_eq!(error.attempts, want.attempts);
+            }
+            other => panic!("expected ResizeInfeasible for vm 2, got {other:?}"),
+        }
+        let h = &fleet.hosts[0];
+        assert_eq!(flavors(&fleet), tenants, "the VM keeps its flavor");
+        assert_eq!(h.committed_ppm, committed);
+        assert!(Arc::ptr_eq(&h.plan, &plan), "the plan is the same plan");
+        assert_eq!(h.dirty, dirty);
+        assert_eq!(fleet.rungs, rungs, "a rejection bumps no rung");
+        assert_eq!(fleet.counters().resizes, resizes);
+        assert_eq!(fleet.counters().resize_rejections, 1);
+        fleet.check_conservation().expect("conservation");
     }
 
     #[test]

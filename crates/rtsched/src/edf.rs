@@ -8,11 +8,8 @@
 //!
 //! The simulation is event-driven: execution advances either to the next job
 //! completion or to the next release (where a newly released job may preempt
-//! under EDF). Ties on deadlines are broken by task id, then release time,
-//! which makes table generation fully deterministic.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! under EDF). Ties on deadlines are broken by position in the task slice,
+//! then release time, which makes table generation fully deterministic.
 
 use crate::schedule::{CoreSchedule, Segment};
 use crate::task::PeriodicTask;
@@ -32,14 +29,20 @@ pub struct DeadlineMiss {
 }
 
 /// One pending job in the EDF simulation.
-///
-/// Ordered for a min-heap on `(deadline, task, release)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 struct Job {
     deadline: Nanos,
     task_index: usize,
     release: Nanos,
     remaining: Nanos,
+}
+
+impl Job {
+    /// EDF priority, smallest first: deadline, then position in the input
+    /// slice, then release time. Unique per job, so the order is total.
+    fn key(&self) -> (Nanos, usize, Nanos) {
+        (self.deadline, self.task_index, self.release)
+    }
 }
 
 /// Simulates an EDF schedule of `tasks` on one core over `[0, horizon)`.
@@ -50,6 +53,17 @@ struct Job {
 /// [`crate::task`]). The resulting [`CoreSchedule`] therefore repeats
 /// cleanly with period `horizon`.
 ///
+/// **Cost.** `O(segments × tasks)`: each step of the loop emits at most one
+/// segment, walks the ready set once (pick the earliest deadline) and, only
+/// when a release is due, the task list once (admit it, find the next).
+/// Releases are never materialized — each task carries one cursor to its
+/// next release — so besides the output the working state is two arrays of
+/// `tasks.len()` entries, nothing proportional to the number of releases in
+/// the hyperperiod. A bin holds 3–8 tasks, where a scan of an unsorted
+/// ready set beats a heap's sift (and a release list's sort) outright; at a
+/// few dozen tasks per bin the heap would win again. The sort-and-heap
+/// simulator this replaced lives on as the oracle of `tests/prop_edf.rs`.
+///
 /// # Errors
 ///
 /// Returns the first [`DeadlineMiss`] if the task set was not schedulable.
@@ -57,61 +71,64 @@ struct Job {
 /// error here indicates an analysis bug (and is exercised directly in
 /// tests).
 pub fn simulate_edf(tasks: &[PeriodicTask], horizon: Nanos) -> Result<CoreSchedule, DeadlineMiss> {
-    let mut schedule = CoreSchedule::new();
-    if tasks.is_empty() {
-        return Ok(schedule);
-    }
-
-    // Pre-compute all releases, sorted by time. Each entry is
-    // (release_time, task_index).
-    let mut releases: Vec<(Nanos, usize)> = Vec::new();
-    for (idx, task) in tasks.iter().enumerate() {
+    let mut jobs_in_table = 0u64;
+    for task in tasks {
         debug_assert!(task.is_valid(), "invalid task in simulate_edf: {task:?}");
         debug_assert!(
             (horizon % task.period).is_zero(),
             "period {} does not divide horizon {horizon}",
             task.period
         );
-        let mut r = task.offset;
-        while r < horizon {
-            releases.push((r, idx));
-            r += task.period;
-        }
+        jobs_in_table += horizon.0.checked_div(task.period.0).unwrap_or(0);
     }
-    releases.sort_unstable();
-    let mut next_release = 0usize;
+    // Every job yields a segment and most preemptions merge away again, so
+    // the job count is the size to start from (a hint: capped, so that a
+    // nanosecond period cannot reserve a table's worth of memory up front).
+    let mut schedule = CoreSchedule::with_capacity(jobs_in_table.min(1 << 16) as usize);
 
-    // Min-heap of pending jobs.
-    let mut ready: BinaryHeap<Reverse<Job>> = BinaryHeap::new();
+    // Per task, its next release not yet admitted.
+    let mut cursor: Vec<Nanos> = tasks.iter().map(|t| t.offset).collect();
+    // Pending jobs, unordered; at most one per task unless a miss is due.
+    let mut ready: Vec<Job> = Vec::with_capacity(tasks.len() + 1);
     let mut now = Nanos::ZERO;
+    // The earliest release not yet admitted; `Nanos::MAX` once every task
+    // has released its last job of the table. Starts due, so the first pass
+    // admits the jobs released at time zero.
+    let mut next_release = Nanos::ZERO;
 
     loop {
-        // Admit all releases up to `now`.
-        while next_release < releases.len() && releases[next_release].0 <= now {
-            let (release, task_index) = releases[next_release];
-            let task = &tasks[task_index];
-            ready.push(Reverse(Job {
-                deadline: release + task.deadline,
-                task_index,
-                release,
-                remaining: task.cost,
-            }));
-            next_release += 1;
+        // Admit all releases up to `now`, and find the earliest one after.
+        // Nothing is due before `next_release`, so most steps skip the scan.
+        if next_release <= now {
+            next_release = Nanos::MAX;
+            for (task_index, (task, release)) in tasks.iter().zip(&mut cursor).enumerate() {
+                while *release <= now && *release < horizon {
+                    ready.push(Job {
+                        deadline: *release + task.deadline,
+                        task_index,
+                        release: *release,
+                        remaining: task.cost,
+                    });
+                    *release += task.period;
+                }
+                if *release < horizon {
+                    next_release = next_release.min(*release);
+                }
+            }
         }
 
-        let Some(Reverse(mut job)) = ready.pop() else {
+        let Some(at) = (0..ready.len()).min_by_key(|&i| ready[i].key()) else {
             // Idle: jump to the next release, or finish.
-            match releases.get(next_release) {
-                Some(&(r, _)) => {
-                    now = r;
-                    continue;
-                }
-                None => break,
+            if next_release == Nanos::MAX {
+                break;
             }
+            now = next_release;
+            continue;
         };
+        let job = &mut ready[at];
 
         // A miss happens exactly when a job still has work at its deadline.
-        // Two cases surface it here: the popped job's deadline has already
+        // Two cases surface it here: the chosen job's deadline has already
         // passed, or running it to completion would cross the deadline (EDF
         // ran every earlier-deadline job first, so nothing can save it).
         let completion = now + job.remaining;
@@ -128,10 +145,7 @@ pub fn simulate_edf(tasks: &[PeriodicTask], horizon: Nanos) -> Result<CoreSchedu
         // Run the earliest-deadline job until it completes or the next
         // release arrives (a release is the only event that can preempt
         // under EDF with a static ready set).
-        let until = match releases.get(next_release) {
-            Some(&(r, _)) => completion.min(r),
-            None => completion,
-        };
+        let until = completion.min(next_release);
 
         if until > now {
             schedule.push(Segment::new(now, until, tasks[job.task_index].id));
@@ -139,8 +153,8 @@ pub fn simulate_edf(tasks: &[PeriodicTask], horizon: Nanos) -> Result<CoreSchedu
         }
         now = until;
 
-        if job.remaining > Nanos::ZERO {
-            ready.push(Reverse(job));
+        if job.remaining.is_zero() {
+            ready.swap_remove(at);
         }
     }
 
@@ -162,7 +176,7 @@ pub fn simulate_edf(tasks: &[PeriodicTask], horizon: Nanos) -> Result<CoreSchedu
 /// parameter *sequence* `(cost, period, deadline, offset)` of the input, so
 /// one positional schedule can be stamped onto every bin sharing that
 /// sequence via [`CoreSchedule::relabel`]. Equivalence with the direct
-/// simulation is exact, segment for segment: the simulator's heap orders
+/// simulation is exact, segment for segment: the simulator orders
 /// jobs by `(deadline, task_index, release)` where `task_index` is the
 /// position in the input slice — real ids are consulted *only* when
 /// labeling output segments and the returned [`DeadlineMiss`] — and the

@@ -37,14 +37,14 @@
 //! core order; the generated schedule is bit-identical to a sequential run
 //! (see `prop_parallel` in `tableau-core`).
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
 use crate::dpfair::dpfair_schedule;
 use crate::edf::{simulate_edf, simulate_edf_positional, DeadlineMiss};
+use crate::index::TaskIndex;
 use crate::partition::{worst_fit_decreasing, CoreBins};
 use crate::schedule::{CoreSchedule, MultiCoreSchedule};
 use crate::signature::{all_implicit, BinSignature, CoreSharing, SigMemo, Stamp};
@@ -277,8 +277,12 @@ pub fn generate_schedule_instrumented(
     }
     timings.pack += t0.elapsed();
 
-    // One memo serves all stage attempts: a bin shape simulated (or found
-    // infeasible) in one stage is never re-simulated by a later one.
+    // One memo serves all stage attempts: a bin shape two or more cores
+    // share, once simulated (or found infeasible), is never re-simulated by
+    // a later attempt. A shape only one core carries bypasses the memo
+    // (`simulate_cores`) and would be simulated again — but only the
+    // clustered stage makes more than one attempt, and its failed attempts
+    // fail in packing, before anything is simulated.
     let mut memo = SigMemo::new();
     let mut last_error = String::new();
 
@@ -359,12 +363,14 @@ pub fn generate_schedule_instrumented(
 ///
 /// Direct engine: every core simulated from scratch, concurrently (cores
 /// hold disjoint task sets; results reassembled in core order). Memoized
-/// engine: each distinct all-implicit bin signature is simulated once — at
-/// its lowest-index ("representative") core, positionally — and relabeled
-/// onto every core sharing it; non-sharable bins (any C=D piece present)
-/// take the direct path. Returned results and errors are identical across
-/// engines: the positional simulator differs from the direct one only in
-/// output labels, and the relabeling restores those exactly.
+/// engine: each all-implicit bin signature that two or more cores share is
+/// simulated once — at its lowest-index ("representative") core,
+/// positionally — and relabeled onto every core sharing it; bins whose
+/// signature is theirs alone, and non-sharable bins (any C=D piece
+/// present), take the direct path. Returned results and errors are
+/// identical across engines: the positional simulator differs from the
+/// direct one only in output labels, and the relabeling restores those
+/// exactly.
 fn simulate_cores(
     bins: &CoreBins,
     horizon: Nanos,
@@ -383,30 +389,48 @@ fn simulate_cores(
         .iter()
         .map(|b| all_implicit(b).then(|| BinSignature::of(b)))
         .collect();
-    let mut rep_of: HashMap<&BinSignature, usize> = HashMap::new();
+    // Per signature: its lowest-index ("representative") core and how many
+    // cores carry it.
+    let mut rep_of: HashMap<&BinSignature, (usize, usize)> = HashMap::new();
     for (core, sig) in sigs.iter().enumerate() {
         if let Some(sig) = sig {
-            rep_of.entry(sig).or_insert(core);
+            rep_of.entry(sig).or_insert((core, 0)).1 += 1;
         }
     }
-    // Simulate each *new* distinct signature once, concurrently, using its
+    // A signature nobody shares — every bin of an all-unique host — has
+    // nothing to stamp: simulating it positionally, memoizing it and
+    // relabeling the copy back would only add two passes over its segments.
+    // It is simulated under its own ids instead: `shared` keeps only the
+    // signatures that go through the memo.
+    let shared: Vec<Option<&BinSignature>> = sigs
+        .iter()
+        .map(|sig| {
+            let sig = sig.as_ref()?;
+            (rep_of[sig].1 > 1 || memo.edf_get(sig).is_some()).then_some(sig)
+        })
+        .collect();
+    // Simulate each *new* shared signature once, concurrently, using its
     // representative core's bin.
-    let todo: Vec<usize> = sigs
+    let todo: Vec<usize> = shared
         .iter()
         .enumerate()
         .filter_map(|(core, sig)| {
-            let sig = sig.as_ref()?;
-            (rep_of[sig] == core && memo.edf_get(sig).is_none()).then_some(core)
+            let sig = (*sig)?;
+            (rep_of[sig].0 == core && memo.edf_get(sig).is_none()).then_some(core)
         })
         .collect();
     let fresh = rayon::par_map_indices(todo.len(), |i| {
         simulate_edf_positional(&bins.cores[todo[i]], horizon)
     });
     for (core, result) in todo.into_iter().zip(fresh) {
-        memo.edf_insert(sigs[core].clone().expect("todo cores are sharable"), result);
+        memo.edf_insert(
+            shared[core].expect("todo cores are sharable").clone(),
+            result,
+        );
     }
-    // Non-sharable bins take the direct path, also concurrently.
-    let direct: Vec<usize> = sigs
+    // Unshared and non-sharable bins take the direct path, also
+    // concurrently.
+    let direct: Vec<usize> = shared
         .iter()
         .enumerate()
         .filter_map(|(core, sig)| sig.is_none().then_some(core))
@@ -420,8 +444,8 @@ fn simulate_cores(
         out[core] = Some(result);
     }
     for core in 0..n {
-        let Some(sig) = &sigs[core] else { continue };
-        let rep = rep_of[sig];
+        let Some(sig) = shared[core] else { continue };
+        let rep = rep_of[sig].0;
         let bin = &bins.cores[core];
         let result = match memo.edf_get(sig).expect("simulated above") {
             Ok(positional) => Ok(positional.relabel(|t| bin[t.0 as usize].id)),
@@ -510,25 +534,24 @@ fn finish(
     }
     // Report every task with allocations on >1 core (covers DP-Fair
     // migrations too, not just C=D splits). One pass over all segments
-    // rather than one `segments_of` scan per task.
-    let mut first_core: HashMap<u32, usize> = HashMap::new();
-    let mut multi: HashSet<u32> = HashSet::new();
+    // rather than one `segments_of` scan per task; per task position, the
+    // first core seen and whether a second one followed.
+    let index = TaskIndex::new(tasks.iter().map(|t| t.id.0));
+    let mut first_core: Vec<Option<usize>> = vec![None; tasks.len()];
+    let mut multi = vec![false; tasks.len()];
     for (core, cs) in schedule.cores.iter().enumerate() {
         for seg in cs.segments() {
-            match first_core.entry(seg.task.0) {
-                Entry::Occupied(e) => {
-                    if *e.get() != core {
-                        multi.insert(seg.task.0);
-                    }
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(core);
-                }
+            let Some(pos) = index.get(seg.task.0) else {
+                continue;
+            };
+            match first_core[pos] {
+                None => first_core[pos] = Some(core),
+                Some(first) => multi[pos] |= first != core,
             }
         }
     }
-    for t in tasks {
-        if multi.contains(&t.id.0) && !split_tasks.contains(&t.id) {
+    for (pos, t) in tasks.iter().enumerate() {
+        if multi[index.first(pos)] && !split_tasks.contains(&t.id) {
             split_tasks.push(t.id);
         }
     }
@@ -647,10 +670,12 @@ fn pack_cluster(
 /// Generates DP-Fair on the cluster and EDF on the singles.
 ///
 /// Direct engine: cluster and singles run concurrently, exactly the
-/// original pipeline. Memoized engine: singles go through the signature
-/// memo (their bins repeat across attempts and across cores), and an
-/// all-implicit cluster runs positionally through the DP-Fair memo; cluster
-/// cores are never stamped — DP-Fair produces them jointly, not per-bin.
+/// original pipeline. Memoized engine: singles whose signature repeats
+/// across cores go through the signature memo (and hit it again should a
+/// later attempt simulate them), one-of-a-kind singles are simulated
+/// directly each time, and an all-implicit cluster runs positionally
+/// through the DP-Fair memo; cluster cores are never stamped — DP-Fair
+/// produces them jointly, not per-bin.
 fn generate_cluster_and_singles(
     cluster_tasks: &[PeriodicTask],
     single_bins: &CoreBins,

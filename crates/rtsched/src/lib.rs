@@ -48,6 +48,7 @@ pub mod edf;
 pub mod fp;
 pub mod generator;
 pub mod hyperperiod;
+mod index;
 pub mod partition;
 pub mod peephole;
 pub mod rules;

@@ -35,11 +35,12 @@
 
 use std::collections::HashMap;
 
+use crate::index::TaskIndex;
 use crate::schedule::{MultiCoreSchedule, Segment};
 use crate::signature::CoreSharing;
 use crate::task::{PeriodicTask, TaskId};
 use crate::time::Nanos;
-use crate::verify::{check_task, core_geometry, verify_schedule, Violation};
+use crate::verify::{check_task, core_geometry, verify_schedule, TaskIntervals, Violation};
 
 /// Why the rule engine refuses to stand behind an incremental verdict.
 ///
@@ -126,7 +127,10 @@ struct CoreFacts {
 pub struct RuleEngine {
     hyperperiod: Nanos,
     cores: Vec<CoreFacts>,
-    /// Task id -> home core, for the injectivity/locality guards.
+    /// Task id -> home core, for the injectivity guard across cores.
+    /// Consulted once per asserted *task*; slots are matched against their
+    /// own bin through a [`TaskIndex`] and reach this map only to word a
+    /// decline.
     home: HashMap<u32, usize>,
     /// A sticky decline: once the fact store violates the factoring
     /// assumptions the engine refuses verdicts until reset.
@@ -213,27 +217,7 @@ impl RuleEngine {
         }
         // Validate before installing anything: a failed assert must leave
         // the store unchanged (the caller falls back to the full verifier).
-        let mut fresh: HashMap<u32, ()> = HashMap::with_capacity(tasks.len());
-        for t in &tasks {
-            if self.home.contains_key(&t.id.0) || fresh.insert(t.id.0, ()).is_some() {
-                return Err(self.poison(RuleDecline::DuplicateTask(t.id)));
-            }
-        }
-        for seg in &segments {
-            if fresh.contains_key(&seg.task.0) {
-                continue;
-            }
-            let decline = match self.home.get(&seg.task.0) {
-                Some(&home) => RuleDecline::CrossCore {
-                    task: seg.task,
-                    home,
-                    seen: core,
-                },
-                None => RuleDecline::UnknownTask {
-                    core,
-                    task: seg.task,
-                },
-            };
+        if let Err(decline) = bin_is_local(&self.home, core, &tasks, &segments) {
             return Err(self.poison(decline));
         }
         for t in &tasks {
@@ -321,25 +305,77 @@ impl RuleEngine {
     }
 }
 
+/// The factoring guards for one bin about to be asserted on `core`, given
+/// the tasks homed so far: no task already homed (here or elsewhere), no id
+/// twice in the bin, and every slot naming a task of this bin. Reports the
+/// first offender in input order.
+fn bin_is_local(
+    home: &HashMap<u32, usize>,
+    core: usize,
+    tasks: &[PeriodicTask],
+    segments: &[Segment],
+) -> Result<(), RuleDecline> {
+    let bin = TaskIndex::new(tasks.iter().map(|t| t.id.0));
+    for (pos, t) in tasks.iter().enumerate() {
+        if home.contains_key(&t.id.0) || bin.first(pos) != pos {
+            return Err(RuleDecline::DuplicateTask(t.id));
+        }
+    }
+    match segments.iter().find(|seg| bin.get(seg.task.0).is_none()) {
+        None => Ok(()),
+        Some(seg) => Err(match home.get(&seg.task.0) {
+            Some(&home) => RuleDecline::CrossCore {
+                task: seg.task,
+                home,
+                seen: core,
+            },
+            None => RuleDecline::UnknownTask {
+                core,
+                task: seg.task,
+            },
+        }),
+    }
+}
+
 /// Derives R1–R4 for one core from its facts, caching the findings.
 fn derive_core(core: usize, cf: &mut CoreFacts, h: Nanos) {
     cf.geometry = core_geometry(core, &cf.segments, h);
-    cf.task_findings.clear();
-    // Bucket the core's slots by task in slot order — the same intervals
-    // (and order) `per_task_intervals` would hand each of these tasks,
-    // since the locality guard guarantees they appear on no other core.
-    let mut ivs: HashMap<u32, Vec<(usize, Nanos, Nanos)>> = HashMap::with_capacity(cf.tasks.len());
-    for seg in &cf.segments {
-        ivs.entry(seg.task.0)
-            .or_default()
-            .push((0, seg.start, seg.end));
-    }
-    let empty: Vec<(usize, Nanos, Nanos)> = Vec::new();
-    for t in &cf.tasks {
-        let list = ivs.get(&t.id.0).unwrap_or(&empty);
-        cf.task_findings.extend(check_task(t, list, h));
-    }
+    cf.task_findings = bin_task_findings(&cf.tasks, &cf.segments, h);
     cf.dirty = false;
+}
+
+/// R2–R4 for one bin, in bin order. The core's slots are bucketed by task
+/// in slot order — the same intervals (and order) the full verifier would
+/// hand each of these tasks, since the locality guard guarantees they
+/// appear on no other core.
+fn bin_task_findings(tasks: &[PeriodicTask], segments: &[Segment], h: Nanos) -> Vec<Violation> {
+    let ivs = TaskIntervals::of_cores(tasks, std::iter::once(segments));
+    let mut found = Vec::new();
+    for (i, t) in tasks.iter().enumerate() {
+        found.extend(check_task(t, ivs.of(i), h));
+    }
+    found
+}
+
+/// Certifies one freshly built bin in isolation: what a one-core
+/// [`RuleEngine`] answers after asserting `tasks` and `segments` on its
+/// core 0, computed on the borrowed slices — no engine, no copies. This is
+/// the delta planner's per-dirty-bin check.
+///
+/// # Errors
+///
+/// The [`RuleDecline`] that engine's `assert_bin` would raise (an id twice
+/// in the bin, a slot naming a task outside it); the caller degrades to
+/// [`verify_schedule`] exactly as [`verify_with_engine`] does.
+pub fn verify_bin(
+    tasks: &[PeriodicTask],
+    segments: &[Segment],
+    hyperperiod: Nanos,
+) -> Result<Vec<Violation>, RuleDecline> {
+    bin_is_local(&HashMap::new(), 0, tasks, segments)?;
+    let mut found = core_geometry(0, segments, hyperperiod);
+    found.extend(bin_task_findings(tasks, segments, hyperperiod));
+    Ok(found)
 }
 
 /// Verifies through the rule engine with the single-pass verifier as the
@@ -530,6 +566,40 @@ mod tests {
         );
         engine.observe_sharing(&sharing);
         assert_eq!(engine.verdict().unwrap_err(), RuleDecline::Stamped);
+    }
+
+    #[test]
+    fn verify_bin_answers_what_a_fresh_one_core_engine_would() {
+        let h = ms(10);
+        let bin = vec![imp(0, 2, 10), imp(1, 5, 10)];
+        let cases: Vec<(Vec<PeriodicTask>, Vec<Segment>)> = vec![
+            // Valid.
+            (bin.clone(), vec![seg(0, 2, 0), seg(2, 7, 1)]),
+            // Underserved, and a task with no slot at all.
+            (bin.clone(), vec![seg(0, 1, 0)]),
+            // Slots out of order, one running past the table end.
+            (bin.clone(), vec![seg(2, 7, 1), seg(0, 12, 0), seg(8, 9, 0)]),
+            // An id twice in the bin: declined, not judged.
+            (vec![imp(0, 2, 10), imp(0, 2, 10)], vec![seg(0, 2, 0)]),
+            // A slot naming a task outside the bin: declined.
+            (bin.clone(), vec![seg(0, 2, 0), seg(2, 7, 9)]),
+            // The empty bin of an idle core.
+            (Vec::new(), Vec::new()),
+        ];
+        let mut verdicts = 0;
+        for (tasks, segments) in cases {
+            let mut engine = RuleEngine::new(h, 1);
+            let want = engine
+                .assert_bin(0, tasks.clone(), segments.clone())
+                .and_then(|()| engine.verdict());
+            assert_eq!(
+                verify_bin(&tasks, &segments, h),
+                want,
+                "{tasks:?} {segments:?}"
+            );
+            verdicts += usize::from(want.is_ok());
+        }
+        assert_eq!(verdicts, 4, "four bins judged, two declined");
     }
 
     #[test]

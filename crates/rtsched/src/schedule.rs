@@ -56,6 +56,13 @@ impl CoreSchedule {
         CoreSchedule::default()
     }
 
+    /// An empty schedule with room for `segments` segments.
+    pub(crate) fn with_capacity(segments: usize) -> CoreSchedule {
+        CoreSchedule {
+            segments: Vec::with_capacity(segments),
+        }
+    }
+
     /// Creates a schedule from segments.
     ///
     /// # Errors

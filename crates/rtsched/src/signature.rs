@@ -88,7 +88,9 @@ pub fn all_implicit(tasks: &[PeriodicTask]) -> bool {
 /// [`CoreSchedule::relabel`] with the concrete bin's ids. One memo lives for
 /// the duration of one `generate_schedule` call and is shared across its
 /// stage attempts (a bin shape that failed EDF in stage 1 is not re-simulated
-/// when stage 3 tries it again).
+/// when stage 3 tries it again). The generator memoizes only signatures that
+/// two or more cores of one attempt share; a bin whose signature is its
+/// own is simulated under its real ids and never enters the memo.
 #[derive(Debug, Default)]
 pub struct SigMemo {
     edf: HashMap<BinSignature, Result<CoreSchedule, DeadlineMiss>>,

@@ -17,19 +17,27 @@
 //!
 //! The same checks double as the oracle for property-based tests.
 //!
-//! **Cost model.** [`verify_schedule`] makes a single pass over the
-//! schedule's segments to bucket them per task, then checks each task
-//! against its own interval list — `O(segments + tasks · windows)` overall.
-//! (The previous implementation re-scanned every segment of every core once
-//! per task per window, which dominated planner time at high density.)
+//! **Cost model.** [`verify_schedule`] buckets the schedule's segments per
+//! task — a counting pass sizes one flat interval array, a second pass
+//! fills it — then checks each task against its own interval list:
+//! `O(segments + tasks · windows)` overall, with no hashing and no
+//! allocation per segment. Ids are resolved through a crate-private
+//! id → position index (a direct table when the ids are dense, as the
+//! planner's vCPU ids are, a sorted search otherwise) whose size is bounded
+//! by the *task count*, never by an id's value, so a schedule naming task
+//! `u32::MAX - 1` costs a binary search, not four billion slots. A task
+//! that sits on one well-formed core — every task of a partitioned plan —
+//! arrives in start order and is checked in place: no copy, no sort, and a
+//! window cursor instead of two divisions per interval. Only a split or
+//! corrupted task pays for a sorted copy. (`tests/prop_verify_index.rs`
+//! holds the hash-bucketing verifier this replaced as the oracle.)
 //!
 //! [`verify_schedule_shared`] additionally accepts the generator's
 //! core-sharing record: after independently validating each stamp (the
 //! verifier trusts nothing the generator claims), tasks on stamped cores
 //! are exact mirrors of their representatives and need no separate check.
 
-use std::collections::{HashMap, HashSet};
-
+use crate::index::TaskIndex;
 use crate::schedule::{MultiCoreSchedule, Segment};
 use crate::signature::CoreSharing;
 use crate::task::{PeriodicTask, TaskId};
@@ -110,8 +118,8 @@ pub fn verify_schedule(tasks: &[PeriodicTask], schedule: &MultiCoreSchedule) -> 
     });
 
     // (2)–(4) Per-task guarantees, from one segment-bucketing pass.
-    let ivs = per_task_intervals(tasks, schedule);
-    let per_task = rayon::par_map_indices(tasks.len(), |i| check_task(&tasks[i], &ivs[i], h));
+    let ivs = TaskIntervals::of_schedule(tasks, schedule);
+    let per_task = rayon::par_map_indices(tasks.len(), |i| check_task(&tasks[i], ivs.of(i), h));
 
     let mut violations: Vec<Violation> = per_core.into_iter().flatten().collect();
     violations.extend(per_task.into_iter().flatten());
@@ -156,16 +164,20 @@ fn verify_shared_fast(
     if sharing.n_cores() != schedule.cores.len() {
         return None;
     }
-    // Unique id -> task index; duplicate ids defeat the skip logic.
-    let mut index: HashMap<u32, usize> = HashMap::with_capacity(tasks.len());
-    for (i, t) in tasks.iter().enumerate() {
-        if index.insert(t.id.0, i).is_some() {
-            return None;
-        }
+    let ivs = TaskIntervals::of_schedule(tasks, schedule);
+    // Duplicate ids defeat the skip logic.
+    if ivs.index.first_duplicate().is_some() {
+        return None;
     }
-    let ivs = per_task_intervals(tasks, schedule);
+    let index = &ivs.index;
 
     let mut skip = vec![false; tasks.len()];
+    // Per task position, the stamp under validation — identified by the
+    // core it stamps, so entries left by an earlier stamp read as unset:
+    // `mirror[p] = (core, t)` maps representative task `p` to task id `t`,
+    // `mirrored[p] = core` marks task `p` as one of its targets.
+    let mut mirror = vec![(usize::MAX, 0u32); tasks.len()];
+    let mut mirrored = vec![usize::MAX; tasks.len()];
     for core in 0..schedule.cores.len() {
         let Some(stamp) = sharing.stamp_of(core) else {
             continue;
@@ -175,18 +187,17 @@ fn verify_shared_fast(
         if rep >= core || sharing.stamp_of(rep).is_some() {
             return None;
         }
-        let mut rep_ids: HashSet<TaskId> = HashSet::with_capacity(stamp.map.len());
-        let mut this_ids: HashSet<TaskId> = HashSet::with_capacity(stamp.map.len());
-        let mut subst: HashMap<u32, u32> = HashMap::with_capacity(stamp.map.len());
         for &(rid, tid) in &stamp.map {
-            // Injective in both directions.
-            if !rep_ids.insert(rid) || !this_ids.insert(tid) {
+            let ri = index.get(rid.0)?;
+            let ti = index.get(tid.0)?;
+            // Injective in both directions (ids are unique, so positions
+            // stand for them).
+            if mirror[ri].0 == core || mirrored[ti] == core {
                 return None;
             }
-            subst.insert(rid.0, tid.0);
+            mirror[ri] = (core, tid.0);
+            mirrored[ti] = core;
             // Parameter-identical pairing.
-            let ri = *index.get(&rid.0)?;
-            let ti = *index.get(&tid.0)?;
             let (a, b) = (&tasks[ri], &tasks[ti]);
             if (a.cost, a.period, a.deadline, a.offset) != (b.cost, b.period, b.deadline, b.offset)
             {
@@ -194,9 +205,7 @@ fn verify_shared_fast(
             }
             // Mapped tasks live only on their own core — otherwise the
             // mirror argument (and the skip) would miss cross-core service.
-            if ivs[ri].iter().any(|&(c, _, _)| c != rep)
-                || ivs[ti].iter().any(|&(c, _, _)| c != core)
-            {
+            if !ivs.only_on(ri, rep) || !ivs.only_on(ti, core) {
                 return None;
             }
         }
@@ -211,12 +220,12 @@ fn verify_shared_fast(
             if x.start != y.start || x.end != y.end {
                 return None;
             }
-            if subst.get(&x.task.0) != Some(&y.task.0) {
+            if index.get(x.task.0).map(|p| mirror[p]) != Some((core, y.task.0)) {
                 return None;
             }
         }
         for &(_, tid) in &stamp.map {
-            skip[index[&tid.0]] = true;
+            skip[index.get(tid.0).expect("paired above")] = true;
         }
     }
 
@@ -227,7 +236,7 @@ fn verify_shared_fast(
         if skip[i] {
             Vec::new()
         } else {
-            check_task(&tasks[i], &ivs[i], h)
+            check_task(&tasks[i], ivs.of(i), h)
         }
     });
     let mut violations: Vec<Violation> = per_core.into_iter().flatten().collect();
@@ -258,65 +267,147 @@ pub(crate) fn core_geometry(core: usize, segments: &[Segment], h: Nanos) -> Vec<
     found
 }
 
-/// Buckets every segment by task in one pass over the schedule.
+/// Every task's service intervals, bucketed from the segments of one or
+/// more cores without hashing.
 ///
-/// Returns, for each entry of `tasks`, that task's service intervals as
-/// `(core, start, end)` in core-major order (the order `segments_of`
-/// produces). Duplicate ids in `tasks` each receive the full list.
-fn per_task_intervals(
-    tasks: &[PeriodicTask],
-    schedule: &MultiCoreSchedule,
-) -> Vec<Vec<(usize, Nanos, Nanos)>> {
-    let mut index: HashMap<u32, Vec<usize>> = HashMap::with_capacity(tasks.len());
-    for (i, t) in tasks.iter().enumerate() {
-        index.entry(t.id.0).or_default().push(i);
+/// A counting pass sizes one flat `(start, end)` array, a fill pass writes
+/// it; bucket `p` is the slice `starts[p]..starts[p + 1]`, in core-major
+/// order (the order `segments_of` produces). Segments naming a task absent
+/// from the list are skipped. Tasks sharing an id share one bucket
+/// ([`TaskIndex::first`]), so each copy sees the full list.
+pub(crate) struct TaskIntervals {
+    index: TaskIndex,
+    starts: Vec<u32>,
+    ivs: Vec<(Nanos, Nanos)>,
+    /// Per bucket: the one core its segments sit on, [`NO_CORE`] while it
+    /// is empty, [`MANY_CORES`] once a second core contributes.
+    core: Vec<u32>,
+}
+
+const NO_CORE: u32 = u32::MAX;
+const MANY_CORES: u32 = u32::MAX - 1;
+
+impl TaskIntervals {
+    fn of_schedule(tasks: &[PeriodicTask], schedule: &MultiCoreSchedule) -> TaskIntervals {
+        TaskIntervals::of_cores(tasks, schedule.cores.iter().map(|cs| cs.segments()))
     }
-    let mut ivs: Vec<Vec<(usize, Nanos, Nanos)>> = vec![Vec::new(); tasks.len()];
-    for (core, cs) in schedule.cores.iter().enumerate() {
-        for seg in cs.segments() {
-            if let Some(owners) = index.get(&seg.task.0) {
-                for &i in owners {
-                    ivs[i].push((core, seg.start, seg.end));
+
+    /// Buckets the segment lists `cores` yields (core `0`, `1`, ... in
+    /// iteration order) by the tasks of `tasks`.
+    pub(crate) fn of_cores<'a>(
+        tasks: &[PeriodicTask],
+        cores: impl Iterator<Item = &'a [Segment]> + Clone,
+    ) -> TaskIntervals {
+        let index = TaskIndex::new(tasks.iter().map(|t| t.id.0));
+        // starts[p + 1] counts bucket p, then is prefix-summed into its end.
+        let mut starts = vec![0u32; tasks.len() + 1];
+        let mut core_of = vec![NO_CORE; tasks.len()];
+        for (core, segments) in cores.clone().enumerate() {
+            assert!(core < MANY_CORES as usize, "core index out of range");
+            for seg in segments {
+                if let Some(p) = index.get(seg.task.0) {
+                    starts[p + 1] += 1;
+                    if core_of[p] != core as u32 {
+                        core_of[p] = if core_of[p] == NO_CORE {
+                            core as u32
+                        } else {
+                            MANY_CORES
+                        };
+                    }
                 }
             }
         }
+        for p in 0..tasks.len() {
+            starts[p + 1] = starts[p]
+                .checked_add(starts[p + 1])
+                .expect("segment count fits u32");
+        }
+        let mut ivs = vec![(Nanos::ZERO, Nanos::ZERO); starts[tasks.len()] as usize];
+        let mut next = starts.clone();
+        for segments in cores {
+            for seg in segments {
+                if let Some(p) = index.get(seg.task.0) {
+                    ivs[next[p] as usize] = (seg.start, seg.end);
+                    next[p] += 1;
+                }
+            }
+        }
+        TaskIntervals {
+            index,
+            starts,
+            ivs,
+            core: core_of,
+        }
     }
-    ivs
+
+    /// The intervals of the task at position `i` of the indexed list.
+    pub(crate) fn of(&self, i: usize) -> &[(Nanos, Nanos)] {
+        let p = self.index.first(i);
+        &self.ivs[self.starts[p] as usize..self.starts[p + 1] as usize]
+    }
+
+    /// Whether every segment of the task at position `i` sits on `core`
+    /// (vacuously true for a task with no segment).
+    fn only_on(&self, i: usize, core: usize) -> bool {
+        let seen = self.core[self.index.first(i)];
+        seen == NO_CORE || seen as usize == core
+    }
 }
 
-/// Checks (2)–(4) for one task given its pre-bucketed service intervals.
+/// Checks (2)–(4) for one task given its pre-bucketed service intervals
+/// (core-major order).
 ///
 /// Emits the same violations, in the same order, as checking the task
 /// against the whole schedule: window service ascending, then parallel
 /// execution, then the blackout bound.
-pub(crate) fn check_task(
-    task: &PeriodicTask,
-    ivs: &[(usize, Nanos, Nanos)],
-    h: Nanos,
-) -> Vec<Violation> {
+pub(crate) fn check_task(task: &PeriodicTask, ivs: &[(Nanos, Nanos)], h: Nanos) -> Vec<Violation> {
     let mut found = Vec::new();
     if ivs.is_empty() {
         found.push(Violation::MissingTask(task.id));
         return found;
     }
 
+    // The checks below want start order. A task that sits on one
+    // well-formed core is bucketed in that order already; only a split or
+    // corrupted task pays for a sorted copy.
+    let sorted: Vec<(Nanos, Nanos)>;
+    let ordered: &[(Nanos, Nanos)] = if ivs.windows(2).all(|w| w[0] <= w[1]) {
+        ivs
+    } else {
+        sorted = {
+            let mut copy = ivs.to_vec();
+            copy.sort_unstable();
+            copy
+        };
+        &sorted
+    };
+
     // (2) Exact service per period window, via one accumulation pass over
-    // the task's own intervals instead of a whole-schedule scan per window.
+    // the task's own intervals. Starts ascend, so the window holding an
+    // interval's start is found by moving a cursor forward, not dividing.
     let t = task.period;
     let n_windows = h.div_ceil(t) as usize;
     let mut got = vec![Nanos::ZERO; n_windows];
-    for &(_, s, e) in ivs {
+    let (mut k, mut k_end) = (0usize, t);
+    for &(s, e) in ordered {
         if s >= e {
             continue; // degenerate segment contributes no service
         }
-        let k0 = (s / t) as usize;
-        let k1 = ((e - Nanos(1)) / t) as usize;
-        for (k, slot) in got.iter_mut().enumerate().take(k1 + 1).skip(k0) {
-            let w_lo = t * k as u64;
-            let w_hi = w_lo + t;
-            let lo = s.max(w_lo);
-            let hi = e.min(w_hi);
-            *slot += hi.saturating_sub(lo);
+        while k < n_windows && s >= k_end {
+            k += 1;
+            k_end += t;
+        }
+        // Spread [s, e) over windows k, k + 1, ... (all but the last filled
+        // to their end); service past the table's last window is ignored.
+        let (mut lo, mut w_end) = (s, k_end);
+        for slot in &mut got[k..] {
+            if e <= w_end {
+                *slot += e - lo;
+                break;
+            }
+            *slot += w_end - lo;
+            lo = w_end;
+            w_end += t;
         }
     }
     for (k, &g) in got.iter().enumerate() {
@@ -331,8 +422,6 @@ pub(crate) fn check_task(
     }
 
     // (3) No parallel execution across cores.
-    let mut ordered: Vec<(Nanos, Nanos)> = ivs.iter().map(|&(_, s, e)| (s, e)).collect();
-    ordered.sort_unstable();
     for w in ordered.windows(2) {
         if w[0].1 > w[1].0 {
             found.push(Violation::ParallelExecution {
@@ -345,7 +434,7 @@ pub(crate) fn check_task(
     // (4) Cyclic blackout bound.
     if task.cost < task.period {
         let bound = task.worst_case_blackout();
-        let observed = max_blackout(&ordered, h);
+        let observed = max_blackout(ordered, h);
         if observed > bound {
             found.push(Violation::BlackoutTooLong {
                 task: task.id,
@@ -574,6 +663,78 @@ mod tests {
             },
         );
         assert!(verify_schedule_shared(&tasks, &s, &sharing).is_empty());
+    }
+
+    fn stamp(rep: usize, pairs: &[(u32, u32)]) -> Stamp {
+        Stamp {
+            rep,
+            map: pairs.iter().map(|&(r, t)| (TaskId(r), TaskId(t))).collect(),
+        }
+    }
+
+    #[test]
+    fn shared_fast_path_accepts_two_mirrors_of_one_representative() {
+        let tasks: Vec<_> = (0..3)
+            .flat_map(|c| [imp(2 * c, 2, 10), imp(2 * c + 1, 5, 10)])
+            .collect();
+        let core = |a: u32, b: u32| vec![seg(0, 2, a), seg(2, 7, b)];
+        let s = sched(10, vec![core(0, 1), core(2, 3), core(4, 5)]);
+        let mut sharing = CoreSharing::none(3);
+        sharing.set(1, stamp(0, &[(0, 2), (1, 3)]));
+        sharing.set(2, stamp(0, &[(0, 4), (1, 5)]));
+        assert_eq!(verify_shared_fast(&tasks, &s, &sharing), Some(Vec::new()));
+    }
+
+    #[test]
+    fn shared_fast_path_refuses_non_injective_maps() {
+        let tasks = [imp(0, 2, 10), imp(1, 5, 10), imp(2, 2, 10), imp(3, 5, 10)];
+        let s = sched(
+            10,
+            vec![
+                vec![seg(0, 2, 0), seg(2, 7, 1)],
+                vec![seg(0, 2, 2), seg(2, 7, 3)],
+            ],
+        );
+        for pairs in [
+            [(0, 2), (1, 3), (0, 2)], // a representative task twice
+            [(0, 2), (1, 3), (1, 2)], // a target twice
+        ] {
+            let mut sharing = CoreSharing::none(2);
+            sharing.set(1, stamp(0, &pairs));
+            assert_eq!(verify_shared_fast(&tasks, &s, &sharing), None, "{pairs:?}");
+        }
+    }
+
+    #[test]
+    fn shared_fast_path_forgets_the_previous_stamp() {
+        // Core 2's stamp pairs only task 0 -> 4, yet its second segment
+        // serves task 3 — the target core 1's stamp gave task 1. Trusting
+        // that leftover pairing would accept core 2, and task 3 (skipped as
+        // core 1's mirror) would be served twice unnoticed.
+        let tasks = [
+            imp(0, 2, 10),
+            imp(1, 5, 10),
+            imp(2, 2, 10),
+            imp(3, 5, 10),
+            imp(4, 2, 10),
+        ];
+        let s = sched(
+            10,
+            vec![
+                vec![seg(0, 2, 0), seg(2, 7, 1)],
+                vec![seg(0, 2, 2), seg(2, 7, 3)],
+                vec![seg(0, 2, 4), seg(2, 7, 3)],
+            ],
+        );
+        let mut sharing = CoreSharing::none(3);
+        sharing.set(1, stamp(0, &[(0, 2), (1, 3)]));
+        sharing.set(2, stamp(0, &[(0, 4)]));
+        assert_eq!(verify_shared_fast(&tasks, &s, &sharing), None);
+        let found = verify_schedule_shared(&tasks, &s, &sharing);
+        assert_eq!(found, verify_schedule(&tasks, &s));
+        assert!(found
+            .iter()
+            .any(|v| matches!(v, Violation::ParallelExecution { task, .. } if *task == TaskId(3))));
     }
 
     #[test]
