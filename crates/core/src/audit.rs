@@ -12,6 +12,10 @@
 //! the same facts from the live table and compares. Each [`audit_step`]
 //! checks one core — O(one core), not O(host) — so the audit amortizes to
 //! a full sweep every `n_cores` steps without ever stalling the hot path.
+//! The facts themselves are a value, [`TableFacts`]: derived from a table,
+//! compared against another derivation. A fleet whose dispatchers share
+//! table images derives the live facts once per image and compares them
+//! with each host's install-time baseline.
 //!
 //! The module also carries the *corruption injector* used by chaos soaks
 //! and the mutation-kill harness: [`corrupt_table`] applies one of three
@@ -120,8 +124,73 @@ fn placement_fingerprint(table: &Table) -> u64 {
     h.0
 }
 
-/// The audit fact store: fingerprints of a table known-good at install
-/// time, plus a cursor for incremental sweeps.
+/// The audit facts of one table: its length, one fingerprint per core's
+/// allocation list, and one over the whole placement map.
+///
+/// Facts are a pure function of the table's bytes, so two derivations from
+/// the same (immutable) table are equal, and `baseline == live` holds
+/// exactly when [`TableFacts::violations`] is empty — a control plane that
+/// only needs the verdict compares with `==` and allocates nothing. A
+/// caller auditing many dispatchers that share one `Arc<Table>` derives
+/// the live facts once and compares them against each baseline.
+///
+/// # Examples
+///
+/// ```
+/// use rtsched::time::Nanos;
+/// use tableau_core::audit::TableFacts;
+/// use tableau_core::table::{Allocation, Table};
+/// use tableau_core::vcpu::VcpuId;
+///
+/// let ms = Nanos::from_millis;
+/// let slot = |end| vec![vec![Allocation { start: ms(0), end: ms(end), vcpu: VcpuId(0) }]];
+/// let installed = TableFacts::derive(&Table::new(ms(10), slot(4)).unwrap());
+/// let live = TableFacts::derive(&Table::new(ms(10), slot(2)).unwrap());
+/// assert_ne!(installed, live);
+/// assert_eq!(installed.violations(&live).len(), 2); // the slot and its placement
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableFacts {
+    len: Nanos,
+    core_fp: Vec<u64>,
+    placement_fp: u64,
+}
+
+impl TableFacts {
+    /// Derives the facts from `table`'s current bytes.
+    pub fn derive(table: &Table) -> TableFacts {
+        TableFacts {
+            len: table.len(),
+            core_fp: (0..table.n_cores())
+                .map(|c| core_fingerprint(c, table.cpu(c).allocations()))
+                .collect(),
+            placement_fp: placement_fingerprint(table),
+        }
+    }
+
+    /// Compares `live` facts against `self` as the baseline: a shape
+    /// mismatch alone, or else every diverged core and the placement map.
+    pub fn violations(&self, live: &TableFacts) -> Vec<AuditViolation> {
+        if live.core_fp.len() != self.core_fp.len() || live.len != self.len {
+            return vec![AuditViolation::ShapeMismatch {
+                expected_cores: self.core_fp.len(),
+                got_cores: live.core_fp.len(),
+            }];
+        }
+        let cores = self.core_fp.iter().zip(&live.core_fp).enumerate();
+        let mut out: Vec<AuditViolation> = cores
+            .filter(|(_, (want, got))| want != got)
+            .map(|(core, _)| AuditViolation::SlotMismatch { core })
+            .collect();
+        if live.placement_fp != self.placement_fp {
+            out.push(AuditViolation::PlacementMismatch);
+        }
+        out
+    }
+}
+
+/// The audit fact store: the [`TableFacts`] of a table known-good at
+/// install time, plus a cursor for incremental sweeps.
 ///
 /// # Examples
 ///
@@ -143,9 +212,7 @@ fn placement_fingerprint(table: &Table) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TableAuditor {
-    len: Nanos,
-    core_fp: Vec<u64>,
-    placement_fp: u64,
+    facts: TableFacts,
     cursor: usize,
 }
 
@@ -153,11 +220,7 @@ impl TableAuditor {
     /// Snapshots audit facts from a table the verifier has approved.
     pub fn new(table: &Table) -> TableAuditor {
         TableAuditor {
-            len: table.len(),
-            core_fp: (0..table.n_cores())
-                .map(|c| core_fingerprint(c, table.cpu(c).allocations()))
-                .collect(),
-            placement_fp: placement_fingerprint(table),
+            facts: TableFacts::derive(table),
             cursor: 0,
         }
     }
@@ -169,14 +232,14 @@ impl TableAuditor {
 
     /// Number of cores in the baseline.
     pub fn n_cores(&self) -> usize {
-        self.core_fp.len()
+        self.facts.core_fp.len()
     }
 
     /// Checks the live table's shape against the baseline.
     fn check_shape(&self, table: &Table) -> Option<AuditViolation> {
-        if table.n_cores() != self.core_fp.len() || table.len() != self.len {
+        if table.n_cores() != self.n_cores() || table.len() != self.facts.len {
             return Some(AuditViolation::ShapeMismatch {
-                expected_cores: self.core_fp.len(),
+                expected_cores: self.n_cores(),
                 got_cores: table.n_cores(),
             });
         }
@@ -185,28 +248,20 @@ impl TableAuditor {
 
     /// Re-derives and compares the facts for one core.
     pub fn audit_core(&self, table: &Table, core: usize) -> Option<AuditViolation> {
-        if core >= table.n_cores() || core >= self.core_fp.len() {
+        if core >= table.n_cores() || core >= self.n_cores() {
             return Some(AuditViolation::ShapeMismatch {
-                expected_cores: self.core_fp.len(),
+                expected_cores: self.n_cores(),
                 got_cores: table.n_cores(),
             });
         }
-        (core_fingerprint(core, table.cpu(core).allocations()) != self.core_fp[core])
+        (core_fingerprint(core, table.cpu(core).allocations()) != self.facts.core_fp[core])
             .then_some(AuditViolation::SlotMismatch { core })
     }
 
-    /// Full audit: shape, every core, and the placement map.
+    /// Full audit: shape, every core, and the placement map — the live
+    /// table's facts derived and compared in one call.
     pub fn audit_full(&self, table: &Table) -> Vec<AuditViolation> {
-        if let Some(v) = self.check_shape(table) {
-            return vec![v];
-        }
-        let mut out: Vec<AuditViolation> = (0..self.core_fp.len())
-            .filter_map(|c| self.audit_core(table, c))
-            .collect();
-        if placement_fingerprint(table) != self.placement_fp {
-            out.push(AuditViolation::PlacementMismatch);
-        }
-        out
+        self.facts.violations(&TableFacts::derive(table))
     }
 
     /// One incremental audit step: shape, then the cursor's core, plus the
@@ -219,9 +274,9 @@ impl TableAuditor {
             return vec![v];
         }
         let core = self.cursor;
-        self.cursor = (self.cursor + 1) % self.core_fp.len().max(1);
+        self.cursor = (self.cursor + 1) % self.n_cores().max(1);
         let mut out: Vec<AuditViolation> = self.audit_core(table, core).into_iter().collect();
-        if core == 0 && placement_fingerprint(table) != self.placement_fp {
+        if core == 0 && placement_fingerprint(table) != self.facts.placement_fp {
             out.push(AuditViolation::PlacementMismatch);
         }
         out
@@ -383,6 +438,24 @@ mod tests {
                 .flat_map(|_| stepped.audit_step(&bad))
                 .collect();
             assert!(!step_found.is_empty(), "{kind} undetected by stepped sweep");
+        }
+    }
+
+    #[test]
+    fn facts_equality_is_the_full_audit_verdict() {
+        // `baseline == live` and `violations(live).is_empty()` agree, and
+        // deriving once and comparing reports what `audit_full` reports.
+        let t = host_table();
+        let baseline = TableFacts::derive(&t);
+        assert_eq!(baseline, TableFacts::derive(&t.clone()));
+        assert!(baseline.violations(&baseline).is_empty());
+        let auditor = TableAuditor::new(&t);
+        for kind in CorruptionKind::ALL {
+            let (_, bad) = corrupt_table_any(&t, kind, 64).unwrap();
+            let live = TableFacts::derive(&bad);
+            assert_ne!(baseline, live, "{kind}");
+            assert_eq!(baseline.violations(&live), auditor.audit_full(&bad));
+            assert!(!baseline.violations(&live).is_empty());
         }
     }
 

@@ -537,6 +537,12 @@ impl Dispatcher {
         self.tables.newest_table()
     }
 
+    /// Every table the dispatcher keeps alive, one per uncollected epoch
+    /// (see [`TableManager::held_tables`]; diagnostics/tests).
+    pub fn held_tables(&self) -> &[Arc<Table>] {
+        self.tables.held_tables()
+    }
+
     /// Fault-injection hook: see [`TableManager::corrupt_newest_table`].
     pub fn corrupt_newest_table(&mut self, table: Table) -> Result<(), String> {
         self.tables.corrupt_newest_table(table)
@@ -551,7 +557,7 @@ impl Dispatcher {
         }
     }
 
-    /// Runs table garbage collection; returns the number of tables freed.
+    /// Runs table garbage collection; returns the number of epochs freed.
     pub fn collect_garbage(&mut self) -> usize {
         self.tables.collect_garbage()
     }

@@ -53,7 +53,9 @@ pub mod table;
 pub mod vcpu;
 pub mod viz;
 
-pub use audit::{corrupt_table, corrupt_table_any, AuditViolation, CorruptionKind, TableAuditor};
+pub use audit::{
+    corrupt_table, corrupt_table_any, AuditViolation, CorruptionKind, TableAuditor, TableFacts,
+};
 pub use delta::{plan_delta, DeltaAbort, DeltaReport};
 pub use dispatch::{Decision, Dispatcher};
 pub use guardian::{

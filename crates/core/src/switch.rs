@@ -81,7 +81,8 @@ pub struct StagedInstall {
 /// Per-core view of the table switch protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CoreView {
-    /// Index (into [`TableManager::epochs`]) of the table this core runs.
+    /// Epoch index (install ordinal, never reused) of the table this core
+    /// runs.
     epoch: usize,
     /// Table-round boundary up to which this core has confirmed its view.
     confirmed_at: Nanos,
@@ -91,13 +92,22 @@ struct CoreView {
 ///
 /// All tables share the same length (one hyperperiod) by construction; the
 /// manager asserts this on install.
+///
+/// An *epoch* is one committed install, numbered from zero in commit order.
+/// Epochs are what the protocol tracks — which install each core runs, when
+/// each becomes adoptable — and never the identity of the table behind
+/// them: a control plane may install one shared `Arc<Table>` many times
+/// (A → B → A), and each install is its own epoch.
 #[derive(Debug, Clone)]
 pub struct TableManager {
-    /// All tables ever installed and not yet collected, oldest first.
+    /// The tables of the epochs not yet collected, oldest first: `epochs[i]`
+    /// is epoch `collected + i`.
     epochs: Vec<Arc<Table>>,
-    /// Absolute times at which each epoch becomes adoptable (cores adopt at
-    /// their first wrap at/after this time). `activation[0]` is zero.
+    /// Absolute times at which each held epoch becomes adoptable (cores
+    /// adopt at their first wrap at/after this time); zero for epoch 0.
     activations: Vec<Nanos>,
+    /// Epochs garbage-collected so far (every core runs a later one).
+    collected: usize,
     /// Per-core adoption state.
     cores: Vec<CoreView>,
     /// A validated install awaiting commit (two-phase protocol). Invisible
@@ -115,6 +125,7 @@ impl TableManager {
         TableManager {
             epochs: vec![initial],
             activations: vec![Nanos::ZERO],
+            collected: 0,
             cores: vec![
                 CoreView {
                     epoch: 0,
@@ -233,7 +244,8 @@ impl TableManager {
     /// manager can be cloned per partition and advanced independently
     /// (the PDES engine's precondition).
     pub fn is_settled(&self) -> bool {
-        self.staged.is_none() && self.cores.iter().all(|c| c.epoch + 1 == self.epochs.len())
+        let newest = self.collected + self.epochs.len() - 1;
+        self.staged.is_none() && self.cores.iter().all(|c| c.epoch == newest)
     }
 
     /// Adopts `core`'s view (epoch + confirmation boundary) from another
@@ -249,7 +261,7 @@ impl TableManager {
     /// [`TableManager::epoch_table`] that hands out a shared handle.
     pub fn table_for(&mut self, core: usize, now: Nanos) -> Arc<Table> {
         let epoch = self.confirm(core, now);
-        self.epochs[epoch].clone()
+        self.epochs[epoch - self.collected].clone()
     }
 
     /// Advances `core`'s table view to `now` and returns the epoch index of
@@ -272,12 +284,8 @@ impl TableManager {
             // The core crossed at least one wrap since it last looked: it
             // re-read next_table at each wrap; the epoch it now runs is the
             // newest one armed strictly before the *latest* boundary.
-            let newest = self
-                .activations
-                .iter()
-                .rposition(|&a| a < boundary)
-                .unwrap_or(view.epoch);
-            view.epoch = view.epoch.max(newest);
+            let newest = self.activations.iter().rposition(|&a| a < boundary);
+            view.epoch = view.epoch.max(newest.map_or(0, |i| self.collected + i));
             view.confirmed_at = boundary;
         }
         view.epoch
@@ -296,12 +304,8 @@ impl TableManager {
         }
         let boundary = self.len * (now / self.len);
         if boundary > view.confirmed_at {
-            let newest = self
-                .activations
-                .iter()
-                .rposition(|&a| a < boundary)
-                .unwrap_or(view.epoch);
-            return view.epoch.max(newest);
+            let newest = self.activations.iter().rposition(|&a| a < boundary);
+            return view.epoch.max(newest.map_or(0, |i| self.collected + i));
         }
         view.epoch
     }
@@ -319,7 +323,7 @@ impl TableManager {
     /// window one nanosecond before it, so no window spans a table switch.
     pub fn next_adoption(&self, core: usize, now: Nanos) -> Nanos {
         let epoch = self.peek_epoch(core, now);
-        match self.activations[epoch + 1..].iter().min() {
+        match self.activations[epoch + 1 - self.collected..].iter().min() {
             Some(&arm) => (self.len * (arm / self.len + 1)).max(self.len * (now / self.len + 1)),
             None => Nanos::MAX,
         }
@@ -329,21 +333,20 @@ impl TableManager {
     /// [`TableManager::confirm`]), borrowed — the dispatcher's hot path
     /// never touches the reference count.
     pub fn epoch_table(&self, epoch: usize) -> &Table {
-        &self.epochs[epoch]
+        &self.epochs[epoch - self.collected]
     }
 
-    /// Garbage-collects epochs that no core will ever use again; returns
-    /// how many were freed. Old epochs are replaced by the oldest still
-    /// reachable one (indices stay stable).
+    /// Garbage-collects the epochs every core has moved past — no core can
+    /// run them again, views only advance — and returns how many were
+    /// freed. Their table references are dropped; the epoch indices of the
+    /// survivors do not change. Counted per epoch, not per table: an epoch
+    /// is freed even when a later one installed the very same `Arc<Table>`.
     pub fn collect_garbage(&mut self) -> usize {
         let min_epoch = self.cores.iter().map(|c| c.epoch).min().unwrap_or(0);
-        let mut freed = 0;
-        for i in 0..min_epoch {
-            if !Arc::ptr_eq(&self.epochs[i], &self.epochs[min_epoch]) {
-                self.epochs[i] = self.epochs[min_epoch].clone();
-                freed += 1;
-            }
-        }
+        let freed = min_epoch.saturating_sub(self.collected);
+        self.epochs.drain(..freed);
+        self.activations.drain(..freed);
+        self.collected += freed;
         freed
     }
 
@@ -379,12 +382,21 @@ impl TableManager {
         self.cores[core].epoch
     }
 
-    /// Number of distinct live tables (diagnostics/tests).
+    /// The tables of the committed epochs not yet collected, oldest first —
+    /// every table some core runs or may still adopt, and so every
+    /// reference this manager keeps alive (a staged install is not
+    /// committed and not listed). One entry per epoch: the same shared
+    /// image installed twice appears twice (diagnostics/tests).
+    pub fn held_tables(&self) -> &[Arc<Table>] {
+        &self.epochs
+    }
+
+    /// Number of live epochs: committed installs not yet collected. Equal
+    /// to the number of distinct tables when every install brings its own
+    /// table; installs that share an image count once each
+    /// (diagnostics/tests).
     pub fn live_tables(&self) -> usize {
-        let mut seen: Vec<*const Table> = self.epochs.iter().map(Arc::as_ptr).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
+        self.epochs.len()
     }
 }
 
@@ -479,6 +491,59 @@ mod tests {
         let _ = m.table_for(1, ms(25));
         assert_eq!(m.collect_garbage(), 1);
         assert_eq!(m.live_tables(), 1);
+    }
+
+    #[test]
+    fn reinstalling_a_shared_image_is_an_epoch_of_its_own() {
+        // A -> B -> A with A one shared `Arc`: three epochs over two
+        // images. Every answer below is per epoch; none may depend on the
+        // first and third installs being the same pointer.
+        let (a, b) = (Arc::new(table(10, 0)), Arc::new(table(10, 1)));
+        let mut m = TableManager::new(a.clone());
+        assert_eq!(m.install(b.clone(), ms(3)), Ok(ms(20)));
+        assert_eq!(m.install(a.clone(), ms(23)), Ok(ms(40)));
+        let held = |m: &TableManager| -> Vec<*const Table> {
+            m.held_tables().iter().map(Arc::as_ptr).collect()
+        };
+        let (pa, pb) = (Arc::as_ptr(&a), Arc::as_ptr(&b));
+        assert_eq!(m.live_tables(), 3);
+        assert_eq!(held(&m), [pa, pb, pa]);
+        for core in 0..2 {
+            assert_eq!(m.peek_epoch(core, ms(20) - Nanos(1)), 0);
+            assert_eq!(m.peek_epoch(core, ms(20)), 1);
+            assert_eq!(m.peek_epoch(core, ms(40)), 2);
+            assert_eq!(m.next_adoption(core, ms(25)), ms(40));
+        }
+
+        // Core 0 runs the re-installed A; core 1 never looked. Epoch 0 is
+        // not collectible just because its table is installed again.
+        assert_eq!(m.confirm(0, ms(41)), 2);
+        assert_eq!(m.collect_garbage(), 0);
+        assert_eq!(m.live_tables(), 3);
+        // Core 1 reaches B: epoch 0 goes, its image stays as epoch 2.
+        assert_eq!(m.confirm(1, ms(25)), 1);
+        assert_eq!(m.collect_garbage(), 1);
+        assert_eq!((m.live_tables(), held(&m)), (2, vec![pb, pa]));
+        assert_eq!(Arc::strong_count(&a), 2);
+        assert!(std::ptr::eq(m.epoch_table(1), &*b));
+        assert!(std::ptr::eq(m.epoch_table(2), &*a));
+        assert_eq!(m.collect_garbage(), 0, "nothing is freed twice");
+        // Both on epoch 2: B is released, and the views, the pending
+        // boundary and later installs read as if nothing was collected.
+        assert_eq!(m.confirm(1, ms(41)), 2);
+        assert_eq!(m.collect_garbage(), 1);
+        assert_eq!((m.live_tables(), held(&m)), (1, vec![pa]));
+        assert_eq!(Arc::strong_count(&b), 1);
+        assert!(m.is_settled());
+        assert_eq!((m.core_epoch(0), m.core_epoch(1)), (2, 2));
+        assert_eq!(m.peek_epoch(0, ms(100)), 2);
+        assert_eq!(m.next_adoption(1, ms(100)), Nanos::MAX);
+        assert!(Arc::ptr_eq(&m.table_for(0, ms(100)), &a));
+        assert_eq!(m.install(b.clone(), ms(101)), Ok(ms(120)));
+        assert_eq!(m.peek_epoch(0, ms(120) - Nanos(1)), 2);
+        assert_eq!(m.confirm(0, ms(120)), 3);
+        assert!(std::ptr::eq(m.epoch_table(3), &*b));
+        assert!(std::ptr::eq(m.newest_table(), &*b));
     }
 
     #[test]

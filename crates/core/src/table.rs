@@ -543,36 +543,6 @@ impl Table {
         Table::assemble(len, cpus)
     }
 
-    /// Like [`Table::new`], splicing in compiled per-core tables from a
-    /// *donor* (typically the previous plan's table): `donors[core] =
-    /// Some(cpu)` proposes reusing `cpu`'s slice index and segment arrays
-    /// for this core.
-    ///
-    /// No longer the delta-replanning splice — that is
-    /// [`Table::patched_from`], which offers an updated core its previous
-    /// self as the donor. Nothing in the workspace calls this but
-    /// `tests/prop_table.rs` (right and wrong donors both yield
-    /// [`Table::new`]'s table); once that case moves onto `patched_from` /
-    /// [`CpuTable::stamped_from`] this constructor can be deleted.
-    ///
-    /// Every donation is *checked*, not trusted — [`CpuTable::stamped_from`]
-    /// verifies positional `(start, end)` geometry and id alignment, and the
-    /// cross-core placement validation below runs on the full allocation
-    /// set either way — so the produced table is always field-identical to
-    /// what [`Table::new`] would build from the same allocations.
-    pub fn new_with_donors(
-        len: Nanos,
-        per_core: Vec<Vec<Allocation>>,
-        donors: &[Option<&CpuTable>],
-    ) -> Result<Table, String> {
-        let mut cpus: Vec<CpuTable> = Vec::with_capacity(per_core.len());
-        for (core, allocs) in per_core.into_iter().enumerate() {
-            let donor = donors.get(core).copied().flatten();
-            cpus.push(CpuTable::compile(core, allocs, len, donor)?);
-        }
-        Table::assemble(len, cpus)
-    }
-
     /// Like [`Table::new`], but starting from a previous table and replacing
     /// only the cores listed in `updates`; every core not listed keeps its
     /// compiled table, its vCPU ids, and its placement entries verbatim.

@@ -249,11 +249,25 @@ proptest! {
             Table::new(len, twinned).unwrap()
         );
 
-        // Donors: the right cores, and the wrong ones.
-        let right: Vec<Option<&CpuTable>> = (0..n).map(|c| Some(fresh.cpu(c))).collect();
-        assert_eq!(Table::new_with_donors(len, per_core.clone(), &right).unwrap(), fresh);
-        let wrong: Vec<Option<&CpuTable>> = (0..n).map(|c| Some(fresh.cpu((c + 1) % n))).collect();
-        assert_eq!(Table::new_with_donors(len, per_core.clone(), &wrong).unwrap(), fresh);
+        // Donors: the right core re-stamps to itself; the wrong one is
+        // refused (allocations handed back) unless it is a geometric twin,
+        // and then it yields the same core table anyway.
+        for (c, allocs) in per_core.iter().enumerate() {
+            let right = CpuTable::stamped_from(fresh.cpu(c), allocs.clone(), len);
+            assert_eq!(right.as_ref(), Ok(fresh.cpu(c)));
+            match CpuTable::stamped_from(fresh.cpu((c + 1) % n), allocs.clone(), len) {
+                Ok(twin) => assert_eq!(&twin, fresh.cpu(c)),
+                Err(back) => assert_eq!(&back, allocs),
+            }
+        }
+        // The same through the splice, which offers every updated core its
+        // previous self: all cores replaced over the right table, and over
+        // one whose cores are rotated by one (every donor the wrong core).
+        let all: Vec<(usize, Vec<Allocation>)> = per_core.iter().cloned().enumerate().collect();
+        assert_eq!(Table::patched_from(&fresh, all.clone()).unwrap(), fresh);
+        let rotated: Vec<Vec<Allocation>> = (0..n).map(|c| per_core[(c + 1) % n].clone()).collect();
+        let rotated = Table::new(len, rotated).unwrap();
+        assert_eq!(Table::patched_from(&rotated, all).unwrap(), fresh);
 
         // Patch: start from a table whose masked cores carry other lists.
         let masked = |c: usize| (mask >> c) & 1 == 1;

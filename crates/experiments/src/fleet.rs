@@ -461,7 +461,8 @@ fn sweep_timed(quick: bool, seed: u64) -> (FleetReport, std::time::Duration) {
     (report, wall)
 }
 
-/// Builds the `BENCH_fleet.json` snapshot from a finished sweep.
+/// Builds the `BENCH_fleet.json` snapshot from a finished sweep
+/// ([`micro_entries`] adds the per-phase rows).
 ///
 /// Two entries, mixing the two clocks on purpose:
 /// * `fleet/admit_to_install_p99` — p99 admission-to-table-install latency
@@ -506,6 +507,86 @@ fn bench(quick: bool, seed: u64, report: &FleetReport, wall_ns: u64) -> BenchSna
         meta: crate::bench_snapshot::meta(quick, seed),
         entries,
     }
+}
+
+/// The `Fleet::step` phase rows of `BENCH_fleet.json` (wall clock, read off
+/// the [`StepPhases`] ledger or timed around the public calls):
+/// * `fleet/audit_shared_320` — one audit pass over 320 hosts whose
+///   dispatchers all point at one table image (the boot image): per host a
+///   pointer read and a compare, the facts derived once.
+/// * `fleet/audit_distinct_320` — the same pass with every host on a table
+///   of its own: each host's installed copy is corrupted (a private copy by
+///   construction) under an install storm that interrupts every repair, so
+///   the facts are derived 320 times — the sharing's worst case, and what
+///   a per-host audit of private copies costs.
+/// * `fleet/reboot` — crash plus restart of the one host of a one-host
+///   fleet, including that epoch of its simulator: a reboot takes the boot
+///   image from the store and builds no table.
+fn micro_entries(quick: bool) -> Vec<BenchEntry> {
+    let steps: u64 = if quick { 40 } else { 400 };
+    let entry = |name: &str, iters: u64, total_ns: u64| BenchEntry {
+        name: name.to_string(),
+        iters,
+        total_ns,
+        mean_ns: total_ns as f64 / iters as f64,
+    };
+    let audit = |name: &str, distinct: bool| {
+        let mut fleet = Fleet::new(FleetConfig::new(320, 2)).expect("probe-only boot plan");
+        if distinct {
+            // One storm from the first nanosecond on, every install inside
+            // it interrupted; every host corrupted within 150 ms and
+            // roughly every 100 ms after.
+            let faults = HostFaultConfig {
+                seed: DEFAULT_SEED,
+                storm: xensim::fault::InstallStormFaults {
+                    interval: Nanos(2),
+                    duration: Nanos::from_secs(7_200),
+                    interrupt_prob: 1.0,
+                },
+                corruption: xensim::fault::TableCorruptionFaults {
+                    interval: Nanos::from_millis(100),
+                    prob: 1.0,
+                },
+                ..HostFaultConfig::none()
+            };
+            fleet.arm_faults(faults, Nanos::from_secs(3_600));
+        }
+        let mut now = Nanos::ZERO;
+        let mut run = |fleet: &mut Fleet, n: u64| {
+            for _ in 0..n {
+                now += CONTROL_EPOCH;
+                fleet.step(now);
+            }
+        };
+        run(&mut fleet, 8);
+        let before = fleet.step_phases().audit_ns;
+        run(&mut fleet, steps);
+        let c = fleet.counters();
+        assert_eq!(c.audit_false_positives, 0);
+        assert_eq!(c.corruptions_detected, c.corruptions_injected);
+        if distinct {
+            assert!(c.corruptions_injected >= 320 && c.installs == 0);
+        }
+        entry(name, steps, fleet.step_phases().audit_ns - before)
+    };
+    let reboot = {
+        let mut fleet = Fleet::new(FleetConfig::new(1, 2)).expect("probe-only boot plan");
+        let mut now = Nanos::ZERO;
+        let t0 = Instant::now();
+        for _ in 0..steps {
+            fleet.inject_crash(0, now, now + Nanos(1));
+            now += CONTROL_EPOCH;
+            fleet.step(now);
+        }
+        let total = t0.elapsed().as_nanos() as u64;
+        assert_eq!(fleet.counters().restarts, steps);
+        entry("fleet/reboot", steps, total)
+    };
+    vec![
+        audit("fleet/audit_shared_320", false),
+        audit("fleet/audit_distinct_320", true),
+        reboot,
+    ]
 }
 
 /// Prints where `Fleet::step`'s wall-clock went, summed over all cells.
@@ -593,7 +674,12 @@ pub fn run_with_seed(quick: bool, seed: u64) -> bool {
     print_step_phases(&report);
     write_json("fleet", &report);
 
-    let snap = bench(quick, seed, &report, wall.as_nanos() as u64);
+    let mut snap = bench(quick, seed, &report, wall.as_nanos() as u64);
+    let micro = micro_entries(quick);
+    for e in &micro {
+        println!("[fleet] {}: {:.2} us", e.name, e.mean_ns / 1e3);
+    }
+    snap.entries.extend(micro);
     let wall_entry = snap
         .entries
         .iter()

@@ -7,19 +7,21 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use rtsched::time::Nanos;
-use tableau_core::audit::{corrupt_table, CorruptionKind, TableAuditor};
+use tableau_core::audit::{corrupt_table, CorruptionKind, TableFacts};
 use tableau_core::cache::SharedPlanCache;
 use tableau_core::plan_delta;
 use tableau_core::planner::{
     plan_with_fallback, Plan, PlanError, PlannerOptions, ReplanError, ReplanPath,
 };
+use tableau_core::table::Table;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec};
 use workloads::churn::Flavor;
 use workloads::Histogram;
 use xensim::fault::{CorruptionEvent, FaultWindow, HostFaultConfig, HostFaultEngine};
 use xensim::{Machine, RecoveryStats};
 
-use crate::host::{mask_table, probe_config, push_tenant, FleetHost, HostState, Tenant};
+use crate::host::{probe_config, push_tenant, FleetHost, HostState, Tenant};
+use crate::images::{ImageStore, TableImage};
 use crate::queue::VmQueue;
 use crate::{AdmissionRejected, FleetError};
 
@@ -236,7 +238,7 @@ pub struct StepPhases {
     pub evacuate_ns: u64,
     /// Parked-VM retries.
     pub parked_ns: u64,
-    /// Mask, stage and commit pending table installs.
+    /// Resolve each pending install's shared table image, stage and commit.
     pub installs_ns: u64,
     /// Speculative plan-cache warming.
     pub prewarm_ns: u64,
@@ -343,6 +345,11 @@ pub struct Fleet {
     admit_to_install: Histogram,
     boot_cfg: HostConfig,
     boot_plan: Arc<Plan>,
+    /// One masked table per distinct content; every dispatcher's table
+    /// comes from here (see [`crate::images`]).
+    images: ImageStore,
+    /// The boot plan's image, pinned so a reboot never rebuilds it.
+    boot_image: Arc<TableImage>,
     table_len: Nanos,
 }
 
@@ -355,9 +362,13 @@ impl Fleet {
         let cache = SharedPlanCache::new(cfg.cache_capacity);
         let boot_plan = cache.get_or_plan(&boot_cfg, &cfg.planner)?;
         let table_len = boot_plan.table.len();
-        let hosts = (0..cfg.n_hosts)
-            .map(|i| FleetHost::boot(i, &machine, &boot_cfg, &boot_plan, Nanos::ZERO))
-            .collect();
+        let mut images = ImageStore::new(cfg.cores_per_host as u32);
+        let boot_image = images
+            .intern(&boot_plan.table)
+            .expect("masking preserves table shape, which Table::new accepts");
+        let boot =
+            |i| FleetHost::boot(i, &machine, &boot_cfg, &boot_plan, &boot_image, Nanos::ZERO);
+        let hosts = (0..cfg.n_hosts).map(boot).collect();
         Ok(Fleet {
             crash_windows: vec![Vec::new(); cfg.n_hosts],
             crash_cursor: vec![0; cfg.n_hosts],
@@ -381,6 +392,8 @@ impl Fleet {
             admit_to_install: Histogram::new(),
             boot_cfg,
             boot_plan,
+            images,
+            boot_image,
             table_len,
         })
     }
@@ -423,38 +436,25 @@ impl Fleet {
             .entry((flavor.vcpus, flavor.utilization_ppm))
             .or_insert(0) += 1;
         let demand = flavor.vcpus as u64 * flavor.utilization_ppm as u64;
-        let budget = self.cfg.host_budget_ppm();
-        let mut candidates: Vec<usize> = self
-            .hosts
-            .iter()
-            .filter(|h| h.placeable() && h.committed_ppm + demand <= budget)
-            .map(|h| h.id)
-            .collect();
-        if candidates.is_empty() {
-            self.counters.admissions_shed += 1;
-            return Err(AdmissionRejected::NoCapacity { demand_ppm: demand });
-        }
-
-        self.pressured = pressured_next(
+        // The backlog does not depend on who can host the VM, so the policy
+        // this admission runs under is known before the candidates are; it
+        // only takes effect if there are any.
+        let pressured = pressured_next(
             self.pressured,
             self.backlog(),
             self.cfg.backlog_first_fit_threshold,
             self.cfg.backlog_hysteresis,
         );
-        let pressured = self.pressured;
-        if !pressured {
-            // Best fit: tightest remaining headroom first (ties: lowest id,
-            // which the stable sort preserves from the id-ordered scan).
-            candidates.sort_by_key(|&i| budget - self.hosts[i].committed_ppm - demand);
-        }
-        // else: first fit — candidates are already in ascending host id.
-
-        let mut tried = 0usize;
-        let k = self.cfg.placement_candidates.max(1);
-        let mut best_fit_exhausted = pressured;
         // First pass in the chosen order; if best-fit candidates all fail
         // to plan, degrade to first-fit order over the untried remainder.
-        let first_pass: Vec<usize> = candidates.iter().copied().take(k).collect();
+        let first_pass = self.candidates(demand, !pressured, &[]);
+        if first_pass.is_empty() {
+            self.counters.admissions_shed += 1;
+            return Err(AdmissionRejected::NoCapacity { demand_ppm: demand });
+        }
+        self.pressured = pressured;
+
+        let mut tried = 0usize;
         for &h in &first_pass {
             tried += 1;
             if self.try_place(now, h, vm, flavor, Some(now)) {
@@ -468,15 +468,8 @@ impl Fleet {
                 return Ok(h);
             }
         }
-        if !best_fit_exhausted {
-            best_fit_exhausted = true;
-            let mut rest: Vec<usize> = candidates
-                .iter()
-                .copied()
-                .filter(|h| !first_pass.contains(h))
-                .collect();
-            rest.sort_unstable();
-            for h in rest.into_iter().take(k) {
+        if !pressured {
+            for h in self.candidates(demand, false, &first_pass) {
                 tried += 1;
                 if self.try_place(now, h, vm, flavor, Some(now)) {
                     self.counters.admissions += 1;
@@ -486,7 +479,6 @@ impl Fleet {
                 }
             }
         }
-        let _ = best_fit_exhausted;
         self.counters.admissions_shed += 1;
         Err(AdmissionRejected::NoFeasiblePlan {
             candidates_tried: tried,
@@ -561,9 +553,10 @@ impl Fleet {
     ///
     /// **Parallelism.** The phase order above is the control plane's
     /// semantics and never changes; what shards across worker threads is
-    /// the per-host work *inside* a phase: audit verdicts, install mask
-    /// prep, speculative warm planning, and — dominating the wall clock —
-    /// the host simulators, each of which owns its state exclusively.
+    /// the per-host work *inside* a phase: deriving audit facts (once per
+    /// distinct live table image), speculative warm planning, and —
+    /// dominating the wall clock — the host simulators, each of which owns
+    /// its state exclusively.
     /// Every fleet-level mutation (counters, queues, RNG draws, cache
     /// installs) stays sequential in host order, so a step is bit-for-bit
     /// identical under any thread count, including
@@ -804,7 +797,6 @@ impl Fleet {
         let mut ranked: Vec<((usize, u32), u64)> =
             self.flavor_freq.iter().map(|(&k, &n)| (k, n)).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let budget = self.cfg.host_budget_ppm();
         let mut shapes: Vec<HostConfig> = Vec::new();
         for &((vcpus, ppm), _) in ranked.iter().take(self.cfg.prewarm_flavors) {
             let flavor = Flavor {
@@ -812,20 +804,9 @@ impl Fleet {
                 utilization_ppm: ppm,
             };
             let demand = vcpus as u64 * ppm as u64;
-            let candidates = self
-                .hosts
-                .iter()
-                .filter(|h| h.placeable() && h.committed_ppm + demand <= budget)
-                .map(|h| h.id);
-            let target = if self.pressured {
-                // First-fit: lowest id wins.
-                candidates.min()
-            } else {
-                // Best-fit: tightest remaining headroom (ties: lowest id,
-                // which min_by_key resolves via the ascending scan).
-                candidates.min_by_key(|&i| budget - self.hosts[i].committed_ppm - demand)
+            let Some(&h) = self.candidates(demand, !self.pressured, &[]).first() else {
+                continue;
             };
-            let Some(h) = target else { continue };
             let mut next = self.hosts[h].host_cfg.clone();
             // The cache key ignores VM names, so the placeholder id aliases
             // whatever vm number the real admission arrives with.
@@ -959,8 +940,14 @@ impl Fleet {
             // Restarts first: a host whose outage elapsed comes back empty.
             if let HostState::Down { until } = self.hosts[i].state {
                 if now >= until {
-                    self.hosts[i] =
-                        FleetHost::boot(i, &self.machine, &self.boot_cfg, &self.boot_plan, now);
+                    self.hosts[i] = FleetHost::boot(
+                        i,
+                        &self.machine,
+                        &self.boot_cfg,
+                        &self.boot_plan,
+                        &self.boot_image,
+                        now,
+                    );
                     self.counters.restarts += 1;
                 }
             }
@@ -1030,25 +1017,48 @@ impl Fleet {
         }
     }
 
-    /// Re-checks every live host's installed table against its
-    /// install-time fingerprints. A violation on a host with outstanding
-    /// corruptions counts them detected, marks the host dirty, and lets
-    /// the ordinary install pipeline repair it (the target plan is still
-    /// sound — only the installed copy was damaged). A violation with no
-    /// outstanding corruption is an audit false positive and must never
+    /// Per host, whether the table its dispatcher points at right now
+    /// violates the facts of the image installed there (`false` while the
+    /// host is down).
+    ///
+    /// Every live host is audited every epoch against its own dispatcher's
+    /// bytes. What is shared is the derivation: hosts whose dispatchers
+    /// point at the same table get that table's facts derived once. Hosts
+    /// are grouped by the live pointer — never by what they are believed to
+    /// run — and the grouping dies with the pass; within one pass it is
+    /// exact, because an `Arc<Table>` has no `&mut` path and nothing is
+    /// installed, corrupted or freed while the pass runs.
+    fn audit_verdicts(&self) -> Vec<bool> {
+        // (live table, host), ordered by the table's address.
+        let mut live: Vec<(&Table, usize)> = self
+            .hosts
+            .iter()
+            .filter_map(|h| Some((h.tableau()?.dispatcher().newest_table(), h.id)))
+            .collect();
+        live.sort_unstable_by_key(|&(table, host)| (table as *const Table, host));
+        let groups: Vec<&[(&Table, usize)]> =
+            live.chunk_by(|a, b| std::ptr::eq(a.0, b.0)).collect();
+        // Deriving facts dominates this phase and is per-table pure, so it
+        // shards across workers.
+        let facts = rayon::par_map_indices(groups.len(), |g| TableFacts::derive(groups[g][0].0));
+        let mut violated = vec![false; self.hosts.len()];
+        for (group, live_facts) in groups.iter().zip(&facts) {
+            for &(_, host) in *group {
+                violated[host] = self.hosts[host].installed.facts != *live_facts;
+            }
+        }
+        violated
+    }
+
+    /// Re-checks every live host's installed table against the facts of the
+    /// image the control plane installed there. A violation on a host with
+    /// outstanding corruptions counts them detected, marks the host dirty,
+    /// and lets the ordinary install pipeline repair it (the target plan is
+    /// still sound — only the installed copy was damaged). A violation with
+    /// no outstanding corruption is an audit false positive and must never
     /// happen.
     fn audit_tables(&mut self) {
-        // The full-table audit dominates this phase and is per-host pure,
-        // so verdicts shard across workers; flagging and counters drain
-        // sequentially in host order.
-        let verdicts = rayon::par_map_mut(&mut self.hosts, |_, h| {
-            h.tableau().is_some_and(|tab| {
-                !h.auditor
-                    .audit_full(tab.dispatcher().newest_table())
-                    .is_empty()
-            })
-        });
-        for (i, violated) in verdicts.into_iter().enumerate() {
+        for (i, violated) in self.audit_verdicts().into_iter().enumerate() {
             if !violated {
                 continue;
             }
@@ -1096,10 +1106,11 @@ impl Fleet {
         h.dirty = false;
         h.install_attempts = 0;
         h.next_install_try = Nanos::ZERO;
-        // The corrupted copy (if any) died with the simulator; the reboot
-        // re-baselines the auditor.
+        // The corrupted copy (if any) died with the simulator; the host
+        // comes back on the boot image, and holds nothing else while down.
         self.counters.corruptions_lost_to_crash += std::mem::take(&mut h.pending_corruptions);
         h.audit_flagged = false;
+        h.installed = self.boot_image.clone();
         h.host_cfg = self.boot_cfg.clone();
         h.plan = self.boot_plan.clone();
         h.state = HostState::Down {
@@ -1111,18 +1122,39 @@ impl Fleet {
     /// admission (without touching the admission counters).
     fn place_displaced(&mut self, now: Nanos, e: &EvacVm) -> Option<usize> {
         let demand = e.flavor.vcpus as u64 * e.flavor.utilization_ppm as u64;
-        let budget = self.cfg.host_budget_ppm();
-        let mut candidates: Vec<usize> = self
-            .hosts
-            .iter()
-            .filter(|h| h.placeable() && h.committed_ppm + demand <= budget)
-            .map(|h| h.id)
-            .collect();
-        candidates.sort_by_key(|&i| budget - self.hosts[i].committed_ppm - demand);
-        candidates
+        self.candidates(demand, true, &[])
             .into_iter()
-            .take(self.cfg.placement_candidates.max(1))
             .find(|&h| self.try_place(now, h, e.vm, e.flavor, e.requested_at))
+    }
+
+    /// The one candidate ladder behind admission, re-placement and the
+    /// pre-planner's prediction: of the placeable hosts with `demand` ppm
+    /// to spare (and not in `skip`), the first `placement_candidates` in
+    /// best-fit order — tightest remaining headroom, ties to the lowest id
+    /// — or, first-fit, in ascending id. One scan in id order keeping the
+    /// running best few; no host list is built or sorted.
+    fn candidates(&self, demand: u64, best_fit: bool, skip: &[usize]) -> Vec<usize> {
+        let k = self.cfg.placement_candidates.max(1);
+        let budget = self.cfg.host_budget_ppm();
+        let fits = self.hosts.iter().filter(|h| {
+            h.placeable() && h.committed_ppm + demand <= budget && !skip.contains(&h.id)
+        });
+        if !best_fit {
+            return fits.take(k).map(|h| h.id).collect();
+        }
+        let mut best: Vec<(u64, usize)> = Vec::with_capacity(k + 1);
+        for h in fits {
+            let headroom = budget - h.committed_ppm - demand;
+            if best.len() == k && headroom >= best[k - 1].0 {
+                continue;
+            }
+            // After every entry at most this tight: equal headroom keeps
+            // the earlier (lower) id in front.
+            let at = best.partition_point(|&(kept, _)| kept <= headroom);
+            best.insert(at, (headroom, h.id));
+            best.truncate(k);
+        }
+        best.into_iter().map(|(_, id)| id).collect()
     }
 
     fn process_evacuations(&mut self, now: Nanos) {
@@ -1179,31 +1211,20 @@ impl Fleet {
             .storm_windows
             .iter()
             .any(|&(from, until)| from <= now && now < until);
-        let n_probes = self.cfg.cores_per_host as u32;
-        // Masking the staged table and fingerprinting it for the audit are
-        // per-host pure work — prep them in parallel. The drain below runs
-        // in host order, so the storm RNG draws one value per *eligible*
-        // host in ascending id order, exactly as sequentially.
-        let prep = rayon::par_map_mut(&mut self.hosts, |_, h| {
+        // Host order throughout, so the storm RNG draws one value per
+        // *eligible* host in ascending id.
+        for i in 0..self.hosts.len() {
+            let h = &self.hosts[i];
             if h.state != HostState::Online
                 || !h.dirty
                 || now < h.next_install_try
                 || h.sim.is_none()
             {
-                return None;
+                continue;
             }
-            Some(
-                mask_table(&h.plan.table, n_probes)
-                    .map(|masked| {
-                        let staged_auditor = TableAuditor::new(&masked);
-                        (masked, staged_auditor)
-                    })
-                    .map_err(|_| ()),
-            )
-        });
-        for (i, p) in prep.into_iter().enumerate() {
-            let Some(p) = p else { continue };
-            let Ok((masked, staged_auditor)) = p else {
+            // The shared image of this plan's masked table: a lookup by
+            // content for all but the first host to install it.
+            let Ok(image) = self.images.intern(&h.plan.table) else {
                 // Cannot happen (filtering keeps allocations sorted and
                 // in range), but never panic the control plane.
                 self.counters.installs_rejected += 1;
@@ -1221,14 +1242,16 @@ impl Fleet {
             let Some(tab) = h.tableau_mut() else {
                 continue;
             };
-            match tab.try_install_table(masked, local, interrupted) {
+            // Epochs every core has left stop pinning their images.
+            tab.dispatcher_mut().collect_garbage();
+            match tab.try_install_table(image.table.clone(), local, interrupted) {
                 Ok(Some(switch_local)) => {
                     let switch_at = switch_local + epoch_base;
                     let h = &mut self.hosts[i];
                     h.dirty = false;
                     h.install_attempts = 0;
                     h.next_install_try = Nanos::ZERO;
-                    h.auditor = staged_auditor;
+                    h.installed = image;
                     if std::mem::take(&mut h.audit_flagged) {
                         // Corruptions that left the flagged table audit-clean
                         // again (one undoing another) are repaired with it.
@@ -1267,8 +1290,29 @@ impl Fleet {
                 }
             }
         }
+        self.images.reclaim();
     }
 }
+
+/// Test census of the image store: `(entries, distinct tables in use)`. In
+/// use are the pinned boot image, every host's audit baseline, and every
+/// table a live dispatcher holds for an uncollected epoch — a corrupted
+/// host's private copy among them, which the store never sees.
+#[cfg(test)]
+fn image_census(fleet: &Fleet) -> (usize, usize) {
+    let mut used = std::collections::BTreeSet::new();
+    used.insert(Arc::as_ptr(&fleet.boot_image.table));
+    for h in &fleet.hosts {
+        used.insert(Arc::as_ptr(&h.installed.table));
+        if let Some(tab) = h.tableau() {
+            used.extend(tab.dispatcher().held_tables().iter().map(Arc::as_ptr));
+        }
+    }
+    (fleet.images.len(), used.len())
+}
+
+#[cfg(test)]
+mod prop_images;
 
 #[cfg(test)]
 mod tests {
@@ -1800,6 +1844,136 @@ mod tests {
             );
             assert_eq!(fleet.counters().audit_false_positives, 0);
         }
+    }
+
+    /// The table `host`'s dispatcher points at, by address.
+    fn live_ptr(fleet: &Fleet, host: usize) -> *const Table {
+        let tab = fleet.hosts[host].tableau().expect("host is up");
+        tab.dispatcher().newest_table()
+    }
+
+    #[test]
+    fn a_corrupted_host_among_sharers_is_the_only_one_flagged_and_repaired() {
+        use crate::images::mask_table;
+        // Six hosts on one image (the boot image); host 2's copy is damaged.
+        let mut fleet = small_fleet(6);
+        let now = epochs(&mut fleet, Nanos::ZERO, 2);
+        let shared = Arc::as_ptr(&fleet.boot_image.table);
+        assert!((0..6).all(|h| live_ptr(&fleet, h) == shared));
+        assert_eq!(image_census(&fleet), (1, 1));
+        let clean = mask_table(&fleet.boot_plan.table, 2).expect("masks");
+
+        let now = now + Nanos::from_millis(50);
+        fleet.corruption_events[2] = vec![CorruptionEvent {
+            at: now,
+            class: 1,
+            salt: 3,
+        }];
+        // The step's phases by hand, to look between audit and repair.
+        fleet.inject_corruptions(now);
+        assert_eq!(fleet.counters().corruptions_injected, 1);
+        let damaged = live_ptr(&fleet, 2);
+        assert_ne!(damaged, shared, "corruption is copy-on-corrupt");
+        for h in [0, 1, 3, 4, 5] {
+            assert_eq!(live_ptr(&fleet, h), shared, "host {h} keeps its pointer");
+        }
+        assert_eq!(*fleet.boot_image.table, clean, "and the shared bytes");
+        let oracle: Vec<bool> = (0..6)
+            .map(|h| {
+                let tab = fleet.hosts[h].tableau().expect("host is up");
+                let live = tab.dispatcher().newest_table();
+                !tableau_core::audit::TableAuditor::new(&clean)
+                    .audit_full(live)
+                    .is_empty()
+            })
+            .collect();
+        assert_eq!(oracle, [false, false, true, false, false, false]);
+        assert_eq!(fleet.audit_verdicts(), oracle);
+
+        fleet.audit_tables();
+        let flagged: Vec<bool> = fleet.hosts.iter().map(|h| h.audit_flagged).collect();
+        assert_eq!(flagged, oracle, "only the damaged host is flagged");
+        let dirty: Vec<bool> = fleet.hosts.iter().map(|h| h.dirty).collect();
+        assert_eq!(dirty, oracle, "and only it is queued for repair");
+        assert_eq!(fleet.counters().corruptions_detected, 1);
+        assert_eq!(fleet.counters().audit_false_positives, 0);
+
+        fleet.process_installs(now);
+        assert_eq!(fleet.counters().installs, 1, "one repair install");
+        assert!((0..6).all(|h| live_ptr(&fleet, h) == shared));
+        assert!(fleet.hosts.iter().all(|h| !h.audit_flagged && !h.dirty));
+        // The damaged copy is still the old epoch of host 2's dispatcher
+        // until its cores switch; it never enters the store.
+        assert_eq!(image_census(&fleet), (1, 2));
+        assert_eq!(fleet.audit_verdicts(), [false; 6]);
+    }
+
+    #[test]
+    fn a_rebooted_host_shares_the_boot_image_with_a_never_crashed_one() {
+        let mut fleet = small_fleet(3);
+        fleet
+            .admit(Nanos(1), 1, flavor(1, 250_000))
+            .expect("admits");
+        let now = epochs(&mut fleet, Nanos::ZERO, 6);
+        let Some(VmLocation::Placed(busy)) = fleet.location(1) else {
+            panic!("vm 1 is placed");
+        };
+        let boot = Arc::as_ptr(&fleet.boot_image.table);
+        assert_ne!(live_ptr(&fleet, busy), boot, "the tenant host moved on");
+
+        fleet.inject_crash(busy, now, now + Nanos::from_millis(200));
+        assert!(Arc::ptr_eq(&fleet.hosts[busy].installed, &fleet.boot_image));
+        let _ = epochs(&mut fleet, now, 8);
+        assert_eq!(fleet.counters().restarts, 1);
+        let Some(VmLocation::Placed(refuge)) = fleet.location(1) else {
+            panic!("vm 1 is re-placed");
+        };
+        let probe_only = 3 - busy - refuge;
+        assert_eq!(live_ptr(&fleet, busy), boot, "reboot builds no table");
+        assert_eq!(live_ptr(&fleet, busy), live_ptr(&fleet, probe_only));
+        assert!(Arc::ptr_eq(&fleet.hosts[busy].installed, &fleet.boot_image));
+    }
+
+    #[test]
+    fn the_image_store_holds_what_live_dispatchers_hold_and_nothing_else() {
+        // 1 000 epochs of churn over a few hosts: thousands of installs,
+        // a handful of distinct masked contents. After every epoch the
+        // store holds exactly the tables something still points at.
+        let mut fleet = small_fleet(4);
+        let epoch = Nanos::from_millis(50);
+        let mut now = Nanos::ZERO;
+        let flavors = [flavor(1, 125_000), flavor(1, 250_000), flavor(2, 125_000)];
+        let mut peak = 0;
+        for k in 0..1_000u64 {
+            now += epoch;
+            let _ = fleet.admit(now, k, flavors[(k % 3) as usize]);
+            if k >= 7 {
+                let _ = fleet.teardown(now, k - 7);
+            }
+            fleet.step(now);
+            let (stored, used) = image_census(&fleet);
+            assert_eq!(stored, used, "epoch {k}");
+            peak = peak.max(stored);
+        }
+        let installs = fleet.counters().installs;
+        assert!(installs > 500, "{installs} installs");
+        assert!(peak > 1, "churn must leave the boot image");
+        assert!(peak < 32, "{peak} images for {installs} installs");
+        // Every host back on the boot image: the churned images go once
+        // the cores have switched and the epochs behind them are collected.
+        for k in 993..1_000u64 {
+            let _ = fleet.teardown(now, k);
+        }
+        let now = epochs(&mut fleet, now, 8);
+        for h in 0..4 {
+            fleet.hosts[h]
+                .tableau_mut()
+                .expect("host is up")
+                .dispatcher_mut()
+                .collect_garbage();
+        }
+        fleet.step(now + epoch);
+        assert_eq!(image_census(&fleet), (1, 1));
     }
 
     #[test]

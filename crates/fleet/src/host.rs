@@ -4,13 +4,13 @@ use std::sync::Arc;
 
 use rtsched::time::Nanos;
 use schedulers::Tableau;
-use tableau_core::audit::TableAuditor;
 use tableau_core::planner::Plan;
-use tableau_core::table::Table;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
 use workloads::churn::Flavor;
 use xensim::sched::BusyLoop;
 use xensim::{Machine, Sim};
+
+use crate::images::TableImage;
 
 /// Control-plane view of one host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,9 +61,10 @@ pub(crate) struct FleetHost {
     pub install_attempts: u32,
     /// Earliest fleet time of the next install attempt (backoff).
     pub next_install_try: Nanos,
-    /// Install-time fingerprints of the table the control plane believes
-    /// is installed; the per-epoch audit checks the live table against it.
-    pub auditor: TableAuditor,
+    /// The image the control plane believes is installed. Its facts are the
+    /// host's audit baseline: every epoch the audit re-derives the facts of
+    /// the table the dispatcher actually points at and compares.
+    pub installed: Arc<TableImage>,
     /// Corruptions injected and not yet accounted for: drained into the
     /// detection counter when the audit next sees a violation (normally
     /// the epoch they land) or the flagged host's repair install commits,
@@ -96,48 +97,27 @@ pub(crate) fn push_tenant(cfg: &mut HostConfig, t: &Tenant, latency_goal: Nanos)
     cfg.add_vm(VmSpec::uniform(format!("vm{}", t.vm), t.flavor.vcpus, spec));
 }
 
-/// Strips every non-probe reservation from a planned table, leaving idle
-/// gaps. This is what gets installed into the host's simulator: probe ids
-/// (`0..keep_below`) are executed for real; tenant execution is the
-/// documented model reduction. Gaps are legal table content — the
-/// dispatcher falls through to its second level or idles.
-pub(crate) fn mask_table(table: &Table, keep_below: u32) -> Result<Table, String> {
-    let per_core: Vec<Vec<_>> = (0..table.n_cores())
-        .map(|c| {
-            table
-                .cpu(c)
-                .allocations()
-                .iter()
-                .copied()
-                .filter(|a| a.vcpu.0 < keep_below)
-                .collect()
-        })
-        .collect();
-    Table::new(table.len(), per_core)
-}
-
 impl FleetHost {
-    /// Builds a freshly booted (probe-only) host around `boot_plan`.
+    /// Builds a freshly booted (probe-only) host around `boot_plan`, its
+    /// dispatcher pointing at `boot_image` (the plan's masked table): a
+    /// boot builds no table and shares the image with every other host
+    /// still on it.
     pub fn boot(
         id: usize,
         machine: &Machine,
         boot_cfg: &HostConfig,
         boot_plan: &Arc<Plan>,
+        boot_image: &Arc<TableImage>,
         now: Nanos,
     ) -> FleetHost {
-        let keep = machine.n_cores() as u32;
-        let masked = mask_table(&boot_plan.table, keep)
-            .expect("masking preserves table shape, which Table::new accepts");
         // The scheduler boots on the masked probe table; every later table
         // reaches it through the two-phase install protocol.
-        let mut boot = (**boot_plan).clone();
-        boot.table = masked;
-        let auditor = TableAuditor::new(&boot.table);
+        let tableau = Tableau::from_shared_table(boot_image.table.clone(), &boot_plan.params);
         // The default sequential hybrid (dense-batching) engine: fleet
         // parallelism is per-host sharding in `Fleet::step`, and a control
         // epoch is ~15 events per host — far below what a per-socket PDES
         // split/merge costs (DESIGN.md §5.14).
-        let mut sim = Sim::new(*machine, Box::new(Tableau::from_plan(&boot)));
+        let mut sim = Sim::new(*machine, Box::new(tableau));
         for core in 0..machine.n_cores() {
             sim.add_vcpu(Box::new(BusyLoop), core, true);
         }
@@ -154,7 +134,7 @@ impl FleetHost {
             awaiting: Vec::new(),
             install_attempts: 0,
             next_install_try: Nanos::ZERO,
-            auditor,
+            installed: boot_image.clone(),
             pending_corruptions: 0,
             audit_flagged: false,
         }

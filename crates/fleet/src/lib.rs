@@ -36,9 +36,19 @@
 //! still exercising the real planner, the real two-phase installs against
 //! real dispatchers, and real probe dispatch under every table the control
 //! plane pushes.
+//!
+//! **Shared table images.** A table is read-only to its dispatcher, and a
+//! small flavour catalogue over identically shaped hosts makes the same few
+//! masked contents recur across the fleet, so each distinct content exists
+//! once: boot, installs and audit repairs hand the dispatcher an
+//! `Arc<Table>` from a content-addressed store (the `images` module), and
+//! the per-epoch audit derives its facts once per table some dispatcher
+//! points at. A corrupted host gets a private copy; its siblings cannot
+//! see it.
 
 mod control;
 mod host;
+mod images;
 pub mod queue;
 
 pub use control::{Fleet, FleetConfig, FleetCounters, RungCounters, StepPhases, VmLocation};

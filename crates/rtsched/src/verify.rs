@@ -461,9 +461,11 @@ pub fn max_blackout(intervals: &[(Nanos, Nanos)], hyperperiod: Nanos) -> Nanos {
         max_gap = max_gap.max(w[1].0.saturating_sub(w[0].1));
     }
     // Wrap-around gap: from the last interval's end, over the table edge, to
-    // the first interval's start.
-    let wrap = (hyperperiod - intervals.last().unwrap().1) + intervals.first().unwrap().0;
-    max_gap.max(wrap)
+    // the first interval's start. The table wraps at `hyperperiod` whatever
+    // a malformed interval claims, so an overrunning end counts as the table
+    // end here and is reported by the range check, not as a blackout.
+    let (first, last) = (intervals[0], intervals[intervals.len() - 1]);
+    max_gap.max(hyperperiod.saturating_sub(last.1) + first.0)
 }
 
 /// Convenience: the cyclic maximum blackout of `task` in `schedule`.
@@ -606,6 +608,26 @@ mod tests {
         );
         // No service at all.
         assert_eq!(max_blackout(&[], ms(10)), ms(10));
+    }
+
+    #[test]
+    fn overrun_of_a_tasks_last_interval_is_out_of_range_not_a_blackout() {
+        // A (2, 10) task in a 20 table whose *last* segment is stretched
+        // past the table end. The wrap-around gap is measured from the
+        // table end (2 to the first service), so the longest gap stays the
+        // inner one; the overrun itself is the range check's to report.
+        let ivs = [(ms(2), ms(4)), (ms(12), ms(25))];
+        assert_eq!(max_blackout(&ivs, ms(20)), ms(8));
+        assert_eq!(max_blackout(&[(ms(3), ms(25))], ms(20)), ms(3));
+        let tasks = [imp(0, 2, 10)];
+        let s = sched(20, vec![vec![seg(2, 4, 0), seg(12, 25, 0)]]);
+        let v = verify_schedule(&tasks, &s);
+        assert!(v.contains(&Violation::OutOfRange { core: 0 }), "{v:?}");
+        assert!(
+            !v.iter()
+                .any(|x| matches!(x, Violation::BlackoutTooLong { .. })),
+            "{v:?}"
+        );
     }
 
     #[test]

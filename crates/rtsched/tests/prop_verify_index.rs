@@ -176,15 +176,19 @@ fn inject(
     let seg = cores[core][at];
     match defect {
         // A degenerate segment in place, or one stretched past the table
-        // end — one that is not its task's last: `max_blackout` measures
-        // the wrap-around gap from the last interval's end with a plain
-        // subtraction, which a debug build refuses past the table end.
+        // end: one that is not its task's last interval, or the one that
+        // starts last in the whole table — its task's last, the interval
+        // `max_blackout` measures the wrap-around gap from.
         Defect::OutOfRange => {
             let list = &mut cores[core];
             let earlier =
                 (0..list.len()).find(|&i| list[i + 1..].iter().any(|s| s.task == list[i].task));
-            match earlier {
-                Some(i) if !pick.is_multiple_of(2) => list[i].end = h + Nanos(5),
+            match (pick % 3, earlier) {
+                (1, Some(i)) => list[i].end = h + Nanos(5),
+                (2, _) => {
+                    let latest = cores.iter_mut().flatten().max_by_key(|s| s.start);
+                    latest.expect("a busy core has a segment").end = h + Nanos(5);
+                }
                 _ => {
                     list[at] = Segment {
                         start: seg.end,

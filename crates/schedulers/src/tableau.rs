@@ -6,11 +6,14 @@
 //! feeds actual run times back into the second-level scheduler's budgets,
 //! and forwards hand-off IPIs from the cross-core migration protocol.
 
+use std::sync::Arc;
+
 use rtsched::time::Nanos;
 use tableau_core::dispatch::{Decision, Dispatcher};
 use tableau_core::guardian::CoreEvent;
-use tableau_core::planner::Plan;
+use tableau_core::planner::{Plan, VcpuParams};
 use tableau_core::vcpu::VcpuId as TcVcpu;
+use tableau_core::Table;
 use xensim::sched::{
     DenseCosts, DenseSlice, DenseWindow, DeschedulePlan, PdesDecline, PdesSplit, SchedDecision,
     VcpuId, VcpuView, VmScheduler, WakeupPlan,
@@ -82,28 +85,52 @@ impl Tableau {
     /// Builds the scheduler with an explicit second-level epoch length
     /// (the fairness/overhead tunable of Sec. 4; ablation knob).
     pub fn from_plan_with_epoch(plan: &Plan, l2_epoch: rtsched::time::Nanos) -> Tableau {
-        Tableau::build(plan, TableauCosts::default(), l2_epoch)
+        let table = Arc::new(plan.table.clone());
+        Tableau::build(table, &plan.params, TableauCosts::default(), l2_epoch)
     }
 
     /// Builds the scheduler with an explicit cost model.
     pub fn from_plan_with_costs(plan: &Plan, costs: TableauCosts) -> Tableau {
-        Tableau::build(plan, costs, tableau_core::level2::DEFAULT_EPOCH)
+        let table = Arc::new(plan.table.clone());
+        Tableau::build(
+            table,
+            &plan.params,
+            costs,
+            tableau_core::level2::DEFAULT_EPOCH,
+        )
     }
 
-    fn build(plan: &Plan, costs: TableauCosts, l2_epoch: rtsched::time::Nanos) -> Tableau {
-        let max_vcpu = plan
-            .params
+    /// Builds the scheduler around an already shared table image: the
+    /// dispatcher boots on `table` itself, not on a copy, so every host of a
+    /// fleet that boots the same plan reads the same bytes. `params` are
+    /// the plan's ([`Plan::params`]); only the capped flags are taken.
+    pub fn from_shared_table(table: Arc<Table>, params: &[VcpuParams]) -> Tableau {
+        Tableau::build(
+            table,
+            params,
+            TableauCosts::default(),
+            tableau_core::level2::DEFAULT_EPOCH,
+        )
+    }
+
+    fn build(
+        table: Arc<Table>,
+        params: &[VcpuParams],
+        costs: TableauCosts,
+        l2_epoch: Nanos,
+    ) -> Tableau {
+        let max_vcpu = params
             .iter()
             .map(|p| p.vcpu.0 as usize)
             .max()
             .map(|m| m + 1)
             .unwrap_or(0);
         let mut capped = vec![true; max_vcpu];
-        for p in &plan.params {
+        for p in params {
             capped[p.vcpu.0 as usize] = p.capped;
         }
-        let n_cores = plan.table.n_cores();
-        let dispatcher = Dispatcher::new(plan.table.clone(), capped, l2_epoch);
+        let n_cores = table.n_cores();
+        let dispatcher = Dispatcher::new(table, capped, l2_epoch);
         Tableau {
             dispatcher,
             costs,
@@ -173,7 +200,7 @@ impl Tableau {
     /// table is untouched on rejection.
     pub fn install_table(
         &mut self,
-        table: impl Into<std::sync::Arc<tableau_core::Table>>,
+        table: impl Into<Arc<Table>>,
         now: Nanos,
     ) -> Result<Nanos, tableau_core::InstallError> {
         self.dispatcher.install_table(table, now)
@@ -186,7 +213,7 @@ impl Tableau {
     /// (the old table keeps running, untouched), or the validation error.
     pub fn try_install_table(
         &mut self,
-        table: impl Into<std::sync::Arc<tableau_core::Table>>,
+        table: impl Into<Arc<Table>>,
         now: Nanos,
         interrupted: bool,
     ) -> Result<Option<Nanos>, tableau_core::InstallError> {
