@@ -118,9 +118,25 @@ pub fn encoded_size(table: &Table) -> usize {
 
 /// Deserializes a table from the wire format.
 ///
-/// The slice records are validated against the recomputed index rather than
-/// trusted — the hypervisor must not follow corrupt indices.
-pub fn decode(mut buf: Bytes) -> Result<Table, DecodeError> {
+/// Nothing in the payload is trusted: every count is bounded by the bytes
+/// that remain before anything is reserved for it, and the shipped slice
+/// geometry and slice records are validated against the index recomputed
+/// from the allocations — the hypervisor must not follow corrupt indices.
+/// A payload that decodes re-encodes to the same bytes.
+///
+/// A bare table carries no vCPU count, so vCPU ids are bounded by the
+/// payload itself: an id must be below the payload's length in bits. Ids
+/// are dense in every table the planner produces (a few dozen bytes of
+/// payload per vCPU), so the bound only rejects ids no real table has; it
+/// keeps the per-vCPU placement array proportional to the payload.
+/// [`decode_plan`] payloads carry `n_vcpus` and are held to that instead.
+pub fn decode(buf: Bytes) -> Result<Table, DecodeError> {
+    let id_bound = buf.remaining().saturating_mul(8);
+    decode_table(buf, id_bound)
+}
+
+/// [`decode`] with vCPU ids required to be below `id_bound`.
+fn decode_table(mut buf: Bytes, id_bound: usize) -> Result<Table, DecodeError> {
     fn need(buf: &Bytes, n: usize) -> Result<(), DecodeError> {
         if buf.remaining() < n {
             Err(DecodeError::Truncated)
@@ -128,6 +144,7 @@ pub fn decode(mut buf: Bytes) -> Result<Table, DecodeError> {
             Ok(())
         }
     }
+    let invalid = |what: &str| Err(DecodeError::Invalid(what.to_string()));
 
     need(&buf, 20)?;
     let magic = buf.get_u32_le();
@@ -139,28 +156,75 @@ pub fn decode(mut buf: Bytes) -> Result<Table, DecodeError> {
         return Err(DecodeError::BadVersion(version));
     }
     let n_cpus = buf.get_u32_le() as usize;
-    let len = Nanos(buf.get_u64_le());
+    let len = buf.get_u64_le();
+    // Every CPU record starts with a 16-byte header.
+    if n_cpus > buf.remaining() / 16 {
+        return Err(DecodeError::Truncated);
+    }
+    if len == 0 {
+        return invalid("zero table length");
+    }
 
     let mut per_core = Vec::with_capacity(n_cpus);
     for _ in 0..n_cpus {
         need(&buf, 16)?;
         let n_allocs = buf.get_u32_le() as usize;
-        let _slice_len = buf.get_u64_le();
+        let slice_len = buf.get_u64_le();
         let n_slices = buf.get_u32_le() as usize;
-        need(&buf, n_allocs * 20 + n_slices * 4)?;
+        // Two u32 counts: the byte total cannot overflow a u64.
+        if n_allocs as u64 * 20 + n_slices as u64 * 4 > buf.remaining() as u64 {
+            return Err(DecodeError::Truncated);
+        }
         let mut allocs = Vec::with_capacity(n_allocs);
+        let mut shortest = len;
         for _ in 0..n_allocs {
-            let start = Nanos(buf.get_u64_le());
-            let end = Nanos(buf.get_u64_le());
-            let vcpu = VcpuId(buf.get_u32_le());
-            allocs.push(Allocation { start, end, vcpu });
+            let (start, end) = (buf.get_u64_le(), buf.get_u64_le());
+            let vcpu = buf.get_u32_le();
+            if start >= end || end > len {
+                return invalid("allocation is empty or exceeds the table length");
+            }
+            if vcpu as usize >= id_bound {
+                return invalid("vCPU id beyond what the payload can describe");
+            }
+            shortest = shortest.min(end - start);
+            allocs.push(Allocation {
+                start: Nanos(start),
+                end: Nanos(end),
+                vcpu: VcpuId(vcpu),
+            });
         }
-        for _ in 0..n_slices {
-            let _ = buf.get_u32_le();
+        // The index is rebuilt from the allocations; the shipped geometry
+        // must be the one the rebuild arrives at (which also bounds the
+        // rebuilt index by the `n_slices` records the payload holds).
+        if slice_len != shortest || n_slices as u64 != len.div_ceil(shortest) {
+            return invalid("slice geometry does not match the allocations");
         }
+        // Slice `s` starts at `s * slice_len` and records the first
+        // allocation ending after that, so allocation `i` owns the run of
+        // slices below `ceil(end_i / slice_len)` that no earlier one owns,
+        // and the slices past the last allocation record "none".
+        let records = &buf.chunk()[..n_slices * 4];
+        let run_is = |from: usize, to: usize, first: u32| {
+            let run = records[from * 4..to * 4].chunks_exact(4);
+            run.fold(true, |ok, r| ok & (r == first.to_le_bytes()))
+        };
+        let (mut at, mut ok) = (0, true);
+        for (i, a) in allocs.iter().enumerate() {
+            // Unsorted allocations (rejected below) must not run backwards.
+            let upto = (a.end.as_nanos().div_ceil(shortest) as usize).max(at);
+            ok &= run_is(at, upto, i as u32);
+            at = upto;
+        }
+        if !(ok && run_is(at, n_slices, u32::MAX)) {
+            return invalid("slice record does not match the allocations");
+        }
+        buf.advance(n_slices * 4);
         per_core.push(allocs);
     }
-    Table::new(len, per_core).map_err(DecodeError::Invalid)
+    if buf.remaining() != 0 {
+        return invalid("trailing bytes");
+    }
+    Table::new(Nanos(len), per_core).map_err(DecodeError::Invalid)
 }
 
 /// A decoded plan payload: everything the dispatcher needs.
@@ -204,7 +268,9 @@ pub fn encode_plan(plan: &crate::planner::Plan, l2_epoch: Nanos) -> Bytes {
     buf.freeze()
 }
 
-/// Deserializes a plan payload produced by [`encode_plan`].
+/// Deserializes a plan payload produced by [`encode_plan`]. The table is
+/// validated as in [`decode`], with vCPU ids required to be below the
+/// payload's `n_vcpus`.
 pub fn decode_plan(mut buf: Bytes) -> Result<PlanPayload, DecodeError> {
     if buf.remaining() < 20 {
         return Err(DecodeError::Truncated);
@@ -228,7 +294,13 @@ pub fn decode_plan(mut buf: Bytes) -> Result<PlanPayload, DecodeError> {
     for v in 0..n_vcpus {
         capped.push(bits[v / 8] & (1 << (v % 8)) != 0);
     }
-    let table = decode(buf)?;
+    let padded = n_vcpus % 8;
+    if padded != 0 && bits[n_bytes - 1] >> padded != 0 {
+        return Err(DecodeError::Invalid(
+            "capped bitmap has bits set past n_vcpus".to_string(),
+        ));
+    }
+    let table = decode_table(buf, n_vcpus)?;
     Ok(PlanPayload {
         table,
         capped,
@@ -321,6 +393,112 @@ mod tests {
         bytes[off..off + 8].copy_from_slice(&0u64.to_le_bytes());
         assert!(matches!(
             decode(bytes.freeze()),
+            Err(DecodeError::Invalid(_))
+        ));
+    }
+
+    /// A v1 header announcing `n_cpus` CPUs over a table of length `len`.
+    fn header(n_cpus: u32, len: u64) -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(MAGIC);
+        buf.put_u32_le(VERSION);
+        buf.put_u32_le(n_cpus);
+        buf.put_u64_le(len);
+        buf
+    }
+
+    #[test]
+    fn a_cpu_count_the_payload_cannot_hold_is_truncation() {
+        // 20 bytes announcing 2^32 - 1 CPUs: nothing is reserved for them.
+        let payload = header(u32::MAX, 10).freeze();
+        assert_eq!(payload.len(), 20);
+        assert_eq!(decode(payload), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn slice_geometry_must_match_the_allocations() {
+        // 56 bytes: a 2^40 ns table whose one allocation is 1 ns long, so
+        // the rebuilt index would hold 2^40 slices; the payload ships none.
+        let mut buf = header(1, 1 << 40);
+        buf.put_u32_le(1); // n_allocs
+        buf.put_u64_le(1); // slice_len
+        buf.put_u32_le(0); // n_slices
+        buf.put_u64_le(0);
+        buf.put_u64_le(1);
+        buf.put_u32_le(0);
+        assert_eq!(buf.len(), 56);
+        assert!(matches!(decode(buf.freeze()), Err(DecodeError::Invalid(_))));
+
+        // A valid table with a wrong shipped slice length, a wrong slice
+        // count (one record dropped with it), or a wrong slice record.
+        let bytes = encode(&Table::new(ms(10), vec![vec![alloc(0, 5, 0)]]).unwrap());
+        let mut wrong_len = BytesMut::from(&bytes[..]);
+        wrong_len[24] ^= 1;
+        let mut wrong_count = BytesMut::from(&bytes[..bytes.len() - 4]);
+        wrong_count[32] -= 1;
+        let mut wrong_record = BytesMut::from(&bytes[..]);
+        wrong_record[56] ^= 1;
+        for corrupt in [wrong_len, wrong_count, wrong_record] {
+            assert!(matches!(
+                decode(corrupt.freeze()),
+                Err(DecodeError::Invalid(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn vcpu_ids_are_bounded_by_the_payload() {
+        use crate::planner::{plan, PlannerOptions};
+        use crate::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
+        let mut host = HostConfig::new(1);
+        for i in 0..4 {
+            let spec = VcpuSpec::new(Utilization::from_percent(20), ms(20));
+            host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+        }
+        let p = plan(&host, &PlannerOptions::default()).unwrap();
+        let bytes = encode_plan(&p, ms(10));
+        // The high byte of the first allocation's vCPU field: plan header,
+        // one capped byte, table header, CPU header, start, end, 3 low bytes.
+        let mut flipped = BytesMut::from(&bytes[..]);
+        flipped[20 + 1 + 20 + 16 + 16 + 3] ^= 0x80;
+        assert!(matches!(
+            decode_plan(flipped.freeze()),
+            Err(DecodeError::Invalid(_))
+        ));
+        // The same flip in the bare table is past its bit-length bound too.
+        let table = encode(&p.table);
+        let mut flipped = BytesMut::from(&table[..]);
+        flipped[20 + 16 + 16 + 3] ^= 0x80;
+        assert!(matches!(
+            decode(flipped.freeze()),
+            Err(DecodeError::Invalid(_))
+        ));
+        // A sparse id a small table can still describe decodes.
+        let sparse = Table::new(ms(10), vec![vec![alloc(0, 5, 300)]]).unwrap();
+        assert_eq!(decode(encode(&sparse)), Ok(sparse));
+    }
+
+    #[test]
+    fn trailing_bytes_and_bitmap_padding_are_rejected() {
+        let t = sample_table();
+        let mut bytes = BytesMut::from(&encode(&t)[..]);
+        bytes.put_u8(0);
+        assert!(matches!(
+            decode(bytes.freeze()),
+            Err(DecodeError::Invalid(_))
+        ));
+        // Three vCPUs: bits 3..8 of the one bitmap byte are padding.
+        let mut plan = BytesMut::new();
+        plan.put_u32_le(MAGIC);
+        plan.put_u32_le(PLAN_VERSION);
+        plan.put_u64_le(ms(10).as_nanos());
+        plan.put_u32_le(3);
+        plan.put_u8(0b0000_1001);
+        plan.put_slice(&encode(
+            &Table::new(ms(10), vec![vec![alloc(0, 5, 2)]]).unwrap(),
+        ));
+        assert!(matches!(
+            decode_plan(plan.freeze()),
             Err(DecodeError::Invalid(_))
         ));
     }

@@ -596,66 +596,6 @@ impl Dispatcher {
         self.tables.core_epoch(core)
     }
 
-    /// Whether the table-switch protocol is fully quiescent (nothing
-    /// staged, every core on the newest epoch) — a precondition for
-    /// partitioned (PDES) execution: only then is each core's table view
-    /// independent of when the other cores confirm.
-    pub fn tables_settled(&self) -> bool {
-        self.tables.is_settled()
-    }
-
-    /// Clones the dispatcher for one PDES partition. The clone carries the
-    /// full state (tables, cursors, second levels, ownership) so the
-    /// partition's owned cores behave bit-identically to the sequential
-    /// run; the SLA monitor is never cloned — partitioned runs are
-    /// declined while one is attached (it needs the global dispatch
-    /// order).
-    pub fn clone_for_partition(&self) -> Dispatcher {
-        debug_assert!(self.monitor.is_none(), "cannot partition with a monitor");
-        Dispatcher {
-            tables: self.tables.clone(),
-            cursor: self.cursor.clone(),
-            level2: self.level2.clone(),
-            level2_epoch: self.level2_epoch.clone(),
-            capped: self.capped.clone(),
-            owner: self.owner.clone(),
-            ipi_request: self.ipi_request.clone(),
-            quarantined: self.quarantined.clone(),
-            monitor: None,
-        }
-    }
-
-    /// Merges a PDES partition's state back: per-core state (cursor,
-    /// second level, table view) for the owned core range, per-vCPU state
-    /// (ownership, pending hand-off IPI requests) for the vCPUs the
-    /// partition owned. Capped and quarantine flags are configuration,
-    /// unchanged during a run.
-    pub fn absorb_partition(
-        &mut self,
-        part: &Dispatcher,
-        core_lo: usize,
-        core_hi: usize,
-        owns_vcpu: &dyn Fn(usize) -> bool,
-    ) {
-        for core in core_lo..core_hi {
-            self.cursor[core] = part.cursor[core];
-            self.level2[core] = part.level2[core].clone();
-            self.level2_epoch[core] = part.level2_epoch[core];
-            self.tables.adopt_core_view(core, &part.tables);
-        }
-        let need = part.owner.len();
-        if self.owner.len() < need {
-            self.owner.resize(need, None);
-            self.ipi_request.resize(need, None);
-        }
-        for v in 0..need {
-            if owns_vcpu(v) {
-                self.owner[v] = part.owner[v];
-                self.ipi_request[v] = part.ipi_request[v];
-            }
-        }
-    }
-
     /// Attaches an SLA monitor; subsequent dispatches feed it. Replaces any
     /// previously attached monitor.
     pub fn attach_sla_monitor(&mut self, monitor: SlaMonitor) {

@@ -238,23 +238,6 @@ impl TableManager {
         self.staged.is_some()
     }
 
-    /// Whether the switch protocol is fully quiescent: nothing staged and
-    /// every core's view already on the newest epoch. In this state no
-    /// core's future confirmations can change which table it runs, so the
-    /// manager can be cloned per partition and advanced independently
-    /// (the PDES engine's precondition).
-    pub fn is_settled(&self) -> bool {
-        let newest = self.collected + self.epochs.len() - 1;
-        self.staged.is_none() && self.cores.iter().all(|c| c.epoch == newest)
-    }
-
-    /// Adopts `core`'s view (epoch + confirmation boundary) from another
-    /// manager — merging a PDES partition's per-core progress back into
-    /// the master after a partitioned run.
-    pub(crate) fn adopt_core_view(&mut self, core: usize, other: &TableManager) {
-        self.cores[core] = other.cores[core];
-    }
-
     /// The table `core` must use for a scheduling decision at `now`.
     ///
     /// A convenience wrapper over [`TableManager::confirm`] +
@@ -534,7 +517,6 @@ mod tests {
         assert_eq!(m.collect_garbage(), 1);
         assert_eq!((m.live_tables(), held(&m)), (1, vec![pa]));
         assert_eq!(Arc::strong_count(&b), 1);
-        assert!(m.is_settled());
         assert_eq!((m.core_epoch(0), m.core_epoch(1)), (2, 2));
         assert_eq!(m.peek_epoch(0, ms(100)), 2);
         assert_eq!(m.next_adoption(1, ms(100)), Nanos::MAX);

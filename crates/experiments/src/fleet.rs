@@ -155,11 +155,6 @@ pub struct FleetPoint {
     /// simulator (entries/exits, events retired inside batches, and the
     /// per-cause fallback breakdown).
     pub batch: xensim::stats::BatchStats,
-    /// Partitioned-engine (per-socket PDES) counters aggregated across
-    /// every host simulator. All zero: fleet hosts run the sequential
-    /// hybrid engine (DESIGN.md §5.14); the block is kept so the schema
-    /// stays stable.
-    pub pdes: xensim::stats::PdesStats,
     /// Where `Fleet::step`'s wall-clock went, per phase.
     pub step_phases: StepLedger,
     /// The fleet counters mirrored into the single-host recovery schema.
@@ -394,7 +389,6 @@ fn run_cell(
         cache_hits: stats.hits,
         cache_misses: stats.misses,
         batch: fleet.batch_stats(),
-        pdes: fleet.pdes_stats(),
         step_phases: StepLedger::new(fleet.step_phases()),
         recovery: fleet.recovery_stats(),
         live_vms_final: fleet.live_vms(),
@@ -791,7 +785,6 @@ mod tests {
                 "phases sum to {attributed} ns of {} ns measured",
                 ledger.total_ns
             );
-            assert_eq!(p.pdes, xensim::stats::PdesStats::default());
         }
         let snap = bench(true, DEFAULT_SEED, &report, 1_000_000);
         assert_eq!(snap.entries.len(), 2);

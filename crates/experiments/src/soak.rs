@@ -144,10 +144,6 @@ pub struct SoakPoint {
     /// the hybrid engine entered its batched fast path, how many events it
     /// retired there, and why it fell back).
     pub batch: xensim::stats::BatchStats,
-    /// Partitioned-engine (per-socket PDES) counters for the cell's
-    /// simulator: windows advanced, mailbox traffic, lookahead stalls, and
-    /// the per-cause decline breakdown.
-    pub pdes: xensim::stats::PdesStats,
     /// Per-vCPU service received (ms).
     pub service_ms: Vec<f64>,
     /// Every recovery action taken, timestamped, with the planning-ladder
@@ -385,7 +381,6 @@ fn run_cell(
         context_switches: stats.context_switches,
         ipis: stats.ipis,
         batch: stats.batch,
-        pdes: stats.pdes,
         service_ms: stats
             .vcpus
             .iter()

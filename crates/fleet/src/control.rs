@@ -218,6 +218,39 @@ enum Rung {
     Ladder(ReplanPath),
 }
 
+/// Retired, always zero: the counters of the partitioned (per-socket PDES)
+/// simulator engine, which lost its trial and was deleted (DESIGN.md
+/// §5.14). This plain-data shell survives only as the return type of
+/// [`Fleet::pdes_stats`], which the end-to-end benchmark reads field by
+/// field; delete both with the benchmark-side follow-up (ROADMAP item 4).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PdesStats {
+    pub partitioned_runs: u64,
+    pub windows_advanced: u64,
+    pub mailbox_events: u64,
+    pub lookahead_stalls: u64,
+    pub declined_single_socket: u64,
+    pub declined_faults_armed: u64,
+    pub declined_scheduler_opt_out: u64,
+    pub declined_tables_unsettled: u64,
+    pub declined_monitor_attached: u64,
+    pub declined_cross_socket_placement: u64,
+    pub declined_no_lookahead: u64,
+}
+
+impl PdesStats {
+    /// Total declines, by any reason.
+    pub fn declines(&self) -> u64 {
+        self.declined_single_socket
+            + self.declined_faults_armed
+            + self.declined_scheduler_opt_out
+            + self.declined_tables_unsettled
+            + self.declined_monitor_attached
+            + self.declined_cross_socket_placement
+            + self.declined_no_lookahead
+    }
+}
+
 /// Wall-clock ledger of [`Fleet::step`]: nanoseconds accumulated per phase
 /// since boot, in phase order. The phase fields sum to `total_ns` up to one
 /// clock read per step. Host time, not simulated time: only `steps` is
@@ -684,17 +717,12 @@ impl Fleet {
         total
     }
 
-    /// Aggregate partitioned-engine (PDES) counters across the live host
-    /// simulators; same lifetime caveat as [`Fleet::batch_stats`]. Fleet
-    /// hosts run the sequential hybrid engine, so every field stays zero.
-    pub fn pdes_stats(&self) -> xensim::stats::PdesStats {
-        let mut total = xensim::stats::PdesStats::default();
-        for h in &self.hosts {
-            if let Some(sim) = &h.sim {
-                total.absorb(&sim.stats().pdes);
-            }
-        }
-        total
+    /// Retired, always zero: the partitioned simulator engine these
+    /// counters described is gone (DESIGN.md §5.14). Kept only because the
+    /// end-to-end benchmark reads it; delete with the benchmark-side
+    /// follow-up (ROADMAP item 4).
+    pub fn pdes_stats(&self) -> PdesStats {
+        PdesStats::default()
     }
 
     /// Admission-to-committed-install latency distribution (fleet time).
@@ -1978,8 +2006,7 @@ mod tests {
 
     #[test]
     fn fleet_hosts_run_the_sequential_engine() {
-        // Hosts are single-socket on the default hybrid engine: no
-        // partitioned run and no walk down its decline ladder.
+        // Hosts run the default hybrid engine, and dense batching engages.
         let mut fleet = small_fleet(3);
         for vm in 0..6u64 {
             fleet
@@ -1987,13 +2014,7 @@ mod tests {
                 .expect("admits");
         }
         epochs(&mut fleet, Nanos::ZERO, 8);
-        for h in &fleet.hosts {
-            let stats = h.sim.as_ref().expect("host is up").stats();
-            assert_eq!(stats.pdes.partitioned_runs, 0);
-            assert_eq!(stats.pdes.declines(), 0);
-        }
         assert!(fleet.batch_stats().batched_events > 0, "dense batching off");
-        assert_eq!(fleet.pdes_stats(), xensim::stats::PdesStats::default());
         assert_eq!(fleet.step_phases().steps, 8);
     }
 

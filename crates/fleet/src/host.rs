@@ -113,10 +113,8 @@ impl FleetHost {
         // The scheduler boots on the masked probe table; every later table
         // reaches it through the two-phase install protocol.
         let tableau = Tableau::from_shared_table(boot_image.table.clone(), &boot_plan.params);
-        // The default sequential hybrid (dense-batching) engine: fleet
-        // parallelism is per-host sharding in `Fleet::step`, and a control
-        // epoch is ~15 events per host — far below what a per-socket PDES
-        // split/merge costs (DESIGN.md §5.14).
+        // The default hybrid (dense-batching) engine: fleet parallelism is
+        // per-host sharding in `Fleet::step`.
         let mut sim = Sim::new(*machine, Box::new(tableau));
         for core in 0..machine.n_cores() {
             sim.add_vcpu(Box::new(BusyLoop), core, true);

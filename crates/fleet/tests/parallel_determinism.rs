@@ -5,8 +5,8 @@
 //! contract is that every fleet-level observable — counters, rung
 //! provenance, recovery stats, the admit-to-install histogram, the shared
 //! plan cache's counters and per-key stats, every VM's location, the
-//! aggregated dense-batching and (all-zero) PDES counters, and the step
-//! ledger's call count — is **bit-for-bit identical** to the sequential
+//! aggregated dense-batching counters, and the step ledger's call count —
+//! is **bit-for-bit identical** to the sequential
 //! execution, for any thread count. This drives one chaos
 //! scenario (crashes, degradations, install storms, table corruptions,
 //! sustained churn) through `rayon::force_sequential` and
@@ -16,7 +16,7 @@ use fleet::{Fleet, FleetConfig, VmLocation};
 use rtsched::time::Nanos;
 use workloads::churn::Flavor;
 use xensim::fault::HostFaultConfig;
-use xensim::stats::{BatchStats, PdesStats};
+use xensim::stats::BatchStats;
 use xensim::RecoveryStats;
 
 /// Every observable the control plane exposes, in one comparable record.
@@ -26,7 +26,6 @@ struct FleetObservation {
     rungs: fleet::RungCounters,
     recovery: RecoveryStats,
     batch: BatchStats,
-    pdes: PdesStats,
     /// `Fleet::step` calls the phase ledger recorded (its times are host
     /// time and never compared).
     steps: u64,
@@ -98,7 +97,6 @@ fn run_chaos_scenario() -> FleetObservation {
         rungs: *fleet.rungs(),
         recovery: fleet.recovery_stats(),
         batch: fleet.batch_stats(),
-        pdes: fleet.pdes_stats(),
         steps: fleet.step_phases().steps,
         live_vms: fleet.live_vms(),
         backlog: fleet.backlog(),
@@ -137,9 +135,6 @@ fn parallel_fleet_step_is_bit_identical_to_sequential() {
     );
     assert!(sequential.batch.batched_events > 0, "dense batching off");
     assert_eq!(sequential.steps, 120);
-    // Host simulators run the sequential hybrid engine: sharding is per
-    // host, never per socket.
-    assert_eq!(sequential.pdes, PdesStats::default());
 }
 
 #[test]

@@ -15,8 +15,8 @@ use tableau_core::planner::{Plan, VcpuParams};
 use tableau_core::vcpu::VcpuId as TcVcpu;
 use tableau_core::Table;
 use xensim::sched::{
-    DenseCosts, DenseSlice, DenseWindow, DeschedulePlan, PdesDecline, PdesSplit, SchedDecision,
-    VcpuId, VcpuView, VmScheduler, WakeupPlan,
+    DenseCosts, DenseSlice, DenseWindow, DeschedulePlan, SchedDecision, VcpuId, VcpuView,
+    VmScheduler, WakeupPlan,
 };
 
 use crate::costs::TableauCosts;
@@ -63,10 +63,6 @@ pub struct Tableau {
     blocked: Vec<bool>,
     /// Core offline/online notifications awaiting a guardian to drain them.
     core_events: Vec<CoreEvent>,
-    /// Registered placement hints, indexed by vCPU id (grown on demand).
-    /// Placement itself is table-driven; the hints decide which partition
-    /// owns a table-less vCPU's state in a partitioned (PDES) run.
-    homes: Vec<usize>,
     /// The dispatcher's side of the last dense window (reused buffer; the
     /// simulator's slices are converted from it).
     dense_scratch: Vec<(Option<TcVcpu>, Nanos)>,
@@ -139,39 +135,8 @@ impl Tableau {
             stolen_in_pick: vec![Nanos::ZERO; n_cores],
             blocked: Vec::new(),
             core_events: Vec::new(),
-            homes: Vec::new(),
             dense_scratch: Vec::new(),
         }
-    }
-
-    /// Per-vCPU owning socket from the newest table: `Some(socket)` for
-    /// every placed vCPU, `None` for table-less ones. Errors when any
-    /// placement spans sockets (not partitionable).
-    fn vcpu_socket_map(
-        &self,
-        machine: &xensim::Machine,
-    ) -> Result<Vec<Option<usize>>, PdesDecline> {
-        let table = self.dispatcher.newest_table();
-        let mut map: Vec<Option<usize>> = Vec::new();
-        for core in 0..table.n_cores() {
-            for &v in table.vcpus_homed_on(core) {
-                let p = table.placement(v).expect("homed vCPU has a placement");
-                let socket = machine.socket_of(p.home_core);
-                if !p
-                    .allocations
-                    .iter()
-                    .all(|&(c, _, _)| machine.socket_of(c) == socket)
-                {
-                    return Err(PdesDecline::CrossSocketPlacement);
-                }
-                let idx = v.0 as usize;
-                if map.len() <= idx {
-                    map.resize(idx + 1, None);
-                }
-                map[idx] = Some(socket);
-            }
-        }
-        Ok(map)
     }
 
     fn set_blocked(&mut self, vcpu: VcpuId, blocked: bool) {
@@ -248,14 +213,8 @@ impl VmScheduler for Tableau {
         "tableau"
     }
 
-    fn register_vcpu(&mut self, vcpu: VcpuId, home: usize) {
-        // Placement is entirely table-driven; the hint is only recorded so
-        // a partitioned run knows which socket owns a table-less vCPU.
-        let i = vcpu.0 as usize;
-        if self.homes.len() <= i {
-            self.homes.resize(i + 1, 0);
-        }
-        self.homes[i] = home;
+    fn register_vcpu(&mut self, _vcpu: VcpuId, _home: usize) {
+        // Placement is entirely table-driven; nothing to do.
     }
 
     fn schedule(&mut self, core: usize, now: Nanos, view: VcpuView<'_>) -> (SchedDecision, Nanos) {
@@ -436,91 +395,6 @@ impl VmScheduler for Tableau {
 
     fn on_core_online(&mut self, core: usize, now: Nanos) {
         self.core_events.push(CoreEvent::Online { core, at: now });
-    }
-
-    fn pdes_split(&self, machine: &xensim::Machine) -> Result<PdesSplit, PdesDecline> {
-        if self.dispatcher.sla_monitor().is_some() {
-            return Err(PdesDecline::MonitorAttached);
-        }
-        if !self.dispatcher.tables_settled() {
-            return Err(PdesDecline::TablesUnsettled);
-        }
-        let vcpu_sockets = self.vcpu_socket_map(machine)?;
-        let parts = (0..machine.n_sockets)
-            .map(|_| {
-                Box::new(Tableau {
-                    dispatcher: self.dispatcher.clone_for_partition(),
-                    costs: self.costs,
-                    last_pick: self.last_pick.clone(),
-                    picks: self.picks.clone(),
-                    stolen_in_pick: self.stolen_in_pick.clone(),
-                    blocked: self.blocked.clone(),
-                    core_events: Vec::new(),
-                    homes: self.homes.clone(),
-                    dense_scratch: Vec::new(),
-                }) as Box<dyn VmScheduler>
-            })
-            .collect();
-        // Every IPI Tableau emits is socket-local under the guards above:
-        // wake-up targets come from the vCPU's (single-socket) placement,
-        // hand-off IPIs connect two cores sharing a placement, and the
-        // second level is core-local.
-        Ok(PdesSplit {
-            parts,
-            vcpu_sockets,
-            socket_local_ipis: true,
-        })
-    }
-
-    fn pdes_merge(&mut self, machine: &xensim::Machine, parts: Vec<Box<dyn VmScheduler>>) {
-        let placed = self
-            .vcpu_socket_map(machine)
-            .expect("placements were partitionable at split");
-        // A vCPU belongs to its placement's socket; table-less vCPUs to
-        // their registered home's socket (how the simulator routes their
-        // events).
-        let n_vcpus = placed.len().max(self.homes.len());
-        let owner_socket: Vec<Option<usize>> = (0..n_vcpus)
-            .map(|v| {
-                placed
-                    .get(v)
-                    .copied()
-                    .flatten()
-                    .or_else(|| self.homes.get(v).map(|&home| machine.socket_of(home)))
-            })
-            .collect();
-        let per = machine.cores_per_socket;
-        for (li, mut part) in parts.into_iter().enumerate() {
-            let part = part
-                .as_any()
-                .downcast_mut::<Tableau>()
-                .expect("pdes partition is a Tableau");
-            debug_assert!(part.core_events.is_empty(), "core faults in a partition");
-            let (lo, hi) = (li * per, (li + 1) * per);
-            for core in lo..hi {
-                self.last_pick[core] = part.last_pick[core];
-                self.stolen_in_pick[core] = part.stolen_in_pick[core];
-            }
-            let owns = |v: usize| owner_socket.get(v).copied().flatten() == Some(li);
-            for v in 0..part.picks.len() {
-                if owns(v) {
-                    if self.picks.len() <= v {
-                        self.picks.resize_with(v + 1, PickCounts::default);
-                    }
-                    self.picks[v] = part.picks[v];
-                }
-            }
-            for v in 0..part.blocked.len() {
-                if owns(v) {
-                    if self.blocked.len() <= v {
-                        self.blocked.resize(v + 1, false);
-                    }
-                    self.blocked[v] = part.blocked[v];
-                }
-            }
-            self.dispatcher
-                .absorb_partition(&part.dispatcher, lo, hi, &owns);
-        }
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {

@@ -19,10 +19,12 @@
 //! Determinism: events are processed in `(time, insertion order)`, so every
 //! experiment replays identically.
 
+mod dense;
 pub mod fault;
 pub mod lock;
 pub mod machine;
 pub mod net;
+mod queue;
 pub mod sched;
 pub mod sim;
 pub mod stats;

@@ -29,17 +29,8 @@ pub struct Machine {
     /// Extra cost when a vCPU is dispatched on a core it did not run on
     /// last (cold private caches; larger across sockets is folded in).
     pub migration_penalty: Nanos,
-    /// Latency from sending an IPI to the remote core acting on it, when
-    /// both cores share a socket.
+    /// Latency from sending an IPI to the remote core acting on it.
     pub ipi_latency: Nanos,
-    /// Latency for an IPI that crosses sockets (the interconnect hop).
-    /// `None` means "same as intra-socket" — the historical flat model —
-    /// and is omitted from serialized artifacts so old machine records
-    /// round-trip byte-identically. Must be `>=` the intra-socket latency:
-    /// the partitioned (PDES) engine uses the minimum cross-socket value
-    /// as its conservative lookahead bound.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub ipi_cross_latency: Option<Nanos>,
 }
 
 impl Machine {
@@ -60,7 +51,6 @@ impl Machine {
             context_switch: Nanos::from_micros(2),
             migration_penalty: Nanos::from_micros(3),
             ipi_latency: Nanos::from_micros(1),
-            ipi_cross_latency: None,
         }
     }
 
@@ -81,38 +71,6 @@ impl Machine {
             context_switch: Nanos::from_micros(2),
             migration_penalty: Nanos::from_micros(3),
             ipi_latency: Nanos::from_micros(1),
-            ipi_cross_latency: None,
-        }
-    }
-
-    /// Returns this machine with a distinct cross-socket IPI latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cross` is below the intra-socket latency — the lookahead
-    /// argument of the partitioned engine requires cross >= intra.
-    pub fn with_cross_ipi_latency(mut self, cross: Nanos) -> Machine {
-        assert!(
-            cross >= self.ipi_latency,
-            "cross-socket IPI latency {cross} below intra-socket {}",
-            self.ipi_latency
-        );
-        self.ipi_cross_latency = Some(cross);
-        self
-    }
-
-    /// The cross-socket IPI latency (falls back to the intra-socket value
-    /// under the historical flat model).
-    pub fn cross_ipi_latency(&self) -> Nanos {
-        self.ipi_cross_latency.unwrap_or(self.ipi_latency)
-    }
-
-    /// The IPI latency from `src` to `dst` under the split model.
-    pub fn ipi_latency_between(&self, src: usize, dst: usize) -> Nanos {
-        if self.same_socket(src, dst) {
-            self.ipi_latency
-        } else {
-            self.cross_ipi_latency()
         }
     }
 
@@ -161,38 +119,6 @@ mod tests {
         assert_eq!(m.socket_of(8), 1);
         assert!(m.same_socket(0, 7));
         assert!(!m.same_socket(7, 8));
-    }
-
-    #[test]
-    fn split_ipi_latency_model() {
-        let flat = Machine::xeon_16core();
-        // Flat model: cross == intra, nothing serialized for the new field.
-        assert_eq!(flat.cross_ipi_latency(), flat.ipi_latency);
-        let json = serde_json::to_string(&flat).unwrap();
-        assert!(!json.contains("ipi_cross_latency"), "{json}");
-        let back: Machine = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, flat);
-        // Old artifacts (without the field) still deserialize.
-        let legacy: Machine = serde_json::from_str(
-            r#"{"n_sockets":2,"cores_per_socket":8,"context_switch":2000,
-                "migration_penalty":3000,"ipi_latency":1000}"#,
-        )
-        .unwrap();
-        assert_eq!(legacy.ipi_cross_latency, None);
-
-        let split = flat.with_cross_ipi_latency(Nanos::from_micros(3));
-        assert_eq!(split.cross_ipi_latency(), Nanos::from_micros(3));
-        assert_eq!(split.ipi_latency_between(0, 7), split.ipi_latency);
-        assert_eq!(split.ipi_latency_between(7, 8), Nanos::from_micros(3));
-        let json = serde_json::to_string(&split).unwrap();
-        let back: Machine = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, split);
-    }
-
-    #[test]
-    #[should_panic(expected = "below intra-socket")]
-    fn cross_below_intra_panics() {
-        let _ = Machine::xeon_16core().with_cross_ipi_latency(Nanos(1));
     }
 
     #[test]

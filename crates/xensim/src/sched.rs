@@ -190,51 +190,6 @@ pub struct DenseWindow {
     pub valid_before: Nanos,
 }
 
-/// A scheduler's opt-in to the partitioned (per-socket conservative PDES)
-/// engine: one independent scheduler clone per socket, plus the placement
-/// facts the simulator needs to route events and bound the lookahead. See
-/// [`VmScheduler::pdes_split`].
-pub struct PdesSplit {
-    /// One scheduler per socket, index = socket. Each clone carries the
-    /// full scheduler state but will only receive callbacks for its own
-    /// socket's cores and vCPUs.
-    pub parts: Vec<Box<dyn VmScheduler>>,
-    /// `vcpu_sockets[v]` is the socket all of vCPU `v`'s scheduling
-    /// activity is confined to, or `None` if unconstrained (the simulator
-    /// then routes by the vCPU's home core). Indexed by dense vCPU id;
-    /// missing tail entries mean `None`.
-    pub vcpu_sockets: Vec<Option<usize>>,
-    /// `true` if the scheduler guarantees every IPI it plans targets a core
-    /// in the same socket as the event that caused it. The simulator then
-    /// treats the lookahead as unbounded (partitions never interact), which
-    /// collapses the run to a single window per `run_until`.
-    pub socket_local_ipis: bool,
-}
-
-/// Why a simulation (or its scheduler) declined to run partitioned. The
-/// decline is free: the run falls through to the sequential engine, which
-/// is bit-for-bit identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PdesDecline {
-    /// One socket: nothing to partition.
-    SingleSocket,
-    /// A fault engine is armed; host-level injection (thefts, core flaps,
-    /// IPI loss) is inherently cross-partition.
-    FaultsArmed,
-    /// The scheduler does not implement [`VmScheduler::pdes_split`].
-    SchedulerOptOut,
-    /// A table install is staged or not yet adopted by every core.
-    TablesUnsettled,
-    /// An SLA monitor is attached and needs the global observation order.
-    MonitorAttached,
-    /// Some vCPU's placement spans sockets.
-    CrossSocketPlacement,
-    /// The machine models zero cross-socket IPI latency, so conservative
-    /// windows could not advance (a degenerate test machine; real machines
-    /// always pay an interconnect hop).
-    NoLookahead,
-}
-
 /// A hypervisor VM scheduler under test.
 ///
 /// Implementations live in the `schedulers` crate (Credit, Credit2, RTDS,
@@ -356,29 +311,6 @@ pub trait VmScheduler: Send + std::any::Any {
     /// consumed decision through the generic callbacks.
     fn dense_commit(&mut self, core: usize, at: Nanos, consumed: &[DenseSlice], running: bool) {
         let _ = (core, at, consumed, running);
-    }
-
-    /// Splits this scheduler into one independent clone per socket for the
-    /// partitioned (conservative PDES) engine, or declines. Must be
-    /// non-destructive: the simulator may still decline after a successful
-    /// split (e.g. a home-placement mismatch), dropping the clones.
-    ///
-    /// A scheduler returning `Ok` promises that each clone, fed only its
-    /// own socket's events, makes byte-identical decisions to this
-    /// scheduler fed the interleaved whole — i.e. its state is already
-    /// partitioned by socket along the returned `vcpu_sockets`.
-    fn pdes_split(&self, machine: &crate::machine::Machine) -> Result<PdesSplit, PdesDecline> {
-        let _ = machine;
-        Err(PdesDecline::SchedulerOptOut)
-    }
-
-    /// Reabsorbs the per-socket clones after a partitioned run. `parts` is
-    /// the vector returned by [`VmScheduler::pdes_split`], each advanced
-    /// through its socket's events. Only called when the split was `Ok`
-    /// and the run actually went partitioned.
-    fn pdes_merge(&mut self, machine: &crate::machine::Machine, parts: Vec<Box<dyn VmScheduler>>) {
-        let _ = (machine, parts);
-        unreachable!("pdes_merge on a scheduler that never opted in to pdes_split");
     }
 
     /// Registers a vCPU before the simulation starts. `home` is a placement

@@ -13,26 +13,27 @@
 //! Event ties are broken by insertion order, so a given configuration
 //! replays identically — all experiment figures are reproducible bit for
 //! bit.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! This module holds the machine state ([`Sim`]), the queue-driven event
+//! loop (`run_until` / `run_events`) and the event handlers. The pending
+//! events live in `queue`, the per-core decision timers in `timers`, and
+//! the second way of advancing time — table-driven dense windows — in
+//! `dense`, a second `impl Sim` block over the same state.
 
 use rtsched::time::Nanos;
 
+use crate::dense::CoreWindow;
 use crate::fault::{FaultConfig, FaultEngine, IpiFate};
 use crate::machine::Machine;
-use crate::sched::{
-    DenseCosts, DenseSlice, GuestAction, GuestWorkload, IdleGuest, PdesDecline, VcpuId, VcpuView,
-    VmScheduler,
-};
+use crate::queue::{Event, EventQueue};
+use crate::sched::{GuestAction, GuestWorkload, VcpuId, VcpuView, VmScheduler};
 use crate::stats::{OpKind, SimStats};
 use crate::timers::CoreTimers;
 use crate::trace::{TraceBuffer, TraceClass, TraceEvent};
-use crate::wheel::TimingWheel;
 
 /// Guest-visible vCPU states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VState {
+pub(crate) enum VState {
     /// Waiting for an event; not schedulable.
     Blocked,
     /// Schedulable but not on a core.
@@ -41,24 +42,20 @@ enum VState {
     Running,
 }
 
-struct VcpuSlot {
-    state: VState,
+pub(crate) struct VcpuSlot {
+    pub(crate) state: VState,
     /// Remaining compute of the current burst; `None` means the workload
     /// must be asked for its next action at the next dispatch.
     remaining: Option<Nanos>,
-    runnable_since: Option<Nanos>,
-    last_core: Option<usize>,
+    pub(crate) runnable_since: Option<Nanos>,
+    pub(crate) last_core: Option<usize>,
     wake_gen: u64,
-    /// Placement hint given at registration; the partitioned engine routes
-    /// this vCPU's events to `socket_of(home)`, and wake-up IPI distances
-    /// are measured from it.
-    home: usize,
     workload: Box<dyn GuestWorkload>,
 }
 
 #[derive(Clone)]
-struct CoreState {
-    running: Option<VcpuId>,
+pub(crate) struct CoreState {
+    pub(crate) running: Option<VcpuId>,
     /// When the current vCPU began making guest progress (dispatch time
     /// plus overheads and context-switch cost).
     run_started: Nanos,
@@ -67,42 +64,27 @@ struct CoreState {
     /// This is what schedulers burn budgets/credits from — Xen's
     /// `burn_budget`-style accounting uses wall-clock deltas, which is
     /// precisely how scheduler overhead taxes a reservation.
-    ran_since_dispatch: Nanos,
-    decision_until: Nanos,
+    pub(crate) ran_since_dispatch: Nanos,
+    pub(crate) decision_until: Nanos,
     /// Decision generation; stale core-timer events are ignored.
-    gen: u64,
+    pub(crate) gen: u64,
     /// Overhead charged to this core (wake-up processing, de-schedule
     /// work), consumed at the next dispatch.
-    pending_overhead: Nanos,
+    pub(crate) pending_overhead: Nanos,
     last_ran: Option<VcpuId>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    /// Decision expiry or burst completion on a core.
-    CoreTimer { core: usize, gen: u64 },
-    /// Unconditional re-schedule (IPI arrival).
-    Resched { core: usize },
-    /// External event for a vCPU (packet, request, ping).
-    External { vcpu: VcpuId, tag: u64 },
-    /// Guest-internal timer expiry (from [`GuestAction::BlockFor`]).
-    SelfWake { vcpu: VcpuId, gen: u64 },
-    /// Scheduler periodic tick on a core.
-    Tick { core: usize },
-    /// Start of a stolen-time interval on a core (fault injection).
-    Stolen { core: usize },
-    /// A core drops out of service (fault injection).
-    CoreOffline { core: usize },
-    /// An offline core returns to service (fault injection).
-    CoreOnline { core: usize },
-}
-
-/// Selects the pending-event structure backing a [`Sim`].
+/// Selects how a [`Sim`] keeps and advances its pending events: the
+/// production engine and its two oracles.
 ///
-/// All engines handle events in identical `(time, seq)` order — the
-/// `engine_equivalence` tests hold them to bit-for-bit equal streams,
-/// [`Sim::events_processed`] included. The hybrid is the default; the heap
-/// is the reference representation the others are proven against.
+/// [`EngineKind::Hybrid`] is what every experiment, example and fleet host
+/// runs. [`EngineKind::Wheel`] (the same queue, never batching) and
+/// [`EngineKind::Heap`] (one binary heap holding everything) exist to be
+/// diffed against: all three handle events in identical `(time, seq)`
+/// order, and the `engine_equivalence` / `dense_equivalence` suites hold
+/// them to bit-for-bit equal streams, [`Sim::events_processed`] included.
+/// There is no partitioned (per-socket parallel) engine; DESIGN.md §5.14
+/// records the measurements that retired it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Reference engine: one binary min-heap of `(time, seq, event)` holding
@@ -126,198 +108,23 @@ pub enum EngineKind {
     /// [`SimStats::batch`] counters and [`TraceClass::BATCH`] markers).
     #[default]
     Hybrid,
-    /// Conservative per-socket PDES: each socket's cores advance on their
-    /// own timing wheel up to a lookahead horizon bounded by the minimum
-    /// cross-socket IPI latency, exchanging cross-socket events through
-    /// ordered mailboxes drained at window boundaries. Runs the partitions
-    /// on the `par` worker pool with index-ordered reassembly, so any
-    /// worker count reproduces the sequential wheel run byte for byte
-    /// (modulo [`SimStats::pdes`]/[`SimStats::batch`] counters and
-    /// [`TraceClass::BATCH`] markers). Dense-phase batching composes
-    /// inside each partition's window. Non-partitionable runs (single
-    /// socket, armed faults, schedulers that do not opt in via
-    /// [`VmScheduler::pdes_split`], ...) decline per `run_until` call to
-    /// the sequential hybrid path, recording the reason in
-    /// [`SimStats::pdes`].
-    Partitioned,
 }
 
 impl EngineKind {
-    /// The queue representation backing this engine (hybrid batching and
-    /// PDES partitioning happen above the queue, which stays a wheel).
-    fn repr(self) -> EngineKind {
+    /// The queue representation backing this engine (hybrid batching
+    /// happens above the queue, which stays a wheel).
+    pub(crate) fn repr(self) -> EngineKind {
         match self {
             EngineKind::Heap => EngineKind::Heap,
-            EngineKind::Wheel | EngineKind::Hybrid | EngineKind::Partitioned => EngineKind::Wheel,
+            EngineKind::Wheel | EngineKind::Hybrid => EngineKind::Wheel,
         }
     }
-}
-
-/// The pending-event set, behind the engine selection.
-enum EventQueue {
-    Heap(BinaryHeap<Reverse<(Nanos, u64, Event)>>),
-    Wheel(Box<TimingWheel<Event>>),
-}
-
-impl EventQueue {
-    fn new(repr: EngineKind) -> EventQueue {
-        match repr.repr() {
-            EngineKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            _ => EventQueue::Wheel(Box::default()),
-        }
-    }
-
-    fn kind(&self) -> EngineKind {
-        match self {
-            EventQueue::Heap(_) => EngineKind::Heap,
-            EventQueue::Wheel(_) => EngineKind::Wheel,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, at: Nanos, seq: u64, event: Event) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse((at, seq, event))),
-            EventQueue::Wheel(w) => w.push(at, seq, event),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Heap(h) => h.is_empty(),
-            EventQueue::Wheel(w) => w.is_empty(),
-        }
-    }
-
-    /// Removes the earliest event if its `(time, seq)` key is `<= bound`
-    /// (the per-event operation of the simulation loop, fused so each
-    /// engine does one ordering pass).
-    #[inline]
-    fn pop_if_at_most(&mut self, bound: (Nanos, u64)) -> Option<(Nanos, u64, Event)> {
-        match self {
-            EventQueue::Heap(h) => match h.peek() {
-                Some(&Reverse((at, seq, _))) if (at, seq) <= bound => {
-                    let Reverse(e) = h.pop().expect("peeked");
-                    Some(e)
-                }
-                _ => None,
-            },
-            EventQueue::Wheel(w) => w.pop_if_key_at_most(bound.0, bound.1),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Nanos, u64, Event)> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(e)| e),
-            EventQueue::Wheel(w) => w.pop(),
-        }
-    }
-
-    /// The time of the earliest pending event, without removing it (the
-    /// partitioned engine's window-start probe).
-    fn peek_at(&mut self) -> Option<Nanos> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse((at, _, _))| *at),
-            EventQueue::Wheel(w) => w.peek().map(|&(at, _, _)| at),
-        }
-    }
-}
-
-/// First provisional sequence number. While a partition runs a lookahead
-/// window it cannot know which global `seq` values its pushes will get (the
-/// global order interleaves all partitions), so it allocates from this
-/// high half-space; the window-boundary merge re-enacts the global handling
-/// order and rewrites every provisional key to the sequence number the
-/// sequential engine would have allocated. At equal times provisional keys
-/// compare after all pre-window (real) keys — exactly the order the
-/// sequential engine gives current-window pushes — so intra-window pops are
-/// correctly ordered before resolution.
-const PROV_BASE: u64 = 1 << 63;
-
-/// One handled event in a partition's window, recorded in handling order.
-/// `pushes`/`traces` count the provisional seqs the event's handler
-/// allocated and the trace records it spooled, so the boundary merge can
-/// attribute both to the event that made them. When the run is
-/// unobserved (no event log, tracing off), events that allocate nothing
-/// are not recorded at all: they occupy a position in the global handling
-/// order but assign no sequence numbers, so skipping them cannot change
-/// what any other record resolves to — this keeps the record stream (and
-/// the boundary re-enactment pass over it) proportional to the *pushing*
-/// events only.
-#[derive(Clone, Copy)]
-struct Rec {
-    at: Nanos,
-    /// The popped queue key: a real (pre-window) seq or a provisional one.
-    key: u64,
-    /// Provisional seqs allocated by this event's handler.
-    pushes: u32,
-    /// Trace records spooled by this event's handler.
-    traces: u32,
-}
-
-/// Partition-local state hung off a [`Sim`] acting as one PDES partition.
-struct PartCtx {
-    /// Owned core range: `[core_lo, core_hi)`.
-    core_lo: usize,
-    core_hi: usize,
-    /// Per-target-socket ordered mailboxes of cross-partition events
-    /// (provisional keys), drained at the window boundary.
-    outboxes: Vec<Vec<(Nanos, u64, Event)>>,
-    /// Events handled this window, in handling order.
-    records: Vec<Rec>,
-    /// The event being handled (finalized into `records` when the next
-    /// event is noted, so its snapshots cover the whole handler).
-    staged: Option<(Nanos, u64)>,
-    /// Provisional-seq counter at the last finalized record (the baseline
-    /// `pushes` deltas are taken against).
-    last_seq: u64,
-    /// Trace-spool length at the last finalized record.
-    last_spool: usize,
-    /// True when an event log or tracing observes this lane — every
-    /// handled event must then be recorded. Cached here (constant for the
-    /// whole run) so the per-event fast path tests one flag on a line it
-    /// already owns.
-    observed: bool,
-}
-
-/// A placeholder vCPU slot standing in for a vCPU owned elsewhere (the
-/// master while a lane holds the real slot, and lanes for every foreign
-/// vCPU). Only `home` is meaningful — it keeps event routing working.
-fn placeholder_slot(home: usize) -> VcpuSlot {
-    VcpuSlot {
-        state: VState::Blocked,
-        remaining: None,
-        runnable_since: None,
-        last_core: None,
-        wake_gen: 0,
-        home,
-        workload: Box::new(IdleGuest),
-    }
-}
-
-/// One core's share of a dense window: the scheduler's precomputed
-/// decision sequence and the batch's progress through it. Pooled in
-/// [`Sim`] and reset per window, so a batch allocates nothing at steady
-/// state.
-#[derive(Default)]
-struct CoreWindow {
-    slices: Vec<DenseSlice>,
-    costs: DenseCosts,
-    /// The next slice to consider.
-    next_idx: usize,
-    /// First picked slice not yet committed (`usize::MAX`: none).
-    commit_from: usize,
-    /// One past the last picked slice.
-    picked_to: usize,
-    /// Time of the latest pick (what the scheduler sees as its decision
-    /// time on commit).
-    last_decided: Nanos,
 }
 
 /// A deterministic discrete-event hypervisor simulation.
 pub struct Sim {
     machine: Machine,
-    now: Nanos,
+    pub(crate) now: Nanos,
     seq: u64,
     /// The selected engine; [`EngineKind::Hybrid`] additionally enables
     /// dense-phase batching above the queue.
@@ -334,24 +141,24 @@ pub struct Sim {
     /// `(time, seq)` minimum of the queue head and the earliest register;
     /// `seq` comes from the same counter on both sides, so the order is
     /// exactly the one a single queue holding everything would produce.
-    timers: CoreTimers,
+    pub(crate) timers: CoreTimers,
     /// Batching is re-attempted only once `events_processed` passes this
     /// mark (set on every fallback, so a workload that keeps breaking
     /// batches does not pay the window-construction cost per event).
-    batch_cooldown: u64,
+    pub(crate) batch_cooldown: u64,
     /// Consecutive unproductive batch attempts; the fallback cooldown
     /// doubles per bail (capped), so churny workloads that momentarily
     /// look dense pay the window-construction cost ever more rarely.
-    batch_bails: u32,
+    pub(crate) batch_bails: u32,
     /// Per-core dense-window scratch (see [`CoreWindow`]).
-    dense: Vec<CoreWindow>,
-    cores: Vec<CoreState>,
-    vcpus: Vec<VcpuSlot>,
+    pub(crate) dense: Vec<CoreWindow>,
+    pub(crate) cores: Vec<CoreState>,
+    pub(crate) vcpus: Vec<VcpuSlot>,
     /// Runnable flags mirroring vCPU states, for cheap scheduler views.
-    flags: Vec<bool>,
-    sched: Box<dyn VmScheduler>,
-    stats: SimStats,
-    trace: TraceBuffer,
+    pub(crate) flags: Vec<bool>,
+    pub(crate) sched: Box<dyn VmScheduler>,
+    pub(crate) stats: SimStats,
+    pub(crate) trace: TraceBuffer,
     /// Fault-injection engine; `None` when every fault class is inactive,
     /// so fault-free runs take exactly the pre-fault code paths (bit-for-bit
     /// replay compatibility).
@@ -367,26 +174,13 @@ pub struct Sim {
     /// denominator: simulated work per wall second is events/sec).
     /// Superseded core timers are not events (see
     /// [`Sim::events_processed`]).
-    events_processed: u64,
+    pub(crate) events_processed: u64,
     /// When present, every handled event is appended as
     /// `(time, seq, debug string)` — the engine-equivalence tests compare
     /// these streams across engines. `None` (the default) costs one branch
     /// per event.
-    event_log: Option<Vec<(Nanos, u64, String)>>,
+    pub(crate) event_log: Option<Vec<(Nanos, u64, String)>>,
     started: bool,
-    /// Present while this `Sim` is acting as one PDES partition (a
-    /// per-socket lane of a [`EngineKind::Partitioned`] parent run).
-    /// Switches `push` into lane mode (provisional seqs, cross-socket
-    /// routing into mailboxes) and arms per-event record keeping; handler
-    /// bodies are untouched.
-    part: Option<Box<PartCtx>>,
-    /// Retired per-lane record buffers, reused across partitioned runs so
-    /// the (events-proportional) record streams stop paying `Vec` growth
-    /// after the first run.
-    rec_pool: Vec<Vec<Rec>>,
-    /// Retired master-seq maps (`gseq`), reused across window boundaries
-    /// for the same reason.
-    gseq_pool: Vec<Vec<u64>>,
 }
 
 impl Sim {
@@ -425,9 +219,6 @@ impl Sim {
             events_processed: 0,
             event_log: None,
             started: false,
-            part: None,
-            rec_pool: Vec::new(),
-            gseq_pool: Vec::new(),
         }
     }
 
@@ -553,7 +344,6 @@ impl Sim {
             runnable_since: runnable.then_some(Nanos::ZERO),
             last_core: None,
             wake_gen: 0,
-            home,
             workload,
         });
         self.flags.push(runnable);
@@ -619,29 +409,6 @@ impl Sim {
         self.events_processed
     }
 
-    /// The core an event belongs to: core events by their core, vCPU
-    /// events by the vCPU's home core (partitioned runs require every
-    /// vCPU's placement to stay on its home socket; schedulers assert
-    /// this in [`VmScheduler::pdes_split`]).
-    fn event_core(&self, event: &Event) -> usize {
-        match *event {
-            Event::CoreTimer { core, .. }
-            | Event::Resched { core }
-            | Event::Tick { core }
-            | Event::Stolen { core }
-            | Event::CoreOffline { core }
-            | Event::CoreOnline { core } => core,
-            Event::External { vcpu, .. } | Event::SelfWake { vcpu, .. } => {
-                self.vcpus[vcpu.0 as usize].home
-            }
-        }
-    }
-
-    /// The socket an event belongs to (see [`Sim::event_core`]).
-    fn event_socket(&self, event: &Event) -> usize {
-        self.machine.socket_of(self.event_core(event))
-    }
-
     fn push(&mut self, at: Nanos, event: Event) {
         // Timer faults perturb hypervisor timers (decision expiry, burst
         // completion, ticks) only; external events, IPIs, and guest-internal
@@ -654,19 +421,6 @@ impl Sim {
         if let (Event::CoreTimer { core, gen }, EventQueue::Wheel(_)) = (event, &self.events) {
             self.timers.arm(core, (at, self.seq, gen));
             return;
-        }
-        // Lane mode: the seq just allocated is provisional (rewritten to
-        // the global order at the window boundary); cross-socket events
-        // route into the target's mailbox instead of the local wheel. The
-        // ownership test is a range compare on the lane's core span —
-        // cheaper than a socket division on this per-push hot path.
-        let lane_core = self.part.is_some().then(|| self.event_core(&event));
-        if let (Some(core), Some(part)) = (lane_core, self.part.as_mut()) {
-            if core < part.core_lo || core >= part.core_hi {
-                let target = self.machine.socket_of(core);
-                part.outboxes[target].push((at, self.seq, event));
-                return;
-            }
         }
         self.events.push(at, self.seq, event);
     }
@@ -738,22 +492,20 @@ impl Sim {
             }
         }
 
-        if !(self.kind == EngineKind::Partitioned && self.try_run_partitioned(end)) {
-            self.run_events(end);
-        }
+        self.run_events(end);
         // An `end` in the past handles nothing and must not rewind the
         // clock either: armed timers and queued events are all `>= now`.
         self.now = self.now.max(end);
         self.stats.trace_dropped = self.trace.dropped();
     }
 
-    /// The generic event loop: pops and handles every event due at or
-    /// before `limit`. Shared between the sequential engines (where `limit`
-    /// is the `run_until` horizon) and a partition's lookahead windows.
+    /// The queue-driven event loop: pops and handles every event due at or
+    /// before `limit`, handing pure-timer stretches to the table-driven
+    /// window loop ([`crate::dense`]) when the engine batches.
     fn run_events(&mut self, limit: Nanos) {
         loop {
             if self.events.is_empty()
-                && matches!(self.kind, EngineKind::Hybrid | EngineKind::Partitioned)
+                && self.kind == EngineKind::Hybrid
                 && self.faults.is_none()
                 && self.batch_cooldown <= self.events_processed
                 && self.sched.dense_capable()
@@ -785,677 +537,10 @@ impl Sim {
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             self.events_processed += 1;
-            if self.part.is_some() {
-                self.note_handled(at, seq);
-            }
             if let Some(log) = &mut self.event_log {
                 log.push((at, seq, format!("{event:?}")));
             }
             self.handle(event);
-        }
-    }
-
-    /// The time of the next pending event — queue head or earliest timer
-    /// register — without handling it (the partitioned engine's
-    /// window-start probe).
-    fn next_at(&mut self) -> Option<Nanos> {
-        let timer = self.timers.earliest().map(|t| t.0);
-        self.events.peek_at().into_iter().chain(timer).min()
-    }
-
-    /// Records (in lane mode) that the event keyed `(at, key)` is about to
-    /// be handled: finalizes the previous staged record with the current
-    /// seq/trace snapshots (its handler is done) and stages this one.
-    #[inline]
-    fn note_handled(&mut self, at: Nanos, key: u64) {
-        let seq = self.seq;
-        {
-            let part = self.part.as_mut().expect("lane mode");
-            if !part.observed {
-                // Unobserved fast path: traces cannot grow, and
-                // zero-allocation events are droppable (see [`Rec`]), so the
-                // record stream tracks pushing events only.
-                if let Some((prev_at, prev_key)) = part.staged {
-                    if seq != part.last_seq {
-                        part.records.push(Rec {
-                            at: prev_at,
-                            key: prev_key,
-                            pushes: (seq - part.last_seq) as u32,
-                            traces: 0,
-                        });
-                        part.last_seq = seq;
-                    }
-                }
-                part.staged = Some((at, key));
-                return;
-            }
-        }
-        let spool = self.trace.len();
-        let part = self.part.as_mut().expect("lane mode");
-        if let Some((prev_at, prev_key)) = part.staged.take() {
-            part.records.push(Rec {
-                at: prev_at,
-                key: prev_key,
-                pushes: (seq - part.last_seq) as u32,
-                traces: (spool - part.last_spool) as u32,
-            });
-            part.last_seq = seq;
-            part.last_spool = spool;
-        }
-        part.staged = Some((at, key));
-    }
-
-    /// Finalizes the last staged record at the end of a lookahead window.
-    /// Always recorded (even when droppable) so "handled anything this
-    /// window" stays readable off `records` for the stall counter.
-    fn finalize_window(&mut self) {
-        let seq = self.seq;
-        let spool = self.trace.len();
-        let part = self.part.as_mut().expect("lane mode");
-        if let Some((at, key)) = part.staged.take() {
-            part.records.push(Rec {
-                at,
-                key,
-                pushes: (seq - part.last_seq) as u32,
-                traces: (spool - part.last_spool) as u32,
-            });
-            part.last_seq = seq;
-            part.last_spool = spool;
-        }
-    }
-
-    /// One partition window: handle everything due at or before `limit`,
-    /// then close out the record stream.
-    fn run_window(&mut self, limit: Nanos) {
-        self.run_events(limit);
-        self.finalize_window();
-    }
-
-    /// Attempts to run `[now, end]` with the per-socket partitioned (PDES)
-    /// engine. Returns `false` — recording the decline reason — when any
-    /// precondition fails, in which case the caller falls through to the
-    /// sequential loop; the two paths are bit-for-bit identical (modulo
-    /// `stats.pdes`/`stats.batch` counters and `BATCH` trace markers).
-    ///
-    /// Scheme: each socket becomes a lane — a private `Sim` owning that
-    /// socket's cores (timer registers included), vCPUs, and a wheel seeded
-    /// with the socket's share of the pending queue. Lanes advance in
-    /// conservative lookahead windows of the minimum cross-socket
-    /// event-insertion latency (the cross-socket IPI hop), in parallel on
-    /// `rayon` workers; cross-socket events land in per-pair mailboxes. At
-    /// each barrier the master re-enacts the global handling order from the
-    /// lanes' per-event records, assigns the exact sequence numbers the
-    /// sequential engine would have, splices logs and traces, renumbers
-    /// still-pending events (queued or in a timer register), and delivers
-    /// the mailboxes — so any worker count reproduces the sequential run
-    /// byte-for-byte.
-    fn try_run_partitioned(&mut self, end: Nanos) -> bool {
-        debug_assert!(self.part.is_none(), "nested partitioned run");
-        let n_sockets = self.machine.n_sockets;
-        if n_sockets < 2 {
-            self.stats.pdes.declined_single_socket += 1;
-            return false;
-        }
-        if self.faults.is_some() {
-            self.stats.pdes.declined_faults_armed += 1;
-            return false;
-        }
-        let split = match self.sched.pdes_split(&self.machine) {
-            Ok(split) => split,
-            Err(reason) => {
-                let pdes = &mut self.stats.pdes;
-                match reason {
-                    PdesDecline::SingleSocket => pdes.declined_single_socket += 1,
-                    PdesDecline::FaultsArmed => pdes.declined_faults_armed += 1,
-                    PdesDecline::SchedulerOptOut => pdes.declined_scheduler_opt_out += 1,
-                    PdesDecline::TablesUnsettled => pdes.declined_tables_unsettled += 1,
-                    PdesDecline::MonitorAttached => pdes.declined_monitor_attached += 1,
-                    PdesDecline::CrossSocketPlacement => pdes.declined_cross_socket_placement += 1,
-                    PdesDecline::NoLookahead => pdes.declined_no_lookahead += 1,
-                }
-                return false;
-            }
-        };
-        if split.parts.len() != n_sockets {
-            debug_assert!(
-                false,
-                "pdes_split returned {} partitions for {n_sockets} sockets",
-                split.parts.len()
-            );
-            self.stats.pdes.declined_scheduler_opt_out += 1;
-            return false;
-        }
-        // Every vCPU the scheduler places must sit on its home socket —
-        // events for a vCPU route by home, so a cross-socket placement
-        // would put its dispatches in the wrong lane.
-        for (v, slot) in self.vcpus.iter().enumerate() {
-            let home_socket = self.machine.socket_of(slot.home);
-            if let Some(s) = split.vcpu_sockets.get(v).copied().flatten() {
-                if s != home_socket {
-                    self.stats.pdes.declined_cross_socket_placement += 1;
-                    return false;
-                }
-            }
-        }
-        let lookahead = self.machine.cross_ipi_latency();
-        if lookahead == Nanos::ZERO && !split.socket_local_ipis {
-            self.stats.pdes.declined_no_lookahead += 1;
-            return false;
-        }
-
-        // ---- Split: route the master queue and state into lanes.
-        let per = self.machine.cores_per_socket;
-        let mut seeds: Vec<Vec<(Nanos, u64, Event)>> = (0..n_sockets).map(|_| Vec::new()).collect();
-        while let Some((at, seq, event)) = self.events.pop() {
-            let s = self.event_socket(&event);
-            seeds[s].push((at, seq, event));
-        }
-
-        let mut lanes: Vec<Sim> = Vec::with_capacity(n_sockets);
-        for (li, sched) in split.parts.into_iter().enumerate() {
-            let core_lo = li * per;
-            let core_hi = core_lo + per;
-            let mut vcpus: Vec<VcpuSlot> = Vec::with_capacity(self.vcpus.len());
-            for slot in self.vcpus.iter_mut() {
-                let home = slot.home;
-                if self.machine.socket_of(home) == li {
-                    // Owned: move the real slot into the lane (the master
-                    // keeps a placeholder until reassembly).
-                    vcpus.push(std::mem::replace(slot, placeholder_slot(home)));
-                } else {
-                    vcpus.push(placeholder_slot(home));
-                }
-            }
-            let mut lane = Sim {
-                machine: self.machine,
-                now: self.now,
-                seq: PROV_BASE,
-                kind: EngineKind::Partitioned,
-                events: EventQueue::new(EngineKind::Wheel),
-                timers: self.timers.only(core_lo..core_hi),
-                batch_cooldown: 0,
-                batch_bails: 0,
-                dense: Vec::new(),
-                cores: self.cores.clone(),
-                vcpus,
-                flags: self.flags.clone(),
-                sched,
-                stats: SimStats::new(self.machine.n_cores()),
-                trace: TraceBuffer::spool_like(&self.trace),
-                faults: None,
-                stolen_until: self.stolen_until.clone(),
-                core_online: self.core_online.clone(),
-                events_processed: 0,
-                event_log: self.event_log.is_some().then(Vec::new),
-                started: true,
-                part: Some(Box::new(PartCtx {
-                    core_lo,
-                    core_hi,
-                    outboxes: (0..n_sockets).map(|_| Vec::new()).collect(),
-                    records: self.rec_pool.pop().unwrap_or_default(),
-                    staged: None,
-                    last_seq: PROV_BASE,
-                    last_spool: 0,
-                    observed: self.event_log.is_some() || self.trace.is_enabled(),
-                })),
-                rec_pool: Vec::new(),
-                gseq_pool: Vec::new(),
-            };
-            for (at, seq, event) in seeds[li].drain(..) {
-                lane.events.push(at, seq, event);
-            }
-            lanes.push(lane);
-        }
-
-        // ---- Conservative window loop.
-        let socket_local = split.socket_local_ipis;
-        loop {
-            let w = lanes.iter_mut().filter_map(|l| l.next_at()).min();
-            let Some(w) = w.filter(|&w| w <= end) else {
-                break;
-            };
-            // Socket-local IPIs mean lanes cannot affect each other at all
-            // inside this run: one window covers the whole horizon.
-            let limit = if socket_local {
-                end
-            } else {
-                end.min(w + lookahead - Nanos(1))
-            };
-            rayon::par_map_mut(&mut lanes, |_i, lane| lane.run_window(limit));
-            self.stats.pdes.windows_advanced += 1;
-            for lane in &lanes {
-                let part = lane.part.as_ref().expect("lane");
-                if part.records.is_empty() {
-                    self.stats.pdes.lookahead_stalls += 1;
-                }
-                assert!(
-                    !socket_local || part.outboxes.iter().all(|o| o.is_empty()),
-                    "scheduler declared socket-local IPIs but emitted a cross-socket event"
-                );
-            }
-            self.merge_boundary(&mut lanes);
-        }
-
-        // ---- Finish: reassemble the master from the lanes.
-        let mut parts: Vec<Box<dyn VmScheduler>> = Vec::with_capacity(n_sockets);
-        for (li, mut lane) in lanes.into_iter().enumerate() {
-            let mut part = lane.part.take().expect("lane");
-            debug_assert!(part.records.is_empty() && part.staged.is_none());
-            self.rec_pool.push(std::mem::take(&mut part.records));
-            while let Some((at, key, event)) = lane.events.pop() {
-                debug_assert!(key < PROV_BASE, "unresolved key survived the last boundary");
-                self.events.push(at, key, event);
-            }
-            debug_assert!(lane.timers.max_seq() < PROV_BASE, "unresolved timer key");
-            self.timers.adopt(&lane.timers, part.core_lo..part.core_hi);
-            for core in part.core_lo..part.core_hi {
-                self.cores[core] = lane.cores[core].clone();
-                self.stolen_until[core] = lane.stolen_until[core];
-                self.core_online[core] = lane.core_online[core];
-            }
-            for v in 0..self.vcpus.len() {
-                if self.machine.socket_of(self.vcpus[v].home) == li {
-                    std::mem::swap(&mut self.vcpus[v], &mut lane.vcpus[v]);
-                    self.flags[v] = lane.flags[v];
-                }
-            }
-            self.stats.absorb(&lane.stats);
-            self.events_processed += lane.events_processed;
-            parts.push(lane.sched);
-        }
-        self.sched.pdes_merge(&self.machine, parts);
-        self.stats.pdes.partitioned_runs += 1;
-        true
-    }
-
-    /// Window-boundary barrier: re-enacts the global handling order from
-    /// the lanes' per-event records, assigning master sequence numbers to
-    /// every push made this window (exactly the numbers the sequential
-    /// engine would have allocated), splicing event-log lines and trace
-    /// records in that order, then renumbering still-pending lane events
-    /// (queued ones and armed timer registers alike) and delivering the
-    /// cross-socket mailboxes.
-    fn merge_boundary(&mut self, lanes: &mut [Sim]) {
-        let n_lanes = lanes.len();
-        let log_on = self.event_log.is_some();
-        // Pull each lane's record and log streams out up front: the merge
-        // loop then walks plain local slices instead of re-borrowing
-        // through every lane's `part` box per iteration. The record
-        // vectors go back (cleared, capacity kept) in the renumber pass.
-        let mut recs: Vec<Vec<Rec>> = lanes
-            .iter_mut()
-            .map(|l| std::mem::take(&mut l.part.as_mut().expect("lane").records))
-            .collect();
-        let mut logs: Vec<std::vec::IntoIter<(Nanos, u64, String)>> = lanes
-            .iter_mut()
-            .map(|l| {
-                let fresh = l.event_log.is_some().then(Vec::new);
-                std::mem::replace(&mut l.event_log, fresh)
-                    .unwrap_or_default()
-                    .into_iter()
-            })
-            .collect();
-        // Each lane's allocation count is exact (`seq - PROV_BASE`), so the
-        // maps reserve once; retired maps come back from the pool.
-        let mut gseq: Vec<Vec<u64>> = Vec::with_capacity(n_lanes);
-        for lane in lanes.iter() {
-            let mut g = self.gseq_pool.pop().unwrap_or_default();
-            g.reserve((lane.seq - PROV_BASE) as usize);
-            gseq.push(g);
-        }
-        fn resolve(key: u64, gseq: &[u64]) -> u64 {
-            if key < PROV_BASE {
-                key
-            } else {
-                gseq[(key - PROV_BASE - 1) as usize]
-            }
-        }
-
-        // Merge cursors with *cached* resolved heads. A lane's head key
-        // always resolves against its own lane's `gseq`: the pusher's
-        // record sits strictly earlier in the same stream, so by the time
-        // a record becomes the head, every allocation it can reference is
-        // already numbered — recomputing the cache only after consuming
-        // from that lane is sound.
-        let mut idx = vec![0usize; n_lanes];
-        let mut spool = vec![0usize; n_lanes];
-        let mut head: Vec<Option<(Nanos, u64)>> = recs
-            .iter()
-            .map(|r| r.first().map(|rec| (rec.at, resolve(rec.key, &[]))))
-            .collect();
-        loop {
-            // Head record with the globally smallest (time, resolved seq).
-            let mut best: Option<(Nanos, u64, usize)> = None;
-            for (li, h) in head.iter().enumerate() {
-                if let Some((at, rk)) = *h {
-                    if best.is_none_or(|(bat, bk, _)| (at, rk) < (bat, bk)) {
-                        best = Some((at, rk, li));
-                    }
-                }
-            }
-            let Some((at, rk, li)) = best else {
-                break;
-            };
-            let rec = recs[li][idx[li]];
-            idx[li] += 1;
-            // Master seqs for this record's pushes, in allocation order —
-            // exactly when the sequential engine would have allocated them.
-            let base = self.seq;
-            gseq[li].extend(base + 1..=base + rec.pushes as u64);
-            self.seq = base + rec.pushes as u64;
-            if log_on {
-                if let Some(line) = logs[li].next() {
-                    debug_assert_eq!(line.0, at);
-                    if let Some(log) = &mut self.event_log {
-                        log.push((at, rk, line.2));
-                    }
-                }
-            }
-            if rec.traces > 0 {
-                let end = spool[li] + rec.traces as usize;
-                for i in spool[li]..end {
-                    let r = lanes[li].trace.spooled()[i];
-                    self.trace.absorb_record(r);
-                }
-                spool[li] = end;
-            }
-            head[li] = recs[li]
-                .get(idx[li])
-                .map(|r| (r.at, resolve(r.key, &gseq[li])));
-        }
-
-        // Renumber still-pending lane events, queued or in a timer register
-        // (provisional keys get their assigned master seqs), and resolve
-        // the outboxes.
-        let mut deliveries: Vec<(usize, Nanos, u64, Event)> = Vec::new();
-        for (li, lane) in lanes.iter_mut().enumerate() {
-            debug_assert_eq!((lane.seq - PROV_BASE) as usize, gseq[li].len());
-            if lane.seq != PROV_BASE {
-                let mut held: Vec<(Nanos, u64, Event)> = Vec::new();
-                while let Some(e) = lane.events.pop() {
-                    held.push(e);
-                }
-                for (at, key, event) in held {
-                    lane.events.push(at, resolve(key, &gseq[li]), event);
-                }
-                lane.timers.rekey(|key| resolve(key, &gseq[li]));
-            }
-            lane.seq = PROV_BASE;
-            let part = lane.part.as_mut().expect("lane");
-            let mut records = std::mem::take(&mut recs[li]);
-            records.clear();
-            part.records = records;
-            part.last_seq = PROV_BASE;
-            part.last_spool = 0;
-            for target in 0..n_lanes {
-                for (at, key, event) in part.outboxes[target].drain(..) {
-                    deliveries.push((target, at, resolve(key, &gseq[li]), event));
-                }
-            }
-            lane.trace.clear();
-        }
-        for (target, at, key, event) in deliveries {
-            lanes[target].events.push(at, key, event);
-            self.stats.pdes.mailbox_events += 1;
-        }
-        for mut g in gseq {
-            g.clear();
-            self.gseq_pool.push(g);
-        }
-    }
-
-    /// Advances a dense phase in a batched inner loop.
-    ///
-    /// Preconditions (checked by the caller): the queue is empty — every
-    /// pending event is a core timer — no fault engine is installed, and
-    /// the scheduler is dense-capable. The scheduler pre-computes each
-    /// core's decision sequence over a capped window
-    /// ([`VmScheduler::dense_window`]; a dense phase longer than the cap
-    /// rolls window-to-window inside the batch); slice boundaries are then
-    /// processed straight from the timer registers — no per-decision
-    /// virtual calls — with byte-identical `seq` allocation, event-log
-    /// lines, traces, and stats to the generic loop. The scheduler's own
-    /// state is synced at each window boundary via
-    /// [`VmScheduler::dense_commit`].
-    ///
-    /// The moment anything the window cannot express happens (a guest
-    /// blocks, the window under-runs), the batch commits, finishes the
-    /// in-flight operation through the generic helpers, and returns. The
-    /// registers are the batch's pending list and the generic loop's alike,
-    /// so however a batch ends there is nothing to hand back: the caller's
-    /// event loop, or the next batch, continues from them as they stand.
-    fn dense_batch(&mut self, end: Nanos) {
-        let mut win = std::mem::take(&mut self.dense);
-        win.resize_with(self.cores.len(), CoreWindow::default);
-        self.dense_windows(end, &mut win);
-        self.dense = win;
-    }
-
-    /// The window loop of [`Sim::dense_batch`].
-    fn dense_windows(&mut self, end: Nanos, win: &mut [CoreWindow]) {
-        // One window's construction cost is bounded by capping how much
-        // simulated time it may cover (one second ≈ a few thousand slices
-        // per core, so even a `run_until` spanning hours cannot make a
-        // single attempt allocate unboundedly); a dense phase longer than
-        // the cap rolls into the next window *inside* the batch — no
-        // event-queue round-trip, no generic event in between.
-        const WINDOW_CAP: Nanos = Nanos(1_000_000_000);
-
-        // The earliest armed timer, if it is due before the horizon.
-        let due = |sim: &mut Sim| sim.timers.earliest().map(|t| t.0).filter(|&at| at <= end);
-        // Nothing due: nothing to batch, and no verdict on the bail streak.
-        let Some(mut first) = due(self) else {
-            return;
-        };
-        loop {
-            // Each window starts at the earliest untaken timer, not at the
-            // clock: after a window that stopped short of a table switch
-            // the clock is still before the switch and the timers are at or
-            // past it, so the next window opens on the new table.
-            let from = first.max(self.now);
-            let mut cap = end.min(from + WINDOW_CAP);
-
-            // Ask the scheduler for every owned core's decision window up
-            // front (all cores sequentially; the partition's range in lane
-            // mode); any core declining aborts the attempt before any
-            // state changes. A window is cut where its earliest validity
-            // bound falls (the roll below continues from there).
-            let (lo, hi) = self
-                .part
-                .as_ref()
-                .map_or((0, win.len()), |p| (p.core_lo, p.core_hi));
-            let mut valid_before = Nanos::MAX;
-            for (core, w) in win.iter_mut().enumerate().take(hi).skip(lo) {
-                w.slices.clear();
-                let view = VcpuView {
-                    runnable: &self.flags,
-                };
-                match self
-                    .sched
-                    .dense_window(core, from, cap, view, &mut w.slices)
-                {
-                    Some(certified) => {
-                        w.costs = certified.costs;
-                        valid_before = valid_before.min(certified.valid_before);
-                    }
-                    None => {
-                        self.stats.batch.fallback_window += 1;
-                        self.batch_cooldown = self.events_processed + self.bail_cooldown(0);
-                        return;
-                    }
-                }
-                w.next_idx = 0;
-                w.commit_from = usize::MAX;
-                w.picked_to = 0;
-                w.last_decided = Nanos::ZERO;
-            }
-            cap = cap.min(valid_before - Nanos(1));
-            let mut batched: u64 = 0;
-
-            self.stats.batch.batch_entries += 1;
-            self.trace
-                .emit(self.now, TraceClass::BATCH, || TraceEvent::BatchEnter {
-                    pending: self.timers.armed(),
-                });
-
-            while let Some((at, seq, core)) = self.timers.earliest().filter(|t| t.0 <= cap) {
-                let (_, _, gen) = self.timers.take(core).expect("armed register");
-                debug_assert_eq!(self.cores[core].gen, gen, "a superseded timer was armed");
-                debug_assert!(at >= self.now, "time went backwards");
-                self.now = at;
-                self.events_processed += 1;
-                batched += 1;
-                if self.part.is_some() {
-                    self.note_handled(at, seq);
-                }
-                if let Some(log) = &mut self.event_log {
-                    log.push((at, seq, format!("{:?}", Event::CoreTimer { core, gen })));
-                }
-
-                if self.cores[core].running.is_some() && self.now < self.cores[core].decision_until
-                {
-                    // Burst completion inside the decision window. A guest
-                    // that blocks ends the batch: sync the scheduler before
-                    // it hears of the block, then finish generically.
-                    if let Some((vcpu, action)) = self.burst_complete(core) {
-                        self.dense_commit_all(win);
-                        self.block_running(core, vcpu, action);
-                        self.resched(core);
-                        self.dense_bailed(batched);
-                        self.stats.batch.fallback_block += 1;
-                        return;
-                    }
-                    continue;
-                }
-
-                // Decision expiry: de-schedule the incumbent (`stop_current`
-                // under the dense contract — flat cost, no IPIs) and take the
-                // next slice from the precomputed window.
-                self.apply_progress(core);
-                let costs = win[core].costs;
-                if let Some(vcpu) = self.cores[core].running.take() {
-                    let slot = &mut self.vcpus[vcpu.0 as usize];
-                    slot.state = VState::Runnable;
-                    slot.runnable_since = Some(self.now);
-                    slot.last_core = Some(core);
-                    let ran =
-                        std::mem::replace(&mut self.cores[core].ran_since_dispatch, Nanos::ZERO);
-                    self.trace
-                        .emit(self.now, TraceClass::SCHED, || TraceEvent::Deschedule {
-                            core,
-                            vcpu,
-                            ran,
-                        });
-                    self.stats.ops.record(OpKind::Deschedule, costs.deschedule);
-                    self.cores[core].pending_overhead += costs.deschedule;
-                }
-                self.cores[core].gen += 1;
-
-                let w = &mut win[core];
-                let mut i = w.next_idx;
-                while i < w.slices.len() && w.slices[i].until <= self.now {
-                    i += 1;
-                }
-                if i >= w.slices.len() {
-                    // The window under-ran the horizon (contract violation —
-                    // windows must extend past it); bail into the generic pick.
-                    debug_assert!(false, "dense window exhausted before the horizon");
-                    self.dense_commit_all(win);
-                    self.resched_pick(core);
-                    self.dense_bailed(batched);
-                    self.stats.batch.fallback_window += 1;
-                    return;
-                }
-                let slice = w.slices[i];
-                if w.commit_from == usize::MAX {
-                    w.commit_from = i;
-                }
-                w.next_idx = i + 1;
-                w.picked_to = i + 1;
-                w.last_decided = self.now;
-                self.stats.ops.record(OpKind::Schedule, costs.schedule);
-                let overhead =
-                    costs.schedule + std::mem::take(&mut self.cores[core].pending_overhead);
-                let until = slice.until.max(self.now + Nanos(1));
-                if let Some((vcpu, action)) = self.dispatch(core, slice.vcpu, overhead, until) {
-                    // Blocks straight off the dispatch: sync, then resume
-                    // the pick loop generically (where the generic path
-                    // `continue`s inside `resched_pick`).
-                    self.dense_commit_all(win);
-                    self.block_running(core, vcpu, action);
-                    self.resched_pick(core);
-                    self.dense_bailed(batched);
-                    self.stats.batch.fallback_block += 1;
-                    return;
-                }
-            }
-
-            // Window end reached: sync the scheduler, then either roll into
-            // the next window or stop (horizon reached, or nothing further
-            // due before it). No cooldown either way, and a finished batch
-            // resets the bail streak: the attempt paid for itself.
-            self.dense_commit_all(win);
-            self.stats.batch.batched_events += batched;
-            self.stats.batch.batch_exits += 1;
-            self.stats.batch.fallback_horizon += 1;
-            self.trace
-                .emit(self.now, TraceClass::BATCH, || TraceEvent::BatchExit {
-                    batched,
-                });
-            match due(self) {
-                Some(next) if cap < end => first = next,
-                _ => {
-                    self.batch_bails = 0;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Closes out a batch that bailed mid-window after `batched` events:
-    /// exit accounting and the re-attempt cooldown (the per-cause fallback
-    /// counter is the caller's).
-    fn dense_bailed(&mut self, batched: u64) {
-        self.stats.batch.batched_events += batched;
-        self.stats.batch.batch_exits += 1;
-        self.trace
-            .emit(self.now, TraceClass::BATCH, || TraceEvent::BatchExit {
-                batched,
-            });
-        self.batch_cooldown = self.events_processed + self.bail_cooldown(batched);
-    }
-
-    /// Registers a bailed batch attempt and returns how many events the
-    /// generic loop must process before the next one. The base cooldown
-    /// doubles per consecutive unproductive bail (capped at `32 << 8` =
-    /// 8192 events), so workloads that momentarily look dense but always
-    /// break the batch pay the window-construction cost ever more rarely;
-    /// a bail that still batched a sizeable run of events — or any batch
-    /// that reaches its horizon — resets the streak.
-    fn bail_cooldown(&mut self, batched: u64) -> u64 {
-        /// Events to process generically after a fallback before batching
-        /// is attempted again.
-        const COOLDOWN: u64 = 32;
-        if batched >= 256 {
-            self.batch_bails = 0;
-        } else {
-            self.batch_bails = (self.batch_bails + 1).min(8);
-        }
-        COOLDOWN << self.batch_bails
-    }
-
-    /// Replays the cumulative effect of a window's picks on the scheduler
-    /// (see [`VmScheduler::dense_commit`]), in core order.
-    fn dense_commit_all(&mut self, win: &mut [CoreWindow]) {
-        for (core, w) in win.iter_mut().enumerate() {
-            if w.commit_from == usize::MAX || w.commit_from >= w.picked_to {
-                continue;
-            }
-            let consumed = &w.slices[w.commit_from..w.picked_to];
-            let running = self.cores[core].running.is_some();
-            self.sched
-                .dense_commit(core, w.last_decided, consumed, running);
-            w.commit_from = usize::MAX;
         }
     }
 
@@ -1587,7 +672,12 @@ impl Sim {
     }
 
     /// Applies guest progress made on `core` since `run_started`.
-    fn apply_progress(&mut self, core: usize) -> Nanos {
+    ///
+    /// `#[inline]` because the dense window loop calls it per decision from
+    /// another module: without the hint it stays a call across codegen
+    /// units there (measured 4 % on `sim/run_until_dense_batched`).
+    #[inline]
+    pub(crate) fn apply_progress(&mut self, core: usize) -> Nanos {
         let c = &mut self.cores[core];
         let Some(vcpu) = c.running else {
             return Nanos::ZERO;
@@ -1613,7 +703,7 @@ impl Sim {
     /// *before* anything hears of the block — the caller follows up with
     /// [`Sim::block_running`] and a re-schedule.
     #[inline(always)]
-    fn burst_complete(&mut self, core: usize) -> Option<(VcpuId, GuestAction)> {
+    pub(crate) fn burst_complete(&mut self, core: usize) -> Option<(VcpuId, GuestAction)> {
         self.apply_progress(core);
         let vcpu = self.cores[core].running.expect("burst on idle core");
         let remaining = self.vcpus[vcpu.0 as usize]
@@ -1647,7 +737,7 @@ impl Sim {
     /// Transitions the running `vcpu` on `core` to blocked for `action` (a
     /// [`GuestAction::BlockFor`] arms its wake-up first), with scheduler
     /// notification and de-schedule bookkeeping.
-    fn block_running(&mut self, core: usize, vcpu: VcpuId, action: GuestAction) {
+    pub(crate) fn block_running(&mut self, core: usize, vcpu: VcpuId, action: GuestAction) {
         if let GuestAction::BlockFor(delay) = action {
             let slot = &mut self.vcpus[vcpu.0 as usize];
             slot.wake_gen += 1;
@@ -1672,16 +762,15 @@ impl Sim {
         let plan = self.sched.on_descheduled(vcpu, core, ran, self.now);
         self.stats.ops.record(OpKind::Deschedule, plan.cost);
         self.cores[core].pending_overhead += plan.cost;
-        self.send_ipis(core, &plan.ipi_cores);
+        self.send_ipis(&plan.ipi_cores);
         self.cores[core].running = None;
     }
 
-    /// Sends re-schedule IPIs from `src` to every target, charging the
-    /// intra- or cross-socket latency per hop (see
-    /// [`Machine::ipi_latency_between`]).
-    fn send_ipis(&mut self, src: usize, targets: &[usize]) {
+    /// Sends a re-schedule IPI to every target, charging the machine's IPI
+    /// latency per hop.
+    fn send_ipis(&mut self, targets: &[usize]) {
         for &t in targets {
-            let mut latency = self.machine.ipi_latency_between(src, t);
+            let mut latency = self.machine.ipi_latency;
             if let Some(f) = &mut self.faults {
                 match f.ipi_fate() {
                     IpiFate::Deliver => {}
@@ -1745,12 +834,12 @@ impl Sim {
         let plan = self.sched.on_descheduled(vcpu, core, ran, self.now);
         self.stats.ops.record(OpKind::Deschedule, plan.cost);
         self.cores[core].pending_overhead += plan.cost;
-        self.send_ipis(core, &plan.ipi_cores);
+        self.send_ipis(&plan.ipi_cores);
     }
 
     /// Full scheduling pass on `core`: stop the incumbent, ask the
     /// scheduler, dispatch.
-    fn resched(&mut self, core: usize) {
+    pub(crate) fn resched(&mut self, core: usize) {
         if !self.core_online[core] {
             // Re-schedules aimed at an offline core are absorbed; the
             // online path re-issues one when the core returns.
@@ -1765,7 +854,7 @@ impl Sim {
     /// already stopped and the decision generation bumped. Split out so the
     /// dense-batch path can resume a pass generically after a mid-pick
     /// bail.
-    fn resched_pick(&mut self, core: usize) {
+    pub(crate) fn resched_pick(&mut self, core: usize) {
         // A scheduler may hand back a vCPU that blocks instantly on
         // dispatch; loop a bounded number of times (each iteration blocks
         // one more vCPU, so it terminates).
@@ -1797,7 +886,7 @@ impl Sim {
     /// the compiler keeps it out of line, which measured ~5 % on the
     /// queue-driven path (two scheduling passes per guest I/O cycle).
     #[inline(always)]
-    fn dispatch(
+    pub(crate) fn dispatch(
         &mut self,
         core: usize,
         vcpu: Option<VcpuId>,
@@ -1902,19 +991,9 @@ impl Sim {
         // that will act on it); with no target the cost is charged nowhere
         // — the wake-up was absorbed by state alone.
         if let Some(&first) = plan.ipi_cores.first() {
-            // In lane mode the cost must land on an owned core — wake
-            // events route to the home socket, and partition-capable
-            // schedulers keep wake IPI targets on the waker's socket.
-            debug_assert!(
-                self.part
-                    .as_ref()
-                    .is_none_or(|p| (p.core_lo..p.core_hi).contains(&first)),
-                "wake IPI cost target {first} outside the partition"
-            );
             self.cores[first].pending_overhead += plan.cost;
         }
-        let home = self.vcpus[vcpu.0 as usize].home;
-        self.send_ipis(home, &plan.ipi_cores);
+        self.send_ipis(&plan.ipi_cores);
     }
 }
 

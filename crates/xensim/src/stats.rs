@@ -102,16 +102,6 @@ impl OpStats {
     pub fn total_overhead(&self) -> Nanos {
         self.schedule.total + self.wakeup.total + self.deschedule.total
     }
-
-    fn absorb(&mut self, other: &OpStats) {
-        for kind in OpKind::ALL {
-            let o = other.get(kind);
-            let s = self.get_mut(kind);
-            s.count += o.count;
-            s.total += o.total;
-            s.max = s.max.max(o.max);
-        }
-    }
 }
 
 /// Per-vCPU service and delay accounting.
@@ -150,16 +140,6 @@ impl VcpuStats {
         } else {
             self.delay_total / self.delay_count
         }
-    }
-
-    fn absorb(&mut self, other: &VcpuStats) {
-        self.service += other.service;
-        self.dispatches += other.dispatches;
-        self.wakeups += other.wakeups;
-        self.delay_count += other.delay_count;
-        self.delay_total += other.delay_total;
-        self.delay_max = self.delay_max.max(other.delay_max);
-        self.overruns += other.overruns;
     }
 }
 
@@ -219,19 +199,6 @@ impl DelayHist {
             .min(DelayHist::BUCKETS - 1);
         self.buckets.iter().skip(idx).sum()
     }
-
-    fn absorb(&mut self, other: &DelayHist) {
-        if other.count == 0 {
-            return;
-        }
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; DelayHist::BUCKETS];
-        }
-        for (s, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *s += o;
-        }
-        self.count += other.count;
-    }
 }
 
 /// Counters a runtime recovery loop (an SLA guardian) reports back into
@@ -289,69 +256,6 @@ pub struct BatchStats {
     pub fallback_window: u64,
 }
 
-/// Partitioned-engine (conservative per-socket PDES) accounting. Like
-/// [`BatchStats`], these describe *how* events were processed, not *what*
-/// happened, and are excluded from engine-equivalence comparisons.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct PdesStats {
-    /// `run_until` calls that actually ran partitioned (all guards held).
-    pub partitioned_runs: u64,
-    /// Conservative lookahead windows advanced (one per barrier across all
-    /// partitions).
-    pub windows_advanced: u64,
-    /// Cross-socket events exchanged through the per-pair mailboxes.
-    pub mailbox_events: u64,
-    /// Partition-windows in which a partition had nothing to do before the
-    /// lookahead horizon (it stalled waiting on its peers).
-    pub lookahead_stalls: u64,
-    /// Declines: the machine has a single socket (nothing to partition).
-    pub declined_single_socket: u64,
-    /// Declines: a fault engine is armed (host-level event injection is
-    /// inherently cross-partition).
-    pub declined_faults_armed: u64,
-    /// Declines: the scheduler does not implement partitioned splitting.
-    pub declined_scheduler_opt_out: u64,
-    /// Declines: a table install is staged or not yet adopted everywhere.
-    pub declined_tables_unsettled: u64,
-    /// Declines: an SLA monitor is attached (global observation order).
-    pub declined_monitor_attached: u64,
-    /// Declines: a vCPU's placement spans sockets.
-    pub declined_cross_socket_placement: u64,
-    /// Declines: zero cross-socket IPI latency leaves no lookahead.
-    pub declined_no_lookahead: u64,
-}
-
-impl PdesStats {
-    /// Adds `other`'s counters into this record (all fields are additive).
-    /// Public so multi-simulator harnesses (e.g. the fleet control plane)
-    /// can aggregate per-host counters into one artifact row.
-    pub fn absorb(&mut self, other: &PdesStats) {
-        self.partitioned_runs += other.partitioned_runs;
-        self.windows_advanced += other.windows_advanced;
-        self.mailbox_events += other.mailbox_events;
-        self.lookahead_stalls += other.lookahead_stalls;
-        self.declined_single_socket += other.declined_single_socket;
-        self.declined_faults_armed += other.declined_faults_armed;
-        self.declined_scheduler_opt_out += other.declined_scheduler_opt_out;
-        self.declined_tables_unsettled += other.declined_tables_unsettled;
-        self.declined_monitor_attached += other.declined_monitor_attached;
-        self.declined_cross_socket_placement += other.declined_cross_socket_placement;
-        self.declined_no_lookahead += other.declined_no_lookahead;
-    }
-
-    /// Total declined `run_until` calls, by any reason.
-    pub fn declines(&self) -> u64 {
-        self.declined_single_socket
-            + self.declined_faults_armed
-            + self.declined_scheduler_opt_out
-            + self.declined_tables_unsettled
-            + self.declined_monitor_attached
-            + self.declined_cross_socket_placement
-            + self.declined_no_lookahead
-    }
-}
-
 /// Whole-simulation statistics.
 ///
 /// All of it is a function of the events *handled* — and a core timer
@@ -359,8 +263,8 @@ impl PdesStats {
 /// engines overwrite it in its core's register, the reference heap discards
 /// it when it surfaces, and neither counts it anywhere (here, in
 /// `Sim::events_processed`, or in [`BatchStats::batched_events`]). Apart
-/// from [`SimStats::batch`] and [`SimStats::pdes`], every field is equal
-/// bit for bit under every `EngineKind`.
+/// from [`SimStats::batch`], every field is equal bit for bit under every
+/// `EngineKind`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Scheduler operation overheads.
@@ -397,9 +301,6 @@ pub struct SimStats {
     /// Dense-phase batching accounting (zero on the reference engines).
     #[serde(default)]
     pub batch: BatchStats,
-    /// Partitioned-engine accounting (zero on the reference engines).
-    #[serde(default)]
-    pub pdes: PdesStats,
 }
 
 impl SimStats {
@@ -444,64 +345,6 @@ impl SimStats {
             .get(vcpu.0 as usize)
             .cloned()
             .unwrap_or_default()
-    }
-
-    /// Merges a partition's statistics into this (whole-simulation) record.
-    ///
-    /// Everything is additive except the maxima (maxed) and
-    /// `trace_dropped`, which the owning simulation recomputes from its own
-    /// ring after partition traces are spliced back.
-    pub(crate) fn absorb(&mut self, other: &SimStats) {
-        self.ops.absorb(&other.ops);
-        if self.vcpus.len() < other.vcpus.len() {
-            self.vcpus
-                .resize_with(other.vcpus.len(), VcpuStats::default);
-        }
-        for (s, o) in self.vcpus.iter_mut().zip(&other.vcpus) {
-            s.absorb(o);
-        }
-        if self.delay_hists.len() < other.delay_hists.len() {
-            self.delay_hists
-                .resize_with(other.delay_hists.len(), DelayHist::default);
-        }
-        for (s, o) in self.delay_hists.iter_mut().zip(&other.delay_hists) {
-            s.absorb(o);
-        }
-        for (s, o) in self.core_busy.iter_mut().zip(&other.core_busy) {
-            *s += *o;
-        }
-        for (s, o) in self.stolen_time.iter_mut().zip(&other.stolen_time) {
-            *s += *o;
-        }
-        for (s, o) in self
-            .core_offline_time
-            .iter_mut()
-            .zip(&other.core_offline_time)
-        {
-            *s += *o;
-        }
-        self.ipis += other.ipis;
-        self.context_switches += other.context_switches;
-        self.ipis_lost += other.ipis_lost;
-        self.overruns += other.overruns;
-        self.overrun_time += other.overrun_time;
-        self.core_offline_events += other.core_offline_events;
-        self.recovery.violations_seen += other.recovery.violations_seen;
-        self.recovery.evacuations += other.recovery.evacuations;
-        self.recovery.install_retries += other.recovery.install_retries;
-        self.recovery.quarantines += other.recovery.quarantines;
-        self.recovery.evacuated_vms += other.recovery.evacuated_vms;
-        self.recovery.evacuation_retries += other.recovery.evacuation_retries;
-        self.recovery.admissions += other.recovery.admissions;
-        self.recovery.admission_rejections += other.recovery.admission_rejections;
-        self.recovery.parked_vms += other.recovery.parked_vms;
-        self.batch.batched_events += other.batch.batched_events;
-        self.batch.batch_entries += other.batch.batch_entries;
-        self.batch.batch_exits += other.batch.batch_exits;
-        self.batch.fallback_horizon += other.batch.fallback_horizon;
-        self.batch.fallback_block += other.batch.fallback_block;
-        self.batch.fallback_window += other.batch.fallback_window;
-        self.pdes.absorb(&other.pdes);
     }
 }
 

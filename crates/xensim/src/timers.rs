@@ -15,8 +15,6 @@
 //! the order of one queue holding everything (the reference heap engine
 //! still is that queue; the equivalence suites compare against it).
 
-use std::ops::Range;
-
 use rtsched::time::Nanos;
 
 /// An armed core timer: `(time, seq, gen)` — the `(time, seq)` key it
@@ -102,36 +100,6 @@ impl CoreTimers {
     pub(crate) fn armed(&self) -> usize {
         self.regs.iter().flatten().count()
     }
-
-    /// Rewrites every armed register's `seq` through `resolve` (the PDES
-    /// window boundary turns provisional sequence numbers into final ones).
-    pub(crate) fn rekey(&mut self, resolve: impl Fn(u64) -> u64) {
-        for timer in self.regs.iter_mut().flatten() {
-            timer.1 = resolve(timer.1);
-        }
-        self.cached = None;
-    }
-
-    /// The largest `seq` in any armed register (`0` when none is armed).
-    pub(crate) fn max_seq(&self) -> u64 {
-        self.regs.iter().flatten().map(|t| t.1).max().unwrap_or(0)
-    }
-
-    /// A register file of the same width holding only `cores`' registers
-    /// (what a PDES lane owning those cores starts from).
-    pub(crate) fn only(&self, cores: Range<usize>) -> CoreTimers {
-        let mut lane = CoreTimers::new(self.regs.len());
-        lane.regs[cores.clone()].copy_from_slice(&self.regs[cores]);
-        lane.cached = None;
-        lane
-    }
-
-    /// Copies `cores`' registers back from `lane` (the inverse of
-    /// [`CoreTimers::only`]).
-    pub(crate) fn adopt(&mut self, lane: &CoreTimers, cores: Range<usize>) {
-        self.regs[cores.clone()].copy_from_slice(&lane.regs[cores]);
-        self.cached = None;
-    }
 }
 
 #[cfg(test)]
@@ -166,33 +134,6 @@ mod tests {
         assert_eq!(t.earliest(), Some((Nanos(200), 2, 1)));
         t.arm(1, (Nanos(50), 4, 2)); // a newer timer can still be sooner
         assert_eq!(t.earliest(), Some((Nanos(50), 4, 1)));
-    }
-
-    #[test]
-    fn rekeying_reorders_same_instant_timers() {
-        let mut t = CoreTimers::new(2);
-        t.arm(0, (Nanos(10), 1 << 63, 1));
-        t.arm(1, (Nanos(10), 40, 1));
-        assert_eq!(t.earliest(), Some((Nanos(10), 40, 1)));
-        t.rekey(|seq| if seq >= 1 << 63 { 12 } else { seq });
-        assert_eq!(t.earliest(), Some((Nanos(10), 12, 0)));
-        assert_eq!(t.max_seq(), 40);
-    }
-
-    #[test]
-    fn lanes_split_and_rejoin_the_registers() {
-        let mut t = CoreTimers::new(4);
-        for core in 0..4 {
-            t.arm(core, (Nanos(100 - core as u64), core as u64, 1));
-        }
-        let mut lane = t.only(0..2);
-        assert_eq!(lane.armed(), 2);
-        assert_eq!(lane.earliest(), Some((Nanos(99), 1, 1)));
-        lane.take(1);
-        lane.arm(0, (Nanos(5), 9, 2));
-        t.adopt(&lane, 0..2);
-        assert_eq!(t.armed(), 3);
-        assert_eq!(t.earliest(), Some((Nanos(5), 9, 0)));
     }
 
     /// The cache never disagrees with a fresh scan, whatever the order of

@@ -151,44 +151,9 @@ impl TraceBuffer {
         }
     }
 
-    /// Creates an unbounded *spool* buffer mirroring `other`'s enablement
-    /// and filter. Partitions record into spools (insertion order, never
-    /// wrapping) so the owning simulation can splice their records back
-    /// into its bounded ring in globally merged order — the ring's
-    /// capacity/overwrite semantics must apply to the merged stream, not
-    /// per partition.
-    pub(crate) fn spool_like(other: &TraceBuffer) -> TraceBuffer {
-        TraceBuffer {
-            records: Vec::new(),
-            capacity: usize::MAX,
-            head: 0,
-            wrapped: false,
-            enabled: other.enabled,
-            filter: other.filter,
-            dropped: 0,
-        }
-    }
-
-    /// The spooled records in insertion order (spool buffers never wrap,
-    /// so insertion order is chronological per partition).
-    pub(crate) fn spooled(&self) -> &[TraceRecord] {
-        debug_assert!(!self.wrapped);
-        &self.records
-    }
-
-    /// Appends an already-filtered record, applying only the ring's
-    /// capacity/overwrite accounting (splice-back from partition spools;
-    /// the spool recorded under the same filter).
-    pub(crate) fn absorb_record(&mut self, rec: TraceRecord) {
-        if !self.enabled {
-            return;
-        }
-        self.push_record(rec);
-    }
-
     /// Enables or disables recording. Enabling reserves the whole ring up
-    /// front (spools are unbounded and grow on demand), so recording never
-    /// reallocates.
+    /// front (a `usize::MAX`-capacity buffer grows on demand instead), so
+    /// recording never reallocates.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if enabled && self.capacity != usize::MAX {

@@ -13,7 +13,7 @@
 //! every event, core timers included, in one queue and discards a
 //! superseded timer when it surfaces, where the wheel-backed engines
 //! overwrite it in its core's register. The slotted arm below makes
-//! superseded timers the dominant traffic and holds all four engines to
+//! superseded timers the dominant traffic and holds all three engines to
 //! the same stream.
 
 use proptest::prelude::*;
@@ -21,8 +21,8 @@ use proptest::prelude::*;
 use rtsched::time::Nanos;
 use xensim::fault::FaultConfig;
 use xensim::sched::{
-    DeschedulePlan, GuestAction, GuestWorkload, IpiTargets, PdesDecline, PdesSplit, SchedDecision,
-    VcpuId, VcpuView, VmScheduler,
+    DeschedulePlan, GuestAction, GuestWorkload, IpiTargets, SchedDecision, VcpuId, VcpuView,
+    VmScheduler,
 };
 use xensim::trace::TraceRecord;
 use xensim::{EngineKind, Machine, Sim, SimStats, TraceClass, WakeupPlan};
@@ -233,9 +233,7 @@ proptest! {
 /// decision — an idle one included — expires at the slot end. A guest that
 /// blocks mid-slot leaves an idle-until-slot-end timer behind; its wake-up
 /// re-schedules the core and supersedes that timer, so an I/O guest piles
-/// one superseded timer per wake-up onto the slot-end instant. Stateless
-/// apart from the homes, hence trivially partitionable.
-#[derive(Clone)]
+/// one superseded timer per wake-up onto the slot-end instant.
 struct Slotted {
     slot: Nanos,
     homes: Vec<usize>,
@@ -283,22 +281,6 @@ impl VmScheduler for Slotted {
         }
     }
 
-    fn pdes_split(&self, machine: &Machine) -> Result<PdesSplit, PdesDecline> {
-        Ok(PdesSplit {
-            parts: (0..machine.n_sockets)
-                .map(|_| Box::new(self.clone()) as Box<dyn VmScheduler>)
-                .collect(),
-            vcpu_sockets: self
-                .homes
-                .iter()
-                .map(|&h| Some(machine.socket_of(h)))
-                .collect(),
-            socket_local_ipis: false,
-        })
-    }
-
-    fn pdes_merge(&mut self, _machine: &Machine, _parts: Vec<Box<dyn VmScheduler>>) {}
-
     fn register_vcpu(&mut self, vcpu: VcpuId, home: usize) {
         debug_assert_eq!(vcpu.0 as usize, self.homes.len());
         self.homes.push(home);
@@ -311,8 +293,8 @@ impl VmScheduler for Slotted {
 
 /// One run of the slotted I/O scenario on a two-socket machine: every vCPU
 /// an `IoStress`-style cycler (`burst` us of compute, `wait` us asleep),
-/// all runnable at boot. Batch/PDES bookkeeping — *how* events were
-/// processed — is normalized away.
+/// all runnable at boot. Batch bookkeeping — *how* events were processed —
+/// is normalized away.
 fn observe_slotted(
     engine: EngineKind,
     cores_per_socket: usize,
@@ -324,7 +306,6 @@ fn observe_slotted(
     let mut machine = Machine::small(cores_per_socket * 2);
     machine.n_sockets = 2;
     machine.cores_per_socket = cores_per_socket;
-    let machine = machine.with_cross_ipi_latency(Nanos::from_micros(7));
     let sched = Slotted {
         slot: Nanos::from_micros(slot_us),
         homes: Vec::new(),
@@ -345,14 +326,9 @@ fn observe_slotted(
         let target = VcpuId(v % vcpus.len() as u32);
         sim.push_external(Nanos::from_micros(at_us), target, 0);
     }
-    let (log, mut stats, mut trace, handled) = rayon::with_threads(2, || observe(sim, horizon));
-    if engine == EngineKind::Partitioned {
-        let pdes = stats.pdes;
-        assert!(pdes.partitioned_runs > 0, "declined: {pdes:?}");
-    }
+    let (log, mut stats, mut trace, handled) = observe(sim, horizon);
     trace.retain(|r| !r.event.class().intersects(TraceClass::BATCH));
     stats.batch = Default::default();
-    stats.pdes = Default::default();
     (log, stats, trace, handled)
 }
 
@@ -391,7 +367,7 @@ fn superseded_generations(log: &[(Nanos, u64, String)]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Heap, wheel, hybrid and partitioned engines agree line for line —
+    /// Heap, wheel and hybrid engines agree line for line —
     /// and on `events_processed` — when most armed timers are superseded,
     /// dozens of them due at the same slot-end instant.
     #[test]
@@ -404,7 +380,7 @@ proptest! {
         let horizon = Nanos::from_millis(12);
         let run = |engine| observe_slotted(engine, cores_per_socket, slot_us, &vcpus, &events, horizon);
         let heap = run(EngineKind::Heap);
-        for engine in [EngineKind::Wheel, EngineKind::Hybrid, EngineKind::Partitioned] {
+        for engine in [EngineKind::Wheel, EngineKind::Hybrid] {
             let other = run(engine);
             prop_assert_eq!(&heap.0, &other.0, "{:?}: event stream diverged", engine);
             prop_assert_eq!(&heap.1, &other.1, "{:?}: stats diverged", engine);
