@@ -2,7 +2,7 @@
 //! plan at install time, re-checked incrementally against the live table.
 //!
 //! The planner verifies every schedule before it becomes a table, and the
-//! rule engine (`rtsched::rules`) re-verifies deltas in O(delta) — but both
+//! per-bin check (`rtsched::rules`) re-verifies deltas in O(delta) — but both
 //! run *before* install. Once a table is live, nothing re-examines it: a
 //! bad splice that slipped past verification, or an in-memory corruption of
 //! the installed copy, would go unnoticed until a vCPU misses its SLA. The

@@ -46,9 +46,10 @@
 //! fresh one.
 //!
 //! Entries are shared via [`Arc`]; eviction is least-recently-used with a
-//! fixed capacity and clears only the plan — the slot's key and counters
-//! survive, so [`PlanCache::stats`] reports each key's lifetime hit/miss
-//! history for fleet observability.
+//! fixed capacity and clears only the plan — the slot's key and its
+//! lifetime hit count survive, so a shape that has ever served a request
+//! stays out of a speculative warm's reach after it is evicted and planned
+//! again.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -143,19 +144,6 @@ impl Key {
                 .collect(),
             opts: OptionsKey::of(opts),
         }
-    }
-
-    /// Human-readable label for stats (`cores=2 vcpus=8 peephole coalesce=50us`).
-    fn label(&self) -> String {
-        let mut s = format!("cores={} vcpus={}", self.n_cores, self.specs.len());
-        if self.opts.peephole {
-            s.push_str(" peephole");
-        }
-        s.push_str(&format!(
-            " coalesce={}ns first_stage={}",
-            self.opts.coalesce_threshold, self.opts.first_stage
-        ));
-        s
     }
 }
 
@@ -289,41 +277,27 @@ impl Hasher for IdentityHasher {
 type BucketMap = HashMap<u64, Vec<u32>, BuildHasherDefault<IdentityHasher>>;
 
 /// One cache slot. Slots are append-only: eviction clears `plan` but keeps
-/// the key and its lifetime counters.
+/// the key and its lifetime hit count.
 #[derive(Debug)]
 struct Slot {
     key: Key,
     plan: Option<Arc<Plan>>,
     used: u64,
     hits: u64,
-    misses: u64,
 }
 
-/// Hit/miss counters for one cache key, as reported by [`PlanCache::stats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyStats {
-    /// Human-readable key label (core count, vCPU count, options summary).
-    pub key: String,
-    /// Hits served for this key.
-    pub hits: u64,
-    /// Misses (planner invocations) charged to this key.
-    pub misses: u64,
-}
-
-/// Aggregate and per-key cache statistics.
+/// Aggregate cache statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total hits across all keys.
     pub hits: u64,
     /// Total misses across all keys.
     pub misses: u64,
-    /// Per-key counters, most-hit first. Keys survive eviction of their
-    /// entry (counters track the key's lifetime, not the entry's).
-    pub per_key: Vec<KeyStats>,
 }
 
-/// Speculative planner runs [`PlanCache::warm`] may spend per warm epoch
-/// (see [`PlanCache::begin_warm_epoch`]) before declining further warms.
+/// Speculative planner runs [`SharedPlanCache::warm_batch`] may spend per
+/// warm epoch (see [`SharedPlanCache::begin_warm_epoch`]) before declining
+/// further warms.
 pub const DEFAULT_WARM_BUDGET: usize = 8;
 
 /// An LRU cache of planner outputs.
@@ -341,9 +315,6 @@ pub struct PlanCache {
     hits: u64,
     misses: u64,
     warmed: u64,
-    warm_budget: usize,
-    /// Planner runs spent by `warm` since the last `begin_warm_epoch`.
-    warm_spent: usize,
 }
 
 impl PlanCache {
@@ -358,23 +329,7 @@ impl PlanCache {
             hits: 0,
             misses: 0,
             warmed: 0,
-            warm_budget: DEFAULT_WARM_BUDGET,
-            warm_spent: 0,
         }
-    }
-
-    /// Caps the speculative planner runs each warm epoch may spend.
-    pub fn set_warm_budget(&mut self, budget: usize) {
-        self.warm_budget = budget;
-    }
-
-    /// Opens a new warm epoch: [`PlanCache::warm`] may again spend up to
-    /// the warm budget in planner runs. Callers draw the epoch boundary —
-    /// the fleet control plane calls this once per control epoch, so a
-    /// prediction storm can never monopolize an epoch with speculative
-    /// planning.
-    pub fn begin_warm_epoch(&mut self) {
-        self.warm_spent = 0;
     }
 
     /// Index of the slot matching `(host, opts)`, if one exists.
@@ -404,7 +359,6 @@ impl PlanCache {
             plan: None,
             used: 0,
             hits: 0,
-            misses: 0,
         });
         self.buckets.entry(fp).or_default().push(idx as u32);
         idx
@@ -442,8 +396,7 @@ impl PlanCache {
     /// Hit-only probe: returns the cached plan for `(host, opts)` without
     /// ever invoking the planner. A hit refreshes recency and counts toward
     /// the hit statistics; an absence counts nothing — misses are charged
-    /// by the entry points that actually plan ([`PlanCache::get_or_plan`],
-    /// [`PlanCache::warm`]).
+    /// by the entry point that actually plans ([`PlanCache::get_or_plan`]).
     pub fn lookup(&mut self, host: &HostConfig, opts: &PlannerOptions) -> Option<Arc<Plan>> {
         self.tick += 1;
         let i = self.find(host, opts)?;
@@ -477,49 +430,18 @@ impl PlanCache {
         self.fill(idx, plan, warm);
     }
 
-    /// Speculatively pre-plans `(host, opts)` so the predicted request hits.
-    ///
-    /// If the shape is already cached this only refreshes its recency (the
-    /// warmed entry must survive until the request it anticipates) and
-    /// returns it; nothing is counted as a hit or miss either way — warming
-    /// is not a request. Planner invocations are tallied in
-    /// [`PlanCache::warmed`] and bounded: once the per-epoch budget is
-    /// spent (see [`PlanCache::begin_warm_epoch`]) the warm is declined
-    /// with `Ok(None)` before any planning happens. A warm is likewise
-    /// declined when caching its result could only evict an entry with
-    /// demonstrated demand — speculation never displaces a plan that has
-    /// served a real request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`plan`]'s admission errors; failures are not cached.
-    pub fn warm(
-        &mut self,
-        host: &HostConfig,
-        opts: &PlannerOptions,
-    ) -> Result<Option<Arc<Plan>>, PlanError> {
+    /// The cached plan for `(host, opts)`, its recency refreshed but
+    /// nothing counted — what a speculative warm does on finding its shape
+    /// already cached: the entry must survive until the request it
+    /// anticipates, and warming is not a request.
+    fn refresh(&mut self, host: &HostConfig, opts: &PlannerOptions) -> Option<Arc<Plan>> {
         self.tick += 1;
-        if let Some(i) = self.find(host, opts) {
-            let tick = self.tick;
-            let slot = &mut self.slots[i];
-            if let Some(cached) = slot.plan.clone() {
-                slot.used = tick;
-                return Ok(Some(cached));
-            }
-        }
-        if self.warm_spent >= self.warm_budget {
-            return Ok(None);
-        }
-        if self.full_of_proven_demand() {
-            // Decline before spending the planner run on a table we could
-            // not keep.
-            return Ok(None);
-        }
-        let fresh = Arc::new(plan(host, opts)?);
-        self.warm_spent += 1;
-        self.warmed += 1;
-        self.install(host, opts, fresh.clone(), true);
-        Ok(Some(fresh))
+        let i = self.find(host, opts)?;
+        let tick = self.tick;
+        let slot = &mut self.slots[i];
+        let cached = slot.plan.clone()?;
+        slot.used = tick;
+        Some(cached)
     }
 
     /// Returns the cached plan for `(host, opts)`, planning (and caching)
@@ -529,7 +451,7 @@ impl PlanCache {
     /// # Errors
     ///
     /// Propagates [`plan`]'s admission errors; failures are not cached (the
-    /// key's miss counter still records the attempt).
+    /// miss counter still records the attempt).
     pub fn get_or_plan(
         &mut self,
         host: &HostConfig,
@@ -538,10 +460,8 @@ impl PlanCache {
         if let Some(cached) = self.lookup(host, opts) {
             return Ok(cached);
         }
-        // Miss: materialize the slot first so even a failed planner run is
-        // charged to the key's counters.
+        // Miss: charged before planning, so a failed run still counts.
         let idx = self.slot_for(host, opts);
-        self.slots[idx].misses += 1;
         self.misses += 1;
 
         let fresh = Arc::new(plan(host, opts)?);
@@ -559,29 +479,17 @@ impl PlanCache {
         self.misses
     }
 
-    /// Planner runs performed by [`PlanCache::warm`] (speculative, not
+    /// Speculative planner runs whose plans were installed here (not
     /// counted as misses).
     pub fn warmed(&self) -> u64 {
         self.warmed
     }
 
-    /// Aggregate plus per-key hit/miss statistics, most-hit keys first
-    /// (ties broken by label for a stable report).
+    /// Aggregate hit/miss statistics.
     pub fn stats(&self) -> CacheStats {
-        let mut per_key: Vec<KeyStats> = self
-            .slots
-            .iter()
-            .map(|s| KeyStats {
-                key: s.key.label(),
-                hits: s.hits,
-                misses: s.misses,
-            })
-            .collect();
-        per_key.sort_by(|a, b| b.hits.cmp(&a.hits).then_with(|| a.key.cmp(&b.key)));
         CacheStats {
             hits: self.hits,
             misses: self.misses,
-            per_key,
         }
     }
 
@@ -593,13 +501,6 @@ impl PlanCache {
     /// `true` if the cache holds no plans.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every cached plan (per-key statistics are retained).
-    pub fn clear(&mut self) {
-        for i in self.live.drain(..) {
-            self.slots[i as usize].plan = None;
-        }
     }
 }
 
@@ -619,20 +520,15 @@ const SHARDS: usize = 8;
 /// contend, and two requests for the *same* shape serialize on one stripe —
 /// exactly the ordering a correct cache needs.
 ///
-/// The speculative warm budget stays **global** (one counter behind its own
+/// The speculative warm budget is **global** (one counter behind its own
 /// mutex, not per stripe): `begin_warm_epoch` opens a fleet-wide allowance
-/// exactly as the sequential cache did, so sharding cannot multiply the
-/// planner runs a prediction storm may spend.
+/// of [`DEFAULT_WARM_BUDGET`] planner runs, so sharding cannot multiply
+/// what a prediction storm may spend.
 #[derive(Debug)]
 pub struct SharedPlanCache {
     shards: Vec<Mutex<PlanCache>>,
-    warm: Mutex<SharedWarmState>,
-}
-
-#[derive(Debug)]
-struct SharedWarmState {
-    budget: usize,
-    spent: usize,
+    /// Planner runs spent by warms since the last `begin_warm_epoch`.
+    warm_spent: Mutex<usize>,
 }
 
 impl SharedPlanCache {
@@ -642,21 +538,11 @@ impl SharedPlanCache {
     /// global — a hot stripe can evict while a cold one has room.
     pub fn new(capacity: usize) -> SharedPlanCache {
         let per_shard = capacity.div_ceil(SHARDS).max(1);
-        let shards = (0..SHARDS)
-            .map(|_| {
-                let mut c = PlanCache::new(per_shard);
-                // Stripes never decline on budget themselves; the global
-                // warm state is the only budget authority.
-                c.set_warm_budget(usize::MAX);
-                Mutex::new(c)
-            })
-            .collect();
         SharedPlanCache {
-            shards,
-            warm: Mutex::new(SharedWarmState {
-                budget: DEFAULT_WARM_BUDGET,
-                spent: 0,
-            }),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(PlanCache::new(per_shard)))
+                .collect(),
+            warm_spent: Mutex::new(0),
         }
     }
 
@@ -673,31 +559,29 @@ impl SharedPlanCache {
             .expect("plan cache stripe poisoned")
     }
 
-    /// Caps the speculative planner runs each warm epoch may spend,
-    /// fleet-wide (see [`PlanCache::set_warm_budget`]).
-    pub fn set_warm_budget(&self, budget: usize) {
-        self.warm.lock().expect("warm state poisoned").budget = budget;
-    }
-
-    /// Opens a new warm epoch (see [`PlanCache::begin_warm_epoch`]).
+    /// Opens a new warm epoch: [`SharedPlanCache::warm_batch`] may again
+    /// spend up to [`DEFAULT_WARM_BUDGET`] planner runs. Callers draw the
+    /// epoch boundary — the fleet control plane calls this once per control
+    /// epoch, so a prediction storm can never monopolize an epoch with
+    /// speculative planning.
     pub fn begin_warm_epoch(&self) {
-        self.warm.lock().expect("warm state poisoned").spent = 0;
+        *self.warm_spent.lock().expect("warm state poisoned") = 0;
     }
 
     /// Reserves one planner run against the global warm budget.
     fn try_spend_warm(&self) -> bool {
-        let mut w = self.warm.lock().expect("warm state poisoned");
-        if w.spent >= w.budget {
+        let mut spent = self.warm_spent.lock().expect("warm state poisoned");
+        if *spent >= DEFAULT_WARM_BUDGET {
             return false;
         }
-        w.spent += 1;
+        *spent += 1;
         true
     }
 
     /// Returns a reserved planner run that was declined or failed.
     fn refund_warm(&self) {
-        let mut w = self.warm.lock().expect("warm state poisoned");
-        w.spent = w.spent.saturating_sub(1);
+        let mut spent = self.warm_spent.lock().expect("warm state poisoned");
+        *spent = spent.saturating_sub(1);
     }
 
     /// Hit-only probe (see [`PlanCache::lookup`]).
@@ -725,46 +609,24 @@ impl SharedPlanCache {
         self.shard(host, opts).get_or_plan(host, opts)
     }
 
-    /// Speculatively pre-plans one shape (see [`PlanCache::warm`]), charged
-    /// against the **global** warm budget. Already-cached shapes refresh
-    /// for free past the budget, exactly as sequentially.
+    /// Speculatively pre-plans a batch of shapes so the predicted requests
+    /// hit, running the planner for the uncached ones **in parallel** (the
+    /// planner is pure; every cache mutation stays sequential in request
+    /// order, so the outcome is deterministic and thread-count
+    /// independent). Per shape the result is the warmed plan, or `None`
+    /// when the shape was declined or its planner run failed — speculative
+    /// failures are not actionable, so they are not surfaced as errors.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`plan`]'s admission errors; failures are not cached and
-    /// do not consume budget.
-    pub fn warm(
-        &self,
-        host: &HostConfig,
-        opts: &PlannerOptions,
-    ) -> Result<Option<Arc<Plan>>, PlanError> {
-        let mut shard = self.shard(host, opts);
-        if let Some(i) = shard.find(host, opts) {
-            if shard.slots[i].plan.is_some() {
-                // Cached: the stripe's own warm path is a free refresh.
-                return shard.warm(host, opts);
-            }
-        }
-        if !self.try_spend_warm() {
-            return Ok(None);
-        }
-        let before = shard.warmed;
-        let out = shard.warm(host, opts);
-        if shard.warmed == before {
-            // The stripe declined (capacity) or the planner failed: the
-            // reserved run was never spent.
-            self.refund_warm();
-        }
-        out
-    }
-
-    /// Warms a batch of shapes, running the planner for the uncached ones
-    /// **in parallel** (the planner is pure; every cache mutation stays
-    /// sequential in request order, so the outcome is deterministic and
-    /// thread-count independent). Per shape the result is the warmed plan,
-    /// or `None` when the shape was declined (budget, capacity) or its
-    /// planner run failed — speculative failures are not actionable, so
-    /// they are not surfaced as errors.
+    /// Warming is not a request: nothing is counted as a hit or miss, and
+    /// a shape already cached only has its recency refreshed (for free,
+    /// even past the budget). Planner runs are tallied in
+    /// [`SharedPlanCache::warmed`] and bounded: once the epoch's
+    /// [`DEFAULT_WARM_BUDGET`] is spent (see
+    /// [`SharedPlanCache::begin_warm_epoch`]) a warm is declined before any
+    /// planning happens; a failed run hands its reservation back. A warm is
+    /// likewise declined when caching its result could only evict an entry
+    /// with demonstrated demand — speculation never displaces a plan that
+    /// has served a real request.
     ///
     /// Decline decisions are taken up-front against the pre-batch stripe
     /// state; duplicate shapes in one batch plan once, with later
@@ -785,16 +647,9 @@ impl SharedPlanCache {
         let mut planned_keys: Vec<Key> = Vec::new();
         for host in shapes {
             let mut shard = self.shard(host, opts);
-            shard.tick += 1;
-            if let Some(i) = shard.find(host, opts) {
-                let tick = shard.tick;
-                let slot = &mut shard.slots[i];
-                if let Some(cached) = slot.plan.clone() {
-                    // Cached: free recency refresh, as in `warm`.
-                    slot.used = tick;
-                    triage.push(Triage::Done(Some(cached)));
-                    continue;
-                }
+            if let Some(cached) = shard.refresh(host, opts) {
+                triage.push(Triage::Done(Some(cached)));
+                continue;
             }
             if planned_keys.iter().any(|k| key_matches(k, host, opts)) {
                 triage.push(Triage::Dup);
@@ -844,8 +699,9 @@ impl SharedPlanCache {
             .enumerate()
             .map(|(i, t)| match t {
                 Triage::Done(p) => p,
-                // Duplicates resolve against the now-installed first copy.
-                Triage::Dup => self.shard(&shapes[i], opts).lookup(&shapes[i], opts),
+                // Duplicates resolve against the now-installed first copy,
+                // uncounted like any other warm of a cached shape.
+                Triage::Dup => self.shard(&shapes[i], opts).refresh(&shapes[i], opts),
                 Triage::Plan => unreachable!("every planned shape was installed"),
             })
             .collect()
@@ -873,23 +729,11 @@ impl SharedPlanCache {
             .sum()
     }
 
-    /// Aggregate plus per-key statistics merged across stripes, most-hit
-    /// keys first (ties broken by label, as sequentially).
+    /// Aggregate hit/miss statistics, across all stripes.
     pub fn stats(&self) -> CacheStats {
-        let mut hits = 0;
-        let mut misses = 0;
-        let mut per_key = Vec::new();
-        for s in &self.shards {
-            let st = s.lock().expect("plan cache stripe poisoned").stats();
-            hits += st.hits;
-            misses += st.misses;
-            per_key.extend(st.per_key);
-        }
-        per_key.sort_by(|a, b| b.hits.cmp(&a.hits).then_with(|| a.key.cmp(&b.key)));
         CacheStats {
-            hits,
-            misses,
-            per_key,
+            hits: self.hits(),
+            misses: self.misses(),
         }
     }
 
@@ -904,13 +748,6 @@ impl SharedPlanCache {
     /// `true` if no stripe holds a plan.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every cached plan (per-key statistics are retained).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().expect("plan cache stripe poisoned").clear();
-        }
     }
 }
 
@@ -1031,30 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn per_key_stats_surface_hits_and_misses() {
-        let mut cache = PlanCache::new(4);
-        let defaults = PlannerOptions::default();
-        let peephole = PlannerOptions {
-            peephole: true,
-            ..PlannerOptions::default()
-        };
-        let h = host(4, "vm");
-        let _ = cache.get_or_plan(&h, &defaults).unwrap();
-        let _ = cache.get_or_plan(&h, &defaults).unwrap();
-        let _ = cache.get_or_plan(&h, &defaults).unwrap();
-        let _ = cache.get_or_plan(&h, &peephole).unwrap();
-
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 2));
-        assert_eq!(stats.per_key.len(), 2, "one counter per distinct key");
-        // Most-hit first: the defaults key (2 hits, 1 miss).
-        assert_eq!((stats.per_key[0].hits, stats.per_key[0].misses), (2, 1));
-        assert_eq!((stats.per_key[1].hits, stats.per_key[1].misses), (0, 1));
-        assert!(stats.per_key[1].key.contains("peephole"));
-        assert!(!stats.per_key[0].key.contains("peephole"));
-    }
-
-    #[test]
     fn lru_eviction_keeps_the_hot_entry() {
         let mut cache = PlanCache::new(2);
         let opts = PlannerOptions::default();
@@ -1069,22 +882,24 @@ mod tests {
 
     #[test]
     fn evicted_keys_replan_but_keep_their_counters() {
-        let mut cache = PlanCache::new(1);
+        // One plan per stripe; same-sized shapes share a stripe.
+        let cache = SharedPlanCache::new(1);
         let opts = PlannerOptions::default();
-        let _ = cache.get_or_plan(&host(2, "a"), &opts).unwrap(); // A
-        let _ = cache.get_or_plan(&host(4, "b"), &opts).unwrap(); // evicts A
+        let (a, b, c) = (salted_host(2, 0), salted_host(2, 1), salted_host(2, 2));
+        let _ = cache.get_or_plan(&a, &opts).unwrap();
+        let _ = cache.get_or_plan(&a, &opts).unwrap(); // A's one hit
+        let _ = cache.get_or_plan(&b, &opts).unwrap(); // evicts A
         assert_eq!(cache.len(), 1);
-        // A was evicted: this is a miss, charged to A's surviving counters.
-        let _ = cache.get_or_plan(&host(2, "a"), &opts).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 3));
-        let stats = cache.stats();
-        assert_eq!(stats.per_key.len(), 2);
-        let a = stats
-            .per_key
-            .iter()
-            .find(|k| k.key.contains("vcpus=2"))
-            .unwrap();
-        assert_eq!(a.misses, 2, "eviction erased the key's history");
+        // A was evicted: asking again is a miss and a fresh planner run...
+        let _ = cache.get_or_plan(&a, &opts).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
+        // ...but its key kept the hit it served before the eviction, so a
+        // warm still may not displace it.
+        assert_eq!(cache.warm_batch(&[c], &opts), vec![None]);
+        assert!(
+            cache.lookup(&a, &opts).is_some(),
+            "eviction erased the key's history"
+        );
     }
 
     #[test]
@@ -1094,9 +909,8 @@ mod tests {
         let over = host(9, "x"); // 9 * 25% on 2 cores
         assert!(cache.get_or_plan(&over, &opts).is_err());
         assert!(cache.is_empty());
-        // The failed attempt still shows up as a per-key miss.
-        assert_eq!(cache.stats().per_key.len(), 1);
-        assert_eq!(cache.stats().per_key[0].misses, 1);
+        // The failed attempt still shows up as a miss.
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
     }
 
     #[test]
@@ -1145,12 +959,12 @@ mod tests {
 
     #[test]
     fn warming_prefills_without_counting_requests() {
-        let mut cache = PlanCache::new(4);
+        let cache = SharedPlanCache::new(32);
         let opts = PlannerOptions::default();
-        let warmed = cache.warm(&host(6, "vm"), &opts).unwrap().unwrap();
+        let warmed = cache.warm_batch(&[host(6, "vm")], &opts).remove(0).unwrap();
         assert_eq!((cache.hits(), cache.misses(), cache.warmed()), (0, 0, 1));
         // Re-warming an already-cached shape plans nothing.
-        let again = cache.warm(&host(6, "vm"), &opts).unwrap().unwrap();
+        let again = cache.warm_batch(&[host(6, "vm")], &opts).remove(0).unwrap();
         assert!(Arc::ptr_eq(&warmed, &again));
         assert_eq!(cache.warmed(), 1);
         // The predicted request is a plain hit.
@@ -1161,50 +975,62 @@ mod tests {
 
     #[test]
     fn warming_respects_capacity() {
-        let mut cache = PlanCache::new(1);
+        let cache = SharedPlanCache::new(1);
         let opts = PlannerOptions::default();
-        let _ = cache.warm(&host(2, "a"), &opts).unwrap();
-        // The never-hit entry for "a" is fair game for a warm eviction.
-        assert!(cache.warm(&host(4, "b"), &opts).unwrap().is_some());
+        let _ = cache.warm_batch(&[salted_host(2, 0)], &opts);
+        // The never-hit entry is fair game for a warm eviction.
+        assert!(cache.warm_batch(&[salted_host(2, 1)], &opts)[0].is_some());
         assert_eq!(cache.len(), 1, "warming must evict, not grow unbounded");
+    }
+
+    /// Nine distinct small shapes — one more than [`DEFAULT_WARM_BUDGET`].
+    /// The first eight route to eight different stripes.
+    fn nine_shapes() -> Vec<HostConfig> {
+        let mut shapes: Vec<HostConfig> = (1..=8).map(|n| salted_host(n, 0)).collect();
+        shapes.push(salted_host(1, 1));
+        shapes
     }
 
     #[test]
     fn warm_budget_caps_speculative_planning_per_epoch() {
-        let mut cache = PlanCache::new(8);
-        cache.set_warm_budget(2);
+        let cache = SharedPlanCache::new(64);
         let opts = PlannerOptions::default();
-        assert!(cache.warm(&host(2, "a"), &opts).unwrap().is_some());
-        assert!(cache.warm(&host(4, "b"), &opts).unwrap().is_some());
-        // Budget spent: the third distinct shape is declined, unplanned.
-        assert!(cache.warm(&host(6, "c"), &opts).unwrap().is_none());
-        assert_eq!(cache.warmed(), 2);
+        let shapes = nine_shapes();
+        let out = cache.warm_batch(&shapes, &opts);
+        // Budget spent: the ninth distinct shape is declined, unplanned.
+        assert!(out[..8].iter().all(|p| p.is_some()) && out[8].is_none());
+        assert_eq!(cache.warmed(), DEFAULT_WARM_BUDGET as u64);
         // Already-cached shapes still warm for free past the budget.
-        assert!(cache.warm(&host(2, "a"), &opts).unwrap().is_some());
-        assert_eq!(cache.warmed(), 2);
+        assert!(cache.warm_batch(&shapes[..1], &opts)[0].is_some());
+        assert_eq!(cache.warmed(), 8);
         // A new epoch refills the budget.
         cache.begin_warm_epoch();
-        assert!(cache.warm(&host(6, "c"), &opts).unwrap().is_some());
-        assert_eq!(cache.warmed(), 3);
+        assert!(cache.warm_batch(&shapes[8..], &opts)[0].is_some());
+        assert_eq!(cache.warmed(), 9);
     }
 
     #[test]
     fn warm_never_evicts_an_entry_with_lifetime_hits() {
-        let mut cache = PlanCache::new(1);
+        let cache = SharedPlanCache::new(1);
         let opts = PlannerOptions::default();
-        let served = cache.get_or_plan(&host(2, "a"), &opts).unwrap();
-        let _ = cache.get_or_plan(&host(2, "a"), &opts).unwrap(); // 1 hit
-                                                                  // The only evictable slot has proven demand: the warm is declined
-                                                                  // before planning, and the hot entry survives.
-        assert!(cache.warm(&host(4, "b"), &opts).unwrap().is_none());
+        let (a, b) = (salted_host(2, 0), salted_host(2, 1));
+        let served = cache.get_or_plan(&a, &opts).unwrap();
+        let _ = cache.get_or_plan(&a, &opts).unwrap(); // 1 hit
+
+        // The stripe's only evictable slot has proven demand: the warm is
+        // declined before planning, and the hot entry survives.
+        assert_eq!(
+            cache.warm_batch(std::slice::from_ref(&b), &opts),
+            vec![None]
+        );
         assert_eq!(cache.warmed(), 0, "the declined warm spent no planner run");
-        let still = cache.lookup(&host(2, "a"), &opts).unwrap();
+        let still = cache.lookup(&a, &opts).unwrap();
         assert!(Arc::ptr_eq(&served, &still));
         // A demanded insert (get_or_plan) may still evict it — only
         // speculation is restricted.
-        let _ = cache.get_or_plan(&host(4, "b"), &opts).unwrap();
+        let _ = cache.get_or_plan(&b, &opts).unwrap();
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&host(2, "a"), &opts).is_none());
+        assert!(cache.lookup(&a, &opts).is_none());
     }
 
     #[test]
@@ -1267,7 +1093,7 @@ mod tests {
             cache.insert(&salted_host(4, salt), &opts, dummy.clone());
         }
         assert_eq!(cache.len(), 32);
-        assert_eq!(cache.stats().per_key.len(), 1600);
+        assert_eq!(cache.slots.len(), 1600);
 
         let probes = |f: &mut dyn FnMut()| {
             let before = KEY_PROBES.with(|n| n.get());
@@ -1332,9 +1158,6 @@ mod tests {
         assert_eq!(cache.misses(), 2);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (cache.hits(), cache.misses()));
-        assert_eq!(stats.per_key.len(), 3);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -1362,44 +1185,45 @@ mod tests {
     #[test]
     fn shared_warm_budget_is_global_across_stripes() {
         let cache = SharedPlanCache::new(64);
-        cache.set_warm_budget(2);
         let opts = PlannerOptions::default();
-        assert!(cache.warm(&host(2, "a"), &opts).unwrap().is_some());
-        assert!(cache.warm(&host(4, "b"), &opts).unwrap().is_some());
-        // Distinct shapes land on distinct stripes, but the global budget
-        // still declines the third.
-        assert!(cache.warm(&host(6, "c"), &opts).unwrap().is_none());
-        assert_eq!(cache.warmed(), 2);
-        // Cached shapes refresh for free past the budget.
-        assert!(cache.warm(&host(2, "a"), &opts).unwrap().is_some());
-        assert_eq!(cache.warmed(), 2);
-        cache.begin_warm_epoch();
-        assert!(cache.warm(&host(6, "c"), &opts).unwrap().is_some());
-        assert_eq!(cache.warmed(), 3);
+        let shapes = nine_shapes();
+        let mut stripes: Vec<usize> = shapes[..8]
+            .iter()
+            .map(|h| SharedPlanCache::stripe_of(h, &opts))
+            .collect();
+        stripes.sort_unstable();
+        assert_eq!(stripes, (0..SHARDS).collect::<Vec<_>>());
+        // One warm per stripe, each its own batch: every stripe has room,
+        // but the budget they share is spent, so the ninth declines.
+        for shape in &shapes[..8] {
+            assert!(cache.warm_batch(std::slice::from_ref(shape), &opts)[0].is_some());
+        }
+        assert_eq!(cache.warm_batch(&shapes[8..], &opts), vec![None]);
+        assert_eq!(cache.warmed(), 8);
     }
 
     #[test]
     fn warm_batch_plans_uncached_shapes_and_respects_the_budget() {
         let cache = SharedPlanCache::new(64);
-        cache.set_warm_budget(2);
         let opts = PlannerOptions::default();
         // Pre-cache one shape: it must resolve without spending budget.
         let cached = cache.get_or_plan(&host(2, "a"), &opts).unwrap();
-        let shapes = vec![host(2, "a"), host(4, "b"), host(4, "x"), host(6, "c")];
+        let mut shapes = vec![host(2, "a"), host(4, "b"), host(4, "x")];
+        shapes.extend(nine_shapes().split_off(2));
         let out = cache.warm_batch(&shapes, &opts);
-        assert_eq!(out.len(), 4);
+        assert_eq!(out.len(), 10);
         assert!(Arc::ptr_eq(out[0].as_ref().unwrap(), &cached));
         // "b" plans; "x" is the same shape (a duplicate) and resolves from
-        // b's install without a second planner run; "c" then still fits
-        // the budget.
-        assert!(out[1].is_some() && out[2].is_some() && out[3].is_some());
+        // b's install without a second planner run; seven more shapes then
+        // still fit the budget.
+        assert!(out.iter().all(|p| p.is_some()));
         assert!(Arc::ptr_eq(
             out[1].as_ref().unwrap(),
             out[2].as_ref().unwrap()
         ));
-        assert_eq!(cache.warmed(), 2);
+        assert_eq!(cache.warmed(), 8);
         // The budget is spent: a further distinct shape declines.
-        assert!(cache.warm(&host(8, "d"), &opts).unwrap().is_none());
+        assert_eq!(cache.warm_batch(&[host(8, "d")], &opts), vec![None]);
         // And batch results serve later requests as plain hits.
         let hits_before = cache.hits();
         let _ = cache.get_or_plan(&host(4, "b"), &opts).unwrap();
@@ -1407,16 +1231,34 @@ mod tests {
     }
 
     #[test]
+    fn warm_batch_duplicates_are_not_counted_as_requests() {
+        // One plan per stripe; same-sized shapes share a stripe.
+        let cache = SharedPlanCache::new(1);
+        let opts = PlannerOptions::default();
+        let a = salted_host(2, 0);
+        let out = cache.warm_batch(&[a.clone(), a.clone()], &opts);
+        assert!(Arc::ptr_eq(
+            out[0].as_ref().unwrap(),
+            out[1].as_ref().unwrap()
+        ));
+        assert_eq!((cache.hits(), cache.warmed()), (0, 1));
+        // Nobody has asked for the entry yet, so a later warm may evict it.
+        assert!(cache.warm_batch(&[salted_host(2, 1)], &opts)[0].is_some());
+        assert!(cache.lookup(&a, &opts).is_none());
+    }
+
+    #[test]
     fn warm_batch_failures_refund_the_budget() {
         let cache = SharedPlanCache::new(64);
-        cache.set_warm_budget(1);
         let opts = PlannerOptions::default();
         // 9 * 25% on 2 cores is infeasible: the run fails, nothing is
-        // cached, and the reserved budget comes back.
+        // cached, and the reserved budget comes back — the epoch still has
+        // all eight runs to spend.
         let out = cache.warm_batch(&[host(9, "x")], &opts);
         assert_eq!(out, vec![None]);
         assert_eq!(cache.warmed(), 0);
         assert!(cache.is_empty());
-        assert!(cache.warm(&host(2, "a"), &opts).unwrap().is_some());
+        let out = cache.warm_batch(&nine_shapes()[..8], &opts);
+        assert!(out.iter().all(|p| p.is_some()));
     }
 }

@@ -39,7 +39,8 @@
 //! the previous plan used C=D splits or DP-Fair clusters, the peephole pass
 //! is on, the host geometry changed, the bin metadata is missing, or the new
 //! config falls out of plain partitioning. Aborting is the designed
-//! fallback trigger — the caller continues down the replanning ladder.
+//! fallback trigger — the caller continues down the replanning ladder, to
+//! the full replan.
 
 use rtsched::edf::simulate_edf;
 use rtsched::generator::Stage;
@@ -109,9 +110,8 @@ impl std::error::Error for DeltaAbort {}
 
 /// Replans `host` against `prev`, patching only the dirtied bins.
 ///
-/// `prev` must have been planned for `prev_host` under the *same* `opts`
-/// (the same contract as [`crate::incremental::plan_incremental`]): the
-/// clean-bin reuse assumes the previous plan's per-core artifacts were
+/// `prev` must have been planned for `prev_host` under the *same* `opts`:
+/// the clean-bin reuse assumes the previous plan's per-core artifacts were
 /// produced under the thresholds in effect now.
 ///
 /// On success the returned [`Plan`] is field-identical to a full
@@ -362,9 +362,9 @@ fn rebuild_bin(
             m.task, m.deadline
         ))
     })?;
-    // Incremental verification: the rule engine's invariants derived from
-    // this bin's facts alone, on the borrowed bin and segments — the cost
-    // is O(this bin), and across a delta O(dirtied bins), never O(host). A
+    // Per-bin verification: the verifier's invariants derived from this
+    // bin's facts alone, on the borrowed bin and segments — the cost is
+    // O(this bin), and across a delta O(dirtied bins), never O(host). A
     // decline (or any violation) degrades to the full single-pass verifier,
     // which is authoritative for the error text.
     if !matches!(verify_bin(new_bin, sched.segments(), hyperperiod), Ok(v) if v.is_empty()) {

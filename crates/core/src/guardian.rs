@@ -387,7 +387,7 @@ pub struct Guardian {
     /// quarantined: the table already clamps them).
     capped: Vec<bool>,
     /// The host/plan pair behind the currently installed table (previous
-    /// plan for the incremental rung of the next replan).
+    /// plan for the delta rung of the next replan).
     installed: (HostConfig, Plan),
     offline: Vec<bool>,
     replan_needed: bool,

@@ -44,7 +44,6 @@ pub mod cache;
 pub mod delta;
 pub mod dispatch;
 pub mod guardian;
-pub mod incremental;
 pub mod level2;
 pub mod planner;
 pub mod postprocess;

@@ -194,10 +194,13 @@ pub enum ReplanPath {
     /// Delta replanning: only the bins dirtied by the churn were
     /// re-simulated; everything else was spliced from the previous plan.
     Delta,
-    /// Incremental per-core replanning against the previous plan.
+    /// Retired, never returned: the per-core incremental planner this rung
+    /// named is deleted (DESIGN.md §5.12). The variant survives only because
+    /// the end-to-end benchmark matches on this enum exhaustively; delete it
+    /// with the benchmark-side follow-up (ROADMAP item 4).
     Incremental,
-    /// Full from-scratch replan (no previous plan, or incremental
-    /// abandoned).
+    /// Full from-scratch replan (no previous plan, or the delta rung
+    /// declined).
     Full,
     /// Full replan under conservative default options after the requested
     /// options failed.
@@ -223,8 +226,6 @@ pub struct ReplanOutcome {
     pub plan: Plan,
     /// Which ladder rung produced it.
     pub path: ReplanPath,
-    /// The incremental report, when the incremental rung ran to completion.
-    pub incremental: Option<crate::incremental::IncrementalReport>,
     /// The delta report, when the delta rung ran to completion.
     pub delta: Option<crate::delta::DeltaReport>,
     /// Errors from rungs that were tried and failed before this one.
@@ -256,17 +257,21 @@ impl std::fmt::Display for ReplanError {
 impl std::error::Error for ReplanError {}
 
 /// Plans `host` with graceful degradation: delta replanning first (patching
-/// only the bins the churn dirtied — see [`crate::delta`]), then incremental
-/// replanning (both only when a previous plan is available), then a full
-/// replan under the requested options, then — if the requested options were
-/// non-default — a full replan under conservative defaults. Only when every
-/// rung fails is the reconfiguration rejected, with the per-rung diagnostic
-/// trail.
+/// only the bins the churn dirtied — see [`crate::delta`]; only when a
+/// previous plan is available), then a full replan under the requested
+/// options, then — if the requested options were non-default — a full
+/// replan under conservative defaults. Only when every rung fails is the
+/// reconfiguration rejected, with the per-rung diagnostic trail.
+///
+/// Whichever rung answers, the plan equals [`plan`]`(host, opts)` (or
+/// `plan(host, defaults)` on the conservative rung) field for field: a
+/// table is a function of the request, never of the host's history, so
+/// ladder output can be cached under the `(host, opts)` key.
 ///
 /// A delta abort is *not* an error: the delta rung declines whenever the
 /// previous plan used C=D splits or DP-Fair clusters, the host geometry
 /// changed, or the bin metadata is missing — those are exactly the cases the
-/// lower rungs exist for, so the abort falls through silently and does not
+/// full rung exists for, so the abort falls through silently and does not
 /// appear in `attempts`.
 ///
 /// This is the planner's fault-tolerance ladder: a planner daemon facing a
@@ -292,31 +297,9 @@ pub fn plan_with_fallback(
             return Ok(ReplanOutcome {
                 plan,
                 path: ReplanPath::Delta,
-                incremental: None,
                 delta: Some(report),
                 attempts,
             });
-        }
-
-        match crate::incremental::plan_incremental(prev_host, prev_plan, host, opts) {
-            Ok((plan, report)) => {
-                // The incremental path may itself have decided on a full
-                // replan (structural change); report the rung that did the
-                // work.
-                let path = if report.full_replan {
-                    ReplanPath::Full
-                } else {
-                    ReplanPath::Incremental
-                };
-                return Ok(ReplanOutcome {
-                    plan,
-                    path,
-                    incremental: Some(report),
-                    delta: None,
-                    attempts,
-                });
-            }
-            Err(e) => attempts.push((ReplanPath::Incremental, e)),
         }
     }
 
@@ -325,7 +308,6 @@ pub fn plan_with_fallback(
             return Ok(ReplanOutcome {
                 plan,
                 path: ReplanPath::Full,
-                incremental: None,
                 delta: None,
                 attempts,
             })
@@ -344,7 +326,6 @@ pub fn plan_with_fallback(
                 return Ok(ReplanOutcome {
                     plan,
                     path: ReplanPath::FullConservative,
-                    incremental: None,
                     delta: None,
                     attempts,
                 })
@@ -947,24 +928,25 @@ mod tests {
     }
 
     #[test]
-    fn fallback_ladder_uses_incremental_when_delta_declines() {
+    fn fallback_ladder_plans_fully_when_delta_declines() {
         let opts = PlannerOptions::default();
         let mut prev_host = HostConfig::new(4);
         for i in 0..12 {
             prev_host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, paper_spec()));
         }
         let mut prev = plan(&prev_host, &opts).unwrap();
-        // Strip the bin metadata (as an incrementally produced plan would):
-        // the delta rung must decline and the incremental rung take over.
+        // Strip the bin metadata: the delta rung must decline, silently,
+        // and the full rung answer with bin metadata the next delta can use.
         prev.core_bins.clear();
         prev.coalesce_by_core.clear();
         let mut host = prev_host.clone();
         host.add_vm(VmSpec::uniform("newcomer", 1, paper_spec()));
 
         let out = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts).unwrap();
-        assert_eq!(out.path, ReplanPath::Incremental);
-        assert!(out.attempts.is_empty());
-        assert!(!out.incremental.as_ref().unwrap().reused_cores.is_empty());
+        assert_eq!(out.path, ReplanPath::Full);
+        assert!(out.attempts.is_empty() && out.delta.is_none());
+        assert_eq!(out.plan, plan(&host, &opts).unwrap());
+        assert!(!out.plan.core_bins.is_empty());
     }
 
     #[test]
@@ -972,7 +954,7 @@ mod tests {
         let host = dense_host(2, 4, paper_spec());
         let out = plan_with_fallback(None, &host, &PlannerOptions::default()).unwrap();
         assert_eq!(out.path, ReplanPath::Full);
-        assert!(out.incremental.is_none());
+        assert!(out.delta.is_none());
     }
 
     #[test]
@@ -1006,10 +988,10 @@ mod tests {
             ..PlannerOptions::default()
         };
         let err = plan_with_fallback(Some((&prev_ok, &prev)), &host, &aggressive).unwrap_err();
-        assert_eq!(err.attempts.len(), 3, "{err}");
+        assert_eq!(err.attempts.len(), 2, "{err}");
         let msg = err.to_string();
         assert!(!msg.contains('\n'), "multi-line diagnostic: {msg:?}");
-        assert!(msg.contains("incremental"), "{msg}");
+        assert!(msg.contains("[full]"), "{msg}");
         assert!(msg.contains("full-conservative"), "{msg}");
     }
 

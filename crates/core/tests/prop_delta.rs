@@ -1,19 +1,21 @@
 //! Property-based tests for delta replanning.
 //!
-//! The contract is stronger than the incremental rung's: a delta-spliced
-//! plan must be **field-identical** to a full from-scratch replan of the
-//! same host — same table, same blackouts, same coalesce bookkeeping —
-//! because the splice reuses prior per-bin results only where the packing
-//! provably reproduces them. Random fleets are planned, hit with a random
-//! single-VM churn event (join, leave-of-last, mid-host leave, resize),
-//! and replanned both ways; whenever the delta rung declines, the fallback
-//! ladder must still produce a valid plan.
+//! The contract: a delta-spliced plan must be **field-identical** to a full
+//! from-scratch replan of the same host — same table, same blackouts, same
+//! coalesce bookkeeping — because the splice reuses prior per-bin results
+//! only where the packing provably reproduces them. Random fleets are
+//! planned, hit with a random single-VM churn event (join, leave-of-last,
+//! mid-host leave, resize), and replanned both ways. The same holds for the
+//! whole fallback ladder, whichever rung answers: its output is a function
+//! of the request, never of the plan the host ran before.
 
 use proptest::prelude::*;
 
+use rtsched::generator::Stage;
 use rtsched::time::Nanos;
 use tableau_core::delta::plan_delta;
 use tableau_core::planner::{plan, plan_with_fallback, PlannerOptions, ReplanPath};
+use tableau_core::postprocess::DEFAULT_THRESHOLD;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
 
 /// A reproducible fleet description: per-VM (utilization %, latency ms,
@@ -39,22 +41,22 @@ fn build_host(cores: usize, vms: &[(u32, u64, bool)]) -> HostConfig {
     host
 }
 
-/// Strategy: 2–4 cores and 2–10 VMs whose utilizations always admit both
-/// the original fleet and the churned one (one extra 10% VM).
-fn arb_fleet() -> impl Strategy<Value = FleetDesc> {
-    const UTILS: [u32; 3] = [10, 20, 25];
+/// Strategy: 2–4 cores and 2–10 VMs, utilizations drawn from `utils`,
+/// that always admit both the original fleet and the churned one (one
+/// extra 10% VM).
+fn arb_fleet_of(utils: &'static [u32]) -> impl Strategy<Value = FleetDesc> {
     const LATENCIES: [u64; 3] = [10, 20, 40];
     (
         2usize..=4,
-        proptest::collection::vec((0usize..3, 0usize..3, any::<bool>()), 2..=10),
+        proptest::collection::vec((0usize..utils.len(), 0usize..3, any::<bool>()), 2..=10),
     )
-        .prop_map(|(cores, picks)| {
+        .prop_map(move |(cores, picks)| {
             // Keep total utilization (plus a 10% newcomer) admissible.
             let budget = cores as u64 * 100 - 15;
             let mut used = 0u64;
             let mut vms: Vec<(u32, u64, bool)> = Vec::new();
             for (ui, li, capped) in picks {
-                let u = UTILS[ui];
+                let u = utils[ui];
                 if used + u as u64 > budget {
                     continue;
                 }
@@ -66,6 +68,20 @@ fn arb_fleet() -> impl Strategy<Value = FleetDesc> {
             }
             (cores, vms)
         })
+}
+
+/// Small VMs only: worst-fit places every one whole, so the previous plan
+/// is plainly partitioned and the delta rung applies.
+fn arb_fleet() -> impl Strategy<Value = FleetDesc> {
+    arb_fleet_of(&[10, 20, 25])
+}
+
+/// Half the draws are 60% VMs, and two of those never share a core: a
+/// fleet such as 3 × 60% on 2 cores plans only with a C=D split or a
+/// DP-Fair cluster, where the delta rung declines on the previous plan's
+/// history alone. Fleets that drew few of them stay plainly partitioned.
+fn arb_heavy_fleet() -> impl Strategy<Value = FleetDesc> {
+    arb_fleet_of(&[10, 25, 60, 60])
 }
 
 /// The four single-VM churn shapes the delta planner handles. Joins and
@@ -178,12 +194,13 @@ proptest! {
         }
     }
 
-    /// The full ladder, driven over the same churn: whenever it takes the
-    /// delta rung the result is field-identical to the full replan, and it
-    /// never fails on an admissible reconfiguration.
+    /// The ladder is history-free: whichever rung answers, its plan is the
+    /// full replan of the request, field for field — after plainly
+    /// partitioned previous plans (the delta rung) and after ones with
+    /// splits or clusters (delta declines) alike.
     #[test]
     fn fallback_ladder_delta_rung_matches_full_replan(
-        (cores, vms) in arb_fleet(),
+        (cores, vms) in arb_heavy_fleet(),
         churn in arb_churn(),
         pick in 0usize..16,
     ) {
@@ -194,10 +211,95 @@ proptest! {
 
         let out = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts)
             .expect("ladder plans an admissible reconfiguration");
-        if matches!(out.path, ReplanPath::Delta) {
-            let full = plan(&host, &opts).expect("churned fleet plans fully");
-            prop_assert_eq!(&out.plan, &full);
-            prop_assert!(out.delta.is_some(), "delta rung must carry its report");
+        let full = plan(&host, &opts).expect("churned fleet plans fully");
+        prop_assert!(
+            out.plan == full,
+            "{:?} (pick {}) on {} cores x {:?}: the {} rung's plan depends on the previous plan",
+            churn, pick, cores, vms, out.path.label()
+        );
+        prop_assert_eq!(out.delta.is_some(), out.path == ReplanPath::Delta);
+        if prev.stage != Stage::Partitioned || !prev.split_vcpus.is_empty() {
+            prop_assert_eq!(out.path, ReplanPath::Full, "split or clustered history");
+        }
+    }
+
+    /// Structural changes — a core-count change, a dedicated (U = 1) vCPU
+    /// arriving or leaving — take the full rung, and the plan it returns is
+    /// the full replan with every vCPU's blackout within its goal (plus the
+    /// coalescing threshold a donated sliver may cost).
+    #[test]
+    fn fallback_ladder_blackouts_match_full_replan(
+        (cores, vms) in arb_fleet(),
+        reshape in 0usize..3,
+    ) {
+        let opts = PlannerOptions::default();
+        let mut dedicated = vms.clone();
+        dedicated.push((100, 20, false));
+        // The spare core is what a dedicated vCPU takes whole.
+        let (prev_host, host) = match reshape {
+            0 => (build_host(cores, &vms), build_host(cores + 1, &vms)),
+            1 => (build_host(cores + 1, &vms), build_host(cores + 1, &dedicated)),
+            _ => (build_host(cores + 1, &dedicated), build_host(cores + 1, &vms)),
+        };
+        let prev = plan(&prev_host, &opts).expect("admissible fleet plans");
+
+        let out = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts)
+            .expect("ladder plans an admissible reconfiguration");
+        prop_assert_eq!(out.path, ReplanPath::Full, "reshape {}", reshape);
+        prop_assert_eq!(&out.plan, &plan(&host, &opts).expect("reshaped fleet plans fully"));
+        for (vcpu, spec) in host.vcpus() {
+            let blackout = out.plan.blackout_of(vcpu).expect("ladder measures every vCPU");
+            prop_assert!(
+                blackout <= spec.latency + DEFAULT_THRESHOLD,
+                "{vcpu}: blackout {blackout} exceeds goal {}",
+                spec.latency
+            );
+        }
+    }
+}
+
+/// The history-free property on the smallest split history: 3 × 60% on 2
+/// cores plans only with a split, so the delta rung declines and whatever
+/// answers must still return the request's full plan.
+#[test]
+fn ladder_after_a_split_history_returns_the_full_plan() {
+    let opts = PlannerOptions::default();
+    let vms = [(60, 20, false); 3];
+    let prev_host = build_host(2, &vms);
+    let prev = plan(&prev_host, &opts).expect("3 x 60% fits 2 cores");
+    assert!(prev.stage != Stage::Partitioned || !prev.split_vcpus.is_empty());
+
+    let host = churned_host(2, &vms, Churn::Join, 0);
+    let out = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts).expect("10% more fits");
+    assert_eq!(out.path, ReplanPath::Full);
+    assert_eq!(out.plan, plan(&host, &opts).unwrap());
+}
+
+/// Node-pinned VMs stay on their node when a sibling joins through the
+/// ladder: the soft NUMA preferences reach the delta rung's packing just
+/// as they reach the full plan's.
+#[test]
+fn numa_pinning_survives_ladder_replans() {
+    let opts = PlannerOptions::default();
+    let spec = VcpuSpec::capped(Utilization::from_percent(25), Nanos::from_millis(20));
+    let build = |names: &[&str]| {
+        let mut h = HostConfig::with_numa(4, 2);
+        for n in names {
+            h.add_vm(VmSpec::uniform(*n, 1, spec).on_node(1));
+        }
+        h
+    };
+    let prev_host = build(&["a", "b"]);
+    let prev = plan(&prev_host, &opts).unwrap();
+    let host = build(&["a", "b", "c"]);
+    let out = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts).unwrap();
+    assert_eq!(out.path, ReplanPath::Delta);
+    assert_eq!(out.plan, plan(&host, &opts).unwrap());
+    let node1 = host.cores_of_node(1);
+    for (vcpu, _) in host.vcpus() {
+        let placement = out.plan.table.placement(vcpu).unwrap();
+        for &(core, _, _) in &placement.allocations {
+            assert!(node1.contains(&core), "{vcpu} off-node on core {core}");
         }
     }
 }

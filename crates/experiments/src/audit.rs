@@ -7,14 +7,14 @@
 //! * **audit**: a [`TableAuditor`] snapshotted from the clean table must
 //!   flag *every* mutant (100% detection; the fingerprints cover the exact
 //!   bytes, so any surviving mutant is a bug in the fact store);
-//! * **verifier agreement**: re-certifying the mutant through the rule
-//!   engine ([`verify_with_engine`], primed clean and fed only the dirty
-//!   cores as deltas) must return byte-for-byte the full verifier's
-//!   violation list. A corrupted table can legitimately still *be* a valid
-//!   schedule (e.g. swapping two identical vCPUs), so the verifier layer
-//!   is not required to flag every mutant — but the incremental path may
-//!   never disagree with the full pass, in particular never certify a
-//!   mutant the full verifier rejects.
+//! * **verifier agreement**: re-certifying the cores the mutant touched
+//!   with the per-bin check ([`verify_bin`], the call `plan_delta` makes
+//!   for each bin it rebuilds) may never certify a mutant the full
+//!   verifier rejects. A corrupted table can legitimately still *be* a
+//!   valid schedule (e.g. swapping two identical vCPUs), so the verifier
+//!   layer is not required to flag every mutant; and a decline or any
+//!   finding degrades to the full pass, so only a clean per-bin verdict
+//!   can disagree with it.
 //!
 //! `--quick` injects each class once (the CI smoke gate); full mode runs
 //! [`TRIALS`] mutants per class on a paper-scale host and writes the
@@ -22,7 +22,7 @@
 
 use serde::Serialize;
 
-use rtsched::rules::{verify_with_engine, RuleEngine};
+use rtsched::rules::verify_bin;
 use rtsched::schedule::{CoreSchedule, MultiCoreSchedule, Segment};
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::verify::verify_schedule;
@@ -68,8 +68,8 @@ pub struct AuditClassRow {
     /// Mutants the full verifier rejected as schedules (informational:
     /// a mutant can remain a valid schedule).
     pub verifier_flags: u64,
-    /// Mutants where the incremental path returned the full verifier's
-    /// verdict byte-for-byte (must equal `injected`).
+    /// Mutants where the per-bin check certified no core the full pass
+    /// rejects (must equal `injected`).
     pub engine_agrees: u64,
 }
 
@@ -86,7 +86,7 @@ pub struct AuditReport {
 
 impl AuditReport {
     /// Whether every contract held: all mutants audited out, and the
-    /// incremental verifier never diverged from the full pass.
+    /// per-bin verifier never certified what the full pass rejects.
     pub fn all_killed(&self) -> bool {
         self.rows
             .iter()
@@ -129,8 +129,7 @@ fn table_schedule(table: &Table) -> MultiCoreSchedule {
     }
 }
 
-/// Per-core bins (as rtsched tasks) from the *clean* plan's placements —
-/// the installed baseline the rule engine was primed with.
+/// Per-core bins (as rtsched tasks) from the *clean* plan's placements.
 fn table_bins(p: &Plan, table: &Table) -> Vec<Vec<PeriodicTask>> {
     (0..table.n_cores())
         .map(|c| {
@@ -156,20 +155,16 @@ fn judge(
     let auditor = TableAuditor::new(clean);
     let audit_kill = !auditor.audit_full(bad).is_empty();
 
-    // Prime the engine on the clean table, then feed it only the cores the
-    // corruption touched — the shape the delta path drives in production.
-    let clean_sched = table_schedule(clean);
+    // Re-certify only the cores the corruption touched, each against its
+    // clean bin; untouched cores are the clean table's, certified already.
     let bad_sched = table_schedule(bad);
-    let mut engine = RuleEngine::from_bins(clean.len(), bins, &clean_sched);
-    for (core, bin) in bins.iter().enumerate() {
-        if clean.cpu(core).allocations() != bad.cpu(core).allocations() {
-            let _ =
-                engine.apply_delta(core, bin.clone(), bad_sched.cores[core].segments().to_vec());
-        }
-    }
-    let full = verify_schedule(tasks, &bad_sched);
-    let incremental = verify_with_engine(&mut engine, tasks, &bad_sched);
-    (audit_kill, !full.is_empty(), incremental == full)
+    let certified = bins.iter().enumerate().all(|(core, bin)| {
+        clean.cpu(core).allocations() == bad.cpu(core).allocations()
+            || verify_bin(bin, bad_sched.cores[core].segments(), bad.len())
+                .is_ok_and(|found| found.is_empty())
+    });
+    let flagged = !verify_schedule(tasks, &bad_sched).is_empty();
+    (audit_kill, flagged, !(certified && flagged))
 }
 
 /// Runs the harness and builds the report (no printing, no artifact).
@@ -187,11 +182,13 @@ pub fn evaluate(quick: bool, seed: u64) -> AuditReport {
         verify_schedule(&tasks, &clean_sched).is_empty(),
         "clean table re-verifies"
     );
-    let mut engine = RuleEngine::from_bins(clean.len(), &bins, &clean_sched);
-    assert!(
-        engine.verdict().expect("clean table certifies").is_empty(),
-        "clean table certifies incrementally"
-    );
+    for (bin, core) in bins.iter().zip(&clean_sched.cores) {
+        assert_eq!(
+            verify_bin(bin, core.segments(), clean.len()),
+            Ok(Vec::new()),
+            "clean table certifies bin by bin"
+        );
+    }
 
     let trials = if quick { 1 } else { TRIALS };
     let rows = CorruptionKind::ALL
@@ -256,7 +253,7 @@ pub fn run_with_seed(quick: bool, seed: u64) -> bool {
         .collect();
     print_table(
         &format!(
-            "mutation kill: table audit + incremental verifier ({}x{} host, detection {:.0}%)",
+            "mutation kill: table audit + per-bin verifier ({}x{} host, detection {:.0}%)",
             report.meta.host_cores,
             report.meta.host_vms,
             report.detection_rate * 100.0

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use rtsched::edf::simulate_edf;
 use rtsched::generator::Stage;
-use rtsched::rules::RuleEngine;
+use rtsched::rules::verify_bin;
 use rtsched::schedule::{CoreSchedule, MultiCoreSchedule, Segment};
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::time::Nanos;
@@ -294,22 +294,14 @@ fn verify_full_entry(iters: u64) -> (BenchEntry, f64) {
     (entry, fastest_ns(iters.max(100), verify))
 }
 
-/// Times re-certifying a single-bin delta through the rule engine on the
-/// same host: one retract+assert plus an O(dirty-core) re-derivation. Also
+/// Times re-certifying a single-bin delta on the same host: the per-bin
+/// check `plan_delta` runs on each bin it rebuilds, O(dirty core). Also
 /// returns the fastest single call (ns).
 fn verify_delta_entry(iters: u64) -> (BenchEntry, f64) {
     let (bins, slots, sched) = verify_host_176();
-    let mut engine = RuleEngine::from_bins(sched.hyperperiod, &bins, &sched);
-    assert!(
-        engine.verdict().expect("engine certifies").is_empty(),
-        "bench schedule must be valid"
-    );
     let mut recertify = || {
-        engine
-            .apply_delta(0, bins[0].clone(), slots[0].clone())
-            .expect("re-asserting a self-contained bin");
-        let v = engine.verdict().expect("engine certifies");
-        assert!(v.is_empty());
+        let v = verify_bin(&bins[0], &slots[0], sched.hyperperiod).expect("self-contained bin");
+        assert!(v.is_empty(), "bench schedule must be valid");
         v
     };
     let entry = time_entry("verify/delta_incremental", iters.max(100), &mut recertify);
@@ -414,12 +406,10 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     ];
     entries.extend(crowded_cache_entries(iters, &defaults));
     entries.push(table_compile_entry(paper_iters, &defaults));
-    // What the rule engine is for: re-certifying one bin of a 176-task
-    // host must stay well below a full single-pass verify of it. The full
-    // pass lost its hashing (26.9 -> ~6 us) while the engine's one-bin path
-    // was array work already (~0.5 us), so the pair reads ~11x where it
-    // read ~38x; the floor compares fastest iterations and sits at half of
-    // that. It guards the engine's O(delta) factoring — a verdict that
+    // What the per-bin check is for: re-certifying one bin of a 176-task
+    // host must stay well below a full single-pass verify of it (one bin
+    // of 44; both are array work, no hashing). The floor compares fastest
+    // iterations. It guards the O(delta) factoring — a check that
     // re-derives clean cores would read ~1x — not a speed record.
     println!(
         "verify pair: full/delta = {:.1} (fastest iterations)",
@@ -427,7 +417,7 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     );
     assert!(
         verify_delta_min * 5.0 < verify_full_min,
-        "incremental delta verify (min {verify_delta_min:.0} ns) must be >= 5x cheaper \
+        "per-bin delta verify (min {verify_delta_min:.0} ns) must be >= 5x cheaper \
          than the full pass (min {verify_full_min:.0} ns)",
     );
     BenchSnapshot {

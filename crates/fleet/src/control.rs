@@ -189,7 +189,10 @@ pub struct RungCounters {
     pub delta: u64,
     /// Cache miss: the cache planned (full path) and memoized.
     pub cache_plan: u64,
-    /// Fallback ladder: incremental replan.
+    /// Retired, always zero: the ladder's incremental rung is deleted
+    /// (DESIGN.md §5.12). The field survives for the serialized fleet
+    /// artifacts and the end-to-end benchmark, which read it; delete it
+    /// with the benchmark-side follow-up (ROADMAP item 4).
     pub incremental: u64,
     /// Fallback ladder: full replan.
     pub full: u64,

@@ -41,8 +41,7 @@ pub(crate) struct FleetHost {
     pub tenants: Vec<Tenant>,
     /// Sum of tenant demand in ppm of one core (vcpus × per-vCPU ppm).
     pub committed_ppm: u64,
-    /// The config `plan` was computed from (the incremental rung's
-    /// baseline).
+    /// The config `plan` was computed from (the delta rung's baseline).
     pub host_cfg: HostConfig,
     /// Current target plan (probes + tenants). The installed table lags it
     /// while an install is pending.

@@ -5,7 +5,7 @@
 //! vCPUs under a `schedulers::Tableau` dispatcher — plus a slice of the
 //! *shared* fingerprint plan cache: identically shaped hosts (and with
 //! SAP-shaped churn, shapes recur constantly) resolve their tables from
-//! one [`tableau_core::cache::PlanCache`].
+//! one [`tableau_core::cache::SharedPlanCache`].
 //!
 //! The front-end admits VM create/teardown/resize requests and the
 //! robustness engine absorbs host-level failures:

@@ -19,8 +19,8 @@
 //! * the three-stage generator combining them ([`generator`]);
 //! * a verified peephole preemption-reduction pass ([`peephole`]);
 //! * an independent schedule verifier ([`verify`]);
-//! * an incremental rule-based re-verifier over per-core plan facts, with
-//!   the single-pass verifier as its always-available fallback ([`rules`]).
+//! * a stateless per-bin re-verifier for the delta planner, which declines
+//!   to the single-pass verifier rather than guess ([`rules`]).
 //!
 //! The Tableau planner (crate `tableau-core`) maps vCPU SLAs onto periodic
 //! tasks and feeds them to [`generator::generate_schedule`]; every schedule
@@ -64,7 +64,7 @@ pub use generator::{
     GenTimings, Generated, Stage,
 };
 pub use hyperperiod::{PeriodCandidates, STANDARD_HYPERPERIOD};
-pub use rules::{verify_with_engine, RuleDecline, RuleEngine};
+pub use rules::RuleDecline;
 pub use schedule::{CoreSchedule, MultiCoreSchedule, Segment};
 pub use signature::{BinSignature, CoreSharing, SigMemo, Stamp};
 pub use task::{PeriodicTask, TaskId, TaskSet};

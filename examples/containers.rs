@@ -6,15 +6,15 @@
 //! declaratively specify performance requirements of containers running on
 //! a cluster." This example plays that out: a node runs a fleet of
 //! containers with declarative `(cpu, latency)` requirements; deployments
-//! arrive and leave, and each change is handled by *incremental
-//! replanning* — only the cores the change touches get new tables, which is
-//! what makes Tableau viable at container churn rates.
+//! arrive and leave, and each change goes through the replanning ladder,
+//! whose *delta* rung re-simulates only the cores the change dirties and
+//! splices the rest from the previous plan — which is what makes Tableau
+//! viable at container churn rates.
 //!
 //! Run with: `cargo run --release --example containers`
 
 use rtsched::time::Nanos;
-use tableau_core::incremental::plan_incremental;
-use tableau_core::planner::{plan, Plan, PlannerOptions};
+use tableau_core::planner::{plan, plan_with_fallback, Plan, PlannerOptions};
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
 use tableau_core::viz::{render_gantt, render_legend};
 
@@ -44,6 +44,25 @@ fn show(title: &str, plan: &Plan) {
     println!("--- {title} ---");
     println!("{}", render_gantt(&plan.table, 72));
     println!("{}", render_legend(&plan.table));
+}
+
+/// Replans `host` against the previous deployment and says which rung of
+/// the ladder answered and what it reused.
+fn redeploy(what: &str, prev: (&HostConfig, &Plan), host: &HostConfig) -> Plan {
+    let t0 = std::time::Instant::now();
+    let out = plan_with_fallback(Some(prev), host, &PlannerOptions::default())
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let us = t0.elapsed().as_micros();
+    match &out.delta {
+        Some(report) => println!(
+            "{what}: {} rung, dirty cores {:?}, clean {:?} ({us} us)\n",
+            out.path.label(),
+            report.dirty_cores,
+            report.clean_cores,
+        ),
+        None => println!("{what}: {} rung ({us} us)\n", out.path.label()),
+    }
+    out.plan
 }
 
 fn main() {
@@ -84,12 +103,8 @@ fn main() {
         },
     ];
 
-    let opts = PlannerOptions {
-        peephole: true,
-        ..PlannerOptions::default()
-    };
     let mut prev_host = host_for(n_cores, &fleet);
-    let mut prev_plan = plan(&prev_host, &opts).expect("fleet fits the node");
+    let mut prev_plan = plan(&prev_host, &PlannerOptions::default()).expect("fleet fits the node");
     show(
         "initial deployment (6 containers, 2.8 cores requested)",
         &prev_plan,
@@ -102,14 +117,7 @@ fn main() {
         latency: ms(5),
     });
     let host = host_for(n_cores, &fleet);
-    let t0 = std::time::Instant::now();
-    let (p, report) = plan_incremental(&prev_host, &prev_plan, &host, &opts).expect("canary fits");
-    println!(
-        "deploy api-canary: replanned cores {:?}, reused {:?} ({} us)\n",
-        report.replanned_cores,
-        report.reused_cores,
-        t0.elapsed().as_micros()
-    );
+    let p = redeploy("deploy api-canary", (&prev_host, &prev_plan), &host);
     show("after canary deploy", &p);
     prev_host = host;
     prev_plan = p;
@@ -117,15 +125,7 @@ fn main() {
     // Scale the batch tier down.
     fleet.retain(|c| c.name != "worker-2");
     let host = host_for(n_cores, &fleet);
-    let t0 = std::time::Instant::now();
-    let (p, report) =
-        plan_incremental(&prev_host, &prev_plan, &host, &opts).expect("shrink always fits");
-    println!(
-        "scale down workers: replanned cores {:?}, reused {:?} ({} us)\n",
-        report.replanned_cores,
-        report.reused_cores,
-        t0.elapsed().as_micros()
-    );
+    let p = redeploy("scale down workers", (&prev_host, &prev_plan), &host);
     show("after scale-down", &p);
 
     // Every container's declared latency bound, verified from the table.
