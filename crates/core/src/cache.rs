@@ -510,15 +510,15 @@ const SHARDS: usize = 8;
 
 /// A lock-striped, shareable [`PlanCache`].
 ///
-/// The fleet control plane shards its per-host work across worker threads;
-/// the plan cache is the one structure every host's replan path touches, so
-/// a single `&mut PlanCache` would serialize the whole control plane (or
-/// force unsafe sharing). `SharedPlanCache` stripes the key space over
-/// [`SHARDS`] independently locked [`PlanCache`]s, routed by the request's
-/// [`scalar_hash`] (a prefix of the [`fingerprint`] the lookup computes):
-/// every method takes `&self`, two requests for different stripes never
-/// contend, and two requests for the *same* shape serialize on one stripe —
-/// exactly the ordering a correct cache needs.
+/// `SharedPlanCache` stripes the key space over [`SHARDS`] independently
+/// locked [`PlanCache`]s, routed by the request's [`scalar_hash`] (a prefix
+/// of the [`fingerprint`] the lookup computes): every method takes `&self`,
+/// two requests for different stripes never contend, and two requests for
+/// the *same* shape serialize on one stripe. The fleet control plane — the
+/// one production caller — is single-threaded (DESIGN.md, "Why the planner
+/// and the fleet step are single-threaded"), so today no two threads ever
+/// touch the stripes; they stay because the routing decides which stripe's
+/// capacity a shape competes for, and with it every eviction.
 ///
 /// The speculative warm budget is **global** (one counter behind its own
 /// mutex, not per stripe): `begin_warm_epoch` opens a fleet-wide allowance
@@ -610,10 +610,8 @@ impl SharedPlanCache {
     }
 
     /// Speculatively pre-plans a batch of shapes so the predicted requests
-    /// hit, running the planner for the uncached ones **in parallel** (the
-    /// planner is pure; every cache mutation stays sequential in request
-    /// order, so the outcome is deterministic and thread-count
-    /// independent). Per shape the result is the warmed plan, or `None`
+    /// hit, planning and installing the uncached ones in request order. Per
+    /// shape the result is the warmed plan, or `None`
     /// when the shape was declined or its planner run failed — speculative
     /// failures are not actionable, so they are not surfaced as errors.
     ///
@@ -668,24 +666,19 @@ impl SharedPlanCache {
             triage.push(Triage::Plan);
         }
 
-        // Parallel phase: pure planner runs, reassembled in input order.
-        let jobs: Vec<usize> = triage
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| matches!(t, Triage::Plan))
-            .map(|(i, _)| i)
-            .collect();
-        let fresh = rayon::par_map_indices(jobs.len(), |k| plan(&shapes[jobs[k]], opts));
-
-        // Sequential install phase, in request order.
-        for (&i, result) in jobs.iter().zip(fresh) {
-            match result {
+        // Plan and install, in request order (the planner is pure, so an
+        // earlier install cannot change a later plan).
+        for (i, host) in shapes.iter().enumerate() {
+            if !matches!(triage[i], Triage::Plan) {
+                continue;
+            }
+            match plan(host, opts) {
                 Ok(p) => {
                     let p = Arc::new(p);
-                    let mut shard = self.shard(&shapes[i], opts);
+                    let mut shard = self.shard(host, opts);
                     shard.tick += 1;
                     shard.warmed += 1;
-                    shard.install(&shapes[i], opts, Arc::clone(&p), true);
+                    shard.install(host, opts, Arc::clone(&p), true);
                     triage[i] = Triage::Done(Some(p));
                 }
                 Err(_) => {

@@ -22,12 +22,12 @@
 //! picks `T = H/8 = 12,837,825 ns` (~13 ms) and `C ≈ 3.21 ms`, matching the
 //! parameters reported in Sec. 7.2.
 //!
-//! **Parallel pipeline.** The per-core / per-cluster stages (EDF
-//! simulation, DP-Fair generation, verification, coalescing) and the
-//! per-vCPU blackout validation operate on disjoint data and run
-//! concurrently on scoped worker threads; every fan-out collects results in
-//! index order, so the produced [`Plan`] is bit-identical to a sequential
-//! run (pinned by `tests/prop_parallel.rs`).
+//! **Single-threaded.** Every stage is a plain loop over cores or vCPUs.
+//! A warm plan costs tens of microseconds and a cold 176-VM plan a few
+//! milliseconds, so sharding its per-core stages over threads cost more
+//! than the stages themselves (DESIGN.md, "Why the planner and the fleet
+//! step are single-threaded"); the [`Plan`] is a function of the request
+//! alone.
 
 use std::time::{Duration, Instant};
 
@@ -542,13 +542,11 @@ pub fn plan_timed(
     // coalesce per core. Split vCPUs must never be *extended* by a
     // donation: their pieces on other cores begin exactly where a piece
     // ends, and growing one would schedule the vCPU on two cores at once.
-    // Coalescing is core-local, so the direct cores are processed
-    // concurrently; stamped cores (identical schedules modulo vCPU ids)
-    // reuse their representative's result under the id substitution —
-    // coalescing decisions depend only on interval geometry and the
-    // may-extend predicate, both of which the stamp preserves (stamped
-    // cores carry only whole, unsplit vCPUs). Reports are absorbed in core
-    // order to keep the aggregate deterministic.
+    // Coalescing is core-local; stamped cores (identical schedules modulo
+    // vCPU ids) reuse their representative's result under the id
+    // substitution — coalescing decisions depend only on interval geometry
+    // and the may-extend predicate, both of which the stamp preserves
+    // (stamped cores carry only whole, unsplit vCPUs).
     let split: Vec<VcpuId> = generated.split_tasks.iter().map(|t| VcpuId(t.0)).collect();
     let coalesce_core = |core: usize| -> (Vec<Allocation>, CoalesceReport) {
         let mut allocs: Vec<Allocation> = generated.schedule.cores[core]
@@ -565,24 +563,15 @@ pub fn plan_timed(
         });
         (allocs, report)
     };
-    let direct: Vec<Option<(Vec<Allocation>, CoalesceReport)>> =
-        rayon::par_map_indices(shared_cores, |core| {
-            if sharing.stamp_of(core).is_some() {
-                None
-            } else {
-                Some(coalesce_core(core))
-            }
-        });
     let mut coalesced: Vec<(Vec<Allocation>, CoalesceReport)> = Vec::with_capacity(shared_cores);
     // `table_stamps[core] = Some(rep)` once the remap checked out, so the
     // slice-table build below can reuse the representative's CpuTable too.
     let mut table_stamps: Vec<Option<usize>> = vec![None; host.n_cores];
-    for (core, pre) in direct.into_iter().enumerate() {
-        if let Some(done) = pre {
-            coalesced.push(done);
+    for (core, table_stamp) in table_stamps.iter_mut().enumerate().take(shared_cores) {
+        let Some(stamp) = sharing.stamp_of(core) else {
+            coalesced.push(coalesce_core(core));
             continue;
-        }
-        let stamp = sharing.stamp_of(core).expect("stamped iff not direct");
+        };
         let remapped = (stamp.rep < core).then(|| &coalesced[stamp.rep]).and_then(
             |(rep_allocs, rep_report)| {
                 // One pair per task of the bin — a handful: the id
@@ -606,7 +595,7 @@ pub fn plan_timed(
         );
         match remapped {
             Some(done) => {
-                table_stamps[core] = Some(stamp.rep);
+                *table_stamp = Some(stamp.rep);
                 coalesced.push(done);
             }
             // Inconsistent stamp (never expected): coalesce directly.
@@ -639,12 +628,10 @@ pub fn plan_timed(
 
     let t0 = Instant::now();
     // Observed worst-case blackout per vCPU, for latency-goal validation.
-    // Each vCPU's scan only reads the (now immutable) table, so the vCPUs
-    // are validated concurrently, collected in vCPU order.
-    let worst_blackout: Vec<(VcpuId, Nanos)> = rayon::par_map_indices(vcpus.len(), |i| {
-        let (vcpu, _) = vcpus[i];
-        (vcpu, blackout_in_table(&table, vcpu, hyperperiod))
-    });
+    let worst_blackout: Vec<(VcpuId, Nanos)> = vcpus
+        .iter()
+        .map(|&(vcpu, _)| (vcpu, blackout_in_table(&table, vcpu, hyperperiod)))
+        .collect();
     timings.verify += t0.elapsed();
     timings.total = t_total.elapsed();
 

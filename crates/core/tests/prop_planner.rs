@@ -52,11 +52,14 @@ fn arb_host() -> impl Strategy<Value = HostConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every admissible host plans, and every vCPU's observed blackout is
-    /// within its latency goal (plus the sub-threshold coalescing slack).
+    /// Every admissible host plans — to the same plan every time it is
+    /// asked — and every vCPU's observed blackout is within its latency
+    /// goal (plus the sub-threshold coalescing slack).
     #[test]
     fn blackouts_respect_latency_goals(host in arb_host()) {
         let p = plan(&host, &PlannerOptions::default()).expect("admissible host plans");
+        let again = plan(&host, &PlannerOptions::default()).expect("admissible host plans");
+        prop_assert_eq!(&p, &again, "a plan is a function of the request");
         let slack = tableau_core::postprocess::DEFAULT_THRESHOLD;
         for (vcpu, spec) in host.vcpus() {
             let blackout = p.blackout_of(vcpu).expect("every vCPU measured");

@@ -1,11 +1,10 @@
 //! `bench snapshot`: the tracked perf trajectory.
 //!
-//! Experiment sweeps now run their points concurrently, so their wall-clock
-//! columns measure *contended* time; this module is the uncontended timing
-//! source. It times the three planner stages through the full [`plan`]
+//! This module times the three planner stages through the full [`plan`]
 //! entry point, the [`PlanCache`] hit and miss paths, and the dispatcher's
-//! [`Dispatcher::decide`]/wake-up/table-switch hot paths, then writes
-//! `BENCH_planner.json` and `BENCH_dispatch.json` at the repo root.
+//! [`Dispatcher::decide`]/wake-up/table-switch hot paths — each row on the
+//! calling thread, one at a time — then writes `BENCH_planner.json` and
+//! `BENCH_dispatch.json` at the repo root.
 //!
 //! Those files are committed: each PR that lands a perf-relevant change
 //! reruns `experiments bench snapshot` and commits the refreshed numbers,
@@ -61,7 +60,8 @@ pub struct BenchMeta {
     pub seed: u64,
     /// Physical cores on the measuring host.
     pub machine_cores: usize,
-    /// Worker threads the parallel pipeline used.
+    /// Worker threads the timed rows ran on: always 1 — nothing beneath
+    /// the sim-only experiment sweeps spawns a thread.
     pub threads: usize,
     /// `git rev-parse --short HEAD`, or `"unknown"` outside a checkout.
     pub git_rev: String,
@@ -314,7 +314,7 @@ pub(crate) fn meta(quick: bool, seed: u64) -> BenchMeta {
         quick,
         seed,
         machine_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        threads: rayon::current_num_threads(),
+        threads: 1,
         git_rev: crate::report::git_rev(),
     }
 }

@@ -422,20 +422,16 @@ fn sweep_timed(quick: bool, seed: u64) -> (FleetReport, std::time::Duration) {
     } else {
         &INTENSITIES
     };
-    let mut cells = Vec::new();
+    // One cell at a time: each carries wall-clock columns (`step_phases`)
+    // and their sum is `fleet/wall_per_admission`, which two cells sharing
+    // the box would halve with no work saved.
+    let t0 = Instant::now();
+    let mut points = Vec::new();
     for &s in &seeds {
         for &i in intensities {
-            cells.push((s, i));
+            points.push(measure(n_hosts, s, i, duration));
         }
     }
-    // Each cell is fully determined by (seed, intensity); measuring
-    // concurrently and reassembling in grid order reproduces the
-    // sequential sweep byte-for-byte.
-    let t0 = Instant::now();
-    let points = rayon::par_map_indices(cells.len(), |k| {
-        let (s, i) = cells[k];
-        measure(n_hosts, s, i, duration)
-    });
     let wall = t0.elapsed();
     let report = FleetReport {
         meta: FleetMeta {

@@ -71,7 +71,8 @@ pub struct PlannerScaleMeta {
     pub engine: String,
     /// Cores visible to the process.
     pub machine_cores: usize,
-    /// Worker threads the parallel pipeline used.
+    /// Worker threads the timed cells ran on: always 1, the cells run one
+    /// at a time on the calling thread.
     pub threads: usize,
     /// Git revision the numbers were produced at.
     pub git_rev: String,
@@ -128,21 +129,10 @@ pub fn sweep_with_engine(quick: bool, engine: GenEngine) -> Vec<PlannerPoint> {
     let mut opts = PlannerOptions::default();
     opts.gen.engine = engine;
 
-    // Grid in sequential order: goal-major, then VM count.
-    let mut cells = Vec::new();
-    for &goal_ms in &GOALS_MS {
-        for &n in &counts {
-            cells.push((goal_ms, n));
-        }
-    }
-    // Cells are independent `plan()` calls; running them concurrently and
-    // reassembling in grid order leaves every deterministic field
-    // (n_vms, goal, table_bytes, stage) identical to the sequential sweep.
-    // Only the timing fields are wall-clock, and under a concurrent sweep
-    // they measure *contended* time — `bench snapshot` is the uncontended
-    // timing source for the perf trajectory.
-    rayon::par_map_indices(cells.len(), |i| {
-        let (goal_ms, n) = cells[i];
+    // One cell at a time: `gen_time_ms` and the stage breakdown are
+    // wall-clock (the paper's Fig. 3/4), and a cell timed while another
+    // runs on the next core measures the contention, not the planner.
+    let measure = |goal_ms: u64, n: usize| {
         let h = host(n, Nanos::from_millis(goal_ms));
         let mut total = std::time::Duration::ZERO;
         let mut stages = [std::time::Duration::ZERO; 5];
@@ -174,7 +164,15 @@ pub fn sweep_with_engine(quick: bool, engine: GenEngine) -> Vec<PlannerPoint> {
             table_bytes: encoded_size(&p.table),
             stage: format!("{:?}", p.stage),
         }
-    })
+    };
+    // Goal-major, then VM count.
+    let mut points = Vec::new();
+    for &goal_ms in &GOALS_MS {
+        for &n in &counts {
+            points.push(measure(goal_ms, n));
+        }
+    }
+    points
 }
 
 /// [`sweep_with_engine`] under the default (memoized) engine.
@@ -229,7 +227,7 @@ pub fn run_with_engine(quick: bool, engine: GenEngine) -> Vec<PlannerPoint> {
             reps: if quick { 1 } else { 5 },
             engine: engine_name(engine).to_string(),
             machine_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            threads: rayon::current_num_threads(),
+            threads: 1,
             git_rev: git_rev(),
         },
         points,

@@ -354,8 +354,7 @@ pub struct Fleet {
     cfg: FleetConfig,
     machine: Machine,
     hosts: Vec<FleetHost>,
-    /// Lock-striped: the parallel phases of [`Fleet::step`] never touch
-    /// it, but admission bursts from concurrent front-ends may.
+    /// One table per request shape, shared by every host that asks for it.
     cache: SharedPlanCache,
     engine: Option<HostFaultEngine>,
     crash_windows: Vec<Vec<FaultWindow>>,
@@ -587,16 +586,14 @@ impl Fleet {
     /// corruption is detected — and its repair install issued — within the
     /// same epoch.
     ///
-    /// **Parallelism.** The phase order above is the control plane's
-    /// semantics and never changes; what shards across worker threads is
-    /// the per-host work *inside* a phase: deriving audit facts (once per
-    /// distinct live table image), speculative warm planning, and —
-    /// dominating the wall clock — the host simulators, each of which owns
-    /// its state exclusively.
-    /// Every fleet-level mutation (counters, queues, RNG draws, cache
-    /// installs) stays sequential in host order, so a step is bit-for-bit
-    /// identical under any thread count, including
-    /// `rayon::force_sequential`.
+    /// **Single-threaded.** Every phase is a plain loop in host order: the
+    /// audit derives facts once per distinct live table image, the warm
+    /// planner runs its batch in request order, and each host simulator —
+    /// the bulk of the wall clock — advances in turn. A 320-host step costs
+    /// ~150 µs, less than spawning the threads that used to shard it
+    /// (DESIGN.md, "Why the planner and the fleet step are
+    /// single-threaded"), so a step is a function of the fleet's state and
+    /// `now` alone.
     pub fn step(&mut self, now: Nanos) {
         let t0 = Instant::now();
         let mut mark = t0;
@@ -614,12 +611,12 @@ impl Fleet {
         self.phases.installs_ns += lap(&mut mark);
         self.prewarm_cache();
         self.phases.prewarm_ns += lap(&mut mark);
-        rayon::par_map_mut(&mut self.hosts, |_, h| {
+        for h in &mut self.hosts {
             let local = now - h.epoch_base;
             if let Some(sim) = h.sim.as_mut() {
                 sim.run_until(local);
             }
-        });
+        }
         self.phases.host_sims_ns += lap(&mut mark);
         self.phases.steps += 1;
         self.phases.total_ns += t0.elapsed().as_nanos() as u64;
@@ -815,9 +812,9 @@ impl Fleet {
     /// placement ladder would pick for the *next* admission of that flavor
     /// — same candidate filter, same best-fit/first-fit policy the current
     /// backpressure state selects — and warm the shared cache with the
-    /// resulting host shape. The predicted shapes are gathered sequentially
-    /// and warmed as one batch, so the uncached ones run the planner in
-    /// parallel; an already-cached shape costs one lookup.
+    /// resulting host shape. The predicted shapes are gathered first and
+    /// warmed as one batch, so every decline decision is taken against the
+    /// pre-batch cache; an already-cached shape costs one lookup.
     fn prewarm_cache(&mut self) {
         if self.cfg.prewarm_flavors == 0 {
             return;
@@ -1067,15 +1064,11 @@ impl Fleet {
             .filter_map(|h| Some((h.tableau()?.dispatcher().newest_table(), h.id)))
             .collect();
         live.sort_unstable_by_key(|&(table, host)| (table as *const Table, host));
-        let groups: Vec<&[(&Table, usize)]> =
-            live.chunk_by(|a, b| std::ptr::eq(a.0, b.0)).collect();
-        // Deriving facts dominates this phase and is per-table pure, so it
-        // shards across workers.
-        let facts = rayon::par_map_indices(groups.len(), |g| TableFacts::derive(groups[g][0].0));
         let mut violated = vec![false; self.hosts.len()];
-        for (group, live_facts) in groups.iter().zip(&facts) {
-            for &(_, host) in *group {
-                violated[host] = self.hosts[host].installed.facts != *live_facts;
+        for group in live.chunk_by(|a, b| std::ptr::eq(a.0, b.0)) {
+            let live_facts = TableFacts::derive(group[0].0);
+            for &(_, host) in group {
+                violated[host] = self.hosts[host].installed.facts != live_facts;
             }
         }
         violated

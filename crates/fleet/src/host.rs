@@ -112,8 +112,7 @@ impl FleetHost {
         // The scheduler boots on the masked probe table; every later table
         // reaches it through the two-phase install protocol.
         let tableau = Tableau::from_shared_table(boot_image.table.clone(), &boot_plan.params);
-        // The default hybrid (dense-batching) engine: fleet parallelism is
-        // per-host sharding in `Fleet::step`.
+        // The default hybrid (dense-batching) engine.
         let mut sim = Sim::new(*machine, Box::new(tableau));
         for core in 0..machine.n_cores() {
             sim.add_vcpu(Box::new(BusyLoop), core, true);

@@ -31,11 +31,11 @@
 //! bit-identical schedules (property-checked in `tableau-core`'s
 //! `prop_memoized_generator`).
 //!
-//! **Parallel execution.** Cores (stage 1/2) and clusters (stage 3) hold
-//! disjoint task sets, so their EDF simulations and the DP-Fair generation
-//! run concurrently on scoped worker threads. Results are reassembled in
-//! core order; the generated schedule is bit-identical to a sequential run
-//! (see `prop_parallel` in `tableau-core`).
+//! **Single-threaded.** Cores (stage 1/2) and clusters (stage 3) hold
+//! disjoint task sets and are simulated one after another, in core order:
+//! a per-core EDF simulation costs microseconds, less than handing it to
+//! another thread (DESIGN.md, "Why the planner and the fleet step are
+//! single-threaded").
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -361,8 +361,7 @@ pub fn generate_schedule_instrumented(
 
 /// Simulates per-core EDF for a bin assignment, engine-dispatched.
 ///
-/// Direct engine: every core simulated from scratch, concurrently (cores
-/// hold disjoint task sets; results reassembled in core order). Memoized
+/// Direct engine: every core simulated from scratch, in core order. Memoized
 /// engine: each all-implicit bin signature that two or more cores share is
 /// simulated once — at its lowest-index ("representative") core,
 /// positionally — and relabeled onto every core sharing it; bins whose
@@ -380,7 +379,11 @@ fn simulate_cores(
     let n = bins.cores.len();
     let mut stamps: Vec<Option<Stamp>> = vec![None; n];
     if engine == GenEngine::Direct {
-        let results = rayon::par_map_indices(n, |core| simulate_edf(&bins.cores[core], horizon));
+        let results = bins
+            .cores
+            .iter()
+            .map(|bin| simulate_edf(bin, horizon))
+            .collect();
         return (results, stamps);
     }
 
@@ -409,44 +412,20 @@ fn simulate_cores(
             (rep_of[sig].1 > 1 || memo.edf_get(sig).is_some()).then_some(sig)
         })
         .collect();
-    // Simulate each *new* shared signature once, concurrently, using its
-    // representative core's bin.
-    let todo: Vec<usize> = shared
-        .iter()
-        .enumerate()
-        .filter_map(|(core, sig)| {
-            let sig = (*sig)?;
-            (rep_of[sig].0 == core && memo.edf_get(sig).is_none()).then_some(core)
-        })
-        .collect();
-    let fresh = rayon::par_map_indices(todo.len(), |i| {
-        simulate_edf_positional(&bins.cores[todo[i]], horizon)
-    });
-    for (core, result) in todo.into_iter().zip(fresh) {
-        memo.edf_insert(
-            shared[core].expect("todo cores are sharable").clone(),
-            result,
-        );
-    }
-    // Unshared and non-sharable bins take the direct path, also
-    // concurrently.
-    let direct: Vec<usize> = shared
-        .iter()
-        .enumerate()
-        .filter_map(|(core, sig)| sig.is_none().then_some(core))
-        .collect();
-    let direct_results = rayon::par_map_indices(direct.len(), |i| {
-        simulate_edf(&bins.cores[direct[i]], horizon)
-    });
-
-    let mut out: Vec<Option<Result<CoreSchedule, DeadlineMiss>>> = (0..n).map(|_| None).collect();
-    for (core, result) in direct.into_iter().zip(direct_results) {
-        out[core] = Some(result);
-    }
+    let mut results = Vec::with_capacity(n);
     for core in 0..n {
-        let Some(sig) = shared[core] else { continue };
-        let rep = rep_of[sig].0;
         let bin = &bins.cores[core];
+        // Unshared and non-sharable bins take the direct path.
+        let Some(sig) = shared[core] else {
+            results.push(simulate_edf(bin, horizon));
+            continue;
+        };
+        // A *new* shared signature is simulated once, at its representative
+        // (the lowest-index core carrying it, so the first to get here).
+        if memo.edf_get(sig).is_none() {
+            memo.edf_insert(sig.clone(), simulate_edf_positional(bin, horizon));
+        }
+        let rep = rep_of[sig].0;
         let result = match memo.edf_get(sig).expect("simulated above") {
             Ok(positional) => Ok(positional.relabel(|t| bin[t.0 as usize].id)),
             Err(miss) => Err(DeadlineMiss {
@@ -464,12 +443,8 @@ fn simulate_cores(
                     .collect(),
             });
         }
-        out[core] = Some(result);
+        results.push(result);
     }
-    let results = out
-        .into_iter()
-        .map(|r| r.expect("every core simulated"))
-        .collect();
     (results, stamps)
 }
 
@@ -669,8 +644,8 @@ fn pack_cluster(
 
 /// Generates DP-Fair on the cluster and EDF on the singles.
 ///
-/// Direct engine: cluster and singles run concurrently, exactly the
-/// original pipeline. Memoized engine: singles whose signature repeats
+/// Direct engine: DP-Fair on the cluster, per-core EDF on each single.
+/// Memoized engine: singles whose signature repeats
 /// across cores go through the signature memo (and hit it again should a
 /// later attempt simulate them), one-of-a-kind singles are simulated
 /// directly each time, and an all-implicit cluster runs positionally
@@ -685,38 +660,19 @@ fn generate_cluster_and_singles(
     engine: GenEngine,
     memo: &mut SigMemo,
 ) -> Option<(MultiCoreSchedule, Vec<TaskId>, CoreSharing)> {
-    let n_singles = single_bins.cores.len();
-    let (cluster_cores, single_results, single_stamps) = match engine {
-        GenEngine::Direct => {
-            // Cluster and singleton bins hold disjoint task sets, so they
-            // generate concurrently.
-            let (cluster, singles) = rayon::join(
-                || dpfair_schedule(cluster_tasks, cluster_size, horizon),
-                || {
-                    rayon::par_map_indices(n_singles, |i| {
-                        simulate_edf(&single_bins.cores[i], horizon)
-                    })
-                },
-            );
-            (cluster, singles, vec![None; n_singles])
-        }
-        GenEngine::Memoized => {
-            let (singles, stamps) = simulate_cores(single_bins, horizon, engine, memo);
-            let cluster = if all_implicit(cluster_tasks) {
-                let sig = BinSignature::of(cluster_tasks);
-                memo.dpfair(sig, cluster_tasks, cluster_size, horizon)
-                    .clone()
-                    .map(|cores| {
-                        cores
-                            .iter()
-                            .map(|c| c.relabel(|t| cluster_tasks[t.0 as usize].id))
-                            .collect()
-                    })
-            } else {
-                dpfair_schedule(cluster_tasks, cluster_size, horizon)
-            };
-            (cluster, singles, stamps)
-        }
+    let (single_results, single_stamps) = simulate_cores(single_bins, horizon, engine, memo);
+    let cluster_cores = if engine == GenEngine::Memoized && all_implicit(cluster_tasks) {
+        let sig = BinSignature::of(cluster_tasks);
+        memo.dpfair(sig, cluster_tasks, cluster_size, horizon)
+            .clone()
+            .map(|cores| {
+                cores
+                    .iter()
+                    .map(|c| c.relabel(|t| cluster_tasks[t.0 as usize].id))
+                    .collect()
+            })
+    } else {
+        dpfair_schedule(cluster_tasks, cluster_size, horizon)
     };
 
     let cluster_cores = cluster_cores.ok()?;

@@ -115,8 +115,8 @@ impl SigMemo {
             .or_insert_with(|| simulate_edf_positional(bin, horizon))
     }
 
-    /// Records an already-computed positional EDF result (used when results
-    /// are produced in a parallel batch rather than through [`SigMemo::edf`]).
+    /// Records an already-computed positional EDF result (the generator
+    /// looks up by reference first, so a hit clones no signature).
     pub fn edf_insert(&mut self, sig: BinSignature, result: Result<CoreSchedule, DeadlineMiss>) {
         self.edf.insert(sig, result);
     }

@@ -107,22 +107,17 @@ impl std::fmt::Display for Violation {
 pub fn verify_schedule(tasks: &[PeriodicTask], schedule: &MultiCoreSchedule) -> Vec<Violation> {
     let h = schedule.hyperperiod;
 
-    // Cores and tasks are each checked independently, so both passes run
-    // concurrently; per-core and per-task findings are concatenated in
-    // index order, producing the exact violation list (and ordering) of a
-    // sequential scan.
-
     // (1) Per-core geometry.
-    let per_core = rayon::par_map_indices(schedule.cores.len(), |core| {
-        core_geometry(core, schedule.cores[core].segments(), h)
-    });
+    let mut violations = Vec::new();
+    for (core, sched) in schedule.cores.iter().enumerate() {
+        violations.extend(core_geometry(core, sched.segments(), h));
+    }
 
     // (2)–(4) Per-task guarantees, from one segment-bucketing pass.
     let ivs = TaskIntervals::of_schedule(tasks, schedule);
-    let per_task = rayon::par_map_indices(tasks.len(), |i| check_task(&tasks[i], ivs.of(i), h));
-
-    let mut violations: Vec<Violation> = per_core.into_iter().flatten().collect();
-    violations.extend(per_task.into_iter().flatten());
+    for (i, task) in tasks.iter().enumerate() {
+        violations.extend(check_task(task, ivs.of(i), h));
+    }
     violations
 }
 
@@ -229,18 +224,15 @@ fn verify_shared_fast(
         }
     }
 
-    let per_core = rayon::par_map_indices(schedule.cores.len(), |core| {
-        core_geometry(core, schedule.cores[core].segments(), h)
-    });
-    let per_task = rayon::par_map_indices(tasks.len(), |i| {
-        if skip[i] {
-            Vec::new()
-        } else {
-            check_task(&tasks[i], ivs.of(i), h)
+    let mut violations = Vec::new();
+    for (core, sched) in schedule.cores.iter().enumerate() {
+        violations.extend(core_geometry(core, sched.segments(), h));
+    }
+    for (i, task) in tasks.iter().enumerate() {
+        if !skip[i] {
+            violations.extend(check_task(task, ivs.of(i), h));
         }
-    });
-    let mut violations: Vec<Violation> = per_core.into_iter().flatten().collect();
-    violations.extend(per_task.into_iter().flatten());
+    }
     Some(violations)
 }
 

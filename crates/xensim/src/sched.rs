@@ -197,13 +197,10 @@ pub struct DenseWindow {
 /// time order; implementations keep their own run queues in sync using the
 /// wake/block/deschedule notifications.
 ///
-/// `Send` so boxed schedulers can ride inside simulations that a fleet
-/// control plane steps from worker threads (hosts are sharded across
-/// threads; each simulation is owned by exactly one thread at a time).
 /// `Any` so a harness holding only `&dyn VmScheduler` (see
 /// [`crate::Sim::scheduler`]) can upcast and `downcast_ref` to the concrete
 /// scheduler without a mutable borrow.
-pub trait VmScheduler: Send + std::any::Any {
+pub trait VmScheduler: std::any::Any {
     /// Short name for reports ("credit", "rtds", "tableau", ...).
     fn name(&self) -> &'static str;
 
@@ -339,10 +336,7 @@ pub enum GuestAction {
 /// completes (including at first dispatch), and
 /// [`GuestWorkload::on_event`] whenever an external event tagged by the
 /// harness is delivered.
-///
-/// `Send` for the same reason as [`VmScheduler`]: simulations migrate
-/// between fleet worker threads.
-pub trait GuestWorkload: Send {
+pub trait GuestWorkload {
     /// The next action, decided at absolute guest-visible time `now`.
     fn next(&mut self, now: Nanos) -> GuestAction;
 

@@ -1,33 +1,40 @@
 //! Offline stand-in for `rayon`.
 //!
 //! The build environment has no network access to a crates registry, so this
-//! workspace ships a minimal data-parallelism layer with the `rayon` surface
-//! the planner and experiment sweeps use: [`join`], `par_iter()` over slices
-//! with `map(..).collect()`, and the index-range helper [`par_map_indices`].
-//! Work is executed on `std::thread::scope` threads in fixed contiguous
-//! chunks and results are reassembled in input order, so every parallel
-//! entry point is **deterministic**: the output is bit-identical to the
+//! workspace ships a minimal data-parallelism layer: the index-range map
+//! [`par_map_indices`] and three knobs around it. Work is executed on
+//! `std::thread::scope` threads in fixed contiguous chunks and results are
+//! reassembled in input order, so the output is bit-identical to the
 //! sequential evaluation regardless of thread count or interleaving.
+//!
+//! **One layer uses it**: the experiment sweeps whose cells are whole
+//! simulations reporting only simulated time (`robustness`, `scaling`,
+//! `latency_sweep`, `soak`) — seconds of work per spawn. Nothing beneath
+//! them (planner, verifier, cache, `Fleet::step`) spawns a thread: a scoped
+//! spawn costs more than the microseconds of work those would shard
+//! (DESIGN.md, "Why the planner and the fleet step are single-threaded"),
+//! and a sweep that reports wall-clock columns must not share the box with
+//! its own sibling cells.
 //!
 //! Two deliberate simplifications relative to real rayon:
 //!
-//! * **No work stealing.** Chunks are static; workers never rebalance. The
-//!   workloads here (per-core EDF simulation, per-sweep-point measurement)
-//!   have near-uniform cell costs, so static chunking loses little.
-//! * **No nested pools.** A worker thread that itself reaches a parallel
-//!   entry point runs it inline. This bounds the total thread count at
-//!   `available_parallelism` per top-level call instead of multiplying at
-//!   every nesting level.
+//! * **No work stealing.** Chunks are static; workers never rebalance.
+//!   Sweep cells have near-uniform costs, so static chunking loses little.
+//! * **No nested pools.** A worker thread that itself reaches
+//!   [`par_map_indices`] runs it inline. This bounds the total thread count
+//!   at `available_parallelism` per top-level call instead of multiplying
+//!   at every nesting level.
 //!
-//! [`force_sequential`] runs a closure with every parallel entry point
-//! inlined on the calling thread — the reference executions that the
-//! determinism tests compare against the parallel ones.
+//! [`force_sequential`] runs a closure with [`par_map_indices`] inlined on
+//! the calling thread — the reference executions that the determinism tests
+//! compare against the parallel ones.
 
 use std::cell::Cell;
 
 thread_local! {
-    /// Set inside worker threads (and `force_sequential`): parallel entry
-    /// points observed under this flag run inline instead of spawning.
+    /// Set inside worker threads (and `force_sequential`): a
+    /// `par_map_indices` observed under this flag runs inline instead of
+    /// spawning.
     static INLINE: Cell<bool> = const { Cell::new(false) };
 
     /// Per-thread thread-count override (see [`with_threads`]); `0` means
@@ -56,10 +63,11 @@ pub fn current_num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f` with parallel entry points on this thread using exactly `n`
+/// Runs `f` with [`par_map_indices`] on this thread using exactly `n`
 /// worker threads, regardless of `RAYON_NUM_THREADS` or the detected core
 /// count (shim extension; determinism tests compare an `n > 1` run against
-/// a [`force_sequential`] reference even on single-core CI runners).
+/// a [`force_sequential`] reference even on single-core CI runners, and
+/// the end-to-end benchmark pins itself to one).
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let prev = THREADS.with(Cell::get);
     THREADS.with(|c| c.set(n.max(1)));
@@ -76,7 +84,7 @@ fn workers_for(n_items: usize) -> usize {
     }
 }
 
-/// Runs `f` with all parallel entry points executing inline on the calling
+/// Runs `f` with [`par_map_indices`] executing inline on the calling
 /// thread (shim extension; used by determinism tests to produce the
 /// sequential reference run).
 pub fn force_sequential<R>(f: impl FnOnce() -> R) -> R {
@@ -87,33 +95,8 @@ pub fn force_sequential<R>(f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// Runs both closures, potentially in parallel, and returns both results.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if INLINE.with(Cell::get) {
-        return (oper_a(), oper_b());
-    }
-    std::thread::scope(|s| {
-        let b = s.spawn(|| {
-            INLINE.with(|c| c.set(true));
-            oper_b()
-        });
-        let ra = oper_a();
-        let rb = b.join().expect("rayon shim: joined closure panicked");
-        (ra, rb)
-    })
-}
-
-/// Maps `f` over `0..n` with the results in index order.
-///
-/// The workhorse behind the iterator adapters, exposed directly because
-/// "parallel for each core index" is the planner's dominant shape (shim
-/// extension; real rayon spells this `(0..n).into_par_iter()`).
+/// Maps `f` over `0..n` with the results in index order (shim extension;
+/// real rayon spells this `(0..n).into_par_iter().map(f).collect()`).
 pub fn par_map_indices<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -146,128 +129,6 @@ where
     })
 }
 
-/// Maps `f` over the elements of `items` in place, potentially in
-/// parallel, returning per-element results in index order.
-///
-/// The mutable-sharding workhorse behind fleet host stepping: the slice is
-/// split into contiguous chunks with `split_at_mut`, each worker owns its
-/// chunk exclusively, and results are reassembled in input order — so the
-/// output (and every mutation) is bit-identical to the sequential
-/// evaluation regardless of thread count (shim extension; real rayon
-/// spells this `items.par_iter_mut().enumerate().map(..)`).
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = workers_for(n);
-    if workers <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut rest = items;
-        let mut start = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let f = &f;
-            handles.push(s.spawn(move || {
-                INLINE.with(|c| c.set(true));
-                head.iter_mut()
-                    .enumerate()
-                    .map(|(i, item)| f(start + i, item))
-                    .collect::<Vec<R>>()
-            }));
-            start += take;
-        }
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            out.extend(h.join().expect("rayon shim: worker panicked"));
-        }
-        out
-    })
-}
-
-/// `rayon::prelude` — import to get `par_iter()` on slices and `Vec`s.
-pub mod prelude {
-    pub use crate::{IntoParallelRefIterator, ParallelIterator};
-}
-
-/// Types whose references can be iterated in parallel.
-pub trait IntoParallelRefIterator<'a> {
-    /// The element type yielded by the parallel iterator.
-    type Item: 'a;
-    /// Returns a parallel iterator over `&self`'s elements.
-    fn par_iter(&'a self) -> ParIter<'a, Self::Item>;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = T;
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { items: self }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = T;
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { items: self }
-    }
-}
-
-/// A parallel iterator over slice elements.
-pub struct ParIter<'a, T> {
-    items: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    /// Maps each element through `f` (evaluated when collected).
-    pub fn map<R, F>(self, f: F) -> ParMap<'a, T, F>
-    where
-        R: Send,
-        F: Fn(&'a T) -> R + Sync,
-    {
-        ParMap {
-            items: self.items,
-            f,
-        }
-    }
-}
-
-/// The result of [`ParIter::map`]; terminal operations run the pool.
-pub struct ParMap<'a, T, F> {
-    items: &'a [T],
-    f: F,
-}
-
-impl<'a, T, F, R> ParMap<'a, T, F>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    /// Evaluates the map in parallel and collects the results in input
-    /// order.
-    pub fn collect<C: FromIterator<R>>(self) -> C {
-        let f = &self.f;
-        par_map_indices(self.items.len(), |i| f(&self.items[i]))
-            .into_iter()
-            .collect()
-    }
-}
-
-/// Marker trait so `use rayon::prelude::*` mirrors real rayon imports.
-pub trait ParallelIterator {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,25 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_collect_matches_sequential() {
-        let items: Vec<u64> = (0..257).collect();
-        let par: Vec<u64> = items.par_iter().map(|&x| x * x + 1).collect();
-        let seq: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 6 * 7, || "ok");
-        assert_eq!((a, b), (42, "ok"));
-    }
-
-    #[test]
     fn force_sequential_produces_identical_output() {
         let items: Vec<u64> = (0..100).collect();
-        let par: Vec<u64> = items.par_iter().map(|&x| x + 1).collect();
-        let seq: Vec<u64> =
-            force_sequential(|| items.par_iter().map(|&x| x + 1).collect::<Vec<u64>>());
+        let par = with_threads(3, || par_map_indices(items.len(), |i| items[i] + 1));
+        let seq = force_sequential(|| par_map_indices(items.len(), |i| items[i] + 1));
         assert_eq!(par, seq);
     }
 
@@ -322,39 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_mut_mutates_and_preserves_order() {
-        let mut items: Vec<u64> = (0..533).collect();
-        let out = with_threads(4, || {
-            par_map_mut(&mut items, |i, x| {
-                *x += 1;
-                *x * i as u64
-            })
-        });
-        assert_eq!(items, (1..534).collect::<Vec<u64>>());
-        assert_eq!(out, (0..533u64).map(|i| (i + 1) * i).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn par_map_mut_matches_sequential_reference() {
-        let run = |par: bool| {
-            let mut items: Vec<u64> = (0..101).collect();
-            let f = || {
-                par_map_mut(&mut items, |i, x| {
-                    *x = x.wrapping_mul(31).wrapping_add(i as u64);
-                    *x
-                })
-            };
-            let out = if par {
-                with_threads(3, f)
-            } else {
-                force_sequential(f)
-            };
-            (items, out)
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn with_threads_overrides_thread_count() {
         with_threads(7, || assert_eq!(current_num_threads(), 7));
     }
@@ -363,8 +176,5 @@ mod tests {
     fn empty_and_single_inputs() {
         assert_eq!(par_map_indices(0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_indices(1, |i| i + 5), vec![5]);
-        let empty: Vec<u32> = Vec::new();
-        let out: Vec<u32> = empty.par_iter().map(|&x| x).collect();
-        assert!(out.is_empty());
     }
 }
