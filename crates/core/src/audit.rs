@@ -13,9 +13,12 @@
 //! checks one core — O(one core), not O(host) — so the audit amortizes to
 //! a full sweep every `n_cores` steps without ever stalling the hot path.
 //! The facts themselves are a value, [`TableFacts`]: derived from a table,
-//! compared against another derivation. A fleet whose dispatchers share
-//! table images derives the live facts once per image and compares them
-//! with each host's install-time baseline.
+//! compared against another derivation. They are read through the table's
+//! views — each core's `(start, end, vcpu)` sequence off its segment
+//! arrays, each vCPU's home core and pieces off its placement — the bytes
+//! the dispatcher follows, of which there is no second copy. A fleet whose
+//! dispatchers share table images derives the live facts once per image
+//! and compares them with each host's install-time baseline.
 //!
 //! The module also carries the *corruption injector* used by chaos soaks
 //! and the mutation-kill harness: [`corrupt_table`] applies one of three
@@ -92,7 +95,7 @@ impl Fingerprint {
 }
 
 /// Fingerprint of one core's allocation list.
-fn core_fingerprint(core: usize, allocs: &[Allocation]) -> u64 {
+fn core_fingerprint(core: usize, allocs: impl Iterator<Item = Allocation>) -> u64 {
     let mut h = Fingerprint::new();
     h.word(core as u64);
     for a in allocs {
@@ -114,7 +117,7 @@ fn placement_fingerprint(table: &Table) -> u64 {
             };
             h.word(v.0 as u64);
             h.word(p.home_core as u64);
-            for &(c, s, e) in &p.allocations {
+            for (c, s, e) in p.allocations() {
                 h.word(c as u64);
                 h.word(s.as_nanos());
                 h.word(e.as_nanos());
@@ -336,7 +339,7 @@ fn mix(mut x: u64) -> u64 {
 /// the input table.
 pub fn corrupt_table(table: &Table, kind: CorruptionKind, salt: u64) -> Option<Table> {
     let mut per_core: Vec<Vec<Allocation>> = (0..table.n_cores())
-        .map(|c| table.cpu(c).allocations().to_vec())
+        .map(|c| table.cpu(c).allocations().collect())
         .collect();
     // Flat index over every allocation slot in the table.
     let slots: Vec<(usize, usize)> = per_core

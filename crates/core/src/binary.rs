@@ -27,6 +27,12 @@
 //! rebuild them), but the real system ships them precomputed so the
 //! hypervisor does no work on the upload path — and their bytes are part of
 //! the memory footprint the paper reports, so the format keeps them.
+//!
+//! The format is the paper's, not a dump of [`Table`]'s memory: the encoder
+//! reads `CpuTable::allocations` (a view over the segment arrays) and
+//! re-derives the allocation-indexed slice records. In memory a table is
+//! about this size too (`Table::resident_bytes`): 12 B per segment against
+//! 20 B per allocation, the same 4 B per slice.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -80,7 +86,7 @@ pub fn encode(table: &Table) -> Bytes {
     buf.put_u64_le(table.len().as_nanos());
     for core in 0..table.n_cores() {
         let cpu = table.cpu(core);
-        buf.put_u32_le(cpu.allocations().len() as u32);
+        buf.put_u32_le(cpu.n_allocations() as u32);
         buf.put_u64_le(cpu.slice_len().as_nanos());
         buf.put_u32_le(cpu.n_slices() as u32);
         for a in cpu.allocations() {
@@ -88,17 +94,15 @@ pub fn encode(table: &Table) -> Bytes {
             buf.put_u64_le(a.end.as_nanos());
             buf.put_u32_le(a.vcpu.0);
         }
-        // Slice records: re-derive `first` exactly as CpuTable does; the
-        // bytes must match what the hypervisor-side index would contain.
+        // Slice records: the first allocation ending after each slice
+        // start (`u32::MAX` past the last one) — what the hypervisor-side
+        // index would contain. Slice starts ascend, so one cursor over the
+        // allocations answers them all.
+        let mut ends = cpu.allocations().map(|a| a.end).enumerate().peekable();
         for s in 0..cpu.n_slices() {
             let slice_start = cpu.slice_len() * s as u64;
-            let idx = cpu.allocations().partition_point(|a| a.end <= slice_start);
-            let first = if idx < cpu.allocations().len() {
-                idx as u32
-            } else {
-                u32::MAX
-            };
-            buf.put_u32_le(first);
+            while ends.next_if(|&(_, end)| end <= slice_start).is_some() {}
+            buf.put_u32_le(ends.peek().map_or(u32::MAX, |&(first, _)| first as u32));
         }
     }
     buf.freeze()
@@ -110,7 +114,7 @@ pub fn encoded_size(table: &Table) -> usize {
     for core in 0..table.n_cores() {
         let cpu = table.cpu(core);
         size += 4 + 8 + 4; // per-cpu header
-        size += cpu.allocations().len() * (8 + 8 + 4);
+        size += cpu.n_allocations() * (8 + 8 + 4);
         size += cpu.n_slices() * 4;
     }
     size

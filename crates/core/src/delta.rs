@@ -20,13 +20,15 @@
 //!    previous one in place ([`Table::patched_from`]). A clean bin that
 //!    keeps its vCPU ids verbatim (every clean bin of a join or a
 //!    leave-of-last — ids below the churned VM never shift) is not touched:
-//!    its compiled slice table and placement entries are kept by `Arc`
-//!    reference. A clean bin whose ids shifted (a teardown in the middle of
+//!    its compiled core table is kept by `Arc` reference, and that is all
+//!    there is to keep — a table stores no per-vCPU lists, so the splice
+//!    copies one home-core entry per vCPU and owns only the cores it
+//!    rebuilt. A clean bin whose ids shifted (a teardown in the middle of
 //!    the host moves every later id down) hands the splice its previous
-//!    allocations under a positional relabeling; the splice re-stamps them
-//!    onto the previous core's geometry — checked allocation by allocation
-//!    — instead of recompiling. Only vCPUs on dirtied or relabeled cores
-//!    are re-validated.
+//!    allocations, read off the core's segments, under a positional
+//!    relabeling; the splice re-stamps them onto the previous core's
+//!    geometry — checked allocation by allocation — instead of
+//!    recompiling. Only vCPUs on dirtied or relabeled cores are re-homed.
 //!
 //! The output is **field-identical** to what a full [`crate::planner::plan`]
 //! of the same host would produce (pinned by the `prop_delta` property
@@ -50,7 +52,7 @@ use rtsched::time::Nanos;
 use rtsched::verify::verify_schedule;
 use rtsched::MultiCoreSchedule;
 
-use crate::planner::{blackout_in_table, translate, Plan, PlannerOptions};
+use crate::planner::{translate, Plan, PlannerOptions};
 use crate::postprocess::{coalesce_with, CoalesceReport};
 use crate::table::{Allocation, Table};
 use crate::vcpu::{HostConfig, VcpuId};
@@ -216,11 +218,12 @@ pub fn plan_delta(
     // on them re-validated. A clean bin that keeps its vCPU ids verbatim —
     // every clean bin of a join or a leave-of-last, since `translate`
     // numbers vCPUs in host order and ids below the churned VM never shift
-    // — is not listed at all: its compiled table and placement entries stay
-    // inside `prev.table`. A clean bin whose ids shifted (a leave in the
-    // middle of the host moves every later id down) is listed with its
-    // previous allocations relabeled position by position, which the splice
-    // re-stamps onto the previous core's geometry instead of recompiling.
+    // — is not listed at all: its compiled table stays inside `prev.table`
+    // and its vCPUs keep their home-core entries. A clean bin whose ids
+    // shifted (a leave in the middle of the host moves every later id down)
+    // is listed with its previous allocations relabeled position by
+    // position, which the splice re-stamps onto the previous core's
+    // geometry instead of recompiling.
     let mut updates: Vec<(usize, Vec<Allocation>)> = Vec::new();
     for (core, new_bin) in r.bins.cores.iter().enumerate() {
         let prev_bin = &prev.core_bins[core];
@@ -242,13 +245,13 @@ pub fn plan_delta(
                 let relabeled: Option<Vec<Allocation>> = if same_ids {
                     None
                 } else {
-                    let prev_allocs = prev.table.cpu(core).allocations().iter();
+                    let prev_allocs = prev.table.cpu(core).allocations();
                     Some(
                         prev_allocs
                             .map(|a| {
                                 Some(Allocation {
                                     vcpu: subst(a.vcpu)?,
-                                    ..*a
+                                    ..a
                                 })
                             })
                             .collect::<Option<_>>()?,
@@ -309,17 +312,20 @@ pub fn plan_delta(
 
     // Blackouts: clean-core vCPUs keep their previous bound (their interval
     // set is unchanged modulo the relabeling); everything else — dirty-core
-    // and dedicated vCPUs — is recomputed from the spliced table.
+    // and dedicated vCPUs — is recomputed from the spliced table, one pass
+    // per rebuilt core.
+    let rebuilt = dirty_cores
+        .iter()
+        .copied()
+        .chain(tr.shared_cores..host.n_cores);
+    let recomputed = table.max_blackouts(rebuilt);
     let worst_blackout: Vec<(VcpuId, Nanos)> = tr
         .vcpus
         .iter()
         .map(|&(vcpu, _)| {
-            let b = blackout_by_id
-                .get(vcpu.0 as usize)
-                .copied()
-                .flatten()
-                .unwrap_or_else(|| blackout_in_table(&table, vcpu, hyperperiod));
-            (vcpu, b)
+            let reused = blackout_by_id.get(vcpu.0 as usize).copied().flatten();
+            let fresh = || recomputed.get(vcpu.0 as usize).copied();
+            (vcpu, reused.or_else(fresh).unwrap_or(hyperperiod))
         })
         .collect();
 
@@ -434,6 +440,37 @@ mod tests {
         assert_eq!(report.dirty_cores.len(), 1, "{report:?}");
         assert_eq!(report.clean_cores.len(), 43, "{report:?}");
         assert_eq!(delta, plan(&host, &opts).unwrap());
+    }
+
+    #[test]
+    fn a_spliced_table_owns_only_its_dirty_cores() {
+        // The same join: the spliced table points at the previous table's
+        // 43 clean cores and owns the one it rebuilt, so a chain of deltas
+        // costs O(dirty cores) of memory per link, not a table.
+        let opts = PlannerOptions::default();
+        let spec = VcpuSpec::capped(Utilization::from_percent(25), ms(1));
+        let mut prev_host = HostConfig::new(44);
+        for i in 0..175 {
+            prev_host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+        }
+        let prev = plan(&prev_host, &opts).unwrap();
+        let mut host = prev_host.clone();
+        host.add_vm(VmSpec::uniform("vm175", 1, spec));
+        let (delta, report) = plan_delta(&prev_host, &prev, &host, &opts).unwrap();
+        let (old, new) = (&prev.table, &delta.table);
+        let shared = |c: &usize| std::ptr::eq(old.cpu(*c), new.cpu(*c));
+        let rebuilt: Vec<usize> = (0..44).filter(|c| !shared(c)).collect();
+        assert_eq!(rebuilt, report.dirty_cores);
+        let held: usize = (0..44)
+            .filter(shared)
+            .map(|c| new.cpu(c).heap_bytes())
+            .sum();
+        let own = new.resident_bytes() - held;
+        assert!(
+            own * 10 <= new.resident_bytes(),
+            "{own} B of {} B are the splice's own",
+            new.resident_bytes()
+        );
     }
 
     #[test]

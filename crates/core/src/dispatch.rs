@@ -388,10 +388,7 @@ impl Dispatcher {
                     let slot = cpu.segment_slot(seg);
                     let vcpu = match slot.vcpu() {
                         Some(v) if is_runnable(v) => {
-                            let single_homed = table
-                                .placement(v)
-                                .is_some_and(|p| p.allocations.iter().all(|&(c, _, _)| c == core));
-                            if !single_homed {
+                            if !table.placement(v).is_some_and(|p| p.only_on(core)) {
                                 return None;
                             }
                             Some(v)

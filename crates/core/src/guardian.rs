@@ -730,7 +730,7 @@ impl Guardian {
 fn remap_to_width(table: &Table, online: &[usize], width: usize) -> Result<Table, String> {
     let mut per_core = vec![Vec::new(); width];
     for (compact, &full) in online.iter().enumerate() {
-        per_core[full] = table.cpu(compact).allocations().to_vec();
+        per_core[full] = table.cpu(compact).allocations().collect();
     }
     Table::new(table.len(), per_core)
 }

@@ -487,15 +487,6 @@ pub(crate) fn translate(
     })
 }
 
-/// Observed worst-case cyclic service gap of `vcpu` in `table` — the
-/// blackout the latency-goal validation checks. Pure function of the vCPU's
-/// interval set in the table; the whole hyperperiod if it never runs.
-pub(crate) fn blackout_in_table(table: &Table, vcpu: VcpuId, hyperperiod: Nanos) -> Nanos {
-    table
-        .placement(vcpu)
-        .map_or(hyperperiod, |p| p.max_blackout(hyperperiod))
-}
-
 /// Like [`plan`], additionally returning the per-stage wall-clock breakdown.
 ///
 /// The timings are a pure side channel: the returned [`Plan`] is the one
@@ -627,10 +618,13 @@ pub fn plan_timed(
     timings.slice_build += t0.elapsed();
 
     let t0 = Instant::now();
-    // Observed worst-case blackout per vCPU, for latency-goal validation.
+    // Observed worst-case blackout per vCPU, for latency-goal validation:
+    // one pass over each core's allocations answers every vCPU.
+    let blackouts = table.max_blackouts(0..host.n_cores);
+    let blackout_of = |v: VcpuId| blackouts.get(v.0 as usize).copied();
     let worst_blackout: Vec<(VcpuId, Nanos)> = vcpus
         .iter()
-        .map(|&(vcpu, _)| (vcpu, blackout_in_table(&table, vcpu, hyperperiod)))
+        .map(|&(vcpu, _)| (vcpu, blackout_of(vcpu).unwrap_or(hyperperiod)))
         .collect();
     timings.verify += t0.elapsed();
     timings.total = t_total.elapsed();
@@ -774,7 +768,7 @@ mod tests {
         // time in the table equals cost * (H / T).
         for params in &p.params {
             let placement = p.table.placement(params.vcpu).unwrap();
-            let total: Nanos = placement.allocations.iter().map(|&(_, s, e)| e - s).sum();
+            let total: Nanos = placement.allocations().map(|(_, s, e)| e - s).sum();
             let periods = p.table.len() / params.period;
             assert_eq!(total, params.cost * periods);
         }
@@ -812,7 +806,7 @@ mod tests {
         let p = plan(&host, &PlannerOptions::default()).unwrap();
         for v in 0..2u32 {
             let placement = p.table.placement(VcpuId(v)).unwrap();
-            for &(core, _, _) in &placement.allocations {
+            for (core, _, _) in placement.allocations() {
                 assert!(
                     host.cores_of_node(1).contains(&core),
                     "{} landed off-node on core {core}",
@@ -836,12 +830,7 @@ mod tests {
         }
         // Node 0 (core 0) holds at most 4 of the 25% VMs.
         let on_core0 = (0..5u32)
-            .filter(|&v| {
-                p.table
-                    .placement(VcpuId(v))
-                    .map(|pl| pl.allocations.iter().all(|&(c, _, _)| c == 0))
-                    .unwrap_or(false)
-            })
+            .filter(|&v| p.table.placement(VcpuId(v)).is_some_and(|pl| pl.only_on(0)))
             .count();
         assert_eq!(on_core0, 4);
     }
@@ -883,7 +872,7 @@ mod tests {
         .unwrap();
         let count = |p: &Plan| -> usize {
             (0..p.table.n_cores())
-                .map(|c| p.table.cpu(c).allocations().len())
+                .map(|c| p.table.cpu(c).n_allocations())
                 .sum()
         };
         assert!(

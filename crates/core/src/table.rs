@@ -11,6 +11,16 @@
 //! inspects a bounded number of records regardless of table size, touching
 //! at most two cache lines in the hot path.
 //!
+//! **One representation.** The schedule is stored once, as each core's
+//! gap-free segment arrays plus its slice index — what the dispatcher
+//! reads. An allocation *is* a non-idle segment, so
+//! [`CpuTable::allocations`] is a view over those arrays and the lists a
+//! constructor is given are consumed, not kept. [`Table::placement`] is a
+//! view too: one home core per vCPU id, its pieces read off that core's
+//! segments, and an explicit piece list only for the few vCPUs reserved on
+//! more than one core (C=D splits, cluster members). A table's heap is
+//! therefore about its wire size ([`Table::resident_bytes`]).
+//!
 //! **Compile cost.** A table is compiled on every plan and every delta
 //! splice, so the build is linear in what it writes and shaped for the
 //! branch predictor. One pass over a core's allocations validates them,
@@ -23,12 +33,12 @@
 //! (a 44-core, 1 ms-goal plan has ~117 000 slices over ~22 000 segments;
 //! the merge walk this replaced mispredicted once per segment and was the
 //! planner's largest stage; the binary search before it survives only in
-//! `tests/prop_table.rs`). Placement lists are sized by a counting pass,
-//! and a vCPU that sits on one core — every vCPU of a partitioned plan —
-//! skips the per-vCPU sort and home-core vote: its list is pushed from that
-//! core's start-sorted table, so it is in order already and that core is
-//! its home.
+//! `tests/prop_table.rs`). Placement is one pass over the segment ids: a
+//! vCPU seen on one core — every vCPU of a partitioned plan — is homed
+//! there and nothing is listed, sorted or voted on; the list-building
+//! constructors this replaced are the reference in `tests/prop_table.rs`.
 
+use std::mem::size_of_val;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -96,20 +106,20 @@ impl Slot {
     }
 }
 
-/// The schedule of one core: allocations plus its slice index.
+/// The schedule of one core: its segments plus the slice index over them.
 ///
-/// Internally the schedule is *flattened* into a gap-free sequence of
-/// segments covering `[0, table_len)`, stored as a structure-of-arrays of
+/// The schedule is *flattened* into a gap-free sequence of segments
+/// covering `[0, table_len)`, stored as a structure-of-arrays of
 /// `(end_offset, vcpu)` pairs: `seg_end[i]` is the exclusive end of segment
 /// `i` and `seg_vcpu[i]` its vCPU (or [`NO_VCPU`] for an idle gap). A
 /// dispatch lookup is then a single bounded forward walk over one contiguous
 /// array — and because per-core time moves forward, the dispatcher carries a
 /// segment cursor between decisions so the steady-state lookup never
-/// re-scans (see `Dispatcher`).
+/// re-scans (see `Dispatcher`). The arrays are the only copy of the
+/// schedule: an allocation is a non-idle segment, starting where the
+/// previous segment ends ([`CpuTable::allocations`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CpuTable {
-    /// Reserved intervals, sorted by start, non-overlapping.
-    allocations: Vec<Allocation>,
     /// Fixed slice width for this core (the shortest allocation length, or
     /// the table length for an empty core).
     slice_len: Nanos,
@@ -123,16 +133,17 @@ pub struct CpuTable {
     seg_vcpu: Vec<u32>,
 }
 
-/// Sentinel for "no vCPU" (an idle segment).
+/// Sentinel for "no vCPU" (an idle segment); no allocation may carry it.
 const NO_VCPU: u32 = u32::MAX;
 
 impl CpuTable {
-    /// Builds a core table from sorted, non-overlapping allocations.
+    /// Builds a core table from sorted, non-overlapping allocations. The
+    /// list is consumed: the segment arrays built from it are the table.
     ///
     /// # Errors
     ///
-    /// Returns a message if allocations are unsorted, overlapping, empty, or
-    /// extend past `table_len`.
+    /// Returns a message if allocations are unsorted, overlapping, empty,
+    /// extend past `table_len`, or name the reserved id `u32::MAX`.
     pub fn new(allocations: Vec<Allocation>, table_len: Nanos) -> Result<CpuTable, String> {
         // One pass validates, finds the slice length — the shortest
         // allocation (see module docs); an empty core gets a single slice
@@ -153,6 +164,9 @@ impl CpuTable {
                     "allocation [{}, {}) exceeds table length {table_len}",
                     a.start, a.end
                 ));
+            }
+            if a.vcpu.0 == NO_VCPU {
+                return Err(format!("vCPU id {NO_VCPU} is reserved for idle segments"));
             }
             if a.start < t {
                 overlap = overlap.or(Some(a));
@@ -217,7 +231,6 @@ impl CpuTable {
         }
         slices.truncate(n_slices);
         Ok(CpuTable {
-            allocations,
             slice_len,
             slices,
             seg_end,
@@ -232,46 +245,37 @@ impl CpuTable {
     /// the slice index and segment arrays — the expensive part of
     /// [`CpuTable::new`] — are the same structure; only `seg_vcpu` needs the
     /// ids substituted. The reuse is *checked*, not trusted: every `(start,
-    /// end)` pair must match the representative's and the reserved segments
-    /// must line up one-to-one with the allocations; any mismatch hands the
-    /// allocations back and the caller builds the table from scratch. The
-    /// result is field-for-field what [`CpuTable::new`] would produce (the
-    /// slice and segment arrays depend only on interval geometry, which is
-    /// equal by the check; `allocations` and `seg_vcpu` carry this core's
-    /// ids).
+    /// end)` pair must match the representative's, allocation by
+    /// allocation; any mismatch hands the allocations back and the caller
+    /// builds the table from scratch. The result is field-for-field what
+    /// [`CpuTable::new`] would produce (the slice and segment arrays depend
+    /// only on interval geometry, which is equal by the check; `seg_vcpu`
+    /// carries this core's ids).
     pub fn stamped_from(
         rep: &CpuTable,
         allocations: Vec<Allocation>,
         table_len: Nanos,
     ) -> Result<CpuTable, Vec<Allocation>> {
-        let geometry_matches = rep.allocations.len() == allocations.len()
-            && rep.seg_end.last() == Some(&table_len)
+        let mut mine = allocations.iter();
+        let same_interval = |a: Allocation, b: &Allocation| {
+            a.start == b.start && a.end == b.end && b.vcpu.0 != NO_VCPU
+        };
+        let geometry_matches = rep.seg_end.last() == Some(&table_len)
             && rep
-                .allocations
-                .iter()
-                .zip(&allocations)
-                .all(|(a, b)| a.start == b.start && a.end == b.end);
+                .allocations()
+                .all(|a| mine.next().is_some_and(|b| same_interval(a, b)))
+            && mine.next().is_none();
         if !geometry_matches {
             return Err(allocations);
         }
-        // Each allocation flattens to exactly one reserved segment, in
-        // order; substitute ids positionally.
+        // Each allocation is exactly one reserved segment, in order;
+        // substitute ids positionally.
         let mut seg_vcpu = rep.seg_vcpu.clone();
-        let mut next = 0usize;
-        for v in seg_vcpu.iter_mut() {
-            if *v != NO_VCPU {
-                if rep.allocations.get(next).map(|a| a.vcpu.0) != Some(*v) {
-                    return Err(allocations);
-                }
-                *v = allocations[next].vcpu.0;
-                next += 1;
-            }
-        }
-        if next != allocations.len() {
-            return Err(allocations);
+        let reserved = seg_vcpu.iter_mut().filter(|v| **v != NO_VCPU);
+        for (v, a) in reserved.zip(&allocations) {
+            *v = a.vcpu.0;
         }
         Ok(CpuTable {
-            allocations,
             slice_len: rep.slice_len,
             slices: rep.slices.clone(),
             seg_end: rep.seg_end.clone(),
@@ -297,9 +301,33 @@ impl CpuTable {
         CpuTable::new(allocations, table_len).map_err(|e| format!("core {core}: {e}"))
     }
 
-    /// Returns the allocations in time order.
-    pub fn allocations(&self) -> &[Allocation] {
-        &self.allocations
+    /// The allocations in time order: the non-idle segments, each starting
+    /// where the segment before it ends.
+    pub fn allocations(&self) -> impl Iterator<Item = Allocation> + '_ {
+        (0..self.seg_end.len())
+            .filter(|&i| self.seg_vcpu[i] != NO_VCPU)
+            .map(|i| Allocation {
+                start: self.segment_start(i),
+                end: self.seg_end[i],
+                vcpu: VcpuId(self.seg_vcpu[i]),
+            })
+    }
+
+    /// Returns the number of allocations.
+    pub fn n_allocations(&self) -> usize {
+        self.vcpu_ids().count()
+    }
+
+    /// The vCPU id of every allocation, in time order.
+    fn vcpu_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.seg_vcpu.iter().copied().filter(|&v| v != NO_VCPU)
+    }
+
+    /// Heap bytes of this core's arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of_val(&self.slices[..])
+            + size_of_val(&self.seg_end[..])
+            + size_of_val(&self.seg_vcpu[..])
     }
 
     /// Returns this core's slice width.
@@ -376,16 +404,10 @@ impl CpuTable {
             },
         }
     }
-
-    /// Total reserved time in this core's table.
-    pub fn busy_time(&self) -> Nanos {
-        self.allocations.iter().map(|a| a.len()).sum()
-    }
 }
 
 /// Home core of a vCPU given its sorted `(core, start, end)` allocations:
-/// the core with the most reserved time, ties to the lowest core id, `0`
-/// for an empty list (the fresh-build default).
+/// the core with the most reserved time, ties to the lowest core id.
 fn home_of(allocations: &[(usize, Nanos, Nanos)]) -> usize {
     let mut per_core_time: Vec<(usize, Nanos)> = Vec::new();
     for &(core, s, e) in allocations {
@@ -401,65 +423,96 @@ fn home_of(allocations: &[(usize, Nanos, Nanos)]) -> usize {
         .unwrap_or(0)
 }
 
-/// Per-vCPU placement metadata derived from the table, used for wake-up
-/// routing and second-level eligibility (Sec. 6, "Efficient wake-ups").
-/// The default is a vCPU with no allocation (the placeholder a table keeps
-/// for ids below its highest that it does not schedule).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VcpuPlacement {
-    /// All allocations of this vCPU as `(core, start, end)`, sorted by start.
-    pub allocations: Vec<(usize, Nanos, Nanos)>,
+/// Entry of [`Table::home`] for an id the table does not schedule.
+const NO_CORE: u32 = u32::MAX;
+/// Transient entry of [`Table::home`] while placements are derived: the
+/// vCPU was seen on more than one core and its pieces are yet to be listed.
+const MANY_CORES: u32 = u32::MAX - 1;
+
+/// The pieces of a vCPU reserved on more than one core (a C=D split, a
+/// cluster member) — the only placements a table lists explicitly.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct SplitPlacement {
+    vcpu: VcpuId,
+    /// All allocations of the vCPU as `(core, start, end)`, sorted by start.
+    allocations: Vec<(usize, Nanos, Nanos)>,
+}
+
+/// A vCPU's worst cyclic service gap, accumulated over its pieces in start
+/// order: the longest stretch without an allocation, wrapping from the last
+/// piece over the table edge to the first. Pieces that touch — a split vCPU
+/// handing over between cores — contribute a zero gap; a vCPU that never
+/// runs is blacked out for the whole table.
+#[derive(Clone, Copy, Default)]
+struct Blackout {
+    first_start: Nanos,
+    /// Zero until a piece is met (no allocation ends at zero).
+    last_end: Nanos,
+    widest: Nanos,
+}
+
+impl Blackout {
+    fn meet(&mut self, start: Nanos, end: Nanos) {
+        if self.last_end.is_zero() {
+            self.first_start = start;
+        } else {
+            self.widest = self.widest.max(start.saturating_sub(self.last_end));
+        }
+        self.last_end = end;
+    }
+
+    fn over(self, table_len: Nanos) -> Nanos {
+        self.widest
+            .max((table_len - self.last_end) + self.first_start)
+    }
+}
+
+/// Per-vCPU placement, used for wake-up routing and second-level
+/// eligibility (Sec. 6, "Efficient wake-ups"): a view over the table, which
+/// stores a home core per vCPU and reads the rest off the segment arrays.
+#[derive(Debug, Clone, Copy)]
+pub struct VcpuPlacement<'a> {
+    table: &'a Table,
+    vcpu: VcpuId,
     /// The core carrying the largest share of this vCPU's reserved time —
     /// the vCPU's "home" for second-level scheduling (the "trailing core"
     /// policy degenerates to this for non-migrating vCPUs, which are the
     /// common case).
     pub home_core: usize,
+    /// The listed pieces of a vCPU reserved on more than one core.
+    split: Option<&'a [(usize, Nanos, Nanos)]>,
 }
 
-impl VcpuPlacement {
-    /// Orders the allocations by start, rejects a vCPU reserved on two cores
-    /// at once, and picks the home core — the per-vCPU tail of every table
-    /// constructor. Lists are pushed core by core from start-sorted core
-    /// tables, so a vCPU that sits on one core is in order already and that
-    /// core is its home: no sort, no per-core vote.
-    fn settle(&mut self, vid: usize) -> Result<(), String> {
-        let first_core = self.allocations.first().map_or(0, |a| a.0);
-        let one_core = self.allocations.iter().all(|a| a.0 == first_core);
-        if !one_core {
-            self.allocations.sort_by_key(|&(_, s, _)| s);
-        }
-        for w in self.allocations.windows(2) {
-            if w[0].2 > w[1].1 {
-                return Err(format!(
-                    "vCPU v{vid} has overlapping allocations at {}",
-                    w[1].1
-                ));
-            }
-        }
-        self.home_core = if one_core {
-            first_core
-        } else {
-            home_of(&self.allocations)
-        };
-        Ok(())
+impl<'a> VcpuPlacement<'a> {
+    /// Whether every allocation of this vCPU is on `core`.
+    pub fn only_on(&self, core: usize) -> bool {
+        self.split.is_none() && self.home_core == core
+    }
+
+    /// All allocations of this vCPU as `(core, start, end)`, sorted by
+    /// start: the listed pieces of a split vCPU, else the vCPU's segments
+    /// on its home core.
+    pub fn allocations(&self) -> impl Iterator<Item = (usize, Nanos, Nanos)> + 'a {
+        let (core, vcpu) = (self.home_core, self.vcpu);
+        let on_home = self.split.is_none().then(|| {
+            let allocs = self.table.cpus[core].allocations();
+            allocs
+                .filter(move |a| a.vcpu == vcpu)
+                .map(move |a| (core, a.start, a.end))
+        });
+        let listed = self.split.unwrap_or_default().iter().copied();
+        listed.chain(on_home.into_iter().flatten())
     }
 
     /// Worst cyclic service gap of this vCPU in a table of length
     /// `table_len`: the longest stretch without an allocation, wrapping
     /// from the last allocation over the table edge to the first. One pass:
-    /// the list is sorted and non-overlapping (every [`Table`] constructor
-    /// guarantees it), and pieces that touch — a split vCPU handing over
-    /// between cores — simply contribute a zero gap. `table_len` if the
-    /// vCPU never runs.
+    /// the pieces are sorted and non-overlapping (every [`Table`]
+    /// constructor guarantees it).
     pub fn max_blackout(&self, table_len: Nanos) -> Nanos {
-        let (Some(first), Some(last)) = (self.allocations.first(), self.allocations.last()) else {
-            return table_len;
-        };
-        let wrap = (table_len - last.2) + first.1;
-        self.allocations
-            .windows(2)
-            .map(|w| w[1].1.saturating_sub(w[0].2))
-            .fold(wrap, Nanos::max)
+        let mut gap = Blackout::default();
+        self.allocations().for_each(|(_, s, e)| gap.meet(s, e));
+        gap.over(table_len)
     }
 }
 
@@ -497,9 +550,13 @@ pub struct Table {
     /// ([`Table::patched_from`]) reuses untouched cores by reference
     /// instead of copying their slice and segment arrays.
     cpus: Vec<Arc<CpuTable>>,
-    /// Per-vCPU placement metadata, indexed by `VcpuId` (`Arc`-shared for
-    /// the same splice reuse).
-    placements: Vec<Arc<VcpuPlacement>>,
+    /// Home core of each vCPU, indexed by `VcpuId`; [`NO_CORE`] for an id
+    /// below the table's highest that it does not schedule.
+    home: Vec<u32>,
+    /// The vCPUs reserved on more than one core, ascending by id — a
+    /// handful per plan, none in a partitioned one. Every other vCPU's
+    /// allocations are its segments on its home core.
+    split: Vec<SplitPlacement>,
     /// Per-core home lists: `homed[c]` holds the vCPUs whose home core is
     /// `c`, precomputed so second-level rebuilds on a table switch never
     /// re-scan all placements.
@@ -530,34 +587,38 @@ impl Table {
         per_core: Vec<Vec<Allocation>>,
         stamps: &[Option<usize>],
     ) -> Result<Table, String> {
-        let mut cpus: Vec<CpuTable> = Vec::with_capacity(per_core.len());
+        let mut cpus: Vec<Arc<CpuTable>> = Vec::with_capacity(per_core.len());
         for (core, allocs) in per_core.into_iter().enumerate() {
             let rep = stamps
                 .get(core)
                 .copied()
                 .flatten()
                 .filter(|&rep| rep < core);
-            let cpu = CpuTable::compile(core, allocs, len, rep.map(|rep| &cpus[rep]))?;
-            cpus.push(cpu);
+            let cpu = CpuTable::compile(core, allocs, len, rep.map(|rep| &*cpus[rep]))?;
+            cpus.push(Arc::new(cpu));
         }
-        Table::assemble(len, cpus)
+        let all_cores: Vec<usize> = (0..cpus.len()).collect();
+        let (mut home, mut split) = (Vec::new(), Vec::new());
+        Table::place(&cpus, &all_cores, |_| true, &mut home, &mut split)?;
+        Ok(Table::with_home_lists(len, cpus, home, split))
     }
 
     /// Like [`Table::new`], but starting from a previous table and replacing
     /// only the cores listed in `updates`; every core not listed keeps its
-    /// compiled table, its vCPU ids, and its placement entries verbatim.
+    /// compiled table by reference.
     ///
     /// This is the delta-replanning splice: untouched cores carry exactly
-    /// the same `(vcpu, start, end)` triples as before, so their placements,
-    /// home cores, and slice tables are reused wholesale instead of being
-    /// rebuilt from the full allocation set. Updated cores are validated by
-    /// [`CpuTable::new`] as usual — or, when an update only renames the
-    /// vCPUs of the core it replaces (a leave in the middle of the host
-    /// shifts every later id down), by [`CpuTable::stamped_from`] against
-    /// that core — and every vCPU that gained or lost an allocation on an
-    /// updated core is re-sorted, re-checked for cross-core overlap, and
-    /// re-homed — so the result is field-identical to what [`Table::new`]
-    /// would build from the combined allocation lists.
+    /// the same `(vcpu, start, end)` triples as before, so their slice
+    /// tables and the placement of the vCPUs on them are reused wholesale
+    /// instead of being rebuilt from the full allocation set. Updated cores
+    /// are validated by [`CpuTable::new`] as usual — or, when an update
+    /// only renames the vCPUs of the core it replaces (a leave in the
+    /// middle of the host shifts every later id down), by
+    /// [`CpuTable::stamped_from`] against that core — and every vCPU that
+    /// gained or lost an allocation on an updated core is re-checked for
+    /// cross-core overlap and re-homed — so the result is field-identical
+    /// to what [`Table::new`] would build from the combined allocation
+    /// lists.
     pub fn patched_from(
         prev: &Table,
         updates: Vec<(usize, Vec<Allocation>)>,
@@ -571,169 +632,158 @@ impl Table {
             }
             updated[core] = true;
         }
-
-        // vCPUs whose allocation set changes: everything previously on an
-        // updated core, plus everything newly placed there — marked per id
-        // (placements are indexed by id already) and read back in ascending
-        // order.
-        let new_ids = updates.iter().flat_map(|(_, a)| a.iter().map(|x| x.vcpu.0));
-        let id_cap = new_ids
-            .max()
-            .map_or(0, |v| v as usize + 1)
-            .max(prev.placements.len());
-        let mut is_touched = vec![false; id_cap];
-        for (core, allocs) in &updates {
-            for a in prev.cpus[*core].allocations().iter().chain(allocs) {
-                is_touched[a.vcpu.0 as usize] = true;
-            }
-        }
-        let touched: Vec<u32> = (0..id_cap as u32)
-            .filter(|&v| is_touched[v as usize])
-            .collect();
-
-        // Each touched vCPU's list is rebuilt: what it keeps on untouched
-        // cores, then what the updates place (a fresh build pushes in core
-        // order; within one vCPU equal starts are impossible in a valid
-        // table, so the sort in `settle` reproduces the fresh build's
-        // ordering exactly). Plain lists until they are settled — a shared
-        // `Arc` would pay an atomic per pushed allocation.
-        let mut rebuilt = vec![VcpuPlacement::default(); id_cap];
-        for &v in &touched {
-            let kept = prev
-                .placements
-                .get(v as usize)
-                .map_or(&[][..], |p| &p.allocations);
-            let kept = kept.iter().filter(|&&(c, _, _)| !updated[c]);
-            rebuilt[v as usize].allocations.extend(kept);
-        }
         for (core, allocs) in updates {
-            for a in &allocs {
-                rebuilt[a.vcpu.0 as usize]
-                    .allocations
-                    .push((core, a.start, a.end));
-            }
             // A core that keeps its geometry and changes only its ids (a
             // clean bin relabeled by the delta planner, a dedicated core)
             // is re-stamped from its previous self; the offer is checked
             // allocation by allocation and a rebuilt core fails it at the
             // first one that moved.
-            cpus[core] = Arc::new(CpuTable::compile(
-                core,
-                allocs,
-                len,
-                Some(&prev.cpus[core]),
-            )?);
+            let rep = Some(&*prev.cpus[core]);
+            cpus[core] = Arc::new(CpuTable::compile(core, allocs, len, rep)?);
         }
 
-        // Re-validate and re-home the touched vCPUs exactly as
-        // [`Table::assemble`] does; untouched vCPUs cannot have gained an
-        // overlap (their allocation sets are unchanged).
-        let mut placements = prev.placements.clone();
-        placements.resize_with(id_cap, Arc::default);
-        for &v in &touched {
-            let mut p = std::mem::take(&mut rebuilt[v as usize]);
-            p.settle(v as usize)?;
-            placements[v as usize] = Arc::new(p);
-        }
-        // A fresh build sizes placements to the highest id with allocations.
-        while placements.last().is_some_and(|p| p.allocations.is_empty()) {
-            placements.pop();
-        }
-        // The trailing-id cleanup is *checked*, not trusted: a leave-of-last
-        // splice whose translate step left a departed vCPU's allocations
-        // behind would survive the pops above with a live placement the new
-        // table should not carry. Cross-check every touched id against the
-        // spliced per-core tables before committing — against the cores its
-        // placement names, at the start each entry names (core tables are
-        // start-sorted), so the check costs a search per touched vCPU, not a
-        // walk of every core.
-        for &v in &touched {
-            let Some(p) = placements.get(v as usize) else {
-                continue;
-            };
-            let on_cores = p.allocations.iter().any(|&(c, start, _)| {
-                let allocs = cpus[c].allocations();
-                let at = allocs.partition_point(|a| a.start < start);
-                allocs
-                    .get(at)
-                    .is_some_and(|a| a.start == start && a.vcpu.0 == v)
-            });
-            if !p.allocations.is_empty() && !on_cores {
-                debug_assert!(false, "stale placement for vCPU v{v} survived the splice");
-                return Err(format!("stale placement for vCPU v{v} survived the splice"));
+        // vCPUs whose allocation set changes: everything previously on an
+        // updated core, plus everything now placed there. Their placement
+        // is forgotten and derived again from the cores they are on.
+        let mut home = prev.home.clone();
+        let mut is_touched = vec![false; home.len()];
+        let mut cores: Vec<usize> = (0..cpus.len()).filter(|&c| updated[c]).collect();
+        for &core in &cores {
+            for v in prev.cpus[core].vcpu_ids().chain(cpus[core].vcpu_ids()) {
+                let v = v as usize;
+                if v >= home.len() {
+                    home.resize(v + 1, NO_CORE);
+                    is_touched.resize(v + 1, false);
+                }
+                is_touched[v] = true;
+                home[v] = NO_CORE;
             }
         }
-
-        // Home lists: remove every touched vCPU, then re-insert the ones
-        // that still exist at their (ascending-id) position.
-        let mut homed = prev.homed.clone();
-        for list in &mut homed {
-            list.retain(|v| !is_touched[v.0 as usize]);
-        }
-        for &v in &touched {
-            let Some(p) = placements.get(v as usize) else {
+        // What a touched vCPU keeps on a core the splice leaves alone is
+        // read from that core again. The pieces `prev` lists for it there
+        // are *checked*, not trusted: a placement naming a segment its core
+        // does not carry must not survive into the new table.
+        let n_updated = cores.len();
+        for v in (0..prev.home.len()).filter(|&v| is_touched[v]) {
+            let vcpu = VcpuId(v as u32);
+            let Some(p) = prev.placement(vcpu) else {
                 continue;
             };
-            if p.allocations.is_empty() {
+            let Some(pieces) = p.split else {
+                if !updated[p.home_core] {
+                    cores.push(p.home_core);
+                }
                 continue;
+            };
+            for &(core, start, end) in pieces.iter().filter(|piece| !updated[piece.0]) {
+                let cpu = &cpus[core];
+                let at = cpu.segment_at(start.min(len - Nanos(1)));
+                let reserved = Slot::Reserved { vcpu, until: end };
+                if cpu.segment_start(at) != start || cpu.segment_slot(at) != reserved {
+                    debug_assert!(false, "stale placement for vCPU v{v} survived the splice");
+                    return Err(format!("stale placement for vCPU v{v} survived the splice"));
+                }
+                cores.push(core);
             }
-            let list = &mut homed[p.home_core];
-            let at = list.partition_point(|&x| x.0 < v);
-            list.insert(at, VcpuId(v));
         }
-
-        Ok(Table {
-            len,
-            cpus,
-            placements,
-            homed,
-        })
+        if cores.len() > n_updated {
+            cores.sort_unstable();
+            cores.dedup();
+        }
+        let mut split: Vec<SplitPlacement> = prev.split.clone();
+        split.retain(|s| !is_touched[s.vcpu.0 as usize]);
+        let touched = |v: u32| is_touched[v as usize];
+        Table::place(&cpus, &cores, touched, &mut home, &mut split)?;
+        Ok(Table::with_home_lists(len, cpus, home, split))
     }
 
-    /// Shared tail of the constructors: placement metadata, cross-core
-    /// overlap validation, and home-core assignment.
-    fn assemble(len: Nanos, cpus: Vec<CpuTable>) -> Result<Table, String> {
-        // Build per-vCPU placements, each list sized by a counting pass.
-        let mut counts: Vec<usize> = Vec::new();
-        for a in cpus.iter().flat_map(|c| &c.allocations) {
-            let v = a.vcpu.0 as usize;
-            if v >= counts.len() {
-                counts.resize(v + 1, 0);
+    /// Derives the placement of the `wanted` vCPUs from the segments of
+    /// `cores` (ascending; every core a wanted vCPU is on): its home core
+    /// into `home`, and into `split` its pieces if it is on more than one —
+    /// ordered by start, checked for a vCPU reserved on two cores at once.
+    /// On entry `home` holds [`NO_CORE`] for every wanted id it covers.
+    fn place(
+        cpus: &[Arc<CpuTable>],
+        cores: &[usize],
+        wanted: impl Fn(u32) -> bool,
+        home: &mut Vec<u32>,
+        split: &mut Vec<SplitPlacement>,
+    ) -> Result<(), String> {
+        // A vCPU seen on one core is homed there, and that is all the table
+        // records of it: no list, no sort, no per-core vote.
+        for &core in cores {
+            for v in cpus[core].vcpu_ids().filter(|&v| wanted(v)) {
+                if v as usize >= home.len() {
+                    home.resize(v as usize + 1, NO_CORE);
+                }
+                let h = &mut home[v as usize];
+                if *h == NO_CORE {
+                    *h = core as u32;
+                } else if *h != core as u32 {
+                    *h = MANY_CORES;
+                }
             }
-            counts[v] += 1;
         }
-        let mut placements: Vec<VcpuPlacement> = counts
-            .iter()
-            .map(|&n| VcpuPlacement {
-                allocations: Vec::with_capacity(n),
-                home_core: 0,
-            })
-            .collect();
-        for (core, cpu) in cpus.iter().enumerate() {
-            for a in &cpu.allocations {
-                placements[a.vcpu.0 as usize]
-                    .allocations
-                    .push((core, a.start, a.end));
+        let is_split = |home: &[u32], v: VcpuId| home[v.0 as usize] == MANY_CORES;
+        let found = split.len();
+        let ids = (0..home.len() as u32).map(VcpuId);
+        split.extend(
+            ids.filter(|&v| is_split(home, v))
+                .map(|vcpu| SplitPlacement {
+                    vcpu,
+                    allocations: Vec::new(),
+                }),
+        );
+        if split.len() == found {
+            return Ok(());
+        }
+        // The rest are listed: pieces gathered in core order, stable-sorted
+        // by start, adjacent pieces compared, home core voted by time.
+        let listed = &mut split[found..];
+        for &core in cores {
+            for a in cpus[core].allocations().filter(|a| is_split(home, a.vcpu)) {
+                let at = listed.partition_point(|s| s.vcpu < a.vcpu);
+                listed[at].allocations.push((core, a.start, a.end));
             }
         }
-        // Order, cross-core overlap check, home core.
-        for (vid, p) in placements.iter_mut().enumerate() {
-            p.settle(vid)?;
+        for s in listed {
+            s.allocations.sort_by_key(|&(_, start, _)| start);
+            if let Some(w) = s.allocations.windows(2).find(|w| w[0].2 > w[1].1) {
+                return Err(format!(
+                    "vCPU {} has overlapping allocations at {}",
+                    s.vcpu, w[1].1
+                ));
+            }
+            home[s.vcpu.0 as usize] = home_of(&s.allocations) as u32;
         }
+        split.sort_by_key(|s| s.vcpu);
+        Ok(())
+    }
 
+    /// Shared tail of the constructors: `home` sized to the highest id with
+    /// an allocation, and the per-core home lists read off it.
+    fn with_home_lists(
+        len: Nanos,
+        cpus: Vec<Arc<CpuTable>>,
+        mut home: Vec<u32>,
+        split: Vec<SplitPlacement>,
+    ) -> Table {
+        while home.last() == Some(&NO_CORE) {
+            home.pop();
+        }
         let mut homed = vec![Vec::new(); cpus.len()];
-        for (vid, p) in placements.iter().enumerate() {
-            if !p.allocations.is_empty() {
-                homed[p.home_core].push(VcpuId(vid as u32));
+        for (v, &core) in home.iter().enumerate() {
+            if core != NO_CORE {
+                homed[core as usize].push(VcpuId(v as u32));
             }
         }
-
-        Ok(Table {
+        Table {
             len,
-            cpus: cpus.into_iter().map(Arc::new).collect(),
-            placements: placements.into_iter().map(Arc::new).collect(),
+            cpus,
+            home,
+            split,
             homed,
-        })
+        }
     }
 
     /// Returns the table length (one hyperperiod).
@@ -749,6 +799,21 @@ impl Table {
     /// Returns the per-core table of `core`.
     pub fn cpu(&self, core: usize) -> &CpuTable {
         &self.cpus[core]
+    }
+
+    /// Heap bytes of the arrays this table holds — every distinct core
+    /// table once (a splice holds its clean cores by reference), the
+    /// home-core array, the split lists, the home lists: the number to hold
+    /// against `binary::encoded_size`.
+    pub fn resident_bytes(&self) -> usize {
+        let first_seen = |(i, cpu): (usize, &Arc<CpuTable>)| {
+            let seen = self.cpus[..i].iter().any(|c| Arc::ptr_eq(c, cpu));
+            (!seen).then(|| cpu.heap_bytes())
+        };
+        let cores: usize = self.cpus.iter().enumerate().filter_map(first_seen).sum();
+        let split = self.split.iter().map(|s| size_of_val(&s.allocations[..]));
+        let homed = self.homed.iter().map(|l| size_of_val(&l[..]));
+        cores + size_of_val(&self.home[..]) + split.sum::<usize>() + homed.sum::<usize>()
     }
 
     /// O(1) dispatch lookup for `core` at absolute time `now`.
@@ -767,14 +832,38 @@ impl Table {
         now + (slot.until() - t)
     }
 
-    /// Per-vCPU placement metadata (wake-up routing, home cores).
+    /// Per-vCPU placement (wake-up routing, home cores), as a view.
     ///
     /// Returns `None` for a vCPU with no allocations in this table.
-    pub fn placement(&self, vcpu: VcpuId) -> Option<&VcpuPlacement> {
-        self.placements
-            .get(vcpu.0 as usize)
-            .map(|p| &**p)
-            .filter(|p| !p.allocations.is_empty())
+    pub fn placement(&self, vcpu: VcpuId) -> Option<VcpuPlacement<'_>> {
+        let home = *self.home.get(vcpu.0 as usize)?;
+        let listed = self.split.binary_search_by_key(&vcpu, |s| s.vcpu).ok();
+        (home != NO_CORE).then(|| VcpuPlacement {
+            table: self,
+            vcpu,
+            home_core: home as usize,
+            split: listed.map(|i| &self.split[i].allocations[..]),
+        })
+    }
+
+    /// Worst cyclic service gap ([`VcpuPlacement::max_blackout`]) of every
+    /// vCPU reserved on `cores`, indexed by id — the whole table length for
+    /// an id the table does not schedule. One pass over each core's
+    /// allocations with per-vCPU accumulators: a vCPU on one core meets its
+    /// pieces in start order there; the listed few are answered from their
+    /// lists.
+    pub(crate) fn max_blackouts(&self, cores: impl IntoIterator<Item = usize>) -> Vec<Nanos> {
+        let mut gaps = vec![Blackout::default(); self.home.len()];
+        for c in cores {
+            let met = |a: Allocation| gaps[a.vcpu.0 as usize].meet(a.start, a.end);
+            self.cpus[c].allocations().for_each(met);
+        }
+        let mut out: Vec<Nanos> = gaps.iter().map(|gap| gap.over(self.len)).collect();
+        for s in &self.split {
+            let p = self.placement(s.vcpu).expect("a listed vCPU is placed");
+            out[s.vcpu.0 as usize] = p.max_blackout(self.len);
+        }
+        out
     }
 
     /// The wake-up IPI target for `vcpu` at absolute time `now` (Sec. 6):
@@ -786,38 +875,30 @@ impl Table {
 
     /// [`Table::wakeup_target`] together with whether the vCPU's slot on
     /// that core is *active* at `now` (it covers `now`) rather than
-    /// upcoming — one placement walk answers both.
+    /// upcoming.
     pub(crate) fn wakeup_route(&self, vcpu: VcpuId, now: Nanos) -> Option<(usize, bool)> {
         let p = self.placement(vcpu)?;
         let t = now % self.len;
+        let Some(pieces) = p.split else {
+            // Every allocation is on the home core: one slot lookup.
+            let active = self.cpus[p.home_core].slot_at(t, self.len).vcpu() == Some(vcpu);
+            return Some((p.home_core, active));
+        };
         // Current allocation?
-        for &(core, s, e) in &p.allocations {
+        for &(core, s, e) in pieces {
             if s <= t && t < e {
                 return Some((core, true));
             }
         }
         // Next allocation in this round, else the first of the next round.
-        for &(core, s, _) in &p.allocations {
-            if s > t {
-                return Some((core, false));
-            }
-        }
-        p.allocations.first().map(|&(core, _, _)| (core, false))
+        let next = pieces.iter().find(|&&(_, s, _)| s > t).or(pieces.first());
+        next.map(|&(core, _, _)| (core, false))
     }
 
     /// vCPU ids with at least one allocation whose home core is `core`
     /// (precomputed at table build time; ascending by id).
     pub fn vcpus_homed_on(&self, core: usize) -> &[VcpuId] {
         &self.homed[core]
-    }
-
-    /// The shortest allocation across all cores (diagnostic; drives the
-    /// per-core slice sizing which is already done internally).
-    pub fn shortest_allocation(&self) -> Option<Nanos> {
-        self.cpus
-            .iter()
-            .flat_map(|c| c.allocations().iter().map(|a| a.len()))
-            .min()
     }
 }
 
@@ -926,7 +1007,8 @@ mod tests {
     fn cross_core_vcpu_adjacent_ok() {
         let t = Table::new(ms(10), vec![vec![alloc(0, 3, 0)], vec![alloc(3, 5, 0)]]).unwrap();
         let p = t.placement(VcpuId(0)).unwrap();
-        assert_eq!(p.allocations.len(), 2);
+        assert_eq!(p.allocations().count(), 2);
+        assert!(!p.only_on(0) && !p.only_on(1));
         // Home core is the one with more time.
         assert_eq!(p.home_core, 0);
     }
@@ -1041,14 +1123,15 @@ mod tests {
     }
 
     /// A table whose placement metadata bogusly claims vCPU 1 also lives
-    /// on core 0 — the desync the checked trailing-id cleanup must catch
-    /// when a leave-of-last splice empties vCPU 1's real core.
+    /// on core 0 — the desync the checked splice must catch when a
+    /// leave-of-last empties vCPU 1's real core.
     fn desynced_table() -> Table {
         let mut prev =
             Table::new(ms(10), vec![vec![alloc(0, 3, 0)], vec![alloc(0, 4, 1)]]).unwrap();
-        Arc::make_mut(&mut prev.placements[1])
-            .allocations
-            .push((0, ms(8), ms(9)));
+        prev.split.push(SplitPlacement {
+            vcpu: VcpuId(1),
+            allocations: vec![(1, ms(0), ms(4)), (0, ms(8), ms(9))],
+        });
         prev
     }
 

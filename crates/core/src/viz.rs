@@ -73,7 +73,7 @@ pub fn render_gantt(table: &Table, width: usize) -> String {
 /// Renders a legend mapping symbols to the vCPUs used in `table`.
 pub fn render_legend(table: &Table) -> String {
     let mut seen: Vec<VcpuId> = (0..table.n_cores())
-        .flat_map(|c| table.cpu(c).allocations().iter().map(|a| a.vcpu))
+        .flat_map(|c| table.cpu(c).allocations().map(|a| a.vcpu))
         .collect();
     seen.sort_unstable();
     seen.dedup();

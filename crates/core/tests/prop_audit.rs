@@ -7,15 +7,17 @@
 //! requires `audit_full` to flag every mutant and to stay silent on the
 //! untouched table. [`Table::new`] rejects most of these mutants (unsorted
 //! lists, overlaps), so they are written through a field-for-field mirror
-//! of the table's serialized form.
+//! of the table's serialized form: into the segment arrays, which are the
+//! only copy of the schedule — an allocation is a non-idle segment, its
+//! start the end of the segment before it — and into the home-core array.
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use rtsched::time::Nanos;
-use tableau_core::audit::TableAuditor;
+use tableau_core::audit::{corrupt_table, CorruptionKind, TableAuditor};
 use tableau_core::planner::{plan, PlannerOptions};
-use tableau_core::table::{Allocation, Table, VcpuPlacement};
+use tableau_core::table::{Allocation, Table};
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuId, VcpuSpec, VmSpec};
 
 /// Field-for-field mirror of [`Table`]'s serialized form.
@@ -23,14 +25,21 @@ use tableau_core::vcpu::{HostConfig, Utilization, VcpuId, VcpuSpec, VmSpec};
 struct RawTable {
     len: Nanos,
     cpus: Vec<RawCpu>,
-    placements: Vec<VcpuPlacement>,
+    home: Vec<u32>,
+    split: Vec<RawSplit>,
     homed: Vec<Vec<VcpuId>>,
+}
+
+/// Mirror of a listed (multi-core) placement.
+#[derive(Clone, Serialize, Deserialize)]
+struct RawSplit {
+    vcpu: VcpuId,
+    allocations: Vec<(usize, Nanos, Nanos)>,
 }
 
 /// Field-for-field mirror of `CpuTable`'s serialized form.
 #[derive(Clone, Serialize, Deserialize)]
 struct RawCpu {
-    allocations: Vec<Allocation>,
     slice_len: Nanos,
     slices: Vec<u32>,
     seg_end: Vec<Nanos>,
@@ -106,11 +115,15 @@ fn assert_mutations_flagged(table: &Table, salt: u64) {
         );
     };
 
+    // Every allocation, as (core, segment index).
     let slots: Vec<(usize, usize)> = raw
         .cpus
         .iter()
         .enumerate()
-        .flat_map(|(c, cpu)| (0..cpu.allocations.len()).map(move |i| (c, i)))
+        .flat_map(|(c, cpu)| {
+            let reserved = (0..cpu.seg_vcpu.len()).filter(|&i| cpu.seg_vcpu[i] != u32::MAX);
+            reserved.map(move |i| (c, i))
+        })
         .collect();
     assert!(!slots.is_empty());
     let draw = |stream: u64, k: u64, n: usize| (mix(salt ^ (stream << 32 | k)) % n as u64) as usize;
@@ -118,45 +131,50 @@ fn assert_mutations_flagged(table: &Table, salt: u64) {
     for k in 0..SITES {
         // One flipped bit in each field of an allocation.
         let (c, i) = slots[draw(0, k, slots.len())];
-        let mut m = raw.clone();
-        m.cpus[c].allocations[i].start.0 ^= 1 << draw(1, k, 64);
-        flagged(format!("start flip, core {c} slot {i}"), &m);
-        let mut m = raw.clone();
-        m.cpus[c].allocations[i].end.0 ^= 1 << draw(2, k, 64);
-        flagged(format!("end flip, core {c} slot {i}"), &m);
-        let mut m = raw.clone();
-        m.cpus[c].allocations[i].vcpu.0 ^= 1 << draw(3, k, 32);
-        flagged(format!("vcpu flip, core {c} slot {i}"), &m);
-
-        // Two adjacent allocations of a core trade places.
-        let (c, i) = slots[draw(4, k, slots.len())];
-        if i + 1 < raw.cpus[c].allocations.len() {
+        if i > 0 {
+            // A start is the end of the segment before (segment 0 starts
+            // at zero, which no byte holds).
             let mut m = raw.clone();
-            m.cpus[c].allocations.swap(i, i + 1);
-            flagged(format!("adjacent swap, core {c} slots {i}/{}", i + 1), &m);
+            m.cpus[c].seg_end[i - 1].0 ^= 1 << draw(1, k, 64);
+            flagged(format!("start flip, core {c} segment {i}"), &m);
+        }
+        let mut m = raw.clone();
+        m.cpus[c].seg_end[i].0 ^= 1 << draw(2, k, 64);
+        flagged(format!("end flip, core {c} segment {i}"), &m);
+        let mut m = raw.clone();
+        m.cpus[c].seg_vcpu[i] ^= 1 << draw(3, k, 32);
+        flagged(format!("vcpu flip, core {c} segment {i}"), &m);
+
+        // An allocation trades places with the segment after it.
+        let (c, i) = slots[draw(4, k, slots.len())];
+        if i + 1 < raw.cpus[c].seg_end.len() {
+            let mut m = raw.clone();
+            m.cpus[c].seg_end.swap(i, i + 1);
+            m.cpus[c].seg_vcpu.swap(i, i + 1);
+            flagged(
+                format!("adjacent swap, core {c} segments {i}/{}", i + 1),
+                &m,
+            );
         }
 
         // Two allocations trade vCPU ids.
         let (c1, i1) = slots[draw(5, k, slots.len())];
         let (c2, i2) = slots[draw(6, k, slots.len())];
-        let (a, b) = (
-            raw.cpus[c1].allocations[i1].vcpu,
-            raw.cpus[c2].allocations[i2].vcpu,
-        );
+        let (a, b) = (raw.cpus[c1].seg_vcpu[i1], raw.cpus[c2].seg_vcpu[i2]);
         if a != b {
             let mut m = raw.clone();
-            m.cpus[c1].allocations[i1].vcpu = b;
-            m.cpus[c2].allocations[i2].vcpu = a;
-            flagged(format!("id swap, {a:?} <-> {b:?}"), &m);
+            m.cpus[c1].seg_vcpu[i1] = b;
+            m.cpus[c2].seg_vcpu[i2] = a;
+            flagged(format!("id swap, v{a} <-> v{b}"), &m);
         }
 
         // A home core moves, slots untouched.
-        let v = draw(7, k, raw.placements.len());
-        if !raw.placements[v].allocations.is_empty() {
-            let n_cores = raw.cpus.len();
+        let v = draw(7, k, raw.home.len());
+        if raw.home[v] != u32::MAX {
+            let n_cores = raw.cpus.len() as u32;
             let mut m = raw.clone();
-            let home = &mut m.placements[v].home_core;
-            *home = (*home + 1 + draw(8, k, n_cores - 1)) % n_cores;
+            let home = &mut m.home[v];
+            *home = (*home + 1 + draw(8, k, n_cores as usize - 1) as u32) % n_cores;
             flagged(format!("home move, vcpu {v}"), &m);
         }
     }
@@ -170,4 +188,37 @@ proptest! {
         let p = plan(&host, &PlannerOptions::default()).expect("host is within capacity");
         assert_mutations_flagged(&p.table, salt);
     }
+}
+
+/// Which salts of `0..64` yield a mutant, as a bit mask.
+fn accepted_salts(t: &Table, kind: CorruptionKind) -> u64 {
+    let accepted = (0..64u64).filter(|&salt| corrupt_table(t, kind, salt).is_some());
+    accepted.fold(0, |mask, salt| mask | 1 << salt)
+}
+
+#[test]
+fn the_salts_that_survive_the_rebuild_are_pinned() {
+    // A salt is refused when its mutant is a no-op or `Table::new`
+    // rejects it (an overlap across cores, a broken core list); chaos
+    // replays retry salts until one is accepted, so which ones are is
+    // part of every fleet digest. Read off the list-storing `Table`
+    // before the segment arrays became the only copy.
+    let ms = Nanos::from_millis;
+    let alloc = |s, e, v| Allocation {
+        start: ms(s),
+        end: ms(e),
+        vcpu: VcpuId(v),
+    };
+    let lists = vec![
+        vec![alloc(0, 2, 0), alloc(2, 5, 1), alloc(7, 9, 2)],
+        vec![alloc(0, 4, 3), alloc(5, 8, 4)],
+        vec![alloc(1, 6, 5)],
+    ];
+    let t = Table::new(ms(10), lists).unwrap();
+    let accepted = CorruptionKind::ALL.map(|kind| accepted_salts(&t, kind));
+    assert_eq!(
+        accepted,
+        [0xfeae_fffb_eafb_bfdf, 0xdf7f_f2df_dfef_dddf, u64::MAX],
+        "{accepted:#018x?}"
+    );
 }

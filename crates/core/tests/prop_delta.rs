@@ -298,7 +298,7 @@ fn numa_pinning_survives_ladder_replans() {
     let node1 = host.cores_of_node(1);
     for (vcpu, _) in host.vcpus() {
         let placement = out.plan.table.placement(vcpu).unwrap();
-        for &(core, _, _) in &placement.allocations {
+        for (core, _, _) in placement.allocations() {
             assert!(node1.contains(&core), "{vcpu} off-node on core {core}");
         }
     }

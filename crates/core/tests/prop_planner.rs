@@ -81,7 +81,7 @@ proptest! {
             let placed: Nanos = p
                 .table
                 .placement(vcpu)
-                .map(|pl| pl.allocations.iter().map(|&(_, s, e)| e - s).sum())
+                .map(|pl| pl.allocations().map(|(_, s, e)| e - s).sum())
                 .unwrap_or(Nanos::ZERO);
             let reserved = spec.utilization.budget_in(table_len);
             let lost: Nanos = p
@@ -106,7 +106,7 @@ proptest! {
     fn o1_lookup_matches_linear_scan(host in arb_host(), probes in proptest::collection::vec(0u64..102_702_600, 32)) {
         let p = plan(&host, &PlannerOptions::default()).expect("admissible host plans");
         for core in 0..p.table.n_cores() {
-            let allocs = p.table.cpu(core).allocations();
+            let allocs: Vec<_> = p.table.cpu(core).allocations().collect();
             for &t in &probes {
                 let t = Nanos(t);
                 let fast = p.table.lookup(core, t).vcpu();
@@ -130,11 +130,8 @@ proptest! {
         let p = plan(&host, &PlannerOptions::default()).expect("admissible host plans");
         for (vcpu, _) in host.vcpus() {
             if let Some(placement) = p.table.placement(vcpu) {
-                let mut ivs: Vec<(Nanos, Nanos)> = placement
-                    .allocations
-                    .iter()
-                    .map(|&(_, s, e)| (s, e))
-                    .collect();
+                let mut ivs: Vec<(Nanos, Nanos)> =
+                    placement.allocations().map(|(_, s, e)| (s, e)).collect();
                 ivs.sort_unstable();
                 for w in ivs.windows(2) {
                     prop_assert!(w[0].1 <= w[1].0, "{vcpu} overlaps at {}", w[1].0);

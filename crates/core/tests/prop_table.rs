@@ -1,16 +1,21 @@
-//! Oracles for the table compile and the one-pass blackout.
+//! Oracles for the table compile, the placement views and the one-pass
+//! blackout.
 //!
-//! [`Table`]'s constructors build the slice index by a merge walk, skip the
-//! per-vCPU sort for vCPUs that sit on one core, and answer the blackout
-//! validation in one pass over a placement. Each shortcut is checked here
-//! against the plain definition it replaced, on random allocation lists
-//! that include the shapes the shortcuts could get wrong: an empty core, a
-//! single-allocation core, allocations that touch, an allocation ending
-//! exactly at the table length, a table length that is no multiple of the
-//! shortest allocation, and a vCPU split over two cores whose pieces touch
-//! (so both the sort-skip path and the sorted path run). The compiled
-//! arrays are private; they are read through a field-for-field mirror of
-//! the table's serialized form.
+//! [`Table`] stores a schedule once — each core's segment arrays and slice
+//! index — and answers `allocations()` and `placement(v)` as views over
+//! them. The constructors it had before (per-core allocation lists kept
+//! beside the arrays, per-vCPU `(core, start, end)` lists built by a
+//! counting pass, sorted, overlap-checked and home-voted one vCPU at a
+//! time) live on here as [`reference`]: every view, every verdict and every
+//! error text is held to them on random allocation lists that include the
+//! shapes the shortcuts could get wrong: an empty core, a single-allocation
+//! core, allocations that touch, an allocation ending exactly at the table
+//! length, a table length that is no multiple of the shortest allocation,
+//! a vCPU split over two cores whose pieces touch, ids moved onto other
+//! cores (vCPUs on several cores, some of them at once), and lists that
+//! are unsorted, overlapping, empty or too long. The compiled arrays are
+//! private; they are read through a field-for-field mirror of the table's
+//! serialized form.
 
 use proptest::prelude::*;
 use serde::Deserialize;
@@ -19,13 +24,14 @@ use rtsched::schedule::{CoreSchedule, MultiCoreSchedule, Segment};
 use rtsched::task::TaskId;
 use rtsched::time::Nanos;
 use rtsched::verify::task_max_blackout;
-use tableau_core::table::{Allocation, CpuTable, Table, VcpuPlacement};
-use tableau_core::vcpu::VcpuId;
+use tableau_core::binary::{decode, encode, encoded_size};
+use tableau_core::planner::{plan, PlannerOptions};
+use tableau_core::table::{Allocation, CpuTable, Table};
+use tableau_core::vcpu::{HostConfig, Utilization, VcpuId, VcpuSpec, VmSpec};
 
 /// Mirror of `CpuTable`'s serialized form.
 #[derive(Deserialize)]
 struct RawCpu {
-    allocations: Vec<Allocation>,
     slice_len: Nanos,
     slices: Vec<u32>,
     seg_end: Vec<Nanos>,
@@ -168,6 +174,283 @@ fn vcpus_of(per_core: &[Vec<Allocation>]) -> Vec<u32> {
     ids
 }
 
+/// The list-building constructors [`Table`] had while it stored every
+/// schedule as lists beside the segment arrays: per-core validation, the
+/// counting pass that sized one `(core, start, end)` list per vCPU, and the
+/// per-vCPU sort / overlap check / home vote. Kept verbatim as the
+/// reference the views, verdicts and error texts are held to.
+mod reference {
+    use super::*;
+
+    /// Per-vCPU placement as it was stored: every allocation listed.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct Placement {
+        pub allocations: Vec<(usize, Nanos, Nanos)>,
+        pub home_core: usize,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RefTable {
+        pub per_core: Vec<Vec<Allocation>>,
+        pub placements: Vec<Placement>,
+        pub homed: Vec<Vec<VcpuId>>,
+    }
+
+    /// What `CpuTable::new` checks of one core's list, in its order.
+    fn check_core(allocations: &[Allocation], table_len: Nanos) -> Result<(), String> {
+        let mut overlap: Option<&Allocation> = None;
+        let mut t = Nanos::ZERO;
+        for a in allocations {
+            if a.start >= a.end {
+                return Err(format!("empty allocation [{}, {})", a.start, a.end));
+            }
+            if a.end > table_len {
+                return Err(format!(
+                    "allocation [{}, {}) exceeds table length {table_len}",
+                    a.start, a.end
+                ));
+            }
+            if a.start < t {
+                overlap = overlap.or(Some(a));
+            }
+            t = a.end;
+        }
+        match overlap {
+            Some(a) => Err(format!(
+                "allocations overlap or unsorted at [{}, {})",
+                a.start, a.end
+            )),
+            None => Ok(()),
+        }
+    }
+
+    fn home_of(allocations: &[(usize, Nanos, Nanos)]) -> usize {
+        let mut per_core_time: Vec<(usize, Nanos)> = Vec::new();
+        for &(core, s, e) in allocations {
+            match per_core_time.iter_mut().find(|(c, _)| *c == core) {
+                Some((_, t)) => *t += e - s,
+                None => per_core_time.push((core, e - s)),
+            }
+        }
+        per_core_time
+            .iter()
+            .max_by_key(|&&(c, t)| (t, std::cmp::Reverse(c)))
+            .map(|&(c, _)| c)
+            .unwrap_or(0)
+    }
+
+    impl Placement {
+        fn settle(&mut self, vid: usize) -> Result<(), String> {
+            let first_core = self.allocations.first().map_or(0, |a| a.0);
+            let one_core = self.allocations.iter().all(|a| a.0 == first_core);
+            if !one_core {
+                self.allocations.sort_by_key(|&(_, s, _)| s);
+            }
+            for w in self.allocations.windows(2) {
+                if w[0].2 > w[1].1 {
+                    return Err(format!(
+                        "vCPU v{vid} has overlapping allocations at {}",
+                        w[1].1
+                    ));
+                }
+            }
+            self.home_core = if one_core {
+                first_core
+            } else {
+                home_of(&self.allocations)
+            };
+            Ok(())
+        }
+
+        pub fn max_blackout(&self, table_len: Nanos) -> Nanos {
+            let (Some(first), Some(last)) = (self.allocations.first(), self.allocations.last())
+            else {
+                return table_len;
+            };
+            let wrap = (table_len - last.2) + first.1;
+            self.allocations
+                .windows(2)
+                .map(|w| w[1].1.saturating_sub(w[0].2))
+                .fold(wrap, Nanos::max)
+        }
+    }
+
+    /// `Table::new` as it was: cores validated in order, then the
+    /// placements built, settled and homed.
+    pub fn assemble(len: Nanos, per_core: &[Vec<Allocation>]) -> Result<RefTable, String> {
+        for (core, allocs) in per_core.iter().enumerate() {
+            check_core(allocs, len).map_err(|e| format!("core {core}: {e}"))?;
+        }
+        let mut counts: Vec<usize> = Vec::new();
+        for a in per_core.iter().flatten() {
+            let v = a.vcpu.0 as usize;
+            if v >= counts.len() {
+                counts.resize(v + 1, 0);
+            }
+            counts[v] += 1;
+        }
+        let mut placements: Vec<Placement> = counts
+            .iter()
+            .map(|&n| Placement {
+                allocations: Vec::with_capacity(n),
+                home_core: 0,
+            })
+            .collect();
+        for (core, allocs) in per_core.iter().enumerate() {
+            for a in allocs {
+                placements[a.vcpu.0 as usize]
+                    .allocations
+                    .push((core, a.start, a.end));
+            }
+        }
+        for (vid, p) in placements.iter_mut().enumerate() {
+            p.settle(vid)?;
+        }
+        let mut homed = vec![Vec::new(); per_core.len()];
+        for (vid, p) in placements.iter().enumerate() {
+            if !p.allocations.is_empty() {
+                homed[p.home_core].push(VcpuId(vid as u32));
+            }
+        }
+        Ok(RefTable {
+            per_core: per_core.to_vec(),
+            placements,
+            homed,
+        })
+    }
+}
+
+/// One draw of damage: `(kind, site, other site, amount)`.
+type Damage = (u8, u32, u32, u64);
+
+fn arb_damage(max: usize) -> impl Strategy<Value = Vec<Damage>> {
+    proptest::collection::vec((0u8..8, any::<u32>(), any::<u32>(), 1u64..50), 0..=max)
+}
+
+/// Damages valid lists the ways a constructor must judge: most draws hand
+/// an allocation to a vCPU of another slot — vCPUs on several cores, legal
+/// when their pieces do not overlap in time — the rest break one core's
+/// list (start pulled back over its predecessor, neighbours swapped, an end
+/// past the table, an empty interval).
+fn damaged(
+    mut per_core: Vec<Vec<Allocation>>,
+    len: Nanos,
+    damage: &[Damage],
+) -> Vec<Vec<Allocation>> {
+    for &(kind, site, other, amount) in damage {
+        let slots: Vec<(usize, usize)> = per_core
+            .iter()
+            .enumerate()
+            .flat_map(|(c, list)| (0..list.len()).map(move |i| (c, i)))
+            .collect();
+        if slots.is_empty() {
+            break;
+        }
+        let (c, i) = slots[site as usize % slots.len()];
+        let (c2, i2) = slots[other as usize % slots.len()];
+        match kind {
+            0..=4 => per_core[c][i].vcpu = per_core[c2][i2].vcpu,
+            5 => per_core[c][i].start = Nanos(per_core[c][i].start.0.saturating_sub(amount)),
+            6 if i + 1 < per_core[c].len() => per_core[c].swap(i, i + 1),
+            6 => per_core[c][i].end = per_core[c][i].start,
+            _ => per_core[c][i].end = len + Nanos(amount),
+        }
+    }
+    per_core
+}
+
+/// Holds every view of `table` to the reference built from the same lists.
+fn assert_views_match(table: &Table, want: &reference::RefTable, len: Nanos) {
+    assert_eq!(table.n_cores(), want.per_core.len());
+    for (core, allocs) in want.per_core.iter().enumerate() {
+        assert_eq!(&table.cpu(core).allocations().collect::<Vec<_>>(), allocs);
+        assert_eq!(table.cpu(core).n_allocations(), allocs.len());
+        assert_eq!(
+            table.vcpus_homed_on(core),
+            &want.homed[core][..],
+            "core {core}"
+        );
+    }
+    // A few ids past the highest: the table must not know them.
+    for v in 0..want.placements.len() + 3 {
+        let got = table.placement(VcpuId(v as u32));
+        let Some(p) = want.placements.get(v).filter(|p| !p.allocations.is_empty()) else {
+            assert!(got.is_none(), "vCPU {v} is not scheduled");
+            continue;
+        };
+        let got = got.unwrap_or_else(|| panic!("vCPU {v} is scheduled"));
+        assert_eq!(
+            got.allocations().collect::<Vec<_>>(),
+            p.allocations,
+            "vCPU {v}"
+        );
+        assert_eq!(got.home_core, p.home_core, "vCPU {v}");
+        assert_eq!(got.max_blackout(len), p.max_blackout(len), "vCPU {v}");
+        for core in 0..table.n_cores() {
+            let all_there = p.allocations.iter().all(|a| a.0 == core);
+            assert_eq!(got.only_on(core), all_there, "vCPU {v} core {core}");
+        }
+    }
+}
+
+/// One case of `views_and_verdicts_match_the_list_building_reference`.
+fn check_against_reference(case: Case, damage: &[Damage], chain: Vec<(u8, Vec<Damage>)>) {
+    let Case { len, per_core, alt } = case;
+    let n = per_core.len();
+    let lists = damaged(per_core.clone(), len, damage);
+    let want = reference::assemble(len, &lists);
+    let got = Table::new(len, lists.clone());
+    assert_eq!(
+        got.as_ref().err(),
+        want.as_ref().err(),
+        "fresh build of {lists:?}"
+    );
+    let (Ok(mut table), Ok(want)) = (got, want) else {
+        return;
+    };
+    assert_views_match(&table, &want, len);
+
+    // A chain of splices: each replaces the masked cores with damaged
+    // lists from the other pool; a refused splice leaves the table as
+    // it was and the chain goes on from there.
+    let mut lists = lists;
+    for (k, (mask, damage)) in chain.into_iter().enumerate() {
+        let pool = damaged(
+            if k % 2 == 0 {
+                alt.clone()
+            } else {
+                per_core.clone()
+            },
+            len,
+            &damage,
+        );
+        let updates: Vec<(usize, Vec<Allocation>)> = (0..n)
+            .filter(|&c| (mask >> c) & 1 == 1)
+            .map(|c| (c, pool[c].clone()))
+            .collect();
+        let mut combined = lists.clone();
+        for (c, list) in &updates {
+            combined[*c] = list.clone();
+        }
+        let want = reference::assemble(len, &combined);
+        let got = Table::patched_from(&table, updates);
+        assert_eq!(
+            got.as_ref().err(),
+            want.as_ref().err(),
+            "splice {k} to {combined:?}"
+        );
+        if let (Ok(got), Ok(want)) = (got, want) {
+            assert_views_match(&got, &want, len);
+            assert_eq!(
+                got,
+                Table::new(len, combined.clone()).unwrap(),
+                "splice {k}"
+            );
+            (table, lists) = (got, combined);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -178,7 +461,8 @@ proptest! {
         for (core, allocs) in per_core.iter().enumerate() {
             let cpu = table.cpu(core);
             let raw = raw_of(cpu);
-            assert_eq!(&raw.allocations, allocs);
+            assert_eq!(&cpu.allocations().collect::<Vec<_>>(), allocs);
+            assert_eq!(cpu.n_allocations(), allocs.len());
             let shortest = allocs.iter().map(|a| a.len()).min().unwrap_or(len);
             assert_eq!(raw.slice_len, shortest);
             assert_eq!(raw.slices.len() as u64, len.as_nanos().div_ceil(shortest.as_nanos()));
@@ -221,9 +505,13 @@ proptest! {
             let home = (0..per_core.len())
                 .max_by_key(|&c| (time_on(c), std::cmp::Reverse(c)))
                 .unwrap();
-            let got: &VcpuPlacement = table.placement(VcpuId(v)).unwrap();
-            assert_eq!(got.allocations, want, "vCPU {v}");
+            let got = table.placement(VcpuId(v)).unwrap();
+            assert_eq!(got.allocations().collect::<Vec<_>>(), want, "vCPU {v}");
             assert_eq!(got.home_core, home, "vCPU {v}");
+            let cores = || want.iter().map(|a| a.0);
+            for c in 0..per_core.len() {
+                assert_eq!(got.only_on(c), cores().all(|on| on == c), "vCPU {v} core {c}");
+            }
             assert!(table.vcpus_homed_on(home).contains(&VcpuId(v)));
         }
     }
@@ -292,6 +580,14 @@ proptest! {
             assert_eq!(p.max_blackout(len), task_max_blackout(TaskId(v), &sched), "vCPU {v}");
         }
     }
+    #[test]
+    fn views_and_verdicts_match_the_list_building_reference(
+        case in arb_case(),
+        damage in arb_damage(3),
+        chain in proptest::collection::vec((any::<u8>(), arb_damage(2)), 1..=3),
+    ) {
+        check_against_reference(case, &damage, chain);
+    }
 }
 
 /// The two shapes the issue names, pinned outside the random search: pieces
@@ -318,4 +614,48 @@ fn blackout_of_touching_and_table_end_pieces() {
     let p1 = table.placement(VcpuId(1)).unwrap();
     assert_eq!(p1.max_blackout(len), Nanos(90));
     assert_eq!(p1.max_blackout(len), task_max_blackout(TaskId(1), &sched));
+}
+
+#[test]
+fn a_planned_table_is_resident_at_about_its_wire_size() {
+    // 44 cores, 176 capped quarter-core VMs, at each latency goal. The
+    // table holds one copy of the schedule, so its heap is the wire payload
+    // give or take the record widths (12 B per segment against 20 B per
+    // allocation; idle gaps are segments too): 0.79 / 0.67 / 0.80 / 0.67 of
+    // the wire size at 1 / 2 / 3 / 4 ms. With the two 24 B-per-allocation
+    // lists it used to keep beside the arrays the same tables read
+    // 2.79 / 2.67 / 2.79 / 2.66.
+    for goal_ms in 1..=4 {
+        let spec = VcpuSpec::capped(Utilization::from_percent(25), Nanos::from_millis(goal_ms));
+        let mut host = HostConfig::new(44);
+        for i in 0..176 {
+            host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+        }
+        let t = plan(&host, &PlannerOptions::default()).unwrap().table;
+        let (resident, wire) = (t.resident_bytes(), encoded_size(&t));
+        assert!(
+            resident * 4 <= wire * 5,
+            "{goal_ms} ms goal: {resident} B resident against {wire} B on the wire"
+        );
+    }
+}
+
+#[test]
+fn planner_table_encodes_to_the_golden_bytes() {
+    // The wire format is the paper's and predates the table storing
+    // only its segment arrays: the digest (FNV-1a 64) and length were
+    // taken from `encode` reading the stored allocation lists. 44
+    // cores, 176 VMs that all differ, 1 and 2 ms goals.
+    let mut host = HostConfig::new(44);
+    for i in 0..176u32 {
+        let util = Utilization::from_ppm(150_000 + 500 * i);
+        let spec = VcpuSpec::capped(util, Nanos::from_millis(1 + (i as u64 % 2)));
+        host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+    }
+    let p = plan(&host, &PlannerOptions::default()).unwrap();
+    let bytes = encode(&p.table);
+    let fnv = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+    assert_eq!((bytes.len(), digest), (1_358_760, 0xc77d_d1b8_9469_13eb));
+    assert_eq!(decode(bytes).unwrap(), p.table);
 }

@@ -201,7 +201,7 @@ pub fn peephole_ablation() -> PeepholeAblation {
     }
     let count = |p: &tableau_core::planner::Plan| -> usize {
         (0..p.table.n_cores())
-            .map(|c| p.table.cpu(c).allocations().len())
+            .map(|c| p.table.cpu(c).n_allocations())
             .sum()
     };
     let t0 = std::time::Instant::now();

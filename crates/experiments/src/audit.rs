@@ -119,7 +119,6 @@ fn table_schedule(table: &Table) -> MultiCoreSchedule {
                 let segs = table
                     .cpu(c)
                     .allocations()
-                    .iter()
                     .map(|a| Segment::new(a.start, a.end, TaskId(a.vcpu.0)))
                     .collect();
                 CoreSchedule::from_segments(segs)
@@ -159,7 +158,10 @@ fn judge(
     // clean bin; untouched cores are the clean table's, certified already.
     let bad_sched = table_schedule(bad);
     let certified = bins.iter().enumerate().all(|(core, bin)| {
-        clean.cpu(core).allocations() == bad.cpu(core).allocations()
+        clean
+            .cpu(core)
+            .allocations()
+            .eq(bad.cpu(core).allocations())
             || verify_bin(bin, bad_sched.cores[core].segments(), bad.len())
                 .is_ok_and(|found| found.is_empty())
     });

@@ -242,7 +242,7 @@ fn table_compile_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
     let p = plan(&host, opts).expect("all-unique paper-scale host plans");
     let len = p.table.len();
     let per_core: Vec<Vec<Allocation>> = (0..p.table.n_cores())
-        .map(|c| p.table.cpu(c).allocations().to_vec())
+        .map(|c| p.table.cpu(c).allocations().collect())
         .collect();
     time_entry("table/compile_176", iters, move || {
         Table::new(len, per_core.clone()).expect("planned lists compile")

@@ -335,8 +335,7 @@ mod tests {
             .filter(|&v| {
                 p.table
                     .placement(tableau_core::vcpu::VcpuId(v))
-                    .map(|pl| pl.allocations.iter().all(|&(c, _, _)| c == 1))
-                    .unwrap_or(false)
+                    .is_some_and(|pl| pl.only_on(1))
             })
             .collect();
         assert!(!core1_vcpus.is_empty(), "no vCPU fully homed on core 1");

@@ -1353,6 +1353,26 @@ mod tests {
         Fleet::new(FleetConfig::new(n_hosts, 2)).expect("boot plan")
     }
 
+    #[test]
+    fn the_boot_table_salts_that_yield_a_corruption_are_pinned() {
+        // `corrupt_newest_table` retries salts until `corrupt_table`
+        // accepts one, so which salts the boot image accepts (bit `k` =
+        // salt `k`) decides what every chaos replay damages. Read off the
+        // parent of the change that made the segment arrays the table.
+        let fleet = small_fleet(1);
+        let accepted = CorruptionKind::ALL.map(|kind| {
+            let hit = |&salt: &u64| corrupt_table(&fleet.boot_image.table, kind, salt).is_some();
+            (0..64u64)
+                .filter(hit)
+                .fold(0u64, |mask, salt| mask | 1 << salt)
+        });
+        assert_eq!(
+            accepted,
+            [0xffbd_fefb_ebfe_edff, 0x0e00_0000_0040_1100, u64::MAX],
+            "{accepted:#018x?}"
+        );
+    }
+
     fn epochs(fleet: &mut Fleet, from: Nanos, n: u64) -> Nanos {
         let epoch = Nanos::from_millis(50);
         let mut now = from;

@@ -52,14 +52,14 @@ pub(crate) struct TableImage {
 /// `mask_table` of its plan.
 pub(crate) fn mask_table(table: &Table, keep_below: u32) -> Result<Table, String> {
     let per_core = (0..table.n_cores())
-        .map(|c| kept(table, c, keep_below).copied().collect())
+        .map(|c| kept(table, c, keep_below).collect())
         .collect();
     Table::new(table.len(), per_core)
 }
 
 /// The allocations of `core` that the mask keeps.
-fn kept(table: &Table, core: usize, keep_below: u32) -> impl Iterator<Item = &Allocation> {
-    let allocs = table.cpu(core).allocations().iter();
+fn kept(table: &Table, core: usize, keep_below: u32) -> impl Iterator<Item = Allocation> + '_ {
+    let allocs = table.cpu(core).allocations();
     allocs.filter(move |a| a.vcpu.0 < keep_below)
 }
 

@@ -70,7 +70,7 @@ fn variant(p: &Plan, k: usize) -> Table {
     let t = &p.table;
     let per_core = (0..t.n_cores())
         .map(|c| {
-            let allocs = t.cpu(c).allocations();
+            let allocs: Vec<_> = t.cpu(c).allocations().collect();
             (0..allocs.len())
                 .map(|i| tableau_core::Allocation {
                     vcpu: allocs[(i + k) % allocs.len()].vcpu,

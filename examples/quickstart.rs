@@ -29,7 +29,7 @@ fn main() {
         "Table length: {} ({} allocations, {} bytes compiled)\n",
         plan.table.len(),
         (0..plan.table.n_cores())
-            .map(|c| plan.table.cpu(c).allocations().len())
+            .map(|c| plan.table.cpu(c).n_allocations())
             .sum::<usize>(),
         tableau_core::binary::encoded_size(&plan.table),
     );
@@ -49,7 +49,7 @@ fn main() {
 
     // 4. The first few allocations of core 0's table.
     println!("\nCore 0 table (first 8 allocations):");
-    for a in plan.table.cpu(0).allocations().iter().take(8) {
+    for a in plan.table.cpu(0).allocations().take(8) {
         println!(
             "  [{:>12} .. {:>12})  {}",
             a.start.to_string(),

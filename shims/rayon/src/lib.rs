@@ -3,9 +3,10 @@
 //! The build environment has no network access to a crates registry, so this
 //! workspace ships a minimal data-parallelism layer: the index-range map
 //! [`par_map_indices`] and three knobs around it. Work is executed on
-//! `std::thread::scope` threads in fixed contiguous chunks and results are
-//! reassembled in input order, so the output is bit-identical to the
-//! sequential evaluation regardless of thread count or interleaving.
+//! `std::thread::scope` threads, indices dealt round-robin (worker `w`
+//! takes `w, w + workers, …`), and results are reassembled in input order,
+//! so the output is bit-identical to the sequential evaluation regardless
+//! of thread count or interleaving.
 //!
 //! **One layer uses it**: the experiment sweeps whose cells are whole
 //! simulations reporting only simulated time (`robustness`, `scaling`,
@@ -18,8 +19,10 @@
 //!
 //! Two deliberate simplifications relative to real rayon:
 //!
-//! * **No work stealing.** Chunks are static; workers never rebalance.
-//!   Sweep cells have near-uniform costs, so static chunking loses little.
+//! * **No work stealing.** The deal is static; workers never rebalance.
+//!   Sweep grids are ordered by size (`scaling` walks 2 → 44 cores), so
+//!   contiguous chunks would hand one worker every large cell; the
+//!   round-robin deal gives each worker cells of every size.
 //! * **No nested pools.** A worker thread that itself reaches
 //!   [`par_map_indices`] runs it inline. This bounds the total thread count
 //!   at `available_parallelism` per top-level call instead of multiplying
@@ -106,26 +109,24 @@ where
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
-    let chunk = n.div_ceil(workers);
     std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(n);
-            if start >= end {
-                break;
-            }
-            let f = &f;
-            handles.push(s.spawn(move || {
+        let f = &f;
+        let deal = |w: usize| {
+            s.spawn(move || {
                 INLINE.with(|c| c.set(true));
-                (start..end).map(f).collect::<Vec<R>>()
-            }));
-        }
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            out.extend(h.join().expect("rayon shim: worker panicked"));
-        }
-        out
+                (w..n).step_by(workers).map(f).collect::<Vec<R>>()
+            })
+        };
+        let handles: Vec<_> = (0..workers).map(deal).collect();
+        // Worker `w` holds indices `w, w + workers, …` in order: reading
+        // the workers' results in turn visits `0..n` in index order.
+        let join = |h: std::thread::ScopedJoinHandle<'_, Vec<R>>| {
+            h.join().expect("rayon shim: worker panicked").into_iter()
+        };
+        let mut dealt: Vec<_> = handles.into_iter().map(join).collect();
+        (0..n)
+            .map(|i| dealt[i % workers].next().expect("one result per index"))
+            .collect()
     })
 }
 
@@ -165,6 +166,22 @@ mod tests {
             i
         });
         assert_eq!(out, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn indices_are_dealt_round_robin() {
+        // Neighbouring indices land on different workers, so a grid ordered
+        // by cost is spread over all of them.
+        let out = with_threads(3, || {
+            par_map_indices(9, |i| (i, std::thread::current().id()))
+        });
+        assert_eq!(
+            out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            (0..9).collect::<Vec<_>>()
+        );
+        for i in 0..9 {
+            assert_eq!(out[i].1 == out[0].1, i % 3 == 0, "index {i}");
+        }
     }
 
     #[test]
