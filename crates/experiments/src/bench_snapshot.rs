@@ -1,10 +1,10 @@
 //! `bench snapshot`: the tracked perf trajectory.
 //!
 //! This module times the three planner stages through the full [`plan`]
-//! entry point, the [`PlanCache`] hit and miss paths, and the dispatcher's
-//! [`Dispatcher::decide`]/wake-up/table-switch hot paths — each row on the
-//! calling thread, one at a time — then writes `BENCH_planner.json` and
-//! `BENCH_dispatch.json` at the repo root.
+//! entry point, the [`SharedPlanCache`] hit and miss paths, and the
+//! dispatcher's [`Dispatcher::decide`]/wake-up/table-switch hot paths —
+//! each row on the calling thread, one at a time — then writes
+//! `BENCH_planner.json` and `BENCH_dispatch.json` at the repo root.
 //!
 //! Those files are committed: each PR that lands a perf-relevant change
 //! reruns `experiments bench snapshot` and commits the refreshed numbers,
@@ -31,7 +31,7 @@ use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::time::Nanos;
 use rtsched::verify::verify_schedule;
 use schedulers::tableau::Tableau;
-use tableau_core::cache::PlanCache;
+use tableau_core::cache::SharedPlanCache;
 use tableau_core::dispatch::Dispatcher;
 use tableau_core::plan_delta;
 use tableau_core::planner::{period_for, plan, PlannerOptions};
@@ -149,21 +149,21 @@ fn crowd_host(salt: u32) -> HostConfig {
     h
 }
 
-/// Times a hit and an insert on a [`PlanCache`] that has seen [`CROWD`]
-/// same-sized shapes (32 resident, the rest evicted tombstones).
+/// Times a hit and an insert on a [`SharedPlanCache`] that has seen
+/// [`CROWD`] same-sized shapes (the last 32 resident, the rest evicted).
 fn crowded_cache_entries(iters: u64, opts: &PlannerOptions) -> [BenchEntry; 2] {
     // The plans' content is irrelevant to the index: one small plan stands
     // in for all of them.
     let stand_in = Arc::new(plan(&bench_host(2, 4, 25), opts).expect("stand-in plans"));
     let crowded = || {
-        let mut c = PlanCache::new(32);
+        let c = SharedPlanCache::new(32);
         for salt in 0..CROWD {
             c.insert(&crowd_host(salt), opts, stand_in.clone());
         }
         c
     };
     let hit = {
-        let mut c = crowded();
+        let c = crowded();
         let newest = crowd_host(CROWD - 1);
         time_entry("cache/hit_crowded", iters.max(100), move || {
             c.lookup(&newest, opts)
@@ -171,7 +171,7 @@ fn crowded_cache_entries(iters: u64, opts: &PlannerOptions) -> [BenchEntry; 2] {
         })
     };
     let insert = {
-        let mut c = crowded();
+        let c = crowded();
         // A never-seen shape per call (warm-up included), built outside
         // the timed region.
         let n = iters.max(100);
@@ -392,11 +392,11 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
         time_entry("cache/miss", iters, || {
             // A fresh cache per iteration: the full miss path (key build,
             // plan, insert).
-            let mut c = PlanCache::new(4);
+            let c = SharedPlanCache::new(4);
             c.get_or_plan(&easy, &defaults).expect("plans")
         }),
         {
-            let mut c = PlanCache::new(4);
+            let c = SharedPlanCache::new(4);
             c.get_or_plan(&easy, &defaults).expect("plans");
             let (easy, defaults) = (&easy, &defaults);
             time_entry("cache/hit", iters.max(100), move || {

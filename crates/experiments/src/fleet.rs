@@ -197,7 +197,7 @@ pub struct StepLedger {
 #[derive(Debug, Clone, Serialize)]
 pub struct PhaseShare {
     /// Phase name (`faults`, `corruptions`, `audit`, `evacuate`, `parked`,
-    /// `installs`, `prewarm`, `host_sims`).
+    /// `installs`, `host_sims`).
     pub phase: &'static str,
     /// Wall-clock spent in the phase (ns).
     pub ns: u64,

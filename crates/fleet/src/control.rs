@@ -44,7 +44,8 @@ pub struct FleetConfig {
     pub max_tenant_utilization: f64,
     /// Planner tunables (shared by every host and the cache key).
     pub planner: PlannerOptions,
-    /// Shared plan-cache capacity (distinct host shapes held at once).
+    /// Shared plan-cache capacity: the distinct host shapes held at once,
+    /// least recently used evicted first.
     pub cache_capacity: usize,
     /// Control-plane backlog (dirty hosts + evacuating + parked) above
     /// which admission drops from best-fit to first-fit.
@@ -55,11 +56,6 @@ pub struct FleetConfig {
     /// oscillating ±1 around the threshold therefore cannot flap the
     /// placement policy. Zero restores the bare threshold comparison.
     pub backlog_hysteresis: usize,
-    /// Speculative pre-planner: how many of the most-admitted flavors to
-    /// pre-plan each control epoch. For each, the shape the placement
-    /// ladder would request next (current policy, current fill) is warmed
-    /// into the shared plan cache off the admission path. Zero disables.
-    pub prewarm_flavors: usize,
     /// Candidate hosts each placement rung tries before falling through.
     pub placement_candidates: usize,
     /// Failed placement attempts before an evacuating VM is parked.
@@ -92,7 +88,6 @@ impl FleetConfig {
             cache_capacity: 256,
             backlog_first_fit_threshold: 8,
             backlog_hysteresis: 2,
-            prewarm_flavors: 2,
             placement_candidates: 4,
             evac_retry_budget: 5,
             evac_backoff_base: Nanos::from_millis(50),
@@ -276,15 +271,13 @@ pub struct StepPhases {
     pub parked_ns: u64,
     /// Resolve each pending install's shared table image, stage and commit.
     pub installs_ns: u64,
-    /// Speculative plan-cache warming.
-    pub prewarm_ns: u64,
     /// Advancing every live host's simulator by one epoch.
     pub host_sims_ns: u64,
 }
 
 impl StepPhases {
     /// `(name, ns)` per phase, in the order [`Fleet::step`] runs them.
-    pub fn phases(&self) -> [(&'static str, u64); 8] {
+    pub fn phases(&self) -> [(&'static str, u64); 7] {
         [
             ("faults", self.faults_ns),
             ("corruptions", self.corruptions_ns),
@@ -292,7 +285,6 @@ impl StepPhases {
             ("evacuate", self.evacuate_ns),
             ("parked", self.parked_ns),
             ("installs", self.installs_ns),
-            ("prewarm", self.prewarm_ns),
             ("host_sims", self.host_sims_ns),
         ]
     }
@@ -371,9 +363,6 @@ pub struct Fleet {
     /// Backpressure state: whether the admission ladder is currently in
     /// first-fit mode (sticky across the hysteresis band).
     pressured: bool,
-    /// Admission frequency per flavor `(vcpus, utilization_ppm)` — the
-    /// churn-stream signal the speculative pre-planner ranks by.
-    flavor_freq: BTreeMap<(usize, u32), u64>,
     counters: FleetCounters,
     rungs: RungCounters,
     phases: StepPhases,
@@ -420,7 +409,6 @@ impl Fleet {
             parked: VmQueue::new(),
             locations: BTreeMap::new(),
             pressured: false,
-            flavor_freq: BTreeMap::new(),
             counters: FleetCounters::default(),
             rungs: RungCounters::default(),
             phases: StepPhases::default(),
@@ -466,10 +454,6 @@ impl Fleet {
             !self.locations.contains_key(&vm),
             "admitting an already-owned vm"
         );
-        *self
-            .flavor_freq
-            .entry((flavor.vcpus, flavor.utilization_ppm))
-            .or_insert(0) += 1;
         let demand = flavor.vcpus as u64 * flavor.utilization_ppm as u64;
         // The backlog does not depend on who can host the VM, so the policy
         // this admission runs under is known before the candidates are; it
@@ -587,10 +571,10 @@ impl Fleet {
     /// same epoch.
     ///
     /// **Single-threaded.** Every phase is a plain loop in host order: the
-    /// audit derives facts once per distinct live table image, the warm
-    /// planner runs its batch in request order, and each host simulator —
-    /// the bulk of the wall clock — advances in turn. A 320-host step costs
-    /// ~150 µs, less than spawning the threads that used to shard it
+    /// audit derives facts once per distinct live table image, and each
+    /// host simulator — the bulk of the wall clock — advances in turn. A
+    /// 320-host step costs ~150 µs, less than spawning the threads that
+    /// used to shard it
     /// (DESIGN.md, "Why the planner and the fleet step are
     /// single-threaded"), so a step is a function of the fleet's state and
     /// `now` alone.
@@ -609,8 +593,6 @@ impl Fleet {
         self.phases.parked_ns += lap(&mut mark);
         self.process_installs(now);
         self.phases.installs_ns += lap(&mut mark);
-        self.prewarm_cache();
-        self.phases.prewarm_ns += lap(&mut mark);
         for h in &mut self.hosts {
             let local = now - h.epoch_base;
             if let Some(sim) = h.sim.as_mut() {
@@ -780,7 +762,10 @@ impl Fleet {
     /// memoized through the cache, then the fallback ladder. A successful
     /// delta is inserted into the cache under the *new* shape, so sibling
     /// hosts walking the same churn sequence hit it. Returns the plan and
-    /// the rung that produced it.
+    /// the rung that produced it. Every rung returns `plan(next, opts)`
+    /// field for field, so which one answers — and with it everything the
+    /// cache's capacity and eviction order decide — moves only the rung
+    /// counters.
     fn replan(
         cache: &SharedPlanCache,
         prev: Option<(&HostConfig, &Plan)>,
@@ -804,49 +789,6 @@ impl Fleet {
             Err(_) => plan_with_fallback(prev, next, opts)
                 .ok()
                 .map(|o| (Arc::new(o.plan), Rung::Ladder(o.path))),
-        }
-    }
-
-    /// The speculative pre-planner (one pass per control epoch): for each
-    /// of the `prewarm_flavors` most-admitted flavors, predict the host the
-    /// placement ladder would pick for the *next* admission of that flavor
-    /// — same candidate filter, same best-fit/first-fit policy the current
-    /// backpressure state selects — and warm the shared cache with the
-    /// resulting host shape. The predicted shapes are gathered first and
-    /// warmed as one batch, so every decline decision is taken against the
-    /// pre-batch cache; an already-cached shape costs one lookup.
-    fn prewarm_cache(&mut self) {
-        if self.cfg.prewarm_flavors == 0 {
-            return;
-        }
-        // One warm budget per control epoch: a prediction storm cannot
-        // monopolize the epoch with speculative planner runs.
-        self.cache.begin_warm_epoch();
-        let mut ranked: Vec<((usize, u32), u64)> =
-            self.flavor_freq.iter().map(|(&k, &n)| (k, n)).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut shapes: Vec<HostConfig> = Vec::new();
-        for &((vcpus, ppm), _) in ranked.iter().take(self.cfg.prewarm_flavors) {
-            let flavor = Flavor {
-                vcpus,
-                utilization_ppm: ppm,
-            };
-            let demand = vcpus as u64 * ppm as u64;
-            let Some(&h) = self.candidates(demand, !self.pressured, &[]).first() else {
-                continue;
-            };
-            let mut next = self.hosts[h].host_cfg.clone();
-            // The cache key ignores VM names, so the placeholder id aliases
-            // whatever vm number the real admission arrives with.
-            let tenant = Tenant {
-                vm: u64::MAX,
-                flavor,
-            };
-            push_tenant(&mut next, &tenant, self.cfg.latency_goal);
-            shapes.push(next);
-        }
-        if !shapes.is_empty() {
-            let _ = self.cache.warm_batch(&shapes, &self.cfg.planner);
         }
     }
 
@@ -1151,11 +1093,10 @@ impl Fleet {
             .find(|&h| self.try_place(now, h, e.vm, e.flavor, e.requested_at))
     }
 
-    /// The one candidate ladder behind admission, re-placement and the
-    /// pre-planner's prediction: of the placeable hosts with `demand` ppm
-    /// to spare (and not in `skip`), the first `placement_candidates` in
-    /// best-fit order — tightest remaining headroom, ties to the lowest id
-    /// — or, first-fit, in ascending id. One scan in id order keeping the
+    /// The one candidate ladder behind admission and re-placement: of the
+    /// placeable hosts with `demand` ppm to spare (and not in `skip`), the
+    /// first `placement_candidates` in best-fit order — tightest remaining
+    /// headroom, ties to the lowest id — or, first-fit, in ascending id. One scan in id order keeping the
     /// running best few; no host list is built or sorted.
     fn candidates(&self, demand: u64, best_fit: bool, skip: &[usize]) -> Vec<usize> {
         let k = self.cfg.placement_candidates.max(1);
@@ -1456,41 +1397,6 @@ mod tests {
         assert_eq!(fleet.rungs().delta, 4);
         assert_eq!(fleet.rungs().cache_hit, 4);
         assert_eq!(fleet.rungs().cache_plan, 0, "delta pre-empts full plans");
-    }
-
-    #[test]
-    fn prewarming_fills_the_cache_from_the_churn_stream() {
-        // One admission teaches the pre-planner the dominant flavor; the
-        // next control epoch warms the shape the ladder would request
-        // next, so the following admission is a pure cache hit.
-        let mut fleet = small_fleet(2);
-        fleet
-            .admit(Nanos(1), 0, flavor(1, 250_000))
-            .expect("admits");
-        assert_eq!(fleet.cache().warmed(), 0);
-        epochs(&mut fleet, Nanos::ZERO, 1);
-        assert!(fleet.cache().warmed() >= 1, "step must prewarm");
-        let hits_before = fleet.rungs().cache_hit;
-        fleet
-            .admit(Nanos(2), 1, flavor(1, 250_000))
-            .expect("admits");
-        assert_eq!(
-            fleet.rungs().cache_hit,
-            hits_before + 1,
-            "the predicted shape was warmed, so admission hits the cache"
-        );
-    }
-
-    #[test]
-    fn prewarming_disabled_warms_nothing() {
-        let mut cfg = FleetConfig::new(2, 2);
-        cfg.prewarm_flavors = 0;
-        let mut fleet = Fleet::new(cfg).expect("boot plan");
-        fleet
-            .admit(Nanos(1), 0, flavor(1, 250_000))
-            .expect("admits");
-        epochs(&mut fleet, Nanos::ZERO, 4);
-        assert_eq!(fleet.cache().warmed(), 0);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! A [`Fleet`] owns N simulated hosts. Each host is the full single-host
 //! stack grown in earlier PRs — a [`xensim::Sim`] running per-core probe
-//! vCPUs under a `schedulers::Tableau` dispatcher — plus a slice of the
-//! *shared* fingerprint plan cache: identically shaped hosts (and with
-//! SAP-shaped churn, shapes recur constantly) resolve their tables from
-//! one [`tableau_core::cache::SharedPlanCache`].
+//! vCPUs under a `schedulers::Tableau` dispatcher. All hosts plan through
+//! one [`tableau_core::cache::SharedPlanCache`], an LRU of
+//! `FleetConfig::cache_capacity` plans: identically shaped hosts (and with
+//! SAP-shaped churn, shapes recur constantly) resolve to one entry. The
+//! cache only memoizes — every replan rung returns `plan(host, opts)` — so
+//! its capacity moves the rung counters and nothing else.
 //!
 //! The front-end admits VM create/teardown/resize requests and the
 //! robustness engine absorbs host-level failures:
