@@ -68,6 +68,29 @@ impl Decision {
     }
 }
 
+/// What [`Dispatcher::dense_plan`] certifies about the lap it emitted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DenseLap {
+    /// The lap is exact for decisions strictly before this round boundary
+    /// (the core's next table adoption; [`Nanos::MAX`] when settled).
+    pub valid_before: Nanos,
+    /// When the lap's first decision that cannot be certified is taken:
+    /// the start of the first slice before `valid_before` whose runnable
+    /// owner is not single-homed on the core (`from` if that is the
+    /// lap's first slice; [`Nanos::MAX`] when every slice is certified).
+    /// The lap is exact only before it.
+    pub uncertified_from: Nanos,
+    /// The table length: the lap repeats with this period.
+    pub period: Nanos,
+    /// The segment of the lap's first decision (the one containing
+    /// `from`).
+    pub first_seg: usize,
+    /// The start of the table round that segment is in: decision `i` is
+    /// in this round while `first_seg + i < n_segments`, in the next one
+    /// after.
+    pub round_base: Nanos,
+}
+
 /// Tableau's per-host dispatcher state.
 ///
 /// One instance serves all cores; every method takes the acting core as a
@@ -302,21 +325,25 @@ impl Dispatcher {
         self.level2[core].charge(vcpu, amount);
     }
 
-    /// Precomputes `core`'s dispatch decisions from `from` on as a dense
-    /// window — the read-only half of the dense-phase fast path.
+    /// Precomputes one lap of `core`'s dispatch decisions from `from` on —
+    /// the read-only half of the dense-phase fast path.
     ///
     /// Fills `out` with one `(vcpu, absolute until)` pair per table
-    /// segment, starting with the segment containing `from` and continuing
-    /// (wrapping rounds) until a segment ends strictly after the window's
-    /// end: `horizon`, or one nanosecond before the returned bound if that
-    /// comes first. The bound is the round boundary at which `core` next
+    /// segment, starting with the segment containing `from` and ending one
+    /// table length later, on the segment before it in the next round. The
+    /// table repeats, so the lap does: decision `i` of lap `j` ends at
+    /// `out[i].1 + j * len` and is segment
+    /// `(first_seg + i) % n_segments`. The lap is exact strictly before
+    /// [`DenseLap::valid_before`], the round boundary at which `core` next
     /// adopts a newer table ([`TableManager::next_adoption`];
-    /// [`Nanos::MAX`] when settled): decisions strictly before it are
-    /// exact, the caller plans the rest in a fresh window starting at or
-    /// after it. Returns `None` — mutating nothing but `out`, whose
-    /// contents are then meaningless — unless the window is provably
+    /// [`Nanos::MAX`] when settled); the caller plans a fresh lap at or
+    /// after it. It is also exact only before
+    /// [`DenseLap::uncertified_from`], the first slice whose runnable
+    /// owner is not single-homed on `core` (the owner protocol could defer
+    /// that dispatch). Returns `None` — mutating nothing but `out`, whose
+    /// contents are then meaningless — unless the lap is provably
     /// equivalent to calling [`Dispatcher::decide`] at every slice
-    /// boundary:
+    /// boundary before those bounds:
     ///
     /// * nothing is staged (a commit would publish mid-window);
     /// * `core`'s second level is empty under the epoch in force at `from`,
@@ -329,21 +356,18 @@ impl Dispatcher {
     ///   and [`Dispatcher::dense_commit`] runs it;
     /// * no SLA monitor is attached (dispatches would feed it);
     /// * no IPI request is pending anywhere (a de-schedule would consume
-    ///   one and trigger a hand-off IPI);
-    /// * every runnable reserved vCPU in the window is single-homed on
-    ///   `core`, so the owner protocol cannot defer a dispatch.
+    ///   one and trigger a hand-off IPI).
     ///
     /// Runnability is sampled once per slot at build time; the caller
     /// guarantees guest state cannot change inside the window (the
-    /// simulator abandons a batch on any block or wake).
+    /// simulator abandons a window on any block or wake).
     pub fn dense_plan(
         &self,
         core: usize,
         from: Nanos,
-        horizon: Nanos,
         mut is_runnable: impl FnMut(VcpuId) -> bool,
         out: &mut Vec<(Option<VcpuId>, Nanos)>,
-    ) -> Option<Nanos> {
+    ) -> Option<DenseLap> {
         out.clear();
         if self.monitor.is_some() || self.tables.has_staged() {
             return None;
@@ -366,69 +390,85 @@ impl Dispatcher {
         if self.ipi_request.iter().any(|r| r.is_some()) {
             return None;
         }
-        let bound = self.tables.next_adoption(core, from);
-        let horizon = horizon.min(bound - Nanos(1));
         let len = table.len();
         let cpu = table.cpu(core);
         let n_segs = cpu.n_segments();
-        let mut round_base = from - from % len;
-        let mut seg = cpu.segment_at(from - round_base);
-        loop {
-            // Slots and the runnability snapshot are time-invariant inside
-            // a window, so a segment's decision (and its single-homed
-            // proof) is computed on the first lap only; every later lap
-            // replays the slice one round back — long windows cost
-            // O(segments) checks, not O(slices).
-            let (vcpu, until) = match out.len().checked_sub(n_segs) {
-                Some(lap_back) => {
-                    let (vcpu, until) = out[lap_back];
-                    (vcpu, until + len)
+        let lap_base = from - from % len;
+        let mut round_base = lap_base;
+        let first_seg = cpu.segment_at(from - round_base);
+        let valid_before = self.tables.next_adoption(core, from);
+        let mut uncertified_from = Nanos::MAX;
+        let mut seg = first_seg;
+        // When the slice being emitted is taken (its start; `from` for the
+        // first one).
+        let mut start = from;
+        for _ in 0..n_segs {
+            let slot = cpu.segment_slot(seg);
+            let vcpu = slot.vcpu().filter(|&v| is_runnable(v));
+            if let Some(v) = vcpu {
+                if uncertified_from == Nanos::MAX
+                    && start < valid_before
+                    && !table.placement(v).is_some_and(|p| p.only_on(core))
+                {
+                    uncertified_from = start;
                 }
-                None => {
-                    let slot = cpu.segment_slot(seg);
-                    let vcpu = match slot.vcpu() {
-                        Some(v) if is_runnable(v) => {
-                            if !table.placement(v).is_some_and(|p| p.only_on(core)) {
-                                return None;
-                            }
-                            Some(v)
-                        }
-                        _ => None,
-                    };
-                    let until = round_base + slot.until();
-                    seg += 1;
-                    if seg == n_segs {
-                        seg = 0;
-                        round_base += len;
-                    }
-                    (vcpu, until)
-                }
-            };
+            }
+            let until = round_base + slot.until();
             out.push((vcpu, until));
-            if until > horizon {
-                return Some(bound);
+            start = until;
+            seg += 1;
+            if seg == n_segs {
+                seg = 0;
+                round_base += len;
             }
         }
+        Some(DenseLap {
+            valid_before,
+            uncertified_from,
+            period: len,
+            first_seg,
+            round_base: lap_base,
+        })
     }
 
-    /// Applies the net state effect of executing a dense window on `core`
+    /// Applies the net state effect of executing dense decisions on `core`
     /// — the mutating half of the dense-phase fast path.
     ///
-    /// `at` is the time of the window's last committed decision and
-    /// `running` the vCPU that decision left dispatched (if any). Under
-    /// the [`Dispatcher::dense_plan`] guards the generic boundary
-    /// callbacks would have: cleared `core`'s ownership at every
-    /// de-schedule and re-asserted it at every dispatch (net: only the
-    /// final dispatch survives), advanced the table view once per decision
-    /// (net: the last decision's confirm — a window never spans an
-    /// adoption boundary, so every decision in it confirmed the same
-    /// epoch), run the lazy level-2 refresh at the first decision if the
-    /// second level was built against another epoch (net: an empty set
-    /// replaced by an empty set and the epoch stamp, which is all
-    /// `dense_plan` admits), and rebuilt the slot cursor (net: the cursor
-    /// of the last decision).
-    pub fn dense_commit(&mut self, core: usize, at: Nanos, running: Option<VcpuId>) {
-        let epoch = self.tables.confirm(core, at);
+    /// `at` is the time of the last decision taken since the previous
+    /// commit, `seg` its segment and `round_base` the start of its table
+    /// round (the window knows both, so no lookup or division is needed),
+    /// and `running` the vCPU that decision left dispatched (if any). Under
+    /// the [`Dispatcher::dense_plan`] guards the generic boundary callbacks
+    /// would have: cleared `core`'s ownership at every de-schedule and
+    /// re-asserted it at every dispatch (net: only the final dispatch
+    /// survives), advanced the table view once per decision (net: the last
+    /// decision's confirm — a window never spans an adoption boundary, so
+    /// every decision in it confirmed the same epoch), run the lazy level-2
+    /// refresh at the first decision if the second level was built against
+    /// another epoch (net: an empty set replaced by an empty set and the
+    /// epoch stamp, which is all `dense_plan` admits), and rebuilt the slot
+    /// cursor (net: the cursor of the last decision).
+    pub fn dense_commit(
+        &mut self,
+        core: usize,
+        at: Nanos,
+        seg: usize,
+        round_base: Nanos,
+        running: Option<VcpuId>,
+    ) {
+        debug_assert!(
+            at >= round_base && at - round_base < self.tables.newest_table().len(),
+            "{at:?} is not in the round at {round_base:?}"
+        );
+        let epoch = self.tables.confirm_round(core, round_base);
+        debug_assert_eq!(
+            self.tables
+                .epoch_table(epoch)
+                .cpu(core)
+                .segment_at(at - round_base),
+            seg,
+            "{at:?} is not in segment {seg}"
+        );
         self.refresh_level2(core, epoch);
         for o in &mut self.owner {
             if *o == Some(core) {
@@ -439,11 +479,6 @@ impl Dispatcher {
             self.ensure_vcpu_slots(vcpu);
             self.owner[vcpu.0 as usize] = Some(core);
         }
-        let (round_base, seg) = {
-            let table = self.tables.epoch_table(epoch);
-            let round_base = at - at % table.len();
-            (round_base, table.cpu(core).segment_at(at - round_base))
-        };
         self.cursor[core] = SlotCursor {
             epoch,
             round_base,
@@ -917,57 +952,108 @@ mod tests {
         }
     }
 
-    /// The dense path, driven the way the simulator drives it: windows of
-    /// at most `span` opened at the earliest pending boundary, every core
-    /// planned up front, decisions consumed up to the window's end (the
-    /// horizon or one nanosecond before the validity bound), one commit
-    /// per core per window.
+    /// The dense path, driven the way the simulator drives it: calls of
+    /// `span` each; a lap per core planned at the earliest pending boundary
+    /// unless the laps carried from an earlier call are still exact there;
+    /// decisions read off the laps (wrapping them) up to the call's end or
+    /// one nanosecond before the validity bound, whichever comes first;
+    /// one commit per core per stretch, naming the last decision's segment.
     fn drive_dense(d: &mut Dispatcher, end: Nanos, span: Nanos) -> Decisions {
+        struct Lap {
+            slices: Vec<(Option<VcpuId>, Nanos)>,
+            period: Nanos,
+            first_seg: usize,
+            round_base: Nanos,
+            next: usize,
+            offset: Nanos,
+        }
         let n = d.n_cores();
         let mut next = vec![Nanos::ZERO; n];
         let mut log = Vec::new();
-        let mut out = Vec::new();
-        loop {
-            let from = *next.iter().min().unwrap();
-            if from > end {
-                return log;
-            }
-            let mut cap = end.min(from + span);
-            let mut windows = Vec::new();
-            for core in 0..n {
-                let bound = d
-                    .dense_plan(core, from, cap, |_| true, &mut out)
-                    .expect("capped single-homed tables stay dense");
-                assert!(bound > from);
-                cap = cap.min(bound - Nanos(1));
-                windows.push(out.clone());
-            }
-            for (core, slices) in windows.iter().enumerate() {
-                let mut last = None;
-                for &(vcpu, until) in slices {
-                    if until <= next[core] {
-                        continue;
-                    }
-                    if next[core] > cap {
-                        break;
-                    }
-                    log.push((core, next[core], vcpu, until));
-                    last = Some((next[core], vcpu));
-                    next[core] = until;
+        let mut laps: Vec<Lap> = Vec::new();
+        let mut exact_until: Option<Nanos> = None;
+        let mut call_end = Nanos::ZERO;
+        while call_end < end {
+            call_end = end.min(call_end + span);
+            loop {
+                let from = *next.iter().min().unwrap();
+                if from > call_end {
+                    break;
                 }
-                assert!(next[core] > cap, "window under-ran its end");
-                if let Some((at, running)) = last {
-                    d.dense_commit(core, at, running);
+                let last = match exact_until {
+                    Some(last) if from <= last => last,
+                    _ => {
+                        laps.clear();
+                        let mut bound = Nanos::MAX;
+                        for core in 0..n {
+                            let mut out = Vec::new();
+                            let lap = d
+                                .dense_plan(core, from, |_| true, &mut out)
+                                .expect("capped single-homed tables stay dense");
+                            assert!(lap.valid_before > from);
+                            assert_eq!(lap.uncertified_from, Nanos::MAX);
+                            // One lap: the last slice ends one period after
+                            // the first begins (at or before `from`).
+                            assert!(out.windows(2).all(|s| s[0].1 < s[1].1));
+                            assert!(out.last().unwrap().1 - lap.period <= from);
+                            assert!(out[0].1 > from);
+                            bound = bound.min(lap.valid_before);
+                            laps.push(Lap {
+                                slices: out,
+                                period: lap.period,
+                                first_seg: lap.first_seg,
+                                round_base: lap.round_base,
+                                next: 0,
+                                offset: Nanos::ZERO,
+                            });
+                        }
+                        exact_until = Some(bound - Nanos(1));
+                        bound - Nanos(1)
+                    }
+                };
+                let cap = call_end.min(last);
+                for (core, lap) in laps.iter_mut().enumerate() {
+                    let mut picked = None;
+                    while next[core] <= cap {
+                        let i = lap.next;
+                        let (vcpu, until) = lap.slices[i];
+                        let until = until + lap.offset;
+                        lap.next = (i + 1) % lap.slices.len();
+                        if lap.next == 0 {
+                            lap.offset += lap.period;
+                        }
+                        if until <= next[core] {
+                            continue;
+                        }
+                        log.push((core, next[core], vcpu, until));
+                        picked = Some((next[core], i, until, vcpu));
+                        next[core] = until;
+                    }
+                    if let Some((at, i, until, running)) = picked {
+                        let n = lap.slices.len();
+                        let wrapped = lap.first_seg + i >= n;
+                        let seg = (lap.first_seg + i) % n;
+                        let lap_offset = until - lap.slices[i].1;
+                        let round_base = lap.round_base
+                            + lap_offset
+                            + if wrapped { lap.period } else { Nanos::ZERO };
+                        d.dense_commit(core, at, seg, round_base, running);
+                    }
                 }
+                if cap == call_end {
+                    break;
+                }
+                exact_until = None;
             }
         }
+        log
     }
 
     #[test]
     fn dense_windows_across_a_switch_match_decide_at_every_boundary() {
         // Two pending switches: to table B at 20 ms, back to A's layout at
-        // 40 ms. Some spans open a window exactly on a boundary, the widest
-        // is cut by both.
+        // 40 ms. Some spans end a call exactly on a boundary, some carry
+        // laps across many calls, the widest is cut by both switches.
         let end = Nanos::from_micros(57_300);
         let install = |d: &mut Dispatcher| {
             let a = d.newest_table().clone();
@@ -997,41 +1083,104 @@ mod tests {
     fn dense_plan_is_cut_at_the_adoption_boundary_and_rolls_past_it() {
         let mut d = two_core_dispatcher(vec![true; 3]);
         let mut out = Vec::new();
+        let lap = |valid_before, first_seg, round_base| DenseLap {
+            valid_before,
+            uncertified_from: Nanos::MAX,
+            period: ms(10),
+            first_seg,
+            round_base,
+        };
+        // One lap from the segment containing 1 ms: [0,3) v0, [3,5) idle,
+        // [5,8) v1, [8,10) idle, then [0,3) of the next round.
         assert_eq!(
-            d.dense_plan(0, ms(1), ms(100), |_| true, &mut out),
-            Some(Nanos::MAX)
+            d.dense_plan(0, ms(1), |_| true, &mut out),
+            Some(lap(Nanos::MAX, 0, ms(0)))
         );
-        assert!(out.last().unwrap().1 > ms(100));
+        assert_eq!(
+            out,
+            [
+                (Some(VcpuId(0)), ms(3)),
+                (None, ms(5)),
+                (Some(VcpuId(1)), ms(8)),
+                (None, ms(10))
+            ]
+        );
+        assert_eq!(
+            d.dense_plan(0, ms(6), |v| v != VcpuId(0), &mut out),
+            Some(lap(Nanos::MAX, 2, ms(0)))
+        );
+        assert_eq!(
+            out,
+            [
+                (Some(VcpuId(1)), ms(8)),
+                (None, ms(10)),
+                (None, ms(13)),
+                (None, ms(15))
+            ]
+        );
 
         let switch_at = d.install_table(table_b(), ms(3)).expect("installs");
         assert_eq!(
-            d.dense_plan(0, ms(3), ms(100), |_| true, &mut out),
-            Some(switch_at)
+            d.dense_plan(0, ms(3), |_| true, &mut out),
+            Some(lap(switch_at, 1, ms(0)))
         );
-        // Table A's slices, ending at the boundary and not past it.
+        // Table A's lap, valid only until the boundary.
         assert_eq!(out.first(), Some(&(None, ms(5))));
-        assert_eq!(out.last(), Some(&(None, switch_at)));
+        assert_eq!(out.last(), Some(&(Some(VcpuId(0)), ms(13))));
         // A window opened on the boundary runs table B and is unbounded; the
         // second level's stale epoch stamp does not decline it (its set is
         // empty under both tables) and the commit brings it in sync.
         assert_eq!(
-            d.dense_plan(0, switch_at, ms(100), |_| true, &mut out),
-            Some(Nanos::MAX)
+            d.dense_plan(0, switch_at, |_| true, &mut out),
+            Some(lap(Nanos::MAX, 0, switch_at))
         );
         assert_eq!(out.first(), Some(&(Some(VcpuId(1)), switch_at + ms(4))));
         assert_eq!(d.level2_epoch[0], 0);
-        d.dense_commit(0, switch_at, Some(VcpuId(1)));
+        d.dense_commit(0, switch_at, 0, switch_at, Some(VcpuId(1)));
         assert_eq!((d.core_epoch(0), d.level2_epoch[0]), (1, 1));
         // A staged, uncommitted install still declines.
         let staged = d.begin_table_switch(table_b(), switch_at).unwrap();
-        assert_eq!(
-            d.dense_plan(0, switch_at, ms(100), |_| true, &mut out),
-            None
-        );
+        assert_eq!(d.dense_plan(0, switch_at, |_| true, &mut out), None);
         d.commit_table_switch(staged).unwrap();
-        assert!(d
-            .dense_plan(0, switch_at, ms(100), |_| true, &mut out)
-            .is_some());
+        assert!(d.dense_plan(0, switch_at, |_| true, &mut out).is_some());
+    }
+
+    #[test]
+    fn dense_plan_marks_the_first_slice_of_a_split_vcpu_before_the_boundary() {
+        // vCPU 0 runs on both cores: [0,3) on core 0 and [6,8) on core 1.
+        let split = Table::new(
+            ms(10),
+            vec![
+                vec![alloc(0, 3, 0), alloc(5, 8, 1)],
+                vec![alloc(3, 5, 2), alloc(6, 8, 0)],
+            ],
+        )
+        .unwrap();
+        let mut d = Dispatcher::new(split, vec![true; 3], ms(10));
+        let mut out = Vec::new();
+        let mut uncertified = |d: &Dispatcher, core, from| {
+            d.dense_plan(core, from, |_| true, &mut out)
+                .map(|lap| lap.uncertified_from)
+        };
+        // From 4 ms core 0 reaches vCPU 0's slot at 10 ms, core 1 at 6 ms;
+        // from inside that slot, the lap's first decision is uncertified.
+        assert_eq!(uncertified(&d, 0, ms(4)), Some(ms(10)));
+        assert_eq!(uncertified(&d, 1, ms(4)), Some(ms(6)));
+        assert_eq!(uncertified(&d, 1, ms(7)), Some(ms(7)));
+        // A blocked vCPU 0 certifies the whole lap.
+        assert_eq!(
+            d.dense_plan(1, ms(4), |v| v != VcpuId(0), &mut Vec::new())
+                .map(|lap| lap.uncertified_from),
+            Some(Nanos::MAX)
+        );
+        // Slices from the adoption boundary on are the next table's to
+        // certify: core 0's lap from 14 ms reaches vCPU 0 at 20 ms, which
+        // is where a switch cuts it.
+        assert_eq!(uncertified(&d, 0, ms(14)), Some(ms(20)));
+        let switch_at = d.install_table(table_b(), ms(4)).expect("installs");
+        assert_eq!(switch_at, ms(20));
+        assert_eq!(uncertified(&d, 0, ms(14)), Some(Nanos::MAX));
+        assert_eq!(uncertified(&d, 1, ms(14)), Some(ms(16)));
     }
 
     #[test]
@@ -1048,21 +1197,16 @@ mod tests {
         .unwrap();
         let switch_at = d.install_table(b, ms(3)).expect("installs");
         let mut out = Vec::new();
+        let mut bound = |core, from| {
+            d.dense_plan(core, from, |_| true, &mut out)
+                .map(|lap| lap.valid_before)
+        };
         // Up to the switch core 1 stays dense, bounded at the boundary ...
-        assert_eq!(
-            d.dense_plan(1, ms(3), ms(100), |_| true, &mut out),
-            Some(switch_at)
-        );
+        assert_eq!(bound(1, ms(3)), Some(switch_at));
         // ... from the boundary on its second level is live: decline.
-        assert_eq!(
-            d.dense_plan(1, switch_at, ms(100), |_| true, &mut out),
-            None
-        );
+        assert_eq!(bound(1, switch_at), None);
         // Core 0 homes only capped vCPUs under both tables.
-        assert_eq!(
-            d.dense_plan(0, switch_at, ms(100), |_| true, &mut out),
-            Some(Nanos::MAX)
-        );
+        assert_eq!(bound(0, switch_at), Some(Nanos::MAX));
         // A stale, non-empty second level declines too: once core 1 ran
         // table B generically, switching back to an all-capped table must
         // go through `decide`'s refresh, not the commit's.
@@ -1073,7 +1217,7 @@ mod tests {
                 switch_at,
             )
             .expect("installs");
-        assert_eq!(d.dense_plan(1, back, ms(100), |_| true, &mut out), None);
+        assert_eq!(d.dense_plan(1, back, |_| true, &mut out), None);
     }
 
     #[test]

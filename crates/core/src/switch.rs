@@ -256,13 +256,21 @@ impl TableManager {
     /// since the last confirmation) is a pair of compares — no division, no
     /// reference-count traffic.
     pub fn confirm(&mut self, core: usize, now: Nanos) -> usize {
-        let view = &mut self.cores[core];
+        let view = &self.cores[core];
         // `confirmed_at` is always a round boundary: while `now` stays
         // within [confirmed_at, confirmed_at + len) no new wrap happened.
         if now >= view.confirmed_at && now - view.confirmed_at < self.len {
             return view.epoch;
         }
-        let boundary = self.len * (now / self.len);
+        self.confirm_round(core, self.len * (now / self.len))
+    }
+
+    /// [`TableManager::confirm`] for a time in the round starting at
+    /// `boundary` (a multiple of the table length) that the caller already
+    /// knows — the dense-phase commit does — so no division is needed.
+    pub fn confirm_round(&mut self, core: usize, boundary: Nanos) -> usize {
+        debug_assert_eq!(boundary % self.len, Nanos::ZERO, "not a round boundary");
+        let view = &mut self.cores[core];
         if boundary > view.confirmed_at {
             // The core crossed at least one wrap since it last looked: it
             // re-read next_table at each wrap; the epoch it now runs is the

@@ -564,10 +564,57 @@ fn time_sim_samples(iters: u64, duration: Nanos, mut mk: impl FnMut() -> Sim) ->
     samples
 }
 
+/// `sim/host_epoch_probe`: one fleet host between control epochs — the
+/// fleet's 2-core probe host on its boot plan (one capped probe per core),
+/// advanced in 560 `run_until` calls of one control epoch each, as a
+/// `fleet-churn` replay advances it. Mean ns per call over the fastest
+/// half of `runs` fresh hosts: almost every call continues the window the
+/// previous one left, so this is the per-epoch cost a quiet host pays.
+fn host_epoch_entry(runs: u64) -> BenchEntry {
+    const CALLS: u64 = 560;
+    let cfg = ::fleet::FleetConfig::new(1, 2);
+    let mut host = HostConfig::new(cfg.cores_per_host);
+    let probe = VcpuSpec::capped(cfg.probe_utilization, cfg.latency_goal);
+    for i in 0..cfg.cores_per_host {
+        host.add_vm(VmSpec::uniform(format!("probe{i}"), 1, probe));
+    }
+    let p = plan(&host, &cfg.planner).expect("the probe-only boot config plans");
+    let epoch = crate::fleet::CONTROL_EPOCH;
+    let run = || {
+        let mut sim = Sim::new(
+            Machine::small(cfg.cores_per_host),
+            Box::new(Tableau::from_plan(&p)),
+        );
+        for core in 0..cfg.cores_per_host {
+            sim.add_vcpu(Box::new(BusyLoop), core, true);
+        }
+        let t0 = Instant::now();
+        for call in 1..=CALLS {
+            sim.run_until(epoch * call);
+        }
+        let ns = t0.elapsed().as_nanos() as u64;
+        std::hint::black_box(sim.events_processed());
+        ns
+    };
+    run(); // warm-up: page in code and data
+    let mut samples: Vec<u64> = (0..runs).map(|_| run()).collect();
+    samples.sort_unstable();
+    let kept = &samples[..samples.len().div_ceil(2)];
+    let total: u64 = kept.iter().sum();
+    let calls = kept.len() as u64 * CALLS;
+    BenchEntry {
+        name: "sim/host_epoch_probe".to_string(),
+        iters: calls,
+        total_ns: total,
+        mean_ns: total as f64 / calls as f64,
+    }
+}
+
 /// Times the simulator engine itself: `run_until` wall-clock on a dense
 /// (I/O-churn) and a sparse (timer-tail) scenario, a pure-dense Tableau
-/// phase under the hybrid (batched) and wheel (unbatched) engines, plus raw
-/// event throughput on the 16-core scaling scenario. `mean_ns` of
+/// phase under the hybrid (batched) and wheel (unbatched) engines, raw
+/// event throughput on the 16-core scaling scenario, and a fleet host's
+/// control epochs ([`host_epoch_entry`]). `mean_ns` of
 /// `sim/events_per_sec` is ns *per event*: events/sec = 1e9 / mean_ns.
 pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     let iters: u64 = if quick { 1 } else { 5 };
@@ -731,7 +778,15 @@ pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     let (dense_entry, _) = time_sim_entry_trimmed("sim/run_until_dense", pair_iters, short, dense);
     let (sparse_entry, _) =
         time_sim_entry_trimmed("sim/run_until_sparse", pair_iters, short, sparse);
-    let entries = vec![dense_entry, sparse_entry, batched, unbatched, events_entry];
+    let host_epoch = host_epoch_entry(pair_iters);
+    let entries = vec![
+        dense_entry,
+        sparse_entry,
+        batched,
+        unbatched,
+        events_entry,
+        host_epoch,
+    ];
     BenchSnapshot {
         meta: meta(quick, seed),
         entries,

@@ -26,9 +26,10 @@
 //! The artifact (`results/fleet.json`) records per-cell admission/
 //! evacuation/install counters, replan-rung provenance (shared-cache hits
 //! vs fallback-ladder rungs), and the admission-to-table-install latency
-//! distribution. `BENCH_fleet.json` tracks the p99 of that latency
-//! (simulated time, deterministic) and the wall-clock replay throughput;
-//! `--quick` gates both against the committed snapshot via
+//! distribution (simulated time, deterministic: `admit_p99_ns` per cell).
+//! `BENCH_fleet.json` holds wall-clock rows only — the replay throughput
+//! and three `Fleet::step` phase rows — and `--quick` gates them against
+//! the committed snapshot via
 //! [`crate::bench_snapshot::regressions_against`].
 
 use std::time::Instant;
@@ -172,8 +173,8 @@ pub struct FleetPoint {
     /// p99 admission-to-install latency (simulated ms); `None` when the
     /// histogram is empty — never a fabricated 0 ns tail.
     pub admit_p99_ms: Option<f64>,
-    /// p99 admission-to-install latency (simulated ns, exact — the
-    /// `BENCH_fleet.json` join value). `None` skips the bench entry.
+    /// p99 admission-to-install latency (simulated ns, exact); `None` when
+    /// the histogram is empty.
     pub admit_p99_ns: Option<u64>,
     /// Worst admission-to-install latency (simulated ms).
     pub admit_max_ms: f64,
@@ -452,50 +453,27 @@ fn sweep_timed(quick: bool, seed: u64) -> (FleetReport, std::time::Duration) {
 }
 
 /// Builds the `BENCH_fleet.json` snapshot from a finished sweep
-/// ([`micro_entries`] adds the per-phase rows).
+/// ([`micro_entries`] adds the per-phase rows). Every row is wall clock;
+/// the simulated admission-to-install latencies stay in
+/// `results/fleet.json`.
 ///
-/// Two entries, mixing the two clocks on purpose:
-/// * `fleet/admit_to_install_p99` — p99 admission-to-table-install latency
-///   in **simulated** ns (the zero-intensity, primary-seed cell, so the
-///   value is deterministic and machine-independent). Omitted — not
-///   reported as 0 ns — when that cell recorded no admission-to-install
-///   sample at all: a phantom 0 ns tail would pass every regression gate.
-/// * `fleet/wall_per_admission` — **wall-clock** ns of the whole replay
-///   divided by admissions; admissions/sec = 1e9 / mean_ns.
+/// * `fleet/wall_per_admission` — ns of the whole replay divided by
+///   admissions; admissions/sec = 1e9 / mean_ns.
 fn bench(quick: bool, seed: u64, report: &FleetReport, wall_ns: u64) -> BenchSnapshot {
-    let zero = report
-        .points
-        .iter()
-        .find(|p| p.intensity == 0.0 && p.seed == seed)
-        .expect("the sweep always includes a zero-intensity primary-seed cell");
     let admissions: u64 = report
         .points
         .iter()
         .map(|p| p.counters.admissions)
         .sum::<u64>()
         .max(1);
-    let mut entries = Vec::new();
-    match zero.admit_p99_ns {
-        Some(p99_ns) => entries.push(BenchEntry {
-            name: "fleet/admit_to_install_p99".to_string(),
-            iters: zero.admit_samples.max(1),
-            total_ns: p99_ns,
-            mean_ns: p99_ns as f64,
-        }),
-        None => eprintln!(
-            "[fleet] zero-intensity cell measured no admission-to-install \
-             latency; skipping the fleet/admit_to_install_p99 bench entry"
-        ),
-    }
-    entries.push(BenchEntry {
-        name: "fleet/wall_per_admission".to_string(),
-        iters: admissions,
-        total_ns: wall_ns,
-        mean_ns: wall_ns as f64 / admissions as f64,
-    });
     BenchSnapshot {
         meta: crate::bench_snapshot::meta(quick, seed),
-        entries,
+        entries: vec![BenchEntry {
+            name: "fleet/wall_per_admission".to_string(),
+            iters: admissions,
+            total_ns: wall_ns,
+            mean_ns: wall_ns as f64 / admissions as f64,
+        }],
     }
 }
 
@@ -675,16 +653,17 @@ pub fn run_with_seed(quick: bool, seed: u64) -> bool {
         .iter()
         .find(|e| e.name == "fleet/wall_per_admission")
         .expect("the wall-clock entry is always emitted");
-    let p99_entry = snap
-        .entries
+    let zero = report
+        .points
         .iter()
-        .find(|e| e.name == "fleet/admit_to_install_p99");
+        .find(|p| p.intensity == 0.0 && p.seed == seed)
+        .expect("the sweep always includes a zero-intensity primary-seed cell");
     println!(
         "[fleet] {:.0} admissions/sec wall, p99 admit-to-install {} simulated",
         1e9 / wall_entry.mean_ns,
-        p99_entry.map_or_else(
+        zero.admit_p99_ns.map_or_else(
             || "unmeasured".to_string(),
-            |e| format!("{:.2} ms", e.mean_ns / 1e6)
+            |ns| format!("{:.2} ms", ns as f64 / 1e6)
         ),
     );
     if quick {
@@ -783,16 +762,18 @@ mod tests {
             );
         }
         let snap = bench(true, DEFAULT_SEED, &report, 1_000_000);
-        assert_eq!(snap.entries.len(), 2);
+        assert_eq!(snap.entries.len(), 1);
         assert!(snap.entries.iter().all(|e| e.iters > 0 && e.mean_ns > 0.0));
     }
 
     #[test]
-    fn empty_admit_histogram_skips_the_p99_bench_entry() {
-        // A cell that never measured an admission-to-install latency must
-        // drop the p99 entry from the snapshot — a fabricated 0 ns tail
-        // would sail through every future regression gate.
-        let mut p = measure(2, DEFAULT_SEED, 0.0, Nanos::from_secs(1));
+    fn fleet_bench_rows_are_wall_clock_only() {
+        // Simulated latencies are model output, not host time: they stay
+        // in the artifact, whether or not a cell measured any, and the
+        // wall-clock snapshot carries none of them.
+        let measured = measure(2, DEFAULT_SEED, 0.0, Nanos::from_secs(1));
+        assert!(measured.admit_p99_ns.is_some());
+        let mut p = measured.clone();
         p.admit_samples = 0;
         p.admit_p50_ms = None;
         p.admit_p99_ms = None;
@@ -810,10 +791,10 @@ mod tests {
                 intensities: vec![0.0],
                 git_rev: String::new(),
             },
-            points: vec![p],
+            points: vec![measured, p],
         };
         let snap = bench(true, DEFAULT_SEED, &report, 1_000_000);
-        assert_eq!(snap.entries.len(), 1, "p99 entry must be skipped");
-        assert_eq!(snap.entries[0].name, "fleet/wall_per_admission");
+        let names: Vec<&str> = snap.entries.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["fleet/wall_per_admission"]);
     }
 }

@@ -1940,6 +1940,105 @@ mod tests {
         assert_eq!(fleet.step_phases().steps, 8);
     }
 
+    /// Every fleet-level observable of a churn, install-storm and
+    /// corruption replay, plus each host's simulator model: stats with the
+    /// batching accounting zeroed, events handled, and every vCPU's pick
+    /// counts.
+    #[derive(Debug, PartialEq)]
+    struct ReplayModel {
+        counters: FleetCounters,
+        rungs: RungCounters,
+        admit_to_install: serde::Value,
+        hosts: Vec<(xensim::SimStats, u64, Vec<schedulers::tableau::PickCounts>)>,
+    }
+
+    /// The replay's model, and the events its hosts advanced in dense
+    /// windows.
+    fn storm_and_corruption_replay(engine: Option<xensim::EngineKind>) -> (ReplayModel, u64) {
+        use xensim::fault::{InstallStormFaults, TableCorruptionFaults};
+        let mut fleet = small_fleet(6);
+        if let Some(kind) = engine {
+            // Legal: no host simulator has started yet.
+            for h in &mut fleet.hosts {
+                h.sim.as_mut().expect("booted").set_engine(kind);
+            }
+        }
+        fleet.arm_faults(
+            HostFaultConfig {
+                seed: 13,
+                storm: InstallStormFaults {
+                    interval: Nanos::from_millis(700),
+                    duration: Nanos::from_millis(250),
+                    interrupt_prob: 0.7,
+                },
+                corruption: TableCorruptionFaults {
+                    interval: Nanos::from_millis(900),
+                    prob: 0.6,
+                },
+                ..HostFaultConfig::none()
+            },
+            Nanos::from_secs(8),
+        );
+        let epoch = Nanos::from_millis(50);
+        let mut now = Nanos::ZERO;
+        for k in 0..160u64 {
+            now += epoch;
+            let size = if k % 3 == 0 { 125_000 } else { 250_000 };
+            let _ = fleet.admit(now, k, flavor(1 + (k % 2) as usize, size));
+            if k >= 8 {
+                let _ = fleet.teardown(now, k - 8);
+            }
+            if k % 7 == 0 && k >= 4 {
+                let _ = fleet.resize(now, k - 4, flavor(1, 125_000));
+            }
+            fleet.step(now);
+            fleet.check_conservation().expect("conservation");
+        }
+        let hosts = fleet
+            .hosts
+            .iter()
+            .map(|h| {
+                let sim = h.sim.as_ref().expect("no host crashes");
+                let mut stats = sim.stats().clone();
+                stats.batch = Default::default();
+                let tab = h.tableau().expect("host is up");
+                let picks = (0..stats.vcpus.len() as u32)
+                    .map(|v| tab.pick_counts(xensim::VcpuId(v)))
+                    .collect();
+                (stats, sim.events_processed(), picks)
+            })
+            .collect();
+        let model = ReplayModel {
+            counters: *fleet.counters(),
+            rungs: *fleet.rungs(),
+            admit_to_install: serde::Serialize::to_value(fleet.admit_to_install()),
+            hosts,
+        };
+        (model, fleet.batch_stats().batched_events)
+    }
+
+    #[test]
+    fn unbatched_host_simulators_cannot_move_the_fleet_model() {
+        // A first slice of the naive-fleet oracle: the same replay with
+        // every host on the `Wheel` engine — the production queue and
+        // registers, never a dense window — must reach the production
+        // fleet's model bit for bit. Crashes are left out: a reboot builds
+        // a fresh production simulator.
+        let (batched, in_windows) = storm_and_corruption_replay(None);
+        let c = &batched.counters;
+        assert!(c.installs > 0 && c.install_retries > 0, "{c:?}");
+        assert!(c.corruptions_detected > 0 && c.crashes == 0, "{c:?}");
+        let (unbatched, none) = storm_and_corruption_replay(Some(xensim::EngineKind::Wheel));
+        assert!(
+            in_windows > 0 && none == 0,
+            "{in_windows} / {none} events batched"
+        );
+        assert_eq!(
+            batched, unbatched,
+            "carried dense windows moved the fleet model"
+        );
+    }
+
     #[test]
     fn corruption_on_a_down_host_is_consumed_without_effect() {
         let mut fleet = small_fleet(1);

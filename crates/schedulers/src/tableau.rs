@@ -9,14 +9,14 @@
 use std::sync::Arc;
 
 use rtsched::time::Nanos;
-use tableau_core::dispatch::{Decision, Dispatcher};
+use tableau_core::dispatch::{Decision, DenseLap, Dispatcher};
 use tableau_core::guardian::CoreEvent;
 use tableau_core::planner::{Plan, VcpuParams};
 use tableau_core::vcpu::VcpuId as TcVcpu;
 use tableau_core::Table;
 use xensim::sched::{
-    DenseCosts, DenseSlice, DenseWindow, DeschedulePlan, SchedDecision, VcpuId, VcpuView,
-    VmScheduler, WakeupPlan,
+    DenseCosts, DensePicks, DenseSlice, DenseWindow, DeschedulePlan, SchedDecision, VcpuId,
+    VcpuView, VmScheduler, WakeupPlan,
 };
 
 use crate::costs::TableauCosts;
@@ -45,18 +45,30 @@ impl PickCounts {
     }
 }
 
+/// What the adapter keeps per core, side by side: a dense commit touches
+/// all of it.
+#[derive(Debug, Clone, Copy, Default)]
+struct CoreSlot {
+    /// The last decision: `(vcpu, was_level2)` for budget charging.
+    last_pick: Option<(VcpuId, bool)>,
+    /// Stolen time already charged to the current pick (via
+    /// [`VmScheduler::on_stolen`]); subtracted from the wall-clock charge at
+    /// de-schedule so interference is never double-billed.
+    stolen_in_pick: Nanos,
+    /// The lap the simulator holds (where it starts, its period): a commit
+    /// names its last pick by lap index, the dispatcher wants the segment
+    /// and its round.
+    lap: DenseLap,
+}
+
 /// The Tableau scheduler (adapter around [`tableau_core::Dispatcher`]).
 pub struct Tableau {
     dispatcher: Dispatcher,
     costs: TableauCosts,
-    /// Last decision per core: `(vcpu, was_level2)` for budget charging.
-    last_pick: Vec<Option<(VcpuId, bool)>>,
+    /// Per-core pick state.
+    cores: Vec<CoreSlot>,
     /// Per-vCPU dispatch attribution (grown on demand).
     picks: Vec<PickCounts>,
-    /// Stolen time already charged to the current pick on each core (via
-    /// [`VmScheduler::on_stolen`]); subtracted from the wall-clock charge at
-    /// de-schedule so interference is never double-billed.
-    stolen_in_pick: Vec<Nanos>,
     /// Per-vCPU blocked flags (grown on demand): a de-schedule of a vCPU
     /// that did *not* block is a preemption, which starts a new waiting
     /// spell for the attached SLA monitor.
@@ -130,9 +142,8 @@ impl Tableau {
         Tableau {
             dispatcher,
             costs,
-            last_pick: vec![None; n_cores],
+            cores: vec![CoreSlot::default(); n_cores],
             picks: Vec::new(),
-            stolen_in_pick: vec![Nanos::ZERO; n_cores],
             blocked: Vec::new(),
             core_events: Vec::new(),
             dense_scratch: Vec::new(),
@@ -229,8 +240,8 @@ impl VmScheduler for Tableau {
                 level2,
             } => {
                 let v = VcpuId(vcpu.0);
-                self.last_pick[core] = Some((v, level2));
-                self.stolen_in_pick[core] = Nanos::ZERO;
+                self.cores[core].last_pick = Some((v, level2));
+                self.cores[core].stolen_in_pick = Nanos::ZERO;
                 let idx = v.0 as usize;
                 if self.picks.len() <= idx {
                     self.picks.resize_with(idx + 1, PickCounts::default);
@@ -243,8 +254,8 @@ impl VmScheduler for Tableau {
                 (SchedDecision::run(v, until), cost)
             }
             Decision::Idle { until } => {
-                self.last_pick[core] = None;
-                self.stolen_in_pick[core] = Nanos::ZERO;
+                self.cores[core].last_pick = None;
+                self.cores[core].stolen_in_pick = Nanos::ZERO;
                 (SchedDecision::idle(until), cost)
             }
         }
@@ -278,12 +289,12 @@ impl VmScheduler for Tableau {
         // an idle core needs no action here: the table's reservations are
         // per-slot by construction, so the loss is already confined to the
         // slot's owner via the wall-clock accounting.
-        let Some((picked, level2)) = self.last_pick[core] else {
+        let Some((picked, level2)) = self.cores[core].last_pick else {
             return;
         };
         if victim == Some(picked) && level2 {
             self.dispatcher.charge_level2(core, tc(picked), duration);
-            self.stolen_in_pick[core] += duration;
+            self.cores[core].stolen_in_pick += duration;
         }
     }
 
@@ -297,15 +308,15 @@ impl VmScheduler for Tableau {
         // Charge second-level budgets for time consumed at level 2. Stolen
         // time was already charged eagerly by `on_stolen`; subtract it so
         // the wall-clock `ran` (which includes it) is not billed twice.
-        if let Some((v, level2)) = self.last_pick[core] {
+        if let Some((v, level2)) = self.cores[core].last_pick {
             if v == vcpu && level2 {
-                let already = self.stolen_in_pick[core];
+                let already = self.cores[core].stolen_in_pick;
                 self.dispatcher
                     .charge_level2(core, tc(vcpu), ran.saturating_sub(already));
             }
         }
-        self.last_pick[core] = None;
-        self.stolen_in_pick[core] = Nanos::ZERO;
+        self.cores[core].last_pick = None;
+        self.cores[core].stolen_in_pick = Nanos::ZERO;
         // A de-schedule without a preceding block is a preemption: the vCPU
         // is runnable again and its wait for the next dispatch starts now.
         if !self.is_blocked(vcpu) {
@@ -332,23 +343,23 @@ impl VmScheduler for Tableau {
         &mut self,
         core: usize,
         from: Nanos,
-        horizon: Nanos,
         view: VcpuView<'_>,
         out: &mut Vec<DenseSlice>,
     ) -> Option<DenseWindow> {
         // The dispatcher enforces the equivalence guards (nothing staged,
-        // empty second level, no monitor, no pending hand-offs, single-homed
-        // reservations) and bounds the window at the next table switch. No
+        // empty second level, no monitor, no pending hand-offs) and bounds
+        // the window at the next table switch and at the first slot of a
+        // reservation that is not single-homed. No
         // adapter-side guard is needed on top: with an empty second level a
         // stale `last_pick` level-2 charge at the first in-batch de-schedule
         // would be a no-op anyway.
-        let valid_before = self.dispatcher.dense_plan(
+        let lap = self.dispatcher.dense_plan(
             core,
             from,
-            horizon,
             |v| view.is_runnable(VcpuId(v.0)),
             &mut self.dense_scratch,
         )?;
+        self.cores[core].lap = lap;
         out.extend(self.dense_scratch.iter().map(|&(vcpu, until)| DenseSlice {
             vcpu: vcpu.map(|v| VcpuId(v.0)),
             until,
@@ -358,35 +369,46 @@ impl VmScheduler for Tableau {
                 schedule: self.costs.schedule_base,
                 deschedule: self.costs.deschedule_base,
             },
-            valid_before,
+            period: lap.period,
+            valid_before: lap.valid_before,
+            uncertified_from: lap.uncertified_from,
         })
     }
 
-    fn dense_commit(&mut self, core: usize, at: Nanos, consumed: &[DenseSlice], running: bool) {
-        // Every committed slice with a vCPU was a first-level (table) pick;
-        // idle slices charge nothing. The final pick (if still dispatched)
+    fn dense_commit(&mut self, core: usize, lap: &[DenseSlice], picks: DensePicks, running: bool) {
+        // Every pick with a vCPU was a first-level (table) pick; idle
+        // slices charge nothing. The final pick (if still dispatched)
         // becomes the live `last_pick`, exactly as the last generic
         // `schedule` call would have left it.
-        for s in consumed {
-            let Some(v) = s.vcpu else { continue };
+        for (i, times) in picks.per_slice(lap.len()) {
+            let Some(v) = lap[i].vcpu else { continue };
             let idx = v.0 as usize;
             if self.picks.len() <= idx {
                 self.picks.resize_with(idx + 1, PickCounts::default);
             }
-            self.picks[idx].level1 += 1;
+            self.picks[idx].level1 += times;
         }
-        let last = if running {
-            consumed.last().and_then(|s| s.vcpu)
-        } else {
-            None
-        };
+        let last = if running { lap[picks.last].vcpu } else { None };
         debug_assert!(
             !running || last.is_some(),
             "running window must end in a pick"
         );
-        self.last_pick[core] = last.map(|v| (v, false));
-        self.stolen_in_pick[core] = Nanos::ZERO;
-        self.dispatcher.dense_commit(core, at, last.map(tc));
+        let slot = &mut self.cores[core];
+        slot.last_pick = last.map(|v| (v, false));
+        slot.stolen_in_pick = Nanos::ZERO;
+        // The last pick's slice is some whole laps after its first-lap self,
+        // whose round is the lap's first or, past the table's last segment,
+        // the next.
+        let start = slot.lap;
+        let seg = start.first_seg + picks.last;
+        let (seg, round) = if seg < lap.len() {
+            (seg, start.round_base)
+        } else {
+            (seg - lap.len(), start.round_base + start.period)
+        };
+        let round_base = round + (picks.until - lap[picks.last].until);
+        self.dispatcher
+            .dense_commit(core, picks.at, seg, round_base, last.map(tc));
     }
 
     fn on_core_offline(&mut self, core: usize, now: Nanos) {

@@ -16,16 +16,30 @@
 //! pending), runs cut into slices (timers left armed in their registers by
 //! one `run_until`, picked up by the next call's batch or by its generic
 //! loop), and table installs between slices (windows bounded at the switch,
-//! staged installs declining).
+//! staged installs declining). A certified window is carried from one
+//! `run_until` call to the next; the checkpoints read the scheduler through
+//! `Sim::scheduler`, which leaves it in place, while every step that
+//! changes the scheduler goes through `Sim::scheduler_mut`, which drops it.
+//! The fleet's host shape — one probe per core on a table whose tenant
+//! slots are idle gaps — gets its own sliced property, and a counting
+//! wrapper pins that a settled host asks for one window per table.
+
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use rtsched::time::Nanos;
 use schedulers::tableau::{PickCounts, Tableau};
+use tableau_core::audit::{corrupt_table_any, CorruptionKind};
 use tableau_core::planner::{plan, Plan, PlannerOptions};
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
 use tableau_core::Table;
-use xensim::sched::{BusyLoop, GuestAction, GuestWorkload, VcpuId};
+use xensim::sched::{
+    BusyLoop, DensePicks, DenseSlice, DenseWindow, DeschedulePlan, GuestAction, GuestWorkload,
+    SchedDecision, VcpuId, VcpuView, VmScheduler, WakeupPlan,
+};
 use xensim::trace::{TraceClass, TraceRecord};
 use xensim::{EngineKind, Machine, Sim, SimStats};
 
@@ -82,6 +96,116 @@ fn variant(p: &Plan, k: usize) -> Table {
     Table::new(t.len(), per_core).unwrap()
 }
 
+/// The fleet's host shape: one capped 20 % probe per core, planned with
+/// `tenants` capped 15 % tenants (probes first, so their ids are
+/// `0..cores`), then masked to the probes' allocations — the tenants' slots
+/// become idle gaps, as in the fleet's table images.
+fn probe_table(cores: usize, tenants: usize) -> (Plan, Table) {
+    let goal = Nanos::from_millis(20);
+    let mut host = HostConfig::new(cores);
+    for i in 0..cores {
+        let spec = VcpuSpec::capped(Utilization::from_percent(20), goal);
+        host.add_vm(VmSpec::uniform(format!("probe{i}"), 1, spec));
+    }
+    for i in 0..tenants {
+        let spec = VcpuSpec::capped(Utilization::from_percent(15), goal);
+        host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+    }
+    let p = plan(&host, &PlannerOptions::default()).unwrap();
+    let probes = (0..cores)
+        .map(|c| {
+            let allocs = p.table.cpu(c).allocations();
+            allocs.filter(|a| (a.vcpu.0 as usize) < cores).collect()
+        })
+        .collect();
+    let masked = Table::new(p.table.len(), probes).unwrap();
+    (p, masked)
+}
+
+/// `t` with every allocation moved `shift` later (into the idle gap after
+/// it) and, with `swap`, the two cores' schedules exchanged — a probe
+/// host's table after an install that really changes it.
+fn moved(t: &Table, shift: Nanos, swap: bool) -> Table {
+    let per_core = (0..t.n_cores())
+        .map(|c| {
+            let from = if swap { t.n_cores() - 1 - c } else { c };
+            let allocs = t.cpu(from).allocations();
+            allocs
+                .map(|a| tableau_core::Allocation {
+                    start: a.start + shift,
+                    end: a.end + shift,
+                    ..a
+                })
+                .collect()
+        })
+        .collect();
+    Table::new(t.len(), per_core).unwrap()
+}
+
+/// A table of `t`'s length in which every probe migrates back to back:
+/// core `c` runs probe `c` for the first fifth of a round and then probe
+/// `c + 1`, which core `c + 1` hands over at that very instant. The owner
+/// protocol decides who runs there, so no window may be carried into it.
+fn migrating(t: &Table) -> Table {
+    let n = t.n_cores();
+    let fifth = t.len() / 5;
+    let slot = |start: Nanos, vcpu: usize| tableau_core::Allocation {
+        start,
+        end: start + fifth,
+        vcpu: tableau_core::vcpu::VcpuId(vcpu as u32),
+    };
+    let per_core = (0..n)
+        .map(|c| vec![slot(Nanos::ZERO, c), slot(fifth, (c + 1) % n)])
+        .collect();
+    Table::new(t.len(), per_core).unwrap()
+}
+
+/// What a scenario's host runs.
+#[derive(Debug, Clone, Copy)]
+enum Host {
+    /// `paper_plan(cores, n)`: `n` VMs per core, every vCPU reserved;
+    /// table `k` is [`variant`]`(plan, k)`.
+    Paper(usize),
+    /// The fleet's host: [`probe_table`]`(cores, 3)`, one probe vCPU per
+    /// core. Table 1 moves every probe slot 3 ms later, table 2 swaps the
+    /// probes between the cores (see [`moved`]), table 3 is the boot table
+    /// with two slots' owners swapped, as the fleet's `swap_placement`
+    /// corruption does, and table 4 is [`migrating`]. In the last two every
+    /// probe runs on both cores, so a window is certified only up to the
+    /// first probe slot.
+    Probe,
+}
+
+impl Host {
+    /// The plan whose parameters the scheduler takes, and the tables it
+    /// may run: the boot table first.
+    fn tables(self, cores: usize) -> (Plan, Vec<Table>) {
+        match self {
+            Host::Paper(n) => {
+                let p = paper_plan(cores, n);
+                let tables = (0..3).map(|k| variant(&p, k)).collect();
+                (p, tables)
+            }
+            Host::Probe => {
+                let (p, boot) = probe_table(cores, 3);
+                let later = moved(&boot, Nanos::from_millis(3), false);
+                let swapped = moved(&boot, Nanos::ZERO, true);
+                let (_, split) = corrupt_table_any(&boot, CorruptionKind::SwapPlacement, 64)
+                    .expect("two probes to swap");
+                let migrating = migrating(&boot);
+                (p, vec![boot, later, swapped, split, migrating])
+            }
+        }
+    }
+
+    fn vcpus(self, cores: usize) -> usize {
+        match self {
+            Host::Paper(n) => cores * n,
+            Host::Probe => cores,
+        }
+    }
+}
+
 /// What the harness does between two `run_until` slices.
 #[derive(Debug, Clone, Copy)]
 enum Step {
@@ -89,13 +213,16 @@ enum Step {
     Pause,
     /// `push_external` for `vcpu`, due `delay` after the boundary.
     Wake { vcpu: u32, delay: Nanos },
-    /// Commits [`variant`] `table`, stamped `ahead` of the boundary (a
-    /// control plane that runs ahead of its simulator, as the fleet's does).
+    /// Commits the host's table `table` (see [`Host`]), stamped `ahead` of
+    /// the boundary (a control plane that runs ahead of its simulator, as
+    /// the fleet's does).
     Install { table: usize, ahead: Nanos },
-    /// Stages [`variant`] `table` without committing it.
+    /// Stages the host's table `table` without committing it.
     Stage { table: usize },
     /// Rolls a staged install back (a no-op with nothing staged).
     Abort,
+    /// Stages the host's table `table` and rolls it back at once.
+    StageAbort { table: usize },
 }
 
 /// The scheduler state a batch's commits reconstruct, at one `run_until`
@@ -115,7 +242,7 @@ type Observation = (
 
 struct Scenario<'a> {
     cores: usize,
-    vms_per_core: usize,
+    host: Host,
     /// Per-vCPU `(burst_us, wait_us)`; `wait_us == 0` means a pure busy
     /// loop. Cycled over the vCPU population.
     mix: &'a [(u64, u64)],
@@ -127,9 +254,11 @@ struct Scenario<'a> {
     horizon: Nanos,
 }
 
-fn checkpoint(sim: &mut Sim, n_vcpus: usize, cores: usize) -> Checkpoint {
+/// Read through `Sim::scheduler`: a checkpoint must not drop the window
+/// the next `run_until` would carry on with.
+fn checkpoint(sim: &Sim, n_vcpus: usize, cores: usize) -> Checkpoint {
     let (now, events) = (sim.now(), sim.events_processed());
-    let t = tableau(sim);
+    let t = tableau_ref(sim);
     (
         now,
         events,
@@ -147,15 +276,22 @@ fn tableau(sim: &mut Sim) -> &mut Tableau {
         .unwrap()
 }
 
+fn tableau_ref(sim: &Sim) -> &Tableau {
+    let sched: &dyn std::any::Any = sim.scheduler();
+    sched.downcast_ref::<Tableau>().unwrap()
+}
+
 /// Builds, drives, and drains one run of `s` under `kind`, returning the
 /// normalized observation plus the raw batch counters.
 fn run(kind: EngineKind, s: &Scenario<'_>) -> (Observation, xensim::stats::BatchStats) {
-    let p = paper_plan(s.cores, s.vms_per_core);
-    let mut sim = Sim::new(Machine::small(s.cores), Box::new(Tableau::from_plan(&p)));
+    let (p, tables) = s.host.tables(s.cores);
+    let table = |k: usize| Arc::new(tables[k % tables.len()].clone());
+    let tableau_on_boot = Tableau::from_shared_table(table(0), &p.params);
+    let mut sim = Sim::new(Machine::small(s.cores), Box::new(tableau_on_boot));
     sim.set_engine(kind);
     sim.enable_tracing();
     sim.enable_event_log();
-    let n_vcpus = s.cores * s.vms_per_core;
+    let n_vcpus = s.host.vcpus(s.cores);
     for i in 0..n_vcpus {
         let (burst, wait) = s.mix[i % s.mix.len()];
         let workload: Box<dyn GuestWorkload> = if wait == 0 {
@@ -175,7 +311,7 @@ fn run(kind: EngineKind, s: &Scenario<'_>) -> (Observation, xensim::stats::Batch
     let mut checkpoints = Vec::new();
     for &(at, step) in s.script {
         sim.run_until(at);
-        checkpoints.push(checkpoint(&mut sim, n_vcpus, s.cores));
+        checkpoints.push(checkpoint(&sim, n_vcpus, s.cores));
         match step {
             Step::Pause => {}
             Step::Wake { vcpu, delay } => {
@@ -183,21 +319,28 @@ fn run(kind: EngineKind, s: &Scenario<'_>) -> (Observation, xensim::stats::Batch
             }
             // Installs racing a staged one are rejected with a typed error,
             // identically under every engine.
-            Step::Install { table, ahead } => {
+            Step::Install { table: k, ahead } => {
                 let at = sim.now() + ahead;
-                let _ = tableau(&mut sim).install_table(variant(&p, table), at);
+                let _ = tableau(&mut sim).install_table(table(k), at);
             }
-            Step::Stage { table } => {
+            Step::Stage { table: k } => {
                 let at = sim.now();
                 let _ = tableau(&mut sim)
                     .dispatcher_mut()
-                    .begin_table_switch(variant(&p, table), at);
+                    .begin_table_switch(table(k), at);
             }
             Step::Abort => tableau(&mut sim).dispatcher_mut().abort_table_switch(),
+            Step::StageAbort { table: k } => {
+                let at = sim.now();
+                let d = tableau(&mut sim).dispatcher_mut();
+                if d.begin_table_switch(table(k), at).is_ok() {
+                    d.abort_table_switch();
+                }
+            }
         }
     }
     sim.run_until(s.horizon);
-    checkpoints.push(checkpoint(&mut sim, n_vcpus, s.cores));
+    checkpoints.push(checkpoint(&sim, n_vcpus, s.cores));
     let log = sim.take_event_log();
     let trace: Vec<TraceRecord> = sim
         .trace()
@@ -243,7 +386,7 @@ fn final_epochs(obs: &Observation) -> &[usize] {
 fn pure_dense_phase_batches_nearly_everything() {
     let s = Scenario {
         cores: 2,
-        vms_per_core: 4,
+        host: Host::Paper(4),
         mix: &[(0, 0)],
         events: &[],
         script: &[],
@@ -265,7 +408,7 @@ fn pure_dense_phase_batches_nearly_everything() {
 fn guest_blocks_bail_and_reenter() {
     let s = Scenario {
         cores: 2,
-        vms_per_core: 4,
+        host: Host::Paper(4),
         // Half busy loops, half cyclers that block mid-slot.
         mix: &[(0, 0), (1_300, 900)],
         events: &[],
@@ -283,7 +426,7 @@ fn guest_blocks_bail_and_reenter() {
 fn external_wakeups_suppress_then_release_batching() {
     let s = Scenario {
         cores: 1,
-        vms_per_core: 4,
+        host: Host::Paper(4),
         mix: &[(0, 0), (700, 1_100)],
         events: &[(1_000, 0), (7_500, 2), (90_000, 1), (250_000, 3)],
         script: &[],
@@ -302,7 +445,7 @@ fn ms(v: u64) -> Nanos {
 fn install_scenario<'a>(script: &'a [(Nanos, Step)]) -> Scenario<'a> {
     Scenario {
         cores: 2,
-        vms_per_core: 4,
+        host: Host::Paper(4),
         mix: &[(0, 0)],
         events: &[],
         script,
@@ -480,6 +623,68 @@ fn sliced_runs_resume_from_the_armed_timers() {
     assert_eq!(obs.3[3].0, ms(150), "a past horizon rewound the clock");
 }
 
+#[test]
+fn the_fleet_host_shape_stays_dense_across_epochs_and_installs() {
+    // Idle gaps where the tenants' slots were; 50 ms control epochs; an
+    // install that moves the probe slots, and a staged-then-aborted one.
+    let mut script: Vec<(Nanos, Step)> = (1..=20).map(|k| (ms(50 * k), Step::Pause)).collect();
+    script[4].1 = Step::Install {
+        table: 1,
+        ahead: Nanos::ZERO,
+    };
+    script[11].1 = Step::StageAbort { table: 2 };
+    let s = Scenario {
+        cores: 2,
+        host: Host::Probe,
+        mix: &[(0, 0)],
+        events: &[],
+        script: &script,
+        horizon: ms(1_100),
+    };
+    let (obs, batch) = assert_three_way(&s);
+    assert_eq!(batch.fallback_window, 0, "{batch:?}");
+    assert_eq!(
+        batch.batched_events + 2,
+        obs.3.last().unwrap().1,
+        "only the two boot re-schedules go through the queue: {batch:?}"
+    );
+    assert_eq!(final_epochs(&obs), [1, 1]);
+}
+
+#[test]
+fn split_reservations_decline_the_calls_that_reach_them() {
+    // Once a table with split probes is in force every probe slot is
+    // uncertified: a window certified in an idle gap must not be carried
+    // into one. The calls are shorter than a slot, so most of them stop
+    // inside a gap. The corrupted table is the fleet's case; in the
+    // migrating one a window carried into a hand-over would dispatch a
+    // probe the other core still holds.
+    for table in [4, 3] {
+        split_reservation_scenario(table);
+    }
+}
+
+fn split_reservation_scenario(table: usize) {
+    let mut script = vec![(
+        ms(1),
+        Step::Install {
+            table,
+            ahead: Nanos::ZERO,
+        },
+    )];
+    script.extend((1..=400).map(|k| (ms(300) + Nanos::from_micros(500 * k), Step::Pause)));
+    let s = Scenario {
+        cores: 2,
+        host: Host::Probe,
+        mix: &[(0, 0)],
+        events: &[],
+        script: &script,
+        horizon: ms(600),
+    };
+    let (_, batch) = assert_three_way(&s);
+    assert!(batch.fallback_window > 0, "{batch:?}");
+}
+
 /// Folds a third of the waits to zero so pure busy loops (dense phases)
 /// are common, not a measure-zero draw.
 fn fold_mix(mix: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
@@ -504,7 +709,7 @@ proptest! {
         let mix = fold_mix(mix);
         let s = Scenario {
             cores,
-            vms_per_core,
+            host: Host::Paper(vms_per_core),
             mix: &mix,
             events: &events,
             script: &[],
@@ -558,7 +763,7 @@ proptest! {
             .collect();
         let s = Scenario {
             cores,
-            vms_per_core,
+            host: Host::Paper(vms_per_core),
             mix: &mix,
             events: &events,
             script: &script,
@@ -566,4 +771,200 @@ proptest! {
         };
         assert_three_way(&s);
     }
+
+    /// The fleet's host shape, cut at the instants a carried window must
+    /// survive: no time at all, one nanosecond, inside a slice, exactly on
+    /// a slice boundary, exactly on a round boundary, several laps. Between
+    /// cuts: nothing, a committed install or a staged-then-aborted install
+    /// of any of the host's tables, the split one included (both through
+    /// `scheduler_mut`), or a queued wake-up.
+    #[test]
+    fn carried_windows_on_the_fleet_host_shape_are_observationally_equivalent(
+        cuts in proptest::collection::vec((0u8..6, any::<u32>(), 0u8..6), 1..24),
+        cycler in any::<bool>(),
+        tail_ms in 1u64..120,
+    ) {
+        let cores = 2;
+        let (_, tables) = Host::Probe.tables(cores);
+        let boot = &tables[0];
+        let len = boot.len();
+        // Every slice end of the boot table within a round, and the
+        // shortest slice.
+        let mut ends: Vec<Nanos> = (0..cores)
+            .flat_map(|c| {
+                let cpu = boot.cpu(c);
+                (0..cpu.n_segments()).map(move |i| cpu.segment_slot(i).until())
+            })
+            .collect();
+        ends.sort();
+        ends.dedup();
+        let shortest = (0..cores)
+            .flat_map(|c| {
+                let cpu = boot.cpu(c);
+                (0..cpu.n_segments())
+                    .map(move |i| cpu.segment_slot(i).until() - cpu.segment_start(i))
+            })
+            .min()
+            .unwrap();
+        let mut at = Nanos::ZERO;
+        let script: Vec<(Nanos, Step)> = cuts
+            .into_iter()
+            .map(|(cut, arg, step)| {
+                let round = at - at % len;
+                at = match cut {
+                    0 => at,
+                    1 => at + Nanos(1),
+                    2 => at + Nanos(1 + arg as u64 % (shortest.as_nanos() - 1)),
+                    3 => {
+                        let next = ends.iter().find(|&&e| round + e > at);
+                        round + next.copied().unwrap_or(len + ends[0])
+                    }
+                    4 => round + len,
+                    _ => at + len * (2 + arg as u64 % 3) + Nanos(arg as u64 % len.as_nanos()),
+                };
+                let table = arg as usize % 5;
+                let step = match step {
+                    0..=2 => Step::Pause,
+                    3 => Step::Install { table, ahead: Nanos::ZERO },
+                    4 => Step::StageAbort { table },
+                    _ => Step::Wake {
+                        vcpu: arg,
+                        delay: Nanos::from_micros(arg as u64 % 3_000),
+                    },
+                };
+                (at, step)
+            })
+            .collect();
+        let mix: &[(u64, u64)] = if cycler { &[(0, 0), (1_300, 900)] } else { &[(0, 0)] };
+        let s = Scenario {
+            cores,
+            host: Host::Probe,
+            mix,
+            events: &[],
+            script: &script,
+            horizon: at + Nanos::from_millis(tail_ms),
+        };
+        assert_three_way(&s);
+    }
+}
+
+/// [`Tableau`], forwarding every call and counting the dense windows it
+/// certifies.
+struct Counted {
+    inner: Tableau,
+    windows: Rc<Cell<u64>>,
+}
+
+impl VmScheduler for Counted {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn schedule(&mut self, core: usize, now: Nanos, view: VcpuView<'_>) -> (SchedDecision, Nanos) {
+        self.inner.schedule(core, now, view)
+    }
+
+    fn on_wakeup(&mut self, vcpu: VcpuId, now: Nanos, view: VcpuView<'_>) -> WakeupPlan {
+        self.inner.on_wakeup(vcpu, now, view)
+    }
+
+    fn on_block(&mut self, vcpu: VcpuId, core: usize, now: Nanos) {
+        self.inner.on_block(vcpu, core, now)
+    }
+
+    fn on_descheduled(
+        &mut self,
+        vcpu: VcpuId,
+        core: usize,
+        ran: Nanos,
+        now: Nanos,
+    ) -> DeschedulePlan {
+        self.inner.on_descheduled(vcpu, core, ran, now)
+    }
+
+    fn dense_capable(&self) -> bool {
+        self.inner.dense_capable()
+    }
+
+    fn dense_window(
+        &mut self,
+        core: usize,
+        from: Nanos,
+        view: VcpuView<'_>,
+        out: &mut Vec<DenseSlice>,
+    ) -> Option<DenseWindow> {
+        self.windows.set(self.windows.get() + 1);
+        self.inner.dense_window(core, from, view, out)
+    }
+
+    fn dense_commit(&mut self, core: usize, lap: &[DenseSlice], picks: DensePicks, running: bool) {
+        self.inner.dense_commit(core, lap, picks, running)
+    }
+
+    fn register_vcpu(&mut self, vcpu: VcpuId, home: usize) {
+        self.inner.register_vcpu(vcpu, home)
+    }
+
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// The fleet's probe host on its boot plan (one 20 % probe per core, no
+/// tenant), driven in 560 control epochs of 50 ms with a table installed
+/// before each call in `installs`: the number of dense windows certified,
+/// and the run's stats next to a `Wheel` run of the same host.
+fn probe_host_epochs(installs: &[usize]) -> (u64, SimStats, SimStats) {
+    let (p, _) = probe_table(2, 0);
+    let other = moved(&p.table, Nanos::from_millis(3), false);
+    let windows = Rc::new(Cell::new(0));
+    let run = |kind: EngineKind| {
+        let inner = Tableau::from_plan(&p);
+        let counted = Counted {
+            inner,
+            windows: windows.clone(),
+        };
+        let mut sim = Sim::new(Machine::small(2), Box::new(counted));
+        sim.set_engine(kind);
+        for core in 0..2 {
+            sim.add_vcpu(Box::new(BusyLoop), core, true);
+        }
+        let mut now = Nanos::ZERO;
+        for call in 0..560 {
+            if installs.contains(&call) {
+                let sched = sim.scheduler_mut().as_any();
+                let counted = sched.downcast_mut::<Counted>().unwrap();
+                let table = if call % 2 == 0 { &other } else { &p.table };
+                counted.inner.install_table(table.clone(), now).unwrap();
+            }
+            now += Nanos::from_millis(50);
+            sim.run_until(now);
+        }
+        let mut stats = sim.stats().clone();
+        stats.batch = Default::default();
+        (stats, sim.stats().batch)
+    };
+    let (unbatched, _) = run(EngineKind::Wheel);
+    assert_eq!(windows.get(), 0, "the oracle asked for a window");
+    let (batched, batch) = run(EngineKind::Hybrid);
+    assert!(
+        batch.batched_events > 0 && batch.fallback_window == 0,
+        "{batch:?}"
+    );
+    (windows.get(), batched, unbatched)
+}
+
+#[test]
+fn a_settled_host_certifies_one_window_per_table() {
+    // Two cores: one window each, where certifying per call made 1 120.
+    let (windows, batched, unbatched) = probe_host_epochs(&[]);
+    assert_eq!(windows, 2);
+    assert_eq!(batched, unbatched);
+    // An install is a `scheduler_mut` borrow, which drops the window (one
+    // certification per core at the next call), and a table switch, which
+    // bounds it (one more per core at the switch).
+    let installs = [100, 301, 450];
+    let (windows, batched, unbatched) = probe_host_epochs(&installs);
+    assert_eq!(windows, 2 + 2 * 2 * installs.len() as u64);
+    assert_eq!(batched, unbatched);
 }

@@ -182,12 +182,63 @@ pub struct DenseCosts {
 pub struct DenseWindow {
     /// The flat per-decision costs over the window.
     pub costs: DenseCosts,
-    /// The emitted slices are exact only for decisions strictly before this
-    /// time ([`Nanos::MAX`]: no such bound). A scheduler that knows its
+    /// The period the emitted lap repeats with: slice `i` of lap `j` ends
+    /// at `lap[i].until + j * period`.
+    pub period: Nanos,
+    /// The window is exact only for decisions strictly before this time
+    /// ([`Nanos::MAX`]: no such bound). A scheduler that knows its
     /// decision sequence changes at a future instant — a timed table switch
     /// — bounds the window there instead of declining it; the simulator
     /// asks for a fresh window once it gets that far.
     pub valid_before: Nanos,
+    /// The window is not exact from this time on either: the first
+    /// decision in it the scheduler cannot certify is taken then
+    /// ([`Nanos::MAX`]: none). Unlike `valid_before`, nothing fresh starts
+    /// there, so the simulator batches no `run_until` call whose horizon
+    /// reaches it, as if the window had been declined.
+    pub uncertified_from: Nanos,
+}
+
+/// The decisions the simulator took from one core's dense window since
+/// its last commit (see [`VmScheduler::dense_commit`]): `count`
+/// consecutive slices of the lap, the first at lap index `first`, wrapping
+/// from the lap's last slice to its first as often as needed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DensePicks {
+    /// Lap index of the first pick.
+    pub first: usize,
+    /// Lap index of the last pick.
+    pub last: usize,
+    /// Number of picks (may exceed the lap's length).
+    pub count: u64,
+    /// Time of the last pick: what the scheduler sees as its decision time.
+    pub at: Nanos,
+    /// Absolute end of the last pick's slice.
+    pub until: Nanos,
+}
+
+impl DensePicks {
+    /// `(lap index, times picked)` for every slice picked at least once,
+    /// for a lap of `lap_len` slices, in pick order.
+    #[inline]
+    pub fn per_slice(&self, lap_len: usize) -> impl Iterator<Item = (usize, u64)> {
+        // Every slice is picked once per full lap; the first `rem` slices
+        // from `first` on once more. A commit usually covers less than a
+        // lap: no division then.
+        let n = lap_len as u64;
+        let (laps, rem) = if self.count < n {
+            (0, self.count as usize)
+        } else {
+            (self.count / n, (self.count % n) as usize)
+        };
+        let picked = if laps == 0 { rem } else { lap_len };
+        let first = self.first;
+        (0..picked).map(move |k| {
+            let i = first + k;
+            let i = if i < lap_len { i } else { i - lap_len };
+            (i, laps + u64::from(k < rem))
+        })
+    }
 }
 
 /// A hypervisor VM scheduler under test.
@@ -271,14 +322,25 @@ pub trait VmScheduler: std::any::Any {
         false
     }
 
-    /// Emits into `out` the exact sequence of decisions this scheduler
-    /// would make for `core` at every decision boundary in `[from, end]`,
-    /// assuming the runnable set in `view` does not change, and returns the
-    /// flat per-decision costs plus the window's validity bound; `end` is
-    /// `horizon`, or one nanosecond before [`DenseWindow::valid_before`] if
-    /// that comes first. Slices must be contiguous, strictly increasing in
-    /// `until`, start with the slice containing `from`, and extend until
-    /// `until > end`.
+    /// Emits into `out` (empty on entry) one lap of the decisions this
+    /// scheduler would make for `core` at every decision boundary from
+    /// `from` on, assuming the runnable set in `view` does not change, and
+    /// returns the flat per-decision costs, the lap's period and the
+    /// window's validity bounds. The lap starts with the slice containing
+    /// `from`; its slices are contiguous, strictly increasing in `until`,
+    /// and the last ends exactly one period after the first begins, so the
+    /// lap repeats: slice `i` of lap `j` ends at `out[i].until + j * period`.
+    /// The window is exact for every decision strictly before both
+    /// [`DenseWindow::valid_before`] and [`DenseWindow::uncertified_from`],
+    /// however many laps that is.
+    ///
+    /// The simulator keeps a certified window across `run_until` calls and
+    /// asks again only once something could have changed what it
+    /// certified: a [`crate::Sim::scheduler_mut`] borrow, an event handled
+    /// outside the window (a guest block, a wake-up, any queued event), or
+    /// reaching `valid_before`. A scheduler must therefore change its
+    /// decisions only through the simulator's callbacks or through such a
+    /// borrow — no interior mutability.
     ///
     /// Returning `None` (the default) means "cannot guarantee exactness
     /// right now" — the simulator falls back to calling
@@ -291,23 +353,23 @@ pub trait VmScheduler: std::any::Any {
         &mut self,
         core: usize,
         from: Nanos,
-        horizon: Nanos,
         view: VcpuView<'_>,
         out: &mut Vec<DenseSlice>,
     ) -> Option<DenseWindow> {
-        let _ = (core, from, horizon, view, out);
+        let _ = (core, from, view, out);
         None
     }
 
-    /// Replays the scheduler-internal bookkeeping for `consumed` dense
-    /// slices of `core` that the simulator advanced through without calling
-    /// [`VmScheduler::schedule`]. `at` is the time of the last decision in
-    /// `consumed`; `running` is whether that decision's vCPU is still
-    /// dispatched (its de-schedule has not happened yet). After this call
-    /// the scheduler's state must be byte-identical to having served every
-    /// consumed decision through the generic callbacks.
-    fn dense_commit(&mut self, core: usize, at: Nanos, consumed: &[DenseSlice], running: bool) {
-        let _ = (core, at, consumed, running);
+    /// Replays the scheduler-internal bookkeeping for the `picks` the
+    /// simulator took from `core`'s certified `lap` without calling
+    /// [`VmScheduler::schedule`]. `running` is whether the last pick's vCPU
+    /// is still dispatched (its de-schedule has not happened yet). After
+    /// this call the scheduler's state must be byte-identical to having
+    /// served every pick through the generic callbacks. The simulator
+    /// commits at the end of every `run_until` call that advanced through
+    /// the window, and before anything outside the window happens.
+    fn dense_commit(&mut self, core: usize, lap: &[DenseSlice], picks: DensePicks, running: bool) {
+        let _ = (core, lap, picks, running);
     }
 
     /// Registers a vCPU before the simulation starts. `home` is a placement
@@ -402,6 +464,27 @@ mod tests {
         assert!(view.is_runnable(VcpuId(0)));
         assert!(!view.is_runnable(VcpuId(1)));
         assert!(!view.is_runnable(VcpuId(9)));
+    }
+
+    #[test]
+    fn dense_picks_count_every_lap_they_wrap() {
+        // Seven picks over a three-slice lap from index 2: slices 2, 0, 1,
+        // 2, 0, 1, 2.
+        let p = DensePicks {
+            first: 2,
+            count: 7,
+            ..DensePicks::default()
+        };
+        let mut seen: Vec<_> = p.per_slice(3).collect();
+        seen.sort();
+        assert_eq!(seen, [(0, 2), (1, 2), (2, 3)]);
+        let short = DensePicks { count: 2, ..p };
+        assert_eq!(short.per_slice(3).collect::<Vec<_>>(), [(2, 1), (0, 1)]);
+        let lap = DensePicks { count: 3, ..p };
+        assert_eq!(
+            lap.per_slice(3).collect::<Vec<_>>(),
+            [(2, 1), (0, 1), (1, 1)]
+        );
     }
 
     #[test]

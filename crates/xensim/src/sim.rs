@@ -22,7 +22,7 @@
 
 use rtsched::time::Nanos;
 
-use crate::dense::CoreWindow;
+use crate::dense::{CoreWindow, DenseReach};
 use crate::fault::{FaultConfig, FaultEngine, IpiFate};
 use crate::machine::Machine;
 use crate::queue::{Event, EventQueue};
@@ -121,6 +121,19 @@ impl EngineKind {
     }
 }
 
+/// What the per-event paths branch on, read once per [`Sim::run_until`]
+/// call and passed down: tracing, the event log and the fault engine are
+/// configured between calls, never during one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hot {
+    /// The trace ring is recording (its class filter still applies).
+    pub(crate) trace: bool,
+    /// The event log is recording.
+    pub(crate) log: bool,
+    /// A fault engine is installed.
+    pub(crate) faults: bool,
+}
+
 /// A deterministic discrete-event hypervisor simulation.
 pub struct Sim {
     machine: Machine,
@@ -150,8 +163,16 @@ pub struct Sim {
     /// doubles per bail (capped), so churny workloads that momentarily
     /// look dense pay the window-construction cost ever more rarely.
     pub(crate) batch_bails: u32,
-    /// Per-core dense-window scratch (see [`CoreWindow`]).
+    /// The certified dense window, one lap per core (see [`CoreWindow`]),
+    /// carried across `run_until` calls while `dense_until` is set.
     pub(crate) dense: Vec<CoreWindow>,
+    /// How far the carried window reaches; `None` when no window is
+    /// certified. Cleared by anything that could change what the window
+    /// certified: a [`Sim::scheduler_mut`] borrow, an event handled by the
+    /// queue-driven loop (queued events included), a bail.
+    pub(crate) dense_until: Option<DenseReach>,
+    /// [`VmScheduler::dense_capable`], asked once: it is a static gate.
+    dense_capable: bool,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) vcpus: Vec<VcpuSlot>,
     /// Runnable flags mirroring vCPU states, for cheap scheduler views.
@@ -196,7 +217,9 @@ impl Sim {
             timers: CoreTimers::new(n),
             batch_cooldown: 0,
             batch_bails: 0,
-            dense: Vec::new(),
+            dense: (0..n).map(|_| CoreWindow::default()).collect(),
+            dense_until: None,
+            dense_capable: sched.dense_capable(),
             cores: (0..n)
                 .map(|_| CoreState {
                     running: None,
@@ -347,12 +370,16 @@ impl Sim {
             workload,
         });
         self.flags.push(runnable);
+        self.stats.add_vcpu();
         self.sched.register_vcpu(id, home);
         id
     }
 
-    /// Schedules an external event for `vcpu` at absolute time `at`.
+    /// Schedules an external event for `vcpu` at absolute time `at`. A
+    /// queued event is handled by the queue-driven loop, so the carried
+    /// dense window is dropped here already.
     pub fn push_external(&mut self, at: Nanos, vcpu: VcpuId, tag: u64) {
+        self.dense_until = None;
         self.push(at, Event::External { vcpu, tag });
     }
 
@@ -368,7 +395,8 @@ impl Sim {
 
     /// Mutable statistics access, for control loops that report recovery
     /// accounting (see [`crate::stats::RecoveryStats`]) into the run
-    /// record.
+    /// record. The per-vCPU lists must keep one slot per vCPU: the event
+    /// paths index them directly, without growing them.
     pub fn stats_mut(&mut self) -> &mut SimStats {
         &mut self.stats
     }
@@ -389,8 +417,13 @@ impl Sim {
         &*self.sched
     }
 
-    /// Mutable access to the scheduler under test.
+    /// Mutable access to the scheduler under test. Whatever the caller
+    /// does with it (install or abort a table, attach a monitor, corrupt a
+    /// table) may change the decisions the carried dense window certified,
+    /// so the window is dropped and the next batch asks the scheduler
+    /// again.
     pub fn scheduler_mut(&mut self) -> &mut dyn VmScheduler {
+        self.dense_until = None;
         &mut *self.sched
     }
 
@@ -409,20 +442,46 @@ impl Sim {
         self.events_processed
     }
 
+    /// The per-call flags (see [`Hot`]).
+    pub(crate) fn hot(&self) -> Hot {
+        Hot {
+            trace: self.trace.is_enabled(),
+            log: self.event_log.is_some(),
+            faults: self.faults.is_some(),
+        }
+    }
+
+    /// Queues anything but a core timer (those go through
+    /// [`Sim::arm_timer`]).
     fn push(&mut self, at: Nanos, event: Event) {
+        debug_assert!(!matches!(event, Event::CoreTimer { .. }));
         // Timer faults perturb hypervisor timers (decision expiry, burst
         // completion, ticks) only; external events, IPIs, and guest-internal
         // timers are delivered precisely. Adjustment only ever delays.
         let at = match (&mut self.faults, event) {
-            (Some(f), Event::CoreTimer { .. } | Event::Tick { .. }) => f.adjust_timer(at),
+            (Some(f), Event::Tick { .. }) => f.adjust_timer(at),
             _ => at,
         };
         self.seq += 1;
-        if let (Event::CoreTimer { core, gen }, EventQueue::Wheel(_)) = (event, &self.events) {
-            self.timers.arm(core, (at, self.seq, gen));
-            return;
-        }
         self.events.push(at, self.seq, event);
+    }
+
+    /// Arms `core`'s timer for its current decision generation at `at`
+    /// (decision expiry or burst completion): straight into its register,
+    /// or into the reference heap, with the `seq` a queued event would
+    /// have taken.
+    #[inline(always)]
+    pub(crate) fn arm_timer(&mut self, core: usize, at: Nanos, hot: Hot) {
+        let at = match &mut self.faults {
+            Some(f) if hot.faults => f.adjust_timer(at),
+            _ => at,
+        };
+        self.seq += 1;
+        let gen = self.cores[core].gen;
+        match &mut self.events {
+            EventQueue::Wheel(_) => self.timers.arm(core, (at, self.seq, gen)),
+            heap => heap.push(at, self.seq, Event::CoreTimer { core, gen }),
+        }
     }
 
     /// Runs the simulation up to (and including) absolute time `end`.
@@ -503,16 +562,13 @@ impl Sim {
     /// before `limit`, handing pure-timer stretches to the table-driven
     /// window loop ([`crate::dense`]) when the engine batches.
     fn run_events(&mut self, limit: Nanos) {
+        let hot = self.hot();
+        let batching = self.kind == EngineKind::Hybrid && !hot.faults && self.dense_capable;
         loop {
-            if self.events.is_empty()
-                && self.kind == EngineKind::Hybrid
-                && self.faults.is_none()
-                && self.batch_cooldown <= self.events_processed
-                && self.sched.dense_capable()
-            {
+            if batching && self.events.is_empty() && self.batch_cooldown <= self.events_processed {
                 // The batch advances as far as it can; wherever it stops,
                 // the loop below carries on from the same registers.
-                self.dense_batch(limit);
+                self.dense_batch(limit, hot);
             }
             // The next event is the `(time, seq)` minimum of the queue head
             // and the earliest timer register: the queue yields its head
@@ -535,35 +591,40 @@ impl Sim {
                 break;
             };
             debug_assert!(at >= self.now, "time went backwards");
+            // Whatever this event does to the scheduler or to guest state,
+            // the carried window did not certify it.
+            self.dense_until = None;
             self.now = at;
             self.events_processed += 1;
-            if let Some(log) = &mut self.event_log {
-                log.push((at, seq, format!("{event:?}")));
+            if hot.log {
+                if let Some(log) = &mut self.event_log {
+                    log.push((at, seq, format!("{event:?}")));
+                }
             }
-            self.handle(event);
+            self.handle(event, hot);
         }
     }
 
-    fn handle(&mut self, event: Event) {
+    fn handle(&mut self, event: Event, hot: Hot) {
         match event {
             Event::CoreTimer { core, gen } => {
                 debug_assert_eq!(self.cores[core].gen, gen, "superseded timer handled");
                 if !(self.cores[core].running.is_some()
                     && self.now < self.cores[core].decision_until)
                 {
-                    self.resched(core);
-                } else if let Some((vcpu, action)) = self.burst_complete(core) {
-                    self.block_running(core, vcpu, action);
+                    self.resched(core, hot);
+                } else if let Some((vcpu, action)) = self.burst_complete(core, hot) {
+                    self.block_running(core, vcpu, action, hot);
                     // Blocking invokes the scheduler, exactly as in Xen.
-                    self.resched(core);
+                    self.resched(core, hot);
                 }
             }
-            Event::Resched { core } => self.resched(core),
-            Event::External { vcpu, tag } => self.deliver_external(vcpu, tag),
+            Event::Resched { core } => self.resched(core, hot),
+            Event::External { vcpu, tag } => self.deliver_external(vcpu, tag, hot),
             Event::SelfWake { vcpu, gen } => {
                 let slot = &self.vcpus[vcpu.0 as usize];
                 if slot.wake_gen == gen && slot.state == VState::Blocked {
-                    self.wake(vcpu);
+                    self.wake(vcpu, hot);
                 }
             }
             Event::Tick { core } => {
@@ -583,12 +644,12 @@ impl Sim {
                 let needs_resched = self.sched.on_tick(core, self.now, view);
                 self.push(self.now + interval, Event::Tick { core });
                 if needs_resched {
-                    self.resched(core);
+                    self.resched(core, hot);
                 }
             }
             Event::Stolen { core } => self.steal(core),
-            Event::CoreOffline { core } => self.core_goes_offline(core),
-            Event::CoreOnline { core } => self.core_comes_online(core),
+            Event::CoreOffline { core } => self.core_goes_offline(core, hot),
+            Event::CoreOnline { core } => self.core_comes_online(core, hot),
         }
     }
 
@@ -632,7 +693,7 @@ impl Sim {
     /// never re-homes vCPUs by itself), the outstanding decision is
     /// cancelled, and both the return-to-service and the next outage are
     /// scheduled.
-    fn core_goes_offline(&mut self, core: usize) {
+    fn core_goes_offline(&mut self, core: usize, hot: Hot) {
         let (duration, gap) = {
             let f = self
                 .faults
@@ -640,7 +701,7 @@ impl Sim {
                 .expect("core-offline event without a fault engine");
             (f.outage_duration(), f.outage_gap())
         };
-        self.stop_current(core);
+        self.stop_current(core, hot);
         // Invalidate the decision timer; nothing runs until the core
         // returns.
         self.cores[core].gen += 1;
@@ -661,14 +722,14 @@ impl Sim {
     /// An offline `core` returns to service and immediately re-schedules
     /// (the hardware's online path ends in a scheduler invocation, exactly
     /// like an IPI arrival).
-    fn core_comes_online(&mut self, core: usize) {
+    fn core_comes_online(&mut self, core: usize, hot: Hot) {
         self.core_online[core] = true;
         self.trace
             .emit(self.now, TraceClass::FAULT, || TraceEvent::CoreOnline {
                 core,
             });
         self.sched.on_core_online(core, self.now);
-        self.resched(core);
+        self.resched(core, hot);
     }
 
     /// Applies guest progress made on `core` since `run_started`.
@@ -677,10 +738,10 @@ impl Sim {
     /// another module: without the hint it stays a call across codegen
     /// units there (measured 4 % on `sim/run_until_dense_batched`).
     #[inline]
-    pub(crate) fn apply_progress(&mut self, core: usize) -> Nanos {
+    pub(crate) fn apply_progress(&mut self, core: usize) {
         let c = &mut self.cores[core];
         let Some(vcpu) = c.running else {
-            return Nanos::ZERO;
+            return;
         };
         let ran = self.now.saturating_sub(c.run_started);
         // `run_started` can sit in the future after a theft shifted it;
@@ -693,8 +754,7 @@ impl Sim {
             *rem = rem.saturating_sub(ran);
         }
         self.stats.core_busy[core] += ran;
-        self.stats.vcpu_mut(vcpu).service += ran;
-        ran
+        self.stats.vcpus[vcpu.0 as usize].service += ran;
     }
 
     /// The running vCPU's burst finished before the decision expired: asks
@@ -703,7 +763,11 @@ impl Sim {
     /// *before* anything hears of the block — the caller follows up with
     /// [`Sim::block_running`] and a re-schedule.
     #[inline(always)]
-    pub(crate) fn burst_complete(&mut self, core: usize) -> Option<(VcpuId, GuestAction)> {
+    pub(crate) fn burst_complete(
+        &mut self,
+        core: usize,
+        hot: Hot,
+    ) -> Option<(VcpuId, GuestAction)> {
         self.apply_progress(core);
         let vcpu = self.cores[core].running.expect("burst on idle core");
         let remaining = self.vcpus[vcpu.0 as usize]
@@ -712,11 +776,10 @@ impl Sim {
         if remaining > Nanos::ZERO {
             // Stolen time shifted the progress clock after this timer was
             // armed, so the burst is not actually done; re-arm for the rest.
-            debug_assert!(self.faults.is_some(), "burst event fired early");
+            debug_assert!(hot.faults, "burst event fired early");
             let c = &self.cores[core];
             let fire = (c.run_started.max(self.now) + remaining).min(c.decision_until);
-            let gen = c.gen;
-            self.push(fire, Event::CoreTimer { core, gen });
+            self.arm_timer(core, fire, hot);
             return None;
         }
         self.vcpus[vcpu.0 as usize].remaining = None;
@@ -724,20 +787,25 @@ impl Sim {
         let GuestAction::Compute(amount) = action else {
             return Some((vcpu, action));
         };
-        let amount = self.burst_demand(vcpu, amount);
+        let amount = self.burst_demand(vcpu, amount, hot);
         self.vcpus[vcpu.0 as usize].remaining = Some(amount);
         let c = &mut self.cores[core];
         c.run_started = self.now;
         let fire = (self.now + amount).min(c.decision_until);
-        let gen = c.gen;
-        self.push(fire, Event::CoreTimer { core, gen });
+        self.arm_timer(core, fire, hot);
         None
     }
 
     /// Transitions the running `vcpu` on `core` to blocked for `action` (a
     /// [`GuestAction::BlockFor`] arms its wake-up first), with scheduler
     /// notification and de-schedule bookkeeping.
-    pub(crate) fn block_running(&mut self, core: usize, vcpu: VcpuId, action: GuestAction) {
+    pub(crate) fn block_running(
+        &mut self,
+        core: usize,
+        vcpu: VcpuId,
+        action: GuestAction,
+        hot: Hot,
+    ) {
         if let GuestAction::BlockFor(delay) = action {
             let slot = &mut self.vcpus[vcpu.0 as usize];
             slot.wake_gen += 1;
@@ -750,28 +818,30 @@ impl Sim {
         slot.last_core = Some(core);
         self.flags[vcpu.0 as usize] = false;
         self.sched.on_block(vcpu, core, self.now);
-        self.trace
-            .emit(self.now, TraceClass::VCPU, || TraceEvent::Block { vcpu });
         let ran = std::mem::replace(&mut self.cores[core].ran_since_dispatch, Nanos::ZERO);
-        self.trace
-            .emit(self.now, TraceClass::SCHED, || TraceEvent::Deschedule {
-                core,
-                vcpu,
-                ran,
-            });
+        if hot.trace {
+            self.trace
+                .emit(self.now, TraceClass::VCPU, || TraceEvent::Block { vcpu });
+            self.trace
+                .emit(self.now, TraceClass::SCHED, || TraceEvent::Deschedule {
+                    core,
+                    vcpu,
+                    ran,
+                });
+        }
         let plan = self.sched.on_descheduled(vcpu, core, ran, self.now);
         self.stats.ops.record(OpKind::Deschedule, plan.cost);
         self.cores[core].pending_overhead += plan.cost;
-        self.send_ipis(&plan.ipi_cores);
+        self.send_ipis(&plan.ipi_cores, hot);
         self.cores[core].running = None;
     }
 
     /// Sends a re-schedule IPI to every target, charging the machine's IPI
     /// latency per hop.
-    fn send_ipis(&mut self, targets: &[usize]) {
+    fn send_ipis(&mut self, targets: &[usize], hot: Hot) {
         for &t in targets {
             let mut latency = self.machine.ipi_latency;
-            if let Some(f) = &mut self.faults {
+            if let Some(f) = self.faults.as_mut().filter(|_| hot.faults) {
                 match f.ipi_fate() {
                     IpiFate::Deliver => {}
                     IpiFate::Late(extra) => latency += extra,
@@ -789,22 +859,28 @@ impl Sim {
                 }
             }
             self.stats.ipis += 1;
-            self.trace
-                .emit(self.now, TraceClass::IPI, || TraceEvent::Ipi { core: t });
+            if hot.trace {
+                self.trace
+                    .emit(self.now, TraceClass::IPI, || TraceEvent::Ipi { core: t });
+            }
             self.push(self.now + latency, Event::Resched { core: t });
         }
     }
 
     /// The effective demand of a compute burst: the declared amount, plus
     /// any injected overrun.
-    fn burst_demand(&mut self, vcpu: VcpuId, amount: Nanos) -> Nanos {
+    #[inline]
+    fn burst_demand(&mut self, vcpu: VcpuId, amount: Nanos, hot: Hot) -> Nanos {
         let amount = amount.max(Nanos(1));
+        if !hot.faults {
+            return amount;
+        }
         let Some(extra) = self.faults.as_mut().and_then(|f| f.overrun_extra(amount)) else {
             return amount;
         };
         self.stats.overruns += 1;
         self.stats.overrun_time += extra;
-        self.stats.vcpu_mut(vcpu).overruns += 1;
+        self.stats.vcpus[vcpu.0 as usize].overruns += 1;
         self.trace
             .emit(self.now, TraceClass::FAULT, || TraceEvent::Overrun {
                 vcpu,
@@ -815,7 +891,7 @@ impl Sim {
 
     /// Stops the vCPU currently on `core` (preemption path) and notifies
     /// the scheduler.
-    fn stop_current(&mut self, core: usize) {
+    fn stop_current(&mut self, core: usize, hot: Hot) {
         self.apply_progress(core);
         let Some(vcpu) = self.cores[core].running.take() else {
             return;
@@ -825,36 +901,38 @@ impl Sim {
         slot.runnable_since = Some(self.now);
         slot.last_core = Some(core);
         let ran = std::mem::replace(&mut self.cores[core].ran_since_dispatch, Nanos::ZERO);
-        self.trace
-            .emit(self.now, TraceClass::SCHED, || TraceEvent::Deschedule {
-                core,
-                vcpu,
-                ran,
-            });
+        if hot.trace {
+            self.trace
+                .emit(self.now, TraceClass::SCHED, || TraceEvent::Deschedule {
+                    core,
+                    vcpu,
+                    ran,
+                });
+        }
         let plan = self.sched.on_descheduled(vcpu, core, ran, self.now);
         self.stats.ops.record(OpKind::Deschedule, plan.cost);
         self.cores[core].pending_overhead += plan.cost;
-        self.send_ipis(&plan.ipi_cores);
+        self.send_ipis(&plan.ipi_cores, hot);
     }
 
     /// Full scheduling pass on `core`: stop the incumbent, ask the
     /// scheduler, dispatch.
-    pub(crate) fn resched(&mut self, core: usize) {
+    pub(crate) fn resched(&mut self, core: usize, hot: Hot) {
         if !self.core_online[core] {
             // Re-schedules aimed at an offline core are absorbed; the
             // online path re-issues one when the core returns.
             return;
         }
-        self.stop_current(core);
+        self.stop_current(core, hot);
         self.cores[core].gen += 1;
-        self.resched_pick(core);
+        self.resched_pick(core, hot);
     }
 
     /// The pick-and-dispatch half of a scheduling pass: the incumbent is
     /// already stopped and the decision generation bumped. Split out so the
     /// dense-batch path can resume a pass generically after a mid-pick
     /// bail.
-    pub(crate) fn resched_pick(&mut self, core: usize) {
+    pub(crate) fn resched_pick(&mut self, core: usize, hot: Hot) {
         // A scheduler may hand back a vCPU that blocks instantly on
         // dispatch; loop a bounded number of times (each iteration blocks
         // one more vCPU, so it terminates).
@@ -866,10 +944,11 @@ impl Sim {
             self.stats.ops.record(OpKind::Schedule, cost);
             let overhead = cost + std::mem::take(&mut self.cores[core].pending_overhead);
             let until = decision.until.max(self.now + Nanos(1));
-            let Some((vcpu, action)) = self.dispatch(core, decision.vcpu, overhead, until) else {
+            let Some((vcpu, action)) = self.dispatch(core, decision.vcpu, overhead, until, hot)
+            else {
                 return;
             };
-            self.block_running(core, vcpu, action); // and pick someone else
+            self.block_running(core, vcpu, action, hot); // and pick someone else
         }
         unreachable!("resched loop failed to terminate");
     }
@@ -892,48 +971,54 @@ impl Sim {
         vcpu: Option<VcpuId>,
         overhead: Nanos,
         until: Nanos,
+        hot: Hot,
     ) -> Option<(VcpuId, GuestAction)> {
         self.cores[core].decision_until = until;
-        let gen = self.cores[core].gen;
 
         let Some(vcpu) = vcpu else {
-            self.trace
-                .emit(self.now, TraceClass::SCHED, || TraceEvent::Idle { core });
-            self.push(until, Event::CoreTimer { core, gen });
+            if hot.trace {
+                self.trace
+                    .emit(self.now, TraceClass::SCHED, || TraceEvent::Idle { core });
+            }
+            self.arm_timer(core, until, hot);
             return None;
         };
-        debug_assert!(self.flags[vcpu.0 as usize], "dispatched blocked {vcpu}");
+        let v = vcpu.0 as usize;
+        debug_assert!(self.flags[v], "dispatched blocked {vcpu}");
 
-        self.trace
-            .emit(self.now, TraceClass::SCHED, || TraceEvent::Dispatch {
-                core,
-                vcpu,
-            });
+        if hot.trace {
+            self.trace
+                .emit(self.now, TraceClass::SCHED, || TraceEvent::Dispatch {
+                    core,
+                    vcpu,
+                });
+        }
 
         // Dispatch latency sample.
-        let slot = &mut self.vcpus[vcpu.0 as usize];
-        if let Some(since) = slot.runnable_since.take() {
-            let delay = self.now - since;
-            self.stats.record_delay(vcpu, delay);
+        if let Some(since) = self.vcpus[v].runnable_since.take() {
+            self.stats.sample_delay(v, self.now - since);
         }
-        self.stats.vcpu_mut(vcpu).dispatches += 1;
+        self.stats.vcpus[v].dispatches += 1;
 
         // Context-switch and migration costs.
         let mut cs = Nanos::ZERO;
         if self.cores[core].last_ran != Some(vcpu) {
             cs += self.machine.context_switch;
             self.stats.context_switches += 1;
-            let slot = &self.vcpus[vcpu.0 as usize];
+            let slot = &self.vcpus[v];
             if slot.last_core.is_some() && slot.last_core != Some(core) {
                 cs += self.machine.migration_penalty;
             }
         }
 
         // Guest progress starts after overheads and context switch, and
-        // never inside a stolen-time interval on this core.
-        let start = (self.now + overhead + cs).max(self.stolen_until[core]);
-        let slot = &mut self.vcpus[vcpu.0 as usize];
-        slot.state = VState::Running;
+        // never inside a stolen-time interval on this core (there is none
+        // without a fault engine).
+        let mut start = self.now + overhead + cs;
+        if hot.faults {
+            start = start.max(self.stolen_until[core]);
+        }
+        self.vcpus[v].state = VState::Running;
         let c = &mut self.cores[core];
         c.running = Some(vcpu);
         c.run_started = start;
@@ -944,43 +1029,45 @@ impl Sim {
         c.last_ran = Some(vcpu);
 
         // If the workload has no burst in progress, ask it now.
-        if self.vcpus[vcpu.0 as usize].remaining.is_none() {
-            let action = self.vcpus[vcpu.0 as usize].workload.next(self.now);
-            let GuestAction::Compute(amount) = action else {
-                return Some((vcpu, action));
-            };
-            let amount = self.burst_demand(vcpu, amount);
-            self.vcpus[vcpu.0 as usize].remaining = Some(amount);
-        }
-
-        let remaining = self.vcpus[vcpu.0 as usize]
-            .remaining
-            .expect("dispatched vCPU without a burst");
+        let remaining = match self.vcpus[v].remaining {
+            Some(remaining) => remaining,
+            None => {
+                let action = self.vcpus[v].workload.next(self.now);
+                let GuestAction::Compute(amount) = action else {
+                    return Some((vcpu, action));
+                };
+                let amount = self.burst_demand(vcpu, amount, hot);
+                self.vcpus[v].remaining = Some(amount);
+                amount
+            }
+        };
         let fire = (start + remaining).min(until);
-        self.push(fire.max(self.now), Event::CoreTimer { core, gen });
+        self.arm_timer(core, fire.max(self.now), hot);
         None
     }
 
     /// Delivers an external event to `vcpu`.
-    fn deliver_external(&mut self, vcpu: VcpuId, tag: u64) {
+    fn deliver_external(&mut self, vcpu: VcpuId, tag: u64, hot: Hot) {
         let slot = &mut self.vcpus[vcpu.0 as usize];
         let wants_wake = slot.workload.on_event(tag, self.now);
         if slot.state == VState::Blocked && wants_wake {
-            self.wake(vcpu);
+            self.wake(vcpu, hot);
         }
     }
 
     /// Wakes a blocked vCPU and routes the wake-up through the scheduler.
-    fn wake(&mut self, vcpu: VcpuId) {
+    fn wake(&mut self, vcpu: VcpuId, hot: Hot) {
         let slot = &mut self.vcpus[vcpu.0 as usize];
         debug_assert_eq!(slot.state, VState::Blocked);
         slot.state = VState::Runnable;
         slot.runnable_since = Some(self.now);
         slot.remaining = None;
         self.flags[vcpu.0 as usize] = true;
-        self.stats.vcpu_mut(vcpu).wakeups += 1;
-        self.trace
-            .emit(self.now, TraceClass::VCPU, || TraceEvent::Wake { vcpu });
+        self.stats.vcpus[vcpu.0 as usize].wakeups += 1;
+        if hot.trace {
+            self.trace
+                .emit(self.now, TraceClass::VCPU, || TraceEvent::Wake { vcpu });
+        }
 
         let view = VcpuView {
             runnable: &self.flags,
@@ -993,7 +1080,7 @@ impl Sim {
         if let Some(&first) = plan.ipi_cores.first() {
             self.cores[first].pending_overhead += plan.cost;
         }
-        self.send_ipis(&plan.ipi_cores);
+        self.send_ipis(&plan.ipi_cores, hot);
     }
 }
 

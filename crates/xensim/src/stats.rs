@@ -6,7 +6,7 @@
 //! scheduling-delay figures behind Fig. 5 (maximum delay while runnable)
 //! and general service accounting used by throughput experiments.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use rtsched::time::Nanos;
 
@@ -57,6 +57,15 @@ impl OpAccumulator {
         self.max = self.max.max(cost);
     }
 
+    /// Records `n` samples of the same `cost`.
+    pub fn record_n(&mut self, cost: Nanos, n: u64) {
+        if n > 0 {
+            self.count += n;
+            self.total += cost * n;
+            self.max = self.max.max(cost);
+        }
+    }
+
     /// Mean cost in microseconds (the paper's unit).
     pub fn mean_us(&self) -> f64 {
         if self.count == 0 {
@@ -79,6 +88,11 @@ impl OpStats {
     /// Records a sample for `kind`.
     pub fn record(&mut self, kind: OpKind, cost: Nanos) {
         self.get_mut(kind).record(cost);
+    }
+
+    /// Records `n` samples of the same `cost` for `kind`.
+    pub fn record_n(&mut self, kind: OpKind, cost: Nanos, n: u64) {
+        self.get_mut(kind).record_n(cost, n);
     }
 
     /// The accumulator for `kind`.
@@ -127,6 +141,7 @@ pub struct VcpuStats {
 
 impl VcpuStats {
     /// Records a dispatch-delay sample.
+    #[inline]
     pub fn record_delay(&mut self, delay: Nanos) {
         self.delay_count += 1;
         self.delay_total += delay;
@@ -150,38 +165,81 @@ impl VcpuStats {
 /// scheduling-delay *scales* — microseconds vs. a period vs. an accounting
 /// interval — differ by orders of magnitude, which is what the paper's
 /// figures distinguish.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The buckets are held inline and the sample count is their sum, so
+/// recording a sample is one increment. Serialized, the histogram still
+/// carries its count, and a histogram with no sample carries an empty
+/// bucket list, as it did while the buckets were allocated on first use.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayHist {
-    buckets: Vec<u64>,
-    count: u64,
+    buckets: [u64; DelayHist::BUCKETS],
+}
+
+impl Default for DelayHist {
+    fn default() -> DelayHist {
+        DelayHist {
+            buckets: [0; DelayHist::BUCKETS],
+        }
+    }
+}
+
+impl Serialize for DelayHist {
+    fn to_value(&self) -> Value {
+        let count = self.count();
+        let buckets = if count == 0 {
+            &[][..]
+        } else {
+            &self.buckets[..]
+        };
+        Value::Map(vec![
+            ("buckets".to_string(), buckets.to_value()),
+            ("count".to_string(), count.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for DelayHist {
+    fn from_value(v: &Value) -> Result<DelayHist, Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| Error::msg("expected DelayHist map"))?;
+        let field = |k| Value::get_field(m, k).ok_or_else(|| Error::msg(format!("missing {k}")));
+        let buckets = Vec::<u64>::from_value(field("buckets")?)?;
+        if buckets.len() > DelayHist::BUCKETS {
+            return Err(Error::msg("too many DelayHist buckets"));
+        }
+        let mut h = DelayHist::default();
+        h.buckets[..buckets.len()].copy_from_slice(&buckets);
+        if h.count() != u64::from_value(field("count")?)? {
+            return Err(Error::msg("DelayHist count is not the sum of its buckets"));
+        }
+        Ok(h)
+    }
 }
 
 impl DelayHist {
     const BUCKETS: usize = 44; // up to ~17,592 s
 
     /// Records one delay sample.
+    #[inline]
     pub fn record(&mut self, delay: Nanos) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; DelayHist::BUCKETS];
-        }
-        let idx = (64 - delay.as_nanos().leading_zeros() as usize)
-            .saturating_sub(1)
-            .min(DelayHist::BUCKETS - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
+        // `floor(log2(delay))`, with zero in bucket 0.
+        let log2 = 63 - (delay.as_nanos() | 1).leading_zeros() as usize;
+        self.buckets[log2.min(DelayHist::BUCKETS - 1)] += 1;
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.iter().sum()
     }
 
     /// Upper bound of the bucket containing quantile `q` (0 for no data).
     pub fn quantile_upper(&self, q: f64) -> Nanos {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return Nanos::ZERO;
         }
-        let rank = ((q * self.count as f64).ceil().max(1.0) as u64).min(self.count);
+        let rank = ((q * count as f64).ceil().max(1.0) as u64).min(count);
         let mut seen = 0;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
@@ -240,14 +298,17 @@ pub struct BatchStats {
     /// Events advanced through the batched inner loop instead of the
     /// event-at-a-time engine.
     pub batched_events: u64,
-    /// Dense windows entered (one per `run_until` of a quiescent host, plus
-    /// one per window cap or table switch crossed inside a batch).
+    /// Dense windows entered: one per `run_until` call that advances
+    /// through a window — a window the scheduler certified in that call,
+    /// or one carried over from an earlier call — plus one more per table
+    /// switch crossed inside the call (the window is certified afresh on
+    /// the new table).
     pub batch_entries: u64,
     /// Dense windows exited (every entry exits; kept separately so a crash
     /// mid-batch would be visible as an imbalance).
     pub batch_exits: u64,
-    /// Exits because the window reached its end: the run horizon, the
-    /// window cap, or a table switch (the normal case).
+    /// Exits because the window reached its end: the run horizon or a
+    /// table switch (the normal case).
     pub fallback_horizon: u64,
     /// Exits because a guest blocked mid-batch (the runnable set changed).
     pub fallback_block: u64,
@@ -265,7 +326,12 @@ pub struct BatchStats {
 /// `Sim::events_processed`, or in [`BatchStats::batched_events`]). Apart
 /// from [`SimStats::batch`], every field is equal bit for bit under every
 /// `EngineKind`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A simulation sizes `vcpus` and `delay_hists` when each vCPU is added,
+/// so the per-event paths index them without a grow check. Serialized,
+/// both lists end at the last vCPU that ever recorded anything, as they
+/// did while they grew on demand.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Deserialize)]
 pub struct SimStats {
     /// Scheduler operation overheads.
     pub ops: OpStats,
@@ -303,8 +369,39 @@ pub struct SimStats {
     pub batch: BatchStats,
 }
 
+impl Serialize for SimStats {
+    fn to_value(&self) -> Value {
+        let touched = self.vcpus.iter().rposition(|v| *v != VcpuStats::default());
+        let sampled = self.delay_hists.iter().rposition(|h| h.count() > 0);
+        let fields: [(&str, Value); 15] = [
+            ("ops", self.ops.to_value()),
+            (
+                "vcpus",
+                self.vcpus[..touched.map_or(0, |i| i + 1)].to_value(),
+            ),
+            (
+                "delay_hists",
+                self.delay_hists[..sampled.map_or(0, |i| i + 1)].to_value(),
+            ),
+            ("core_busy", self.core_busy.to_value()),
+            ("ipis", self.ipis.to_value()),
+            ("context_switches", self.context_switches.to_value()),
+            ("stolen_time", self.stolen_time.to_value()),
+            ("ipis_lost", self.ipis_lost.to_value()),
+            ("overruns", self.overruns.to_value()),
+            ("overrun_time", self.overrun_time.to_value()),
+            ("trace_dropped", self.trace_dropped.to_value()),
+            ("core_offline_events", self.core_offline_events.to_value()),
+            ("core_offline_time", self.core_offline_time.to_value()),
+            ("recovery", self.recovery.to_value()),
+            ("batch", self.batch.to_value()),
+        ];
+        Value::Map(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
+}
+
 impl SimStats {
-    /// Creates statistics for `n_cores` cores (vCPU slots grow on demand).
+    /// Creates statistics for `n_cores` cores and no vCPU yet.
     pub fn new(n_cores: usize) -> SimStats {
         SimStats {
             core_busy: vec![Nanos::ZERO; n_cores],
@@ -312,6 +409,12 @@ impl SimStats {
             core_offline_time: vec![Nanos::ZERO; n_cores],
             ..SimStats::default()
         }
+    }
+
+    /// Sizes the per-vCPU slots for one more vCPU.
+    pub(crate) fn add_vcpu(&mut self) {
+        self.vcpus.push(VcpuStats::default());
+        self.delay_hists.push(DelayHist::default());
     }
 
     /// The stats slot for `vcpu`, growing the vector as needed.
@@ -329,14 +432,22 @@ impl SimStats {
     }
 
     /// Records a dispatch-delay sample for `vcpu` (summary plus
-    /// distribution).
+    /// distribution), growing both lists as needed.
     pub fn record_delay(&mut self, vcpu: VcpuId, delay: Nanos) {
-        self.vcpu_mut(vcpu).record_delay(delay);
         let idx = vcpu.0 as usize;
+        self.vcpu_mut(vcpu);
         if self.delay_hists.len() <= idx {
             self.delay_hists.resize_with(idx + 1, DelayHist::default);
         }
-        self.delay_hists[idx].record(delay);
+        self.sample_delay(idx, delay);
+    }
+
+    /// [`SimStats::record_delay`] for a vCPU whose slots exist (a
+    /// simulation sizes them in `Sim::add_vcpu`).
+    #[inline]
+    pub(crate) fn sample_delay(&mut self, vcpu: usize, delay: Nanos) {
+        self.vcpus[vcpu].record_delay(delay);
+        self.delay_hists[vcpu].record(delay);
     }
 
     /// The delay distribution of `vcpu` (empty if it never waited).
@@ -365,6 +476,14 @@ mod tests {
         assert_eq!(a.total, us(6));
         assert_eq!(a.max, us(4));
         assert!((a.mean_us() - 3.0).abs() < 1e-9);
+        // `n` samples at once are `n` single ones.
+        let mut b = a;
+        a.record_n(us(3), 2);
+        b.record(us(3));
+        b.record(us(3));
+        assert_eq!(a, b);
+        a.record_n(us(9), 0);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -437,6 +556,32 @@ mod tests {
         assert_eq!(s.vcpu(VcpuId(2)).delay_max, Nanos(15_000_000));
         assert_eq!(s.delay_hist(VcpuId(2)).count(), 2);
         assert_eq!(s.delay_hist(VcpuId(0)).count(), 0);
+    }
+
+    #[test]
+    fn slots_sized_up_front_serialize_as_grown_ones() {
+        let mut sized = SimStats::new(1);
+        for _ in 0..4 {
+            sized.add_vcpu();
+        }
+        let mut grown = SimStats::new(1);
+        for s in [&mut sized, &mut grown] {
+            s.record_delay(VcpuId(0), Nanos(5_000));
+            s.vcpu_mut(VcpuId(2)).dispatches += 1;
+        }
+        assert_ne!(sized, grown);
+        // The slots that never recorded anything are left out at the tail;
+        // vCPU 1's stays, and histograms end at the last sampled one.
+        let value = sized.to_value();
+        assert_eq!(value, grown.to_value());
+        let back = SimStats::from_value(&value).expect("round-trips");
+        assert_eq!((back.vcpus.len(), back.delay_hists.len()), (3, 1));
+        assert_eq!(back, grown);
+        // An unsampled histogram carries no bucket at all.
+        let empty = DelayHist::default().to_value();
+        let buckets = Value::get_field(empty.as_map().unwrap(), "buckets");
+        assert_eq!(buckets, Some(&Value::Seq(Vec::new())));
+        assert_eq!(DelayHist::from_value(&empty).unwrap(), DelayHist::default());
     }
 
     #[test]
