@@ -564,14 +564,19 @@ fn time_sim_samples(iters: u64, duration: Nanos, mut mk: impl FnMut() -> Sim) ->
     samples
 }
 
-/// `sim/host_epoch_probe`: one fleet host between control epochs — the
-/// fleet's 2-core probe host on its boot plan (one capped probe per core),
-/// advanced in 560 `run_until` calls of one control epoch each, as a
-/// `fleet-churn` replay advances it. Mean ns per call over the fastest
-/// half of `runs` fresh hosts: almost every call continues the window the
-/// previous one left, so this is the per-epoch cost a quiet host pays.
-fn host_epoch_entry(runs: u64) -> BenchEntry {
-    const CALLS: u64 = 560;
+/// `sim/host_epoch_probe` and `sim/host_hour_probe`: the fleet's 2-core
+/// probe host on its boot plan (one capped probe per core), advanced
+/// `calls` times by `step`. Mean ns per call over the fastest half of
+/// `runs` fresh hosts.
+///
+/// The epoch row takes 560 calls of one control epoch each, as a
+/// `fleet-churn` replay advances a host: almost every call continues the
+/// window the previous one left and replays its recorded lap, so this is
+/// the per-epoch cost a quiet host pays. The hour row takes one call of a
+/// simulated hour: ~35 000 table laps, replayed whole but for the laps in
+/// which a probe's one-second burst ends, so it costs per burst and per
+/// lap, not per event.
+fn probe_host_entry(name: &str, runs: u64, calls: u64, step: Nanos) -> BenchEntry {
     let cfg = ::fleet::FleetConfig::new(1, 2);
     let mut host = HostConfig::new(cfg.cores_per_host);
     let probe = VcpuSpec::capped(cfg.probe_utilization, cfg.latency_goal);
@@ -579,7 +584,6 @@ fn host_epoch_entry(runs: u64) -> BenchEntry {
         host.add_vm(VmSpec::uniform(format!("probe{i}"), 1, probe));
     }
     let p = plan(&host, &cfg.planner).expect("the probe-only boot config plans");
-    let epoch = crate::fleet::CONTROL_EPOCH;
     let run = || {
         let mut sim = Sim::new(
             Machine::small(cfg.cores_per_host),
@@ -589,8 +593,8 @@ fn host_epoch_entry(runs: u64) -> BenchEntry {
             sim.add_vcpu(Box::new(BusyLoop), core, true);
         }
         let t0 = Instant::now();
-        for call in 1..=CALLS {
-            sim.run_until(epoch * call);
+        for call in 1..=calls {
+            sim.run_until(step * call);
         }
         let ns = t0.elapsed().as_nanos() as u64;
         std::hint::black_box(sim.events_processed());
@@ -601,9 +605,9 @@ fn host_epoch_entry(runs: u64) -> BenchEntry {
     samples.sort_unstable();
     let kept = &samples[..samples.len().div_ceil(2)];
     let total: u64 = kept.iter().sum();
-    let calls = kept.len() as u64 * CALLS;
+    let calls = kept.len() as u64 * calls;
     BenchEntry {
-        name: "sim/host_epoch_probe".to_string(),
+        name: name.to_string(),
         iters: calls,
         total_ns: total,
         mean_ns: total as f64 / calls as f64,
@@ -614,7 +618,7 @@ fn host_epoch_entry(runs: u64) -> BenchEntry {
 /// (I/O-churn) and a sparse (timer-tail) scenario, a pure-dense Tableau
 /// phase under the hybrid (batched) and wheel (unbatched) engines, raw
 /// event throughput on the 16-core scaling scenario, and a fleet host's
-/// control epochs ([`host_epoch_entry`]). `mean_ns` of
+/// control epochs and simulated hour ([`probe_host_entry`]). `mean_ns` of
 /// `sim/events_per_sec` is ns *per event*: events/sec = 1e9 / mean_ns.
 pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     let iters: u64 = if quick { 1 } else { 5 };
@@ -778,7 +782,10 @@ pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     let (dense_entry, _) = time_sim_entry_trimmed("sim/run_until_dense", pair_iters, short, dense);
     let (sparse_entry, _) =
         time_sim_entry_trimmed("sim/run_until_sparse", pair_iters, short, sparse);
-    let host_epoch = host_epoch_entry(pair_iters);
+    let epoch = crate::fleet::CONTROL_EPOCH;
+    let host_epoch = probe_host_entry("sim/host_epoch_probe", pair_iters, 560, epoch);
+    let hour = Nanos::from_secs(3_600);
+    let host_hour = probe_host_entry("sim/host_hour_probe", pair_iters, 1, hour);
     let entries = vec![
         dense_entry,
         sparse_entry,
@@ -786,6 +793,7 @@ pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
         unbatched,
         events_entry,
         host_epoch,
+        host_hour,
     ];
     BenchSnapshot {
         meta: meta(quick, seed),
@@ -831,10 +839,13 @@ fn validate(path: &std::path::Path) -> BenchSnapshot {
 pub const REGRESSION_FACTOR: f64 = 3.0;
 
 /// A committed snapshot read back tolerantly: only the join key and the
-/// mean survive, so older or newer snapshots with extra/missing fields
-/// still compare. `None` means the file is absent or not a
-/// [`SCHEMA`]-tagged snapshot — the gate skips it rather than failing.
-fn read_committed(path: &Path) -> Option<Vec<(String, f64)>> {
+/// mean of each entry survive, so snapshots with extra or missing entry
+/// fields still compare. `Err` says why the gate cannot compare it at all:
+/// the file is absent or malformed, or its `meta` names another schema,
+/// machine core count or worker thread count than `current`'s — numbers
+/// measured on another machine, or under another harness, are not
+/// evidence of a regression.
+fn read_committed(path: &Path, current: &BenchMeta) -> Result<Vec<(String, f64)>, String> {
     use serde::Value;
     let as_str = |v: &Value| match v {
         Value::Str(s) => Some(s.clone()),
@@ -846,37 +857,80 @@ fn read_committed(path: &Path) -> Option<Vec<(String, f64)>> {
         Value::I64(n) => Some(*n as f64),
         _ => None,
     };
-    let text = std::fs::read_to_string(path).ok()?;
-    let v: Value = serde_json::from_str(&text).ok()?;
-    let top = v.as_map()?;
-    let meta = Value::get_field(top, "meta")?.as_map()?;
-    if as_str(Value::get_field(meta, "schema")?)? != SCHEMA {
-        return None;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("no committed snapshot ({e})"))?;
+    let v: Value = serde_json::from_str(&text).map_err(|_| "not JSON".to_string())?;
+    let top = v.as_map().ok_or("not a snapshot")?;
+    let meta = Value::get_field(top, "meta")
+        .and_then(Value::as_map)
+        .ok_or("no meta block")?;
+    let field = |k: &str| Value::get_field(meta, k).ok_or(format!("its meta has no {k}"));
+    let schema = as_str(field("schema")?).ok_or("its schema is not a string")?;
+    if schema != current.schema {
+        return Err(format!("schema {schema}, this run's is {}", current.schema));
     }
-    let entries = Value::get_field(top, "entries")?.as_seq()?;
-    Some(
-        entries
-            .iter()
-            .filter_map(|e| {
-                let e = e.as_map()?;
-                let name = as_str(Value::get_field(e, "name")?)?;
-                let mean = as_f64(Value::get_field(e, "mean_ns")?)?;
-                (mean > 0.0).then_some((name, mean))
-            })
-            .collect(),
-    )
+    for (k, ours) in [
+        ("machine_cores", current.machine_cores),
+        ("threads", current.threads),
+    ] {
+        let theirs = as_f64(field(k)?).ok_or(format!("its {k} is not a number"))?;
+        if theirs != ours as f64 {
+            return Err(format!("{k} {theirs}, this run's is {ours}"));
+        }
+    }
+    let entries = Value::get_field(top, "entries")
+        .and_then(Value::as_seq)
+        .ok_or("no entry list")?;
+    Ok(entries
+        .iter()
+        .filter_map(|e| {
+            let e = e.as_map()?;
+            let name = as_str(Value::get_field(e, "name")?)?;
+            let mean = as_f64(Value::get_field(e, "mean_ns")?)?;
+            (mean > 0.0).then_some((name, mean))
+        })
+        .collect())
+}
+
+/// What the `--quick` gate made of one committed snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Gate {
+    /// The snapshot was comparable: one line per entry that measured more
+    /// than [`REGRESSION_FACTOR`]x its committed mean (none: passed).
+    Compared(Vec<String>),
+    /// Nothing was compared, for the reason given.
+    Skipped(String),
+}
+
+impl Gate {
+    /// Prints the outcome for the snapshot at `path`: the reason it was
+    /// skipped, or each regression. Returns `true` unless an entry
+    /// regressed.
+    pub fn report(&self, path: &Path) -> bool {
+        let file = path.file_name().unwrap_or_default().to_string_lossy();
+        match self {
+            Gate::Skipped(why) => {
+                println!("gate skipped for {file}: {why}");
+                true
+            }
+            Gate::Compared(bad) => {
+                for line in bad {
+                    eprintln!("bench regression: {line}");
+                }
+                bad.is_empty()
+            }
+        }
+    }
 }
 
 /// Compares a fresh snapshot against the committed one at `path`.
 ///
-/// Returns one line per entry that measured more than
-/// [`REGRESSION_FACTOR`]x its committed mean. Entries present on only one
-/// side are ignored (bench families grow over time), as are committed
-/// files that are missing or carry a foreign schema — the gate only ever
-/// fails on evidence, never on absence.
-pub fn regressions_against(current: &BenchSnapshot, path: &Path) -> Vec<String> {
-    let Some(committed) = read_committed(path) else {
-        return Vec::new();
+/// Entries present on only one side are ignored (bench families grow over
+/// time); a committed file the gate cannot compare is skipped, with the
+/// reason, never failed on — the gate only ever fails on evidence.
+pub fn gate_against(current: &BenchSnapshot, path: &Path) -> Gate {
+    let committed = match read_committed(path, &current.meta) {
+        Ok(committed) => committed,
+        Err(why) => return Gate::Skipped(why),
     };
     let mut out = Vec::new();
     for e in &current.entries {
@@ -895,7 +949,7 @@ pub fn regressions_against(current: &BenchSnapshot, path: &Path) -> Vec<String> 
             ));
         }
     }
-    out
+    Gate::Compared(out)
 }
 
 /// Runs both snapshots, prints them, writes and validates the artifacts.
@@ -906,7 +960,8 @@ pub fn regressions_against(current: &BenchSnapshot, path: &Path) -> Vec<String> 
 /// root (the committed trajectory); `--quick` writes to a scratch
 /// directory instead so a smoke run never dirties the tracked files, then
 /// gates each entry against the committed snapshot: any entry more than
-/// [`REGRESSION_FACTOR`]x slower than its committed mean fails the run.
+/// [`REGRESSION_FACTOR`]x slower than its committed mean fails the run,
+/// unless the committed snapshot cannot be compared ([`gate_against`]).
 pub fn run(quick: bool, seed: u64) -> bool {
     let planner = planner_snapshot(quick, seed);
     let dispatch = dispatch_snapshot(quick, seed);
@@ -954,18 +1009,16 @@ pub fn run(quick: bool, seed: u64) -> bool {
         return true;
     }
     let committed = bench_dir();
-    let mut bad = Vec::new();
+    let mut passed = true;
     for (snap, file) in [
         (&planner, "BENCH_planner.json"),
         (&dispatch, "BENCH_dispatch.json"),
         (&sim, "BENCH_sim.json"),
     ] {
-        bad.extend(regressions_against(snap, &committed.join(file)));
+        let path = committed.join(file);
+        passed &= gate_against(snap, &path).report(&path);
     }
-    for line in &bad {
-        eprintln!("bench regression: {line}");
-    }
-    bad.is_empty()
+    passed
 }
 
 #[cfg(test)]
@@ -1063,6 +1116,22 @@ mod tests {
         }
     }
 
+    /// The lines of a gate that compared, failing the test on a skip.
+    fn compared(gate: Gate) -> Vec<String> {
+        match gate {
+            Gate::Compared(lines) => lines,
+            Gate::Skipped(why) => panic!("gate skipped: {why}"),
+        }
+    }
+
+    /// The reason of a gate that skipped, failing the test otherwise.
+    fn skipped(gate: Gate) -> String {
+        match gate {
+            Gate::Skipped(why) => why,
+            Gate::Compared(lines) => panic!("gate compared: {lines:?}"),
+        }
+    }
+
     #[test]
     fn regression_gate_trips_only_past_the_budget() {
         let dir = std::env::temp_dir().join("tableau-bench-gate-test");
@@ -1071,13 +1140,24 @@ mod tests {
 
         // Within budget (even 2.9x) passes; a retired entry is ignored.
         let ok = fake_snapshot(&[("a/fast", 290.0), ("a/new", 9e9)]);
-        assert_eq!(regressions_against(&ok, &path), Vec::<String>::new());
+        assert_eq!(compared(gate_against(&ok, &path)), Vec::<String>::new());
 
         // Past the budget fails, and names the entry.
         let bad = fake_snapshot(&[("a/fast", 301.0), ("a/slow", 500.0)]);
-        let lines = regressions_against(&bad, &path);
+        let lines = compared(gate_against(&bad, &path));
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("a/fast"), "{lines:?}");
+    }
+
+    /// A committed file with the given `meta` fields and one entry
+    /// `a/fast` at 1 ns.
+    fn committed_with(dir: &Path, schema: &str, cores: usize, threads: usize) -> PathBuf {
+        let path = dir.join(format!("{schema}-{cores}-{threads}.json"));
+        let json = format!(
+            r#"{{"meta":{{"schema":"{schema}","machine_cores":{cores},"threads":{threads}}},"entries":[{{"name":"a/fast","mean_ns":1.0}}]}}"#
+        );
+        std::fs::write(&path, json).unwrap();
+        path
     }
 
     #[test]
@@ -1087,31 +1167,71 @@ mod tests {
         let current = fake_snapshot(&[("a/fast", 1e12)]);
 
         // Missing file: no evidence, no failure.
-        assert!(regressions_against(&current, &dir.join("nope.json")).is_empty());
+        let why = skipped(gate_against(&current, &dir.join("nope.json")));
+        assert!(why.contains("no committed snapshot"), "{why}");
 
-        // Foreign schema: skipped.
-        let foreign = dir.join("foreign.json");
-        std::fs::write(
-            &foreign,
-            r#"{"meta":{"schema":"other-v9"},"entries":[{"name":"a/fast","mean_ns":1.0}]}"#,
-        )
-        .unwrap();
-        assert!(regressions_against(&current, &foreign).is_empty());
-
-        // Right schema but entries missing fields: the malformed entry is
+        // Right meta but entries missing fields: the malformed entry is
         // dropped, the well-formed one still compares.
+        let m = &current.meta;
         let partial = dir.join("partial.json");
         std::fs::write(
             &partial,
             format!(
-                r#"{{"meta":{{"schema":"{SCHEMA}"}},"entries":[{{"name":"a/fast"}},{{"name":"a/slow","mean_ns":10.0,"extra":true}}]}}"#
+                r#"{{"meta":{{"schema":"{SCHEMA}","machine_cores":{},"threads":{}}},"entries":[{{"name":"a/fast"}},{{"name":"a/slow","mean_ns":10.0,"extra":true}}]}}"#,
+                m.machine_cores, m.threads
             ),
         )
         .unwrap();
         let current = fake_snapshot(&[("a/fast", 1e12), ("a/slow", 40.0)]);
-        let lines = regressions_against(&current, &partial);
+        let lines = compared(gate_against(&current, &partial));
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("a/slow"), "{lines:?}");
+
+        // A meta without the fields the gate checks cannot be compared.
+        let bare = dir.join("bare.json");
+        std::fs::write(
+            &bare,
+            format!(r#"{{"meta":{{"schema":"{SCHEMA}"}},"entries":[{{"name":"a/fast","mean_ns":1.0}}]}}"#),
+        )
+        .unwrap();
+        let why = skipped(gate_against(&current, &bare));
+        assert!(why.contains("machine_cores"), "{why}");
+    }
+
+    #[test]
+    fn gate_skips_a_snapshot_of_another_schema() {
+        let dir = std::env::temp_dir().join("tableau-bench-gate-schema");
+        std::fs::create_dir_all(&dir).unwrap();
+        let current = fake_snapshot(&[("a/fast", 1e12)]);
+        let m = &current.meta;
+        let path = committed_with(&dir, "other-v9", m.machine_cores, m.threads);
+        let why = skipped(gate_against(&current, &path));
+        assert!(why.contains("schema other-v9"), "{why}");
+    }
+
+    #[test]
+    fn gate_skips_a_snapshot_of_another_core_count() {
+        let dir = std::env::temp_dir().join("tableau-bench-gate-cores");
+        std::fs::create_dir_all(&dir).unwrap();
+        let current = fake_snapshot(&[("a/fast", 1e12)]);
+        let cores = current.meta.machine_cores + 1;
+        let path = committed_with(&dir, SCHEMA, cores, current.meta.threads);
+        let why = skipped(gate_against(&current, &path));
+        assert!(why.contains("machine_cores"), "{why}");
+        // The same file on a machine like the one that made it compares.
+        let mut there = fake_snapshot(&[("a/fast", 1e12)]);
+        there.meta.machine_cores = cores;
+        assert_eq!(compared(gate_against(&there, &path)).len(), 1);
+    }
+
+    #[test]
+    fn gate_skips_a_snapshot_of_another_thread_count() {
+        let dir = std::env::temp_dir().join("tableau-bench-gate-threads");
+        std::fs::create_dir_all(&dir).unwrap();
+        let current = fake_snapshot(&[("a/fast", 1e12)]);
+        let path = committed_with(&dir, SCHEMA, current.meta.machine_cores, 4);
+        let why = skipped(gate_against(&current, &path));
+        assert!(why.contains("threads 4"), "{why}");
     }
 
     #[test]

@@ -29,8 +29,7 @@
 //! distribution (simulated time, deterministic: `admit_p99_ns` per cell).
 //! `BENCH_fleet.json` holds wall-clock rows only — the replay throughput
 //! and three `Fleet::step` phase rows — and `--quick` gates them against
-//! the committed snapshot via
-//! [`crate::bench_snapshot::regressions_against`].
+//! the committed snapshot via [`crate::bench_snapshot::gate_against`].
 
 use std::time::Instant;
 
@@ -670,11 +669,7 @@ pub fn run_with_seed(quick: bool, seed: u64) -> bool {
         let dir = std::env::temp_dir().join("tableau-bench-quick");
         write_json_to(&dir, "BENCH_fleet", &snap);
         let committed = crate::bench_snapshot::bench_dir().join("BENCH_fleet.json");
-        let bad = crate::bench_snapshot::regressions_against(&snap, &committed);
-        for line in &bad {
-            eprintln!("bench regression: {line}");
-        }
-        bad.is_empty()
+        crate::bench_snapshot::gate_against(&snap, &committed).report(&committed)
     } else {
         write_json_to(&crate::bench_snapshot::bench_dir(), "BENCH_fleet", &snap);
         true

@@ -22,7 +22,12 @@
 //! changes the scheduler goes through `Sim::scheduler_mut`, which drops it.
 //! The fleet's host shape — one probe per core on a table whose tenant
 //! slots are idle gaps — gets its own sliced property, and a counting
-//! wrapper pins that a settled host asks for one window per table.
+//! wrapper pins that a settled host asks for one window per table. A
+//! periodic window is advanced by replaying its recorded lap: a property
+//! cuts runs where a replay starts and stops (up to ten thousand laps in
+//! one call) with bursts that end mid-lap and would end mid-replay, and a
+//! scenario drops the window at every slice boundary, where the window
+//! certified next keeps the ledger.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -55,7 +60,9 @@ fn paper_plan(cores: usize, vms_per_core: usize) -> Plan {
     plan(&host, &PlannerOptions::default()).unwrap()
 }
 
-/// Compute/block cycler: breaks dense windows with guest blocks.
+/// Compute/block cycler: breaks dense windows with guest blocks. With
+/// `wait_us == 0` it never blocks: it computes bursts of `burst_us` back to
+/// back, and each burst's end is an event inside a slice.
 struct Cycler {
     burst_us: u64,
     wait_us: u64,
@@ -231,8 +238,8 @@ enum Step {
 type Checkpoint = (Nanos, u64, Vec<PickCounts>, Vec<usize>);
 
 /// Everything an engine can influence, with the batch-only observability
-/// stripped: `SimStats::batch` zeroed and `TraceClass::BATCH` records
-/// dropped (they are the *only* permitted difference between engines).
+/// stripped: `SimStats::batch` zeroed and `TraceClass::BATCH` records never
+/// traced (they are the *only* permitted difference between engines).
 type Observation = (
     Vec<(Nanos, u64, String)>,
     SimStats,
@@ -243,8 +250,9 @@ type Observation = (
 struct Scenario<'a> {
     cores: usize,
     host: Host,
-    /// Per-vCPU `(burst_us, wait_us)`; `wait_us == 0` means a pure busy
-    /// loop. Cycled over the vCPU population.
+    /// Per-vCPU `(burst_us, wait_us)`: `(0, 0)` is a pure busy loop (1 s
+    /// bursts), `(burst_us, 0)` a [`Cycler`] that never blocks. Cycled over
+    /// the vCPU population.
     mix: &'a [(u64, u64)],
     /// External wake-ups `(at_us, vcpu)`, queued before the run starts.
     events: &'a [(u64, u32)],
@@ -290,11 +298,16 @@ fn run(kind: EngineKind, s: &Scenario<'_>) -> (Observation, xensim::stats::Batch
     let mut sim = Sim::new(Machine::small(s.cores), Box::new(tableau_on_boot));
     sim.set_engine(kind);
     sim.enable_tracing();
+    // `BATCH` markers are the hybrid engine's alone. Kept out of the ring,
+    // a run long enough to overflow it drops the same records under every
+    // engine (`SimStats::trace_dropped`).
+    let classes = TraceClass::SCHED | TraceClass::VCPU | TraceClass::IPI | TraceClass::FAULT;
+    sim.trace_mut().set_filter(classes);
     sim.enable_event_log();
     let n_vcpus = s.host.vcpus(s.cores);
     for i in 0..n_vcpus {
         let (burst, wait) = s.mix[i % s.mix.len()];
-        let workload: Box<dyn GuestWorkload> = if wait == 0 {
+        let workload: Box<dyn GuestWorkload> = if (burst, wait) == (0, 0) {
             Box::new(BusyLoop)
         } else {
             Box::new(Cycler {
@@ -342,12 +355,7 @@ fn run(kind: EngineKind, s: &Scenario<'_>) -> (Observation, xensim::stats::Batch
     sim.run_until(s.horizon);
     checkpoints.push(checkpoint(&sim, n_vcpus, s.cores));
     let log = sim.take_event_log();
-    let trace: Vec<TraceRecord> = sim
-        .trace()
-        .iter()
-        .filter(|r| !r.event.class().intersects(TraceClass::BATCH))
-        .copied()
-        .collect();
+    let trace: Vec<TraceRecord> = sim.trace().iter().copied().collect();
     let batch = sim.stats().batch;
     let mut stats = sim.stats().clone();
     stats.batch = Default::default();
@@ -358,22 +366,33 @@ fn observe(kind: EngineKind, s: &Scenario<'_>) -> Observation {
     run(kind, s).0
 }
 
+/// Asserts two streams equal, naming the first difference: the full
+/// streams of a long run are far too large to print.
+fn same_stream<T: PartialEq + std::fmt::Debug>(a: &[T], b: &[T], what: &str) {
+    if let Some(i) = a.iter().zip(b).position(|(x, y)| x != y) {
+        panic!("{what} diverged at {i}: {:?} vs {:?}", a[i], b[i]);
+    }
+    assert_eq!(a.len(), b.len(), "{what} diverged in length");
+}
+
+/// Asserts two observations equal.
+fn same_observation(a: &Observation, b: &Observation, engines: &str) {
+    same_stream(&a.0, &b.0, &format!("{engines} event streams"));
+    assert_eq!(a.1, b.1, "{engines} stats diverged");
+    same_stream(&a.2, &b.2, &format!("{engines} traces"));
+    assert_eq!(a.3, b.3, "{engines} scheduler state diverged");
+}
+
 /// Runs all three engines and asserts pairwise equality, returning the
 /// hybrid run's observation and batch counters for scenario-specific
 /// assertions.
 fn assert_three_way(s: &Scenario<'_>) -> (Observation, xensim::stats::BatchStats) {
     let heap = observe(EngineKind::Heap, s);
     let wheel = observe(EngineKind::Wheel, s);
-    assert_eq!(heap.0, wheel.0, "heap/wheel event streams diverged");
-    assert_eq!(heap.1, wheel.1, "heap/wheel stats diverged");
-    assert_eq!(heap.2, wheel.2, "heap/wheel traces diverged");
-    assert_eq!(heap.3, wheel.3, "heap/wheel scheduler state diverged");
-
+    same_observation(&heap, &wheel, "heap/wheel");
+    drop(wheel);
     let (hybrid, batch) = run(EngineKind::Hybrid, s);
-    assert_eq!(heap.0, hybrid.0, "heap/hybrid event streams diverged");
-    assert_eq!(heap.1, hybrid.1, "heap/hybrid stats diverged");
-    assert_eq!(heap.2, hybrid.2, "heap/hybrid traces diverged");
-    assert_eq!(heap.3, hybrid.3, "heap/hybrid scheduler state diverged");
+    same_observation(&heap, &hybrid, "heap/hybrid");
     (hybrid, batch)
 }
 
@@ -664,6 +683,40 @@ fn split_reservations_decline_the_calls_that_reach_them() {
     }
 }
 
+#[test]
+fn a_kept_ledger_resumes_at_every_slice_boundary() {
+    // Three laps to record and check one, then a staged-and-aborted
+    // install at every slice end of twenty laps: each drops the window,
+    // and the window certified next decides what the old one did, so the
+    // replayed lap is kept. The probes' bursts end every few laps, so some
+    // of those certifications find the ledger out of laps, with a core
+    // whose decision ends exactly where the new window's lap opens.
+    let (_, tables) = Host::Probe.tables(2);
+    let boot = &tables[0];
+    let mut ends: Vec<Nanos> = (0..2)
+        .flat_map(|c| {
+            let cpu = boot.cpu(c);
+            (0..cpu.n_segments()).map(move |i| cpu.segment_slot(i).until())
+        })
+        .collect();
+    ends.sort();
+    ends.dedup();
+    let len = boot.len();
+    let script: Vec<(Nanos, Step)> = (3..=22u64)
+        .flat_map(|lap| ends.iter().map(move |&end| len * lap + end))
+        .map(|at| (at, Step::StageAbort { table: 0 }))
+        .collect();
+    let s = Scenario {
+        cores: 2,
+        host: Host::Probe,
+        mix: &[(90_000, 0), (400_000, 0)],
+        events: &[],
+        script: &script,
+        horizon: len * 24,
+    };
+    assert_three_way(&s);
+}
+
 fn split_reservation_scenario(table: usize) {
     let mut script = vec![(
         ms(1),
@@ -685,11 +738,16 @@ fn split_reservation_scenario(table: usize) {
     assert!(batch.fallback_window > 0, "{batch:?}");
 }
 
-/// Folds a third of the waits to zero so pure busy loops (dense phases)
-/// are common, not a measure-zero draw.
+/// Folds a third of the waits to zero so guests that never block (dense
+/// phases) are common, not a measure-zero draw: half of those pure busy
+/// loops, half finite bursts back to back.
 fn fold_mix(mix: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     mix.into_iter()
-        .map(|(b, w)| (b, if w % 3 == 0 { 0 } else { w }))
+        .map(|(b, w)| match (w % 3, b % 2) {
+            (0, 0) => (0, 0),
+            (0, _) => (b, 0),
+            _ => (b, w),
+        })
         .collect()
 }
 
@@ -840,6 +898,93 @@ proptest! {
             cores,
             host: Host::Probe,
             mix,
+            events: &[],
+            script: &script,
+            horizon: at + Nanos::from_millis(tail_ms),
+        };
+        assert_three_way(&s);
+    }
+}
+
+/// Burst lengths (µs) for [`replayed_laps_are_observationally_equivalent`]:
+/// 0 is a busy loop; the rest are guests that never block, with bursts
+/// from one ending inside every slice to one lasting several table laps of
+/// service. A burst's end is an event inside a slice, so no lap holding
+/// one repeats: replay must stop at the lap before it, and resume after.
+const BURSTS_US: [u64; 6] = [0, 50, 3_000, 25_000, 90_000, 400_000];
+
+/// Laps a "many laps" cut of
+/// [`replayed_laps_are_observationally_equivalent`] advances.
+const MANY_LAPS: [u64; 5] = [2, 10, 100, 1_000, 10_000];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A periodic window is advanced by replaying its recorded lap: whole
+    /// laps at once, the rest event by event. The cuts are where a replay
+    /// starts or stops: no time at all, one nanosecond, inside a slice, on
+    /// a slice boundary, half a lap, one lap less a nanosecond, one lap,
+    /// and up to ten thousand laps in one call. Between cuts: nothing, an
+    /// install (now or an epoch ahead), a staged-and-aborted install, or a
+    /// queued wake-up, each of which drops the ledger with the window. The
+    /// guests' bursts end mid-lap and, without the lap cap, mid-replay.
+    #[test]
+    fn replayed_laps_are_observationally_equivalent(
+        probe in any::<bool>(),
+        bursts in proptest::collection::vec(0usize..BURSTS_US.len(), 1..4),
+        cuts in proptest::collection::vec((0u8..8, any::<u32>(), 0u8..8), 1..8),
+        tail_ms in 1u64..120,
+    ) {
+        let cores = 2;
+        let host = if probe { Host::Probe } else { Host::Paper(3) };
+        let (_, tables) = host.tables(cores);
+        let boot = &tables[0];
+        let len = boot.len();
+        let mut ends: Vec<Nanos> = (0..cores)
+            .flat_map(|c| {
+                let cpu = boot.cpu(c);
+                (0..cpu.n_segments()).map(move |i| cpu.segment_slot(i).until())
+            })
+            .collect();
+        ends.sort();
+        ends.dedup();
+        let mut at = Nanos::ZERO;
+        let script: Vec<(Nanos, Step)> = cuts
+            .into_iter()
+            .map(|(cut, arg, step)| {
+                let round = at - at % len;
+                at = match cut {
+                    0 => at,
+                    1 => at + Nanos(1),
+                    2 => at + Nanos(1 + arg as u64 % 400_000),
+                    3 => {
+                        let next = ends.iter().find(|&&e| round + e > at);
+                        round + next.copied().unwrap_or(len + ends[0])
+                    }
+                    4 => at + len / 2,
+                    5 => at + len - Nanos(1),
+                    6 => at + len,
+                    _ => at + len * MANY_LAPS[arg as usize % MANY_LAPS.len()],
+                };
+                let table = arg as usize % tables.len();
+                let step = match step {
+                    0..=3 => Step::Pause,
+                    4 => Step::Install { table, ahead: Nanos::ZERO },
+                    5 => Step::Install { table, ahead: ms(50) },
+                    6 => Step::StageAbort { table },
+                    _ => Step::Wake {
+                        vcpu: arg,
+                        delay: Nanos::from_micros(arg as u64 % 3_000),
+                    },
+                };
+                (at, step)
+            })
+            .collect();
+        let mix: Vec<(u64, u64)> = bursts.iter().map(|&b| (BURSTS_US[b], 0)).collect();
+        let s = Scenario {
+            cores,
+            host,
+            mix: &mix,
             events: &[],
             script: &script,
             horizon: at + Nanos::from_millis(tail_ms),

@@ -368,6 +368,12 @@ pub trait VmScheduler: std::any::Any {
     /// served every pick through the generic callbacks. The simulator
     /// commits at the end of every `run_until` call that advanced through
     /// the window, and before anything outside the window happens.
+    ///
+    /// A commit may span many laps: a window the simulator found periodic
+    /// is advanced by replaying its recorded lap, whole laps at once, so a
+    /// single call can take millions of picks (`picks.count`, counted per
+    /// slice by [`DensePicks::per_slice`]) and end far from where it began
+    /// (`picks.until`). The cost of a commit must not grow with the count.
     fn dense_commit(&mut self, core: usize, lap: &[DenseSlice], picks: DensePicks, running: bool) {
         let _ = (core, lap, picks, running);
     }

@@ -22,7 +22,7 @@
 
 use rtsched::time::Nanos;
 
-use crate::dense::{CoreWindow, DenseReach};
+use crate::dense::{CoreWindow, DenseReach, Ledger};
 use crate::fault::{FaultConfig, FaultEngine, IpiFate};
 use crate::machine::Machine;
 use crate::queue::{Event, EventQueue};
@@ -46,7 +46,7 @@ pub(crate) struct VcpuSlot {
     pub(crate) state: VState,
     /// Remaining compute of the current burst; `None` means the workload
     /// must be asked for its next action at the next dispatch.
-    remaining: Option<Nanos>,
+    pub(crate) remaining: Option<Nanos>,
     pub(crate) runnable_since: Option<Nanos>,
     pub(crate) last_core: Option<usize>,
     wake_gen: u64,
@@ -58,7 +58,7 @@ pub(crate) struct CoreState {
     pub(crate) running: Option<VcpuId>,
     /// When the current vCPU began making guest progress (dispatch time
     /// plus overheads and context-switch cost).
-    run_started: Nanos,
+    pub(crate) run_started: Nanos,
     /// Wall time charged to the vCPU since dispatch: guest progress plus
     /// the overheads and context-switch costs spent getting it running.
     /// This is what schedulers burn budgets/credits from — Xen's
@@ -71,7 +71,7 @@ pub(crate) struct CoreState {
     /// Overhead charged to this core (wake-up processing, de-schedule
     /// work), consumed at the next dispatch.
     pub(crate) pending_overhead: Nanos,
-    last_ran: Option<VcpuId>,
+    pub(crate) last_ran: Option<VcpuId>,
 }
 
 /// Selects how a [`Sim`] keeps and advances its pending events: the
@@ -138,7 +138,7 @@ pub(crate) struct Hot {
 pub struct Sim {
     machine: Machine,
     pub(crate) now: Nanos,
-    seq: u64,
+    pub(crate) seq: u64,
     /// The selected engine; [`EngineKind::Hybrid`] additionally enables
     /// dense-phase batching above the queue.
     kind: EngineKind,
@@ -171,6 +171,9 @@ pub struct Sim {
     /// certified: a [`Sim::scheduler_mut`] borrow, an event handled by the
     /// queue-driven loop (queued events included), a bail.
     pub(crate) dense_until: Option<DenseReach>,
+    /// The carried window's recorded lap, once the window is periodic
+    /// (see [`Ledger`]): replaced with the window, at every certification.
+    pub(crate) ledger: Ledger,
     /// [`VmScheduler::dense_capable`], asked once: it is a static gate.
     dense_capable: bool,
     pub(crate) cores: Vec<CoreState>,
@@ -219,6 +222,7 @@ impl Sim {
             batch_bails: 0,
             dense: (0..n).map(|_| CoreWindow::default()).collect(),
             dense_until: None,
+            ledger: Ledger::default(),
             dense_capable: sched.dense_capable(),
             cores: (0..n)
                 .map(|_| CoreState {

@@ -148,6 +148,17 @@ impl VcpuStats {
         self.delay_max = self.delay_max.max(delay);
     }
 
+    /// Records `n` samples of the same `delay`: what `n` calls of
+    /// [`VcpuStats::record_delay`] leave.
+    #[inline]
+    pub fn record_delay_n(&mut self, delay: Nanos, n: u64) {
+        if n > 0 {
+            self.delay_count += n;
+            self.delay_total += delay * n;
+            self.delay_max = self.delay_max.max(delay);
+        }
+    }
+
     /// Mean scheduling delay.
     pub fn mean_delay(&self) -> Nanos {
         if self.delay_count == 0 {
@@ -223,9 +234,15 @@ impl DelayHist {
     /// Records one delay sample.
     #[inline]
     pub fn record(&mut self, delay: Nanos) {
+        self.record_n(delay, 1);
+    }
+
+    /// Records `n` samples of the same `delay`.
+    #[inline]
+    pub fn record_n(&mut self, delay: Nanos, n: u64) {
         // `floor(log2(delay))`, with zero in bucket 0.
         let log2 = 63 - (delay.as_nanos() | 1).leading_zeros() as usize;
-        self.buckets[log2.min(DelayHist::BUCKETS - 1)] += 1;
+        self.buckets[log2.min(DelayHist::BUCKETS - 1)] += n;
     }
 
     /// Number of samples recorded.
@@ -296,7 +313,10 @@ pub struct RecoveryStats {
 #[serde(default)]
 pub struct BatchStats {
     /// Events advanced through the batched inner loop instead of the
-    /// event-at-a-time engine.
+    /// event-at-a-time engine. Events replayed from a periodic window's
+    /// recorded lap (whole laps at once, or entry by entry; see
+    /// `crate::dense`) are batched events too: each is one event the
+    /// oracles handle one at a time.
     pub batched_events: u64,
     /// Dense windows entered: one per `run_until` call that advances
     /// through a window — a window the scheduler certified in that call,
@@ -450,6 +470,14 @@ impl SimStats {
         self.delay_hists[vcpu].record(delay);
     }
 
+    /// `n` samples of the same `delay` at once (a replayed table lap; see
+    /// `crate::dense`).
+    #[inline]
+    pub(crate) fn sample_delay_n(&mut self, vcpu: usize, delay: Nanos, n: u64) {
+        self.vcpus[vcpu].record_delay_n(delay, n);
+        self.delay_hists[vcpu].record_n(delay, n);
+    }
+
     /// The delay distribution of `vcpu` (empty if it never waited).
     pub fn delay_hist(&self, vcpu: VcpuId) -> DelayHist {
         self.delay_hists
@@ -484,6 +512,23 @@ mod tests {
         assert_eq!(a, b);
         a.record_n(us(9), 0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn multiplied_delay_samples_are_repeated_ones() {
+        let (mut once, mut repeated) = (SimStats::new(1), SimStats::new(1));
+        for s in [&mut once, &mut repeated] {
+            s.add_vcpu();
+            s.sample_delay(0, us(700));
+        }
+        once.sample_delay_n(0, us(3), 4);
+        once.sample_delay_n(0, us(9), 0);
+        for _ in 0..4 {
+            repeated.sample_delay(0, us(3));
+        }
+        assert_eq!(once, repeated);
+        assert_eq!(once.vcpu(VcpuId(0)).delay_max, us(700));
+        assert_eq!(once.delay_hist(VcpuId(0)).count(), 5);
     }
 
     #[test]

@@ -179,6 +179,13 @@ impl CoreTimers {
         Some((Nanos((key >> 64) as u64), key as u64, gen))
     }
 
+    /// The timer `core`'s register holds, left armed.
+    #[inline]
+    pub(crate) fn get(&self, core: usize) -> Option<Timer> {
+        let e = &self.entries[core];
+        armed(e.key).then_some((Nanos((e.key >> 64) as u64), e.key as u64, e.gen))
+    }
+
     /// The earliest armed register as `(time, seq, core)`: the smallest
     /// time, a same-instant tie going to the smaller `seq`.
     #[inline]
@@ -215,6 +222,8 @@ mod tests {
         assert_eq!(t.earliest(), Some((Nanos(500), 7, 2)));
         assert_eq!(t.take(1), Some((Nanos(900), 3, 1)));
         assert_eq!(t.earliest(), Some((Nanos(500), 7, 2)));
+        assert_eq!(t.get(1), None);
+        assert_eq!(t.get(2), Some((Nanos(500), 7, 1)));
         assert_eq!(t.take(2), Some((Nanos(500), 7, 1)));
         assert_eq!(t.earliest(), Some((Nanos(500), 9, 0)));
         assert_eq!(t.armed(), 1);
