@@ -31,8 +31,12 @@
 //! The format is the paper's, not a dump of [`Table`]'s memory: the encoder
 //! reads `CpuTable::allocations` (a view over the segment arrays) and
 //! re-derives the allocation-indexed slice records. In memory a table is
-//! about this size too (`Table::resident_bytes`): 12 B per segment against
-//! 20 B per allocation, the same 4 B per slice.
+//! about a third of this size (`Table::resident_bytes`): 6 B per segment
+//! against 20 B per allocation, about 1 B per slice against 4 B (a `u8`
+//! offset per slice under a `u32` base per 64 slices). The narrow widths
+//! are the memory layout's, not the format's: a payload whose table is
+//! longer than `u32::MAX` ns or names a vCPU id of 65 535 or above decodes
+//! to [`DecodeError::Invalid`], as `Table::new` refuses to build it.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -480,6 +484,54 @@ mod tests {
         // A sparse id a small table can still describe decodes.
         let sparse = Table::new(ms(10), vec![vec![alloc(0, 5, 300)]]).unwrap();
         assert_eq!(decode(encode(&sparse)), Ok(sparse));
+    }
+
+    #[test]
+    fn a_table_past_32_bit_offsets_is_invalid() {
+        // 2^32 ns, one core, one allocation of 2^31 ns: two slices, the
+        // second past the allocation. Well-formed, and one nanosecond past
+        // what a table holds.
+        let mut buf = header(1, 1 << 32);
+        buf.put_u32_le(1); // n_allocs
+        buf.put_u64_le(1 << 31); // slice_len
+        buf.put_u32_le(2); // n_slices
+        buf.put_u64_le(0);
+        buf.put_u64_le(1 << 31);
+        buf.put_u32_le(0);
+        buf.put_u32_le(0);
+        buf.put_u32_le(u32::MAX);
+        match decode(buf.freeze()) {
+            Err(DecodeError::Invalid(e)) => assert!(e.contains("table length"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_vcpu_id_past_16_bits_is_invalid() {
+        // 500 allocations 1 ns apart: a payload long enough (~14 KB) that
+        // its bit-length bound admits ids past 16 bits, so the table's own
+        // limit is what refuses them.
+        let allocs = (0..500u64)
+            .map(|i| Allocation {
+                start: Nanos(2 * i),
+                end: Nanos(2 * i + 1),
+                vcpu: VcpuId(i as u32 % 7),
+            })
+            .collect();
+        let bytes = encode(&Table::new(Nanos(1_000), vec![allocs]).unwrap());
+        // The first allocation's vCPU field: table header, CPU header,
+        // start, end.
+        let off = 20 + 16 + 16;
+        for (id, ok) in [(65_534u32, true), (65_535, false), (70_000, false)] {
+            let mut patched = BytesMut::from(&bytes[..]);
+            patched[off..off + 4].copy_from_slice(&id.to_le_bytes());
+            let patched = patched.freeze();
+            match decode(patched.clone()) {
+                Ok(t) if ok => assert_eq!(encode(&t), patched),
+                Err(DecodeError::Invalid(e)) if !ok => assert!(e.contains("16-bit"), "{e}"),
+                other => panic!("id {id}: {other:?}"),
+            }
+        }
     }
 
     #[test]

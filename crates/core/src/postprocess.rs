@@ -76,20 +76,6 @@ impl CoalesceReport {
     }
 }
 
-/// Merges adjacent allocations of the same vCPU in place.
-fn merge_adjacent(allocs: &mut Vec<Allocation>) -> usize {
-    let before = allocs.len();
-    let mut merged: Vec<Allocation> = Vec::with_capacity(allocs.len());
-    for a in allocs.drain(..) {
-        match merged.last_mut() {
-            Some(last) if last.end == a.start && last.vcpu == a.vcpu => last.end = a.end,
-            _ => merged.push(a),
-        }
-    }
-    *allocs = merged;
-    before - allocs.len()
-}
-
 /// Coalesces sub-threshold allocations on one core, donating only to
 /// vCPUs for which `may_extend` returns `true`.
 ///
@@ -99,43 +85,80 @@ fn merge_adjacent(allocs: &mut Vec<Allocation>) -> usize {
 /// the vCPU "run" on two cores at once. The planner passes
 /// `|v| !split.contains(v)`; slivers that cannot be donated are dropped to
 /// idle time instead.
+///
+/// Adjacent allocations of one vCPU are merged first, then the slivers are
+/// settled left to right, each against its neighbours as they stand by
+/// then. One pass does it: the finished prefix is kept as a stack in the
+/// front of the list. A donation only lengthens a neighbour and a merge
+/// only joins one, so nothing left of a sliver becomes a sliver again; the
+/// right neighbour a sliver donates to is settled next, like any other.
 pub fn coalesce_with(
     allocs: &mut Vec<Allocation>,
     threshold: Nanos,
     may_extend: impl Fn(VcpuId) -> bool,
 ) -> CoalesceReport {
     let mut report = CoalesceReport::default();
-    report.removed += merge_adjacent(allocs);
-
-    while let Some(idx) = allocs.iter().position(|a| a.len() < threshold) {
-        let sliver = allocs[idx];
-
-        // Contiguous neighbors may absorb the interval; prefer the longer
-        // one (it is the more established reservation and keeps slice sizes
-        // large). Split vCPUs may never be extended (see docs).
+    // `allocs[..done]` is finished, `allocs[read..]` not yet read, and
+    // `pending` the allocation next in line when a sliver's handling has
+    // read it already.
+    let (mut done, mut read) = (0usize, 0usize);
+    let mut pending: Option<Allocation> = None;
+    // The allocation at `read`, merged with the same vCPU's touching
+    // followers.
+    let read_next = |allocs: &[Allocation], read: &mut usize, removed: &mut usize| {
+        let mut a = *allocs.get(*read)?;
+        *read += 1;
+        while let Some(b) = allocs
+            .get(*read)
+            .filter(|b| b.start == a.end && b.vcpu == a.vcpu)
+        {
+            a.end = b.end;
+            *read += 1;
+            *removed += 1;
+        }
+        Some(a)
+    };
+    while let Some(cur) = pending
+        .take()
+        .or_else(|| read_next(allocs, &mut read, &mut report.removed))
+    {
+        if cur.len() >= threshold {
+            allocs[done] = cur;
+            done += 1;
+            continue;
+        }
+        // A sliver. Contiguous neighbours may absorb the interval; prefer
+        // the longer one (it is the more established reservation and
+        // keeps slice sizes large). Split vCPUs may never be extended (see
+        // docs).
+        let prev = done.checked_sub(1);
+        let mut next = read_next(allocs, &mut read, &mut report.removed);
         let prev_adjacent =
-            idx > 0 && allocs[idx - 1].end == sliver.start && may_extend(allocs[idx - 1].vcpu);
-        let next_adjacent = idx + 1 < allocs.len()
-            && allocs[idx + 1].start == sliver.end
-            && may_extend(allocs[idx + 1].vcpu);
-
-        let donate_to_prev = match (prev_adjacent, next_adjacent) {
-            (true, true) => allocs[idx - 1].len() >= allocs[idx + 1].len(),
-            (true, false) => true,
-            (false, _) => false,
+            prev.is_some_and(|p| allocs[p].end == cur.start && may_extend(allocs[p].vcpu));
+        let next_adjacent = next.is_some_and(|b| b.start == cur.end && may_extend(b.vcpu));
+        let donate_to_prev = match (prev, next) {
+            (Some(p), Some(b)) if prev_adjacent && next_adjacent => allocs[p].len() >= b.len(),
+            _ => prev_adjacent,
         };
-
         if donate_to_prev {
-            allocs[idx - 1].end = sliver.end;
-        } else if next_adjacent {
-            allocs[idx + 1].start = sliver.start;
+            allocs[done - 1].end = cur.end;
+        } else if let Some(b) = next.as_mut().filter(|_| next_adjacent) {
+            b.start = cur.start;
         }
         // Isolated (or undonatable) slivers simply become idle time.
-        allocs.remove(idx);
-        report.record_loss(sliver.vcpu, sliver.len());
+        report.record_loss(cur.vcpu, cur.len());
         report.removed += 1;
-        report.removed += merge_adjacent(allocs);
+        // A donation can leave the neighbours touching; one vCPU's two
+        // pieces then merge into the finished one.
+        match (prev, next) {
+            (Some(p), Some(b)) if allocs[p].end == b.start && allocs[p].vcpu == b.vcpu => {
+                allocs[p].end = b.end;
+                report.removed += 1;
+            }
+            _ => pending = next,
+        }
     }
+    allocs.truncate(done);
     report
 }
 
@@ -143,9 +166,9 @@ pub fn coalesce_with(
 /// neighbor (safe when no vCPU on the core is split across cores).
 ///
 /// The list must be sorted and non-overlapping (as produced by the
-/// generators). Runs to a fixed point: donations can create new adjacency,
-/// so passes repeat until nothing changes (each pass removes at least one
-/// allocation, so at most `allocs.len()` passes happen).
+/// generators). Donations can create new adjacency; the pass merges it as
+/// it goes (see [`coalesce_with`]), so the result has no sliver and no two
+/// touching allocations of one vCPU.
 ///
 /// # Examples
 ///

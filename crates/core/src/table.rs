@@ -19,7 +19,23 @@
 //! view too: one home core per vCPU id, its pieces read off that core's
 //! segments, and an explicit piece list only for the few vCPUs reserved on
 //! more than one core (C=D splits, cluster members). A table's heap is
-//! therefore about its wire size ([`Table::resident_bytes`]).
+//! therefore well under its wire size ([`Table::resident_bytes`]).
+//!
+//! **Compact widths.** A segment is 6 bytes: a `u32` end offset and a
+//! `u16` vCPU id. A slice is one byte: its segment index as an offset from
+//! a `u32` base kept once per block of [`SLICE_BLOCK`] slices. One byte
+//! always suffices, because the index moves by at most two per slice. Slice
+//! `k + 1` starts at `(k + 1) * slice_len`, so it sits as many segments past
+//! slice `k` as there are segment ends in `(k * slice_len, (k + 1) *
+//! slice_len]`. Every such end is an allocation's end or (closing an idle
+//! gap) an allocation's start; the table length is never in that interval,
+//! since slice `k + 1` starts before it. No allocation is shorter than
+//! `slice_len`, so two allocation ends are at least `slice_len` apart, and
+//! so are two starts: at most one of each falls in the interval. A slice is
+//! therefore at most `2 * 63 = 126` segments past its block's first one.
+//! The widths bring two limits, both reported by the constructors as
+//! errors: a table is at most `u32::MAX` ns (4.29 s) long, and a vCPU id is
+//! below 65 535 (`u16::MAX` marks an idle segment).
 //!
 //! **Compile cost.** A table is compiled on every plan and every delta
 //! splice, so the build is linear in what it writes and shaped for the
@@ -33,10 +49,12 @@
 //! (a 44-core, 1 ms-goal plan has ~117 000 slices over ~22 000 segments;
 //! the merge walk this replaced mispredicted once per segment and was the
 //! planner's largest stage; the binary search before it survives only in
-//! `tests/prop_table.rs`). Placement is one pass over the segment ids: a
-//! vCPU seen on one core — every vCPU of a partitioned plan — is homed
-//! there and nothing is listed, sorted or voted on; the list-building
-//! constructors this replaced are the reference in `tests/prop_table.rs`.
+//! `tests/prop_table.rs`). The block bases are set in the same loop, by the
+//! run that reaches a block's first slice. Placement is one pass over the
+//! segment ids: a vCPU seen on one core — every vCPU of a partitioned plan
+//! — is homed there and nothing is listed, sorted or voted on; the
+//! list-building constructors this replaced are the reference in
+//! `tests/prop_table.rs`.
 
 use std::mem::size_of_val;
 use std::sync::Arc;
@@ -111,30 +129,55 @@ impl Slot {
 /// The schedule is *flattened* into a gap-free sequence of segments
 /// covering `[0, table_len)`, stored as a structure-of-arrays of
 /// `(end_offset, vcpu)` pairs: `seg_end[i]` is the exclusive end of segment
-/// `i` and `seg_vcpu[i]` its vCPU (or [`NO_VCPU`] for an idle gap). A
-/// dispatch lookup is then a single bounded forward walk over one contiguous
-/// array — and because per-core time moves forward, the dispatcher carries a
-/// segment cursor between decisions so the steady-state lookup never
-/// re-scans (see `Dispatcher`). The arrays are the only copy of the
-/// schedule: an allocation is a non-idle segment, starting where the
-/// previous segment ends ([`CpuTable::allocations`]).
+/// `i` (a `u32` ns offset) and `seg_vcpu[i]` its vCPU (a `u16`, or
+/// [`NO_VCPU`] for an idle gap). A dispatch lookup is then a single bounded
+/// forward walk over one contiguous array — and because per-core time moves
+/// forward, the dispatcher carries a segment cursor between decisions so the
+/// steady-state lookup never re-scans (see `Dispatcher`). The arrays are the
+/// only copy of the schedule: an allocation is a non-idle segment, starting
+/// where the previous segment ends ([`CpuTable::allocations`]). The slice
+/// index is two-level: a slice's segment is its block's `u32` base plus the
+/// slice's `u8` offset (module docs: why a byte suffices).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CpuTable {
     /// Fixed slice width for this core (the shortest allocation length, or
     /// the table length for an empty core).
     slice_len: Nanos,
-    /// For each slice, the index of the segment containing the slice start
-    /// (the random-access entry point into the segment arrays).
-    slices: Vec<u32>,
+    /// For each block of [`SLICE_BLOCK`] slices, the index of the segment
+    /// containing the block's first slice start.
+    block_base: Vec<u32>,
+    /// For each slice, the index of the segment containing the slice start,
+    /// less its block's base (the random-access entry point into the
+    /// segment arrays).
+    slice_offset: Vec<u8>,
     /// Exclusive end offset of each segment; the last entry equals the
     /// table length.
-    seg_end: Vec<Nanos>,
+    seg_end: Vec<u32>,
     /// vCPU id of each segment, [`NO_VCPU`] for idle gaps.
-    seg_vcpu: Vec<u32>,
+    seg_vcpu: Vec<u16>,
 }
 
-/// Sentinel for "no vCPU" (an idle segment); no allocation may carry it.
-const NO_VCPU: u32 = u32::MAX;
+/// Sentinel for "no vCPU" (an idle segment); no allocation may carry it,
+/// nor any id above it.
+const NO_VCPU: u16 = u16::MAX;
+
+/// Slices per block of the slice index: each block has one `u32` segment
+/// base, each slice a `u8` offset from it (at most `2 * (SLICE_BLOCK - 1)`).
+const SLICE_BLOCK: usize = 64;
+
+/// The longest table a [`CpuTable`] holds: segment ends are `u32` offsets.
+const MAX_TABLE_LEN: Nanos = Nanos(u32::MAX as u64);
+
+/// Rejects a table length past [`MAX_TABLE_LEN`].
+fn check_table_len(table_len: Nanos) -> Result<(), String> {
+    if table_len > MAX_TABLE_LEN {
+        return Err(format!(
+            "table length {table_len} exceeds the {}ns a table can hold",
+            MAX_TABLE_LEN.as_nanos()
+        ));
+    }
+    Ok(())
+}
 
 impl CpuTable {
     /// Builds a core table from sorted, non-overlapping allocations. The
@@ -143,17 +186,22 @@ impl CpuTable {
     /// # Errors
     ///
     /// Returns a message if allocations are unsorted, overlapping, empty,
-    /// extend past `table_len`, or name the reserved id `u32::MAX`.
+    /// extend past `table_len`, or name the reserved id `u32::MAX`; and,
+    /// once those checks pass, if `table_len` is longer than `u32::MAX` ns
+    /// or an allocation names a vCPU id of 65 535 or above (the table's
+    /// 16-bit ids).
     pub fn new(allocations: Vec<Allocation>, table_len: Nanos) -> Result<CpuTable, String> {
         // One pass validates, finds the slice length — the shortest
         // allocation (see module docs); an empty core gets a single slice
         // covering the whole table — and counts the idle gaps, so the
         // segment arrays below are allocated at their final size. An
-        // overlap is reported only once every allocation passed the
-        // per-allocation checks, as two separate passes would.
+        // overlap (and then an id too wide for the table) is reported only
+        // once every allocation passed the per-allocation checks, as
+        // separate passes would.
         let mut slice_len = table_len;
         let mut n_gaps = 0usize;
         let mut overlap: Option<&Allocation> = None;
+        let mut wide_id: Option<&Allocation> = None;
         let mut t = Nanos::ZERO;
         for a in &allocations {
             if a.start >= a.end {
@@ -165,8 +213,14 @@ impl CpuTable {
                     a.start, a.end
                 ));
             }
-            if a.vcpu.0 == NO_VCPU {
-                return Err(format!("vCPU id {NO_VCPU} is reserved for idle segments"));
+            if a.vcpu.0 >= u32::from(NO_VCPU) {
+                if a.vcpu.0 == u32::MAX {
+                    return Err(format!(
+                        "vCPU id {} is reserved for idle segments",
+                        u32::MAX
+                    ));
+                }
+                wide_id = wide_id.or(Some(a));
             }
             if a.start < t {
                 overlap = overlap.or(Some(a));
@@ -181,24 +235,35 @@ impl CpuTable {
                 a.start, a.end
             ));
         }
+        check_table_len(table_len)?;
+        if let Some(a) = wide_id {
+            return Err(format!(
+                "vCPU id {} at [{}, {}) is beyond a table's 16-bit ids (at most {})",
+                a.vcpu.0,
+                a.start,
+                a.end,
+                NO_VCPU - 1
+            ));
+        }
         let n_slices = table_len.div_ceil(slice_len) as usize;
 
         // Flatten into gap-free segments (idle gaps made explicit). Whether
         // an allocation is preceded by a gap is a coin toss to the branch
         // predictor, so the gap's end is always written and the cursor
         // steps over it only when the gap exists; the allocation's own
-        // entry lands on top of it otherwise.
+        // entry lands on top of it otherwise. Every offset fits a `u32`
+        // (checked above), every id a `u16`.
         let n_segments =
             allocations.len() + n_gaps + usize::from(t < table_len || allocations.is_empty());
-        let mut seg_end = vec![table_len; n_segments + 1];
+        let mut seg_end = vec![table_len.as_nanos() as u32; n_segments + 1];
         let mut seg_vcpu = vec![NO_VCPU; n_segments + 1];
         let mut n = 0usize;
         let mut t = Nanos::ZERO;
         for a in &allocations {
-            seg_end[n] = a.start;
+            seg_end[n] = a.start.as_nanos() as u32;
             n += usize::from(a.start > t);
-            seg_end[n] = a.end;
-            seg_vcpu[n] = a.vcpu.0;
+            seg_end[n] = a.end.as_nanos() as u32;
+            seg_vcpu[n] = a.vcpu.0 as u16;
             n += 1;
             t = a.end;
         }
@@ -216,23 +281,37 @@ impl CpuTable {
         // handful of slices), so a loop per run would mispredict its exit
         // once per segment; instead every run is written as one fixed block
         // — spilling into the next run's slots, which that run then
-        // overwrites — plus a tail for the rare long run. The last segment
-        // ends at `table_len`, which closes the index at `n_slices`.
-        const BLOCK: usize = 8;
-        let mut slices = vec![0u32; n_slices + BLOCK];
-        let mut at = 0usize;
-        for (seg, end) in seg_end.iter().enumerate() {
-            let upto = (end.div_ceil(slice_len) as usize).min(n_slices);
-            slices[at..at + BLOCK].fill(seg as u32);
-            if upto > at + BLOCK {
-                slices[at + BLOCK..upto].fill(seg as u32);
+        // overwrites — plus a tail for the rare long run. The run that
+        // reaches a block's first slice (once per `SLICE_BLOCK` slices) is
+        // that block's base: the block's slices it covers are offset 0,
+        // and the runs after it are offset from it. The last segment ends
+        // at `table_len`, which closes the index at `n_slices`.
+        const RUN: usize = 8;
+        let mut block_base = vec![0u32; n_slices.div_ceil(SLICE_BLOCK)];
+        let mut slice_offset = vec![0u8; n_slices + RUN];
+        let (mut at, mut base, mut next_block) = (0usize, 0usize, 0usize);
+        let slice_ns = slice_len.as_nanos();
+        for (seg, &end) in seg_end.iter().enumerate() {
+            let upto = (u64::from(end).div_ceil(slice_ns) as usize).min(n_slices);
+            // At most two segments per slice (module docs): at most 128.
+            let offset = u8::try_from(seg - base).expect("slice offset fits a byte");
+            slice_offset[at..at + RUN].fill(offset);
+            if upto > at + RUN {
+                slice_offset[at + RUN..upto].fill(offset);
+            }
+            if upto > next_block {
+                block_base[next_block / SLICE_BLOCK..upto.div_ceil(SLICE_BLOCK)].fill(seg as u32);
+                slice_offset[next_block..upto].fill(0);
+                next_block = upto.next_multiple_of(SLICE_BLOCK);
+                base = seg;
             }
             at = upto;
         }
-        slices.truncate(n_slices);
+        slice_offset.truncate(n_slices);
         Ok(CpuTable {
             slice_len,
-            slices,
+            block_base,
+            slice_offset,
             seg_end,
             seg_vcpu,
         })
@@ -258,9 +337,10 @@ impl CpuTable {
     ) -> Result<CpuTable, Vec<Allocation>> {
         let mut mine = allocations.iter();
         let same_interval = |a: Allocation, b: &Allocation| {
-            a.start == b.start && a.end == b.end && b.vcpu.0 != NO_VCPU
+            a.start == b.start && a.end == b.end && b.vcpu.0 < u32::from(NO_VCPU)
         };
-        let geometry_matches = rep.seg_end.last() == Some(&table_len)
+        let rep_len = rep.seg_end.last().map(|&end| Nanos(u64::from(end)));
+        let geometry_matches = rep_len == Some(table_len)
             && rep
                 .allocations()
                 .all(|a| mine.next().is_some_and(|b| same_interval(a, b)))
@@ -273,11 +353,12 @@ impl CpuTable {
         let mut seg_vcpu = rep.seg_vcpu.clone();
         let reserved = seg_vcpu.iter_mut().filter(|v| **v != NO_VCPU);
         for (v, a) in reserved.zip(&allocations) {
-            *v = a.vcpu.0;
+            *v = a.vcpu.0 as u16;
         }
         Ok(CpuTable {
             slice_len: rep.slice_len,
-            slices: rep.slices.clone(),
+            block_base: rep.block_base.clone(),
+            slice_offset: rep.slice_offset.clone(),
             seg_end: rep.seg_end.clone(),
             seg_vcpu,
         })
@@ -308,8 +389,8 @@ impl CpuTable {
             .filter(|&i| self.seg_vcpu[i] != NO_VCPU)
             .map(|i| Allocation {
                 start: self.segment_start(i),
-                end: self.seg_end[i],
-                vcpu: VcpuId(self.seg_vcpu[i]),
+                end: self.segment_end(i),
+                vcpu: VcpuId(u32::from(self.seg_vcpu[i])),
             })
     }
 
@@ -320,12 +401,14 @@ impl CpuTable {
 
     /// The vCPU id of every allocation, in time order.
     fn vcpu_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.seg_vcpu.iter().copied().filter(|&v| v != NO_VCPU)
+        let ids = self.seg_vcpu.iter().copied().filter(|&v| v != NO_VCPU);
+        ids.map(u32::from)
     }
 
     /// Heap bytes of this core's arrays.
     pub(crate) fn heap_bytes(&self) -> usize {
-        size_of_val(&self.slices[..])
+        size_of_val(&self.block_base[..])
+            + size_of_val(&self.slice_offset[..])
             + size_of_val(&self.seg_end[..])
             + size_of_val(&self.seg_vcpu[..])
     }
@@ -337,7 +420,7 @@ impl CpuTable {
 
     /// Returns the number of slices.
     pub fn n_slices(&self) -> usize {
-        self.slices.len()
+        self.slice_offset.len()
     }
 
     /// Returns the number of segments in the flattened schedule.
@@ -357,11 +440,12 @@ impl CpuTable {
     }
 
     /// Index of the segment containing table-relative time `t` (random
-    /// access via the slice index).
+    /// access via the slice index: the slice's block base plus its offset).
     pub fn segment_at(&self, t: Nanos) -> usize {
-        let slice = (t / self.slice_len).min(self.slices.len() as u64 - 1) as usize;
-        let mut i = self.slices[slice] as usize;
-        while self.seg_end[i] <= t {
+        let slice = (t / self.slice_len).min(self.slice_offset.len() as u64 - 1) as usize;
+        let base = self.block_base[slice / SLICE_BLOCK] as usize;
+        let mut i = base + usize::from(self.slice_offset[slice]);
+        while u64::from(self.seg_end[i]) <= t.as_nanos() {
             i += 1;
         }
         i
@@ -378,7 +462,7 @@ impl CpuTable {
         if i >= self.seg_end.len() || t < self.segment_start(i) {
             return self.segment_at(t);
         }
-        while self.seg_end[i] <= t {
+        while u64::from(self.seg_end[i]) <= t.as_nanos() {
             i += 1;
         }
         i
@@ -389,17 +473,22 @@ impl CpuTable {
         if i == 0 {
             Nanos::ZERO
         } else {
-            self.seg_end[i - 1]
+            self.segment_end(i - 1)
         }
+    }
+
+    /// Table-relative end of segment `i`.
+    fn segment_end(&self, i: usize) -> Nanos {
+        Nanos(u64::from(self.seg_end[i]))
     }
 
     /// The [`Slot`] verdict for segment `i`.
     pub fn segment_slot(&self, i: usize) -> Slot {
-        let until = self.seg_end[i];
+        let until = self.segment_end(i);
         match self.seg_vcpu[i] {
             NO_VCPU => Slot::Idle { until },
             v => Slot::Reserved {
-                vcpu: VcpuId(v),
+                vcpu: VcpuId(u32::from(v)),
                 until,
             },
         }
@@ -568,9 +657,10 @@ impl Table {
     ///
     /// # Errors
     ///
-    /// Propagates per-core structural errors, and rejects a vCPU whose
-    /// allocations overlap in time across cores (it cannot run on two cores
-    /// at once).
+    /// Propagates per-core structural errors (among them the two limits of
+    /// the compact arrays: a table longer than `u32::MAX` ns, a vCPU id of
+    /// 65 535 or above), and rejects a vCPU whose allocations overlap in
+    /// time across cores (it cannot run on two cores at once).
     pub fn new(len: Nanos, per_core: Vec<Vec<Allocation>>) -> Result<Table, String> {
         Table::new_with_stamps(len, per_core, &[])
     }
@@ -597,6 +687,8 @@ impl Table {
             let cpu = CpuTable::compile(core, allocs, len, rep.map(|rep| &*cpus[rep]))?;
             cpus.push(Arc::new(cpu));
         }
+        // Every core checked it; a table with no cores is held to it too.
+        check_table_len(len)?;
         let all_cores: Vec<usize> = (0..cpus.len()).collect();
         let (mut home, mut split) = (Vec::new(), Vec::new());
         Table::place(&cpus, &all_cores, |_| true, &mut home, &mut split)?;
@@ -1153,6 +1245,63 @@ mod tests {
     fn patched_table_rejects_out_of_range_core() {
         let prev = Table::new(ms(10), vec![vec![alloc(0, 3, 0)]]).unwrap();
         assert!(Table::patched_from(&prev, vec![(1, vec![alloc(0, 2, 1)])]).is_err());
+    }
+
+    #[test]
+    fn a_table_longer_than_32_bit_offsets_is_an_error() {
+        let alloc = |s: u64, e: u64| Allocation {
+            start: Nanos(s),
+            end: Nanos(e),
+            vcpu: VcpuId(0),
+        };
+        let edge = Nanos(u64::from(u32::MAX));
+        // At the limit a table builds and answers to its last nanosecond.
+        let t = Table::new(edge, vec![vec![alloc(0, 1 << 31)]]).unwrap();
+        assert_eq!(t.lookup(0, edge - Nanos(1)), Slot::Idle { until: edge });
+        // One past it, an error before anything is reserved: a 1 ns
+        // allocation in a 2^40 ns table would otherwise index 2^40 slices.
+        for len in [edge + Nanos(1), Nanos(1 << 40)] {
+            let err = Table::new(len, vec![vec![alloc(0, 1)]]).unwrap_err();
+            assert!(err.starts_with("core 0: table length"), "{err}");
+            let err = CpuTable::new(vec![alloc(0, 1)], len).unwrap_err();
+            assert!(err.starts_with("table length"), "{err}");
+            // A table with no cores is held to it too.
+            let err = Table::new(len, vec![]).unwrap_err();
+            assert!(err.starts_with("table length"), "{err}");
+        }
+        // The checks that came before it still answer first.
+        let err = Table::new(Nanos(1 << 40), vec![vec![alloc(5, 5)]]).unwrap_err();
+        assert!(err.starts_with("core 0: empty allocation"), "{err}");
+    }
+
+    #[test]
+    fn a_vcpu_id_past_16_bits_is_an_error() {
+        let widest = u32::from(NO_VCPU) - 1;
+        let t = Table::new(ms(10), vec![vec![alloc(0, 5, widest)]]).unwrap();
+        assert_eq!(t.lookup(0, ms(1)).vcpu(), Some(VcpuId(widest)));
+        assert_eq!(t.placement(VcpuId(widest)).unwrap().home_core, 0);
+        for id in [u32::from(NO_VCPU), 1 << 16, u32::MAX - 1] {
+            let err = Table::new(ms(10), vec![vec![alloc(0, 5, id)]]).unwrap_err();
+            assert!(err.contains(&format!("vCPU id {id} at")), "{err}");
+            assert!(err.contains("16-bit"), "{err}");
+        }
+        // The reserved id keeps its text, and every check that came before
+        // the limit still answers first: a bad allocation after the wide
+        // id, an overlap anywhere.
+        let err = Table::new(ms(10), vec![vec![alloc(0, 5, u32::MAX)]]).unwrap_err();
+        assert_eq!(
+            err,
+            "core 0: vCPU id 4294967295 is reserved for idle segments"
+        );
+        let wide_then_empty = vec![vec![alloc(0, 5, 1 << 20), alloc(6, 6, 0)]];
+        let err = Table::new(ms(10), wide_then_empty).unwrap_err();
+        assert!(err.starts_with("core 0: empty allocation"), "{err}");
+        let wide_then_overlap = vec![vec![alloc(0, 5, 1 << 20), alloc(4, 6, 0)]];
+        let err = Table::new(ms(10), wide_then_overlap).unwrap_err();
+        assert!(err.starts_with("core 0: allocations overlap"), "{err}");
+        // A stamp offered a wide id falls back to the build, which refuses.
+        let per_core = vec![vec![alloc(0, 5, 0)], vec![alloc(0, 5, 1 << 20)]];
+        assert!(Table::new_with_stamps(ms(10), per_core, &[None, Some(0)]).is_err());
     }
 
     #[test]

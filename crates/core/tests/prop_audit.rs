@@ -41,9 +41,10 @@ struct RawSplit {
 #[derive(Clone, Serialize, Deserialize)]
 struct RawCpu {
     slice_len: Nanos,
-    slices: Vec<u32>,
-    seg_end: Vec<Nanos>,
-    seg_vcpu: Vec<u32>,
+    block_base: Vec<u32>,
+    slice_offset: Vec<u8>,
+    seg_end: Vec<u32>,
+    seg_vcpu: Vec<u16>,
 }
 
 fn raw_of(table: &Table) -> RawTable {
@@ -121,7 +122,7 @@ fn assert_mutations_flagged(table: &Table, salt: u64) {
         .iter()
         .enumerate()
         .flat_map(|(c, cpu)| {
-            let reserved = (0..cpu.seg_vcpu.len()).filter(|&i| cpu.seg_vcpu[i] != u32::MAX);
+            let reserved = (0..cpu.seg_vcpu.len()).filter(|&i| cpu.seg_vcpu[i] != u16::MAX);
             reserved.map(move |i| (c, i))
         })
         .collect();
@@ -129,21 +130,36 @@ fn assert_mutations_flagged(table: &Table, salt: u64) {
     let draw = |stream: u64, k: u64, n: usize| (mix(salt ^ (stream << 32 | k)) % n as u64) as usize;
 
     for k in 0..SITES {
-        // One flipped bit in each field of an allocation.
+        // One flipped bit in each field of an allocation: at the first site
+        // every bit of the field's width (32 for an end offset, 16 for an
+        // id) in turn, at the others one drawn from it.
+        let bits = |stream: u64, width: usize| -> Vec<usize> {
+            if k == 0 {
+                (0..width).collect()
+            } else {
+                vec![draw(stream, k, width)]
+            }
+        };
         let (c, i) = slots[draw(0, k, slots.len())];
         if i > 0 {
             // A start is the end of the segment before (segment 0 starts
             // at zero, which no byte holds).
-            let mut m = raw.clone();
-            m.cpus[c].seg_end[i - 1].0 ^= 1 << draw(1, k, 64);
-            flagged(format!("start flip, core {c} segment {i}"), &m);
+            for bit in bits(1, 32) {
+                let mut m = raw.clone();
+                m.cpus[c].seg_end[i - 1] ^= 1 << bit;
+                flagged(format!("start flip, core {c} segment {i} bit {bit}"), &m);
+            }
         }
-        let mut m = raw.clone();
-        m.cpus[c].seg_end[i].0 ^= 1 << draw(2, k, 64);
-        flagged(format!("end flip, core {c} segment {i}"), &m);
-        let mut m = raw.clone();
-        m.cpus[c].seg_vcpu[i] ^= 1 << draw(3, k, 32);
-        flagged(format!("vcpu flip, core {c} segment {i}"), &m);
+        for bit in bits(2, 32) {
+            let mut m = raw.clone();
+            m.cpus[c].seg_end[i] ^= 1 << bit;
+            flagged(format!("end flip, core {c} segment {i} bit {bit}"), &m);
+        }
+        for bit in bits(3, 16) {
+            let mut m = raw.clone();
+            m.cpus[c].seg_vcpu[i] ^= 1 << bit;
+            flagged(format!("vcpu flip, core {c} segment {i} bit {bit}"), &m);
+        }
 
         // An allocation trades places with the segment after it.
         let (c, i) = slots[draw(4, k, slots.len())];

@@ -33,9 +33,26 @@ use tableau_core::vcpu::{HostConfig, Utilization, VcpuId, VcpuSpec, VmSpec};
 #[derive(Deserialize)]
 struct RawCpu {
     slice_len: Nanos,
-    slices: Vec<u32>,
-    seg_end: Vec<Nanos>,
-    seg_vcpu: Vec<u32>,
+    block_base: Vec<u32>,
+    slice_offset: Vec<u8>,
+    seg_end: Vec<u32>,
+    seg_vcpu: Vec<u16>,
+}
+
+/// Slices per block of the slice index.
+const SLICE_BLOCK: usize = 64;
+
+impl RawCpu {
+    /// The segment index slice `s` records: its block's base plus its
+    /// offset.
+    fn slice_segment(&self, s: usize) -> usize {
+        self.block_base[s / SLICE_BLOCK] as usize + usize::from(self.slice_offset[s])
+    }
+
+    /// Exclusive end of segment `i`.
+    fn end(&self, i: usize) -> Nanos {
+        Nanos(u64::from(self.seg_end[i]))
+    }
 }
 
 fn raw_of(cpu: &CpuTable) -> RawCpu {
@@ -465,17 +482,29 @@ proptest! {
             assert_eq!(cpu.n_allocations(), allocs.len());
             let shortest = allocs.iter().map(|a| a.len()).min().unwrap_or(len);
             assert_eq!(raw.slice_len, shortest);
-            assert_eq!(raw.slices.len() as u64, len.as_nanos().div_ceil(shortest.as_nanos()));
+            let n_slices = raw.slice_offset.len();
+            assert_eq!(n_slices as u64, len.as_nanos().div_ceil(shortest.as_nanos()));
+            assert_eq!(raw.block_base.len(), n_slices.div_ceil(SLICE_BLOCK));
             assert_eq!(raw.seg_end.len(), raw.seg_vcpu.len());
-            assert_eq!(raw.seg_end.last(), Some(&len));
-            // The merge walk against the search it replaced.
-            for (s, &seg) in raw.slices.iter().enumerate() {
+            assert_eq!(raw.end(raw.seg_end.len() - 1), len);
+            // The run fill against the search it replaced, read as block
+            // base plus offset; a block's first slice is its base.
+            for s in 0..n_slices {
                 let slice_start = raw.slice_len * s as u64;
                 assert_eq!(
-                    seg as usize,
-                    raw.seg_end.partition_point(|&e| e <= slice_start),
+                    raw.slice_segment(s),
+                    raw.seg_end.partition_point(|&e| u64::from(e) <= slice_start.as_nanos()),
                     "core {core} slice {s}"
                 );
+                if s % SLICE_BLOCK == 0 {
+                    assert_eq!(raw.slice_offset[s], 0, "core {core} slice {s}");
+                }
+            }
+            // The bound the one-byte offset rests on: a slice's segment is
+            // at most two past the previous slice's.
+            for s in 1..n_slices {
+                let step = raw.slice_segment(s) - raw.slice_segment(s - 1);
+                assert!(step <= 2, "core {core} slice {s}: {step} segments past slice {}", s - 1);
             }
             // Random access against a linear scan of segments and of the
             // allocations themselves.
@@ -484,7 +513,7 @@ proptest! {
                 if t >= len {
                     continue;
                 }
-                let scan = raw.seg_end.iter().position(|&e| e > t).unwrap();
+                let scan = (0..raw.seg_end.len()).position(|i| raw.end(i) > t).unwrap();
                 assert_eq!(cpu.segment_at(t), scan, "core {core} t {t}");
                 let owner = allocs.iter().find(|a| a.contains(t));
                 assert_eq!(cpu.slot_at(t, len).vcpu(), owner.map(|a| a.vcpu));
@@ -617,14 +646,58 @@ fn blackout_of_touching_and_table_end_pieces() {
 }
 
 #[test]
+fn allocations_a_slice_long_one_ns_apart_reach_two_segments_per_slice() {
+    // The densest a core's segments can be: every allocation exactly the
+    // slice width, every gap 1 ns, so slice after slice takes in an
+    // allocation's end and the next one's start. The index steps by two at
+    // nearly every slice, and a block's last offsets come within a couple
+    // of the 2 * 63 = 126 a byte must hold.
+    let slice = 1_000u64;
+    let n = 700u64;
+    let allocs: Vec<Allocation> = (0..n)
+        .map(|i| Allocation {
+            start: Nanos(i * (slice + 1)),
+            end: Nanos(i * (slice + 1) + slice),
+            vcpu: VcpuId((i % 7) as u32),
+        })
+        .collect();
+    let len = Nanos(n * (slice + 1));
+    let table = Table::new(len, vec![allocs.clone()]).unwrap();
+    let cpu = table.cpu(0);
+    let raw = raw_of(cpu);
+    assert_eq!(raw.slice_len, Nanos(slice));
+    assert_eq!(cpu.n_segments(), 2 * n as usize);
+    let steps: Vec<usize> = (1..cpu.n_slices())
+        .map(|s| raw.slice_segment(s) - raw.slice_segment(s - 1))
+        .collect();
+    assert_eq!(steps.iter().max(), Some(&2));
+    assert!(steps.iter().filter(|&&d| d == 2).count() * 10 >= steps.len() * 9);
+    let widest = raw.slice_offset.iter().max().copied().unwrap();
+    assert!((120..=126).contains(&widest), "widest offset {widest}");
+    // Every slice start and every segment edge answers as a scan does.
+    let edges = allocs
+        .iter()
+        .flat_map(|a| [a.start, a.end - Nanos(1), a.end]);
+    let starts = (0..cpu.n_slices() as u64).map(|s| Nanos(s * slice));
+    for t in starts.chain(edges).filter(|&t| t < len) {
+        let scan = (0..raw.seg_end.len()).position(|i| raw.end(i) > t).unwrap();
+        assert_eq!(cpu.segment_at(t), scan, "t {t}");
+        let owner = allocs.iter().find(|a| a.contains(t)).map(|a| a.vcpu);
+        assert_eq!(table.lookup(0, t).vcpu(), owner, "t {t}");
+    }
+}
+
+#[test]
 fn a_planned_table_is_resident_at_about_its_wire_size() {
     // 44 cores, 176 capped quarter-core VMs, at each latency goal. The
-    // table holds one copy of the schedule, so its heap is the wire payload
-    // give or take the record widths (12 B per segment against 20 B per
-    // allocation; idle gaps are segments too): 0.79 / 0.67 / 0.80 / 0.67 of
-    // the wire size at 1 / 2 / 3 / 4 ms. With the two 24 B-per-allocation
-    // lists it used to keep beside the arrays the same tables read
-    // 2.79 / 2.67 / 2.79 / 2.66.
+    // table holds one copy of the schedule in narrow records — 6 B per
+    // segment (a `u32` end, a `u16` id) against 20 B per allocation on the
+    // wire, idle gaps being segments too, and about 1 B per slice against
+    // 4 B — so its heap is 0.36 / 0.30 / 0.36 / 0.30 of the wire size at
+    // 1 / 2 / 3 / 4 ms. With 12 B per segment and 4 B per slice the same
+    // tables read 0.79 / 0.67 / 0.80 / 0.67; with the two 24 B-per-
+    // allocation lists once kept beside the arrays, 2.79 / 2.67 / 2.79 /
+    // 2.66.
     for goal_ms in 1..=4 {
         let spec = VcpuSpec::capped(Utilization::from_percent(25), Nanos::from_millis(goal_ms));
         let mut host = HostConfig::new(44);
@@ -634,7 +707,7 @@ fn a_planned_table_is_resident_at_about_its_wire_size() {
         let t = plan(&host, &PlannerOptions::default()).unwrap().table;
         let (resident, wire) = (t.resident_bytes(), encoded_size(&t));
         assert!(
-            resident * 4 <= wire * 5,
+            resident * 20 <= wire * 9,
             "{goal_ms} ms goal: {resident} B resident against {wire} B on the wire"
         );
     }

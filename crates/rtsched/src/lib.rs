@@ -11,8 +11,9 @@
 //!   ([`hyperperiod`]);
 //! * exact EDF schedulability analysis via the processor-demand criterion
 //!   ([`analysis`]);
-//! * per-core EDF schedule simulation ([`edf`]) and a deadline-monotonic
-//!   fixed-priority alternative for comparison ([`fp`]);
+//! * per-core EDF schedule simulation ([`edf`]; the deadline-monotonic
+//!   fixed-priority alternative it is compared with lives in the
+//!   `prop_generation` test suite);
 //! * worst-fit-decreasing partitioning ([`partition`]);
 //! * C=D semi-partitioning ([`split`]);
 //! * DP-Fair optimal cluster scheduling ([`dpfair`]);
@@ -45,7 +46,6 @@
 pub mod analysis;
 pub mod dpfair;
 pub mod edf;
-pub mod fp;
 pub mod generator;
 pub mod hyperperiod;
 mod index;
