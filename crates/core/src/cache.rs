@@ -400,10 +400,10 @@ impl SharedPlanCache {
 
     /// Stores `plan` under the key of `(host, opts)` without counting a
     /// request — the insert-without-request API for plans produced *outside*
-    /// the cache (the delta-replanning path).
+    /// the cache (a replan from a donor).
     ///
-    /// The entry is keyed by the host's **new** shape: a delta-patched table
-    /// never overwrites (or serves from) the pre-delta shape's entry, whose
+    /// The entry is keyed by the host's **new** shape: a table spliced from a
+    /// donor never overwrites (or serves from) the donor shape's entry, whose
     /// key still describes the old configuration. Inserting for a shape
     /// that already has an entry replaces that entry's plan.
     pub fn insert(&self, host: &HostConfig, opts: &PlannerOptions, plan: Arc<Plan>) {
@@ -433,6 +433,19 @@ impl SharedPlanCache {
         let fresh = Arc::new(plan(host, opts)?);
         lru.store(fp, host, opts, Arc::clone(&fresh));
         Ok(fresh)
+    }
+
+    /// Counts a miss for `(host, opts)` that the caller planned itself, as
+    /// [`SharedPlanCache::get_or_plan`] counts its own, and stores `plan`
+    /// under the key; `None` (planning failed) stores nothing. For a caller
+    /// whose planner run may also produce the plan by other means (the
+    /// fleet's replan, which offers the running plan as a donor).
+    pub fn record_miss(&self, host: &HostConfig, opts: &PlannerOptions, plan: Option<Arc<Plan>>) {
+        let mut lru = self.lock();
+        lru.misses += 1;
+        if let Some(plan) = plan {
+            lru.store(fingerprint(host, opts), host, opts, plan);
+        }
     }
 
     /// Aggregate hit/miss statistics.
@@ -693,8 +706,9 @@ mod tests {
         ));
 
         let pre = cache.get_or_plan(&before, &opts).unwrap();
-        let (patched, _) = crate::delta::plan_delta(&before, &pre, &after, &opts).unwrap();
-        let patched = Arc::new(patched);
+        let out = crate::planner::plan_with_fallback(Some((&before, &pre)), &after, &opts).unwrap();
+        assert_eq!(out.path, crate::planner::ReplanPath::Delta);
+        let patched = Arc::new(out.plan);
         cache.insert(&after, &opts, patched.clone());
 
         // The new shape resolves to the delta-patched plan...
@@ -733,6 +747,21 @@ mod tests {
         let served = cache.get_or_plan(&host(6, "other"), &opts).unwrap();
         assert!(Arc::ptr_eq(&stored, &served));
         assert_eq!(counts(&cache), (1, 0));
+    }
+
+    #[test]
+    fn a_recorded_miss_counts_once_and_stores_only_a_plan() {
+        let cache = SharedPlanCache::new(32);
+        let opts = PlannerOptions::default();
+        cache.record_miss(&host(5, "vm"), &opts, None);
+        assert_eq!((counts(&cache), cache.len()), ((0, 1), 0));
+        let stored = Arc::new(plan(&host(6, "vm"), &opts).unwrap());
+        cache.record_miss(&host(6, "vm"), &opts, Some(Arc::clone(&stored)));
+        assert_eq!((counts(&cache), cache.len()), ((0, 2), 1));
+        // The next request for the shape is a hit on the recorded plan.
+        let served = cache.get_or_plan(&host(6, "other"), &opts).unwrap();
+        assert!(Arc::ptr_eq(&stored, &served));
+        assert_eq!(counts(&cache), (1, 2));
     }
 
     #[test]

@@ -41,7 +41,6 @@
 pub mod audit;
 pub mod binary;
 pub mod cache;
-pub mod delta;
 pub mod dispatch;
 pub mod guardian;
 pub mod level2;
@@ -55,15 +54,14 @@ pub mod viz;
 pub use audit::{
     corrupt_table, corrupt_table_any, AuditViolation, CorruptionKind, TableAuditor, TableFacts,
 };
-pub use delta::{plan_delta, DeltaAbort, DeltaReport};
 pub use dispatch::{Decision, Dispatcher};
 pub use guardian::{
     CoreEvent, Guardian, GuardianConfig, GuardianCounters, RecoveryAction, RecoveryRecord,
     SlaMonitor, SlaViolation,
 };
 pub use planner::{
-    plan, plan_timed, plan_with_fallback, Plan, PlanError, PlanTimings, PlannerOptions,
-    ReplanError, ReplanOutcome, ReplanPath,
+    plan, plan_timed, plan_with_fallback, DeltaReport, Plan, PlanError, PlanTimings,
+    PlannerOptions, ReplanError, ReplanOutcome, ReplanPath,
 };
 pub use switch::{InstallError, StagedInstall, TableManager};
 pub use table::{Allocation, Slot, Table};

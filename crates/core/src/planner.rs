@@ -18,6 +18,12 @@
 //! 4. **Post-processing** — coalescing of un-enforceable slivers, then
 //!    slice-table construction (inside [`Table::new`]).
 //!
+//! On a reconfiguration the host's previous plan can be offered as a
+//! *donor* ([`plan_with_fallback`]): every core whose bin the packing
+//! reproduces is taken from it instead of being simulated, verified,
+//! coalesced and compiled again, and the plan is the one the pipeline
+//! builds without it.
+//!
 //! With the paper's running configuration — `U = 25%`, `L = 20 ms` — step 2
 //! picks `T = H/8 = 12,837,825 ns` (~13 ms) and `C ≈ 3.21 ms`, matching the
 //! parameters reported in Sec. 7.2.
@@ -103,16 +109,39 @@ pub struct Plan {
     /// Observed worst-case service gap per vCPU in the final table
     /// (cyclic), for validation against each vCPU's latency goal.
     pub worst_blackout: Vec<(VcpuId, Nanos)>,
-    /// Stage-1 packing record: the vCPUs of each *shared* core, in bin
-    /// order. Populated only for plain-partitioned, peephole-free plans —
-    /// the precondition for delta replanning ([`crate::delta`]); empty
-    /// otherwise, which sends the next replan down the ladder instead.
+    /// What a later replan needs to take this plan as its donor (see
+    /// [`plan_with_fallback`]). Recorded only for plain-partitioned,
+    /// peephole-free plans; `None` otherwise, and such a plan never
+    /// donates.
+    pub bins: Option<BinRecord>,
+}
+
+/// The record a plan keeps so that the next replan of its host can reuse
+/// its unchanged cores instead of simulating them again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BinRecord {
+    /// Stage-1 packing: the vCPUs of each *shared* core, in bin order.
     pub core_bins: Vec<Vec<VcpuId>>,
     /// Per-core coalescing reports (shared cores then dedicated cores, in
-    /// table-core order), kept so a delta replan can reproduce the
-    /// aggregate [`Plan::coalesce`] for untouched cores. Empty whenever
-    /// `core_bins` is empty.
+    /// table-core order), so a donated core contributes its share of
+    /// [`Plan::coalesce`] without coalescing again.
     pub coalesce_by_core: Vec<CoalesceReport>,
+    /// The coalescing threshold the plan was built under. A donated core is
+    /// reused when its bin's `(cost, period)` sequence and the table length
+    /// are unchanged; its EDF schedule is a function of those, and its
+    /// coalescing of those and this threshold. Every other option either
+    /// acts only outside plain partitioning or declines the donor.
+    pub coalesce_threshold: Nanos,
+}
+
+/// What a replan from a donor reused and what it rebuilt.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeltaReport {
+    /// Shared cores whose bins were unchanged, taken from the donor
+    /// (allocations, coalescing, compiled table, blackouts).
+    pub clean_cores: Vec<usize>,
+    /// Shared cores whose bins changed and were simulated again.
+    pub dirty_cores: Vec<usize>,
 }
 
 /// Wall-clock breakdown of one planning run, by pipeline stage.
@@ -191,16 +220,16 @@ impl From<GenError> for PlanError {
 /// Which rung of the replanning ladder produced a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplanPath {
-    /// Delta replanning: only the bins dirtied by the churn were
-    /// re-simulated; everything else was spliced from the previous plan.
+    /// Delta replanning: the previous plan donated its unchanged cores and
+    /// only the bins dirtied by the churn were simulated again.
     Delta,
     /// Retired, never returned: the per-core incremental planner this rung
     /// named is deleted (DESIGN.md §5.12). The variant survives only because
     /// the end-to-end benchmark matches on this enum exhaustively; delete it
     /// with the benchmark-side follow-up (ROADMAP item 4).
     Incremental,
-    /// Full from-scratch replan (no previous plan, or the delta rung
-    /// declined).
+    /// Full from-scratch replan (no previous plan, or the planner declined
+    /// it as a donor).
     Full,
     /// Full replan under conservative default options after the requested
     /// options failed.
@@ -226,8 +255,8 @@ pub struct ReplanOutcome {
     pub plan: Plan,
     /// Which ladder rung produced it.
     pub path: ReplanPath,
-    /// The delta report, when the delta rung ran to completion.
-    pub delta: Option<crate::delta::DeltaReport>,
+    /// What the donor gave, when the plan came from one.
+    pub delta: Option<DeltaReport>,
     /// Errors from rungs that were tried and failed before this one.
     pub attempts: Vec<(ReplanPath, PlanError)>,
 }
@@ -256,23 +285,27 @@ impl std::fmt::Display for ReplanError {
 
 impl std::error::Error for ReplanError {}
 
-/// Plans `host` with graceful degradation: delta replanning first (patching
-/// only the bins the churn dirtied — see [`crate::delta`]; only when a
-/// previous plan is available), then a full replan under the requested
-/// options, then — if the requested options were non-default — a full
-/// replan under conservative defaults. Only when every rung fails is the
-/// reconfiguration rejected, with the per-rung diagnostic trail.
+/// Plans `host` with graceful degradation: a plan under the requested
+/// options — taking the previous plan, when there is one, as its *donor* —
+/// then, if the requested options were non-default, a full replan under
+/// conservative defaults. Only when both fail is the reconfiguration
+/// rejected, with the per-rung diagnostic trail.
+///
+/// The donor is the host's previous plan, as the planner made it (`prev`
+/// pairs it with the configuration it was planned for; the plan's own
+/// record is all the planner reads). The planner takes from it every core
+/// whose bin is unchanged and simulates only the rest (single-VM churn
+/// dirties one bin), reporting [`ReplanPath::Delta`]; it declines a donor
+/// that is not plainly partitioned, has another core count, table length
+/// or shared-core count, was planned under another coalescing threshold,
+/// or is offered to a peephole run, and then plans in full
+/// ([`ReplanPath::Full`]). A declined donor is not an error and leaves no
+/// entry in `attempts`.
 ///
 /// Whichever rung answers, the plan equals [`plan`]`(host, opts)` (or
 /// `plan(host, defaults)` on the conservative rung) field for field: a
 /// table is a function of the request, never of the host's history, so
 /// ladder output can be cached under the `(host, opts)` key.
-///
-/// A delta abort is *not* an error: the delta rung declines whenever the
-/// previous plan used C=D splits or DP-Fair clusters, the host geometry
-/// changed, or the bin metadata is missing — those are exactly the cases the
-/// full rung exists for, so the abort falls through silently and does not
-/// appear in `attempts`.
 ///
 /// This is the planner's fault-tolerance ladder: a planner daemon facing a
 /// pathological reconfiguration (or a table push that was rolled back
@@ -289,26 +322,15 @@ pub fn plan_with_fallback(
     opts: &PlannerOptions,
 ) -> Result<ReplanOutcome, ReplanError> {
     let mut attempts: Vec<(ReplanPath, PlanError)> = Vec::new();
-
-    if let Some((prev_host, prev_plan)) = prev {
-        // Rung 0: delta. Inapplicability (split/clustered history, changed
-        // geometry, missing bin metadata) is benign — fall through silently.
-        if let Ok((plan, report)) = crate::delta::plan_delta(prev_host, prev_plan, host, opts) {
+    match pipeline(host, opts, prev.map(|(_, plan)| plan)) {
+        Ok((plan, _, delta)) => {
             return Ok(ReplanOutcome {
                 plan,
-                path: ReplanPath::Delta,
-                delta: Some(report),
-                attempts,
-            });
-        }
-    }
-
-    match plan(host, opts) {
-        Ok(plan) => {
-            return Ok(ReplanOutcome {
-                plan,
-                path: ReplanPath::Full,
-                delta: None,
+                path: match delta {
+                    Some(_) => ReplanPath::Delta,
+                    None => ReplanPath::Full,
+                },
+                delta,
                 attempts,
             })
         }
@@ -386,10 +408,8 @@ pub fn plan(host: &HostConfig, opts: &PlannerOptions) -> Result<Plan, PlanError>
     plan_timed(host, opts).map(|(p, _)| p)
 }
 
-/// SLA-translation output (planner stages 0 and 1), shared between the full
-/// pipeline and the delta planner so both derive tasks, preferences, and
-/// parameters identically.
-pub(crate) struct Translation {
+/// SLA-translation output (planner stages 0 and 1).
+struct Translation {
     /// All vCPUs of the host, in id order.
     pub vcpus: Vec<(VcpuId, VcpuSpec)>,
     /// vCPUs that received dedicated cores, in id order.
@@ -406,10 +426,7 @@ pub(crate) struct Translation {
 
 /// Planner stages 0 and 1: dedicated-core selection and SLA → `(C, T)`
 /// translation.
-pub(crate) fn translate(
-    host: &HostConfig,
-    opts: &PlannerOptions,
-) -> Result<Translation, PlanError> {
+fn translate(host: &HostConfig, opts: &PlannerOptions) -> Result<Translation, PlanError> {
     let hyperperiod = opts.candidates.hyperperiod();
     let vcpus = host.vcpus();
 
@@ -437,7 +454,9 @@ pub(crate) fn translate(
     // the owning VM's node, restricted to the shared-core range.
     let mut prefs: Vec<Vec<usize>> = Vec::new();
     let mut params: Vec<VcpuParams> = Vec::new();
-    for &(vcpu, spec) in &vcpus {
+    // The NUMA pin of each vCPU's VM, in vCPU-id order.
+    let nodes = (host.vms.iter()).flat_map(|vm| vm.vcpus.iter().map(|_| vm.numa_node));
+    for (&(vcpu, spec), node) in vcpus.iter().zip(nodes) {
         if spec.utilization.is_full_core() {
             params.push(VcpuParams {
                 vcpu,
@@ -459,15 +478,13 @@ pub(crate) fn translate(
             .min(period);
         tasks.push(PeriodicTask::implicit(TaskId(vcpu.0), cost, period));
         prefs.push(
-            host.vm_of(vcpu)
-                .and_then(|vm| host.vms[vm].numa_node)
-                .map(|node| {
-                    host.cores_of_node(node)
-                        .into_iter()
-                        .filter(|&c| c < shared_cores)
-                        .collect()
-                })
-                .unwrap_or_default(),
+            node.map(|node| {
+                host.cores_of_node(node)
+                    .into_iter()
+                    .filter(|&c| c < shared_cores)
+                    .collect()
+            })
+            .unwrap_or_default(),
         );
         params.push(VcpuParams {
             vcpu,
@@ -495,6 +512,135 @@ pub fn plan_timed(
     host: &HostConfig,
     opts: &PlannerOptions,
 ) -> Result<(Plan, PlanTimings), PlanError> {
+    pipeline(host, opts, None).map(|(plan, timings, _)| (plan, timings))
+}
+
+/// A previous plan accepted as a donor, with its per-vCPU parameters and
+/// blackouts indexed by id (ids are dense and the lookups sit on the
+/// per-allocation path).
+struct Donor<'a> {
+    plan: &'a Plan,
+    record: &'a BinRecord,
+    params: Vec<Option<(Nanos, Nanos)>>,
+    blackouts: Vec<Option<Nanos>>,
+}
+
+/// One core taken from the donor.
+struct Donated {
+    /// The donor core's coalescing report under the new ids.
+    report: CoalesceReport,
+    /// The donor core's allocations under the new ids, or `None` when no
+    /// id changed and the compiled core is kept by `Arc`.
+    relabeled: Option<Vec<Allocation>>,
+}
+
+impl<'a> Donor<'a> {
+    /// `prev` as a donor for a plan of `host` under `opts`, or `None` when
+    /// the donor rules decline it (see [`plan_with_fallback`]).
+    fn accept(
+        prev: &'a Plan,
+        host: &HostConfig,
+        opts: &PlannerOptions,
+        shared_cores: usize,
+    ) -> Option<Donor<'a>> {
+        let record = prev.bins.as_ref()?;
+        let usable = !opts.peephole
+            && prev.stage == Stage::Partitioned
+            && prev.split_vcpus.is_empty()
+            && prev.table.n_cores() == host.n_cores
+            && prev.table.len() == opts.candidates.hyperperiod()
+            && record.core_bins.len() == shared_cores
+            && record.coalesce_threshold == opts.coalesce_threshold;
+        if !usable {
+            return None;
+        }
+        let id_cap = |ids: &mut dyn Iterator<Item = VcpuId>| ids.map(|v| v.0 as usize + 1).max();
+        let mut params = vec![None; id_cap(&mut prev.params.iter().map(|p| p.vcpu)).unwrap_or(0)];
+        for p in &prev.params {
+            params[p.vcpu.0 as usize] = Some((p.cost, p.period));
+        }
+        let ids = &mut prev.worst_blackout.iter().map(|&(v, _)| v);
+        let mut blackouts = vec![None; id_cap(ids).unwrap_or(0)];
+        for &(v, b) in &prev.worst_blackout {
+            blackouts[v.0 as usize] = Some(b);
+        }
+        Some(Donor {
+            plan: prev,
+            record,
+            params,
+            blackouts,
+        })
+    }
+
+    /// Core `core` for its new `bin`, when the donor's core can stand in
+    /// for it: the bin's `(cost, period)` sequence is positionally the
+    /// donor's (EDF breaks ties by position, so the schedule is a function
+    /// of that sequence) and the donor's record of the core is complete.
+    /// The blackouts of the bin's vCPUs are then the donor's, written into
+    /// `blackout` under the new ids.
+    fn core(
+        &self,
+        core: usize,
+        bin: &[PeriodicTask],
+        blackout: &mut [Option<Nanos>],
+    ) -> Option<Donated> {
+        let prev_bin = &self.record.core_bins[core];
+        let clean = bin.len() == prev_bin.len()
+            && bin.iter().zip(prev_bin).all(|(t, v)| {
+                self.params.get(v.0 as usize).copied().flatten() == Some((t.cost, t.period))
+            });
+        if !clean {
+            return None;
+        }
+        // A bin holds a handful of vCPUs: the id substitution is a scan of
+        // the pairs, not a map.
+        let subst = |v: VcpuId| {
+            let at = prev_bin.iter().position(|&pv| pv == v)?;
+            Some(VcpuId(bin[at].id.0))
+        };
+        let report = self.record.coalesce_by_core.get(core)?.relabel(subst)?;
+        let prev_blackout = |v: &VcpuId| self.blackouts.get(v.0 as usize).copied().flatten();
+        if !prev_bin.iter().all(|v| prev_blackout(v).is_some()) {
+            return None;
+        }
+        // Every clean bin of a join or a leave-of-last keeps its ids (ids
+        // below the churned VM never shift); a leave in the middle of the
+        // host moves every later id down.
+        let relabeled = if bin.iter().zip(prev_bin).all(|(t, v)| t.id.0 == v.0) {
+            None
+        } else {
+            let allocs = self.plan.table.cpu(core).allocations();
+            let relabel = |a: Allocation| {
+                Some(Allocation {
+                    vcpu: subst(a.vcpu)?,
+                    ..a
+                })
+            };
+            Some(allocs.map(relabel).collect::<Option<_>>()?)
+        };
+        for (v, t) in prev_bin.iter().zip(bin) {
+            blackout[t.id.0 as usize] = prev_blackout(v);
+        }
+        Some(Donated { report, relabeled })
+    }
+}
+
+/// The planner: translate → admission → pack → each core's source → verify
+/// → coalesce → table → blackouts, returning the plan, its timings and —
+/// when `donor` was accepted and used — what it gave.
+///
+/// A core's source is one of: the donor's core (kept by `Arc`, or
+/// relabelled), a stamp of a representative core with the same bin shape,
+/// or a fresh simulation. Everything taken from the donor or a stamp is
+/// what a fresh build would produce, so the plan is the same with or
+/// without a donor; a donor only keeps the work O(dirty bins): clean cores
+/// are neither simulated, verified, coalesced, compiled nor measured for
+/// blackouts again.
+fn pipeline(
+    host: &HostConfig,
+    opts: &PlannerOptions,
+    donor: Option<&Plan>,
+) -> Result<(Plan, PlanTimings, Option<DeltaReport>), PlanError> {
     let t_total = Instant::now();
     let mut timings = PlanTimings::default();
     let t0 = Instant::now();
@@ -507,15 +653,31 @@ pub fn plan_timed(
         prefs,
         params,
     } = translate(host, opts)?;
-
+    let donor = donor.and_then(|prev| Donor::accept(prev, host, opts, shared_cores));
     timings.pack += t0.elapsed();
 
-    // Stage 2: three-stage table generation (admission happens inside).
-    let outcome =
-        generate_schedule_instrumented(&tasks, shared_cores, hyperperiod, &opts.gen, &prefs)?;
+    // Stage 2: three-stage table generation (admission happens inside). A
+    // stage-1 core the donor can stand in for is left to it; `donated` is
+    // filled only when stage 1 packed, i.e. when the donor is used. vCPU
+    // ids are positional: `vcpus` holds every id below its length.
+    let mut donated: Vec<Option<Donated>> = Vec::with_capacity(shared_cores);
+    let mut donated_blackout: Vec<Option<Nanos>> = vec![None; vcpus.len()];
+    let outcome = generate_schedule_instrumented(
+        &tasks,
+        shared_cores,
+        hyperperiod,
+        &opts.gen,
+        &prefs,
+        |core, bin| {
+            let d = (donor.as_ref()).and_then(|d| d.core(core, bin, &mut donated_blackout));
+            let kept = d.is_some();
+            donated.push(d);
+            kept
+        },
+    )?;
+    let donor = donor.filter(|_| !donated.is_empty());
     let mut generated = outcome.generated;
     let mut sharing = outcome.sharing;
-    let gen_core_bins = outcome.core_bins;
     timings.pack += outcome.timings.pack;
     timings.simulate += outcome.timings.simulate;
     timings.verify += outcome.timings.verify;
@@ -523,7 +685,8 @@ pub fn plan_timed(
     let t0 = Instant::now();
     // Optional peephole pass: merge needlessly sliced allocations where the
     // verifier confirms every guarantee survives. It mutates schedules in
-    // place, so any sharing record is stale afterwards and is dropped.
+    // place, so any sharing record is stale afterwards and is dropped. It
+    // never runs with a donor (the donor rules decline one).
     if opts.peephole {
         rtsched::peephole::peephole(&tasks, &mut generated.schedule);
         sharing = CoreSharing::none(shared_cores);
@@ -537,9 +700,11 @@ pub fn plan_timed(
     // vCPU ids) reuse their representative's result under the id
     // substitution — coalescing decisions depend only on interval geometry
     // and the may-extend predicate, both of which the stamp preserves
-    // (stamped cores carry only whole, unsplit vCPUs).
+    // (stamped cores carry only whole, unsplit vCPUs). A donated core
+    // brings its report and, if its ids moved, its relabelled allocations;
+    // `None` allocations mean the donor's compiled core is kept as is.
     let split: Vec<VcpuId> = generated.split_tasks.iter().map(|t| VcpuId(t.0)).collect();
-    let coalesce_core = |core: usize| -> (Vec<Allocation>, CoalesceReport) {
+    let coalesce_core = |core: usize| -> (Option<Vec<Allocation>>, CoalesceReport) {
         let mut allocs: Vec<Allocation> = generated.schedule.cores[core]
             .segments()
             .iter()
@@ -552,76 +717,99 @@ pub fn plan_timed(
         let report = coalesce_with(&mut allocs, opts.coalesce_threshold, |v| {
             !split.contains(&v)
         });
-        (allocs, report)
+        (Some(allocs), report)
     };
-    let mut coalesced: Vec<(Vec<Allocation>, CoalesceReport)> = Vec::with_capacity(shared_cores);
+    let mut cores: Vec<(Option<Vec<Allocation>>, CoalesceReport)> =
+        Vec::with_capacity(host.n_cores);
+    let mut clean = vec![false; host.n_cores];
     // `table_stamps[core] = Some(rep)` once the remap checked out, so the
     // slice-table build below can reuse the representative's CpuTable too.
     let mut table_stamps: Vec<Option<usize>> = vec![None; host.n_cores];
-    for (core, table_stamp) in table_stamps.iter_mut().enumerate().take(shared_cores) {
+    for core in 0..shared_cores {
+        if let Some(d) = donated.get_mut(core).and_then(Option::take) {
+            clean[core] = true;
+            cores.push((d.relabeled, d.report));
+            continue;
+        }
         let Some(stamp) = sharing.stamp_of(core) else {
-            coalesced.push(coalesce_core(core));
+            cores.push(coalesce_core(core));
             continue;
         };
-        let remapped = (stamp.rep < core).then(|| &coalesced[stamp.rep]).and_then(
-            |(rep_allocs, rep_report)| {
-                // One pair per task of the bin — a handful: the id
-                // substitution is a scan of the pairs, not a map.
-                let subst = |v: VcpuId| {
-                    let (_, to) = stamp.map.iter().find(|(rep_id, _)| rep_id.0 == v.0)?;
-                    Some(VcpuId(to.0))
-                };
-                let allocs: Vec<Allocation> = rep_allocs
-                    .iter()
-                    .map(|a| {
-                        Some(Allocation {
-                            vcpu: subst(a.vcpu)?,
-                            ..*a
-                        })
+        let rep = (stamp.rep < core).then(|| &cores[stamp.rep]);
+        let remapped = rep.and_then(|(rep_allocs, rep_report)| {
+            // One pair per task of the bin — a handful: the id
+            // substitution is a scan of the pairs, not a map.
+            let subst = |v: VcpuId| {
+                let (_, to) = stamp.map.iter().find(|(rep_id, _)| rep_id.0 == v.0)?;
+                Some(VcpuId(to.0))
+            };
+            let allocs: Vec<Allocation> = (rep_allocs.as_ref()?.iter())
+                .map(|a| {
+                    Some(Allocation {
+                        vcpu: subst(a.vcpu)?,
+                        ..*a
                     })
-                    .collect::<Option<_>>()?;
-                let report = rep_report.relabel(subst)?;
-                Some((allocs, report))
-            },
-        );
+                })
+                .collect::<Option<_>>()?;
+            let report = rep_report.relabel(subst)?;
+            Some((Some(allocs), report))
+        });
         match remapped {
             Some(done) => {
-                *table_stamp = Some(stamp.rep);
-                coalesced.push(done);
+                table_stamps[core] = Some(stamp.rep);
+                cores.push(done);
             }
             // Inconsistent stamp (never expected): coalesce directly.
-            None => coalesced.push(coalesce_core(core)),
+            None => cores.push(coalesce_core(core)),
         }
-    }
-    let mut per_core: Vec<Vec<Allocation>> = Vec::with_capacity(host.n_cores);
-    let mut coalesce_report = CoalesceReport::default();
-    let mut coalesce_by_core: Vec<CoalesceReport> = Vec::with_capacity(host.n_cores);
-    for (allocs, report) in coalesced {
-        coalesce_report.absorb(report.clone());
-        coalesce_by_core.push(report);
-        per_core.push(allocs);
     }
     // Dedicated cores: one wall-to-wall allocation each.
     for &vcpu in &dedicated {
-        per_core.push(vec![Allocation {
+        let wall = Allocation {
             start: Nanos::ZERO,
             end: hyperperiod,
             vcpu,
-        }]);
-        coalesce_by_core.push(CoalesceReport::default());
+        };
+        cores.push((Some(vec![wall]), CoalesceReport::default()));
+    }
+    let mut coalesce = CoalesceReport::default();
+    let mut per_core: Vec<Option<Vec<Allocation>>> = Vec::with_capacity(host.n_cores);
+    let mut coalesce_by_core: Vec<CoalesceReport> = Vec::with_capacity(host.n_cores);
+    for (allocs, report) in cores {
+        coalesce.absorb(&report);
+        coalesce_by_core.push(report);
+        per_core.push(allocs);
     }
     timings.coalesce += t0.elapsed();
 
+    // The donor's table is patched where this plan differs from it;
+    // without a donor every core is compiled, stamps re-used.
     let t0 = Instant::now();
-    let table =
-        Table::new_with_stamps(hyperperiod, per_core, &table_stamps).map_err(PlanError::Table)?;
+    let table = match &donor {
+        Some(d) => {
+            let updates = (per_core.into_iter().enumerate())
+                .filter_map(|(core, allocs)| Some((core, allocs?)))
+                .collect();
+            Table::patched_from(&d.plan.table, updates)
+        }
+        None => {
+            let per_core = per_core.into_iter().flatten().collect();
+            Table::new_with_stamps(hyperperiod, per_core, &table_stamps)
+        }
+    }
+    .map_err(PlanError::Table)?;
     timings.slice_build += t0.elapsed();
 
     let t0 = Instant::now();
     // Observed worst-case blackout per vCPU, for latency-goal validation:
-    // one pass over each core's allocations answers every vCPU.
-    let blackouts = table.max_blackouts(0..host.n_cores);
-    let blackout_of = |v: VcpuId| blackouts.get(v.0 as usize).copied();
+    // one pass over each core's allocations answers its vCPUs; a donated
+    // core's vCPUs keep the donor's bound (their interval sets are the
+    // donor's up to the relabelling).
+    let blackouts = table.max_blackouts((0..host.n_cores).filter(|&c| !clean[c]));
+    let blackout_of = |v: VcpuId| {
+        let donated = donated_blackout.get(v.0 as usize).copied().flatten();
+        donated.or_else(|| blackouts.get(v.0 as usize).copied())
+    };
     let worst_blackout: Vec<(VcpuId, Nanos)> = vcpus
         .iter()
         .map(|&(vcpu, _)| (vcpu, blackout_of(vcpu).unwrap_or(hyperperiod)))
@@ -629,36 +817,37 @@ pub fn plan_timed(
     timings.verify += t0.elapsed();
     timings.total = t_total.elapsed();
 
-    // Delta-replanning metadata: the stage-1 packing record, translated to
-    // vCPU ids, plus the per-core coalescing reports. Only plain-partitioned
+    // The donor record: the stage-1 packing translated to vCPU ids, plus
+    // the per-core coalescing reports. Only plain-partitioned
     // peephole-free plans qualify (the peephole pass rewrites allocations
     // out from under the per-bin bookkeeping).
-    let core_bins: Vec<Vec<VcpuId>> = if opts.peephole || generated.stage != Stage::Partitioned {
-        Vec::new()
-    } else {
-        gen_core_bins
-            .into_iter()
+    let bins = (!opts.peephole && generated.stage == Stage::Partitioned).then(|| BinRecord {
+        core_bins: (outcome.core_bins.into_iter())
             .map(|bin| bin.into_iter().map(|t| VcpuId(t.0)).collect())
-            .collect()
-    };
-    let coalesce_by_core = if core_bins.is_empty() {
-        Vec::new()
-    } else {
-        coalesce_by_core
-    };
+            .collect(),
+        coalesce_by_core,
+        coalesce_threshold: opts.coalesce_threshold,
+    });
+    let delta = donor.map(|_| {
+        let (clean_cores, dirty_cores) = (0..shared_cores).partition(|&c| clean[c]);
+        DeltaReport {
+            clean_cores,
+            dirty_cores,
+        }
+    });
 
     Ok((
         Plan {
             table,
             stage: generated.stage,
             params,
-            split_vcpus: generated.split_tasks.iter().map(|t| VcpuId(t.0)).collect(),
-            coalesce: coalesce_report,
+            split_vcpus: split,
+            coalesce,
             worst_blackout,
-            core_bins,
-            coalesce_by_core,
+            bins,
         },
         timings,
+        delta,
     ))
 }
 
@@ -911,10 +1100,9 @@ mod tests {
             prev_host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, paper_spec()));
         }
         let mut prev = plan(&prev_host, &opts).unwrap();
-        // Strip the bin metadata: the delta rung must decline, silently,
-        // and the full rung answer with bin metadata the next delta can use.
-        prev.core_bins.clear();
-        prev.coalesce_by_core.clear();
+        // Strip the bin record: the donor must be declined, silently, and
+        // the full plan carry a record the next replan can use.
+        prev.bins = None;
         let mut host = prev_host.clone();
         host.add_vm(VmSpec::uniform("newcomer", 1, paper_spec()));
 
@@ -922,7 +1110,7 @@ mod tests {
         assert_eq!(out.path, ReplanPath::Full);
         assert!(out.attempts.is_empty() && out.delta.is_none());
         assert_eq!(out.plan, plan(&host, &opts).unwrap());
-        assert!(!out.plan.core_bins.is_empty());
+        assert!(out.plan.bins.is_some());
     }
 
     #[test]
@@ -969,6 +1157,271 @@ mod tests {
         assert!(!msg.contains('\n'), "multi-line diagnostic: {msg:?}");
         assert!(msg.contains("[full]"), "{msg}");
         assert!(msg.contains("full-conservative"), "{msg}");
+    }
+
+    /// Replans `host` with `prev` as the donor under default options and
+    /// checks the result is the full plan of `host`.
+    fn replan_from(prev_host: &HostConfig, prev: &Plan, host: &HostConfig) -> ReplanOutcome {
+        let opts = PlannerOptions::default();
+        let out = plan_with_fallback(Some((prev_host, prev)), host, &opts).unwrap();
+        assert_eq!(out.plan, plan(host, &opts).unwrap());
+        out
+    }
+
+    /// The bench-snapshot shape: 44 cores, `vms` paper VMs under the
+    /// punishing 1 ms goal.
+    fn paper_host_1ms(vms: usize) -> HostConfig {
+        let spec = VcpuSpec::capped(Utilization::from_percent(25), ms(1));
+        let mut host = HostConfig::new(44);
+        for i in 0..vms {
+            host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+        }
+        host
+    }
+
+    #[test]
+    fn paper_scale_add_dirties_one_bin_and_matches_full_replan() {
+        // A single join must dirty exactly one bin and keep the other 43
+        // cores' ids, and the plan is still field-identical to the full
+        // replan.
+        let (prev_host, host) = (paper_host_1ms(175), paper_host_1ms(176));
+        let prev = plan(&prev_host, &PlannerOptions::default()).unwrap();
+        let out = replan_from(&prev_host, &prev, &host);
+        assert_eq!(out.path, ReplanPath::Delta);
+        let report = out.delta.unwrap();
+        assert_eq!(report.dirty_cores.len(), 1, "{report:?}");
+        assert_eq!(report.clean_cores.len(), 43, "{report:?}");
+    }
+
+    #[test]
+    fn a_spliced_table_owns_only_its_dirty_cores() {
+        // The same join: the new table points at the donor table's 43
+        // clean cores and owns the one it rebuilt, so a chain of deltas
+        // costs O(dirty cores) of memory per link, not a table.
+        let (prev_host, host) = (paper_host_1ms(175), paper_host_1ms(176));
+        let prev = plan(&prev_host, &PlannerOptions::default()).unwrap();
+        let out = replan_from(&prev_host, &prev, &host);
+        let (old, new) = (&prev.table, &out.plan.table);
+        let shared = |c: &usize| std::ptr::eq(old.cpu(*c), new.cpu(*c));
+        let rebuilt: Vec<usize> = (0..44).filter(|c| !shared(c)).collect();
+        assert_eq!(rebuilt, out.delta.unwrap().dirty_cores);
+        let held: usize = (0..44)
+            .filter(shared)
+            .map(|c| new.cpu(c).heap_bytes())
+            .sum();
+        let own = new.resident_bytes() - held;
+        assert!(
+            own * 10 <= new.resident_bytes(),
+            "{own} B of {} B are the splice's own",
+            new.resident_bytes()
+        );
+    }
+
+    #[test]
+    fn mid_host_remove_relabels_and_matches_full_replan() {
+        // Tearing down a VM in the middle of the host shifts every later
+        // vCPU id down by one. Here core 1 holds v2 and v3 (30 % each)
+        // before and v1 and v2 after v1 (5 %, on core 0) leaves: it is
+        // clean, relabelled rather than kept, and the plan is still the
+        // full one.
+        let build = |utils: &[u32]| {
+            let mut host = HostConfig::new(2);
+            for (i, &u) in utils.iter().enumerate() {
+                let spec = VcpuSpec::new(Utilization::from_percent(u), ms(20));
+                host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+            }
+            host
+        };
+        let (prev_host, host) = (build(&[40, 5, 30, 30]), build(&[40, 30, 30]));
+        let prev = plan(&prev_host, &PlannerOptions::default()).unwrap();
+        let out = replan_from(&prev_host, &prev, &host);
+        assert_eq!(out.path, ReplanPath::Delta);
+        let report = out.delta.unwrap();
+        assert_eq!((report.clean_cores, report.dirty_cores), (vec![1], vec![0]));
+        assert!(!std::ptr::eq(prev.table.cpu(1), out.plan.table.cpu(1)));
+    }
+
+    #[test]
+    fn single_vm_remove_is_field_identical_to_full_replan() {
+        // Tearing down the last VM shifts no id: only its bin is rebuilt,
+        // and every clean core is the donor's compiled core, by `Arc`.
+        let prev_host = dense_host(4, 3, paper_spec());
+        let prev = plan(&prev_host, &PlannerOptions::default()).unwrap();
+        let mut host = prev_host.clone();
+        host.vms.pop();
+        let out = replan_from(&prev_host, &prev, &host);
+        let report = out.delta.unwrap();
+        assert_eq!(report.dirty_cores.len(), 1, "{report:?}");
+        for &c in &report.clean_cores {
+            assert!(std::ptr::eq(prev.table.cpu(c), out.plan.table.cpu(c)));
+        }
+    }
+
+    #[test]
+    fn deltas_chain_without_ladder_roundtrips() {
+        // Joins from an empty host, then leaves of the last VM: every link
+        // takes the previous link's plan as its donor.
+        let mut host = HostConfig::new(4);
+        let mut current = plan(&host, &PlannerOptions::default()).unwrap();
+        let shapes = (1..=14).chain((10..14).rev());
+        for n in shapes {
+            let mut next = HostConfig::new(4);
+            for i in 0..n {
+                next.add_vm(VmSpec::uniform(format!("vm{i}"), 1, paper_spec()));
+            }
+            let out = replan_from(&host, &current, &next);
+            assert_eq!(out.path, ReplanPath::Delta, "{n} VMs");
+            (host, current) = (next, out.plan);
+        }
+    }
+
+    #[test]
+    fn single_vm_add_is_field_identical_to_full_replan() {
+        // A join on a 4-core host: every core is either kept or rebuilt,
+        // and some are kept.
+        let prev_host = dense_host(4, 3, paper_spec());
+        let prev = plan(&prev_host, &PlannerOptions::default()).unwrap();
+        let mut host = prev_host.clone();
+        host.add_vm(VmSpec::uniform("newcomer", 1, paper_spec()));
+        let out = replan_from(&prev_host, &prev, &host);
+        assert_eq!(out.path, ReplanPath::Delta);
+        let report = out.delta.unwrap();
+        assert!(!report.clean_cores.is_empty(), "{report:?}");
+        let mut cores = [report.clean_cores, report.dirty_cores].concat();
+        cores.sort_unstable();
+        assert_eq!(cores, (0..4).collect::<Vec<_>>());
+    }
+
+    /// The donor host of the decline tests: 4 cores, 8 paper VMs.
+    fn decline_donor() -> (HostConfig, Plan) {
+        let prev_host = dense_host(4, 2, paper_spec());
+        let prev = plan(&prev_host, &PlannerOptions::default()).unwrap();
+        (prev_host, prev)
+    }
+
+    /// `prev_host` plus one paper VM.
+    fn with_newcomer(prev_host: &HostConfig) -> HostConfig {
+        let mut host = prev_host.clone();
+        host.add_vm(VmSpec::uniform("newcomer", 1, paper_spec()));
+        host
+    }
+
+    /// Replans `host` with `prev` as the donor and checks the donor was
+    /// declined: the full rung answers, with the full plan of `host`.
+    fn assert_declined(
+        prev_host: &HostConfig,
+        prev: &Plan,
+        host: &HostConfig,
+        opts: &PlannerOptions,
+    ) {
+        let out = plan_with_fallback(Some((prev_host, prev)), host, opts).unwrap();
+        assert_eq!(out.path, ReplanPath::Full);
+        assert!(out.delta.is_none() && out.attempts.is_empty());
+        assert_eq!(out.plan, plan(host, opts).unwrap());
+    }
+
+    #[test]
+    fn geometry_change_declines_the_donor() {
+        let (prev_host, prev) = decline_donor();
+        let host = dense_host(8, 2, paper_spec());
+        assert_declined(&prev_host, &prev, &host, &PlannerOptions::default());
+    }
+
+    #[test]
+    fn missing_bin_record_declines_the_donor() {
+        let (prev_host, mut prev) = decline_donor();
+        prev.bins = None;
+        let host = with_newcomer(&prev_host);
+        assert_declined(&prev_host, &prev, &host, &PlannerOptions::default());
+    }
+
+    #[test]
+    fn peephole_options_decline_the_donor() {
+        let (prev_host, prev) = decline_donor();
+        let peephole = PlannerOptions {
+            peephole: true,
+            ..PlannerOptions::default()
+        };
+        assert_declined(&prev_host, &prev, &with_newcomer(&prev_host), &peephole);
+    }
+
+    #[test]
+    fn another_threshold_declines_the_donor() {
+        let (prev_host, prev) = decline_donor();
+        let coarse = PlannerOptions {
+            coalesce_threshold: Nanos::from_micros(500),
+            ..PlannerOptions::default()
+        };
+        assert_declined(&prev_host, &prev, &with_newcomer(&prev_host), &coarse);
+    }
+
+    #[test]
+    fn another_shared_core_count_declines_the_donor() {
+        // A dedicated vCPU arrives: the donor's bin record covers 4 shared
+        // cores, the request has 3.
+        let (prev_host, prev) = decline_donor();
+        let mut host = with_newcomer(&prev_host);
+        host.add_vm(VmSpec::uniform(
+            "whole",
+            1,
+            VcpuSpec::new(Utilization::FULL, ms(20)),
+        ));
+        assert_declined(&prev_host, &prev, &host, &PlannerOptions::default());
+    }
+
+    #[test]
+    fn over_utilized_request_with_a_donor_fails_cleanly() {
+        // The donor is accepted, and the request fails admission exactly as
+        // a plan without one does.
+        let opts = PlannerOptions::default();
+        let prev_host = dense_host(1, 4, paper_spec());
+        let prev = plan(&prev_host, &opts).unwrap();
+        let host = dense_host(1, 5, paper_spec());
+        let err = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts).unwrap_err();
+        assert_eq!(err.attempts.len(), 1, "{err}");
+        assert_eq!(err.attempts[0].0, ReplanPath::Full);
+        assert_eq!(err.attempts[0].1, plan(&host, &opts).unwrap_err());
+    }
+
+    #[test]
+    fn a_conservative_plan_never_donates_under_other_options() {
+        // Host A plans only on the conservative rung (default options); a
+        // donor planned under those must not stand in for a plan under the
+        // requested 500 us threshold, whose coalescing differs.
+        let opts = PlannerOptions {
+            coalesce_threshold: Nanos::from_micros(500),
+            ..PlannerOptions::default()
+        };
+        let vms = [
+            (20, 40, true),
+            (10, 20, true),
+            (25, 3, true),
+            (25, 10, true),
+            (30, 1, false),
+            (25, 20, false),
+        ];
+        let build = |skip: Option<usize>| {
+            let mut host = HostConfig::new(2);
+            for (i, &(u, l, capped)) in vms.iter().enumerate() {
+                if Some(i) == skip {
+                    continue;
+                }
+                let (u, l) = (Utilization::from_percent(u), ms(l));
+                let spec = if capped {
+                    VcpuSpec::capped(u, l)
+                } else {
+                    VcpuSpec::new(u, l)
+                };
+                host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
+            }
+            host
+        };
+        let (a, b) = (build(None), build(Some(4)));
+        let out_a = plan_with_fallback(None, &a, &opts).unwrap();
+        assert_eq!(out_a.path, ReplanPath::FullConservative);
+        let out_b = plan_with_fallback(Some((&a, &out_a.plan)), &b, &opts).unwrap();
+        assert_eq!(out_b.path, ReplanPath::Full);
+        assert_eq!(out_b.plan, plan(&b, &opts).unwrap());
     }
 
     #[test]

@@ -49,8 +49,8 @@ impl CoalesceReport {
     }
 
     /// Merges another report into this one.
-    pub fn absorb(&mut self, other: CoalesceReport) {
-        for (v, t) in other.lost {
+    pub fn absorb(&mut self, other: &CoalesceReport) {
+        for &(v, t) in &other.lost {
             self.record_loss(v, t);
         }
         self.removed += other.removed;
@@ -314,7 +314,7 @@ mod tests {
         r2.record_loss(VcpuId(0), us(3));
         r2.record_loss(VcpuId(1), us(2));
         r2.removed = 2;
-        r1.absorb(r2);
+        r1.absorb(&r2);
         assert_eq!(r1.total_lost(), us(10));
         assert_eq!(r1.lost.len(), 2);
         assert_eq!(r1.removed, 2);

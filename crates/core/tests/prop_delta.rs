@@ -1,19 +1,20 @@
-//! Property-based tests for delta replanning.
+//! Property-based tests for delta replanning: a replan that takes the
+//! host's previous plan as its donor.
 //!
-//! The contract: a delta-spliced plan must be **field-identical** to a full
-//! from-scratch replan of the same host — same table, same blackouts, same
-//! coalesce bookkeeping — because the splice reuses prior per-bin results
+//! The contract: a plan built from a donor must be **field-identical** to a
+//! full from-scratch plan of the same host — same table, same blackouts,
+//! same coalesce bookkeeping — because the planner reuses a donor's cores
 //! only where the packing provably reproduces them. Random fleets are
 //! planned, hit with a random single-VM churn event (join, leave-of-last,
 //! mid-host leave, resize), and replanned both ways. The same holds for the
-//! whole fallback ladder, whichever rung answers: its output is a function
-//! of the request, never of the plan the host ran before.
+//! whole fallback ladder, whichever rung answers, under default and
+//! non-default options alike: its output is a function of the request,
+//! never of the plan the host ran before.
 
 use proptest::prelude::*;
 
 use rtsched::generator::Stage;
 use rtsched::time::Nanos;
-use tableau_core::delta::plan_delta;
 use tableau_core::planner::{plan, plan_with_fallback, PlannerOptions, ReplanPath};
 use tableau_core::postprocess::DEFAULT_THRESHOLD;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
@@ -71,23 +72,24 @@ fn arb_fleet_of(utils: &'static [u32]) -> impl Strategy<Value = FleetDesc> {
 }
 
 /// Small VMs only: worst-fit places every one whole, so the previous plan
-/// is plainly partitioned and the delta rung applies.
+/// is plainly partitioned and donates.
 fn arb_fleet() -> impl Strategy<Value = FleetDesc> {
     arb_fleet_of(&[10, 20, 25])
 }
 
 /// Half the draws are 60% VMs, and two of those never share a core: a
 /// fleet such as 3 × 60% on 2 cores plans only with a C=D split or a
-/// DP-Fair cluster, where the delta rung declines on the previous plan's
-/// history alone. Fleets that drew few of them stay plainly partitioned.
+/// DP-Fair cluster, where the planner declines the previous plan as a
+/// donor on its history alone. Fleets that drew few of them stay plainly
+/// partitioned.
 fn arb_heavy_fleet() -> impl Strategy<Value = FleetDesc> {
     arb_fleet_of(&[10, 25, 60, 60])
 }
 
-/// The four single-VM churn shapes the delta planner handles. Joins and
-/// leave-of-last keep surviving vCPU ids verbatim (id-stable splice);
-/// a mid-host leave shifts later ids down (relabel splice); a resize
-/// changes one VM's (cost, period) tuple in place.
+/// The four single-VM churn shapes a donor serves. Joins and leave-of-last
+/// keep surviving vCPU ids verbatim (id-stable splice); a mid-host leave
+/// shifts later ids down (relabel splice); a resize changes one VM's
+/// (cost, period) tuple in place.
 #[derive(Debug, Clone, Copy)]
 enum Churn {
     Join,
@@ -96,40 +98,30 @@ enum Churn {
     Resize,
 }
 
-fn churned_host(cores: usize, vms: &[(u32, u64, bool)], churn: Churn, pick: usize) -> HostConfig {
-    let mut host = HostConfig::new(cores);
+fn churned_vms(vms: &[(u32, u64, bool)], churn: Churn, pick: usize) -> Vec<(u32, u64, bool)> {
+    let mut vms = vms.to_vec();
     match churn {
-        Churn::Join => {
-            for (i, &vm) in vms.iter().enumerate() {
-                add_vm(&mut host, i, vm);
-            }
-            add_vm(&mut host, vms.len(), (10, 20, false));
-        }
+        Churn::Join => vms.push((10, 20, false)),
         Churn::LeaveLast => {
-            for (i, &vm) in vms[..vms.len() - 1].iter().enumerate() {
-                add_vm(&mut host, i, vm);
-            }
+            vms.pop();
         }
+        // Pick strictly interior so ids after it genuinely shift.
         Churn::LeaveMid => {
-            // Pick strictly interior so ids after it genuinely shift.
             let gone = pick % (vms.len() - 1);
-            for (i, &vm) in vms.iter().enumerate() {
-                if i != gone {
-                    add_vm(&mut host, i, vm);
-                }
-            }
+            vms.remove(gone);
         }
+        // Shrink one VM to 5% (always admissible) — same id set, one
+        // changed (cost, period) tuple.
         Churn::Resize => {
-            // Shrink one VM to 5% (always admissible) — same id set, one
-            // changed (cost, period) tuple.
             let resized = pick % vms.len();
-            for (i, &(u, l, capped)) in vms.iter().enumerate() {
-                let u = if i == resized { 5 } else { u };
-                add_vm(&mut host, i, (u, l, capped));
-            }
+            vms[resized].0 = 5;
         }
     }
-    host
+    vms
+}
+
+fn churned_host(cores: usize, vms: &[(u32, u64, bool)], churn: Churn, pick: usize) -> HostConfig {
+    build_host(cores, &churned_vms(vms, churn, pick))
 }
 
 fn arb_churn() -> impl Strategy<Value = Churn> {
@@ -144,9 +136,9 @@ fn arb_churn() -> impl Strategy<Value = Churn> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Delta-spliced and full-replan plans are field-identical over any
-    /// single-VM churn event, on both splice paths; when the delta rung
-    /// declines, the fallback ladder still plans the host.
+    /// Plans from a donor and full plans are field-identical over any
+    /// single-VM churn event, on both splice paths (kept and relabelled
+    /// cores), and a plainly partitioned donor is always used.
     #[test]
     fn delta_is_field_identical_to_full_replan(
         (cores, vms) in arb_fleet(),
@@ -159,11 +151,14 @@ proptest! {
         let host = churned_host(cores, &vms, churn, pick);
         let full = plan(&host, &opts).expect("churned fleet plans fully");
 
-        match plan_delta(&prev_host, &prev, &host, &opts) {
-            Ok((delta, report)) => {
+        let out = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts)
+            .expect("ladder plans an admissible reconfiguration");
+        match out.delta {
+            Some(report) => {
+                prop_assert_eq!(out.path, ReplanPath::Delta);
                 prop_assert_eq!(
-                    &delta, &full,
-                    "{:?}: delta-spliced plan diverged from the full replan \
+                    &out.plan, &full,
+                    "{:?}: the plan from a donor diverged from the full replan \
                      (report {:?})", churn, report
                 );
                 // Bookkeeping: every shared core is either clean or dirty,
@@ -181,16 +176,59 @@ proptest! {
                 seen.dedup();
                 prop_assert_eq!(seen.len(), shared, "core both clean and dirty: {:?}", report);
             }
-            Err(abort) => {
-                // The rung declined (split/clustered history or geometry);
-                // the ladder below it must still produce a plan.
-                let out = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts)
-                    .expect("ladder plans an admissible reconfiguration");
-                prop_assert!(
-                    !matches!(out.path, ReplanPath::Delta),
-                    "delta aborted ({abort:?}) yet the ladder reports the delta rung"
-                );
+            None => {
+                // Only a donor that is not plainly partitioned is declined
+                // here; the full plan answers for it.
+                prop_assert_eq!(out.path, ReplanPath::Full);
+                prop_assert_eq!(&out.plan, &full);
+                prop_assert!(prev.stage != Stage::Partitioned || !prev.split_vcpus.is_empty());
             }
+        }
+    }
+
+    /// A chain of churn events under a non-default coalescing threshold,
+    /// each replan taking the previous answer as its donor — whether the
+    /// requested options or the conservative defaults produced it. Each
+    /// answer is the full plan of its request under the options its rung
+    /// names, and a plan made under the defaults never donates to a
+    /// request under the threshold.
+    #[test]
+    fn non_default_options_chain_matches_full_replans(
+        (cores, vms) in arb_fleet_of(&[5, 10, 20, 25, 30]),
+        threshold_us in (0usize..4).prop_map(|i| [400u64, 800, 1200, 1600][i]),
+        steps in proptest::collection::vec((arb_churn(), 0usize..16), 1..6),
+    ) {
+        let opts = PlannerOptions {
+            coalesce_threshold: Nanos::from_micros(threshold_us),
+            ..PlannerOptions::default()
+        };
+        let defaults = PlannerOptions::default();
+        let mut vms = vms;
+        let mut host = build_host(cores, &vms);
+        let mut current = plan_with_fallback(None, &host, &opts)
+            .expect("ladder plans an admissible fleet");
+        for (churn, pick) in steps {
+            if vms.len() < 3 && matches!(churn, Churn::LeaveLast | Churn::LeaveMid) {
+                continue;
+            }
+            let next = churned_host(cores, &vms, churn, pick);
+            let Ok(out) = plan_with_fallback(Some((&host, &current.plan)), &next, &opts) else {
+                continue;
+            };
+            let under = match out.path {
+                ReplanPath::FullConservative => &defaults,
+                _ => &opts,
+            };
+            prop_assert!(
+                out.plan == plan(&next, under).expect("the answering rung's options plan"),
+                "{:?} (pick {}) on {} cores x {:?}: the {} rung's plan depends on the donor",
+                churn, pick, cores, vms, out.path.label()
+            );
+            if out.path == ReplanPath::Delta {
+                prop_assert!(current.path != ReplanPath::FullConservative);
+            }
+            vms = churned_vms(&vms, churn, pick);
+            (host, current) = (next, out);
         }
     }
 

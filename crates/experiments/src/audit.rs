@@ -8,10 +8,9 @@
 //!   flag *every* mutant (100% detection; the fingerprints cover the exact
 //!   bytes, so any surviving mutant is a bug in the fact store);
 //! * **verifier agreement**: re-certifying the cores the mutant touched
-//!   with the per-bin check ([`verify_bin`], the call `plan_delta` makes
-//!   for each bin it rebuilds) may never certify a mutant the full
-//!   verifier rejects. A corrupted table can legitimately still *be* a
-//!   valid schedule (e.g. swapping two identical vCPUs), so the verifier
+//!   with the per-bin check ([`verify_bin`]) may never certify a mutant
+//!   the full verifier rejects. A corrupted table can legitimately still
+//!   *be* a valid schedule (e.g. swapping two identical vCPUs), so the verifier
 //!   layer is not required to flag every mutant; and a decline or any
 //!   finding degrades to the full pass, so only a clean per-bin verdict
 //!   can disagree with it.

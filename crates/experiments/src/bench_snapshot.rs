@@ -33,8 +33,9 @@ use rtsched::verify::verify_schedule;
 use schedulers::tableau::Tableau;
 use tableau_core::cache::SharedPlanCache;
 use tableau_core::dispatch::Dispatcher;
-use tableau_core::plan_delta;
-use tableau_core::planner::{period_for, plan, PlannerOptions};
+use tableau_core::planner::{
+    period_for, plan, plan_with_fallback, DeltaReport, Plan, PlannerOptions,
+};
 use tableau_core::table::{Allocation, Table};
 use tableau_core::vcpu::VcpuId;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
@@ -216,6 +217,18 @@ fn edf_bin_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
     })
 }
 
+/// Replans `host` with `prev`, planned for `prev_host`, as the donor: the
+/// plan and what the donor gave.
+fn replan_from(
+    prev_host: &HostConfig,
+    prev: &Plan,
+    host: &HostConfig,
+    opts: &PlannerOptions,
+) -> (Plan, DeltaReport) {
+    let out = plan_with_fallback(Some((prev_host, prev)), host, opts).expect("the request plans");
+    (out.plan, out.delta.expect("the previous plan donates"))
+}
+
 /// Times a delta replan between two all-unique 176-VM hosts: no bin of the
 /// new host matches the old one's, so all 44 are re-simulated and spliced
 /// — the delta rung's worst case, to be read against `plan/unique_176_1ms`
@@ -223,7 +236,7 @@ fn edf_bin_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
 fn delta_all_dirty_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
     let (prev_host, host) = (unique_host_176(0), unique_host_176(4_001));
     let prev = plan(&prev_host, opts).expect("all-unique paper-scale host plans");
-    let delta = || plan_delta(&prev_host, &prev, &host, opts).expect("same geometry, stage 1");
+    let delta = || replan_from(&prev_host, &prev, &host, opts);
     let full = plan(&host, opts).expect("all-unique paper-scale host plans");
     assert!(delta().0 == full, "a delta result is the full plan");
     time_entry("plan/delta_all_dirty_176", iters, || {
@@ -294,9 +307,9 @@ fn verify_full_entry(iters: u64) -> (BenchEntry, f64) {
     (entry, fastest_ns(iters.max(100), verify))
 }
 
-/// Times re-certifying a single-bin delta on the same host: the per-bin
-/// check `plan_delta` runs on each bin it rebuilds, O(dirty core). Also
-/// returns the fastest single call (ns).
+/// Times re-certifying one bin of the same host with the per-bin check
+/// (`rtsched::rules::verify_bin`), O(one core). Also returns the fastest
+/// single call (ns).
 fn verify_delta_entry(iters: u64) -> (BenchEntry, f64) {
     let (bins, slots, sched) = verify_host_176();
     let mut recertify = || {
@@ -379,8 +392,7 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
             let paper_prev = bench_host_with_goal(44, 175, 25, Nanos::from_millis(1));
             let prev_plan = plan(&paper_prev, &defaults).expect("175-VM host plans");
             time_entry("plan/delta_single_vm", iters, || {
-                let (p, report) = plan_delta(&paper_prev, &prev_plan, &paper, &defaults)
-                    .expect("single-VM add delta applies");
+                let (p, report) = replan_from(&paper_prev, &prev_plan, &paper, &defaults);
                 assert_eq!(report.dirty_cores.len(), 1, "one bin dirtied");
                 p
             })
@@ -1090,8 +1102,7 @@ mod tests {
                 std::hint::black_box(plan(&paper, &opts)).expect("paper-scale set plans");
             }));
             delta_min = delta_min.min(ns(&|| {
-                std::hint::black_box(plan_delta(&paper_prev, &prev_plan, &paper, &opts))
-                    .expect("single-VM add delta applies");
+                std::hint::black_box(replan_from(&paper_prev, &prev_plan, &paper, &opts));
             }));
         }
         println!("delta pair: full/delta = {:.1}", full_min / delta_min);

@@ -15,12 +15,10 @@
 use std::fmt;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: experiments <id>... [--quick] [--seed <u64>] \
-[--engine <memoized|reference>]\n\
+const USAGE: &str = "usage: experiments <id>... [--quick] [--seed <u64>]\n\
     known ids: fig3 fig4 tab1 tab2 fig5 fig6 fig7 fig8 planner overheads \
     intrinsic ping ablations scaling latency_sweep robustness soak fleet \
     audit all\n\
-    --engine selects the planner generation pipeline for fig3/fig4/planner\n\
     perf trajectory: experiments bench snapshot [--quick]";
 
 /// A user-input problem, rendered as a single diagnostic line.
@@ -29,7 +27,6 @@ enum CliError {
     UnknownFlag(String),
     MissingValue(&'static str),
     BadValue(&'static str, String),
-    BadChoice(&'static str, &'static str, String),
     UnknownExperiment(String),
 }
 
@@ -41,9 +38,6 @@ impl fmt::Display for CliError {
             CliError::BadValue(flag, got) => {
                 write!(f, "flag '{flag}' needs an unsigned integer, got '{got}'")
             }
-            CliError::BadChoice(flag, choices, got) => {
-                write!(f, "flag '{flag}' needs one of {choices}, got '{got}'")
-            }
             CliError::UnknownExperiment(id) => write!(f, "unknown experiment '{id}'"),
         }
     }
@@ -53,7 +47,6 @@ struct Cli {
     ids: Vec<String>,
     quick: bool,
     seed: u64,
-    engine: rtsched::generator::GenEngine,
 }
 
 const KNOWN_IDS: &[&str] = &[
@@ -86,7 +79,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
         ids: Vec::new(),
         quick: false,
         seed: experiments::robustness::DEFAULT_SEED,
-        engine: rtsched::generator::GenEngine::Memoized,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -97,20 +89,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                 cli.seed = v
                     .parse()
                     .map_err(|_| CliError::BadValue("--seed", v.clone()))?;
-            }
-            "--engine" => {
-                let v = it.next().ok_or(CliError::MissingValue("--engine"))?;
-                cli.engine = match v.as_str() {
-                    "memoized" => rtsched::generator::GenEngine::Memoized,
-                    "reference" => rtsched::generator::GenEngine::Direct,
-                    _ => {
-                        return Err(CliError::BadChoice(
-                            "--engine",
-                            "memoized|reference",
-                            v.clone(),
-                        ))
-                    }
-                };
             }
             flag if flag.starts_with("--") => {
                 return Err(CliError::UnknownFlag(flag.to_string()));
@@ -156,7 +134,7 @@ fn main() -> ExitCode {
                 }
             }
             "fig3" | "fig4" | "planner" => {
-                experiments::planner_scale::run_with_engine(quick, cli.engine);
+                experiments::planner_scale::run(quick);
             }
             "tab1" | "tab2" | "overheads" => {
                 experiments::overheads::run(quick);

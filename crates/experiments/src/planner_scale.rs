@@ -14,18 +14,13 @@
 //!
 //! Since v2 the artifact also records a per-stage wall-clock breakdown
 //! (pack / simulate / coalesce / verify / slice-build) from
-//! [`plan_timed`], plus provenance metadata, and the sweep can run under
-//! either generation engine: the default memoized pipeline (one EDF
-//! simulation per distinct bin signature, stamped onto every core sharing
-//! it) or the direct reference pipeline (every core simulated from
-//! scratch). The engines are result-equivalent — a test below and the
-//! `prop_memoized_generator` suite hold them to identical plans — so the
-//! artifact's engine tag documents *which* pipeline produced the timings,
-//! not which tables were produced.
+//! [`plan_timed`], plus provenance metadata. The sweep runs the production
+//! (memoized) generator; the direct reference engine is a test oracle
+//! only — a test below and the `prop_memoized_generator` suite hold the
+//! two to identical plans.
 
 use serde::Serialize;
 
-use rtsched::generator::GenEngine;
 use rtsched::time::Nanos;
 use tableau_core::binary::encoded_size;
 use tableau_core::planner::{plan_timed, PlannerOptions};
@@ -67,8 +62,6 @@ pub struct PlannerScaleMeta {
     pub quick: bool,
     /// Repetitions averaged per cell.
     pub reps: usize,
-    /// Generation engine the sweep ran under.
-    pub engine: String,
     /// Cores visible to the process.
     pub machine_cores: usize,
     /// Worker threads the timed cells ran on: always 1, the cells run one
@@ -93,14 +86,6 @@ pub const GOALS_MS: [u64; 4] = [1, 30, 60, 100];
 /// Artifact schema tag (v2 added per-stage timings + meta).
 pub const SCHEMA: &str = "tableau-planner-scale-v2";
 
-/// Stable artifact/CLI name of an engine.
-pub fn engine_name(engine: GenEngine) -> &'static str {
-    match engine {
-        GenEngine::Memoized => "memoized",
-        GenEngine::Direct => "reference",
-    }
-}
-
 /// Builds the Fig. 3/4 host: `n_vms` single-vCPU VMs at 25% on 44 cores.
 fn host(n_vms: usize, goal: Nanos) -> HostConfig {
     let mut h = HostConfig::new(44);
@@ -115,19 +100,18 @@ fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Measures every cell of the planner-scalability sweep under `engine`,
-/// with no I/O side effects (tests call this; only [`run`] and
-/// [`run_with_engine`] write the artifact, so `cargo test` never
-/// overwrites the tracked `results/` JSON with quick-mode timings).
-pub fn sweep_with_engine(quick: bool, engine: GenEngine) -> Vec<PlannerPoint> {
+/// Measures every cell of the planner-scalability sweep, with no I/O side
+/// effects (tests call this; only [`run`] writes the artifact, so `cargo
+/// test` never overwrites the tracked `results/` JSON with quick-mode
+/// timings).
+pub fn sweep(quick: bool) -> Vec<PlannerPoint> {
     let counts: Vec<usize> = if quick {
         vec![44, 176]
     } else {
         vec![22, 44, 66, 88, 110, 132, 154, 176]
     };
     let reps = if quick { 1 } else { 5 };
-    let mut opts = PlannerOptions::default();
-    opts.gen.engine = engine;
+    let opts = PlannerOptions::default();
 
     // One cell at a time: `gen_time_ms` and the stage breakdown are
     // wall-clock (the paper's Fig. 3/4), and a cell timed while another
@@ -175,15 +159,10 @@ pub fn sweep_with_engine(quick: bool, engine: GenEngine) -> Vec<PlannerPoint> {
     points
 }
 
-/// [`sweep_with_engine`] under the default (memoized) engine.
-pub fn sweep(quick: bool) -> Vec<PlannerPoint> {
-    sweep_with_engine(quick, GenEngine::Memoized)
-}
-
-/// Runs the planner-scalability experiment under `engine`: sweep, table,
-/// JSON artifact with provenance meta.
-pub fn run_with_engine(quick: bool, engine: GenEngine) -> Vec<PlannerPoint> {
-    let points = sweep_with_engine(quick, engine);
+/// Runs the planner-scalability experiment: sweep, table, JSON artifact
+/// with provenance meta.
+pub fn run(quick: bool) -> Vec<PlannerPoint> {
+    let points = sweep(quick);
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -202,10 +181,7 @@ pub fn run_with_engine(quick: bool, engine: GenEngine) -> Vec<PlannerPoint> {
         })
         .collect();
     print_table(
-        &format!(
-            "Fig. 3 & 4: table-generation time and size (44 guest cores, {} engine)",
-            engine_name(engine)
-        ),
+        "Fig. 3 & 4: table-generation time and size (44 guest cores)",
         &[
             "VMs",
             "goal(ms)",
@@ -225,7 +201,6 @@ pub fn run_with_engine(quick: bool, engine: GenEngine) -> Vec<PlannerPoint> {
             schema: SCHEMA.to_string(),
             quick,
             reps: if quick { 1 } else { 5 },
-            engine: engine_name(engine).to_string(),
             machine_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             threads: 1,
             git_rev: git_rev(),
@@ -236,14 +211,10 @@ pub fn run_with_engine(quick: bool, engine: GenEngine) -> Vec<PlannerPoint> {
     artifact.points
 }
 
-/// Runs the planner-scalability experiment under the default engine.
-pub fn run(quick: bool) -> Vec<PlannerPoint> {
-    run_with_engine(quick, GenEngine::Memoized)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtsched::generator::GenEngine;
     use tableau_core::planner::plan;
 
     #[test]

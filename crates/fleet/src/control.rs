@@ -9,7 +9,6 @@ use serde::{Deserialize, Serialize};
 use rtsched::time::Nanos;
 use tableau_core::audit::{corrupt_table, CorruptionKind, TableFacts};
 use tableau_core::cache::SharedPlanCache;
-use tableau_core::plan_delta;
 use tableau_core::planner::{
     plan_with_fallback, Plan, PlanError, PlannerOptions, ReplanError, ReplanPath,
 };
@@ -199,7 +198,7 @@ impl RungCounters {
     fn bump(&mut self, rung: Rung) {
         match rung {
             Rung::CacheHit => self.cache_hit += 1,
-            Rung::Delta | Rung::Ladder(ReplanPath::Delta) => self.delta += 1,
+            Rung::Ladder(ReplanPath::Delta) => self.delta += 1,
             Rung::CachePlan => self.cache_plan += 1,
             Rung::Ladder(ReplanPath::Incremental) => self.incremental += 1,
             Rung::Ladder(ReplanPath::Full) => self.full += 1,
@@ -211,7 +210,6 @@ impl RungCounters {
 #[derive(Debug, Clone, Copy)]
 enum Rung {
     CacheHit,
-    Delta,
     CachePlan,
     Ladder(ReplanPath),
 }
@@ -757,15 +755,15 @@ impl Fleet {
     // --- internals -------------------------------------------------------
 
     /// Plans `next` for a host: the shared cache first (identically shaped
-    /// hosts resolve to one entry), then a delta patch of the host's
-    /// running plan (single-VM churn touches one bin), then a full plan
-    /// memoized through the cache, then the fallback ladder. A successful
-    /// delta is inserted into the cache under the *new* shape, so sibling
-    /// hosts walking the same churn sequence hit it. Returns the plan and
-    /// the rung that produced it. Every rung returns `plan(next, opts)`
-    /// field for field, so which one answers — and with it everything the
-    /// cache's capacity and eviction order decide — moves only the rung
-    /// counters.
+    /// hosts resolve to one entry), then one run of the fallback ladder
+    /// with the host's running plan as the donor (single-VM churn touches
+    /// one bin). A delta is inserted into the cache under the *new* shape,
+    /// so sibling hosts walking the same churn sequence hit it; any other
+    /// run is the cache's miss, and its plan is stored when it was planned
+    /// under the requested options. Returns the plan and the rung that
+    /// produced it. Every rung returns `plan(next, opts)` field for field,
+    /// so which one answers — and with it everything the cache's capacity
+    /// and eviction order decide — moves only the rung counters.
     fn replan(
         cache: &SharedPlanCache,
         prev: Option<(&HostConfig, &Plan)>,
@@ -775,21 +773,28 @@ impl Fleet {
         if let Some(p) = cache.lookup(next, opts) {
             return Some((p, Rung::CacheHit));
         }
-        if let Some((prev_cfg, prev_plan)) = prev {
-            if let Ok((plan, _report)) = plan_delta(prev_cfg, prev_plan, next, opts) {
-                let plan = Arc::new(plan);
+        let Ok(out) = plan_with_fallback(prev, next, opts) else {
+            cache.record_miss(next, opts, None);
+            return None;
+        };
+        let plan = Arc::new(out.plan);
+        let rung = match out.path {
+            ReplanPath::Delta => {
                 cache.insert(next, opts, Arc::clone(&plan));
-                return Some((plan, Rung::Delta));
+                Rung::Ladder(ReplanPath::Delta)
             }
-        }
-        match cache.get_or_plan(next, opts) {
-            Ok(p) => Some((p, Rung::CachePlan)),
-            // The straight planner rejected the shape; climb the ladder
-            // (conservative options may still fit it).
-            Err(_) => plan_with_fallback(prev, next, opts)
-                .ok()
-                .map(|o| (Arc::new(o.plan), Rung::Ladder(o.path))),
-        }
+            ReplanPath::Full => {
+                cache.record_miss(next, opts, Some(Arc::clone(&plan)));
+                Rung::CachePlan
+            }
+            // Planned under conservative defaults after the requested
+            // options failed: not the plan of this key.
+            path => {
+                cache.record_miss(next, opts, None);
+                Rung::Ladder(path)
+            }
+        };
+        Some((plan, rung))
     }
 
     /// Tentatively places `vm` on `host`; commits bookkeeping only if the

@@ -140,8 +140,8 @@ pub struct GenOutcome {
     /// Stage-1 packing record: task ids per core, in bin order. Populated
     /// only when the schedule came from plain partitioning (stage 1) — the
     /// C=D and DP-Fair stages leave it empty, because their bins contain
-    /// split pieces that don't map back to whole tasks. Delta replanning
-    /// uses this to diff bin contents across single-task churn.
+    /// split pieces that don't map back to whole tasks. A later replan
+    /// diffs bin contents against it to reuse unchanged cores.
     pub core_bins: Vec<Vec<TaskId>>,
 }
 
@@ -238,17 +238,27 @@ pub fn generate_schedule_with_preferences(
     opts: &GenOptions,
     prefs: &[Vec<usize>],
 ) -> Result<Generated, GenError> {
-    generate_schedule_instrumented(tasks, n_cores, horizon, opts, prefs).map(|o| o.generated)
+    generate_schedule_instrumented(tasks, n_cores, horizon, opts, prefs, |_, _| false)
+        .map(|o| o.generated)
 }
 
 /// Like [`generate_schedule_with_preferences`], additionally returning the
-/// core-sharing record and the per-stage timing breakdown.
+/// core-sharing record and the per-stage timing breakdown, for a caller
+/// that may already hold the schedules of some stage-1 bins.
+///
+/// Once plain partitioning packs every task, `keep(core, bin)` is asked for
+/// each core in core order. A core it answers `true` for is the caller's:
+/// it is left idle in the returned schedule, never simulated, verified or
+/// used as a stamp representative, and only the tasks of the other cores
+/// are verified. `keep` is not asked when stage 1 does not run or does not
+/// pack, nor for an empty task set.
 pub fn generate_schedule_instrumented(
     tasks: &[PeriodicTask],
     n_cores: usize,
     horizon: Nanos,
     opts: &GenOptions,
     prefs: &[Vec<usize>],
+    mut keep: impl FnMut(usize, &[PeriodicTask]) -> bool,
 ) -> Result<GenOutcome, GenError> {
     let mut timings = GenTimings::default();
     let t0 = Instant::now();
@@ -296,16 +306,30 @@ pub fn generate_schedule_instrumented(
         };
         timings.pack += t0.elapsed();
         if r.is_complete() {
-            let core_bins: Vec<Vec<TaskId>> = r
-                .bins
-                .cores
+            let bins = &r.bins.cores;
+            let kept: Vec<bool> = (0..n_cores).map(|core| keep(core, &bins[core])).collect();
+            let core_bins: Vec<Vec<TaskId>> = bins
                 .iter()
                 .map(|bin| bin.iter().map(|t| t.id).collect())
                 .collect();
-            let (schedule, sharing) =
-                simulate_bins(&r.bins, horizon, opts.engine, &mut memo, &mut timings)?;
+            let (schedule, sharing) = simulate_bins(
+                &r.bins,
+                &kept,
+                horizon,
+                opts.engine,
+                &mut memo,
+                &mut timings,
+            )?;
+            let live: Vec<PeriodicTask>;
+            let verified = if kept.contains(&true) {
+                let others = bins.iter().zip(&kept).filter(|&(_, &k)| !k);
+                live = others.flat_map(|(bin, _)| bin.iter().copied()).collect();
+                &live[..]
+            } else {
+                tasks
+            };
             return finish(
-                tasks,
+                verified,
                 schedule,
                 Stage::Partitioned,
                 Vec::new(),
@@ -325,7 +349,7 @@ pub fn generate_schedule_instrumented(
         match sp {
             Ok(sp) => {
                 let (schedule, sharing) =
-                    simulate_bins(&sp.bins, horizon, opts.engine, &mut memo, &mut timings)?;
+                    simulate_bins(&sp.bins, &[], horizon, opts.engine, &mut memo, &mut timings)?;
                 return finish(
                     tasks,
                     schedule,
@@ -359,7 +383,8 @@ pub fn generate_schedule_instrumented(
     }
 }
 
-/// Simulates per-core EDF for a bin assignment, engine-dispatched.
+/// Simulates per-core EDF for a bin assignment, engine-dispatched. A core
+/// marked in `kept` gets an empty schedule and takes no part in sharing.
 ///
 /// Direct engine: every core simulated from scratch, in core order. Memoized
 /// engine: each all-implicit bin signature that two or more cores share is
@@ -372,25 +397,29 @@ pub fn generate_schedule_instrumented(
 /// exactly.
 fn simulate_cores(
     bins: &CoreBins,
+    kept: &[bool],
     horizon: Nanos,
     engine: GenEngine,
     memo: &mut SigMemo,
 ) -> (Vec<Result<CoreSchedule, DeadlineMiss>>, Vec<Option<Stamp>>) {
     let n = bins.cores.len();
     let mut stamps: Vec<Option<Stamp>> = vec![None; n];
+    let is_kept = |core: usize| kept.get(core) == Some(&true);
     if engine == GenEngine::Direct {
-        let results = bins
-            .cores
-            .iter()
-            .map(|bin| simulate_edf(bin, horizon))
+        let results = (bins.cores.iter().enumerate())
+            .map(|(core, bin)| {
+                if is_kept(core) {
+                    Ok(CoreSchedule::new())
+                } else {
+                    simulate_edf(bin, horizon)
+                }
+            })
             .collect();
         return (results, stamps);
     }
 
-    let sigs: Vec<Option<BinSignature>> = bins
-        .cores
-        .iter()
-        .map(|b| all_implicit(b).then(|| BinSignature::of(b)))
+    let sigs: Vec<Option<BinSignature>> = (bins.cores.iter().enumerate())
+        .map(|(core, b)| (!is_kept(core) && all_implicit(b)).then(|| BinSignature::of(b)))
         .collect();
     // Per signature: its lowest-index ("representative") core and how many
     // cores carry it.
@@ -415,6 +444,10 @@ fn simulate_cores(
     let mut results = Vec::with_capacity(n);
     for core in 0..n {
         let bin = &bins.cores[core];
+        if is_kept(core) {
+            results.push(Ok(CoreSchedule::new()));
+            continue;
+        }
         // Unshared and non-sharable bins take the direct path.
         let Some(sig) = shared[core] else {
             results.push(simulate_edf(bin, horizon));
@@ -454,13 +487,14 @@ fn simulate_cores(
 /// exactly the error the sequential loop would have stopped at.
 fn simulate_bins(
     bins: &CoreBins,
+    kept: &[bool],
     horizon: Nanos,
     engine: GenEngine,
     memo: &mut SigMemo,
     timings: &mut GenTimings,
 ) -> Result<(MultiCoreSchedule, CoreSharing), GenError> {
     let t0 = Instant::now();
-    let (results, stamps) = simulate_cores(bins, horizon, engine, memo);
+    let (results, stamps) = simulate_cores(bins, kept, horizon, engine, memo);
     let mut schedule = MultiCoreSchedule::idle(horizon, bins.cores.len());
     let mut sharing = CoreSharing::none(bins.cores.len());
     for (core, (result, stamp)) in results.into_iter().zip(stamps).enumerate() {
@@ -660,7 +694,7 @@ fn generate_cluster_and_singles(
     engine: GenEngine,
     memo: &mut SigMemo,
 ) -> Option<(MultiCoreSchedule, Vec<TaskId>, CoreSharing)> {
-    let (single_results, single_stamps) = simulate_cores(single_bins, horizon, engine, memo);
+    let (single_results, single_stamps) = simulate_cores(single_bins, &[], horizon, engine, memo);
     let cluster_cores = if engine == GenEngine::Memoized && all_implicit(cluster_tasks) {
         let sig = BinSignature::of(cluster_tasks);
         memo.dpfair(sig, cluster_tasks, cluster_size, horizon)
@@ -802,8 +836,15 @@ mod tests {
         // signature, so the second core must be stamped from the first, and
         // the result must match the direct engine bit for bit.
         let tasks: Vec<_> = (0..8).map(|i| imp(i, 2, 10)).collect();
-        let out =
-            generate_schedule_instrumented(&tasks, 2, ms(10), &GenOptions::default(), &[]).unwrap();
+        let out = generate_schedule_instrumented(
+            &tasks,
+            2,
+            ms(10),
+            &GenOptions::default(),
+            &[],
+            |_, _| false,
+        )
+        .unwrap();
         assert_eq!(out.generated.stage, Stage::Partitioned);
         assert_eq!(out.sharing.stamped_count(), 1);
         let stamp = out.sharing.stamp_of(1).expect("core 1 shares core 0's bin");
@@ -822,12 +863,53 @@ mod tests {
     }
 
     #[test]
+    fn kept_cores_are_left_to_the_caller() {
+        // Three identical bins, the middle one kept: it is never simulated
+        // or stamped, the other two are (core 2 stamped from core 0), and
+        // only their tasks are verified.
+        let tasks: Vec<_> = (0..6).map(|i| imp(i, 2, 10)).collect();
+        let mut asked = Vec::new();
+        let out = generate_schedule_instrumented(
+            &tasks,
+            3,
+            ms(10),
+            &GenOptions::default(),
+            &[],
+            |core, bin| {
+                asked.push((core, bin.len()));
+                core == 1
+            },
+        )
+        .unwrap();
+        assert_eq!(asked, [(0, 2), (1, 2), (2, 2)]);
+        let full = generate_schedule(&tasks, 3, ms(10), &GenOptions::default()).unwrap();
+        let cores = &out.generated.schedule.cores;
+        assert!(cores[1].segments().is_empty());
+        assert_eq!(cores[0], full.schedule.cores[0]);
+        assert_eq!(cores[2], full.schedule.cores[2]);
+        assert_eq!(out.sharing.stamp_of(2).map(|s| s.rep), Some(0));
+        assert_eq!(out.core_bins.len(), 3);
+        // Not asked when stage 1 does not pack.
+        let heavy = [imp(0, 6, 10), imp(1, 6, 10), imp(2, 6, 10)];
+        let opts = GenOptions::default();
+        generate_schedule_instrumented(&heavy, 2, ms(10), &opts, &[], |_, _| unreachable!())
+            .unwrap();
+    }
+
+    #[test]
     fn split_bins_opt_out_of_stamping() {
         // Semi-partitioning produces C=D pieces; any bin holding one takes
         // the direct path, and the engines still agree exactly.
         let tasks = [imp(0, 6, 10), imp(1, 6, 10), imp(2, 6, 10)];
-        let out =
-            generate_schedule_instrumented(&tasks, 2, ms(10), &GenOptions::default(), &[]).unwrap();
+        let out = generate_schedule_instrumented(
+            &tasks,
+            2,
+            ms(10),
+            &GenOptions::default(),
+            &[],
+            |_, _| false,
+        )
+        .unwrap();
         assert_eq!(out.generated.stage, Stage::SemiPartitioned);
         assert_eq!(out.sharing.stamped_count(), 0);
         let direct = GenOptions {

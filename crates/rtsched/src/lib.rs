@@ -20,8 +20,8 @@
 //! * the three-stage generator combining them ([`generator`]);
 //! * a verified peephole preemption-reduction pass ([`peephole`]);
 //! * an independent schedule verifier ([`verify`]);
-//! * a stateless per-bin re-verifier for the delta planner, which declines
-//!   to the single-pass verifier rather than guess ([`rules`]).
+//! * a stateless per-bin re-verifier, which declines to the single-pass
+//!   verifier rather than guess ([`rules`]).
 //!
 //! The Tableau planner (crate `tableau-core`) maps vCPU SLAs onto periodic
 //! tasks and feeds them to [`generator::generate_schedule`]; every schedule

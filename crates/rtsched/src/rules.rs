@@ -2,10 +2,9 @@
 //!
 //! [`crate::verify::verify_schedule`] re-derives every violation from the
 //! whole schedule — `O(segments + tasks · windows)` per call. That is the
-//! right cost for a from-scratch plan, but the delta planner dirties one
-//! bin out of dozens, and at fleet churn rates re-verification fires on
-//! every splice; re-checking the *clean* cores would be the dominant fixed
-//! cost of the churn path.
+//! right cost for a from-scratch plan, but not for re-certifying one bin
+//! out of dozens (the cores a table corruption touched, in the
+//! `experiments audit` cross-check).
 //!
 //! [`verify_bin`] runs the verifier's four invariants over one bin's facts
 //! alone:
@@ -97,8 +96,7 @@ fn bin_task_findings(tasks: &[PeriodicTask], segments: &[Segment], h: Nanos) -> 
 /// Certifies one freshly built bin in isolation: R1 over `segments`, then
 /// R2–R4 per task of `tasks`, computed on the borrowed slices — exactly
 /// what [`crate::verify::verify_schedule`] answers for the one-core
-/// schedule holding `segments`. This is the delta planner's per-dirty-bin
-/// check.
+/// schedule holding `segments`.
 ///
 /// # Errors
 ///

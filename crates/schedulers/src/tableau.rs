@@ -699,10 +699,11 @@ mod tests {
 
     #[test]
     fn delta_spliced_table_installs_and_serves_the_new_vcpu() {
-        // Churn hot path, end to end: plan a host, grow it by one VM via
-        // `plan_delta`, push the spliced table through the two-phase install,
-        // and check the new vCPU starts drawing its reservation after the
-        // switch while the incumbent vCPUs keep theirs throughout.
+        // Churn hot path, end to end: plan a host, grow it by one VM with
+        // the first plan as the donor, push the spliced table through the
+        // two-phase install, and check the new vCPU starts drawing its
+        // reservation after the switch while the incumbent vCPUs keep
+        // theirs throughout.
         let opts = PlannerOptions::default();
         let spec = VcpuSpec::capped(Utilization::from_percent(25), ms(20));
         let mut prev_host = HostConfig::new(2);
@@ -712,8 +713,9 @@ mod tests {
         let prev = plan(&prev_host, &opts).unwrap();
         let mut host = prev_host.clone();
         host.add_vm(VmSpec::uniform("vm6", 1, spec));
-        let (delta, report) = tableau_core::plan_delta(&prev_host, &prev, &host, &opts)
-            .expect("single-VM add is delta-eligible");
+        let out = tableau_core::plan_with_fallback(Some((&prev_host, &prev)), &host, &opts)
+            .expect("one more 25 % VM fits");
+        let (delta, report) = (out.plan, out.delta.expect("the first plan donates"));
         assert_eq!(report.dirty_cores.len(), 1, "{report:?}");
         assert_eq!(report.clean_cores.len(), 1, "{report:?}");
 
