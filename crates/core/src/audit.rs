@@ -1,22 +1,19 @@
-//! Continuous table audit: a compact fact store snapshotted from a trusted
-//! plan at install time, re-checked incrementally against the live table.
+//! Continuous table audit: facts taken from a trusted table at install
+//! time, compared with the same facts of the live table.
 //!
-//! The planner verifies every schedule before it becomes a table, and the
-//! per-bin check (`rtsched::rules`) re-verifies deltas in O(delta) — but both
-//! run *before* install. Once a table is live, nothing re-examines it: a
-//! bad splice that slipped past verification, or an in-memory corruption of
-//! the installed copy, would go unnoticed until a vCPU misses its SLA. The
-//! [`TableAuditor`] closes that gap. At install time it snapshots per-core
-//! fingerprints and a placement fingerprint from the table the verifier
-//! approved; afterwards a low-cadence audit loop (the guardian's) re-derives
-//! the same facts from the live table and compares. Each [`audit_step`]
-//! checks one core — O(one core), not O(host) — so the audit amortizes to
-//! a full sweep every `n_cores` steps without ever stalling the hot path.
-//! The facts themselves are a value, [`TableFacts`]: derived from a table,
-//! compared against another derivation. They are read through the table's
-//! views — each core's `(start, end, vcpu)` sequence off its segment
-//! arrays, each vCPU's home core and pieces off its placement — the bytes
-//! the dispatcher follows, of which there is no second copy. A fleet whose
+//! The planner verifies every schedule before it becomes a table, but only
+//! *before* install. Once a table is live, nothing re-examines it: a bad
+//! table that slipped past verification, or an in-memory corruption of the
+//! installed copy, would go unnoticed until a vCPU misses its SLA. The
+//! audit closes that gap. At install time a control loop derives the
+//! table's [`TableFacts`] — its length, one fingerprint per core's
+//! allocation list, and one over the placement map — as its baseline;
+//! afterwards, at a low cadence (the guardian once per `audit_interval`,
+//! the fleet once per epoch), it derives the facts of the whole live table
+//! and compares. The facts are read through the table's views — each
+//! core's `(start, end, vcpu)` sequence off its segment arrays, each
+//! vCPU's home core and pieces off its placement — the bytes the
+//! dispatcher follows, of which there is no second copy. A fleet whose
 //! dispatchers share table images derives the live facts once per image
 //! and compares them with each host's install-time baseline.
 //!
@@ -25,8 +22,6 @@
 //! seeded fault classes (bit-flipped slot ids, swapped placements, stale
 //! truncated slots) to a table, deterministically per salt, so end-to-end
 //! detect→repair can be exercised and every undetected corruption counted.
-//!
-//! [`audit_step`]: TableAuditor::audit_step
 
 use std::fmt;
 
@@ -192,100 +187,6 @@ impl TableFacts {
     }
 }
 
-/// The audit fact store: the [`TableFacts`] of a table known-good at
-/// install time, plus a cursor for incremental sweeps.
-///
-/// # Examples
-///
-/// ```
-/// use rtsched::time::Nanos;
-/// use tableau_core::audit::TableAuditor;
-/// use tableau_core::table::{Allocation, Table};
-/// use tableau_core::vcpu::VcpuId;
-///
-/// let ms = Nanos::from_millis;
-/// let table = Table::new(
-///     ms(10),
-///     vec![vec![Allocation { start: ms(0), end: ms(4), vcpu: VcpuId(0) }]],
-/// )
-/// .unwrap();
-/// let mut auditor = TableAuditor::new(&table);
-/// assert!(auditor.audit_full(&table).is_empty());
-/// assert!(auditor.audit_step(&table).is_empty());
-/// ```
-#[derive(Debug, Clone)]
-pub struct TableAuditor {
-    facts: TableFacts,
-    cursor: usize,
-}
-
-impl TableAuditor {
-    /// Snapshots audit facts from a table the verifier has approved.
-    pub fn new(table: &Table) -> TableAuditor {
-        TableAuditor {
-            facts: TableFacts::derive(table),
-            cursor: 0,
-        }
-    }
-
-    /// Rebases the fact store on a newly installed table.
-    pub fn refresh(&mut self, table: &Table) {
-        *self = TableAuditor::new(table);
-    }
-
-    /// Number of cores in the baseline.
-    pub fn n_cores(&self) -> usize {
-        self.facts.core_fp.len()
-    }
-
-    /// Checks the live table's shape against the baseline.
-    fn check_shape(&self, table: &Table) -> Option<AuditViolation> {
-        if table.n_cores() != self.n_cores() || table.len() != self.facts.len {
-            return Some(AuditViolation::ShapeMismatch {
-                expected_cores: self.n_cores(),
-                got_cores: table.n_cores(),
-            });
-        }
-        None
-    }
-
-    /// Re-derives and compares the facts for one core.
-    pub fn audit_core(&self, table: &Table, core: usize) -> Option<AuditViolation> {
-        if core >= table.n_cores() || core >= self.n_cores() {
-            return Some(AuditViolation::ShapeMismatch {
-                expected_cores: self.n_cores(),
-                got_cores: table.n_cores(),
-            });
-        }
-        (core_fingerprint(core, table.cpu(core).allocations()) != self.facts.core_fp[core])
-            .then_some(AuditViolation::SlotMismatch { core })
-    }
-
-    /// Full audit: shape, every core, and the placement map — the live
-    /// table's facts derived and compared in one call.
-    pub fn audit_full(&self, table: &Table) -> Vec<AuditViolation> {
-        self.facts.violations(&TableFacts::derive(table))
-    }
-
-    /// One incremental audit step: shape, then the cursor's core, plus the
-    /// placement map each time the cursor wraps. Cost is O(one core), and
-    /// `n_cores` consecutive steps cover everything [`audit_full`] covers.
-    ///
-    /// [`audit_full`]: TableAuditor::audit_full
-    pub fn audit_step(&mut self, table: &Table) -> Vec<AuditViolation> {
-        if let Some(v) = self.check_shape(table) {
-            return vec![v];
-        }
-        let core = self.cursor;
-        self.cursor = (self.cursor + 1) % self.n_cores().max(1);
-        let mut out: Vec<AuditViolation> = self.audit_core(table, core).into_iter().collect();
-        if core == 0 && placement_fingerprint(table) != self.facts.placement_fp {
-            out.push(AuditViolation::PlacementMismatch);
-        }
-        out
-    }
-}
-
 /// The seeded table-corruption fault classes (chaos soaks, mutation kill).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CorruptionKind {
@@ -415,49 +316,53 @@ mod tests {
         .unwrap()
     }
 
+    /// The audit verdict of `live` against `baseline`'s facts.
+    fn audit(baseline: &Table, live: &Table) -> Vec<AuditViolation> {
+        TableFacts::derive(baseline).violations(&TableFacts::derive(live))
+    }
+
     #[test]
     fn clean_table_audits_clean() {
         let t = host_table();
-        let mut a = TableAuditor::new(&t);
-        assert!(a.audit_full(&t).is_empty());
-        // A full cursor rotation (plus one) also finds nothing.
-        for _ in 0..=t.n_cores() {
-            assert!(a.audit_step(&t).is_empty());
+        assert!(audit(&t, &t).is_empty());
+        assert!(audit(&t, &t.clone()).is_empty());
+    }
+
+    #[test]
+    fn every_corruption_class_is_detected() {
+        let t = host_table();
+        for kind in CorruptionKind::ALL {
+            let (salt, bad) =
+                corrupt_table_any(&t, kind, 64).unwrap_or_else(|| panic!("{kind}: no salt"));
+            assert!(
+                !audit(&t, &bad).is_empty(),
+                "{kind} (salt {salt}) undetected"
+            );
         }
     }
 
     #[test]
-    fn every_corruption_class_is_detected_by_full_and_stepped_audit() {
+    fn a_baseline_from_the_installed_table_rebases_the_audit() {
+        // An install rebases the audit by deriving the baseline afresh:
+        // the new table then audits clean and the old one is flagged.
         let t = host_table();
-        let a = TableAuditor::new(&t);
-        for kind in CorruptionKind::ALL {
-            let (salt, bad) =
-                corrupt_table_any(&t, kind, 64).unwrap_or_else(|| panic!("{kind}: no salt"));
-            let found = a.audit_full(&bad);
-            assert!(!found.is_empty(), "{kind} (salt {salt}) undetected by full");
-            // The stepped audit reaches the same verdict within one sweep.
-            let mut stepped = a.clone();
-            let step_found: Vec<_> = (0..t.n_cores())
-                .flat_map(|_| stepped.audit_step(&bad))
-                .collect();
-            assert!(!step_found.is_empty(), "{kind} undetected by stepped sweep");
-        }
+        let (_, bad) = corrupt_table_any(&t, CorruptionKind::SwapPlacement, 64).unwrap();
+        assert!(!audit(&t, &bad).is_empty());
+        assert!(audit(&bad, &bad).is_empty());
+        assert!(!audit(&bad, &t).is_empty());
     }
 
     #[test]
     fn facts_equality_is_the_full_audit_verdict() {
-        // `baseline == live` and `violations(live).is_empty()` agree, and
-        // deriving once and comparing reports what `audit_full` reports.
+        // `baseline == live` exactly when `violations(live)` is empty.
         let t = host_table();
         let baseline = TableFacts::derive(&t);
         assert_eq!(baseline, TableFacts::derive(&t.clone()));
         assert!(baseline.violations(&baseline).is_empty());
-        let auditor = TableAuditor::new(&t);
         for kind in CorruptionKind::ALL {
             let (_, bad) = corrupt_table_any(&t, kind, 64).unwrap();
             let live = TableFacts::derive(&bad);
             assert_ne!(baseline, live, "{kind}");
-            assert_eq!(baseline.violations(&live), auditor.audit_full(&bad));
             assert!(!baseline.violations(&live).is_empty());
         }
     }
@@ -472,23 +377,11 @@ mod tests {
     }
 
     #[test]
-    fn refresh_rebases_the_fact_store() {
-        let t = host_table();
-        let (_, bad) = corrupt_table_any(&t, CorruptionKind::SwapPlacement, 64).unwrap();
-        let mut a = TableAuditor::new(&t);
-        assert!(!a.audit_full(&bad).is_empty());
-        a.refresh(&bad);
-        assert!(a.audit_full(&bad).is_empty());
-        assert!(!a.audit_full(&t).is_empty());
-    }
-
-    #[test]
     fn shape_mismatch_reported_before_core_facts() {
         let t = host_table();
-        let a = TableAuditor::new(&t);
         let narrower = Table::new(ms(10), vec![vec![alloc(0, 2, 0)]]).unwrap();
         assert_eq!(
-            a.audit_full(&narrower),
+            audit(&t, &narrower),
             vec![AuditViolation::ShapeMismatch {
                 expected_cores: 3,
                 got_cores: 1
@@ -496,7 +389,7 @@ mod tests {
         );
         let stretched = Table::new(ms(20), vec![vec![], vec![], vec![]]).unwrap();
         assert!(matches!(
-            a.audit_full(&stretched)[0],
+            audit(&t, &stretched)[0],
             AuditViolation::ShapeMismatch { .. }
         ));
     }
@@ -504,9 +397,8 @@ mod tests {
     #[test]
     fn swap_placement_flips_both_slot_and_placement_facts() {
         let t = host_table();
-        let a = TableAuditor::new(&t);
         let (_, bad) = corrupt_table_any(&t, CorruptionKind::SwapPlacement, 64).unwrap();
-        let found = a.audit_full(&bad);
+        let found = audit(&t, &bad);
         assert!(found
             .iter()
             .any(|v| matches!(v, AuditViolation::SlotMismatch { .. })));

@@ -557,6 +557,29 @@ impl Dispatcher {
         self.tables.abort_install();
     }
 
+    /// One two-phase install attempt: stages `table`, then rolls it back if
+    /// the push was `interrupted`, else commits it. Returns
+    /// `Ok(Some(switch_at))` on commit and `Ok(None)` when the push was
+    /// rolled back (the old table keeps running, untouched).
+    ///
+    /// # Errors
+    ///
+    /// The typed errors of [`Dispatcher::begin_table_switch`] and
+    /// [`Dispatcher::commit_table_switch`]; the running table is untouched.
+    pub fn try_table_switch(
+        &mut self,
+        table: impl Into<Arc<Table>>,
+        now: Nanos,
+        interrupted: bool,
+    ) -> Result<Option<Nanos>, InstallError> {
+        let staged = self.begin_table_switch(table, now)?;
+        if interrupted {
+            self.abort_table_switch();
+            return Ok(None);
+        }
+        self.commit_table_switch(staged).map(Some)
+    }
+
     /// Whether a table install is currently staged.
     pub fn has_staged_table(&self) -> bool {
         self.tables.has_staged()
@@ -564,7 +587,7 @@ impl Dispatcher {
 
     /// The most recently committed table (see
     /// [`TableManager::newest_table`]) — what the continuous audit
-    /// re-checks against its install-time fact store.
+    /// compares with the facts of the table it installed.
     pub fn newest_table(&self) -> &Table {
         self.tables.newest_table()
     }

@@ -17,8 +17,10 @@
 //!   cores by replanning onto the surviving cores (down the
 //!   [`plan_with_fallback`] ladder), installs the new table with the
 //!   two-phase protocol and **bounded exponential backoff** on interrupted
-//!   pushes, and **quarantines** persistent overrunners by demoting them
-//!   in the level-2 fair-share scheduler.
+//!   pushes ([`RetryPolicy`], the one backoff the fleet uses too),
+//!   **audits** the installed table against the facts taken at install,
+//!   and **quarantines** persistent overrunners by demoting them in the
+//!   level-2 fair-share scheduler.
 //!
 //! Every action is recorded as a [`RecoveryRecord`] with provenance (which
 //! ladder rung produced the installed plan, how many install attempts it
@@ -27,7 +29,7 @@
 use rtsched::time::Nanos;
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{AuditViolation, TableAuditor};
+use crate::audit::{AuditViolation, TableFacts};
 use crate::dispatch::Dispatcher;
 use crate::planner::{plan_with_fallback, Plan, PlannerOptions, ReplanPath};
 use crate::table::Table;
@@ -214,23 +216,61 @@ pub enum CoreEvent {
     },
 }
 
+/// Bounded exponential retry: retry `attempt` waits `base · 2^(attempt−1)`,
+/// never more than `cap`, and `budget` retries are allowed before the
+/// caller's own exhaustion action (the guardian re-arms its install, the
+/// fleet pins installs at the cap and parks evacuations).
+///
+/// # Examples
+///
+/// ```
+/// use rtsched::time::Nanos;
+/// use tableau_core::RetryPolicy;
+///
+/// let ms = Nanos::from_millis;
+/// let retry = RetryPolicy { base: ms(1), cap: ms(100), budget: 5 };
+/// assert_eq!(retry.delay(3), ms(4));
+/// assert_eq!(retry.delay(u32::MAX), ms(100));
+/// // Doubling never stops short of the cap: 1 ms doubled 29 times is
+/// // past an hour.
+/// let hour = Nanos::from_secs(3600);
+/// assert_eq!(RetryPolicy { cap: hour, ..retry }.delay(30), hour);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// First retry delay; doubles per attempt.
+    pub base: Nanos,
+    /// Retry delay ceiling.
+    pub cap: Nanos,
+    /// Retries allowed before the budget is exhausted.
+    pub budget: u32,
+}
+
+impl RetryPolicy {
+    /// The delay before retry `attempt` (1-based; 0 counts as 1):
+    /// `min(cap, base · 2^(attempt−1))`, exact for every `u32` attempt.
+    pub fn delay(&self, attempt: u32) -> Nanos {
+        // A 64-bit shift already lifts any nonzero base past every cap, so
+        // the exponent saturates there and the product is exact in u128.
+        let doubled = u128::from(self.base.0) << attempt.saturating_sub(1).min(64);
+        Nanos(doubled.min(u128::from(self.cap.0)) as u64)
+    }
+}
+
 /// Tunables for the guardian's recovery policy.
 #[derive(Debug, Clone)]
 pub struct GuardianConfig {
-    /// Give up on a pending install after this many interrupted attempts
-    /// and re-run the planning ladder instead.
-    pub max_install_retries: u32,
-    /// First retry delay; doubles per attempt.
-    pub backoff_base: Nanos,
-    /// Retry delay ceiling.
-    pub backoff_cap: Nanos,
+    /// Backoff between interrupted install attempts. Once the budget runs
+    /// out the same install is re-armed with a fresh budget.
+    pub install_retry: RetryPolicy,
     /// Quarantine an uncapped guest once its cumulative overrun count
     /// reaches this threshold.
     pub quarantine_overruns: u64,
-    /// Continuous-audit cadence: at most one incremental audit step (one
-    /// core's facts re-checked) per this much time. Low by design — the
-    /// audit guards against corruption of an *installed* table, which has
-    /// no deadline, so it must never compete with the dispatch path.
+    /// Continuous-audit cadence: the whole live table is compared with
+    /// the install-time facts at most once per this much time. Low by
+    /// design — the audit guards against corruption of an *installed*
+    /// table, which has no deadline, so it must never compete with the
+    /// dispatch path.
     pub audit_interval: Nanos,
     /// Planner options for evacuation/restore replans.
     pub planner: PlannerOptions,
@@ -239,9 +279,11 @@ pub struct GuardianConfig {
 impl Default for GuardianConfig {
     fn default() -> GuardianConfig {
         GuardianConfig {
-            max_install_retries: 5,
-            backoff_base: Nanos::from_millis(1),
-            backoff_cap: Nanos::from_millis(100),
+            install_retry: RetryPolicy {
+                base: Nanos::from_millis(1),
+                cap: Nanos::from_millis(100),
+                budget: 5,
+            },
             quarantine_overruns: 50,
             audit_interval: Nanos::from_millis(100),
             planner: PlannerOptions::default(),
@@ -294,7 +336,9 @@ pub enum RecoveryAction {
         /// Earliest time of the next attempt (exponential backoff).
         next_try: Nanos,
     },
-    /// The retry budget ran out; the guardian re-runs the planning ladder.
+    /// The retry budget ran out; the same install is re-armed with a fresh
+    /// budget and retried at the next step (the ladder would only rebuild
+    /// the plan it carries).
     InstallRetriesExhausted {
         /// Attempts made.
         attempts: u32,
@@ -339,8 +383,7 @@ pub struct RecoveryRecord {
     pub action: RecoveryAction,
 }
 
-/// Aggregate recovery counters (mirrors `xensim`'s `RecoveryStats` without
-/// depending on the simulator).
+/// Aggregate recovery counters of one guardian.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GuardianCounters {
     /// SLA violations consumed from the monitor.
@@ -351,7 +394,7 @@ pub struct GuardianCounters {
     pub install_retries: u64,
     /// Guests demoted at the second level.
     pub quarantines: u64,
-    /// Incremental audit steps performed over installed tables.
+    /// Audits of the installed table (one per `audit_interval`).
     #[serde(default)]
     pub audit_checks: u64,
     /// Audit discrepancies detected (each triggers a replan).
@@ -394,10 +437,9 @@ pub struct Guardian {
     pending: Option<PendingInstall>,
     /// Latest cumulative overrun count per vCPU id.
     overruns_seen: Vec<u64>,
-    /// Fact store snapshotted from the installed table, re-checked by the
-    /// continuous audit.
-    auditor: TableAuditor,
-    /// Earliest time of the next audit step.
+    /// Facts of the installed table, the continuous audit's baseline.
+    baseline: TableFacts,
+    /// Earliest time of the next audit.
     next_audit: Nanos,
     counters: GuardianCounters,
     log: Vec<RecoveryRecord>,
@@ -412,7 +454,7 @@ impl Guardian {
             .into_iter()
             .map(|(_, spec)| spec.capped)
             .collect();
-        let auditor = TableAuditor::new(&initial.table);
+        let baseline = TableFacts::derive(&initial.table);
         Guardian {
             cfg,
             capped,
@@ -422,7 +464,7 @@ impl Guardian {
             replan_needed: false,
             pending: None,
             overruns_seen: Vec::new(),
-            auditor,
+            baseline,
             next_audit: Nanos::ZERO,
             counters: GuardianCounters::default(),
             log: Vec::new(),
@@ -501,15 +543,17 @@ impl Guardian {
             }
         }
 
-        // Continuous audit: one incremental step per cadence interval,
-        // re-checking the live table against the install-time fact store.
-        // Silent when clean; a discrepancy is typed into the log and routed
-        // through the ordinary replan ladder (the corrupted copy is
-        // replaced by a freshly planned, freshly verified install).
+        // Continuous audit: once per cadence interval, the whole live
+        // table's facts against the install-time baseline. Silent when
+        // clean; a discrepancy is typed into the log and routed through the
+        // ordinary replan ladder (the corrupted copy is replaced by a
+        // freshly planned, freshly verified install).
         if now >= self.next_audit {
             self.next_audit = now + self.cfg.audit_interval;
             self.counters.audit_checks += 1;
-            let found = self.auditor.audit_step(dispatcher.newest_table());
+            let found = self
+                .baseline
+                .violations(&TableFacts::derive(dispatcher.newest_table()));
             if !found.is_empty() {
                 self.counters.audit_violations += found.len() as u64;
                 for violation in found {
@@ -627,48 +671,8 @@ impl Guardian {
             // Defensive: never stack on a foreign staged install.
             dispatcher.abort_table_switch();
         }
-        let staged = match dispatcher.begin_table_switch(p.table.clone(), now) {
-            Ok(staged) => staged,
-            Err(e) => {
-                self.log.push(RecoveryRecord {
-                    at: now,
-                    action: RecoveryAction::InstallFailed {
-                        error: e.to_string(),
-                    },
-                });
-                self.replan_needed = true;
-                return;
-            }
-        };
-        if interrupted {
-            // Torn push: roll back, keep the old table, retry with backoff.
-            dispatcher.abort_table_switch();
-            self.counters.install_retries += 1;
-            p.attempts += 1;
-            if p.attempts > self.cfg.max_install_retries {
-                self.log.push(RecoveryRecord {
-                    at: now,
-                    action: RecoveryAction::InstallRetriesExhausted {
-                        attempts: p.attempts,
-                    },
-                });
-                // Escalate: rebuild the plan down the ladder next step.
-                self.replan_needed = true;
-            } else {
-                p.next_try = now + backoff(self.cfg.backoff_base, self.cfg.backoff_cap, p.attempts);
-                self.log.push(RecoveryRecord {
-                    at: now,
-                    action: RecoveryAction::InstallRetried {
-                        attempt: p.attempts,
-                        next_try: p.next_try,
-                    },
-                });
-                self.pending = Some(p);
-            }
-            return;
-        }
-        match dispatcher.commit_table_switch(staged) {
-            Ok(switch_at) => {
+        match dispatcher.try_table_switch(p.table.clone(), now, interrupted) {
+            Ok(Some(switch_at)) => {
                 self.log.push(RecoveryRecord {
                     at: now,
                     action: RecoveryAction::Installed {
@@ -677,10 +681,38 @@ impl Guardian {
                         attempts: p.attempts,
                     },
                 });
-                // Rebase the audit facts on the table just committed (the
+                // Rebase the audit on the table just committed (the
                 // full-width remap, which is what the dispatcher now runs).
-                self.auditor.refresh(&p.table);
+                self.baseline = TableFacts::derive(&p.table);
                 self.installed = (p.host, p.plan);
+            }
+            Ok(None) => {
+                // Torn push: rolled back, the old table keeps running.
+                self.counters.install_retries += 1;
+                p.attempts += 1;
+                let retry = self.cfg.install_retry;
+                if p.attempts > retry.budget {
+                    self.log.push(RecoveryRecord {
+                        at: now,
+                        action: RecoveryAction::InstallRetriesExhausted {
+                            attempts: p.attempts,
+                        },
+                    });
+                    // Neither the target nor the installed plan changed, so
+                    // the ladder would rebuild this very plan: re-arm it.
+                    p.attempts = 0;
+                    p.next_try = now;
+                } else {
+                    p.next_try = now + retry.delay(p.attempts);
+                    self.log.push(RecoveryRecord {
+                        at: now,
+                        action: RecoveryAction::InstallRetried {
+                            attempt: p.attempts,
+                            next_try: p.next_try,
+                        },
+                    });
+                }
+                self.pending = Some(p);
             }
             Err(e) => {
                 self.log.push(RecoveryRecord {
@@ -735,11 +767,6 @@ fn remap_to_width(table: &Table, online: &[usize], width: usize) -> Result<Table
     Table::new(table.len(), per_core)
 }
 
-fn backoff(base: Nanos, cap: Nanos, attempt: u32) -> Nanos {
-    let shift = attempt.saturating_sub(1).min(32);
-    Nanos(base.0.saturating_mul(1u64 << shift).min(cap.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,6 +774,7 @@ mod tests {
     use crate::level2::DEFAULT_EPOCH;
     use crate::planner::plan;
     use crate::vcpu::{Utilization, VcpuSpec, VmSpec};
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> Nanos {
         Nanos::from_millis(v)
@@ -930,27 +958,40 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_rebuild_the_plan() {
+    fn exhausted_retries_re_arm_the_same_plan() {
         let (_, mut d) = setup();
-        let cfg = GuardianConfig {
-            max_install_retries: 1,
-            ..GuardianConfig::default()
-        };
+        let mut cfg = GuardianConfig::default();
+        cfg.install_retry.budget = 1;
         let h = host();
         let p = plan(&h, &PlannerOptions::default()).unwrap();
         let mut g = Guardian::new(h, p, cfg);
         g.on_core_event(CoreEvent::Offline { core: 1, at: ms(0) });
         g.step(&mut d, ms(0), true); // attempt 1: retry scheduled
+        assert_eq!(g.counters().evacuations, 1);
         let r = g.step(&mut d, ms(5), true); // attempt 2: budget exhausted
         assert!(find(&r, |a| matches!(
             a,
-            RecoveryAction::InstallRetriesExhausted { .. }
+            RecoveryAction::InstallRetriesExhausted { attempts: 2 }
         ))
         .is_some());
-        // The next step re-runs the ladder and installs cleanly.
+        assert!(g.recovery_pending());
+        // The next clean step installs the plan it kept, with a fresh
+        // attempt count, and replans nothing.
         let r = g.step(&mut d, ms(10), false);
-        assert!(find(&r, |a| matches!(a, RecoveryAction::Replanned { .. })).is_some());
-        assert!(find(&r, |a| matches!(a, RecoveryAction::Installed { .. })).is_some());
+        assert!(find(&r, |a| matches!(a, RecoveryAction::Replanned { .. })).is_none());
+        assert!(find(&r, |a| matches!(
+            a,
+            RecoveryAction::Installed { attempts: 0, .. }
+        ))
+        .is_some());
+        assert_eq!(g.counters().evacuations, 1);
+        let mut survivor = HostConfig::new(1);
+        for vm in &host().vms {
+            survivor.add_vm(vm.clone());
+        }
+        let evacuated = plan(&survivor, &PlannerOptions::default()).unwrap();
+        assert_eq!(*g.installed_plan(), evacuated);
+        assert!(!g.recovery_pending());
     }
 
     #[test]
@@ -1000,7 +1041,7 @@ mod tests {
             let r = g.step(&mut d, ms(100 * i), false);
             assert!(r.is_empty(), "clean audit must not log: {r:?}");
         }
-        // One audit step per cadence interval, none mid-interval.
+        // One audit per cadence interval, none mid-interval.
         assert_eq!(g.counters().audit_checks, 6);
         let quiet = g.step(&mut d, ms(500) + Nanos::from_micros(1), false);
         assert!(quiet.is_empty());
@@ -1031,8 +1072,8 @@ mod tests {
         assert!(g.counters().audit_violations >= 1);
         let seen = g.counters().audit_violations;
 
-        // A full audit rotation over the repaired table stays silent.
-        for i in 1..=2 * d.n_cores() as u64 {
+        // Later audits of the repaired table stay silent.
+        for i in 1..=4 {
             let r = g.step(&mut d, ms(100 * i), false);
             assert!(
                 find(&r, |a| matches!(a, RecoveryAction::AuditViolation { .. })).is_none(),
@@ -1043,12 +1084,61 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_bounded() {
-        let base = Nanos::from_millis(1);
-        let cap = Nanos::from_millis(100);
-        assert_eq!(backoff(base, cap, 1), Nanos::from_millis(1));
-        assert_eq!(backoff(base, cap, 3), Nanos::from_millis(4));
-        assert_eq!(backoff(base, cap, 8), Nanos::from_millis(100)); // capped
-        assert_eq!(backoff(base, cap, 64), Nanos::from_millis(100)); // no overflow
+    fn the_next_audit_sees_a_corruption_on_any_core() {
+        // Four cores, and the corruption lands on a core the previous
+        // audit already passed: the next audit must still see it.
+        let mut h = HostConfig::new(4);
+        let capped = VcpuSpec::capped(Utilization::from_percent(25), ms(20));
+        for i in 0..8 {
+            h.add_vm(VmSpec::uniform(format!("c{i}"), 1, capped));
+        }
+        let p = plan(&h, &PlannerOptions::default()).unwrap();
+        let mut d = Dispatcher::new(p.table.clone(), vec![true; 8], DEFAULT_EPOCH);
+        let mut g = Guardian::new(h, p.clone(), GuardianConfig::default());
+        assert!(g.step(&mut d, ms(0), false).is_empty(), "clean audit");
+
+        let mut per_core: Vec<Vec<_>> = (0..4)
+            .map(|c| p.table.cpu(c).allocations().collect())
+            .collect();
+        let slot = &mut per_core[0][0];
+        slot.end = slot.start + (slot.end - slot.start) / 2;
+        d.corrupt_newest_table(Table::new(p.table.len(), per_core).unwrap())
+            .unwrap();
+
+        let r = g.step(&mut d, ms(100), false);
+        assert!(
+            find(&r, |a| matches!(
+                a,
+                RecoveryAction::AuditViolation {
+                    violation: AuditViolation::SlotMismatch { core: 0 }
+                }
+            ))
+            .is_some(),
+            "corruption on core 0 not flagged by the next audit: {r:?}"
+        );
+        assert_eq!(g.counters().audit_checks, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn backoff_is_bounded(
+            (base, base_shift) in (any::<u64>(), 0u32..64),
+            (cap, cap_shift) in (any::<u64>(), 0u32..64),
+            (small, wide, pick_wide) in (0u32..130, any::<u32>(), any::<bool>()),
+        ) {
+            let retry = RetryPolicy {
+                base: Nanos(base >> base_shift),
+                cap: Nanos(cap >> cap_shift),
+                budget: 5,
+            };
+            let attempt = if pick_wide { wide } else { small };
+            // Reference in u128: base · 2^(attempt−1), saturating, clamped.
+            let exact = u128::from(retry.base.0)
+                .saturating_mul(2u128.saturating_pow(attempt.max(1) - 1));
+            let want = exact.min(u128::from(retry.cap.0)) as u64;
+            prop_assert_eq!(retry.delay(attempt), Nanos(want));
+        }
     }
 }

@@ -51,13 +51,11 @@ pub mod table;
 pub mod vcpu;
 pub mod viz;
 
-pub use audit::{
-    corrupt_table, corrupt_table_any, AuditViolation, CorruptionKind, TableAuditor, TableFacts,
-};
+pub use audit::{corrupt_table, corrupt_table_any, AuditViolation, CorruptionKind, TableFacts};
 pub use dispatch::{Decision, Dispatcher};
 pub use guardian::{
     CoreEvent, Guardian, GuardianConfig, GuardianCounters, RecoveryAction, RecoveryRecord,
-    SlaMonitor, SlaViolation,
+    RetryPolicy, SlaMonitor, SlaViolation,
 };
 pub use planner::{
     plan, plan_timed, plan_with_fallback, DeltaReport, Plan, PlanError, PlanTimings,

@@ -1,11 +1,11 @@
 //! Strength of the continuous table audit's fingerprints.
 //!
-//! The auditor compares per-core and placement fingerprints of the live
+//! The audit compares per-core and placement fingerprints of the live
 //! table against those taken at install time. This suite plans random
 //! hosts and damages the table the way a stray memory write would — one
 //! field at a time, *without* rebuilding the derived metadata — and
-//! requires `audit_full` to flag every mutant and to stay silent on the
-//! untouched table. [`Table::new`] rejects most of these mutants (unsorted
+//! requires the mutant's `TableFacts` to differ from the baseline's on
+//! every mutant and to equal them on the untouched table. [`Table::new`] rejects most of these mutants (unsorted
 //! lists, overlaps), so they are written through a field-for-field mirror
 //! of the table's serialized form: into the segment arrays, which are the
 //! only copy of the schedule — an allocation is a non-idle segment, its
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use rtsched::time::Nanos;
-use tableau_core::audit::{corrupt_table, CorruptionKind, TableAuditor};
+use tableau_core::audit::{corrupt_table, CorruptionKind, TableFacts};
 use tableau_core::planner::{plan, PlannerOptions};
 use tableau_core::table::{Allocation, Table};
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuId, VcpuSpec, VmSpec};
@@ -102,16 +102,18 @@ fn mix(mut x: u64) -> u64 {
 /// sampled rather than enumerated).
 fn assert_mutations_flagged(table: &Table, salt: u64) {
     const SITES: u64 = 6;
-    let auditor = TableAuditor::new(table);
+    let baseline = TableFacts::derive(table);
     let raw = raw_of(table);
-    assert!(auditor.audit_full(table).is_empty());
-    assert!(
-        auditor.audit_full(&table_of(&raw)).is_empty(),
+    assert_eq!(baseline, TableFacts::derive(table));
+    assert_eq!(
+        baseline,
+        TableFacts::derive(&table_of(&raw)),
         "the mirror round-trip must not trip the audit"
     );
     let flagged = |what: String, mutant: &RawTable| {
-        assert!(
-            !auditor.audit_full(&table_of(mutant)).is_empty(),
+        assert_ne!(
+            baseline,
+            TableFacts::derive(&table_of(mutant)),
             "{what} went unnoticed"
         );
     };

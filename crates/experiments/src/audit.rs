@@ -1,19 +1,16 @@
 //! Mutation-kill harness for the verification stack (`experiments audit`).
 //!
 //! Plans a realistic host, then injects every [`CorruptionKind`] into the
-//! resulting table — many seeded mutants per class — and holds the two
-//! defense layers to their contracts:
+//! resulting table — many seeded mutants per class — and scores the two
+//! defense layers:
 //!
-//! * **audit**: a [`TableAuditor`] snapshotted from the clean table must
-//!   flag *every* mutant (100% detection; the fingerprints cover the exact
-//!   bytes, so any surviving mutant is a bug in the fact store);
-//! * **verifier agreement**: re-certifying the cores the mutant touched
-//!   with the per-bin check ([`verify_bin`]) may never certify a mutant
-//!   the full verifier rejects. A corrupted table can legitimately still
-//!   *be* a valid schedule (e.g. swapping two identical vCPUs), so the verifier
-//!   layer is not required to flag every mutant; and a decline or any
-//!   finding degrades to the full pass, so only a clean per-bin verdict
-//!   can disagree with it.
+//! * **audit**: the [`TableFacts`] of the clean table must differ from
+//!   those of *every* mutant (100% detection; the fingerprints cover the
+//!   exact bytes, so any surviving mutant is a bug in the facts);
+//! * **verifier**: how many mutants the full verifier rejects as
+//!   schedules. A corrupted table can legitimately still *be* a valid
+//!   schedule (e.g. swapping two identical vCPUs), so this layer is not
+//!   required to flag every mutant.
 //!
 //! `--quick` injects each class once (the CI smoke gate); full mode runs
 //! [`TRIALS`] mutants per class on a paper-scale host and writes the
@@ -21,11 +18,10 @@
 
 use serde::Serialize;
 
-use rtsched::rules::verify_bin;
 use rtsched::schedule::{CoreSchedule, MultiCoreSchedule, Segment};
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::verify::verify_schedule;
-use tableau_core::audit::{corrupt_table, CorruptionKind, TableAuditor};
+use tableau_core::audit::{corrupt_table, CorruptionKind, TableFacts};
 use tableau_core::planner::{plan, Plan, PlannerOptions};
 use tableau_core::table::Table;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
@@ -67,9 +63,6 @@ pub struct AuditClassRow {
     /// Mutants the full verifier rejected as schedules (informational:
     /// a mutant can remain a valid schedule).
     pub verifier_flags: u64,
-    /// Mutants where the per-bin check certified no core the full pass
-    /// rejects (must equal `injected`).
-    pub engine_agrees: u64,
 }
 
 /// The `results/audit.json` artifact.
@@ -84,12 +77,9 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    /// Whether every contract held: all mutants audited out, and the
-    /// per-bin verifier never certified what the full pass rejects.
+    /// Whether every mutant was audited out.
     pub fn all_killed(&self) -> bool {
-        self.rows
-            .iter()
-            .all(|r| r.audit_kills == r.injected && r.engine_agrees == r.injected)
+        self.rows.iter().all(|r| r.audit_kills == r.injected)
     }
 }
 
@@ -127,45 +117,15 @@ fn table_schedule(table: &Table) -> MultiCoreSchedule {
     }
 }
 
-/// Per-core bins (as rtsched tasks) from the *clean* plan's placements.
-fn table_bins(p: &Plan, table: &Table) -> Vec<Vec<PeriodicTask>> {
+/// The *clean* plan's vCPUs as rtsched tasks, core by core in home order.
+fn table_tasks(p: &Plan, table: &Table) -> Vec<PeriodicTask> {
     (0..table.n_cores())
-        .map(|c| {
-            table
-                .vcpus_homed_on(c)
-                .iter()
-                .map(|&v| {
-                    let params = p.params_of(v).expect("homed vcpu was planned");
-                    PeriodicTask::implicit(TaskId(v.0), params.cost, params.period)
-                })
-                .collect()
+        .flat_map(|c| table.vcpus_homed_on(c))
+        .map(|&v| {
+            let params = p.params_of(v).expect("homed vcpu was planned");
+            PeriodicTask::implicit(TaskId(v.0), params.cost, params.period)
         })
         .collect()
-}
-
-/// Judges one mutant: `(audit_kill, verifier_flag, engine_agrees)`.
-fn judge(
-    clean: &Table,
-    bins: &[Vec<PeriodicTask>],
-    tasks: &[PeriodicTask],
-    bad: &Table,
-) -> (bool, bool, bool) {
-    let auditor = TableAuditor::new(clean);
-    let audit_kill = !auditor.audit_full(bad).is_empty();
-
-    // Re-certify only the cores the corruption touched, each against its
-    // clean bin; untouched cores are the clean table's, certified already.
-    let bad_sched = table_schedule(bad);
-    let certified = bins.iter().enumerate().all(|(core, bin)| {
-        clean
-            .cpu(core)
-            .allocations()
-            .eq(bad.cpu(core).allocations())
-            || verify_bin(bin, bad_sched.cores[core].segments(), bad.len())
-                .is_ok_and(|found| found.is_empty())
-    });
-    let flagged = !verify_schedule(tasks, &bad_sched).is_empty();
-    (audit_kill, flagged, !(certified && flagged))
 }
 
 /// Runs the harness and builds the report (no printing, no artifact).
@@ -173,23 +133,15 @@ pub fn evaluate(quick: bool, seed: u64) -> AuditReport {
     let (host, host_cores, host_vms) = harness_host(quick);
     let p = plan(&host, &PlannerOptions::default()).expect("harness host plans");
     let clean = p.table.clone();
-    let bins = table_bins(&p, &clean);
-    let tasks: Vec<PeriodicTask> = bins.iter().flatten().cloned().collect();
+    let tasks = table_tasks(&p, &clean);
+    let baseline = TableFacts::derive(&clean);
 
-    // The clean table must certify through both paths before any mutant is
-    // scored, or every kill below would be meaningless.
-    let clean_sched = table_schedule(&clean);
+    // The clean table must re-verify before any mutant is scored, or every
+    // flag below would be meaningless.
     assert!(
-        verify_schedule(&tasks, &clean_sched).is_empty(),
+        verify_schedule(&tasks, &table_schedule(&clean)).is_empty(),
         "clean table re-verifies"
     );
-    for (bin, core) in bins.iter().zip(&clean_sched.cores) {
-        assert_eq!(
-            verify_bin(bin, core.segments(), clean.len()),
-            Ok(Vec::new()),
-            "clean table certifies bin by bin"
-        );
-    }
 
     let trials = if quick { 1 } else { TRIALS };
     let rows = CorruptionKind::ALL
@@ -199,7 +151,6 @@ pub fn evaluate(quick: bool, seed: u64) -> AuditReport {
                 injected: 0,
                 audit_kills: 0,
                 verifier_flags: 0,
-                engine_agrees: 0,
             };
             let mut salt = seed;
             for _ in 0..trials {
@@ -210,11 +161,10 @@ pub fn evaluate(quick: bool, seed: u64) -> AuditReport {
                         t
                     })
                     .expect("a non-empty table always yields a mutant");
-                let (audit_kill, flagged, agrees) = judge(&clean, &bins, &tasks, &bad);
                 row.injected += 1;
-                row.audit_kills += u64::from(audit_kill);
-                row.verifier_flags += u64::from(flagged);
-                row.engine_agrees += u64::from(agrees);
+                row.audit_kills += u64::from(baseline != TableFacts::derive(&bad));
+                row.verifier_flags +=
+                    u64::from(!verify_schedule(&tasks, &table_schedule(&bad)).is_empty());
             }
             row
         })
@@ -248,24 +198,17 @@ pub fn run_with_seed(quick: bool, seed: u64) -> bool {
                 r.injected.to_string(),
                 r.audit_kills.to_string(),
                 r.verifier_flags.to_string(),
-                r.engine_agrees.to_string(),
             ]
         })
         .collect();
     print_table(
         &format!(
-            "mutation kill: table audit + per-bin verifier ({}x{} host, detection {:.0}%)",
+            "mutation kill: table audit + verifier ({}x{} host, detection {:.0}%)",
             report.meta.host_cores,
             report.meta.host_vms,
             report.detection_rate * 100.0
         ),
-        &[
-            "class",
-            "injected",
-            "audit_kills",
-            "verifier_flags",
-            "engine_agrees",
-        ],
+        &["class", "injected", "audit_kills", "verifier_flags"],
         &rows,
     );
     if !quick {

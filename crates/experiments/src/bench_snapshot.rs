@@ -25,7 +25,6 @@ use serde::{Deserialize, Serialize};
 
 use rtsched::edf::simulate_edf;
 use rtsched::generator::Stage;
-use rtsched::rules::verify_bin;
 use rtsched::schedule::{CoreSchedule, MultiCoreSchedule, Segment};
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::time::Nanos;
@@ -103,19 +102,6 @@ fn time_entry<R>(name: &str, iters: u64, mut f: impl FnMut() -> R) -> BenchEntry
         total_ns: total.as_nanos() as u64,
         mean_ns: total.as_nanos() as f64 / iters as f64,
     }
-}
-
-/// The fastest of `iters` individually timed calls (ns), after one untimed
-/// warm-up — the noise-robust figure the in-run ratio assertions compare.
-fn fastest_ns<R>(iters: u64, mut f: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(f());
-    (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_nanos() as f64
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// `n_vms` single-vCPU VMs at `pct`% utilization with a 20 ms goal.
@@ -262,63 +248,30 @@ fn table_compile_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
     })
 }
 
-/// The paper-scale verification substrate: a 44-core, 176-task schedule
-/// (4 tasks per core, 0.5 ms each over a 2 ms hyperperiod) in rtsched
-/// types, i.e. the exact inputs `verify_schedule` and the rule engine see.
-#[allow(clippy::type_complexity)]
-fn verify_host_176() -> (Vec<Vec<PeriodicTask>>, Vec<Vec<Segment>>, MultiCoreSchedule) {
+/// Times one full single-pass verify of a paper-scale schedule: 44 cores,
+/// 4 tasks per core, 0.5 ms each over a 2 ms hyperperiod.
+fn verify_full_entry(iters: u64) -> BenchEntry {
     let h = Nanos::from_millis(2);
     let q = h / 4;
-    let bins: Vec<Vec<PeriodicTask>> = (0..44u32)
-        .map(|c| {
-            (0..4u32)
-                .map(|i| PeriodicTask::implicit(TaskId(c * 4 + i), q, h))
-                .collect()
-        })
-        .collect();
-    let slots: Vec<Vec<Segment>> = (0..44u64)
-        .map(|c| {
-            (0..4u64)
-                .map(|i| Segment::new(q * i, q * (i + 1), TaskId((c * 4 + i) as u32)))
-                .collect()
-        })
+    let tasks: Vec<PeriodicTask> = (0..176u32)
+        .map(|id| PeriodicTask::implicit(TaskId(id), q, h))
         .collect();
     let sched = MultiCoreSchedule {
         hyperperiod: h,
-        cores: slots
-            .iter()
-            .map(|v| CoreSchedule::from_segments(v.clone()).expect("valid core"))
+        cores: (0..44u64)
+            .map(|c| {
+                let slots = (0..4u64)
+                    .map(|i| Segment::new(q * i, q * (i + 1), TaskId((c * 4 + i) as u32)))
+                    .collect();
+                CoreSchedule::from_segments(slots).expect("valid core")
+            })
             .collect(),
     };
-    (bins, slots, sched)
-}
-
-/// Times one full single-pass verify of the 176-task host; also returns
-/// the fastest single call (ns).
-fn verify_full_entry(iters: u64) -> (BenchEntry, f64) {
-    let (bins, _, sched) = verify_host_176();
-    let tasks: Vec<PeriodicTask> = bins.into_iter().flatten().collect();
-    let mut verify = || {
+    time_entry("verify/full_176", iters.max(100), || {
         let v = verify_schedule(&tasks, &sched);
         assert!(v.is_empty(), "bench schedule must be valid");
         v
-    };
-    let entry = time_entry("verify/full_176", iters.max(100), &mut verify);
-    (entry, fastest_ns(iters.max(100), verify))
-}
-
-/// Times re-certifying one bin of the same host with the per-bin check
-/// (`rtsched::rules::verify_bin`), O(one core). Also returns the fastest
-/// single call (ns).
-fn verify_delta_entry(iters: u64) -> (BenchEntry, f64) {
-    let (bins, slots, sched) = verify_host_176();
-    let mut recertify = || {
-        let v = verify_bin(&bins[0], &slots[0], sched.hyperperiod).expect("self-contained bin");
-        assert!(v.is_empty(), "bench schedule must be valid");
-        v
-    };
-    let entry = time_entry("verify/delta_incremental", iters.max(100), &mut recertify);
-    (entry, fastest_ns(iters.max(100), recertify))
+    })
 }
 
 pub(crate) fn meta(quick: bool, seed: u64) -> BenchMeta {
@@ -346,8 +299,7 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     let mut clustered = PlannerOptions::default();
     clustered.gen.first_stage = Stage::Clustered;
 
-    let (verify_full, verify_full_min) = verify_full_entry(iters);
-    let (verify_delta, verify_delta_min) = verify_delta_entry(iters);
+    let verify_full = verify_full_entry(iters);
     let mut entries = vec![
         time_entry("plan/partitioned", iters, || {
             let p = plan(&easy, &defaults).expect("easy set plans");
@@ -400,7 +352,6 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
         delta_all_dirty_entry(paper_iters, &defaults),
         edf_bin_entry(iters, &defaults),
         verify_full,
-        verify_delta,
         time_entry("cache/miss", iters, || {
             // A fresh cache per iteration: the full miss path (key build,
             // plan, insert).
@@ -418,20 +369,6 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     ];
     entries.extend(crowded_cache_entries(iters, &defaults));
     entries.push(table_compile_entry(paper_iters, &defaults));
-    // What the per-bin check is for: re-certifying one bin of a 176-task
-    // host must stay well below a full single-pass verify of it (one bin
-    // of 44; both are array work, no hashing). The floor compares fastest
-    // iterations. It guards the O(delta) factoring — a check that
-    // re-derives clean cores would read ~1x — not a speed record.
-    println!(
-        "verify pair: full/delta = {:.1} (fastest iterations)",
-        verify_full_min / verify_delta_min
-    );
-    assert!(
-        verify_delta_min * 5.0 < verify_full_min,
-        "per-bin delta verify (min {verify_delta_min:.0} ns) must be >= 5x cheaper \
-         than the full pass (min {verify_full_min:.0} ns)",
-    );
     BenchSnapshot {
         meta: meta(quick, seed),
         entries,
@@ -1054,7 +991,6 @@ mod tests {
                 "plan/delta_all_dirty_176",
                 "edf/bin_4x1ms",
                 "verify/full_176",
-                "verify/delta_incremental",
                 "cache/miss",
                 "cache/hit",
                 "cache/hit_crowded",

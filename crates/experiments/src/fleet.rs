@@ -41,7 +41,6 @@ use ::fleet::{Fleet, FleetConfig, FleetCounters, HostState, RungCounters, StepPh
 use rtsched::time::Nanos;
 use workloads::churn::{sap_trace, ChurnConfig, ChurnOp};
 use xensim::fault::HostFaultConfig;
-use xensim::RecoveryStats;
 
 use crate::bench_snapshot::{BenchEntry, BenchSnapshot};
 use crate::report::{git_rev, print_table, write_json, write_json_to};
@@ -157,8 +156,6 @@ pub struct FleetPoint {
     pub batch: xensim::stats::BatchStats,
     /// Where `Fleet::step`'s wall-clock went, per phase.
     pub step_phases: StepLedger,
-    /// The fleet counters mirrored into the single-host recovery schema.
-    pub recovery: RecoveryStats,
     /// VMs still owned when the replay ended.
     pub live_vms_final: usize,
     /// Epochs past the horizon until every evacuation re-placed and every
@@ -390,7 +387,6 @@ fn run_cell(
         cache_misses: stats.misses,
         batch: fleet.batch_stats(),
         step_phases: StepLedger::new(fleet.step_phases()),
-        recovery: fleet.recovery_stats(),
         live_vms_final: fleet.live_vms(),
         convergence_epochs,
         admit_samples: hist.count(),
@@ -726,9 +722,6 @@ mod tests {
         // Rung provenance is populated: placement planned through the
         // shared cache and the delta patcher (and possibly the ladder).
         assert!(p.rungs.cache_hit + p.rungs.cache_plan + p.rungs.delta > 0);
-        // The mirrored recovery schema carries the fleet counters.
-        assert_eq!(p.recovery.evacuated_vms, p.counters.evacuated_vms);
-        assert_eq!(p.recovery.admissions, p.counters.admissions);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! writes the committed `BENCH_*.json` perf trajectory (`bench snapshot`).
 //! [`audit`] is the mutation-kill harness: every table-corruption class is
 //! injected into a planned host and must be flagged by the install-time
-//! audit fact store, with the per-bin verifier never certifying a mutant
-//! the full verifier rejects.
+//! audit facts (`TableFacts`); the full verifier's flags are reported
+//! beside them.
 //!
 //! Run via the `experiments` binary: `cargo run --release -p experiments --
 //! all` (or a specific id, with `--quick` for a fast smoke pass). Each

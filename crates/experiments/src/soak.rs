@@ -41,7 +41,7 @@ use tableau_core::{CoreEvent, Guardian, GuardianConfig, RecoveryAction, Recovery
 use workloads::IoStress;
 use xensim::fault::FaultConfig;
 use xensim::sched::BusyLoop;
-use xensim::{Machine, RecoveryStats, Sim};
+use xensim::{Machine, Sim};
 
 use crate::config::LATENCY_GOAL;
 use crate::report::{git_rev, print_table, write_json};
@@ -124,7 +124,7 @@ pub struct SoakPoint {
     pub install_retries: u64,
     /// Guests demoted for persistent overruns.
     pub quarantines: u64,
-    /// Incremental audit steps the guardian ran over installed tables.
+    /// Audits the guardian ran over installed tables (one per interval).
     pub audit_checks: u64,
     /// Audit discrepancies detected (zero unless tables are corrupted
     /// out from under the dispatcher).
@@ -319,19 +319,7 @@ fn run_cell(
         }
     }
 
-    // Mirror the guardian's accounting into the simulator statistics
-    // (the simulator itself never recovers anything).
     let c = guardian.counters();
-    sim.stats_mut().recovery = RecoveryStats {
-        violations_seen: c.violations_seen,
-        evacuations: c.evacuations,
-        install_retries: c.install_retries,
-        quarantines: c.quarantines,
-        // Fleet-level counters stay zero in a single-host soak; the fleet
-        // experiment fills them (see `crates/experiments/src/fleet.rs`).
-        ..RecoveryStats::default()
-    };
-
     let stats = sim.stats();
     let mut max_delay = Nanos::ZERO;
     let mut capped_max = Nanos::ZERO;

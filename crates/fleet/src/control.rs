@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use rtsched::time::Nanos;
 use tableau_core::audit::{corrupt_table, CorruptionKind, TableFacts};
 use tableau_core::cache::SharedPlanCache;
+use tableau_core::guardian::RetryPolicy;
 use tableau_core::planner::{
     plan_with_fallback, Plan, PlanError, PlannerOptions, ReplanError, ReplanPath,
 };
@@ -17,7 +18,7 @@ use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec};
 use workloads::churn::Flavor;
 use workloads::Histogram;
 use xensim::fault::{CorruptionEvent, FaultWindow, HostFaultConfig, HostFaultEngine};
-use xensim::{Machine, RecoveryStats};
+use xensim::Machine;
 
 use crate::host::{probe_config, push_tenant, FleetHost, HostState, Tenant};
 use crate::images::{ImageStore, TableImage};
@@ -57,25 +58,19 @@ pub struct FleetConfig {
     pub backlog_hysteresis: usize,
     /// Candidate hosts each placement rung tries before falling through.
     pub placement_candidates: usize,
-    /// Failed placement attempts before an evacuating VM is parked.
-    pub evac_retry_budget: u32,
-    /// Base/cap of the evacuation retry backoff (exponential, capped).
-    pub evac_backoff_base: Nanos,
-    /// Cap of the evacuation retry backoff.
-    pub evac_backoff_cap: Nanos,
+    /// Backoff between failed placements of an evacuating VM; once the
+    /// budget runs out the VM is parked.
+    pub evac_retry: RetryPolicy,
     /// Retry cadence for parked VMs (slow background re-placement).
     pub parked_retry_interval: Nanos,
-    /// Interrupted install attempts before the backoff pins at its cap.
-    pub install_retry_budget: u32,
-    /// Base of the install retry backoff (exponential, capped).
-    pub install_backoff_base: Nanos,
-    /// Cap of the install retry backoff.
-    pub install_backoff_cap: Nanos,
+    /// Backoff between interrupted installs; once the budget runs out the
+    /// delay pins at the cap.
+    pub install_retry: RetryPolicy,
 }
 
 impl FleetConfig {
     /// Defaults: 20% probes, 20 ms goal, 75% committable capacity,
-    /// guardian-style backoffs.
+    /// evacuation and install retries on the guardian's [`RetryPolicy`].
     pub fn new(n_hosts: usize, cores_per_host: usize) -> FleetConfig {
         FleetConfig {
             n_hosts,
@@ -88,13 +83,17 @@ impl FleetConfig {
             backlog_first_fit_threshold: 8,
             backlog_hysteresis: 2,
             placement_candidates: 4,
-            evac_retry_budget: 5,
-            evac_backoff_base: Nanos::from_millis(50),
-            evac_backoff_cap: Nanos::from_millis(800),
+            evac_retry: RetryPolicy {
+                base: Nanos::from_millis(50),
+                cap: Nanos::from_millis(800),
+                budget: 5,
+            },
             parked_retry_interval: Nanos::from_millis(1_600),
-            install_retry_budget: 5,
-            install_backoff_base: Nanos::from_millis(50),
-            install_backoff_cap: Nanos::from_millis(400),
+            install_retry: RetryPolicy {
+                base: Nanos::from_millis(50),
+                cap: Nanos::from_millis(400),
+                budget: 5,
+            },
         }
     }
 
@@ -317,14 +316,6 @@ struct EvacVm {
     requested_at: Option<Nanos>,
     attempts: u32,
     next_try: Nanos,
-}
-
-/// Bounded exponential backoff: `base * 2^(attempt-1)`, capped. The shift
-/// exponent is clamped (not just the product) so retry counts past 63 —
-/// which would overflow the `u64` shift — still pin at the cap.
-fn backoff(base: Nanos, cap: Nanos, attempt: u32) -> Nanos {
-    let mult = 1u64 << (attempt.saturating_sub(1)).min(20);
-    Nanos(base.as_nanos().saturating_mul(mult).min(cap.as_nanos()))
 }
 
 /// One transition of the backpressure hysteresis band: enter first-fit when
@@ -736,22 +727,6 @@ impl Fleet {
         self.evacuating.len() + self.parked.len()
     }
 
-    /// The fleet counters mirrored into the single-host recovery schema
-    /// (the PR 3 pattern: damage and repairs travel in one record).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        RecoveryStats {
-            violations_seen: self.counters.corruptions_detected,
-            evacuations: self.counters.crashes,
-            install_retries: self.counters.install_retries,
-            quarantines: 0,
-            evacuated_vms: self.counters.evacuated_vms,
-            evacuation_retries: self.counters.evacuation_retries,
-            admissions: self.counters.admissions,
-            admission_rejections: self.counters.admissions_shed,
-            parked_vms: self.counters.parked,
-        }
-    }
-
     // --- internals -------------------------------------------------------
 
     /// Plans `next` for a host: the shared cache first (identically shaped
@@ -1142,18 +1117,13 @@ impl Fleet {
             }
             e.attempts += 1;
             self.counters.evacuation_retries += 1;
-            if e.attempts > self.cfg.evac_retry_budget {
+            if e.attempts > self.cfg.evac_retry.budget {
                 self.counters.parked += 1;
                 self.locations.insert(e.vm, VmLocation::Parked);
                 e.next_try = now + self.cfg.parked_retry_interval;
                 self.parked.push(e.vm, e);
             } else {
-                e.next_try = now
-                    + backoff(
-                        self.cfg.evac_backoff_base,
-                        self.cfg.evac_backoff_cap,
-                        e.attempts,
-                    );
+                e.next_try = now + self.cfg.evac_retry.delay(e.attempts);
                 self.evacuating.push(e.vm, e);
             }
         }
@@ -1212,9 +1182,10 @@ impl Fleet {
             let Some(tab) = h.tableau_mut() else {
                 continue;
             };
+            let d = tab.dispatcher_mut();
             // Epochs every core has left stop pinning their images.
-            tab.dispatcher_mut().collect_garbage();
-            match tab.try_install_table(image.table.clone(), local, interrupted) {
+            d.collect_garbage();
+            match d.try_table_switch(image.table.clone(), local, interrupted) {
                 Ok(Some(switch_local)) => {
                     let switch_at = switch_local + epoch_base;
                     let h = &mut self.hosts[i];
@@ -1235,18 +1206,14 @@ impl Fleet {
                 }
                 Ok(None) => {
                     let h = &mut self.hosts[i];
+                    let retry = self.cfg.install_retry;
                     h.install_attempts += 1;
                     self.counters.install_retries += 1;
-                    if h.install_attempts > self.cfg.install_retry_budget {
+                    if h.install_attempts > retry.budget {
                         self.counters.install_budget_exhaustions += 1;
-                        h.next_install_try = now + self.cfg.install_backoff_cap;
+                        h.next_install_try = now + retry.cap;
                     } else {
-                        h.next_install_try = now
-                            + backoff(
-                                self.cfg.install_backoff_base,
-                                self.cfg.install_backoff_cap,
-                                h.install_attempts,
-                            );
+                        h.next_install_try = now + retry.delay(h.install_attempts);
                     }
                 }
                 Err(_) => {
@@ -1406,18 +1373,28 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_at_extreme_retry_counts() {
-        let base = Nanos::from_millis(50);
-        let cap = Nanos::from_millis(800);
-        assert_eq!(backoff(base, cap, 0), base);
-        assert_eq!(backoff(base, cap, 1), base);
-        assert_eq!(backoff(base, cap, 2), Nanos::from_millis(100));
-        // Past the cap the curve pins — including shift exponents that
-        // would overflow a u64 without the clamp.
-        for attempt in [6, 20, 21, 63, 64, 65, 1_000, u32::MAX] {
-            assert_eq!(backoff(base, cap, attempt), cap, "attempt {attempt}");
+        // The fleet's default curves on the shared RetryPolicy.
+        let cfg = FleetConfig::new(1, 2);
+        for (retry, cap) in [
+            (cfg.evac_retry, Nanos::from_millis(800)),
+            (cfg.install_retry, Nanos::from_millis(400)),
+        ] {
+            let base = Nanos::from_millis(50);
+            assert_eq!(retry.delay(0), base);
+            assert_eq!(retry.delay(1), base);
+            assert_eq!(retry.delay(2), Nanos::from_millis(100));
+            // Past the cap the curve pins — including shift exponents that
+            // would overflow a u64 without the clamp.
+            for attempt in [6, 20, 21, 63, 64, 65, 1_000, u32::MAX] {
+                assert_eq!(retry.delay(attempt), cap, "attempt {attempt}");
+            }
+            // A cap below the base still wins.
+            let tiny = RetryPolicy {
+                cap: Nanos(7),
+                ..retry
+            };
+            assert_eq!(tiny.delay(u32::MAX), Nanos(7));
         }
-        // A cap below the base still wins.
-        assert_eq!(backoff(base, Nanos(7), u32::MAX), Nanos(7));
     }
 
     #[test]
@@ -1837,9 +1814,7 @@ mod tests {
             .map(|h| {
                 let tab = fleet.hosts[h].tableau().expect("host is up");
                 let live = tab.dispatcher().newest_table();
-                !tableau_core::audit::TableAuditor::new(&clean)
-                    .audit_full(live)
-                    .is_empty()
+                TableFacts::derive(&clean) != TableFacts::derive(live)
             })
             .collect();
         assert_eq!(oracle, [false, false, true, false, false, false]);

@@ -2,7 +2,7 @@
 //!
 //! The fleet hands every dispatcher a table from the content-addressed
 //! image store; the parent design built a private `mask_table` copy per
-//! install and audited each copy with its own `TableAuditor`. This test
+//! install and audited each copy against its own baseline. This test
 //! keeps that design alive as the oracle: under random interleavings of
 //! admit / teardown / resize / crash / corruption / install storm it
 //! maintains, per host, the plan whose mask a per-host fleet would have
@@ -10,14 +10,14 @@
 //! requires
 //!
 //! 1. each live host's table to be `==` that oracle table,
-//! 2. the shared audit's verdict per host to equal a per-host
-//!    `TableAuditor::audit_full` run here against the oracle baseline,
+//! 2. the shared audit's verdict per host to equal a per-host audit run
+//!    here: the `TableFacts` of the oracle baseline against those of the
+//!    host's live table, each derived privately,
 //! 3. a corruption to leave every other host's pointer and bytes alone,
 //!    and a corrupted table to be private to its host,
 //! 4. the store to hold no more images than something still points at.
 
 use proptest::prelude::*;
-use tableau_core::audit::TableAuditor;
 use xensim::fault::InstallStormFaults;
 
 use super::*;
@@ -185,7 +185,7 @@ proptest! {
             let verdicts = fleet.audit_verdicts();
             for (i, h) in fleet.hosts.iter().enumerate() {
                 let want = live_table(h).is_some_and(|live| {
-                    !TableAuditor::new(&oracle[i].baseline).audit_full(live).is_empty()
+                    TableFacts::derive(&oracle[i].baseline) != TableFacts::derive(live)
                 });
                 prop_assert_eq!(verdicts[i], want, "audit verdict of host {}", i);
             }

@@ -17,8 +17,9 @@
 //!   threshold, and finally a *typed* [`AdmissionRejected`] shed. Never a
 //!   panic, never a silently dropped VM.
 //! * **Crash-triggered evacuation** — a crashed host's VMs re-place
-//!   through the `plan_with_fallback` ladder with bounded exponential
-//!   backoff and a per-VM retry budget; budget exhaustion *parks* the VM
+//!   through the `plan_with_fallback` ladder with the guardian's bounded
+//!   exponential backoff (`tableau_core::RetryPolicy`) and a per-VM retry
+//!   budget; budget exhaustion *parks* the VM
 //!   (still owned, retried at a slower cadence) instead of losing it.
 //! * **Install pipeline** — tables reach each host's dispatcher through
 //!   the two-phase install protocol; install-failure storms (see

@@ -2,7 +2,7 @@
 //!
 //! A fleet run is a function of its configuration, its fault seed and the
 //! calls made on it: every fleet-level observable — counters, rung
-//! provenance, recovery stats, the admit-to-install histogram, the shared
+//! provenance, the admit-to-install histogram, the shared
 //! plan cache's counters, every VM's location, the aggregated
 //! dense-batching counters, and the step ledger's call count — must come
 //! out **bit-for-bit identical** when the same scenario is driven twice
@@ -22,14 +22,12 @@ use rtsched::time::Nanos;
 use workloads::churn::Flavor;
 use xensim::fault::HostFaultConfig;
 use xensim::stats::BatchStats;
-use xensim::RecoveryStats;
 
 /// Every observable the control plane exposes, in one comparable record.
 #[derive(Debug, PartialEq)]
 struct FleetObservation {
     counters: fleet::FleetCounters,
     rungs: fleet::RungCounters,
-    recovery: RecoveryStats,
     batch: BatchStats,
     /// `Fleet::step` calls the phase ledger recorded (its times are host
     /// time and never compared).
@@ -102,7 +100,6 @@ fn run_chaos_scenario(cache_capacity: usize) -> FleetObservation {
     FleetObservation {
         counters: *fleet.counters(),
         rungs: *fleet.rungs(),
-        recovery: fleet.recovery_stats(),
         batch: fleet.batch_stats(),
         steps: fleet.step_phases().steps,
         live_vms: fleet.live_vms(),
@@ -140,7 +137,7 @@ fn cache_capacity_cannot_move_the_fleet_model() {
     // The three cache-facing rungs split the same replans differently.
     let cache_rungs = |o: &FleetObservation| o.rungs.cache_hit + o.rungs.delta + o.rungs.cache_plan;
     assert_eq!(cache_rungs(&roomy), cache_rungs(&tight));
-    // Everything else — counters, recovery and batch stats, host states,
+    // Everything else — counters, batch stats, host states,
     // every VM's location, the admit-to-install histogram — is equal.
     tight.rungs.cache_hit = roomy.rungs.cache_hit;
     tight.rungs.delta = roomy.rungs.delta;

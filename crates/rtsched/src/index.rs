@@ -1,8 +1,8 @@
 //! A hash-free task-id → position index.
 //!
-//! The verifier, the rule engine and the generator's split detection all
-//! ask the same question once per *segment*: "which entry of this task list
-//! does this id belong to?". A `HashMap` answers it with a SipHash round per
+//! The verifier and the generator's split detection both ask the same
+//! question once per *segment*: "which entry of this task list does this
+//! id belong to?". A `HashMap` answers it with a SipHash round per
 //! segment; at 22 000 segments per paper-scale plan that was most of the
 //! verifier's time. [`TaskIndex`] answers it with an array load.
 //!

@@ -19,9 +19,7 @@
 //! * DP-Fair optimal cluster scheduling ([`dpfair`]);
 //! * the three-stage generator combining them ([`generator`]);
 //! * a verified peephole preemption-reduction pass ([`peephole`]);
-//! * an independent schedule verifier ([`verify`]);
-//! * a stateless per-bin re-verifier, which declines to the single-pass
-//!   verifier rather than guess ([`rules`]).
+//! * an independent schedule verifier ([`verify`]).
 //!
 //! The Tableau planner (crate `tableau-core`) maps vCPU SLAs onto periodic
 //! tasks and feeds them to [`generator::generate_schedule`]; every schedule
@@ -51,7 +49,6 @@ pub mod hyperperiod;
 mod index;
 pub mod partition;
 pub mod peephole;
-pub mod rules;
 pub mod schedule;
 pub mod signature;
 pub mod split;
@@ -64,7 +61,6 @@ pub use generator::{
     GenTimings, Generated, Stage,
 };
 pub use hyperperiod::{PeriodCandidates, STANDARD_HYPERPERIOD};
-pub use rules::RuleDecline;
 pub use schedule::{CoreSchedule, MultiCoreSchedule, Segment};
 pub use signature::{BinSignature, CoreSharing, SigMemo, Stamp};
 pub use task::{PeriodicTask, TaskId, TaskSet};

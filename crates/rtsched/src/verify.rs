@@ -237,11 +237,7 @@ fn verify_shared_fast(
 }
 
 /// Check (1): segments of one core are in range, ordered, non-overlapping.
-///
-/// Takes a raw segment slice (not a validated [`CoreSchedule`]) so the
-/// rule engine can run the same check over fact-store slot tuples that a
-/// corrupted table may have knocked out of order.
-pub(crate) fn core_geometry(core: usize, segments: &[Segment], h: Nanos) -> Vec<Violation> {
+fn core_geometry(core: usize, segments: &[Segment], h: Nanos) -> Vec<Violation> {
     let mut found = Vec::new();
     for seg in segments {
         if seg.end > h || seg.start >= seg.end {
@@ -259,15 +255,15 @@ pub(crate) fn core_geometry(core: usize, segments: &[Segment], h: Nanos) -> Vec<
     found
 }
 
-/// Every task's service intervals, bucketed from the segments of one or
-/// more cores without hashing.
+/// Every task's service intervals, bucketed from a schedule's segments
+/// without hashing.
 ///
 /// A counting pass sizes one flat `(start, end)` array, a fill pass writes
 /// it; bucket `p` is the slice `starts[p]..starts[p + 1]`, in core-major
 /// order (the order `segments_of` produces). Segments naming a task absent
 /// from the list are skipped. Tasks sharing an id share one bucket
 /// ([`TaskIndex::first`]), so each copy sees the full list.
-pub(crate) struct TaskIntervals {
+struct TaskIntervals {
     index: TaskIndex,
     starts: Vec<u32>,
     ivs: Vec<(Nanos, Nanos)>,
@@ -280,16 +276,9 @@ const NO_CORE: u32 = u32::MAX;
 const MANY_CORES: u32 = u32::MAX - 1;
 
 impl TaskIntervals {
+    /// Buckets the segments of `schedule`'s cores by the tasks of `tasks`.
     fn of_schedule(tasks: &[PeriodicTask], schedule: &MultiCoreSchedule) -> TaskIntervals {
-        TaskIntervals::of_cores(tasks, schedule.cores.iter().map(|cs| cs.segments()))
-    }
-
-    /// Buckets the segment lists `cores` yields (core `0`, `1`, ... in
-    /// iteration order) by the tasks of `tasks`.
-    pub(crate) fn of_cores<'a>(
-        tasks: &[PeriodicTask],
-        cores: impl Iterator<Item = &'a [Segment]> + Clone,
-    ) -> TaskIntervals {
+        let cores = schedule.cores.iter().map(|cs| cs.segments());
         let index = TaskIndex::new(tasks.iter().map(|t| t.id.0));
         // starts[p + 1] counts bucket p, then is prefix-summed into its end.
         let mut starts = vec![0u32; tasks.len() + 1];
@@ -333,7 +322,7 @@ impl TaskIntervals {
     }
 
     /// The intervals of the task at position `i` of the indexed list.
-    pub(crate) fn of(&self, i: usize) -> &[(Nanos, Nanos)] {
+    fn of(&self, i: usize) -> &[(Nanos, Nanos)] {
         let p = self.index.first(i);
         &self.ivs[self.starts[p] as usize..self.starts[p + 1] as usize]
     }
@@ -352,7 +341,7 @@ impl TaskIntervals {
 /// Emits the same violations, in the same order, as checking the task
 /// against the whole schedule: window service ascending, then parallel
 /// execution, then the blackout bound.
-pub(crate) fn check_task(task: &PeriodicTask, ivs: &[(Nanos, Nanos)], h: Nanos) -> Vec<Violation> {
+fn check_task(task: &PeriodicTask, ivs: &[(Nanos, Nanos)], h: Nanos) -> Vec<Violation> {
     let mut found = Vec::new();
     if ivs.is_empty() {
         found.push(Violation::MissingTask(task.id));

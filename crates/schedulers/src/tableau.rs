@@ -182,25 +182,6 @@ impl Tableau {
         self.dispatcher.install_table(table, now)
     }
 
-    /// Installs a replacement table via the two-phase protocol, tolerating
-    /// an interrupted push: the table is validated and staged, and only
-    /// committed if `interrupted` is `false`. Returns `Ok(Some(switch_at))`
-    /// on commit, `Ok(None)` when the push was interrupted and rolled back
-    /// (the old table keeps running, untouched), or the validation error.
-    pub fn try_install_table(
-        &mut self,
-        table: impl Into<Arc<Table>>,
-        now: Nanos,
-        interrupted: bool,
-    ) -> Result<Option<Nanos>, tableau_core::InstallError> {
-        let staged = self.dispatcher.begin_table_switch(table, now)?;
-        if interrupted {
-            self.dispatcher.abort_table_switch();
-            return Ok(None);
-        }
-        Ok(Some(self.dispatcher.commit_table_switch(staged)?))
-    }
-
     /// Access to the underlying dispatcher (diagnostics/tests).
     pub fn dispatcher(&self) -> &Dispatcher {
         &self.dispatcher
@@ -687,13 +668,14 @@ mod tests {
         let mut t = Tableau::from_plan(&p);
         let replacement = p.table.clone();
         // Interrupted push: rolled back, old table untouched.
-        let out = t
-            .try_install_table(replacement.clone(), ms(1), true)
+        let d = t.dispatcher_mut();
+        let out = d
+            .try_table_switch(replacement.clone(), ms(1), true)
             .unwrap();
         assert_eq!(out, None);
-        assert!(!t.dispatcher().has_staged_table());
+        assert!(!d.has_staged_table());
         // Clean push afterwards commits normally.
-        let out = t.try_install_table(replacement, ms(2), false).unwrap();
+        let out = d.try_table_switch(replacement, ms(2), false).unwrap();
         assert!(out.is_some());
     }
 
@@ -739,7 +721,8 @@ mod tests {
             .as_any()
             .downcast_mut::<Tableau>()
             .unwrap()
-            .try_install_table(delta.table.clone(), ms(1), false)
+            .dispatcher_mut()
+            .try_table_switch(delta.table.clone(), ms(1), false)
             .unwrap()
             .expect("clean push commits");
         sim.run_until(Nanos::from_secs(1));

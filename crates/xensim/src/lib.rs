@@ -43,6 +43,6 @@ pub use sched::{
     GuestAction, GuestWorkload, SchedDecision, VcpuId, VcpuView, VmScheduler, WakeupPlan,
 };
 pub use sim::{EngineKind, Sim};
-pub use stats::{OpKind, OpStats, RecoveryStats, SimStats};
+pub use stats::{OpKind, OpStats, SimStats};
 pub use trace::{TraceBuffer, TraceClass, TraceEvent, TraceSummary};
 pub use wheel::TimingWheel;

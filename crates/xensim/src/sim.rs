@@ -397,14 +397,6 @@ impl Sim {
         &self.stats
     }
 
-    /// Mutable statistics access, for control loops that report recovery
-    /// accounting (see [`crate::stats::RecoveryStats`]) into the run
-    /// record. The per-vCPU lists must keep one slot per vCPU: the event
-    /// paths index them directly, without growing them.
-    pub fn stats_mut(&mut self) -> &mut SimStats {
-        &mut self.stats
-    }
-
     /// The machine being simulated.
     pub fn machine(&self) -> &Machine {
         &self.machine

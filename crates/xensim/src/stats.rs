@@ -276,35 +276,6 @@ impl DelayHist {
     }
 }
 
-/// Counters a runtime recovery loop (an SLA guardian) reports back into
-/// the simulation record, so fault experiments carry both the injected
-/// damage and the repairs in one artifact.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryStats {
-    /// SLA violations observed (dispatch latency above a vCPU's bound).
-    pub violations_seen: u64,
-    /// Evacuation replans triggered by core outages or returns.
-    pub evacuations: u64,
-    /// Table installs retried after a mid-switch interruption.
-    pub install_retries: u64,
-    /// Guests demoted for persistently overrunning their declared demand.
-    pub quarantines: u64,
-    /// VMs re-placed onto another host after a host crash (fleet control
-    /// plane; zero for single-host runs).
-    pub evacuated_vms: u64,
-    /// Evacuation placement attempts that failed and were retried with
-    /// backoff (fleet control plane).
-    pub evacuation_retries: u64,
-    /// VM admissions accepted by the placement front-end (fleet).
-    pub admissions: u64,
-    /// VM admissions shed with a typed rejection under backpressure
-    /// (fleet; never a panic, never a lost VM).
-    pub admission_rejections: u64,
-    /// Evacuated VMs whose retry budget ran out and were parked awaiting
-    /// capacity (still owned, retried at a slower cadence; fleet).
-    pub parked_vms: u64,
-}
-
 /// Dense-phase batching accounting (the hybrid engine's fast path; see
 /// `Sim` in [`crate::sim`]). Excluded from engine-equivalence comparisons:
 /// reference engines never batch, so these counters describe *how* events
@@ -381,9 +352,6 @@ pub struct SimStats {
     pub core_offline_events: u64,
     /// Per-core wall time spent out of service.
     pub core_offline_time: Vec<Nanos>,
-    /// Runtime-recovery accounting, filled in by a control loop driving
-    /// the simulation (the simulator itself never recovers anything).
-    pub recovery: RecoveryStats,
     /// Dense-phase batching accounting (zero on the reference engines).
     #[serde(default)]
     pub batch: BatchStats,
@@ -393,7 +361,7 @@ impl Serialize for SimStats {
     fn to_value(&self) -> Value {
         let touched = self.vcpus.iter().rposition(|v| *v != VcpuStats::default());
         let sampled = self.delay_hists.iter().rposition(|h| h.count() > 0);
-        let fields: [(&str, Value); 15] = [
+        let fields: [(&str, Value); 14] = [
             ("ops", self.ops.to_value()),
             (
                 "vcpus",
@@ -413,7 +381,6 @@ impl Serialize for SimStats {
             ("trace_dropped", self.trace_dropped.to_value()),
             ("core_offline_events", self.core_offline_events.to_value()),
             ("core_offline_time", self.core_offline_time.to_value()),
-            ("recovery", self.recovery.to_value()),
             ("batch", self.batch.to_value()),
         ];
         Value::Map(fields.map(|(k, v)| (k.to_string(), v)).into())

@@ -4,7 +4,7 @@
 //! simulator's pending-event structure. Every committed artifact in this
 //! repo was produced under the heap's `(time, seq)` total order, so the
 //! wheel must be *observationally identical*: same handled-event stream,
-//! same statistics (including `RecoveryStats`), same trace — bit for bit —
+//! same statistics, same trace — bit for bit —
 //! across randomized scenarios with fault injection active. If these
 //! properties hold, every `results/*.json` regenerates byte-identically
 //! under the new engine.
@@ -169,8 +169,7 @@ fn build(
 }
 
 /// Everything an engine can influence: the handled-event stream, the full
-/// statistics block (which embeds `RecoveryStats`), the trace, and the
-/// throughput counter.
+/// statistics block, the trace, and the throughput counter.
 type Observation = (Vec<(Nanos, u64, String)>, SimStats, Vec<TraceRecord>, u64);
 
 fn observe(mut sim: Sim, horizon: Nanos) -> Observation {
