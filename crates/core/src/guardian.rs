@@ -257,39 +257,23 @@ impl RetryPolicy {
     }
 }
 
-/// Tunables for the guardian's recovery policy.
-#[derive(Debug, Clone)]
-pub struct GuardianConfig {
-    /// Backoff between interrupted install attempts. Once the budget runs
-    /// out the same install is re-armed with a fresh budget.
-    pub install_retry: RetryPolicy,
-    /// Quarantine an uncapped guest once its cumulative overrun count
-    /// reaches this threshold.
-    pub quarantine_overruns: u64,
-    /// Continuous-audit cadence: the whole live table is compared with
-    /// the install-time facts at most once per this much time. Low by
-    /// design — the audit guards against corruption of an *installed*
-    /// table, which has no deadline, so it must never compete with the
-    /// dispatch path.
-    pub audit_interval: Nanos,
-    /// Planner options for evacuation/restore replans.
-    pub planner: PlannerOptions,
-}
+/// Backoff between interrupted install attempts. Once the budget runs out
+/// the same install is re-armed with a fresh budget.
+const INSTALL_RETRY: RetryPolicy = RetryPolicy {
+    base: Nanos::from_millis(1),
+    cap: Nanos::from_millis(100),
+    budget: 5,
+};
 
-impl Default for GuardianConfig {
-    fn default() -> GuardianConfig {
-        GuardianConfig {
-            install_retry: RetryPolicy {
-                base: Nanos::from_millis(1),
-                cap: Nanos::from_millis(100),
-                budget: 5,
-            },
-            quarantine_overruns: 50,
-            audit_interval: Nanos::from_millis(100),
-            planner: PlannerOptions::default(),
-        }
-    }
-}
+/// Quarantine an uncapped guest once its cumulative overrun count reaches
+/// this threshold.
+const QUARANTINE_OVERRUNS: u64 = 50;
+
+/// Continuous-audit cadence: the whole live table is compared with the
+/// install-time facts at most once per this much time. Low by design — the
+/// audit guards against corruption of an *installed* table, which has no
+/// deadline, so it must never compete with the dispatch path.
+const AUDIT_INTERVAL: Nanos = Nanos::from_millis(100);
 
 /// One recovery action taken by the guardian, for provenance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -423,7 +407,6 @@ struct PendingInstall {
 /// [`Guardian::step`] periodically (each control epoch).
 #[derive(Debug)]
 pub struct Guardian {
-    cfg: GuardianConfig,
     /// The full-width host the deployment was admitted with.
     base_host: HostConfig,
     /// Per-vCPU capped flags of the base host (capped guests are never
@@ -448,7 +431,7 @@ pub struct Guardian {
 impl Guardian {
     /// Creates a guardian for a deployment admitted as `base_host` with
     /// `initial` installed.
-    pub fn new(base_host: HostConfig, initial: Plan, cfg: GuardianConfig) -> Guardian {
+    pub fn new(base_host: HostConfig, initial: Plan) -> Guardian {
         let capped = base_host
             .vcpus()
             .into_iter()
@@ -456,7 +439,6 @@ impl Guardian {
             .collect();
         let baseline = TableFacts::derive(&initial.table);
         Guardian {
-            cfg,
             capped,
             installed: (base_host.clone(), initial),
             offline: vec![false; base_host.n_cores],
@@ -549,7 +531,7 @@ impl Guardian {
         // ordinary replan ladder (the corrupted copy is replaced by a
         // freshly planned, freshly verified install).
         if now >= self.next_audit {
-            self.next_audit = now + self.cfg.audit_interval;
+            self.next_audit = now + AUDIT_INTERVAL;
             self.counters.audit_checks += 1;
             let found = self
                 .baseline
@@ -570,7 +552,7 @@ impl Guardian {
 
         for i in 0..self.overruns_seen.len() {
             let vcpu = VcpuId(i as u32);
-            if self.overruns_seen[i] >= self.cfg.quarantine_overruns
+            if self.overruns_seen[i] >= QUARANTINE_OVERRUNS
                 && !self.capped.get(i).copied().unwrap_or(true)
                 && !dispatcher.is_quarantined(vcpu)
             {
@@ -625,7 +607,7 @@ impl Guardian {
         match plan_with_fallback(
             Some((&self.installed.0, &self.installed.1)),
             &target,
-            &self.cfg.planner,
+            &PlannerOptions::default(),
         ) {
             Ok(outcome) => {
                 match remap_to_width(&outcome.plan.table, &online, self.base_host.n_cores) {
@@ -690,8 +672,7 @@ impl Guardian {
                 // Torn push: rolled back, the old table keeps running.
                 self.counters.install_retries += 1;
                 p.attempts += 1;
-                let retry = self.cfg.install_retry;
-                if p.attempts > retry.budget {
+                if p.attempts > INSTALL_RETRY.budget {
                     self.log.push(RecoveryRecord {
                         at: now,
                         action: RecoveryAction::InstallRetriesExhausted {
@@ -703,7 +684,7 @@ impl Guardian {
                     p.attempts = 0;
                     p.next_try = now;
                 } else {
-                    p.next_try = now + retry.delay(p.attempts);
+                    p.next_try = now + INSTALL_RETRY.delay(p.attempts);
                     self.log.push(RecoveryRecord {
                         at: now,
                         action: RecoveryAction::InstallRetried {
@@ -799,7 +780,7 @@ mod tests {
         let p = plan(&h, &PlannerOptions::default()).unwrap();
         let capped: Vec<bool> = h.vcpus().into_iter().map(|(_, s)| s.capped).collect();
         let mut d = Dispatcher::new(p.table.clone(), capped, DEFAULT_EPOCH);
-        let g = Guardian::new(h, p, GuardianConfig::default());
+        let g = Guardian::new(h, p);
         d.attach_sla_monitor(g.monitor());
         (g, d)
     }
@@ -959,25 +940,26 @@ mod tests {
 
     #[test]
     fn exhausted_retries_re_arm_the_same_plan() {
-        let (_, mut d) = setup();
-        let mut cfg = GuardianConfig::default();
-        cfg.install_retry.budget = 1;
-        let h = host();
-        let p = plan(&h, &PlannerOptions::default()).unwrap();
-        let mut g = Guardian::new(h, p, cfg);
+        let (mut g, mut d) = setup();
+        let budget = INSTALL_RETRY.budget;
         g.on_core_event(CoreEvent::Offline { core: 1, at: ms(0) });
-        g.step(&mut d, ms(0), true); // attempt 1: retry scheduled
+        // Attempts 1..=budget: each interrupted push schedules a retry.
+        let mut now = ms(0);
+        for _ in 0..budget {
+            g.step(&mut d, now, true);
+            now += INSTALL_RETRY.cap;
+        }
         assert_eq!(g.counters().evacuations, 1);
-        let r = g.step(&mut d, ms(5), true); // attempt 2: budget exhausted
+        let r = g.step(&mut d, now, true); // attempt budget + 1: exhausted
         assert!(find(&r, |a| matches!(
             a,
-            RecoveryAction::InstallRetriesExhausted { attempts: 2 }
+            RecoveryAction::InstallRetriesExhausted { attempts } if *attempts == budget + 1
         ))
         .is_some());
         assert!(g.recovery_pending());
         // The next clean step installs the plan it kept, with a fresh
         // attempt count, and replans nothing.
-        let r = g.step(&mut d, ms(10), false);
+        let r = g.step(&mut d, now + ms(5), false);
         assert!(find(&r, |a| matches!(a, RecoveryAction::Replanned { .. })).is_none());
         assert!(find(&r, |a| matches!(
             a,
@@ -1059,7 +1041,7 @@ mod tests {
         let (_, bad) = corrupt_table_any(&p.table, CorruptionKind::SwapPlacement, 64).unwrap();
         let capped: Vec<bool> = h.vcpus().into_iter().map(|(_, s)| s.capped).collect();
         let mut d = Dispatcher::new(bad, capped, DEFAULT_EPOCH);
-        let mut g = Guardian::new(h, p, GuardianConfig::default());
+        let mut g = Guardian::new(h, p);
         d.attach_sla_monitor(g.monitor());
 
         let r = g.step(&mut d, ms(0), false);
@@ -1094,7 +1076,7 @@ mod tests {
         }
         let p = plan(&h, &PlannerOptions::default()).unwrap();
         let mut d = Dispatcher::new(p.table.clone(), vec![true; 8], DEFAULT_EPOCH);
-        let mut g = Guardian::new(h, p.clone(), GuardianConfig::default());
+        let mut g = Guardian::new(h, p.clone());
         assert!(g.step(&mut d, ms(0), false).is_empty(), "clean audit");
 
         let mut per_core: Vec<Vec<_>> = (0..4)

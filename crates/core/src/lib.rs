@@ -54,8 +54,8 @@ pub mod viz;
 pub use audit::{corrupt_table, corrupt_table_any, AuditViolation, CorruptionKind, TableFacts};
 pub use dispatch::{Decision, Dispatcher};
 pub use guardian::{
-    CoreEvent, Guardian, GuardianConfig, GuardianCounters, RecoveryAction, RecoveryRecord,
-    RetryPolicy, SlaMonitor, SlaViolation,
+    CoreEvent, Guardian, GuardianCounters, RecoveryAction, RecoveryRecord, RetryPolicy, SlaMonitor,
+    SlaViolation,
 };
 pub use planner::{
     plan, plan_timed, plan_with_fallback, DeltaReport, Plan, PlanError, PlanTimings,

@@ -226,7 +226,7 @@ pub enum ReplanPath {
     /// Retired, never returned: the per-core incremental planner this rung
     /// named is deleted (DESIGN.md §5.12). The variant survives only because
     /// the end-to-end benchmark matches on this enum exhaustively; delete it
-    /// with the benchmark-side follow-up (ROADMAP item 4).
+    /// with the benchmark-side follow-up (ROADMAP item 1).
     Incremental,
     /// Full from-scratch replan (no previous plan, or the planner declined
     /// it as a donor).

@@ -526,19 +526,15 @@ fn time_sim_samples(iters: u64, duration: Nanos, mut mk: impl FnMut() -> Sim) ->
 /// which a probe's one-second burst ends, so it costs per burst and per
 /// lap, not per event.
 fn probe_host_entry(name: &str, runs: u64, calls: u64, step: Nanos) -> BenchEntry {
-    let cfg = ::fleet::FleetConfig::new(1, 2);
-    let mut host = HostConfig::new(cfg.cores_per_host);
-    let probe = VcpuSpec::capped(cfg.probe_utilization, cfg.latency_goal);
-    for i in 0..cfg.cores_per_host {
-        host.add_vm(VmSpec::uniform(format!("probe{i}"), 1, probe));
-    }
-    let p = plan(&host, &cfg.planner).expect("the probe-only boot config plans");
+    let fleet = ::fleet::Fleet::new(::fleet::FleetConfig::new(1, 2)).expect("boots");
+    let host = fleet.boot_config();
+    let p = plan(host, &PlannerOptions::default()).expect("the probe-only boot config plans");
     let run = || {
         let mut sim = Sim::new(
-            Machine::small(cfg.cores_per_host),
+            Machine::small(host.n_cores),
             Box::new(Tableau::from_plan(&p)),
         );
-        for core in 0..cfg.cores_per_host {
+        for core in 0..host.n_cores {
             sim.add_vcpu(Box::new(BusyLoop), core, true);
         }
         let t0 = Instant::now();

@@ -37,7 +37,7 @@ use rtsched::time::Nanos;
 use schedulers::Tableau;
 use tableau_core::planner::{plan, PlannerOptions};
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
-use tableau_core::{CoreEvent, Guardian, GuardianConfig, RecoveryAction, RecoveryRecord};
+use tableau_core::{CoreEvent, Guardian, RecoveryAction, RecoveryRecord};
 use workloads::IoStress;
 use xensim::fault::FaultConfig;
 use xensim::sched::BusyLoop;
@@ -217,7 +217,7 @@ fn run_cell(
     let tail = Nanos(2 * hyperperiod.0 + 2 * CONTROL_EPOCH.0);
 
     let mut tab = Tableau::from_plan(&initial);
-    let mut guardian = Guardian::new(host, initial, GuardianConfig::default());
+    let mut guardian = Guardian::new(host, initial);
     tab.dispatcher_mut().attach_sla_monitor(guardian.monitor());
 
     let mut sim = Sim::new(machine, Box::new(tab));

@@ -14,19 +14,22 @@ use tableau_core::planner::{
     plan_with_fallback, Plan, PlanError, PlannerOptions, ReplanError, ReplanPath,
 };
 use tableau_core::table::Table;
-use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec};
+use tableau_core::vcpu::HostConfig;
 use workloads::churn::Flavor;
 use workloads::Histogram;
 use xensim::fault::{CorruptionEvent, FaultWindow, HostFaultConfig, HostFaultEngine};
 use xensim::Machine;
 
-use crate::host::{probe_config, push_tenant, FleetHost, HostState, Tenant};
-use crate::images::{ImageStore, TableImage};
+use crate::host::{
+    demand, host_config, probe_config, Boot, FleetHost, HostState, Tenant, PROBE_PPM,
+};
+use crate::images::ImageStore;
 use crate::queue::VmQueue;
 use crate::{AdmissionRejected, FleetError};
 
-/// Fleet-wide configuration. `FleetConfig::new(n_hosts, cores_per_host)`
-/// gives the defaults the chaos soak uses.
+/// Fleet-wide configuration: the fleet's size and its plan cache. Every
+/// other control-plane value is fixed (probes, goal, placement and retry
+/// constants below).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of hosts.
@@ -34,75 +37,62 @@ pub struct FleetConfig {
     /// Cores per host (all hosts are identically shaped — the premise of
     /// plan-cache sharing).
     pub cores_per_host: usize,
-    /// Per-core probe reservation (the dom0/agent stand-in).
-    pub probe_utilization: Utilization,
-    /// Uniform latency goal for probes and tenants. One goal keeps every
-    /// plan's hyperperiod identical, which the install protocol requires.
-    pub latency_goal: Nanos,
-    /// Fraction of post-probe capacity the placement front-end will
-    /// commit; the rest is evacuation headroom.
-    pub max_tenant_utilization: f64,
-    /// Planner tunables (shared by every host and the cache key).
-    pub planner: PlannerOptions,
     /// Shared plan-cache capacity: the distinct host shapes held at once,
     /// least recently used evicted first.
     pub cache_capacity: usize,
-    /// Control-plane backlog (dirty hosts + evacuating + parked) above
-    /// which admission drops from best-fit to first-fit.
-    pub backlog_first_fit_threshold: usize,
-    /// Hysteresis band of the backpressure ladder: once first-fit engages,
-    /// best-fit resumes only when the backlog falls back to
-    /// `backlog_first_fit_threshold - backlog_hysteresis`. A backlog
-    /// oscillating ±1 around the threshold therefore cannot flap the
-    /// placement policy. Zero restores the bare threshold comparison.
-    pub backlog_hysteresis: usize,
-    /// Candidate hosts each placement rung tries before falling through.
-    pub placement_candidates: usize,
-    /// Backoff between failed placements of an evacuating VM; once the
-    /// budget runs out the VM is parked.
-    pub evac_retry: RetryPolicy,
-    /// Retry cadence for parked VMs (slow background re-placement).
-    pub parked_retry_interval: Nanos,
-    /// Backoff between interrupted installs; once the budget runs out the
-    /// delay pins at the cap.
-    pub install_retry: RetryPolicy,
 }
 
+/// Fraction of post-probe capacity the placement front-end will commit;
+/// the rest is evacuation headroom.
+const MAX_TENANT_UTILIZATION: f64 = 0.75;
+
+/// Control-plane backlog (dirty hosts + evacuating + parked) above which
+/// admission drops from best-fit to first-fit.
+const BACKLOG_FIRST_FIT_THRESHOLD: usize = 8;
+
+/// Hysteresis band of the backpressure ladder: once first-fit engages,
+/// best-fit resumes only when the backlog falls back to
+/// `BACKLOG_FIRST_FIT_THRESHOLD - BACKLOG_HYSTERESIS`, so a backlog
+/// oscillating ±1 around the threshold cannot flap the placement policy.
+const BACKLOG_HYSTERESIS: usize = 2;
+
+/// Candidate hosts each placement rung tries before falling through.
+const PLACEMENT_CANDIDATES: usize = 4;
+
+/// Backoff between failed placements of an evacuating VM; once the budget
+/// runs out the VM is parked.
+const EVAC_RETRY: RetryPolicy = RetryPolicy {
+    base: Nanos::from_millis(50),
+    cap: Nanos::from_millis(800),
+    budget: 5,
+};
+
+/// Retry cadence for parked VMs (slow background re-placement).
+const PARKED_RETRY_INTERVAL: Nanos = Nanos::from_millis(1_600);
+
+/// Backoff between interrupted installs; once the budget runs out the delay
+/// pins at the cap.
+const INSTALL_RETRY: RetryPolicy = RetryPolicy {
+    base: Nanos::from_millis(50),
+    cap: Nanos::from_millis(400),
+    budget: 5,
+};
+
 impl FleetConfig {
-    /// Defaults: 20% probes, 20 ms goal, 75% committable capacity,
-    /// evacuation and install retries on the guardian's [`RetryPolicy`].
+    /// `n_hosts` hosts of `cores_per_host` cores, sharing a 256-plan cache.
     pub fn new(n_hosts: usize, cores_per_host: usize) -> FleetConfig {
         FleetConfig {
             n_hosts,
             cores_per_host,
-            probe_utilization: Utilization::from_percent(20),
-            latency_goal: Nanos::from_millis(20),
-            max_tenant_utilization: 0.75,
-            planner: PlannerOptions::default(),
             cache_capacity: 256,
-            backlog_first_fit_threshold: 8,
-            backlog_hysteresis: 2,
-            placement_candidates: 4,
-            evac_retry: RetryPolicy {
-                base: Nanos::from_millis(50),
-                cap: Nanos::from_millis(800),
-                budget: 5,
-            },
-            parked_retry_interval: Nanos::from_millis(1_600),
-            install_retry: RetryPolicy {
-                base: Nanos::from_millis(50),
-                cap: Nanos::from_millis(400),
-                budget: 5,
-            },
         }
     }
 
     /// Tenant capacity one host offers the placement front-end, in ppm of
-    /// one core: post-probe capacity scaled by `max_tenant_utilization`.
+    /// one core: post-probe capacity scaled by the committable fraction.
     pub fn host_budget_ppm(&self) -> u64 {
-        let total = self.cores_per_host as u64 * 1_000_000;
-        let probes = self.cores_per_host as u64 * self.probe_utilization.ppm() as u64;
-        ((total - probes) as f64 * self.max_tenant_utilization.clamp(0.0, 1.0)) as u64
+        let total = self.cores_per_host as u64 * (1_000_000 - PROBE_PPM as u64);
+        (total as f64 * MAX_TENANT_UTILIZATION) as u64
     }
 }
 
@@ -185,7 +175,7 @@ pub struct RungCounters {
     /// Retired, always zero: the ladder's incremental rung is deleted
     /// (DESIGN.md §5.12). The field survives for the serialized fleet
     /// artifacts and the end-to-end benchmark, which read it; delete it
-    /// with the benchmark-side follow-up (ROADMAP item 4).
+    /// with the benchmark-side follow-up (ROADMAP item 1).
     pub incremental: u64,
     /// Fallback ladder: full replan.
     pub full: u64,
@@ -217,7 +207,7 @@ enum Rung {
 /// simulator engine, which lost its trial and was deleted (DESIGN.md
 /// §5.14). This plain-data shell survives only as the return type of
 /// [`Fleet::pdes_stats`], which the end-to-end benchmark reads field by
-/// field; delete both with the benchmark-side follow-up (ROADMAP item 4).
+/// field; delete both with the benchmark-side follow-up (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PdesStats {
     pub partitioned_runs: u64,
@@ -314,8 +304,21 @@ struct EvacVm {
     /// Original admission time, when the VM was still awaiting its first
     /// committed install (latency attribution survives the crash).
     requested_at: Option<Nanos>,
+    /// Failed placements; past `EVAC_RETRY.budget` the VM is parked.
     attempts: u32,
     next_try: Nanos,
+}
+
+/// One host's seeded fault schedule, each list in time order.
+#[derive(Debug, Clone, Default)]
+struct HostFaults {
+    crashes: Vec<FaultWindow>,
+    /// The first crash window not yet fired.
+    next_crash: usize,
+    degrades: Vec<FaultWindow>,
+    corruptions: Vec<CorruptionEvent>,
+    /// The first corruption event not yet fired.
+    next_corruption: usize,
 }
 
 /// One transition of the backpressure hysteresis band: enter first-fit when
@@ -332,18 +335,17 @@ fn pressured_next(prev: bool, backlog: usize, threshold: usize, hysteresis: usiz
 
 /// The fleet control plane. See the crate docs for the architecture.
 pub struct Fleet {
-    cfg: FleetConfig,
-    machine: Machine,
     hosts: Vec<FleetHost>,
+    /// Tenant capacity of each host ([`FleetConfig::host_budget_ppm`]).
+    budget_ppm: u64,
+    /// Planner tunables (shared by every host and the cache key).
+    planner: PlannerOptions,
     /// One table per request shape, shared by every host that asks for it.
     cache: SharedPlanCache,
     engine: Option<HostFaultEngine>,
-    crash_windows: Vec<Vec<FaultWindow>>,
-    crash_cursor: Vec<usize>,
-    degrade_windows: Vec<Vec<FaultWindow>>,
+    /// Per host, its fault schedule (empty until faults are armed).
+    faults: Vec<HostFaults>,
     storm_windows: Vec<FaultWindow>,
-    corruption_events: Vec<Vec<CorruptionEvent>>,
-    corruption_cursor: Vec<usize>,
     evacuating: VmQueue<EvacVm>,
     parked: VmQueue<EvacVm>,
     /// The ownership ledger: every admitted, not-torn-down VM, with its
@@ -356,42 +358,40 @@ pub struct Fleet {
     rungs: RungCounters,
     phases: StepPhases,
     admit_to_install: Histogram,
-    boot_cfg: HostConfig,
-    boot_plan: Arc<Plan>,
+    /// What boots and reboots give a host; the boot image is pinned here so
+    /// a reboot never rebuilds it.
+    boot: Boot,
     /// One masked table per distinct content; every dispatcher's table
     /// comes from here (see [`crate::images`]).
     images: ImageStore,
-    /// The boot plan's image, pinned so a reboot never rebuilds it.
-    boot_image: Arc<TableImage>,
-    table_len: Nanos,
 }
 
 impl Fleet {
     /// Builds the fleet with every host booted (probe-only) and online.
     pub fn new(cfg: FleetConfig) -> Result<Fleet, PlanError> {
-        let machine = Machine::small(cfg.cores_per_host);
-        let probe = VcpuSpec::capped(cfg.probe_utilization, cfg.latency_goal);
-        let boot_cfg = probe_config(cfg.cores_per_host, probe);
+        let planner = PlannerOptions::default();
+        let boot_cfg = probe_config(cfg.cores_per_host);
         let cache = SharedPlanCache::new(cfg.cache_capacity);
-        let boot_plan = cache.get_or_plan(&boot_cfg, &cfg.planner)?;
-        let table_len = boot_plan.table.len();
+        let boot_plan = cache.get_or_plan(&boot_cfg, &planner)?;
         let mut images = ImageStore::new(cfg.cores_per_host as u32);
         let boot_image = images
             .intern(&boot_plan.table)
             .expect("masking preserves table shape, which Table::new accepts");
-        let boot =
-            |i| FleetHost::boot(i, &machine, &boot_cfg, &boot_plan, &boot_image, Nanos::ZERO);
-        let hosts = (0..cfg.n_hosts).map(boot).collect();
+        let boot = Boot {
+            machine: Machine::small(cfg.cores_per_host),
+            cfg: boot_cfg,
+            plan: boot_plan,
+            image: boot_image,
+        };
+        let hosts = (0..cfg.n_hosts)
+            .map(|i| FleetHost::boot(i, &boot, Nanos::ZERO))
+            .collect();
         Ok(Fleet {
-            crash_windows: vec![Vec::new(); cfg.n_hosts],
-            crash_cursor: vec![0; cfg.n_hosts],
-            degrade_windows: vec![Vec::new(); cfg.n_hosts],
+            faults: vec![HostFaults::default(); cfg.n_hosts],
             storm_windows: Vec::new(),
-            corruption_events: vec![Vec::new(); cfg.n_hosts],
-            corruption_cursor: vec![0; cfg.n_hosts],
-            cfg,
-            machine,
+            budget_ppm: cfg.host_budget_ppm(),
             hosts,
+            planner,
             cache,
             engine: None,
             evacuating: VmQueue::new(),
@@ -402,11 +402,8 @@ impl Fleet {
             rungs: RungCounters::default(),
             phases: StepPhases::default(),
             admit_to_install: Histogram::new(),
-            boot_cfg,
-            boot_plan,
+            boot,
             images,
-            boot_image,
-            table_len,
         })
     }
 
@@ -416,16 +413,15 @@ impl Fleet {
     pub fn arm_faults(&mut self, cfg: HostFaultConfig, horizon: Nanos) {
         self.engine = HostFaultEngine::new(cfg);
         if let Some(e) = &self.engine {
-            self.crash_windows = (0..self.cfg.n_hosts)
-                .map(|h| e.crash_windows(h, horizon))
-                .collect();
-            self.degrade_windows = (0..self.cfg.n_hosts)
-                .map(|h| e.degrade_windows(h, horizon))
+            self.faults = (0..self.hosts.len())
+                .map(|h| HostFaults {
+                    crashes: e.crash_windows(h, horizon),
+                    degrades: e.degrade_windows(h, horizon),
+                    corruptions: e.corruption_events(h, horizon),
+                    ..HostFaults::default()
+                })
                 .collect();
             self.storm_windows = e.storm_windows(horizon);
-            self.corruption_events = (0..self.cfg.n_hosts)
-                .map(|h| e.corruption_events(h, horizon))
-                .collect();
         }
     }
 
@@ -443,15 +439,15 @@ impl Fleet {
             !self.locations.contains_key(&vm),
             "admitting an already-owned vm"
         );
-        let demand = flavor.vcpus as u64 * flavor.utilization_ppm as u64;
+        let demand = demand(flavor);
         // The backlog does not depend on who can host the VM, so the policy
         // this admission runs under is known before the candidates are; it
         // only takes effect if there are any.
         let pressured = pressured_next(
             self.pressured,
             self.backlog(),
-            self.cfg.backlog_first_fit_threshold,
-            self.cfg.backlog_hysteresis,
+            BACKLOG_FIRST_FIT_THRESHOLD,
+            BACKLOG_HYSTERESIS,
         );
         // First pass in the chosen order; if best-fit candidates all fail
         // to plan, degrade to first-fit order over the untried remainder.
@@ -462,81 +458,62 @@ impl Fleet {
         }
         self.pressured = pressured;
 
-        let mut tried = 0usize;
-        for &h in &first_pass {
-            tried += 1;
-            if self.try_place(now, h, vm, flavor, Some(now)) {
-                self.counters.admissions += 1;
-                if pressured {
-                    self.counters.admissions_first_fit += 1;
-                } else {
-                    self.counters.admissions_best_fit += 1;
-                }
-                self.locations.insert(vm, VmLocation::Placed(h));
-                return Ok(h);
-            }
+        let mut tried = 0;
+        let mut first_fit = pressured;
+        let mut placed = self.place(&first_pass, vm, flavor, Some(now), &mut tried);
+        if placed.is_none() && !pressured {
+            first_fit = true;
+            let rest = self.candidates(demand, false, &first_pass);
+            placed = self.place(&rest, vm, flavor, Some(now), &mut tried);
         }
-        if !pressured {
-            for h in self.candidates(demand, false, &first_pass) {
-                tried += 1;
-                if self.try_place(now, h, vm, flavor, Some(now)) {
-                    self.counters.admissions += 1;
-                    self.counters.admissions_first_fit += 1;
-                    self.locations.insert(vm, VmLocation::Placed(h));
-                    return Ok(h);
-                }
-            }
+        let Some(h) = placed else {
+            self.counters.admissions_shed += 1;
+            return Err(AdmissionRejected::NoFeasiblePlan {
+                candidates_tried: tried,
+            });
+        };
+        self.counters.admissions += 1;
+        if first_fit {
+            self.counters.admissions_first_fit += 1;
+        } else {
+            self.counters.admissions_best_fit += 1;
         }
-        self.counters.admissions_shed += 1;
-        Err(AdmissionRejected::NoFeasiblePlan {
-            candidates_tried: tried,
-        })
+        self.locations.insert(vm, VmLocation::Placed(h));
+        Ok(h)
     }
 
-    /// Tears a VM down wherever it currently is.
-    pub fn teardown(&mut self, now: Nanos, vm: u64) -> Result<(), FleetError> {
-        match self.locations.remove(&vm) {
-            None => Err(FleetError::UnknownVm(vm)),
-            Some(VmLocation::Evacuating) => {
-                self.evacuating.remove(vm);
-                self.counters.teardowns += 1;
-                Ok(())
-            }
-            Some(VmLocation::Parked) => {
-                self.parked.remove(vm);
-                self.counters.teardowns += 1;
-                Ok(())
-            }
-            Some(VmLocation::Placed(h)) => {
-                self.remove_tenant(now, h, vm);
-                self.counters.teardowns += 1;
-                Ok(())
-            }
+    /// Tears a VM down wherever it currently is. The request time is
+    /// taken for symmetry with [`Fleet::admit`]; a teardown takes effect
+    /// at once whenever it is asked.
+    pub fn teardown(&mut self, _now: Nanos, vm: u64) -> Result<(), FleetError> {
+        match self
+            .locations
+            .remove(&vm)
+            .ok_or(FleetError::UnknownVm(vm))?
+        {
+            VmLocation::Evacuating => drop(self.evacuating.remove(vm)),
+            VmLocation::Parked => drop(self.parked.remove(vm)),
+            VmLocation::Placed(h) => self.remove_tenant(h, vm),
         }
+        self.counters.teardowns += 1;
+        Ok(())
     }
 
     /// Resizes a VM in place. For a placed VM the host is replanned with
     /// the new flavor; an infeasible replan keeps the old flavor and
-    /// returns a typed error. Queued VMs just update their request.
-    pub fn resize(&mut self, now: Nanos, vm: u64, flavor: Flavor) -> Result<(), FleetError> {
-        match self.locations.get(&vm).copied() {
-            None => Err(FleetError::UnknownVm(vm)),
-            Some(VmLocation::Evacuating) => {
-                if let Some(e) = self.evacuating.get_mut(vm) {
-                    e.flavor = flavor;
-                }
-                self.counters.resizes += 1;
-                Ok(())
-            }
-            Some(VmLocation::Parked) => {
-                if let Some(e) = self.parked.get_mut(vm) {
-                    e.flavor = flavor;
-                }
-                self.counters.resizes += 1;
-                Ok(())
-            }
-            Some(VmLocation::Placed(h)) => self.resize_in_place(now, h, vm, flavor),
+    /// returns a typed error. Queued VMs just update their request. The
+    /// request time is taken as by [`Fleet::teardown`].
+    pub fn resize(&mut self, _now: Nanos, vm: u64, flavor: Flavor) -> Result<(), FleetError> {
+        let queued = match self.locations.get(&vm).ok_or(FleetError::UnknownVm(vm))? {
+            &VmLocation::Placed(h) => return self.resize_in_place(h, vm, flavor),
+            VmLocation::Evacuating => self.evacuating.get_mut(vm),
+            VmLocation::Parked => self.parked.get_mut(vm),
+        };
+        if let Some(e) = queued {
+            e.flavor = flavor;
         }
+        self.counters.resizes += 1;
+        Ok(())
     }
 
     /// Chaos hook: crashes `host` at `now`, restarting (empty) once `until`
@@ -576,9 +553,9 @@ impl Fleet {
         self.phases.corruptions_ns += lap(&mut mark);
         self.audit_tables();
         self.phases.audit_ns += lap(&mut mark);
-        self.process_evacuations(now);
+        self.retry_displaced(now, false);
         self.phases.evacuate_ns += lap(&mut mark);
-        self.process_parked(now);
+        self.retry_displaced(now, true);
         self.phases.parked_ns += lap(&mut mark);
         self.process_installs(now);
         self.phases.installs_ns += lap(&mut mark);
@@ -649,6 +626,12 @@ impl Fleet {
 
     // --- accessors -------------------------------------------------------
 
+    /// The probe-only config every host boots (and reboots) into; each
+    /// host's config is it plus the host's tenants.
+    pub fn boot_config(&self) -> &HostConfig {
+        &self.boot.cfg
+    }
+
     /// Control-plane counters.
     pub fn counters(&self) -> &FleetCounters {
         &self.counters
@@ -691,7 +674,7 @@ impl Fleet {
     /// Retired, always zero: the partitioned simulator engine these
     /// counters described is gone (DESIGN.md §5.14). Kept only because the
     /// end-to-end benchmark reads it; delete with the benchmark-side
-    /// follow-up (ROADMAP item 4).
+    /// follow-up (ROADMAP item 1).
     pub fn pdes_stats(&self) -> PdesStats {
         PdesStats::default()
     }
@@ -736,22 +719,21 @@ impl Fleet {
     /// so sibling hosts walking the same churn sequence hit it; any other
     /// run is the cache's miss, and its plan is stored when it was planned
     /// under the requested options. Returns the plan and the rung that
-    /// produced it. Every rung returns `plan(next, opts)` field for field,
-    /// so which one answers — and with it everything the cache's capacity
-    /// and eviction order decide — moves only the rung counters.
+    /// produced it, or the ladder's per-rung failures. Every rung returns
+    /// `plan(next, opts)` field for field, so which one answers — and with
+    /// it everything the cache's capacity and eviction order decide — moves
+    /// only the rung counters.
     fn replan(
         cache: &SharedPlanCache,
         prev: Option<(&HostConfig, &Plan)>,
         next: &HostConfig,
         opts: &PlannerOptions,
-    ) -> Option<(Arc<Plan>, Rung)> {
+    ) -> Result<(Arc<Plan>, Rung), ReplanError> {
         if let Some(p) = cache.lookup(next, opts) {
-            return Some((p, Rung::CacheHit));
+            return Ok((p, Rung::CacheHit));
         }
-        let Ok(out) = plan_with_fallback(prev, next, opts) else {
-            cache.record_miss(next, opts, None);
-            return None;
-        };
+        let out = plan_with_fallback(prev, next, opts)
+            .inspect_err(|_| cache.record_miss(next, opts, None))?;
         let plan = Arc::new(out.plan);
         let rung = match out.path {
             ReplanPath::Delta => {
@@ -769,117 +751,94 @@ impl Fleet {
                 Rung::Ladder(path)
             }
         };
-        Some((plan, rung))
+        Ok((plan, rung))
     }
 
-    /// Tentatively places `vm` on `host`; commits bookkeeping only if the
-    /// replan succeeds and keeps the table shape installable.
-    fn try_place(
-        &mut self,
-        _now: Nanos,
-        host: usize,
-        vm: u64,
-        flavor: Flavor,
-        requested_at: Option<Nanos>,
-    ) -> bool {
-        let tenant = Tenant { vm, flavor };
-        let h = &mut self.hosts[host];
-        let mut next = h.host_cfg.clone();
-        push_tenant(&mut next, &tenant, self.cfg.latency_goal);
-        let Some((plan, rung)) = Self::replan(
-            &self.cache,
-            Some((&h.host_cfg, &h.plan)),
-            &next,
-            &self.cfg.planner,
-        ) else {
-            return false;
-        };
+    /// The one way a host's tenants change (admission, re-placement,
+    /// teardown, resize): plans the boot config plus `tenants`, in order,
+    /// through [`Fleet::replan`] and, if that plan can reach the
+    /// dispatcher, commits the tenants, their demand, the config, the plan
+    /// and the rung together and marks the host for install. On failure
+    /// nothing changes and the ladder's trail is returned.
+    fn commit_tenants(&mut self, host: usize, tenants: Vec<Tenant>) -> Result<(), ReplanError> {
+        let next = host_config(&self.boot.cfg, &tenants);
+        let h = &self.hosts[host];
+        let prev = Some((&h.host_cfg, &*h.plan));
+        let (plan, rung) = Self::replan(&self.cache, prev, &next, &self.planner)?;
         // A plan whose hyperperiod or width drifted cannot reach the
-        // dispatcher (the install protocol would reject it); treat the
-        // candidate as infeasible rather than wedging the host.
-        if plan.table.len() != self.table_len || plan.table.n_cores() != self.cfg.cores_per_host {
-            return false;
+        // dispatcher (the install protocol would reject it): treat it as
+        // infeasible rather than wedging the host. No rung failed, so the
+        // trail is empty.
+        let boot = &self.boot.plan.table;
+        if plan.table.len() != boot.len() || plan.table.n_cores() != boot.n_cores() {
+            return Err(ReplanError {
+                attempts: Vec::new(),
+            });
         }
-        h.tenants.push(tenant);
-        h.committed_ppm += flavor.vcpus as u64 * flavor.utilization_ppm as u64;
+        let h = &mut self.hosts[host];
+        h.committed_ppm = tenants.iter().map(|t| demand(t.flavor)).sum();
+        h.tenants = tenants;
         h.host_cfg = next;
         h.plan = plan;
         h.dirty = true;
-        if let Some(t) = requested_at {
-            h.awaiting.push((vm, t));
-        }
         self.rungs.bump(rung);
-        true
+        Ok(())
+    }
+
+    /// Places `vm` on the first of `hosts` whose grown tenant list plans
+    /// and stays installable, counting each host asked in `tried`.
+    fn place(
+        &mut self,
+        hosts: &[usize],
+        vm: u64,
+        flavor: Flavor,
+        requested_at: Option<Nanos>,
+        tried: &mut usize,
+    ) -> Option<usize> {
+        for &h in hosts {
+            *tried += 1;
+            let mut tenants = self.hosts[h].tenants.clone();
+            tenants.push(Tenant { vm, flavor });
+            if self.commit_tenants(h, tenants).is_ok() {
+                self.hosts[h].awaiting.extend(requested_at.map(|t| (vm, t)));
+                return Some(h);
+            }
+        }
+        None
     }
 
     /// Removes a tenant from a host and replans the shrunk config. A
-    /// (practically impossible) failed shrink replan keeps the old table:
-    /// the departed VM's slots idle until the next successful replan.
-    fn remove_tenant(&mut self, _now: Nanos, host: usize, vm: u64) {
+    /// (practically impossible) failed shrink replan keeps the running
+    /// plan and the config it came from, the delta rung's baseline: the
+    /// departed VM's slots idle until the next successful replan.
+    fn remove_tenant(&mut self, host: usize, vm: u64) {
         let h = &mut self.hosts[host];
         let Some(pos) = h.tenants.iter().position(|t| t.vm == vm) else {
             return;
         };
-        let t = h.tenants.remove(pos);
-        h.committed_ppm -= t.flavor.vcpus as u64 * t.flavor.utilization_ppm as u64;
         h.awaiting.retain(|&(w, _)| w != vm);
-        let mut next = self.boot_cfg.clone();
-        for t in &h.tenants {
-            push_tenant(&mut next, t, self.cfg.latency_goal);
-        }
-        if let Some((plan, rung)) = Self::replan(
-            &self.cache,
-            Some((&h.host_cfg, &h.plan)),
-            &next,
-            &self.cfg.planner,
-        ) {
-            if plan.table.len() == self.table_len {
-                h.host_cfg = next;
-                h.plan = plan;
-                h.dirty = true;
-                self.rungs.bump(rung);
-            }
+        let mut tenants = h.tenants.clone();
+        tenants.remove(pos);
+        if self.commit_tenants(host, tenants).is_err() {
+            let h = &mut self.hosts[host];
+            let gone = h.tenants.remove(pos);
+            h.committed_ppm -= demand(gone.flavor);
         }
     }
 
-    fn resize_in_place(
-        &mut self,
-        _now: Nanos,
-        host: usize,
-        vm: u64,
-        flavor: Flavor,
-    ) -> Result<(), FleetError> {
-        let h = &mut self.hosts[host];
-        let Some(pos) = h.tenants.iter().position(|t| t.vm == vm) else {
+    fn resize_in_place(&mut self, host: usize, vm: u64, flavor: Flavor) -> Result<(), FleetError> {
+        let mut tenants = self.hosts[host].tenants.clone();
+        let Some(t) = tenants.iter_mut().find(|t| t.vm == vm) else {
             return Err(FleetError::UnknownVm(vm));
         };
-        let old = h.tenants[pos].flavor;
-        let mut next = self.boot_cfg.clone();
-        for (i, t) in h.tenants.iter().enumerate() {
-            let t = if i == pos { Tenant { vm, flavor } } else { *t };
-            push_tenant(&mut next, &t, self.cfg.latency_goal);
-        }
-        match plan_with_fallback(Some((&h.host_cfg, &h.plan)), &next, &self.cfg.planner) {
-            Ok(out) if out.plan.table.len() == self.table_len => {
-                h.tenants[pos].flavor = flavor;
-                h.committed_ppm = h.committed_ppm - old.vcpus as u64 * old.utilization_ppm as u64
-                    + flavor.vcpus as u64 * flavor.utilization_ppm as u64;
-                self.rungs.bump(Rung::Ladder(out.path));
-                h.host_cfg = next;
-                h.plan = Arc::new(out.plan);
-                h.dirty = true;
+        t.flavor = flavor;
+        match self.commit_tenants(host, tenants) {
+            Ok(()) => {
                 self.counters.resizes += 1;
                 Ok(())
             }
-            rejected => {
+            Err(error) => {
                 self.counters.resize_rejections += 1;
-                // Every rung failed — or one produced a plan whose
-                // hyperperiod drifted, which cannot reach the dispatcher
-                // (the install protocol would reject it): no rung failed
-                // then, so that rejection carries an empty trail.
-                let error = rejected.err().unwrap_or(ReplanError {
-                    attempts: Vec::new(),
-                });
                 Err(FleetError::ResizeInfeasible { vm, error })
             }
         }
@@ -890,22 +849,15 @@ impl Fleet {
             // Restarts first: a host whose outage elapsed comes back empty.
             if let HostState::Down { until } = self.hosts[i].state {
                 if now >= until {
-                    self.hosts[i] = FleetHost::boot(
-                        i,
-                        &self.machine,
-                        &self.boot_cfg,
-                        &self.boot_plan,
-                        &self.boot_image,
-                        now,
-                    );
+                    self.hosts[i] = FleetHost::boot(i, &self.boot, now);
                     self.counters.restarts += 1;
                 }
             }
             // Crashes: fire the next un-processed window that has started.
-            let cur = self.crash_cursor[i];
-            if let Some(&(from, until)) = self.crash_windows[i].get(cur) {
+            let f = &mut self.faults[i];
+            if let Some(&(from, until)) = f.crashes.get(f.next_crash) {
                 if from <= now && self.hosts[i].state != (HostState::Down { until }) {
-                    self.crash_cursor[i] = cur + 1;
+                    f.next_crash += 1;
                     if !matches!(self.hosts[i].state, HostState::Down { .. }) {
                         self.crash_host(i, now, until);
                     }
@@ -913,7 +865,8 @@ impl Fleet {
             }
             // Degradation windows (only state-relevant while up).
             if !matches!(self.hosts[i].state, HostState::Down { .. }) {
-                let degraded = self.degrade_windows[i]
+                let degraded = self.faults[i]
+                    .degrades
                     .iter()
                     .any(|&(from, until)| from <= now && now < until);
                 let was = self.hosts[i].state;
@@ -936,11 +889,14 @@ impl Fleet {
     /// corrupted no longer exists).
     fn inject_corruptions(&mut self, now: Nanos) {
         for i in 0..self.hosts.len() {
-            while let Some(&ev) = self.corruption_events[i].get(self.corruption_cursor[i]) {
+            while let Some(&ev) = self.faults[i]
+                .corruptions
+                .get(self.faults[i].next_corruption)
+            {
                 if ev.at > now {
                     break;
                 }
-                self.corruption_cursor[i] += 1;
+                self.faults[i].next_corruption += 1;
                 if self.hosts[i].sim.is_none() {
                     continue;
                 }
@@ -1027,14 +983,18 @@ impl Fleet {
         }
     }
 
-    /// Kills a host: its simulator is gone, its tenants enter the
-    /// evacuation queue (latency attribution preserved for VMs still
-    /// awaiting their first install), and it will restart empty.
+    /// Kills a host: it is left probe-only on the boot image without a
+    /// simulator until it restarts; its tenants enter the evacuation queue
+    /// (latency attribution preserved for VMs still awaiting their first
+    /// install), and corruptions not yet counted died with its table.
     fn crash_host(&mut self, i: usize, now: Nanos, until: Nanos) {
         self.counters.crashes += 1;
-        let h = &mut self.hosts[i];
-        let awaiting: BTreeMap<u64, Nanos> = h.awaiting.drain(..).collect();
-        for t in h.tenants.drain(..) {
+        let down = HostState::Down {
+            until: until.max(now + Nanos(1)),
+        };
+        let h = std::mem::replace(&mut self.hosts[i], FleetHost::empty(i, &self.boot, down));
+        let awaiting: BTreeMap<u64, Nanos> = h.awaiting.into_iter().collect();
+        for t in h.tenants {
             self.locations.insert(t.vm, VmLocation::Evacuating);
             self.evacuating.push(
                 t.vm,
@@ -1047,30 +1007,14 @@ impl Fleet {
                 },
             );
         }
-        h.committed_ppm = 0;
-        h.sim = None;
-        h.dirty = false;
-        h.install_attempts = 0;
-        h.next_install_try = Nanos::ZERO;
-        // The corrupted copy (if any) died with the simulator; the host
-        // comes back on the boot image, and holds nothing else while down.
-        self.counters.corruptions_lost_to_crash += std::mem::take(&mut h.pending_corruptions);
-        h.audit_flagged = false;
-        h.installed = self.boot_image.clone();
-        h.host_cfg = self.boot_cfg.clone();
-        h.plan = self.boot_plan.clone();
-        h.state = HostState::Down {
-            until: until.max(now + Nanos(1)),
-        };
+        self.counters.corruptions_lost_to_crash += h.pending_corruptions;
     }
 
     /// Re-places a displaced VM through the same candidate ladder as
     /// admission (without touching the admission counters).
-    fn place_displaced(&mut self, now: Nanos, e: &EvacVm) -> Option<usize> {
-        let demand = e.flavor.vcpus as u64 * e.flavor.utilization_ppm as u64;
-        self.candidates(demand, true, &[])
-            .into_iter()
-            .find(|&h| self.try_place(now, h, e.vm, e.flavor, e.requested_at))
+    fn place_displaced(&mut self, e: &EvacVm) -> Option<usize> {
+        let hosts = self.candidates(demand(e.flavor), true, &[]);
+        self.place(&hosts, e.vm, e.flavor, e.requested_at, &mut 0)
     }
 
     /// The one candidate ladder behind admission and re-placement: of the
@@ -1079,8 +1023,8 @@ impl Fleet {
     /// headroom, ties to the lowest id — or, first-fit, in ascending id. One scan in id order keeping the
     /// running best few; no host list is built or sorted.
     fn candidates(&self, demand: u64, best_fit: bool, skip: &[usize]) -> Vec<usize> {
-        let k = self.cfg.placement_candidates.max(1);
-        let budget = self.cfg.host_budget_ppm();
+        let k = PLACEMENT_CANDIDATES;
+        let budget = self.budget_ppm;
         let fits = self.hosts.iter().filter(|h| {
             h.placeable() && h.committed_ppm + demand <= budget && !skip.contains(&h.id)
         });
@@ -1102,46 +1046,45 @@ impl Fleet {
         best.into_iter().map(|(_, id)| id).collect()
     }
 
-    fn process_evacuations(&mut self, now: Nanos) {
-        // Drain and re-queue: survivors keep FIFO order, and the drain
-        // resets the queue's tombstoned slots from this epoch's teardowns.
-        for mut e in self.evacuating.drain() {
-            if now < e.next_try {
+    /// One pass over the evacuating (or, with `parked`, the parked) queue:
+    /// each VM whose retry time has come is re-placed or backs off. A VM
+    /// past its evacuation budget is parked and retried at the slow parked
+    /// cadence. Survivors keep FIFO order, and the drain resets the
+    /// queue's tombstoned slots from this epoch's teardowns.
+    fn retry_displaced(&mut self, now: Nanos, parked: bool) {
+        let queue = if parked {
+            &mut self.parked
+        } else {
+            &mut self.evacuating
+        };
+        for mut e in queue.drain() {
+            if now >= e.next_try {
+                if let Some(h) = self.place_displaced(&e) {
+                    if parked {
+                        self.counters.unparked += 1;
+                    } else {
+                        self.counters.evacuated_vms += 1;
+                    }
+                    self.locations.insert(e.vm, VmLocation::Placed(h));
+                    continue;
+                }
+                e.attempts = e.attempts.saturating_add(1);
+                self.counters.evacuation_retries += 1;
+                e.next_try = now
+                    + if e.attempts > EVAC_RETRY.budget {
+                        PARKED_RETRY_INTERVAL
+                    } else {
+                        EVAC_RETRY.delay(e.attempts)
+                    };
+            }
+            if e.attempts <= EVAC_RETRY.budget {
                 self.evacuating.push(e.vm, e);
                 continue;
             }
-            if let Some(h) = self.place_displaced(now, &e) {
-                self.counters.evacuated_vms += 1;
-                self.locations.insert(e.vm, VmLocation::Placed(h));
-                continue;
-            }
-            e.attempts += 1;
-            self.counters.evacuation_retries += 1;
-            if e.attempts > self.cfg.evac_retry.budget {
+            if !parked {
                 self.counters.parked += 1;
                 self.locations.insert(e.vm, VmLocation::Parked);
-                e.next_try = now + self.cfg.parked_retry_interval;
-                self.parked.push(e.vm, e);
-            } else {
-                e.next_try = now + self.cfg.evac_retry.delay(e.attempts);
-                self.evacuating.push(e.vm, e);
             }
-        }
-    }
-
-    fn process_parked(&mut self, now: Nanos) {
-        for mut e in self.parked.drain() {
-            if now < e.next_try {
-                self.parked.push(e.vm, e);
-                continue;
-            }
-            if let Some(h) = self.place_displaced(now, &e) {
-                self.counters.unparked += 1;
-                self.locations.insert(e.vm, VmLocation::Placed(h));
-                continue;
-            }
-            self.counters.evacuation_retries += 1;
-            e.next_try = now + self.cfg.parked_retry_interval;
             self.parked.push(e.vm, e);
         }
     }
@@ -1206,14 +1149,13 @@ impl Fleet {
                 }
                 Ok(None) => {
                     let h = &mut self.hosts[i];
-                    let retry = self.cfg.install_retry;
                     h.install_attempts += 1;
                     self.counters.install_retries += 1;
-                    if h.install_attempts > retry.budget {
+                    if h.install_attempts > INSTALL_RETRY.budget {
                         self.counters.install_budget_exhaustions += 1;
-                        h.next_install_try = now + retry.cap;
+                        h.next_install_try = now + INSTALL_RETRY.cap;
                     } else {
-                        h.next_install_try = now + retry.delay(h.install_attempts);
+                        h.next_install_try = now + INSTALL_RETRY.delay(h.install_attempts);
                     }
                 }
                 Err(_) => {
@@ -1238,7 +1180,7 @@ impl Fleet {
 #[cfg(test)]
 fn image_census(fleet: &Fleet) -> (usize, usize) {
     let mut used = std::collections::BTreeSet::new();
-    used.insert(Arc::as_ptr(&fleet.boot_image.table));
+    used.insert(Arc::as_ptr(&fleet.boot.image.table));
     for h in &fleet.hosts {
         used.insert(Arc::as_ptr(&h.installed.table));
         if let Some(tab) = h.tableau() {
@@ -1274,7 +1216,7 @@ mod tests {
         // parent of the change that made the segment arrays the table.
         let fleet = small_fleet(1);
         let accepted = CorruptionKind::ALL.map(|kind| {
-            let hit = |&salt: &u64| corrupt_table(&fleet.boot_image.table, kind, salt).is_some();
+            let hit = |&salt: &u64| corrupt_table(&fleet.boot.image.table, kind, salt).is_some();
             (0..64u64)
                 .filter(hit)
                 .fold(0u64, |mask, salt| mask | 1 << salt)
@@ -1372,12 +1314,105 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_resize_on_a_twin_host_is_a_cache_hit() {
+        // Two identically shaped hosts take the same tenant shape, then the
+        // same resize: the first resize plans (a delta on its donor) and is
+        // memoized under the new shape, the second is served from the cache.
+        let mut fleet = small_fleet(2);
+        for (host, vm) in [(0, 1), (1, 2)] {
+            let placed = fleet.place(&[host], vm, flavor(1, 125_000), None, &mut 0);
+            assert_eq!(placed, Some(host));
+            fleet.locations.insert(vm, VmLocation::Placed(host));
+        }
+        let before = *fleet.rungs();
+        fleet
+            .resize(Nanos(2), 1, flavor(1, 250_000))
+            .expect("resizes");
+        let first = *fleet.rungs();
+        assert_eq!(first.delta, before.delta + 1, "{first:?}");
+        fleet
+            .resize(Nanos(3), 2, flavor(1, 250_000))
+            .expect("resizes");
+        let second = *fleet.rungs();
+        assert_eq!(second.cache_hit, first.cache_hit + 1, "{second:?}");
+        assert_eq!(second.delta, first.delta, "{second:?}");
+        assert!(Arc::ptr_eq(&fleet.hosts[0].plan, &fleet.hosts[1].plan));
+        assert_eq!(fleet.counters().resizes, 2);
+    }
+
+    /// Every host's books against its tenants: the committed demand is
+    /// theirs, and the config is the boot config plus them, in order.
+    fn assert_books(fleet: &Fleet, call: &str) {
+        for h in &fleet.hosts {
+            let demand: u64 = h.tenants.iter().map(|t| demand(t.flavor)).sum();
+            assert_eq!(h.committed_ppm, demand, "host {} after {call}", h.id);
+            assert_eq!(
+                h.host_cfg,
+                host_config(&fleet.boot.cfg, &h.tenants),
+                "host {} after {call}",
+                h.id
+            );
+        }
+    }
+
+    #[test]
+    fn every_host_change_keeps_the_books_of_its_tenants() {
+        // A seeded admit / teardown / resize / crash / step sequence over a
+        // small fleet; the books are checked after every call.
+        let mut fleet = small_fleet(4);
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let flavors = [flavor(1, 125_000), flavor(1, 250_000), flavor(2, 125_000)];
+        let (mut now, mut next_vm, mut owned) = (Nanos::ZERO, 0u64, Vec::new());
+        for _ in 0..400 {
+            now += Nanos::from_millis(10);
+            let call = match draw(10) {
+                0..=3 => {
+                    if fleet.admit(now, next_vm, flavors[draw(3) as usize]).is_ok() {
+                        owned.push(next_vm);
+                    }
+                    next_vm += 1;
+                    "admit"
+                }
+                4 | 5 if !owned.is_empty() => {
+                    let vm = owned.swap_remove(draw(owned.len() as u64) as usize);
+                    fleet.teardown(now, vm).expect("owned");
+                    "teardown"
+                }
+                6 if !owned.is_empty() => {
+                    let vm = owned[draw(owned.len() as u64) as usize];
+                    let _ = fleet.resize(now, vm, flavors[draw(3) as usize]);
+                    "resize"
+                }
+                7 => {
+                    let until = now + Nanos::from_millis(50 * (1 + draw(8)));
+                    fleet.inject_crash(draw(4) as usize, now, until);
+                    "crash"
+                }
+                _ => {
+                    fleet.step(now);
+                    "step"
+                }
+            };
+            assert_books(&fleet, call);
+            fleet.check_conservation().expect("conservation");
+        }
+        let c = fleet.counters();
+        assert!(c.teardowns > 0 && c.resizes > 0 && c.crashes > 0, "{c:?}");
+        assert!(c.evacuated_vms > 0 && c.restarts > 0, "{c:?}");
+    }
+
+    #[test]
     fn backoff_is_bounded_at_extreme_retry_counts() {
-        // The fleet's default curves on the shared RetryPolicy.
-        let cfg = FleetConfig::new(1, 2);
+        // The fleet's fixed curves on the shared RetryPolicy.
         for (retry, cap) in [
-            (cfg.evac_retry, Nanos::from_millis(800)),
-            (cfg.install_retry, Nanos::from_millis(400)),
+            (EVAC_RETRY, Nanos::from_millis(800)),
+            (INSTALL_RETRY, Nanos::from_millis(400)),
         ] {
             let base = Nanos::from_millis(50);
             assert_eq!(retry.delay(0), base);
@@ -1476,7 +1511,7 @@ mod tests {
         let now = epochs(&mut fleet, Nanos::ZERO, 4);
         // Crash host 0 by hand (windows injected directly).
         let until = now + Nanos::from_millis(500);
-        fleet.crash_windows[0] = vec![(now, until)];
+        fleet.faults[0].crashes = vec![(now, until)];
         let now = epochs(&mut fleet, now, 12);
         assert_eq!(fleet.counters().crashes, 1);
         assert_eq!(fleet.displaced(), 0, "evacuation must converge");
@@ -1509,7 +1544,7 @@ mod tests {
             }
         }
         let now = epochs(&mut fleet, Nanos::ZERO, 4);
-        fleet.crash_windows[0] = vec![(now, now + Nanos::from_secs(3600))];
+        fleet.faults[0].crashes = vec![(now, now + Nanos::from_secs(3600))];
         let _ = epochs(&mut fleet, now, 40);
         assert!(fleet.counters().parked > 0, "some VMs must park");
         assert_eq!(fleet.live_vms(), vms.len(), "every admitted VM still owned");
@@ -1524,7 +1559,7 @@ mod tests {
         let live = fleet.live_vms();
         let now = epochs(&mut fleet, Nanos::ZERO, 4);
         // A short outage: the host comes back while VMs are still parked.
-        fleet.crash_windows[0] = vec![(now, now + Nanos::from_millis(400))];
+        fleet.faults[0].crashes = vec![(now, now + Nanos::from_millis(400))];
         let _ = epochs(&mut fleet, now, 120);
         assert_eq!(fleet.live_vms(), live);
         assert_eq!(fleet.displaced(), 0, "parked VMs must eventually re-place");
@@ -1578,13 +1613,16 @@ mod tests {
 
         // What the ladder itself says about the impossible shape.
         let huge = flavor(8, 900_000);
-        let mut next = fleet.boot_cfg.clone();
-        for &(vm, flavor) in &tenants {
-            let flavor = if vm == 2 { huge } else { flavor };
-            push_tenant(&mut next, &Tenant { vm, flavor }, fleet.cfg.latency_goal);
-        }
+        let resized: Vec<Tenant> = tenants
+            .iter()
+            .map(|&(vm, flavor)| Tenant {
+                vm,
+                flavor: if vm == 2 { huge } else { flavor },
+            })
+            .collect();
+        let next = host_config(&fleet.boot.cfg, &resized);
         let h = &fleet.hosts[0];
-        let want = plan_with_fallback(Some((&h.host_cfg, &h.plan)), &next, &fleet.cfg.planner)
+        let want = plan_with_fallback(Some((&h.host_cfg, &h.plan)), &next, &fleet.planner)
             .expect_err("over capacity on every rung");
         assert!(!want.attempts.is_empty());
 
@@ -1649,9 +1687,11 @@ mod tests {
         let mut fleet = small_fleet(2);
         fleet.arm_faults(HostFaultConfig::chaos(9, 0.0), Nanos::from_secs(10));
         assert!(fleet.engine.is_none());
-        assert!(fleet.crash_windows.iter().all(|w| w.is_empty()));
+        assert!(fleet
+            .faults
+            .iter()
+            .all(|f| f.crashes.is_empty() && f.degrades.is_empty() && f.corruptions.is_empty()));
         assert!(fleet.storm_windows.is_empty());
-        assert!(fleet.corruption_events.iter().all(|e| e.is_empty()));
     }
 
     #[test]
@@ -1666,7 +1706,7 @@ mod tests {
             assert!(installs_before >= 1);
             // Inject one event of this class by hand (the seeded engine
             // drives the same path).
-            fleet.corruption_events[0] = vec![CorruptionEvent {
+            fleet.faults[0].corruptions = vec![CorruptionEvent {
                 at: now + Nanos(1),
                 class,
                 salt: 7,
@@ -1713,7 +1753,7 @@ mod tests {
             Nanos::from_secs(10),
         );
         fleet.storm_windows = vec![(now, now + Nanos::from_millis(300))];
-        fleet.corruption_events[0] = events
+        fleet.faults[0].corruptions = events
             .iter()
             .map(|&(k, class, salt)| CorruptionEvent {
                 at: now + Nanos(k * 50_000_000 + 1),
@@ -1790,13 +1830,13 @@ mod tests {
         // Six hosts on one image (the boot image); host 2's copy is damaged.
         let mut fleet = small_fleet(6);
         let now = epochs(&mut fleet, Nanos::ZERO, 2);
-        let shared = Arc::as_ptr(&fleet.boot_image.table);
+        let shared = Arc::as_ptr(&fleet.boot.image.table);
         assert!((0..6).all(|h| live_ptr(&fleet, h) == shared));
         assert_eq!(image_census(&fleet), (1, 1));
-        let clean = mask_table(&fleet.boot_plan.table, 2).expect("masks");
+        let clean = mask_table(&fleet.boot.plan.table, 2).expect("masks");
 
         let now = now + Nanos::from_millis(50);
-        fleet.corruption_events[2] = vec![CorruptionEvent {
+        fleet.faults[2].corruptions = vec![CorruptionEvent {
             at: now,
             class: 1,
             salt: 3,
@@ -1809,7 +1849,7 @@ mod tests {
         for h in [0, 1, 3, 4, 5] {
             assert_eq!(live_ptr(&fleet, h), shared, "host {h} keeps its pointer");
         }
-        assert_eq!(*fleet.boot_image.table, clean, "and the shared bytes");
+        assert_eq!(*fleet.boot.image.table, clean, "and the shared bytes");
         let oracle: Vec<bool> = (0..6)
             .map(|h| {
                 let tab = fleet.hosts[h].tableau().expect("host is up");
@@ -1848,11 +1888,11 @@ mod tests {
         let Some(VmLocation::Placed(busy)) = fleet.location(1) else {
             panic!("vm 1 is placed");
         };
-        let boot = Arc::as_ptr(&fleet.boot_image.table);
+        let boot = Arc::as_ptr(&fleet.boot.image.table);
         assert_ne!(live_ptr(&fleet, busy), boot, "the tenant host moved on");
 
         fleet.inject_crash(busy, now, now + Nanos::from_millis(200));
-        assert!(Arc::ptr_eq(&fleet.hosts[busy].installed, &fleet.boot_image));
+        assert!(Arc::ptr_eq(&fleet.hosts[busy].installed, &fleet.boot.image));
         let _ = epochs(&mut fleet, now, 8);
         assert_eq!(fleet.counters().restarts, 1);
         let Some(VmLocation::Placed(refuge)) = fleet.location(1) else {
@@ -1861,7 +1901,7 @@ mod tests {
         let probe_only = 3 - busy - refuge;
         assert_eq!(live_ptr(&fleet, busy), boot, "reboot builds no table");
         assert_eq!(live_ptr(&fleet, busy), live_ptr(&fleet, probe_only));
-        assert!(Arc::ptr_eq(&fleet.hosts[busy].installed, &fleet.boot_image));
+        assert!(Arc::ptr_eq(&fleet.hosts[busy].installed, &fleet.boot.image));
     }
 
     #[test]
@@ -2026,8 +2066,8 @@ mod tests {
             .admit(Nanos(1), 1, flavor(1, 250_000))
             .expect("admits");
         let now = epochs(&mut fleet, Nanos::ZERO, 4);
-        fleet.crash_windows[0] = vec![(now, now + Nanos::from_secs(3600))];
-        fleet.corruption_events[0] = vec![CorruptionEvent {
+        fleet.faults[0].crashes = vec![(now, now + Nanos::from_secs(3600))];
+        fleet.faults[0].corruptions = vec![CorruptionEvent {
             at: now + Nanos::from_millis(100),
             class: 0,
             salt: 1,
@@ -2039,7 +2079,7 @@ mod tests {
         assert_eq!(c.corruptions_detected, 0);
         assert_eq!(c.audit_false_positives, 0);
         assert_eq!(
-            fleet.corruption_cursor[0], 1,
+            fleet.faults[0].next_corruption, 1,
             "the event is consumed, not replayed after the restart"
         );
     }
@@ -2060,7 +2100,7 @@ mod tests {
         // An outage with the fleet nearly full: the displaced VMs cannot
         // re-place while the host is down, so the queues stay populated
         // for several epochs.
-        fleet.crash_windows[0] = vec![(now, now + Nanos::from_millis(900))];
+        fleet.faults[0].crashes = vec![(now, now + Nanos::from_millis(900))];
         let now = epochs(&mut fleet, now, 8);
         let queued: Vec<u64> = vms
             .iter()

@@ -95,7 +95,7 @@ proptest! {
             Nanos::from_secs(3600),
         );
         fleet.storm_windows.clear();
-        let mut oracle: Vec<Oracle> = (0..n_hosts).map(|_| Oracle::of(&fleet.boot_plan)).collect();
+        let mut oracle: Vec<Oracle> = (0..n_hosts).map(|_| Oracle::of(&fleet.boot.plan)).collect();
         let mut now = Nanos::ZERO;
         let mut next_vm = 0u64;
         let mut owned: Vec<u64> = Vec::new();
@@ -122,7 +122,7 @@ proptest! {
                 5 => fleet.inject_crash(host, now, now + EPOCH * (1 + r % 6)),
                 6 | 7 => {
                     let ev = CorruptionEvent { at: now, class: (r % 3) as u8, salt: r / 3 };
-                    fleet.corruption_events[host].push(ev);
+                    fleet.faults[host].corruptions.push(ev);
                     corrupted = Some((host, ev));
                 }
                 8 => fleet.storm_windows = vec![(now, now + EPOCH * (1 + r % 4))],
@@ -133,7 +133,7 @@ proptest! {
             // corruptions, then (below) installs.
             for (i, h) in fleet.hosts.iter().enumerate() {
                 if matches!(h.state, HostState::Down { until } if now >= until) {
-                    oracle[i] = Oracle::of(&fleet.boot_plan);
+                    oracle[i] = Oracle::of(&fleet.boot.plan);
                 }
             }
             let up_at_injection = |h: &FleetHost| match h.state {

@@ -12,6 +12,13 @@ use xensim::{Machine, Sim};
 
 use crate::images::TableImage;
 
+/// Per-core probe reservation, in ppm of one core.
+pub(crate) const PROBE_PPM: u32 = 200_000;
+
+/// The one latency goal of probes and tenants. One goal keeps every plan's
+/// hyperperiod identical, which the install protocol requires.
+const LATENCY_GOAL: Nanos = Nanos::from_millis(20);
+
 /// Control-plane view of one host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostState {
@@ -34,12 +41,17 @@ pub(crate) struct Tenant {
     pub flavor: Flavor,
 }
 
+/// Tenant demand of one VM, in ppm of one core (vcpus × per-vCPU ppm).
+pub(crate) fn demand(flavor: Flavor) -> u64 {
+    flavor.vcpus as u64 * flavor.utilization_ppm as u64
+}
+
 /// Per-host state: the simulated stack plus the install pipeline.
 pub(crate) struct FleetHost {
     pub id: usize,
     pub state: HostState,
     pub tenants: Vec<Tenant>,
-    /// Sum of tenant demand in ppm of one core (vcpus × per-vCPU ppm).
+    /// Sum of tenant demand in ppm of one core.
     pub committed_ppm: u64,
     /// The config `plan` was computed from (the delta rung's baseline).
     pub host_cfg: HostConfig,
@@ -75,11 +87,21 @@ pub(crate) struct FleetHost {
     pub audit_flagged: bool,
 }
 
+/// What every host boots into: the fleet's machine shape, the probe-only
+/// config, its plan, and the plan's shared masked image.
+pub(crate) struct Boot {
+    pub machine: Machine,
+    pub cfg: HostConfig,
+    pub plan: Arc<Plan>,
+    pub image: Arc<TableImage>,
+}
+
 /// The per-core probe reservation every host carries (a stand-in for
 /// dom0/agents): one capped single-vCPU VM per core. Probes come *first*
 /// in every host config, so their vCPU ids are stably `0..n_cores` across
 /// arbitrary tenant churn — the property the sim-table masking relies on.
-pub(crate) fn probe_config(n_cores: usize, probe: VcpuSpec) -> HostConfig {
+pub(crate) fn probe_config(n_cores: usize) -> HostConfig {
+    let probe = VcpuSpec::capped(Utilization::from_ppm(PROBE_PPM), LATENCY_GOAL);
     let mut cfg = HostConfig::new(n_cores);
     for i in 0..n_cores {
         cfg.add_vm(VmSpec::uniform(format!("probe{i}"), 1, probe));
@@ -87,52 +109,57 @@ pub(crate) fn probe_config(n_cores: usize, probe: VcpuSpec) -> HostConfig {
     cfg
 }
 
-/// Appends one tenant VM to a host config (after the probes).
-pub(crate) fn push_tenant(cfg: &mut HostConfig, t: &Tenant, latency_goal: Nanos) {
-    let spec = VcpuSpec::capped(
-        Utilization::from_ppm(t.flavor.utilization_ppm),
-        latency_goal,
-    );
-    cfg.add_vm(VmSpec::uniform(format!("vm{}", t.vm), t.flavor.vcpus, spec));
+/// A host config: `boot` (the probes) followed by one VM per tenant, in
+/// order.
+pub(crate) fn host_config(boot: &HostConfig, tenants: &[Tenant]) -> HostConfig {
+    let mut cfg = boot.clone();
+    for t in tenants {
+        let util = Utilization::from_ppm(t.flavor.utilization_ppm);
+        let spec = VcpuSpec::capped(util, LATENCY_GOAL);
+        cfg.add_vm(VmSpec::uniform(format!("vm{}", t.vm), t.flavor.vcpus, spec));
+    }
+    cfg
 }
 
 impl FleetHost {
-    /// Builds a freshly booted (probe-only) host around `boot_plan`, its
-    /// dispatcher pointing at `boot_image` (the plan's masked table): a
-    /// boot builds no table and shares the image with every other host
-    /// still on it.
-    pub fn boot(
-        id: usize,
-        machine: &Machine,
-        boot_cfg: &HostConfig,
-        boot_plan: &Arc<Plan>,
-        boot_image: &Arc<TableImage>,
-        now: Nanos,
-    ) -> FleetHost {
-        // The scheduler boots on the masked probe table; every later table
-        // reaches it through the two-phase install protocol.
-        let tableau = Tableau::from_shared_table(boot_image.table.clone(), &boot_plan.params);
-        // The default hybrid (dense-batching) engine.
-        let mut sim = Sim::new(*machine, Box::new(tableau));
-        for core in 0..machine.n_cores() {
-            sim.add_vcpu(Box::new(BusyLoop), core, true);
-        }
+    /// A probe-only host in `state` with no simulator: the state a crash
+    /// leaves behind, and what [`FleetHost::boot`] starts from.
+    pub fn empty(id: usize, boot: &Boot, state: HostState) -> FleetHost {
         FleetHost {
             id,
-            state: HostState::Online,
+            state,
             tenants: Vec::new(),
             committed_ppm: 0,
-            host_cfg: boot_cfg.clone(),
-            plan: boot_plan.clone(),
-            sim: Some(sim),
-            epoch_base: now,
+            host_cfg: boot.cfg.clone(),
+            plan: boot.plan.clone(),
+            sim: None,
+            epoch_base: Nanos::ZERO,
             dirty: false,
             awaiting: Vec::new(),
             install_attempts: 0,
             next_install_try: Nanos::ZERO,
-            installed: boot_image.clone(),
+            installed: boot.image.clone(),
             pending_corruptions: 0,
             audit_flagged: false,
+        }
+    }
+
+    /// Builds a freshly booted (probe-only) host, online at `now`, its
+    /// dispatcher pointing at the boot image: a boot builds no table and
+    /// shares the image with every other host still on it.
+    pub fn boot(id: usize, boot: &Boot, now: Nanos) -> FleetHost {
+        // The scheduler boots on the masked probe table; every later table
+        // reaches it through the two-phase install protocol.
+        let tableau = Tableau::from_shared_table(boot.image.table.clone(), &boot.plan.params);
+        // The default hybrid (dense-batching) engine.
+        let mut sim = Sim::new(boot.machine, Box::new(tableau));
+        for core in 0..boot.machine.n_cores() {
+            sim.add_vcpu(Box::new(BusyLoop), core, true);
+        }
+        FleetHost {
+            sim: Some(sim),
+            epoch_base: now,
+            ..FleetHost::empty(id, boot, HostState::Online)
         }
     }
 

@@ -1,13 +1,23 @@
-//! Fleet control plane over simulated Tableau hosts (ROADMAP item 1).
+//! Fleet control plane over simulated Tableau hosts.
 //!
 //! A [`Fleet`] owns N simulated hosts. Each host is the full single-host
 //! stack grown in earlier PRs — a [`xensim::Sim`] running per-core probe
-//! vCPUs under a `schedulers::Tableau` dispatcher. All hosts plan through
-//! one [`tableau_core::cache::SharedPlanCache`], an LRU of
-//! `FleetConfig::cache_capacity` plans: identically shaped hosts (and with
-//! SAP-shaped churn, shapes recur constantly) resolve to one entry. The
-//! cache only memoizes — every replan rung returns `plan(host, opts)` — so
-//! its capacity moves the rung counters and nothing else.
+//! vCPUs under a `schedulers::Tableau` dispatcher. [`FleetConfig`] sets
+//! only the fleet's size and its cache; every other control-plane value
+//! (probe share, latency goal, placement and retry constants) is fixed.
+//!
+//! **One host-change path.** Admission, re-placement, teardown and resize
+//! all change a host the same way: the host's new tenant list is planned
+//! (the boot config plus the tenants, in order) through one
+//! [`tableau_core::cache::SharedPlanCache`], an LRU of
+//! `FleetConfig::cache_capacity` plans, and on a miss through the
+//! `plan_with_fallback` ladder with the host's running plan as the donor;
+//! only an installable plan commits, and it commits the tenants, their
+//! demand, the config and the plan together. Identically shaped hosts (and
+//! with SAP-shaped churn, shapes recur constantly) resolve to one entry,
+//! for a resize as for an admission. The cache only memoizes — every
+//! replan rung returns `plan(host, opts)` — so its capacity moves the rung
+//! counters and nothing else.
 //!
 //! The front-end admits VM create/teardown/resize requests and the
 //! robustness engine absorbs host-level failures:
@@ -17,10 +27,10 @@
 //!   threshold, and finally a *typed* [`AdmissionRejected`] shed. Never a
 //!   panic, never a silently dropped VM.
 //! * **Crash-triggered evacuation** — a crashed host's VMs re-place
-//!   through the `plan_with_fallback` ladder with the guardian's bounded
-//!   exponential backoff (`tableau_core::RetryPolicy`) and a per-VM retry
-//!   budget; budget exhaustion *parks* the VM
-//!   (still owned, retried at a slower cadence) instead of losing it.
+//!   through the admission path with the guardian's bounded exponential
+//!   backoff (`tableau_core::RetryPolicy`) and a per-VM retry budget;
+//!   budget exhaustion *parks* the VM (still owned, retried at a slower
+//!   cadence) instead of losing it. One drain serves both queues.
 //! * **Install pipeline** — tables reach each host's dispatcher through
 //!   the two-phase install protocol; install-failure storms (see
 //!   [`xensim::fault::InstallStormFaults`]) abort pushes mid-protocol and

@@ -224,31 +224,6 @@ pub fn dpfair_schedule(
     Ok(cores)
 }
 
-/// Runs DP-Fair for `tasks` with ids replaced by cluster positions
-/// (`TaskId(0), TaskId(1), ...` in slice order).
-///
-/// The memoization-friendly form, mirroring
-/// [`crate::edf::simulate_edf_positional`]: DP-Fair consults real ids only
-/// when labeling output segments and error payloads — deadline
-/// partitioning, mandatory/optional allocation, and the McNaughton layout
-/// all iterate by position — so relabeling the positional result with a
-/// concrete cluster's ids reproduces the direct run exactly.
-pub fn dpfair_schedule_positional(
-    tasks: &[PeriodicTask],
-    m: usize,
-    horizon: Nanos,
-) -> Result<Vec<CoreSchedule>, DpFairError> {
-    let positional: Vec<PeriodicTask> = tasks
-        .iter()
-        .enumerate()
-        .map(|(pos, t)| PeriodicTask {
-            id: crate::task::TaskId(pos as u32),
-            ..*t
-        })
-        .collect();
-    dpfair_schedule(&positional, m, horizon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,19 +368,6 @@ mod tests {
     fn empty_inputs() {
         assert!(dpfair_schedule(&[], 0, ms(10)).unwrap().is_empty());
         assert_eq!(dpfair_schedule(&[], 3, ms(10)).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn positional_run_relabels_to_direct() {
-        // Ids out of order so any id-sensitive step would diverge.
-        let tasks = [imp(9, 6, 10), imp(2, 6, 10), imp(5, 6, 10)];
-        let direct = dpfair_schedule(&tasks, 2, ms(10)).unwrap();
-        let pos = dpfair_schedule_positional(&tasks, 2, ms(10)).unwrap();
-        let relabeled: Vec<CoreSchedule> = pos
-            .iter()
-            .map(|c| c.relabel(|t| tasks[t.0 as usize].id))
-            .collect();
-        assert_eq!(relabeled, direct);
     }
 
     #[test]

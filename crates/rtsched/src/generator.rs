@@ -217,10 +217,14 @@ pub fn generate_schedule(
     horizon: Nanos,
     opts: &GenOptions,
 ) -> Result<Generated, GenError> {
-    generate_schedule_with_preferences(tasks, n_cores, horizon, opts, &[])
+    generate_schedule_instrumented(tasks, n_cores, horizon, opts, &[], |_, _| false)
+        .map(|o| o.generated)
 }
 
-/// Like [`generate_schedule`], with *soft* per-task core preferences.
+/// Like [`generate_schedule`], with *soft* per-task core preferences,
+/// additionally returning the core-sharing record and the per-stage timing
+/// breakdown, for a caller that may already hold the schedules of some
+/// stage-1 bins.
 ///
 /// `prefs[i]` lists the cores task `i` would like to be placed on (e.g. the
 /// cores of its VM's NUMA node — the "memory locality" consideration the
@@ -231,20 +235,6 @@ pub fn generate_schedule(
 /// only run for workloads that barely fit at all, where locality is the
 /// lesser concern. An empty `prefs` (or an empty inner list) means no
 /// preference.
-pub fn generate_schedule_with_preferences(
-    tasks: &[PeriodicTask],
-    n_cores: usize,
-    horizon: Nanos,
-    opts: &GenOptions,
-    prefs: &[Vec<usize>],
-) -> Result<Generated, GenError> {
-    generate_schedule_instrumented(tasks, n_cores, horizon, opts, prefs, |_, _| false)
-        .map(|o| o.generated)
-}
-
-/// Like [`generate_schedule_with_preferences`], additionally returning the
-/// core-sharing record and the per-stage timing breakdown, for a caller
-/// that may already hold the schedules of some stage-1 bins.
 ///
 /// Once plain partitioning packs every task, `keep(core, bin)` is asked for
 /// each core in core order. A core it answers `true` for is the caller's:
@@ -678,13 +668,13 @@ fn pack_cluster(
 
 /// Generates DP-Fair on the cluster and EDF on the singles.
 ///
-/// Direct engine: DP-Fair on the cluster, per-core EDF on each single.
-/// Memoized engine: singles whose signature repeats
-/// across cores go through the signature memo (and hit it again should a
-/// later attempt simulate them), one-of-a-kind singles are simulated
-/// directly each time, and an all-implicit cluster runs positionally
-/// through the DP-Fair memo; cluster cores are never stamped — DP-Fair
-/// produces them jointly, not per-bin.
+/// Direct engine: per-core EDF on each single. Memoized engine: singles
+/// whose signature repeats across cores go through the signature memo (and
+/// hit it again should a later attempt simulate them), one-of-a-kind
+/// singles are simulated directly each time. Either way the cluster runs
+/// DP-Fair directly, once: `clustered_schedule` tries each cluster size at
+/// most once, so no later attempt could reuse it, and its cores are never
+/// stamped — DP-Fair produces them jointly, not per-bin.
 fn generate_cluster_and_singles(
     cluster_tasks: &[PeriodicTask],
     single_bins: &CoreBins,
@@ -695,21 +685,7 @@ fn generate_cluster_and_singles(
     memo: &mut SigMemo,
 ) -> Option<(MultiCoreSchedule, Vec<TaskId>, CoreSharing)> {
     let (single_results, single_stamps) = simulate_cores(single_bins, &[], horizon, engine, memo);
-    let cluster_cores = if engine == GenEngine::Memoized && all_implicit(cluster_tasks) {
-        let sig = BinSignature::of(cluster_tasks);
-        memo.dpfair(sig, cluster_tasks, cluster_size, horizon)
-            .clone()
-            .map(|cores| {
-                cores
-                    .iter()
-                    .map(|c| c.relabel(|t| cluster_tasks[t.0 as usize].id))
-                    .collect()
-            })
-    } else {
-        dpfair_schedule(cluster_tasks, cluster_size, horizon)
-    };
-
-    let cluster_cores = cluster_cores.ok()?;
+    let cluster_cores = dpfair_schedule(cluster_tasks, cluster_size, horizon).ok()?;
     let mut schedule = MultiCoreSchedule::idle(horizon, n_cores);
     let mut sharing = CoreSharing::none(n_cores);
     for (i, cs) in cluster_cores.into_iter().enumerate() {

@@ -33,11 +33,9 @@
 
 use std::collections::HashMap;
 
-use crate::dpfair::{dpfair_schedule_positional, DpFairError};
-use crate::edf::{simulate_edf_positional, DeadlineMiss};
+use crate::edf::DeadlineMiss;
 use crate::schedule::CoreSchedule;
 use crate::task::{PeriodicTask, TaskId};
-use crate::time::Nanos;
 
 /// The id-free canonical form of a bin: `(cost, period, deadline, offset)`
 /// per task, in bin order.
@@ -94,25 +92,12 @@ pub fn all_implicit(tasks: &[PeriodicTask]) -> bool {
 #[derive(Debug, Default)]
 pub struct SigMemo {
     edf: HashMap<BinSignature, Result<CoreSchedule, DeadlineMiss>>,
-    dpfair: HashMap<(BinSignature, usize), Result<Vec<CoreSchedule>, DpFairError>>,
 }
 
 impl SigMemo {
     /// Creates an empty memo.
     pub fn new() -> SigMemo {
         SigMemo::default()
-    }
-
-    /// Simulates EDF for `bin` positionally, memoized on its signature.
-    pub fn edf(
-        &mut self,
-        sig: BinSignature,
-        bin: &[PeriodicTask],
-        horizon: Nanos,
-    ) -> &Result<CoreSchedule, DeadlineMiss> {
-        self.edf
-            .entry(sig)
-            .or_insert_with(|| simulate_edf_positional(bin, horizon))
     }
 
     /// Records an already-computed positional EDF result (the generator
@@ -124,20 +109,6 @@ impl SigMemo {
     /// Looks up a previously computed EDF result without simulating.
     pub fn edf_get(&self, sig: &BinSignature) -> Option<&Result<CoreSchedule, DeadlineMiss>> {
         self.edf.get(sig)
-    }
-
-    /// Runs DP-Fair for `tasks` on `m` cores positionally, memoized on
-    /// `(signature, m)`.
-    pub fn dpfair(
-        &mut self,
-        sig: BinSignature,
-        tasks: &[PeriodicTask],
-        m: usize,
-        horizon: Nanos,
-    ) -> &Result<Vec<CoreSchedule>, DpFairError> {
-        self.dpfair
-            .entry((sig, m))
-            .or_insert_with(|| dpfair_schedule_positional(tasks, m, horizon))
     }
 }
 
@@ -207,7 +178,8 @@ impl CoreSharing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edf::simulate_edf;
+    use crate::edf::{simulate_edf, simulate_edf_positional};
+    use crate::time::Nanos;
 
     fn ms(v: u64) -> Nanos {
         Nanos::from_millis(v)
@@ -253,10 +225,9 @@ mod tests {
             PeriodicTask::implicit(TaskId(9), ms(5), ms(20)),
         ];
         let mut memo = SigMemo::new();
-        let positional = memo
-            .edf(BinSignature::of(&bin_a), &bin_a, horizon)
-            .clone()
-            .expect("feasible bin");
+        let positional = simulate_edf_positional(&bin_a, horizon);
+        memo.edf_insert(BinSignature::of(&bin_a), positional.clone());
+        let positional = positional.expect("feasible bin");
         for bin in [&bin_a[..], &bin_b[..]] {
             let stamped = positional.relabel(|t| bin[t.0 as usize].id);
             let direct = simulate_edf(bin, horizon).expect("feasible bin");
