@@ -236,10 +236,10 @@ impl PdesStats {
     }
 }
 
-/// Wall-clock ledger of [`Fleet::step`]: nanoseconds accumulated per phase
-/// since boot, in phase order. The phase fields sum to `total_ns` up to one
-/// clock read per step. Host time, not simulated time: only `steps` is
-/// reproducible across runs.
+/// Wall-clock ledger of [`Fleet::step`] and [`Fleet::settle`]: nanoseconds
+/// accumulated per phase since boot, in phase order. The phase fields sum
+/// to `total_ns` up to a few clock reads per call. Host time, not simulated
+/// time: only `steps` is reproducible across runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepPhases {
     /// `Fleet::step` calls accumulated.
@@ -258,12 +258,16 @@ pub struct StepPhases {
     pub parked_ns: u64,
     /// Resolve each pending install's shared table image, stage and commit.
     pub installs_ns: u64,
-    /// Advancing every live host's simulator by one epoch.
+    /// Catch-up: bringing a host's simulator up to the last step's time
+    /// before the control plane acts on it (a corruption, an install) or
+    /// an observer asks ([`Fleet::settle`]). Booked here wherever it runs;
+    /// the enclosing phase excludes it.
     pub host_sims_ns: u64,
 }
 
 impl StepPhases {
-    /// `(name, ns)` per phase, in the order [`Fleet::step`] runs them.
+    /// `(name, ns)` per phase, in the order [`Fleet::step`] runs them, the
+    /// catch-ups (`host_sims`, wherever they ran) last.
     pub fn phases(&self) -> [(&'static str, u64); 7] {
         [
             ("faults", self.faults_ns),
@@ -277,12 +281,24 @@ impl StepPhases {
     }
 }
 
-/// Nanoseconds since `mark`, which advances to now.
-fn lap(mark: &mut Instant) -> u64 {
-    let now = Instant::now();
-    let ns = (now - *mark).as_nanos() as u64;
-    *mark = now;
-    ns
+/// The phase clock of one step.
+struct PhaseClock {
+    mark: Instant,
+    /// `host_sims_ns` at `mark`.
+    booked: u64,
+}
+
+impl PhaseClock {
+    /// Nanoseconds since the previous lap, less the catch-up time booked
+    /// into `host_sims_ns` meanwhile; the mark advances to now.
+    fn lap(&mut self, phases: &StepPhases) -> u64 {
+        let now = Instant::now();
+        let ns = (now - self.mark).as_nanos() as u64;
+        self.mark = now;
+        let caught_up =
+            phases.host_sims_ns - std::mem::replace(&mut self.booked, phases.host_sims_ns);
+        ns.saturating_sub(caught_up)
+    }
 }
 
 /// Where a live VM currently is.
@@ -364,6 +380,9 @@ pub struct Fleet {
     /// One masked table per distinct content; every dispatcher's table
     /// comes from here (see [`crate::images`]).
     images: ImageStore,
+    /// The `now` of the last [`Fleet::step`]: the time every live host's
+    /// simulator stands at once caught up ([`Fleet::sync`]).
+    last_step: Option<Nanos>,
 }
 
 impl Fleet {
@@ -404,6 +423,7 @@ impl Fleet {
             admit_to_install: Histogram::new(),
             boot,
             images,
+            last_step: None,
         })
     }
 
@@ -530,43 +550,60 @@ impl Fleet {
 
     /// One control epoch at absolute fleet time `now`: fire host fault
     /// transitions (including table corruptions), audit every live host's
-    /// installed table, drive evacuations and parked retries, push pending
-    /// installs, and advance every live host's simulator. Corruptions land
-    /// before the audit and the audit before installs, so an injected
-    /// corruption is detected — and its repair install issued — within the
-    /// same epoch.
+    /// installed table, drive evacuations and parked retries, and push
+    /// pending installs. Corruptions land before the audit and the audit
+    /// before installs, so an injected corruption is detected — and its
+    /// repair install issued — within the same epoch.
     ///
-    /// **Single-threaded.** Every phase is a plain loop in host order: the
-    /// audit derives facts once per distinct live table image, and each
-    /// host simulator — the bulk of the wall clock — advances in turn. A
-    /// 320-host step costs ~150 µs, less than spawning the threads that
-    /// used to shard it
+    /// **Lazy hosts.** A host's dispatcher is a function of the tables
+    /// installed into it and of time, and nothing flows from a host back to
+    /// the control plane between installs, so the step runs no host
+    /// simulator of its own accord: a host's simulator is caught up to the
+    /// previous step's `now` right before a corruption or an install acts
+    /// on it, and [`Fleet::settle`] catches every host up for observers.
+    /// One `run_until` over N epochs equals N calls, so the model is the
+    /// one an every-epoch advance gives (DESIGN.md §5.10). The audit reads
+    /// committed tables, which simulated time does not change, and still
+    /// scans every live host.
+    ///
+    /// **Single-threaded.** Every phase is a plain loop in host order, and
+    /// the audit derives facts once per distinct live table image
     /// (DESIGN.md, "Why the planner and the fleet step are
     /// single-threaded"), so a step is a function of the fleet's state and
     /// `now` alone.
     pub fn step(&mut self, now: Nanos) {
         let t0 = Instant::now();
-        let mut mark = t0;
+        let mut clock = PhaseClock {
+            mark: t0,
+            booked: self.phases.host_sims_ns,
+        };
         self.apply_host_faults(now);
-        self.phases.faults_ns += lap(&mut mark);
+        self.phases.faults_ns += clock.lap(&self.phases);
         self.inject_corruptions(now);
-        self.phases.corruptions_ns += lap(&mut mark);
+        self.phases.corruptions_ns += clock.lap(&self.phases);
         self.audit_tables();
-        self.phases.audit_ns += lap(&mut mark);
+        self.phases.audit_ns += clock.lap(&self.phases);
         self.retry_displaced(now, false);
-        self.phases.evacuate_ns += lap(&mut mark);
+        self.phases.evacuate_ns += clock.lap(&self.phases);
         self.retry_displaced(now, true);
-        self.phases.parked_ns += lap(&mut mark);
+        self.phases.parked_ns += clock.lap(&self.phases);
         self.process_installs(now);
-        self.phases.installs_ns += lap(&mut mark);
-        for h in &mut self.hosts {
-            let local = now - h.epoch_base;
-            if let Some(sim) = h.sim.as_mut() {
-                sim.run_until(local);
-            }
-        }
-        self.phases.host_sims_ns += lap(&mut mark);
+        self.phases.installs_ns += clock.lap(&self.phases);
+        self.last_step = Some(now);
         self.phases.steps += 1;
+        self.phases.total_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Catches every live host's simulator up to the last step's `now`,
+    /// where an every-epoch advance would have left it: call before reading
+    /// simulator state ([`Fleet::batch_stats`], a host's dispatcher) or at
+    /// the end of a run. It does not move the model; its time is booked to
+    /// `host_sims_ns` and `total_ns` of [`Fleet::step_phases`].
+    pub fn settle(&mut self) {
+        let t0 = Instant::now();
+        for i in 0..self.hosts.len() {
+            self.sync(i);
+        }
         self.phases.total_ns += t0.elapsed().as_nanos() as u64;
     }
 
@@ -652,9 +689,15 @@ impl Fleet {
         &self.phases
     }
 
-    /// Aggregate dense-batching counters across the live host simulators.
-    /// Counters die with a crashed host's simulator, so this reports the
-    /// currently running fleet, not a lifetime total.
+    /// Aggregate dense-batching counters across the live host simulators:
+    /// the simulation done so far, so call [`Fleet::settle`] first for the
+    /// counters of every host at the last step's time. They are accounting
+    /// and depend on where the catch-ups fell: `batch_entries`,
+    /// `batch_exits` and `fallback_horizon` count `run_until` calls, and a
+    /// call that reaches a slice no window can certify (a corrupted table's)
+    /// is declined whole, which moves `fallback_window` and
+    /// `batched_events`. Counters die with a crashed host's simulator, so
+    /// this reports the currently running fleet, not a lifetime total.
     pub fn batch_stats(&self) -> xensim::stats::BatchStats {
         let mut total = xensim::stats::BatchStats::default();
         for h in &self.hosts {
@@ -711,6 +754,25 @@ impl Fleet {
     }
 
     // --- internals -------------------------------------------------------
+
+    /// Runs host `i`'s simulator to the last step's `now`, the time an
+    /// every-epoch advance would have it at when this step's corruptions and
+    /// installs act on it (that advance ran after them). Nothing to do
+    /// before the first step, on a down host, or on a host rebooted in the
+    /// current step (`epoch_base` past the last step): its simulator has
+    /// not run yet either way.
+    fn sync(&mut self, i: usize) {
+        let Some(last) = self.last_step else {
+            return;
+        };
+        let h = &mut self.hosts[i];
+        let Some(sim) = h.sim.as_mut().filter(|_| last >= h.epoch_base) else {
+            return;
+        };
+        let t0 = Instant::now();
+        sim.run_until(last - h.epoch_base);
+        self.phases.host_sims_ns += t0.elapsed().as_nanos() as u64;
+    }
 
     /// Plans `next` for a host: the shared cache first (identically shaped
     /// hosts resolve to one entry), then one run of the fallback ladder
@@ -900,6 +962,7 @@ impl Fleet {
                 if self.hosts[i].sim.is_none() {
                     continue;
                 }
+                self.sync(i);
                 let kind = CorruptionKind::ALL[(ev.class % 3) as usize];
                 let Some(live) = self.hosts[i]
                     .tableau()
@@ -1119,6 +1182,7 @@ impl Fleet {
                     .engine
                     .as_mut()
                     .is_some_and(|e| e.storm_interrupts_install());
+            self.sync(i);
             let h = &mut self.hosts[i];
             let local = h.local(now);
             let epoch_base = h.epoch_base;
@@ -1935,6 +1999,7 @@ mod tests {
             let _ = fleet.teardown(now, k);
         }
         let now = epochs(&mut fleet, now, 8);
+        fleet.settle();
         for h in 0..4 {
             fleet.hosts[h]
                 .tableau_mut()
@@ -1956,25 +2021,74 @@ mod tests {
                 .expect("admits");
         }
         epochs(&mut fleet, Nanos::ZERO, 8);
+        fleet.settle();
         assert!(fleet.batch_stats().batched_events > 0, "dense batching off");
         assert_eq!(fleet.step_phases().steps, 8);
     }
 
-    /// Every fleet-level observable of a churn, install-storm and
-    /// corruption replay, plus each host's simulator model: stats with the
-    /// batching accounting zeroed, events handled, and every vCPU's pick
-    /// counts.
+    /// One host's simulated run: stats with the batching accounting
+    /// zeroed, events handled, every vCPU's pick counts and every core's
+    /// table epoch.
+    type HostModel = (
+        xensim::SimStats,
+        u64,
+        Vec<schedulers::tableau::PickCounts>,
+        Vec<usize>,
+    );
+
+    /// Every fleet-level observable but the batching accounting, the image
+    /// store's census, and each host's simulated run. Read off a settled
+    /// fleet.
     #[derive(Debug, PartialEq)]
-    struct ReplayModel {
+    struct FleetModel {
         counters: FleetCounters,
         rungs: RungCounters,
         admit_to_install: serde::Value,
-        hosts: Vec<(xensim::SimStats, u64, Vec<schedulers::tableau::PickCounts>)>,
+        cache: tableau_core::cache::CacheStats,
+        steps: u64,
+        locations: BTreeMap<u64, VmLocation>,
+        states: Vec<HostState>,
+        backlog: usize,
+        census: (usize, usize),
+        /// Per host, `None` while it is down.
+        hosts: Vec<Option<HostModel>>,
     }
 
-    /// The replay's model, and the events its hosts advanced in dense
-    /// windows.
-    fn storm_and_corruption_replay(engine: Option<xensim::EngineKind>) -> (ReplayModel, u64) {
+    fn model(fleet: &Fleet) -> FleetModel {
+        let hosts = fleet
+            .hosts
+            .iter()
+            .map(|h| {
+                let sim = h.sim.as_ref()?;
+                let mut stats = sim.stats().clone();
+                stats.batch = Default::default();
+                let tab = h.tableau().expect("host is up");
+                let picks = (0..stats.vcpus.len() as u32)
+                    .map(|v| tab.pick_counts(xensim::VcpuId(v)))
+                    .collect();
+                let d = tab.dispatcher();
+                let epochs = (0..d.n_cores()).map(|c| d.core_epoch(c)).collect();
+                Some((stats, sim.events_processed(), picks, epochs))
+            })
+            .collect();
+        FleetModel {
+            counters: *fleet.counters(),
+            rungs: *fleet.rungs(),
+            admit_to_install: serde::Serialize::to_value(fleet.admit_to_install()),
+            cache: fleet.cache().stats(),
+            steps: fleet.step_phases().steps,
+            locations: fleet.locations.clone(),
+            states: fleet.states(),
+            backlog: fleet.backlog(),
+            census: image_census(fleet),
+            hosts,
+        }
+    }
+
+    /// The model of a churn, install-storm and corruption replay on the
+    /// given host engine (the default one with `None`), and the events its
+    /// hosts advanced in dense windows.
+    fn storm_and_corruption_replay(engine: Option<xensim::EngineKind>) -> (FleetModel, u64) {
         use xensim::fault::{InstallStormFaults, TableCorruptionFaults};
         let mut fleet = small_fleet(6);
         if let Some(kind) = engine {
@@ -2014,27 +2128,8 @@ mod tests {
             fleet.step(now);
             fleet.check_conservation().expect("conservation");
         }
-        let hosts = fleet
-            .hosts
-            .iter()
-            .map(|h| {
-                let sim = h.sim.as_ref().expect("no host crashes");
-                let mut stats = sim.stats().clone();
-                stats.batch = Default::default();
-                let tab = h.tableau().expect("host is up");
-                let picks = (0..stats.vcpus.len() as u32)
-                    .map(|v| tab.pick_counts(xensim::VcpuId(v)))
-                    .collect();
-                (stats, sim.events_processed(), picks)
-            })
-            .collect();
-        let model = ReplayModel {
-            counters: *fleet.counters(),
-            rungs: *fleet.rungs(),
-            admit_to_install: serde::Serialize::to_value(fleet.admit_to_install()),
-            hosts,
-        };
-        (model, fleet.batch_stats().batched_events)
+        fleet.settle();
+        (model(&fleet), fleet.batch_stats().batched_events)
     }
 
     #[test]
@@ -2057,6 +2152,236 @@ mod tests {
             batched, unbatched,
             "carried dense windows moved the fleet model"
         );
+    }
+
+    /// Drives `script` (called before each of `epochs` steps with the
+    /// epoch's index and `now`) over a fresh fleet twice: lazily, settled
+    /// once at the end, and as the eager oracle — `step` then `settle`
+    /// every epoch, so every live host is advanced every epoch. `probe`
+    /// sees the lazy fleet after each step. Asserts that a settled host
+    /// stands at the last step's time and that the two models are equal,
+    /// and returns the model.
+    fn lazy_equals_eager(
+        n_hosts: usize,
+        faults: Option<HostFaultConfig>,
+        epochs: u64,
+        script: impl Fn(&mut Fleet, u64, Nanos),
+        mut probe: impl FnMut(&Fleet, u64, Nanos),
+    ) -> FleetModel {
+        let run = |eager: bool, probe: &mut dyn FnMut(&Fleet, u64, Nanos)| {
+            let mut fleet = small_fleet(n_hosts);
+            if let Some(cfg) = faults.clone() {
+                fleet.arm_faults(cfg, Nanos::from_millis(50 * epochs));
+            }
+            let mut now = Nanos::ZERO;
+            for k in 0..epochs {
+                now += Nanos::from_millis(50);
+                script(&mut fleet, k, now);
+                fleet.step(now);
+                if eager {
+                    fleet.settle();
+                }
+                fleet.check_conservation().expect("conservation");
+                probe(&fleet, k, now);
+            }
+            fleet.settle();
+            for h in &fleet.hosts {
+                let at = h.sim.as_ref().map(|sim| sim.now());
+                assert!(
+                    at.is_none_or(|t| t == h.local(now)),
+                    "host {} at {at:?}",
+                    h.id
+                );
+            }
+            model(&fleet)
+        };
+        let lazy = run(false, &mut probe);
+        let eager = run(true, &mut |_: &Fleet, _, _| ());
+        assert_eq!(lazy, eager, "lazy hosts moved the fleet model");
+        lazy
+    }
+
+    /// Host `i`'s simulator: events handled so far, `None` while down.
+    fn events(fleet: &Fleet, i: usize) -> Option<u64> {
+        fleet.hosts[i]
+            .sim
+            .as_ref()
+            .map(|sim| sim.events_processed())
+    }
+
+    #[test]
+    fn lazy_hosts_reach_the_eager_model_under_churn_storms_corruption_and_crashes() {
+        use xensim::fault::{
+            HostCrashFaults, HostDegradeFaults, InstallStormFaults, TableCorruptionFaults,
+        };
+        // Seeded crashes, degradations, install storms and corruptions over
+        // eight hosts, sustained churn on top, and two scripted outages.
+        let faults = HostFaultConfig {
+            seed: 42,
+            crash: HostCrashFaults {
+                interval: Nanos::from_secs(8),
+                outage: Nanos::from_millis(900),
+            },
+            degrade: HostDegradeFaults {
+                interval: Nanos::from_secs(5),
+                duration: Nanos::from_millis(600),
+            },
+            storm: InstallStormFaults {
+                interval: Nanos::from_millis(1_500),
+                duration: Nanos::from_millis(400),
+                interrupt_prob: 0.6,
+            },
+            corruption: TableCorruptionFaults {
+                interval: Nanos::from_millis(1_500),
+                prob: 0.6,
+            },
+        };
+        let mut idle_epochs = 0u64;
+        let m = lazy_equals_eager(
+            8,
+            Some(faults),
+            240,
+            |fleet, k, now| {
+                for vm in [2 * k, 2 * k + 1] {
+                    let f = if vm % 3 == 0 {
+                        flavor(2, 125_000)
+                    } else {
+                        flavor(1, 250_000)
+                    };
+                    let _ = fleet.admit(now, vm, f);
+                }
+                if k >= 6 {
+                    for vm in [2 * k - 12, 2 * k - 11] {
+                        let _ = fleet.teardown(now, vm);
+                    }
+                }
+                if k % 5 == 0 && k >= 4 {
+                    let _ = fleet.resize(now, 2 * k - 7, flavor(1, 125_000));
+                }
+                if k == 40 {
+                    fleet.inject_crash(0, now, now + Nanos::from_millis(800));
+                }
+                if k == 90 {
+                    fleet.inject_crash(3, now, now + Nanos::from_millis(400));
+                }
+            },
+            |fleet, _, now| {
+                // Hosts the step left behind its own time.
+                idle_epochs += fleet
+                    .hosts
+                    .iter()
+                    .filter(|h| h.sim.as_ref().is_some_and(|sim| sim.now() < h.local(now)))
+                    .count() as u64;
+            },
+        );
+        let c = &m.counters;
+        assert!(
+            c.crashes >= 2 && c.restarts > 0 && c.evacuated_vms > 0,
+            "{c:?}"
+        );
+        assert!(c.install_retries > 0 && c.corruptions_detected > 0, "{c:?}");
+        assert!(c.degradations > 0 && c.installs > 100, "{c:?}");
+        assert!(idle_epochs > 0, "every host was advanced every epoch");
+    }
+
+    #[test]
+    fn lazy_equals_eager_on_a_host_rebooted_and_installed_in_one_epoch() {
+        // Host 1 restarts in epoch 7 as host 0 crashes under its two
+        // tenants; both re-place onto host 1, whose install commits in the
+        // same epoch on a simulator that has never run (its first catch-up
+        // target, the previous step's time, predates its boot).
+        let mut pinned = false;
+        lazy_equals_eager(
+            2,
+            None,
+            20,
+            |fleet, k, now| match k {
+                0 => {
+                    for vm in [1, 2] {
+                        assert_eq!(fleet.admit(now, vm, flavor(1, 125_000)), Ok(0));
+                    }
+                }
+                2 => fleet.inject_crash(1, now, now + Nanos::from_millis(250)),
+                7 => fleet.inject_crash(0, now, now + Nanos::from_secs(60)),
+                _ => {}
+            },
+            |fleet, k, now| {
+                if k == 7 {
+                    let h = &fleet.hosts[1];
+                    assert_eq!((h.state, h.epoch_base), (HostState::Online, now));
+                    assert_eq!(fleet.location(1), Some(VmLocation::Placed(1)));
+                    assert!(!h.dirty, "the evacuees' install committed");
+                    assert_eq!(fleet.counters().installs, 2);
+                    assert_eq!(events(fleet, 1), Some(0), "on a simulator never run");
+                    pinned = true;
+                }
+            },
+        );
+        assert!(pinned);
+    }
+
+    #[test]
+    fn lazy_equals_eager_on_a_host_corrupted_and_installed_in_one_epoch() {
+        // Epoch 10 corrupts the host's table and, the same epoch, admits a
+        // second tenant: the corruption and the install each catch the
+        // host up, the second time to the time it is already at.
+        let mut pinned = false;
+        lazy_equals_eager(
+            1,
+            None,
+            20,
+            |fleet, k, now| match k {
+                0 => drop(fleet.admit(now, 1, flavor(1, 250_000))),
+                10 => {
+                    fleet.faults[0].corruptions = vec![CorruptionEvent {
+                        at: now,
+                        class: 0,
+                        salt: 7,
+                    }];
+                    fleet.admit(now, 2, flavor(1, 125_000)).expect("admits");
+                }
+                _ => {}
+            },
+            |fleet, k, now| {
+                if k == 10 {
+                    let c = fleet.counters();
+                    assert_eq!((c.corruptions_injected, c.corruptions_detected), (1, 1));
+                    assert_eq!(c.installs, 2, "one install repairs and places");
+                    let sim = fleet.hosts[0].sim.as_ref().expect("up");
+                    assert_eq!(sim.now(), now - Nanos::from_millis(50));
+                    pinned = true;
+                }
+            },
+        );
+        assert!(pinned);
+    }
+
+    #[test]
+    fn lazy_equals_eager_across_a_hundred_idle_epochs() {
+        // The host installs in epoch 0 and next in epoch 120 (a teardown);
+        // between them nothing acts on it, so its simulator does not run
+        // until one catch-up covers the 119 epochs.
+        let mut idle = 0;
+        lazy_equals_eager(
+            2,
+            None,
+            140,
+            |fleet, k, now| match k {
+                0 => drop(fleet.admit(now, 1, flavor(1, 250_000))),
+                120 => fleet.teardown(now, 1).expect("owned"),
+                _ => {}
+            },
+            |fleet, k, _| {
+                if (1..120).contains(&k) && events(fleet, 0) == Some(0) {
+                    idle += 1;
+                }
+                if k == 120 {
+                    assert_eq!(fleet.counters().installs, 2);
+                    assert!(events(fleet, 0) > Some(0), "caught up before the install");
+                }
+            },
+        );
+        assert_eq!(idle, 119, "the host idled between its two installs");
     }
 
     #[test]

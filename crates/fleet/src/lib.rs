@@ -50,6 +50,16 @@
 //! real dispatchers, and real probe dispatch under every table the control
 //! plane pushes.
 //!
+//! **Lazy hosts.** A host's dispatcher is a function of the tables
+//! installed into it and of time, so [`Fleet::step`] runs no host simulator
+//! of its own accord: a host's simulator is caught up to the previous
+//! step's time only right before a corruption or an install acts on it,
+//! and [`Fleet::settle`] catches every host up for observers (the batching
+//! counters, the end of a run). One catch-up over many epochs equals one
+//! advance per epoch, so the model does not depend on when a host runs;
+//! the continuous audit reads committed tables and still scans every live
+//! host every epoch.
+//!
 //! **Shared table images.** A table is read-only to its dispatcher, and a
 //! small flavour catalogue over identically shaped hosts makes the same few
 //! masked contents recur across the fleet, so each distinct content exists
