@@ -976,11 +976,11 @@ mod tests {
     }
 
     /// The dense path, driven the way the simulator drives it: calls of
-    /// `span` each; a lap per core planned at the earliest pending boundary
-    /// unless the laps carried from an earlier call are still exact there;
-    /// decisions read off the laps (wrapping them) up to the call's end or
-    /// one nanosecond before the validity bound, whichever comes first;
-    /// one commit per core per stretch, naming the last decision's segment.
+    /// `span` each; in every call, a lap per core planned at the earliest
+    /// pending boundary; decisions read off the laps (wrapping them) up to
+    /// the call's end or one nanosecond before the validity bound,
+    /// whichever comes first, and laps planned afresh there; one commit per
+    /// core per stretch, naming the last decision's segment.
     fn drive_dense(d: &mut Dispatcher, end: Nanos, span: Nanos) -> Decisions {
         struct Lap {
             slices: Vec<(Option<VcpuId>, Nanos)>,
@@ -993,8 +993,6 @@ mod tests {
         let n = d.n_cores();
         let mut next = vec![Nanos::ZERO; n];
         let mut log = Vec::new();
-        let mut laps: Vec<Lap> = Vec::new();
-        let mut exact_until: Option<Nanos> = None;
         let mut call_end = Nanos::ZERO;
         while call_end < end {
             call_end = end.min(call_end + span);
@@ -1003,38 +1001,31 @@ mod tests {
                 if from > call_end {
                     break;
                 }
-                let last = match exact_until {
-                    Some(last) if from <= last => last,
-                    _ => {
-                        laps.clear();
-                        let mut bound = Nanos::MAX;
-                        for core in 0..n {
-                            let mut out = Vec::new();
-                            let lap = d
-                                .dense_plan(core, from, |_| true, &mut out)
-                                .expect("capped single-homed tables stay dense");
-                            assert!(lap.valid_before > from);
-                            assert_eq!(lap.uncertified_from, Nanos::MAX);
-                            // One lap: the last slice ends one period after
-                            // the first begins (at or before `from`).
-                            assert!(out.windows(2).all(|s| s[0].1 < s[1].1));
-                            assert!(out.last().unwrap().1 - lap.period <= from);
-                            assert!(out[0].1 > from);
-                            bound = bound.min(lap.valid_before);
-                            laps.push(Lap {
-                                slices: out,
-                                period: lap.period,
-                                first_seg: lap.first_seg,
-                                round_base: lap.round_base,
-                                next: 0,
-                                offset: Nanos::ZERO,
-                            });
-                        }
-                        exact_until = Some(bound - Nanos(1));
-                        bound - Nanos(1)
-                    }
-                };
-                let cap = call_end.min(last);
+                let mut laps = Vec::with_capacity(n);
+                let mut bound = Nanos::MAX;
+                for core in 0..n {
+                    let mut out = Vec::new();
+                    let lap = d
+                        .dense_plan(core, from, |_| true, &mut out)
+                        .expect("capped single-homed tables stay dense");
+                    assert!(lap.valid_before > from);
+                    assert_eq!(lap.uncertified_from, Nanos::MAX);
+                    // One lap: the last slice ends one period after the
+                    // first begins (at or before `from`).
+                    assert!(out.windows(2).all(|s| s[0].1 < s[1].1));
+                    assert!(out.last().unwrap().1 - lap.period <= from);
+                    assert!(out[0].1 > from);
+                    bound = bound.min(lap.valid_before);
+                    laps.push(Lap {
+                        slices: out,
+                        period: lap.period,
+                        first_seg: lap.first_seg,
+                        round_base: lap.round_base,
+                        next: 0,
+                        offset: Nanos::ZERO,
+                    });
+                }
+                let cap = call_end.min(bound - Nanos(1));
                 for (core, lap) in laps.iter_mut().enumerate() {
                     let mut picked = None;
                     while next[core] <= cap {
@@ -1066,7 +1057,6 @@ mod tests {
                 if cap == call_end {
                     break;
                 }
-                exact_until = None;
             }
         }
         log
@@ -1075,8 +1065,9 @@ mod tests {
     #[test]
     fn dense_windows_across_a_switch_match_decide_at_every_boundary() {
         // Two pending switches: to table B at 20 ms, back to A's layout at
-        // 40 ms. Some spans end a call exactly on a boundary, some carry
-        // laps across many calls, the widest is cut by both switches.
+        // 40 ms. Some spans end a call exactly on a boundary, some end many
+        // calls inside one table's laps, the widest is cut by both
+        // switches.
         let end = Nanos::from_micros(57_300);
         let install = |d: &mut Dispatcher| {
             let a = d.newest_table().clone();

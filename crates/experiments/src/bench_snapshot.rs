@@ -513,22 +513,31 @@ fn time_sim_samples(iters: u64, duration: Nanos, mut mk: impl FnMut() -> Sim) ->
     samples
 }
 
-/// `sim/host_epoch_probe` and `sim/host_hour_probe`: the fleet's 2-core
-/// probe host on its boot plan (one capped probe per core), advanced
-/// `calls` times by `step`. Mean ns per call over the fastest half of
-/// `runs` fresh hosts.
+/// Control epochs a lazy fleet host catches up in one `run_until` before
+/// an install: the median catch-up span of an `e2ebench` `fleet-churn`
+/// round (seed 42; a quarter of them span 2 epochs or fewer, a tenth 45 or
+/// more).
+const CATCH_UP_EPOCHS: u64 = 6;
+
+/// `sim/host_install_catch_up` and `sim/host_hour_probe`: the fleet's
+/// 2-core probe host on its boot plan (one capped probe per core),
+/// advanced `calls` times by `step`. Mean ns per call over the fastest
+/// half of `runs` fresh hosts.
 ///
-/// The epoch row takes 560 calls of one control epoch each, as a
-/// `fleet-churn` replay advances a host: almost every call continues the
-/// window the previous one left and replays its recorded lap, so this is
-/// the per-epoch cost a quiet host pays. The hour row takes one call of a
+/// The catch-up row is what `Fleet::process_installs` does to a host: a
+/// two-phase install through `Sim::scheduler_mut`, here of the table the
+/// host runs, so that the slices do not change and the replayed lap is
+/// kept, then one call over [`CATCH_UP_EPOCHS`] control epochs; 93 of
+/// them cover 27.9 simulated seconds. The hour row takes one call of a
 /// simulated hour: ~35 000 table laps, replayed whole but for the laps in
 /// which a probe's one-second burst ends, so it costs per burst and per
-/// lap, not per event.
-fn probe_host_entry(name: &str, runs: u64, calls: u64, step: Nanos) -> BenchEntry {
+/// lap, not per event. Both assert that the host's events were batched.
+fn probe_host_entry(name: &str, runs: u64, calls: u64, step: Nanos, install: bool) -> BenchEntry {
     let fleet = ::fleet::Fleet::new(::fleet::FleetConfig::new(1, 2)).expect("boots");
     let host = fleet.boot_config();
     let p = plan(host, &PlannerOptions::default()).expect("the probe-only boot config plans");
+    // Installed as the fleet installs it: a shared image, no copy.
+    let image = Arc::new(p.table.clone());
     let run = || {
         let mut sim = Sim::new(
             Machine::small(host.n_cores),
@@ -539,9 +548,25 @@ fn probe_host_entry(name: &str, runs: u64, calls: u64, step: Nanos) -> BenchEntr
         }
         let t0 = Instant::now();
         for call in 1..=calls {
+            if install {
+                let now = sim.now();
+                let sched = sim.scheduler_mut().as_any();
+                let d = sched
+                    .downcast_mut::<Tableau>()
+                    .expect("Tableau")
+                    .dispatcher_mut();
+                d.collect_garbage();
+                let switch = d.try_table_switch(image.clone(), now, false);
+                assert!(matches!(switch, Ok(Some(_))), "{switch:?}");
+            }
             sim.run_until(step * call);
         }
         let ns = t0.elapsed().as_nanos() as u64;
+        let batch = sim.stats().batch;
+        assert!(
+            batch.batched_events > 0 && batch.fallback_window == 0 && batch.fallback_block == 0,
+            "{name}: the host left its dense windows: {batch:?}"
+        );
         std::hint::black_box(sim.events_processed());
         ns
     };
@@ -563,7 +588,7 @@ fn probe_host_entry(name: &str, runs: u64, calls: u64, step: Nanos) -> BenchEntr
 /// (I/O-churn) and a sparse (timer-tail) scenario, a pure-dense Tableau
 /// phase under the hybrid (batched) and wheel (unbatched) engines, raw
 /// event throughput on the 16-core scaling scenario, and a fleet host's
-/// control epochs and simulated hour ([`probe_host_entry`]). `mean_ns` of
+/// install catch-up and simulated hour ([`probe_host_entry`]). `mean_ns` of
 /// `sim/events_per_sec` is ns *per event*: events/sec = 1e9 / mean_ns.
 pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     let iters: u64 = if quick { 1 } else { 5 };
@@ -727,17 +752,18 @@ pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     let (dense_entry, _) = time_sim_entry_trimmed("sim/run_until_dense", pair_iters, short, dense);
     let (sparse_entry, _) =
         time_sim_entry_trimmed("sim/run_until_sparse", pair_iters, short, sparse);
-    let epoch = crate::fleet::CONTROL_EPOCH;
-    let host_epoch = probe_host_entry("sim/host_epoch_probe", pair_iters, 560, epoch);
+    let catch_up = crate::fleet::CONTROL_EPOCH * CATCH_UP_EPOCHS;
+    let host_catch_up =
+        probe_host_entry("sim/host_install_catch_up", pair_iters, 93, catch_up, true);
     let hour = Nanos::from_secs(3_600);
-    let host_hour = probe_host_entry("sim/host_hour_probe", pair_iters, 1, hour);
+    let host_hour = probe_host_entry("sim/host_hour_probe", pair_iters, 1, hour, false);
     let entries = vec![
         dense_entry,
         sparse_entry,
         batched,
         unbatched,
         events_entry,
-        host_epoch,
+        host_catch_up,
         host_hour,
     ];
     BenchSnapshot {

@@ -2148,10 +2148,7 @@ mod tests {
             in_windows > 0 && none == 0,
             "{in_windows} / {none} events batched"
         );
-        assert_eq!(
-            batched, unbatched,
-            "carried dense windows moved the fleet model"
-        );
+        assert_eq!(batched, unbatched, "dense windows moved the fleet model");
     }
 
     /// Drives `script` (called before each of `epochs` steps with the

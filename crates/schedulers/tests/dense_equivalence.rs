@@ -16,21 +16,19 @@
 //! pending), runs cut into slices (timers left armed in their registers by
 //! one `run_until`, picked up by the next call's batch or by its generic
 //! loop), and table installs between slices (windows bounded at the switch,
-//! staged installs declining). A certified window is carried from one
-//! `run_until` call to the next; the checkpoints read the scheduler through
-//! `Sim::scheduler`, which leaves it in place, while every step that
-//! changes the scheduler goes through `Sim::scheduler_mut`, which drops it.
-//! The fleet's host shape — one probe per core on a table whose tenant
-//! slots are idle gaps — gets its own sliced property, and a counting
-//! wrapper pins that a settled host asks for one window per table. A
-//! periodic window is advanced by replaying its recorded lap: a property
-//! cuts runs where a replay starts and stops (up to ten thousand laps in
-//! one call) with bursts that end mid-lap and would end mid-replay, and a
-//! scenario drops the window at every slice boundary, where the window
-//! certified next keeps the ledger.
+//! staged installs declining). A window lives for one batch, so every cut
+//! is a re-certification: the checkpoints read the scheduler through
+//! `Sim::scheduler`, every step that changes it goes through
+//! `Sim::scheduler_mut`. The fleet's host shape — one probe per core on a
+//! table whose tenant slots are idle gaps — gets its own sliced property,
+//! and the probe host driven in control epochs is held to the oracle with
+//! and without installs. A periodic window is advanced by replaying its
+//! recorded lap, and a window certified afresh keeps that ledger when it
+//! decides what the recording one did: a property cuts runs where a
+//! replay starts and stops (up to ten thousand laps in one call) with
+//! bursts that end mid-lap and would end mid-replay, and a scenario
+//! re-certifies at every slice boundary, where the ledger is kept.
 
-use std::cell::Cell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -41,10 +39,7 @@ use tableau_core::audit::{corrupt_table_any, CorruptionKind};
 use tableau_core::planner::{plan, Plan, PlannerOptions};
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
 use tableau_core::Table;
-use xensim::sched::{
-    BusyLoop, DensePicks, DenseSlice, DenseWindow, DeschedulePlan, GuestAction, GuestWorkload,
-    SchedDecision, VcpuId, VcpuView, VmScheduler, WakeupPlan,
-};
+use xensim::sched::{BusyLoop, GuestAction, GuestWorkload, VcpuId};
 use xensim::trace::{TraceClass, TraceRecord};
 use xensim::{EngineKind, Machine, Sim, SimStats};
 
@@ -152,7 +147,7 @@ fn moved(t: &Table, shift: Nanos, swap: bool) -> Table {
 /// A table of `t`'s length in which every probe migrates back to back:
 /// core `c` runs probe `c` for the first fifth of a round and then probe
 /// `c + 1`, which core `c + 1` hands over at that very instant. The owner
-/// protocol decides who runs there, so no window may be carried into it.
+/// protocol decides who runs there, so no window may reach into it.
 fn migrating(t: &Table) -> Table {
     let n = t.n_cores();
     let fifth = t.len() / 5;
@@ -262,8 +257,8 @@ struct Scenario<'a> {
     horizon: Nanos,
 }
 
-/// Read through `Sim::scheduler`: a checkpoint must not drop the window
-/// the next `run_until` would carry on with.
+/// Read through `Sim::scheduler`: a checkpoint changes nothing the next
+/// `run_until` certifies.
 fn checkpoint(sim: &Sim, n_vcpus: usize, cores: usize) -> Checkpoint {
     let (now, events) = (sim.now(), sim.events_processed());
     let t = tableau_ref(sim);
@@ -673,10 +668,10 @@ fn the_fleet_host_shape_stays_dense_across_epochs_and_installs() {
 #[test]
 fn split_reservations_decline_the_calls_that_reach_them() {
     // Once a table with split probes is in force every probe slot is
-    // uncertified: a window certified in an idle gap must not be carried
-    // into one. The calls are shorter than a slot, so most of them stop
+    // uncertified: a window certified in an idle gap must not reach into
+    // one. The calls are shorter than a slot, so most of them stop
     // inside a gap. The corrupted table is the fleet's case; in the
-    // migrating one a window carried into a hand-over would dispatch a
+    // migrating one a window reaching into a hand-over would dispatch a
     // probe the other core still holds.
     for table in [4, 3] {
         split_reservation_scenario(table);
@@ -686,8 +681,8 @@ fn split_reservations_decline_the_calls_that_reach_them() {
 #[test]
 fn a_kept_ledger_resumes_at_every_slice_boundary() {
     // Three laps to record and check one, then a staged-and-aborted
-    // install at every slice end of twenty laps: each drops the window,
-    // and the window certified next decides what the old one did, so the
+    // install at every slice end of twenty laps: each ends a call, and
+    // the window certified next decides what the old one did, so the
     // replayed lap is kept. The probes' bursts end every few laps, so some
     // of those certifications find the ledger out of laps, with a core
     // whose decision ends exactly where the new window's lap opens.
@@ -830,14 +825,15 @@ proptest! {
         assert_three_way(&s);
     }
 
-    /// The fleet's host shape, cut at the instants a carried window must
-    /// survive: no time at all, one nanosecond, inside a slice, exactly on
-    /// a slice boundary, exactly on a round boundary, several laps. Between
-    /// cuts: nothing, a committed install or a staged-then-aborted install
-    /// of any of the host's tables, the split one included (both through
+    /// The fleet's host shape, cut where the next call re-certifies its
+    /// window and must keep the ledger only where it is still exact: no
+    /// time at all, one nanosecond, inside a slice, exactly on a slice
+    /// boundary, exactly on a round boundary, several laps. Between cuts:
+    /// nothing, a committed install or a staged-then-aborted install of any
+    /// of the host's tables, the split one included (both through
     /// `scheduler_mut`), or a queued wake-up.
     #[test]
-    fn carried_windows_on_the_fleet_host_shape_are_observationally_equivalent(
+    fn recertified_windows_on_the_fleet_host_shape_are_observationally_equivalent(
         cuts in proptest::collection::vec((0u8..6, any::<u32>(), 0u8..6), 1..24),
         cycler in any::<bool>(),
         tail_ms in 1u64..120,
@@ -926,8 +922,9 @@ proptest! {
     /// a slice boundary, half a lap, one lap less a nanosecond, one lap,
     /// and up to ten thousand laps in one call. Between cuts: nothing, an
     /// install (now or an epoch ahead), a staged-and-aborted install, or a
-    /// queued wake-up, each of which drops the ledger with the window. The
-    /// guests' bursts end mid-lap and, without the lap cap, mid-replay.
+    /// queued wake-up; the next call's certification keeps the ledger only
+    /// where it is still exact. The guests' bursts end mid-lap and, without
+    /// the lap cap, mid-replay.
     #[test]
     fn replayed_laps_are_observationally_equivalent(
         probe in any::<bool>(),
@@ -993,83 +990,15 @@ proptest! {
     }
 }
 
-/// [`Tableau`], forwarding every call and counting the dense windows it
-/// certifies.
-struct Counted {
-    inner: Tableau,
-    windows: Rc<Cell<u64>>,
-}
-
-impl VmScheduler for Counted {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn schedule(&mut self, core: usize, now: Nanos, view: VcpuView<'_>) -> (SchedDecision, Nanos) {
-        self.inner.schedule(core, now, view)
-    }
-
-    fn on_wakeup(&mut self, vcpu: VcpuId, now: Nanos, view: VcpuView<'_>) -> WakeupPlan {
-        self.inner.on_wakeup(vcpu, now, view)
-    }
-
-    fn on_block(&mut self, vcpu: VcpuId, core: usize, now: Nanos) {
-        self.inner.on_block(vcpu, core, now)
-    }
-
-    fn on_descheduled(
-        &mut self,
-        vcpu: VcpuId,
-        core: usize,
-        ran: Nanos,
-        now: Nanos,
-    ) -> DeschedulePlan {
-        self.inner.on_descheduled(vcpu, core, ran, now)
-    }
-
-    fn dense_capable(&self) -> bool {
-        self.inner.dense_capable()
-    }
-
-    fn dense_window(
-        &mut self,
-        core: usize,
-        from: Nanos,
-        view: VcpuView<'_>,
-        out: &mut Vec<DenseSlice>,
-    ) -> Option<DenseWindow> {
-        self.windows.set(self.windows.get() + 1);
-        self.inner.dense_window(core, from, view, out)
-    }
-
-    fn dense_commit(&mut self, core: usize, lap: &[DenseSlice], picks: DensePicks, running: bool) {
-        self.inner.dense_commit(core, lap, picks, running)
-    }
-
-    fn register_vcpu(&mut self, vcpu: VcpuId, home: usize) {
-        self.inner.register_vcpu(vcpu, home)
-    }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// The fleet's probe host on its boot plan (one 20 % probe per core, no
 /// tenant), driven in 560 control epochs of 50 ms with a table installed
-/// before each call in `installs`: the number of dense windows certified,
-/// and the run's stats next to a `Wheel` run of the same host.
-fn probe_host_epochs(installs: &[usize]) -> (u64, SimStats, SimStats) {
+/// before each call in `installs`: the run's stats next to a `Wheel` run
+/// of the same host.
+fn probe_host_epochs(installs: &[usize]) -> (SimStats, SimStats) {
     let (p, _) = probe_table(2, 0);
     let other = moved(&p.table, Nanos::from_millis(3), false);
-    let windows = Rc::new(Cell::new(0));
     let run = |kind: EngineKind| {
-        let inner = Tableau::from_plan(&p);
-        let counted = Counted {
-            inner,
-            windows: windows.clone(),
-        };
-        let mut sim = Sim::new(Machine::small(2), Box::new(counted));
+        let mut sim = Sim::new(Machine::small(2), Box::new(Tableau::from_plan(&p)));
         sim.set_engine(kind);
         for core in 0..2 {
             sim.add_vcpu(Box::new(BusyLoop), core, true);
@@ -1077,10 +1006,8 @@ fn probe_host_epochs(installs: &[usize]) -> (u64, SimStats, SimStats) {
         let mut now = Nanos::ZERO;
         for call in 0..560 {
             if installs.contains(&call) {
-                let sched = sim.scheduler_mut().as_any();
-                let counted = sched.downcast_mut::<Counted>().unwrap();
                 let table = if call % 2 == 0 { &other } else { &p.table };
-                counted.inner.install_table(table.clone(), now).unwrap();
+                tableau(&mut sim).install_table(table.clone(), now).unwrap();
             }
             now += Nanos::from_millis(50);
             sim.run_until(now);
@@ -1090,26 +1017,20 @@ fn probe_host_epochs(installs: &[usize]) -> (u64, SimStats, SimStats) {
         (stats, sim.stats().batch)
     };
     let (unbatched, _) = run(EngineKind::Wheel);
-    assert_eq!(windows.get(), 0, "the oracle asked for a window");
     let (batched, batch) = run(EngineKind::Hybrid);
     assert!(
         batch.batched_events > 0 && batch.fallback_window == 0,
         "{batch:?}"
     );
-    (windows.get(), batched, unbatched)
+    (batched, unbatched)
 }
 
 #[test]
-fn a_settled_host_certifies_one_window_per_table() {
-    // Two cores: one window each, where certifying per call made 1 120.
-    let (windows, batched, unbatched) = probe_host_epochs(&[]);
-    assert_eq!(windows, 2);
+fn a_probe_host_in_control_epochs_matches_the_oracle() {
+    let (batched, unbatched) = probe_host_epochs(&[]);
     assert_eq!(batched, unbatched);
-    // An install is a `scheduler_mut` borrow, which drops the window (one
-    // certification per core at the next call), and a table switch, which
-    // bounds it (one more per core at the switch).
-    let installs = [100, 301, 450];
-    let (windows, batched, unbatched) = probe_host_epochs(&installs);
-    assert_eq!(windows, 2 + 2 * 2 * installs.len() as u64);
+    // Each install is a `scheduler_mut` borrow and a table switch, which
+    // bounds the window of the call it falls in.
+    let (batched, unbatched) = probe_host_epochs(&[100, 301, 450]);
     assert_eq!(batched, unbatched);
 }

@@ -15,11 +15,10 @@
 //! and `Heap` oracles never enter this module, and `engine_equivalence` /
 //! `dense_equivalence` hold the three to bit-for-bit equal streams.
 //!
-//! A certified window is one table lap per core, and it is kept: a host
-//! that nothing touched between two `run_until` calls continues reading
-//! the lap where the previous call left it, without asking the scheduler
-//! again (`Sim::dense_until` says how long the window stays exact, and
-//! everything that could change it clears that).
+//! A certified window is one table lap per core, and it lives for one
+//! batch: every batch asks the scheduler afresh at its earliest timer.
+//! What a window leaves behind is its [`Ledger`] and the per-core lap
+//! buffers, reused by the next certification.
 //!
 //! A window whose machine state comes back to itself after one period is
 //! periodic, and then the window loop need not run at all: the loop
@@ -71,7 +70,7 @@ pub(crate) struct CoreWindow {
 
 /// How far the certified window reaches, over all cores.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DenseReach {
+struct DenseReach {
     /// The last instant the window is exact for: one nanosecond before the
     /// earliest [`DenseWindow::valid_before`](crate::sched::DenseWindow).
     last: Nanos,
@@ -274,14 +273,15 @@ struct Probe {
 
 /// One recorded lap of a periodic window and the replay position in it.
 ///
-/// The ledger belongs to the carried window: a window is only ever
-/// replaced through [`Sim::certify`], which clears the ledger unless the
+/// The ledger outlives the window that recorded it, and every window is
+/// certified through [`Sim::certify`], which clears the ledger unless the
 /// new window decides exactly what the old one did and no event was
-/// handled in between. So everything that drops the window — a
-/// `scheduler_mut` borrow, a handled queue event, a bail, reaching
-/// `valid_before` or a declined call — drops the ledger with it, or finds
-/// it still exact. It holds at most one lap of events (about 35 on a fleet
-/// host, 32 bytes each), allocated at the lap's exact size and reused.
+/// handled since the ledger was last in step with the machine. So
+/// whatever happened between two windows — a `scheduler_mut` borrow, a
+/// handled queue event, a bail, reaching `valid_before` or a declined
+/// call — either leaves the ledger exact or drops it. It holds at most one
+/// lap of events (about 35 on a fleet host, 32 bytes each), allocated at
+/// the lap's exact size and reused.
 #[derive(Default)]
 pub(crate) struct Ledger {
     phase: Phase,
@@ -335,7 +335,6 @@ fn times(x: u32, n: u64) -> Nanos {
     )
 }
 
-/// A vCPU id as a ledger field.
 /// A vCPU id as a ledger field, if it fits one.
 fn vcpu_field(v: Option<VcpuId>) -> Option<u16> {
     match v {
@@ -349,9 +348,8 @@ impl Sim {
     ///
     /// Preconditions (checked by the caller): the queue is empty — every
     /// pending event is a core timer — no fault engine is installed, and
-    /// the scheduler is dense-capable. The window is the one carried from
-    /// an earlier call if it is still exact at the earliest timer, else
-    /// the scheduler certifies a fresh lap per core
+    /// the scheduler is dense-capable. The scheduler certifies one lap per
+    /// core at the earliest timer
     /// ([`crate::sched::VmScheduler::dense_window`]). Slice boundaries are
     /// then processed straight from the timer registers — no per-decision
     /// virtual calls — with byte-identical `seq` allocation, event-log
@@ -364,7 +362,7 @@ impl Sim {
     /// [`crate::sched::VmScheduler::dense_commit`].
     ///
     /// The moment anything the window cannot express happens (a guest
-    /// blocks), the batch commits, drops the window, finishes the
+    /// blocks), the batch commits, ends the window, finishes the
     /// in-flight operation through the generic helpers, and returns. The
     /// registers are the batch's pending list and the generic loop's alike,
     /// so however a batch ends there is nothing to hand back: the caller's
@@ -377,20 +375,15 @@ impl Sim {
             return;
         };
         loop {
-            let reach = match self.dense_until {
-                Some(reach) if first <= reach.last => Some(reach),
-                // No window, or the carried one ends before the earliest
-                // timer: certify a fresh one there, not at the clock. After
-                // a window that stopped short of a table switch the clock
-                // is still before the switch and the timers are at or past
-                // it, so the fresh window opens on the new table.
-                _ => self.certify(first.max(self.now)),
-            };
+            // Certify at the earliest timer, not at the clock. After a
+            // window that stopped short of a table switch the clock is
+            // still before the switch and the timers are at or past it, so
+            // the next window opens on the new table.
+            let reach = self.certify(first.max(self.now));
             // A call that would reach an uncertified decision runs
             // generically from its start, as one whose window is declined
             // outright does (the bail cooldown applies to both).
             let Some(reach) = reach.filter(|r| r.uncertified_from > end) else {
-                self.dense_until = None;
                 self.stats.batch.fallback_window += 1;
                 self.batch_cooldown = self.events_processed + self.bail_cooldown(0);
                 return;
@@ -408,7 +401,7 @@ impl Sim {
 
             while let Some((at, seq, core)) = self.timers.earliest().filter(|t| t.0 <= cap) {
                 if self.ledger.phase != Phase::Never {
-                    let replayed = self.ledger_turn(at, cap, hot);
+                    let replayed = self.ledger_turn(at, cap, reach.last, hot);
                     if replayed > 0 {
                         batched += replayed;
                         continue;
@@ -498,12 +491,10 @@ impl Sim {
                 }
             }
 
-            // Window end reached: sync the scheduler. At the horizon the
-            // window is carried to the next call; at its validity bound it
-            // is dropped, and the batch rolls into a freshly certified one
-            // if anything is still due. No cooldown either way, and a
-            // finished batch resets the bail streak: the attempt paid for
-            // itself.
+            // Window end reached: sync the scheduler. At its validity bound
+            // the batch rolls into a freshly certified window if anything
+            // is still due. No cooldown either way, and a finished batch
+            // resets the bail streak: the attempt paid for itself.
             self.dense_commit_all();
             self.events_processed += batched;
             self.ledger.synced = self.events_processed;
@@ -517,7 +508,6 @@ impl Sim {
                     });
             }
             if cap < end {
-                self.dense_until = None;
                 if let Some(next) = due(self) {
                     first = next;
                     continue;
@@ -529,19 +519,17 @@ impl Sim {
     }
 
     /// Asks the scheduler for one lap per core from `from` on; any core
-    /// declining leaves no window. Returns how far the window reaches,
-    /// which `dense_until` now carries.
+    /// declining leaves no window. Returns how far the window reaches.
     ///
-    /// The ledger of the window this one replaces is cleared — unless it
-    /// holds a checked lap, no event was handled since it was last in step
-    /// with the machine, and the new window decides exactly what the old
-    /// one did: on every core the same slices (each slice's vCPU, and its
+    /// The ledger of an earlier window is cleared — unless it holds a
+    /// checked lap, no event was handled since it was last in step with
+    /// the machine, and the new window decides exactly what the old one
+    /// did: on every core the same slices (each slice's vCPU, and its
     /// end modulo the period), the same period and the same flat costs. A
     /// `scheduler_mut` borrow that staged a table switch for later, or an
     /// install of a table whose slices on this host are the ones in force,
     /// then leaves the ledger where it was, and replay goes on.
     fn certify(&mut self, from: Nanos) -> Option<DenseReach> {
-        self.dense_until = None;
         let l = &mut self.ledger;
         let mut keep =
             matches!(l.phase, Phase::Ready | Phase::Recheck) && l.synced == self.events_processed;
@@ -600,19 +588,15 @@ impl Sim {
             self.ledger.phase = if keep { kept } else { Phase::Idle };
             self.ledger.period = period;
         }
-        let reach = DenseReach {
+        Some(DenseReach {
             last: valid_before - Nanos(1),
             uncertified_from,
-        };
-        self.dense_until = Some(reach);
-        Some(reach)
+        })
     }
 
     /// Closes out a batch that bailed mid-window after `batched` events:
-    /// drops the window, counts the events and the exit, arms the
-    /// re-attempt cooldown.
+    /// counts the events and the exit, arms the re-attempt cooldown.
     fn dense_bailed(&mut self, batched: u64, hot: Hot) {
-        self.dense_until = None;
         self.events_processed += batched;
         self.stats.batch.batched_events += batched;
         self.stats.batch.batch_exits += 1;
@@ -666,9 +650,10 @@ impl Sim {
     /// The ledger's part of the window loop, before the loop retires the
     /// event at `at`: closes a recorded lap that has run its period,
     /// replays a checked one up to `cap` and returns the events replayed,
-    /// or opens a lap to record at this event. Returns 0 when the loop is
-    /// to handle the event itself.
-    fn ledger_turn(&mut self, at: Nanos, cap: Nanos, hot: Hot) -> u64 {
+    /// or opens a lap to record at this event if the window, exact up to
+    /// `last`, lasts long enough. Returns 0 when the loop is to handle the
+    /// event itself.
+    fn ledger_turn(&mut self, at: Nanos, cap: Nanos, last: Nanos, hot: Hot) -> u64 {
         let l = &self.ledger;
         let ends = |laps: u64| {
             let end = l.period.as_nanos().checked_mul(laps);
@@ -693,9 +678,8 @@ impl Sim {
         // A lap is worth recording only in a window that lasts for one
         // more at least (one bounded by a table switch often does not).
         let p = self.ledger.period;
-        let lasts = |r: DenseReach| at.checked_add(p + p).is_some_and(|t| t <= r.last);
         if self.ledger.phase == Phase::Idle
-            && self.dense_until.is_some_and(lasts)
+            && at.checked_add(p + p).is_some_and(|t| t <= last)
             && self.dense.iter().zip(&self.cores).all(settled)
         {
             self.open_lap(at);

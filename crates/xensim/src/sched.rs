@@ -334,13 +334,13 @@ pub trait VmScheduler: std::any::Any {
     /// [`DenseWindow::valid_before`] and [`DenseWindow::uncertified_from`],
     /// however many laps that is.
     ///
-    /// The simulator keeps a certified window across `run_until` calls and
-    /// asks again only once something could have changed what it
-    /// certified: a [`crate::Sim::scheduler_mut`] borrow, an event handled
-    /// outside the window (a guest block, a wake-up, any queued event), or
-    /// reaching `valid_before`. A scheduler must therefore change its
-    /// decisions only through the simulator's callbacks or through such a
-    /// borrow — no interior mutability.
+    /// The simulator asks for a window at the start of every batch and
+    /// reads it only within that batch, which ends at the call's horizon,
+    /// at `valid_before` (the next window is certified there) or at the
+    /// first event the window cannot express (a guest block). Nothing but
+    /// the window loop touches the scheduler in between, so its decisions
+    /// must change only through the simulator's callbacks or a
+    /// [`crate::Sim::scheduler_mut`] borrow — no interior mutability.
     ///
     /// Returning `None` (the default) means "cannot guarantee exactness
     /// right now" — the simulator falls back to calling

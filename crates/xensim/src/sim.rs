@@ -22,7 +22,7 @@
 
 use rtsched::time::Nanos;
 
-use crate::dense::{CoreWindow, DenseReach, Ledger};
+use crate::dense::{CoreWindow, Ledger};
 use crate::fault::{FaultConfig, FaultEngine, IpiFate};
 use crate::machine::Machine;
 use crate::queue::{Event, EventQueue};
@@ -163,16 +163,13 @@ pub struct Sim {
     /// doubles per bail (capped), so churny workloads that momentarily
     /// look dense pay the window-construction cost ever more rarely.
     pub(crate) batch_bails: u32,
-    /// The certified dense window, one lap per core (see [`CoreWindow`]),
-    /// carried across `run_until` calls while `dense_until` is set.
+    /// The dense window's lap buffers, one per core (see [`CoreWindow`]):
+    /// refilled by every certification, kept between batches only to be
+    /// reused.
     pub(crate) dense: Vec<CoreWindow>,
-    /// How far the carried window reaches; `None` when no window is
-    /// certified. Cleared by anything that could change what the window
-    /// certified: a [`Sim::scheduler_mut`] borrow, an event handled by the
-    /// queue-driven loop (queued events included), a bail.
-    pub(crate) dense_until: Option<DenseReach>,
-    /// The carried window's recorded lap, once the window is periodic
-    /// (see [`Ledger`]): replaced with the window, at every certification.
+    /// The recorded lap of a periodic window (see [`Ledger`]): kept by a
+    /// certification that decides what the window that recorded it did,
+    /// cleared by any other.
     pub(crate) ledger: Ledger,
     /// [`VmScheduler::dense_capable`], asked once: it is a static gate.
     dense_capable: bool,
@@ -221,7 +218,6 @@ impl Sim {
             batch_cooldown: 0,
             batch_bails: 0,
             dense: (0..n).map(|_| CoreWindow::default()).collect(),
-            dense_until: None,
             ledger: Ledger::default(),
             dense_capable: sched.dense_capable(),
             cores: (0..n)
@@ -380,10 +376,9 @@ impl Sim {
     }
 
     /// Schedules an external event for `vcpu` at absolute time `at`. A
-    /// queued event is handled by the queue-driven loop, so the carried
-    /// dense window is dropped here already.
+    /// queued event is handled by the queue-driven loop: no batch starts
+    /// while it is pending.
     pub fn push_external(&mut self, at: Nanos, vcpu: VcpuId, tag: u64) {
-        self.dense_until = None;
         self.push(at, Event::External { vcpu, tag });
     }
 
@@ -413,13 +408,10 @@ impl Sim {
         &*self.sched
     }
 
-    /// Mutable access to the scheduler under test. Whatever the caller
-    /// does with it (install or abort a table, attach a monitor, corrupt a
-    /// table) may change the decisions the carried dense window certified,
-    /// so the window is dropped and the next batch asks the scheduler
-    /// again.
+    /// Mutable access to the scheduler under test (install or abort a
+    /// table, attach a monitor, corrupt a table). Every batch certifies
+    /// its window afresh, so the next one sees whatever the caller did.
     pub fn scheduler_mut(&mut self) -> &mut dyn VmScheduler {
-        self.dense_until = None;
         &mut *self.sched
     }
 
@@ -587,9 +579,6 @@ impl Sim {
                 break;
             };
             debug_assert!(at >= self.now, "time went backwards");
-            // Whatever this event does to the scheduler or to guest state,
-            // the carried window did not certify it.
-            self.dense_until = None;
             self.now = at;
             self.events_processed += 1;
             if hot.log {

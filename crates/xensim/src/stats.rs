@@ -289,11 +289,10 @@ pub struct BatchStats {
     /// `crate::dense`) are batched events too: each is one event the
     /// oracles handle one at a time.
     pub batched_events: u64,
-    /// Dense windows entered: one per `run_until` call that advances
-    /// through a window — a window the scheduler certified in that call,
-    /// or one carried over from an earlier call — plus one more per table
-    /// switch crossed inside the call (the window is certified afresh on
-    /// the new table).
+    /// Dense windows entered: one per batch that advances through a
+    /// window (every batch certifies its own at its start), plus one more
+    /// per table switch crossed inside the batch (the window is certified
+    /// afresh on the new table).
     pub batch_entries: u64,
     /// Dense windows exited (every entry exits; kept separately so a crash
     /// mid-batch would be visible as an imbalance).
