@@ -1,6 +1,6 @@
 //! The fleet controller: placement, evacuation, backpressure, installs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -611,9 +611,13 @@ impl Fleet {
     /// state (host tenant lists + queues) describe exactly the same VM
     /// set, with no VM in two places.
     pub fn check_conservation(&self) -> Result<(), String> {
-        // Runs every control epoch over every live VM: where a VM was found
-        // is kept as the `Copy` location it should have in the ledger, and
-        // only a failing check renders it as text.
+        // Runs every control epoch over every live VM. Each sighting is
+        // listed as the `Copy` location it should have in the ledger, with
+        // its scan position; sorted by VM, the list is merge-walked against
+        // the ordered ledger, and only a failing check renders text. Of
+        // several faults the one met first in scan order is reported: a
+        // VM's first sighting disagreeing with the ledger, else its second
+        // sighting (a duplicate); a lost VM only when the scan is clean.
         fn at(loc: VmLocation) -> String {
             match loc {
                 VmLocation::Placed(host) => format!("host{host}"),
@@ -621,44 +625,61 @@ impl Fleet {
                 VmLocation::Parked => "parked".into(),
             }
         }
-        let mut seen: HashMap<u64, VmLocation> = HashMap::with_capacity(self.locations.len());
-        let mut place = |vm: u64, found: VmLocation| -> Result<(), String> {
-            if let Some(prev) = seen.insert(vm, found) {
-                return Err(format!(
-                    "vm {vm} duplicated: {} and {}",
-                    at(prev),
-                    at(found)
-                ));
-            }
-            match self.locations.get(&vm) {
-                Some(&loc) if loc == found => Ok(()),
-                Some(&loc) => Err(format!("vm {vm} at {} but ledger says {loc:?}", at(found))),
-                None => Err(format!("vm {vm} at {} but not in the ledger", at(found))),
-            }
-        };
+        let mut found: Vec<(u64, u32, VmLocation)> = Vec::with_capacity(self.locations.len());
+        let mut sight = |vm: u64, loc: VmLocation| found.push((vm, found.len() as u32, loc));
         for h in &self.hosts {
             for t in &h.tenants {
-                place(t.vm, VmLocation::Placed(h.id))?;
+                sight(t.vm, VmLocation::Placed(h.id));
             }
         }
         for e in self.evacuating.iter() {
-            place(e.vm, VmLocation::Evacuating)?;
+            sight(e.vm, VmLocation::Evacuating);
         }
         for e in self.parked.iter() {
-            place(e.vm, VmLocation::Parked)?;
+            sight(e.vm, VmLocation::Parked);
         }
-        // Every VM found is a distinct ledger entry, so equal counts mean
-        // none is missing.
-        if seen.len() != self.locations.len() {
-            for &vm in self.locations.keys() {
-                if !seen.contains_key(&vm) {
-                    return Err(format!(
-                        "vm {vm} is in the ledger but placed nowhere (lost)"
-                    ));
-                }
+        found.sort_unstable_by_key(|&(vm, scan, _)| (vm, scan));
+
+        let mut first: Option<(u32, String)> = None;
+        let mut lost = None;
+        let mut ledger = self.locations.iter().peekable();
+        for (i, &(vm, scan, loc)) in found.iter().enumerate() {
+            if i > 0 && found[i - 1].0 == vm {
+                continue;
+            }
+            while let Some((&missing, _)) = ledger.next_if(|&(&l, _)| l < vm) {
+                lost.get_or_insert(missing);
+            }
+            let fault = match ledger.next_if(|&(&l, _)| l == vm) {
+                Some((_, &l)) if l == loc => match found.get(i + 1) {
+                    Some(&(twin, scan2, loc2)) if twin == vm => Some((
+                        scan2,
+                        format!("vm {vm} duplicated: {} and {}", at(loc), at(loc2)),
+                    )),
+                    _ => None,
+                },
+                Some((_, &l)) => Some((
+                    scan,
+                    format!("vm {vm} at {} but ledger says {l:?}", at(loc)),
+                )),
+                None => Some((
+                    scan,
+                    format!("vm {vm} at {} but not in the ledger", at(loc)),
+                )),
+            };
+            if let Some(f) = fault.filter(|f| first.as_ref().is_none_or(|g| f.0 < g.0)) {
+                first = Some(f);
             }
         }
-        Ok(())
+        if let Some((_, msg)) = first {
+            return Err(msg);
+        }
+        match lost.or_else(|| ledger.next().map(|(&vm, _)| vm)) {
+            Some(vm) => Err(format!(
+                "vm {vm} is in the ledger but placed nowhere (lost)"
+            )),
+            None => Ok(()),
+        }
     }
 
     // --- accessors -------------------------------------------------------
@@ -1349,6 +1370,52 @@ mod tests {
         assert_eq!(
             fleet.check_conservation().unwrap_err(),
             format!("vm 7 duplicated: host{lo} and host{hi}")
+        );
+    }
+
+    #[test]
+    fn conservation_reports_the_fault_the_scan_meets_first() {
+        // Host tenant lists are scanned before the queues, each list in
+        // order; the report names the first fault in that order, not the
+        // smallest faulty VM id.
+        let mut fleet = small_fleet(1);
+        for vm in [7, 3] {
+            fleet
+                .admit(Nanos::from_millis(1), vm, flavor(1, 250_000))
+                .expect("admits");
+        }
+        fleet.check_conservation().expect("sound fleet");
+        assert_eq!(
+            fleet.hosts[0]
+                .tenants
+                .iter()
+                .map(|t| t.vm)
+                .collect::<Vec<_>>(),
+            [7, 3]
+        );
+        fleet.locations.insert(1, VmLocation::Parked);
+        fleet.locations.remove(&3);
+        fleet.locations.insert(7, VmLocation::Evacuating);
+        assert_eq!(
+            fleet.check_conservation().unwrap_err(),
+            "vm 7 at host0 but ledger says Evacuating"
+        );
+        fleet.locations.insert(7, VmLocation::Placed(0));
+        assert_eq!(
+            fleet.check_conservation().unwrap_err(),
+            "vm 3 at host0 but not in the ledger"
+        );
+        fleet.locations.insert(3, VmLocation::Placed(0));
+        let twin = fleet.hosts[0].tenants[1];
+        fleet.hosts[0].tenants.push(twin);
+        assert_eq!(
+            fleet.check_conservation().unwrap_err(),
+            "vm 3 duplicated: host0 and host0"
+        );
+        fleet.hosts[0].tenants.pop();
+        assert_eq!(
+            fleet.check_conservation().unwrap_err(),
+            "vm 1 is in the ledger but placed nowhere (lost)"
         );
     }
 

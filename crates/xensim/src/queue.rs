@@ -94,6 +94,15 @@ impl EventQueue {
         }
     }
 
+    /// Hands the wheel's slot storage back if nothing is pending (see
+    /// [`TimingWheel::release_slots`]); the reference heap keeps its
+    /// buffer.
+    pub(crate) fn release_slots(&mut self) {
+        if let EventQueue::Wheel(w) = self {
+            w.release_slots();
+        }
+    }
+
     pub(crate) fn pop(&mut self) -> Option<(Nanos, u64, Event)> {
         match self {
             EventQueue::Heap(h) => h.pop().map(|Reverse(e)| e),

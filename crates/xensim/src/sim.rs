@@ -540,6 +540,11 @@ impl Sim {
         }
 
         self.run_events(end);
+        // A host whose events are all timers (every fleet host after its
+        // first call) holds no slot storage between calls; a queue that
+        // stays non-empty keeps its slots, and its steady state allocates
+        // nothing.
+        self.events.release_slots();
         // An `end` in the past handles nothing and must not rewind the
         // clock either: armed timers and queued events are all `>= now`.
         self.now = self.now.max(end);
@@ -1328,6 +1333,29 @@ mod tests {
             (sim.stats().vcpu(a).service, sim.events_processed())
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn a_run_that_empties_the_queue_holds_no_slot_storage() {
+        let holds = |sim: &Sim| matches!(&sim.events, EventQueue::Wheel(w) if w.holds_slots());
+        let mut sim = Sim::new(Machine::small(2), Box::new(ToyScheduler::new(2)));
+        let a = sim.add_vcpu(Box::new(BusyLoop), 0, true);
+        assert!(!holds(&sim), "a fresh simulation holds slot storage");
+        sim.push_external(ms(3), a, 7);
+        sim.run_until(ms(2));
+        assert!(holds(&sim), "a pending external lost its slot");
+        sim.run_until(ms(20));
+        assert!(!holds(&sim), "an emptied queue kept its slot storage");
+        // Released and allocated again: the next entry still comes out.
+        sim.push_external(ms(25), a, 8);
+        assert!(holds(&sim));
+        sim.enable_event_log();
+        sim.run_until(ms(30));
+        assert!(!holds(&sim));
+        let log = sim.take_event_log();
+        assert!(log
+            .iter()
+            .any(|(at, _, e)| *at == ms(25) && e.contains("tag: 8")));
     }
 
     /// The event log and event count of `drive` under `kind`, on one core

@@ -11,12 +11,10 @@
 //! Geometry (three levels, nearest first):
 //!
 //! * **Near wheel** — `NEAR_SLOTS` slots of `2^SLOT_SHIFT` ns each
-//!   (2.048 µs), covering one ~2.1 ms *window*. The slot width is tuned to
-//!   the simulator's observed event density (~1 event/µs on the 16-core
-//!   scaling scenario) so a slot usually holds zero or one event: the
-//!   common pop takes a bitmap scan and a `Vec::pop`, no heap at all. An
-//!   occupancy bitmap (one bit per slot) makes skipping empty slots a
-//!   couple of word operations.
+//!   (2.048 µs), covering one ~2.1 ms *window*. An occupancy bitmap (one
+//!   bit per slot) makes skipping empty slots a couple of word operations.
+//!   A slot holding one entry is popped with a `Vec::pop`; a slot holding
+//!   more is drained into the `current` heap, which orders them.
 //! * **Overflow level** — `OVF_SLOTS` coarse buckets, each one near-window
 //!   wide, extending the horizon to ~134 ms. When the near wheel advances
 //!   into a new window, the matching bucket is scattered down into the
@@ -25,10 +23,32 @@
 //!   overflow horizon (warm-up schedules, multi-second timers). Events
 //!   migrate inward as the horizon advances.
 //!
-//! Slot storage is a `Vec` per slot that is *drained, never dropped*: after
-//! the first few windows the wheel reaches a steady state where pushes and
-//! pops reuse retained capacity and allocate nothing, and event payloads
-//! move by value (no clones).
+//! **Where pushes land.** The slot width was tuned to the event density of
+//! the 16-core scaling scenario (~1 event/µs) so that a slot would usually
+//! hold zero or one event, but most traffic never enters a slot. Once the
+//! near level is empty, a pop moves the cursor to the first occupied slot
+//! of the next queued window, even when that lies past the caller's bound
+//! (the earliest core timer), and every later push for a time before the
+//! cursor goes straight into `current`. Cores in lockstep (slice boundaries
+//! shared across cores) put several events into one slot, which then drains
+//! into `current` as well. Counted on `e2ebench`'s `sim-io` (12 cores,
+//! seed 42, a 6 s run): 38.8 M of 40.0 M pushes (97 %) went straight into
+//! `current`, and 88 % of the entries that did pass through a near slot
+//! left it through a multi-entry drain; on `experiments fig7 --quick`,
+//! 6.0 M of 11.8 M pushes (51 %) went straight into `current`, and half of
+//! the rest drained. So the common pop is a `current` heap pop; what the
+//! levels buy is that the far tail stays out of that heap.
+//!
+//! **Storage.** A level's slot vectors (26 112 B of empty `Vec`s for the
+//! two levels) are allocated when the first entry needs one of its slots,
+//! not with the wheel. Within a run they are *drained, never dropped*:
+//! pushes and pops reuse retained capacity and allocate nothing once the
+//! first windows have passed, and payloads move by value (no clones).
+//! [`TimingWheel::release_slots`] hands them back when nothing is pending;
+//! the simulator calls it at the end of every `run_until`, so a simulation
+//! whose queue is empty between calls (a fleet host, whose events are all
+//! core timers after its first call) holds none, while one whose queue
+//! never empties (`sim-io`) never releases.
 //!
 //! # Determinism
 //!
@@ -71,6 +91,15 @@ const OVF_SLOTS: usize = 64;
 const OVF_MASK: usize = OVF_SLOTS - 1;
 
 type Entry<T> = (Nanos, u64, T);
+/// One level's slot vectors.
+type Slots<T, const N: usize> = Box<[Vec<Entry<T>>; N]>;
+
+/// A level's slot vectors, all empty: the first entry a level takes pays
+/// for them.
+#[cold]
+fn slots<T, const N: usize>() -> Slots<T, N> {
+    Box::new(std::array::from_fn(|_| Vec::new()))
+}
 
 /// A three-level timing wheel keyed by `(time, seq)`; see the module docs.
 ///
@@ -84,7 +113,9 @@ pub struct TimingWheel<T> {
     /// Near-window index. All level classification is relative to this;
     /// `cursor` stays within `[window << NEAR_BITS, (window+1) << NEAR_BITS]`.
     window: u64,
-    near: Box<[Vec<Entry<T>>]>,
+    /// The near slots; `None` until an entry needs one (see
+    /// [`TimingWheel::release_slots`]).
+    near: Option<Slots<T, NEAR_SLOTS>>,
     /// One bit per near slot (by local index): set iff the slot is
     /// non-empty.
     near_bits: [u64; NEAR_WORDS],
@@ -92,8 +123,8 @@ pub struct TimingWheel<T> {
     near_count: usize,
     /// Bucket `c & OVF_MASK` holds entries of coarse slot `c`, for `c` in
     /// `(window, window + OVF_SLOTS]` — 64 consecutive values, so the
-    /// mapping is collision-free.
-    ovf: Box<[Vec<Entry<T>>]>,
+    /// mapping is collision-free. `None` until an entry needs a bucket.
+    ovf: Option<Slots<T, OVF_SLOTS>>,
     /// One bit per overflow bucket (by `coarse & OVF_MASK`).
     ovf_bits: u64,
     ovf_count: usize,
@@ -110,10 +141,10 @@ impl<T: Ord> TimingWheel<T> {
         TimingWheel {
             cursor: 0,
             window: 0,
-            near: (0..NEAR_SLOTS).map(|_| Vec::new()).collect(),
+            near: None,
             near_bits: [0; NEAR_WORDS],
             near_count: 0,
-            ovf: (0..OVF_SLOTS).map(|_| Vec::new()).collect(),
+            ovf: None,
             ovf_bits: 0,
             ovf_count: 0,
             far: BinaryHeap::new(),
@@ -146,17 +177,50 @@ impl<T: Ord> TimingWheel<T> {
         }
         let coarse = abs >> NEAR_BITS;
         if coarse == self.window {
-            let local = abs as usize & NEAR_MASK;
-            self.near[local].push((at, seq, item));
-            self.near_bits[local >> 6] |= 1 << (local & 63);
-            self.near_count += 1;
+            self.push_near(abs, (at, seq, item));
         } else if coarse - self.window <= OVF_SLOTS as u64 {
-            self.ovf[coarse as usize & OVF_MASK].push((at, seq, item));
-            self.ovf_bits |= 1 << (coarse as usize & OVF_MASK);
-            self.ovf_count += 1;
+            self.push_ovf(coarse, (at, seq, item));
         } else {
             self.far.push(Reverse((at, seq, item)));
         }
+    }
+
+    /// Files `e` (in the current window) under near slot `abs`.
+    #[inline]
+    fn push_near(&mut self, abs: u64, e: Entry<T>) {
+        let local = abs as usize & NEAR_MASK;
+        self.near.get_or_insert_with(slots)[local].push(e);
+        self.near_bits[local >> 6] |= 1 << (local & 63);
+        self.near_count += 1;
+    }
+
+    /// Files `e` under the overflow bucket of coarse slot `coarse`.
+    #[inline]
+    fn push_ovf(&mut self, coarse: u64, e: Entry<T>) {
+        let b = coarse as usize & OVF_MASK;
+        self.ovf.get_or_insert_with(slots)[b].push(e);
+        self.ovf_bits |= 1 << b;
+        self.ovf_count += 1;
+    }
+
+    /// Hands the slot storage back if nothing is pending, keeping the
+    /// cursor where it is; the next entry that needs a slot allocates it
+    /// afresh. An empty wheel then holds only its two heaps' (small)
+    /// retained capacity. Called between runs, not per pop: a run whose
+    /// queue keeps emptying and refilling would otherwise pay one
+    /// allocation per refill.
+    pub fn release_slots(&mut self) {
+        if self.len == 0 {
+            self.near = None;
+            self.ovf = None;
+        }
+    }
+
+    /// Whether slot storage is allocated (see
+    /// [`TimingWheel::release_slots`]).
+    #[cfg(test)]
+    pub(crate) fn holds_slots(&self) -> bool {
+        self.near.is_some() || self.ovf.is_some()
     }
 
     /// The earliest pending entry, without removing it.
@@ -213,7 +277,7 @@ impl<T: Ord> TimingWheel<T> {
                 }
                 self.cursor = abs + 1;
                 self.near_bits[local >> 6] &= !(1 << (local & 63));
-                let slot = &mut self.near[local];
+                let slot = &mut self.near.as_mut().expect("near_count > 0")[local];
                 if slot.len() == 1 {
                     // The common case at this slot width: no ordering
                     // needed, no heap touched.
@@ -262,14 +326,15 @@ impl<T: Ord> TimingWheel<T> {
         let b = w as usize & OVF_MASK;
         if self.ovf_bits & (1 << b) != 0 {
             self.ovf_bits &= !(1 << b);
-            let bucket = &mut self.ovf[b];
+            let bucket = &mut self.ovf.as_mut().expect("bit set")[b];
+            let near = self.near.get_or_insert_with(slots);
             self.ovf_count -= bucket.len();
             self.near_count += bucket.len();
             for (at, seq, item) in bucket.drain(..) {
                 let abs = at.as_nanos() >> SLOT_SHIFT;
                 debug_assert_eq!(abs >> NEAR_BITS, w, "stale overflow entry");
                 let local = abs as usize & NEAR_MASK;
-                self.near[local].push((at, seq, item));
+                near[local].push((at, seq, item));
                 self.near_bits[local >> 6] |= 1 << (local & 63);
             }
         }
@@ -282,16 +347,11 @@ impl<T: Ord> TimingWheel<T> {
             if coarse > self.window + OVF_SLOTS as u64 {
                 break;
             }
-            let Reverse((at, seq, item)) = self.far.pop().expect("peeked");
+            let Reverse(e) = self.far.pop().expect("peeked");
             if coarse == self.window {
-                let local = (at.as_nanos() >> SLOT_SHIFT) as usize & NEAR_MASK;
-                self.near[local].push((at, seq, item));
-                self.near_bits[local >> 6] |= 1 << (local & 63);
-                self.near_count += 1;
+                self.push_near(e.0.as_nanos() >> SLOT_SHIFT, e);
             } else {
-                self.ovf[coarse as usize & OVF_MASK].push((at, seq, item));
-                self.ovf_bits |= 1 << (coarse as usize & OVF_MASK);
-                self.ovf_count += 1;
+                self.push_ovf(coarse, e);
             }
         }
     }
@@ -575,6 +635,29 @@ mod tests {
     }
 
     #[test]
+    fn slot_storage_exists_only_while_needed() {
+        let mut w = TimingWheel::new();
+        assert!(!w.holds_slots(), "a new wheel holds slot storage");
+        w.push(Nanos::from_millis(40), 0, 0u32); // an overflow bucket
+        w.release_slots();
+        assert!(w.holds_slots(), "released the slot of a pending entry");
+        assert_eq!(w.pop(), Some((Nanos::from_millis(40), 0, 0)));
+        w.release_slots();
+        assert!(!w.holds_slots());
+        // The cursor stays where the last pop left it: entries behind it,
+        // in the near window, in overflow and far out still come out in
+        // order, from storage allocated afresh.
+        let mut reference = Vec::new();
+        for (i, ms) in [39, 40, 41, 100, 5_000].into_iter().enumerate() {
+            let e = (Nanos::from_millis(ms), 1 + i as u64, i as u32);
+            w.push(e.0, e.1, e.2);
+            reference.push(e);
+        }
+        assert!(w.holds_slots());
+        drain_and_compare(&mut w, &mut reference);
+    }
+
+    #[test]
     fn steady_state_reuses_slot_capacity() {
         let mut w = TimingWheel::new();
         let mut now = Nanos::ZERO;
@@ -585,7 +668,8 @@ mod tests {
             now = w.pop().unwrap().0;
         }
         assert!(w.is_empty());
-        let with_capacity = w.near.iter().filter(|s| s.capacity() > 0).count();
+        let near = w.near.as_ref().expect("near slots in use");
+        let with_capacity = near.iter().filter(|s| s.capacity() > 0).count();
         assert!(with_capacity > 0, "slots never retained capacity");
     }
 }

@@ -391,6 +391,84 @@ proptest! {
     }
 }
 
+/// The handled-event stream of a run driven in chunks: compute-only guests
+/// (their only events are core timers, so externals and the wake-up IPIs
+/// they cause are all the queue ever holds), each chunk pushing externals
+/// at `offset` µs past the chunk's start and then running `len` µs. An
+/// external inside its chunk is handled before the chunk's end, so most
+/// calls leave the queue empty and the wheel hands its slot storage back;
+/// one at or beyond its chunk's end stays pending across the call, with
+/// its slot. Offsets of up to ~1 s put the next chunk's pushes into every
+/// level (near, overflow, far).
+fn observe_chunked(
+    engine: EngineKind,
+    seed: u64,
+    cores: usize,
+    chunks: &[(u64, Vec<(u64, u32)>)],
+) -> Observation {
+    let vcpus = [(300, 0), (700, 0), (150, 0), (1_000, 0)];
+    let mut sim = build(
+        engine,
+        seed,
+        cores,
+        &vcpus,
+        &[],
+        400,
+        FaultPreset::None,
+        0.0,
+    );
+    let mut start = Nanos::ZERO;
+    for (len, externals) in chunks {
+        for &(offset, v) in externals {
+            let vcpu = VcpuId(v % vcpus.len() as u32);
+            sim.push_external(start + Nanos::from_micros(offset), vcpu, offset);
+        }
+        start += Nanos::from_micros(*len);
+        sim.run_until(start);
+    }
+    observe(sim, start + Nanos::from_millis(2))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A queue that empties between calls, gives its slot storage back and
+    /// allocates it again for the next push orders exactly like the heap.
+    #[test]
+    fn chunked_runs_that_empty_the_queue_stay_equivalent(
+        seed in any::<u64>(),
+        cores in 1usize..=3,
+        chunks in proptest::collection::vec(
+            (
+                1u64..40_000,
+                proptest::collection::vec((0u64..1_000_000, any::<u32>()), 0..4),
+            ),
+            1..24,
+        ),
+    ) {
+        let chunks: Vec<(u64, Vec<(u64, u32)>)> = chunks
+            .into_iter()
+            .map(|(len, externals)| {
+                // Most externals land inside their chunk; one in four may
+                // reach up to a second past its start.
+                let inside = externals
+                    .into_iter()
+                    .map(|(offset, v)| if v % 4 == 0 { (offset, v) } else { (offset % len, v) })
+                    .collect();
+                (len, inside)
+            })
+            .collect();
+        let heap = observe_chunked(EngineKind::Heap, seed, cores, &chunks);
+        for engine in [EngineKind::Wheel, EngineKind::Hybrid] {
+            let other = observe_chunked(engine, seed, cores, &chunks);
+            prop_assert_eq!(&heap.0, &other.0, "{:?}: event stream diverged", engine);
+            prop_assert_eq!(&heap.1, &other.1, "{:?}: stats diverged", engine);
+            prop_assert_eq!(&heap.2, &other.2, "{:?}: trace diverged", engine);
+            prop_assert_eq!(heap.3, other.3, "{:?}: event count diverged", engine);
+        }
+    }
+}
+
 /// Events far beyond the overflow horizon (> ~134 ms out) exercise the
 /// far-heap level and the window cascade; the engines must still agree.
 #[test]
