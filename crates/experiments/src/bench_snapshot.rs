@@ -586,7 +586,7 @@ fn probe_host_entry(name: &str, runs: u64, calls: u64, step: Nanos, install: boo
 
 /// Times the simulator engine itself: `run_until` wall-clock on a dense
 /// (I/O-churn) and a sparse (timer-tail) scenario, a pure-dense Tableau
-/// phase under the hybrid (batched) and wheel (unbatched) engines, raw
+/// phase under the hybrid (batched) and unbatched engines, raw
 /// event throughput on the 16-core scaling scenario, and a fleet host's
 /// install catch-up and simulated hour ([`probe_host_entry`]). `mean_ns` of
 /// `sim/events_per_sec` is ns *per event*: events/sec = 1e9 / mean_ns.
@@ -635,7 +635,7 @@ pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     // Pure-dense: eight capped busy-loop vCPUs per core under Tableau —
     // the high-density steady state the dense-phase detector exists for.
     // The batched row runs the hybrid engine; the unbatched twin runs the
-    // *identical* scenario on the wheel reference engine, so the pair
+    // *identical* scenario on the unbatched engine, so the pair
     // measures the batching win inside one snapshot (the equivalence
     // suites prove the two are bit-for-bit identical in every
     // observable).
@@ -724,7 +724,7 @@ pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
         "sim/run_until_dense_unbatched",
         pair_iters,
         dense_pair,
-        pure_dense(EngineKind::Wheel),
+        pure_dense(EngineKind::Unbatched),
     );
     // The dense-batching bar: advancing a settled dense phase from the
     // per-core slice-table windows measures ~1.65x cheaper than taking

@@ -2202,7 +2202,7 @@ mod tests {
     #[test]
     fn unbatched_host_simulators_cannot_move_the_fleet_model() {
         // A first slice of the naive-fleet oracle: the same replay with
-        // every host on the `Wheel` engine — the production queue and
+        // every host on the `Unbatched` engine — the production queue and
         // registers, never a dense window — must reach the production
         // fleet's model bit for bit. Crashes are left out: a reboot builds
         // a fresh production simulator.
@@ -2210,7 +2210,7 @@ mod tests {
         let c = &batched.counters;
         assert!(c.installs > 0 && c.install_retries > 0, "{c:?}");
         assert!(c.corruptions_detected > 0 && c.crashes == 0, "{c:?}");
-        let (unbatched, none) = storm_and_corruption_replay(Some(xensim::EngineKind::Wheel));
+        let (unbatched, none) = storm_and_corruption_replay(Some(xensim::EngineKind::Unbatched));
         assert!(
             in_windows > 0 && none == 0,
             "{in_windows} / {none} events batched"

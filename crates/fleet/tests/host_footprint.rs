@@ -4,9 +4,10 @@
 //! dispatcher, probe vCPUs), so per-host bytes are what bound a fleet's
 //! size. A probe-only host queues nothing after its first `run_until`
 //! (every later event is a core timer, held in the per-core registers), so
-//! its event queue holds no slot storage; when it still held the timing
-//! wheel's 1 024 near and 64 overflow slot vectors, a host cost 31 465 B at
-//! boot and 34 321 B after 40 epochs, 26 112 B of it empty slots.
+//! its event queue — a near and a far binary heap — keeps only the
+//! capacity its high-water mark left: the per-core startup re-schedules.
+//! The bounds are what keep fixed per-host storage from coming back (a
+//! queue that built 26 KiB of empty slots at boot put a host at ~31 KiB).
 //!
 //! The bytes are counted by this binary's own global allocator, which is
 //! why the file holds a single test: nothing else allocates beside it.

@@ -383,9 +383,9 @@ fn same_observation(a: &Observation, b: &Observation, engines: &str) {
 /// assertions.
 fn assert_three_way(s: &Scenario<'_>) -> (Observation, xensim::stats::BatchStats) {
     let heap = observe(EngineKind::Heap, s);
-    let wheel = observe(EngineKind::Wheel, s);
-    same_observation(&heap, &wheel, "heap/wheel");
-    drop(wheel);
+    let unbatched = observe(EngineKind::Unbatched, s);
+    same_observation(&heap, &unbatched, "heap/unbatched");
+    drop(unbatched);
     let (hybrid, batch) = run(EngineKind::Hybrid, s);
     same_observation(&heap, &hybrid, "heap/hybrid");
     (hybrid, batch)
@@ -992,7 +992,7 @@ proptest! {
 
 /// The fleet's probe host on its boot plan (one 20 % probe per core, no
 /// tenant), driven in 560 control epochs of 50 ms with a table installed
-/// before each call in `installs`: the run's stats next to a `Wheel` run
+/// before each call in `installs`: the run's stats next to an `Unbatched` run
 /// of the same host.
 fn probe_host_epochs(installs: &[usize]) -> (SimStats, SimStats) {
     let (p, _) = probe_table(2, 0);
@@ -1016,7 +1016,7 @@ fn probe_host_epochs(installs: &[usize]) -> (SimStats, SimStats) {
         stats.batch = Default::default();
         (stats, sim.stats().batch)
     };
-    let (unbatched, _) = run(EngineKind::Wheel);
+    let (unbatched, _) = run(EngineKind::Unbatched);
     let (batched, batch) = run(EngineKind::Hybrid);
     assert!(
         batch.batched_events > 0 && batch.fallback_window == 0,

@@ -128,7 +128,7 @@ fn a_day_of_busy_loops_in_one_call_is_24_hour_calls() {
 /// A probe's service and the events handled over the first `warm` laps,
 /// and over each lap after them, from the unbatched oracle.
 fn per_lap(p: &Plan, warm: u64) -> ([Nanos; 2], u64, [Nanos; 2], u64) {
-    let mut oracle = probe_host(p, EngineKind::Wheel, false);
+    let mut oracle = probe_host(p, EngineKind::Unbatched, false);
     let len = p.table.len();
     let service = |sim: &Sim| [0, 1].map(|v| sim.stats().vcpu(VcpuId(v)).service);
     oracle.run_until(len * warm);

@@ -11,7 +11,7 @@
 //! without a virtual `schedule` call per decision. Both strategies work on
 //! the same machine state and the same registers, so a batch hands nothing
 //! back: wherever it stops, the queue-driven loop carries on. Only
-//! [`EngineKind::Hybrid`](crate::EngineKind::Hybrid) batches; the `Wheel`
+//! [`EngineKind::Hybrid`](crate::EngineKind::Hybrid) batches; the `Unbatched`
 //! and `Heap` oracles never enter this module, and `engine_equivalence` /
 //! `dense_equivalence` hold the three to bit-for-bit equal streams.
 //!

@@ -30,7 +30,9 @@ pub mod sim;
 pub mod stats;
 mod timers;
 pub mod trace;
-pub mod wheel;
+#[cfg(test)]
+#[path = "queue_order_tests.rs"]
+mod wheel;
 
 pub use fault::{
     CoreFaults, FaultConfig, FaultEngine, FaultWindow, HostCrashFaults, HostDegradeFaults,
@@ -45,4 +47,3 @@ pub use sched::{
 pub use sim::{EngineKind, Sim};
 pub use stats::{OpKind, OpStats, SimStats};
 pub use trace::{TraceBuffer, TraceClass, TraceEvent, TraceSummary};
-pub use wheel::TimingWheel;

@@ -78,7 +78,7 @@ pub(crate) struct CoreState {
 /// production engine and its two oracles.
 ///
 /// [`EngineKind::Hybrid`] is what every experiment, example and fleet host
-/// runs. [`EngineKind::Wheel`] (the same queue, never batching) and
+/// runs. [`EngineKind::Unbatched`] (the same queue, never batching) and
 /// [`EngineKind::Heap`] (one binary heap holding everything) exist to be
 /// diffed against: all three handle events in identical `(time, seq)`
 /// order, and the `engine_equivalence` / `dense_equivalence` suites hold
@@ -93,13 +93,14 @@ pub enum EngineKind {
     /// counted or logged — the all-in-one-queue oracle for the per-core
     /// timer registers of the other engines.
     Heap,
-    /// Hierarchical timing wheel ([`crate::wheel`]) for wake-ups, IPIs,
-    /// externals, ticks and fault events — O(1) amortized insert/pop,
-    /// allocation-free at steady state — plus one timer register per core
-    /// for decision expiries and burst completions: re-arming a core
-    /// overwrites the timer it supersedes, which therefore never exists.
-    Wheel,
-    /// The wheel engine plus dense-phase batching: when nothing is queued
+    /// The production queue and timer registers, never batching: a near
+    /// and a far binary heap (split at a moving horizon, see `queue`) for
+    /// wake-ups, IPIs, externals, ticks and fault events, plus one timer
+    /// register per core for decision expiries and burst completions:
+    /// re-arming a core overwrites the timer it supersedes, which therefore
+    /// never exists.
+    Unbatched,
+    /// The unbatched engine plus dense-phase batching: when nothing is queued
     /// (only core timers are pending), no faults are armed, and the
     /// scheduler can pre-compute its decision sequence
     /// ([`VmScheduler::dense_window`]), slice boundaries are advanced in a
@@ -112,11 +113,11 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// The queue representation backing this engine (hybrid batching
-    /// happens above the queue, which stays a wheel).
+    /// happens above the queue, which is the same as unbatched).
     pub(crate) fn repr(self) -> EngineKind {
         match self {
             EngineKind::Heap => EngineKind::Heap,
-            EngineKind::Wheel | EngineKind::Hybrid => EngineKind::Wheel,
+            EngineKind::Unbatched | EngineKind::Hybrid => EngineKind::Unbatched,
         }
     }
 }
@@ -467,7 +468,7 @@ impl Sim {
         self.seq += 1;
         let gen = self.cores[core].gen;
         match &mut self.events {
-            EventQueue::Wheel(_) => self.timers.arm(core, (at, self.seq, gen)),
+            EventQueue::NearFar(_) => self.timers.arm(core, (at, self.seq, gen)),
             heap => heap.push(at, self.seq, Event::CoreTimer { core, gen }),
         }
     }
@@ -540,11 +541,6 @@ impl Sim {
         }
 
         self.run_events(end);
-        // A host whose events are all timers (every fleet host after its
-        // first call) holds no slot storage between calls; a queue that
-        // stays non-empty keeps its slots, and its steady state allocates
-        // nothing.
-        self.events.release_slots();
         // An `end` in the past handles nothing and must not rewind the
         // clock either: armed timers and queued events are all `>= now`.
         self.now = self.now.max(end);
@@ -1335,29 +1331,6 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
-    #[test]
-    fn a_run_that_empties_the_queue_holds_no_slot_storage() {
-        let holds = |sim: &Sim| matches!(&sim.events, EventQueue::Wheel(w) if w.holds_slots());
-        let mut sim = Sim::new(Machine::small(2), Box::new(ToyScheduler::new(2)));
-        let a = sim.add_vcpu(Box::new(BusyLoop), 0, true);
-        assert!(!holds(&sim), "a fresh simulation holds slot storage");
-        sim.push_external(ms(3), a, 7);
-        sim.run_until(ms(2));
-        assert!(holds(&sim), "a pending external lost its slot");
-        sim.run_until(ms(20));
-        assert!(!holds(&sim), "an emptied queue kept its slot storage");
-        // Released and allocated again: the next entry still comes out.
-        sim.push_external(ms(25), a, 8);
-        assert!(holds(&sim));
-        sim.enable_event_log();
-        sim.run_until(ms(30));
-        assert!(!holds(&sim));
-        let log = sim.take_event_log();
-        assert!(log
-            .iter()
-            .any(|(at, _, e)| *at == ms(25) && e.contains("tag: 8")));
-    }
-
     /// The event log and event count of `drive` under `kind`, on one core
     /// with a busy vCPU 0 and a blocked vCPU 1 that computes 500 us per
     /// wake-up.
@@ -1393,7 +1366,7 @@ mod tests {
     /// having compared it line for line with the reference heap's.
     fn same_as_heap(impatient: u32, drive: fn(&mut Sim)) -> Vec<String> {
         let heap = logged(EngineKind::Heap, impatient, drive);
-        for kind in [EngineKind::Wheel, EngineKind::Hybrid] {
+        for kind in [EngineKind::Unbatched, EngineKind::Hybrid] {
             let got = logged(kind, impatient, drive);
             for (i, (h, g)) in heap.0.iter().zip(&got.0).enumerate() {
                 assert_eq!(h, g, "{kind:?}: line {i} differs from the heap's");

@@ -310,7 +310,7 @@ pub struct BatchStats {
 /// Whole-simulation statistics.
 ///
 /// All of it is a function of the events *handled* — and a core timer
-/// superseded by a later decision on its core is not one: the wheel-backed
+/// superseded by a later decision on its core is not one: the register-backed
 /// engines overwrite it in its core's register, the reference heap discards
 /// it when it surfaces, and neither counts it anywhere (here, in
 /// `Sim::events_processed`, or in [`BatchStats::batched_events`]). Apart

@@ -1,17 +1,18 @@
-//! The determinism gate for the timing-wheel engine.
+//! The determinism gate for the production event queue.
 //!
-//! The wheel ([`xensim::wheel`]) replaced the reference binary heap as the
-//! simulator's pending-event structure. Every committed artifact in this
-//! repo was produced under the heap's `(time, seq)` total order, so the
-//! wheel must be *observationally identical*: same handled-event stream,
-//! same statistics, same trace — bit for bit —
-//! across randomized scenarios with fault injection active. If these
-//! properties hold, every `results/*.json` regenerates byte-identically
-//! under the new engine.
+//! The production engines keep their pending events in a near and a far
+//! binary heap split at a moving horizon, and their core timers in per-core
+//! registers. Every committed artifact in this repo was produced under the
+//! reference heap's `(time, seq)` total order, so the production engines
+//! must be *observationally identical* to it: same handled-event stream,
+//! same statistics, same trace — bit for bit — across randomized scenarios
+//! with fault injection active. If these properties hold, every
+//! `results/*.json` regenerates byte-identically under the production
+//! engine.
 //!
 //! The heap is also the oracle for the per-core timer registers: it keeps
 //! every event, core timers included, in one queue and discards a
-//! superseded timer when it surfaces, where the wheel-backed engines
+//! superseded timer when it surfaces, where the register-backed engines
 //! overwrite it in its core's register. The slotted arm below makes
 //! superseded timers the dominant traffic and holds all three engines to
 //! the same stream.
@@ -182,10 +183,10 @@ fn observe(mut sim: Sim, horizon: Nanos) -> Observation {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Heap, wheel, and hybrid engines are indistinguishable over
+    /// Heap, unbatched, and hybrid engines are indistinguishable over
     /// randomized fault-injected scenarios. (The hybrid engine must keep
     /// its batching preconditions honest: with faults armed or foreign
-    /// events pending it must behave exactly like the wheel. Batching
+    /// events pending it must behave exactly like the unbatched engine. Batching
     /// *engagement* equivalence is covered by the dense-capable Tableau
     /// suite in the `schedulers` crate.)
     #[test]
@@ -208,18 +209,18 @@ proptest! {
             build(EngineKind::Heap, seed, cores, &vcpus, &events, quantum, preset, intensity),
             horizon,
         );
-        let wheel = observe(
-            build(EngineKind::Wheel, seed, cores, &vcpus, &events, quantum, preset, intensity),
+        let unbatched = observe(
+            build(EngineKind::Unbatched, seed, cores, &vcpus, &events, quantum, preset, intensity),
             horizon,
         );
         let hybrid = observe(
             build(EngineKind::Hybrid, seed, cores, &vcpus, &events, quantum, preset, intensity),
             horizon,
         );
-        prop_assert_eq!(&heap.0, &wheel.0, "event streams diverged");
-        prop_assert_eq!(&heap.1, &wheel.1, "stats diverged");
-        prop_assert_eq!(&heap.2, &wheel.2, "traces diverged");
-        prop_assert_eq!(heap.3, wheel.3, "event counts diverged");
+        prop_assert_eq!(&heap.0, &unbatched.0, "event streams diverged");
+        prop_assert_eq!(&heap.1, &unbatched.1, "stats diverged");
+        prop_assert_eq!(&heap.2, &unbatched.2, "traces diverged");
+        prop_assert_eq!(heap.3, unbatched.3, "event counts diverged");
         prop_assert_eq!(&heap.0, &hybrid.0, "hybrid event stream diverged");
         prop_assert_eq!(&heap.1, &hybrid.1, "hybrid stats diverged");
         prop_assert_eq!(&heap.2, &hybrid.2, "hybrid trace diverged");
@@ -366,7 +367,7 @@ fn superseded_generations(log: &[(Nanos, u64, String)]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Heap, wheel and hybrid engines agree line for line —
+    /// Heap, unbatched and hybrid engines agree line for line —
     /// and on `events_processed` — when most armed timers are superseded,
     /// dozens of them due at the same slot-end instant.
     #[test]
@@ -379,7 +380,7 @@ proptest! {
         let horizon = Nanos::from_millis(12);
         let run = |engine| observe_slotted(engine, cores_per_socket, slot_us, &vcpus, &events, horizon);
         let heap = run(EngineKind::Heap);
-        for engine in [EngineKind::Wheel, EngineKind::Hybrid] {
+        for engine in [EngineKind::Unbatched, EngineKind::Hybrid] {
             let other = run(engine);
             prop_assert_eq!(&heap.0, &other.0, "{:?}: event stream diverged", engine);
             prop_assert_eq!(&heap.1, &other.1, "{:?}: stats diverged", engine);
@@ -396,10 +397,9 @@ proptest! {
 /// they cause are all the queue ever holds), each chunk pushing externals
 /// at `offset` µs past the chunk's start and then running `len` µs. An
 /// external inside its chunk is handled before the chunk's end, so most
-/// calls leave the queue empty and the wheel hands its slot storage back;
-/// one at or beyond its chunk's end stays pending across the call, with
-/// its slot. Offsets of up to ~1 s put the next chunk's pushes into every
-/// level (near, overflow, far).
+/// calls leave the queue empty; one at or beyond its chunk's end stays
+/// pending across the call. Offsets of up to ~1 s put the next chunk's
+/// pushes on both sides of the near/far horizon.
 fn observe_chunked(
     engine: EngineKind,
     seed: u64,
@@ -432,8 +432,9 @@ fn observe_chunked(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A queue that empties between calls, gives its slot storage back and
-    /// allocates it again for the next push orders exactly like the heap.
+    /// A queue that empties between calls and refills for the next one,
+    /// its horizon left where the last refill put it, orders exactly like
+    /// the heap.
     #[test]
     fn chunked_runs_that_empty_the_queue_stay_equivalent(
         seed in any::<u64>(),
@@ -459,7 +460,7 @@ proptest! {
             })
             .collect();
         let heap = observe_chunked(EngineKind::Heap, seed, cores, &chunks);
-        for engine in [EngineKind::Wheel, EngineKind::Hybrid] {
+        for engine in [EngineKind::Unbatched, EngineKind::Hybrid] {
             let other = observe_chunked(engine, seed, cores, &chunks);
             prop_assert_eq!(&heap.0, &other.0, "{:?}: event stream diverged", engine);
             prop_assert_eq!(&heap.1, &other.1, "{:?}: stats diverged", engine);
@@ -469,8 +470,8 @@ proptest! {
     }
 }
 
-/// Events far beyond the overflow horizon (> ~134 ms out) exercise the
-/// far-heap level and the window cascade; the engines must still agree.
+/// Events seconds beyond the near horizon wait in the far heap and reach
+/// the near heap through refills; the engines must still agree.
 #[test]
 fn far_horizon_events_stay_equivalent() {
     let run = |engine: EngineKind| {
@@ -485,18 +486,18 @@ fn far_horizon_events_stay_equivalent() {
             0.4,
         );
         // Push wake-ups at 2 s, 5 s, and 30 s: all deep in far-heap
-        // territory, migrating inward across many window cascades.
+        // territory, each the head of a refill when it falls due.
         sim.push_external(Nanos::from_millis(2_000), VcpuId(1), 1);
         sim.push_external(Nanos::from_millis(5_000), VcpuId(1), 2);
         sim.push_external(Nanos::from_millis(30_000), VcpuId(1), 3);
         observe(sim, Nanos::from_millis(31_000))
     };
     let heap = run(EngineKind::Heap);
-    let wheel = run(EngineKind::Wheel);
-    assert_eq!(heap.0.len(), wheel.0.len());
-    assert_eq!(heap.0, wheel.0, "event streams diverged");
-    assert_eq!(heap.1, wheel.1, "stats diverged");
-    assert_eq!(heap.2, wheel.2, "traces diverged");
+    let unbatched = run(EngineKind::Unbatched);
+    assert_eq!(heap.0.len(), unbatched.0.len());
+    assert_eq!(heap.0, unbatched.0, "event streams diverged");
+    assert_eq!(heap.1, unbatched.1, "stats diverged");
+    assert_eq!(heap.2, unbatched.2, "traces diverged");
 }
 
 /// `set_engine` carries queued events (and their `(time, seq)` keys) over,
@@ -505,7 +506,7 @@ fn far_horizon_events_stay_equivalent() {
 fn engine_swap_preserves_queued_events() {
     let run = |swap: bool| {
         let mut sim = build(
-            EngineKind::Wheel,
+            EngineKind::Unbatched,
             3,
             1,
             &[(100, 200)],
@@ -516,9 +517,10 @@ fn engine_swap_preserves_queued_events() {
         );
         sim.push_external(Nanos::from_micros(10), VcpuId(0), 9);
         if swap {
-            // Wheel -> heap -> wheel: queued externals survive both hops.
+            // Unbatched -> heap -> unbatched: queued externals survive
+            // both hops.
             sim.set_engine(EngineKind::Heap);
-            sim.set_engine(EngineKind::Wheel);
+            sim.set_engine(EngineKind::Unbatched);
         }
         observe(sim, Nanos::from_millis(5))
     };
