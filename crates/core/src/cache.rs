@@ -4,20 +4,20 @@
 //! configurations that are frequently reused" — cloud providers sell a
 //! handful of regular VM sizes, so hosts across a fleet keep asking the
 //! planner for the same table. [`SharedPlanCache`] memoizes plans keyed by
-//! the *semantic* configuration: core count, NUMA layout, per-VM vCPU
-//! grouping and node pinning, the positional list of `(utilization,
-//! latency, capped)` specs, **and** a canonical encoding of the
-//! [`PlannerOptions`] the plan was computed under. VM names are irrelevant
-//! (vCPU ids are positional), so renaming a fleet hits the cache; changing
-//! the options (a conservative fallback rung, the peephole pass, a
-//! different coalescing threshold) or the NUMA pinning must *miss* — a plan
-//! computed under a different configuration is a different table, and
-//! serving it would silently change the guarantees the tenant was sold.
+//! the *semantic* configuration: core count, per-VM vCPU counts, the
+//! positional list of `(utilization, latency, capped)` specs, **and** a
+//! canonical encoding of the [`PlannerOptions`] the plan was computed
+//! under. VM names are irrelevant (vCPU ids are positional), so renaming a
+//! fleet hits the cache; changing the options (the peephole pass, another
+//! first generator stage) must *miss* — a plan computed under a different
+//! configuration is a different table, and serving it would silently change
+//! the guarantees the tenant was sold. The period menu and the coalescing
+//! threshold are constants of the planner, not part of the key.
 //!
 //! **Hit-path cost.** A lookup performs no allocation and builds no key:
 //! the request is reduced to a 64-bit *content* fingerprint — its scalars
-//! (core/NUMA counts, VM count, option scalars) and then every VM's
-//! `(vcpus, numa_node)` and every vCPU's `(ppm, latency, capped)`, folded in
+//! (core count, VM count, option scalars) and then every VM's vCPU count
+//! and every vCPU's `(ppm, latency, capped)`, folded in
 //! two independent multiply lanes so the walk is not one serial dependency
 //! chain — the fingerprint indexes a bucket map hashed by identity, and the
 //! candidate (one, barring a 64-bit collision) is confirmed by a *streaming*
@@ -61,12 +61,6 @@ use crate::vcpu::HostConfig;
 /// values encode equal iff they drive the planner identically.
 #[derive(Debug)]
 struct OptionsKey {
-    /// Hyperperiod of the candidate set.
-    hyperperiod: u64,
-    /// The candidate periods themselves (ascending, as stored).
-    periods: Vec<u64>,
-    /// Coalescing threshold in nanoseconds.
-    coalesce_threshold: u64,
     /// `GenOptions::min_piece` in nanoseconds.
     min_piece: u64,
     /// `GenOptions::first_stage`, discretized.
@@ -86,14 +80,6 @@ fn stage_code(stage: Stage) -> u8 {
 impl OptionsKey {
     fn of(opts: &PlannerOptions) -> OptionsKey {
         OptionsKey {
-            hyperperiod: opts.candidates.hyperperiod().as_nanos(),
-            periods: opts
-                .candidates
-                .periods()
-                .iter()
-                .map(|p| p.as_nanos())
-                .collect(),
-            coalesce_threshold: opts.coalesce_threshold.as_nanos(),
             min_piece: opts.gen.min_piece.as_nanos(),
             first_stage: stage_code(opts.gen.first_stage),
             peephole: opts.peephole,
@@ -108,14 +94,10 @@ impl OptionsKey {
 #[derive(Debug)]
 struct Key {
     n_cores: usize,
-    /// NUMA node count — it changes which cores share a node and hence
-    /// placement.
-    numa_nodes: usize,
-    /// Per-VM `(vcpu_count, numa_node)` shape: node pinning drives soft
-    /// placement preferences, and grouping determines which vCPUs share a
-    /// pin, so hosts with the same flat spec list but different VM
-    /// boundaries or pins must not alias.
-    vms: Vec<(usize, Option<usize>)>,
+    /// Per-VM vCPU counts. The planner reads only the flat spec list, so
+    /// the grouping cannot change a plan; it is kept conservatively, and
+    /// hosts that group the same vCPUs differently do not alias.
+    vms: Vec<usize>,
     /// Positional `(ppm, latency_ns, capped)` triples — positional because
     /// vCPU ids (and hence table contents) are positional.
     specs: Vec<(u32, u64, bool)>,
@@ -127,12 +109,7 @@ impl Key {
     fn of(host: &HostConfig, opts: &PlannerOptions) -> Key {
         Key {
             n_cores: host.n_cores,
-            numa_nodes: host.numa_nodes,
-            vms: host
-                .vms
-                .iter()
-                .map(|vm| (vm.vcpus.len(), vm.numa_node))
-                .collect(),
+            vms: host.vms.iter().map(|vm| vm.vcpus.len()).collect(),
             specs: host
                 .vcpus()
                 .into_iter()
@@ -152,8 +129,8 @@ fn fnv_word(h: u64, w: u64) -> u64 {
 }
 
 /// 64-bit content fingerprint of a request, the bucket-map key: the
-/// request's scalars (core/NUMA/VM counts, option scalars), then every VM's
-/// `(vcpus, numa_node)` and every vCPU's `(ppm, latency, capped)`, in
+/// request's scalars (core and VM counts, option scalars), then every VM's
+/// vCPU count and every vCPU's `(ppm, latency, capped)`, in
 /// positional order (vCPU ids are positional, so order is part of the key).
 /// No allocation. FNV's xor-multiply chain is serial, so the words go down
 /// two independent lanes — the scalars and one word per VM in the first,
@@ -166,11 +143,7 @@ fn fingerprint(host: &HostConfig, opts: &PlannerOptions) -> u64 {
     let mut a = FNV_OFFSET;
     for w in [
         host.n_cores as u64,
-        host.numa_nodes as u64,
         host.vms.len() as u64,
-        opts.candidates.hyperperiod().as_nanos(),
-        opts.candidates.periods().len() as u64,
-        opts.coalesce_threshold.as_nanos(),
         opts.gen.min_piece.as_nanos(),
         stage_code(opts.gen.first_stage) as u64,
         opts.peephole as u64,
@@ -179,8 +152,7 @@ fn fingerprint(host: &HostConfig, opts: &PlannerOptions) -> u64 {
     }
     let mut b = FNV_OFFSET;
     for vm in &host.vms {
-        let node = vm.numa_node.map_or(0, |n| n as u64 + 1);
-        a = fnv_word(a, (vm.vcpus.len() as u64) << 32 | node);
+        a = fnv_word(a, vm.vcpus.len() as u64);
         for s in &vm.vcpus {
             // ppm <= 10^6 < 2^20: utilization and the cap bit fill the low
             // 21 bits, the latency (rotated, so none of it is lost) the rest.
@@ -204,32 +176,18 @@ fn key_matches(key: &Key, host: &HostConfig, opts: &PlannerOptions) -> bool {
     KEY_PROBES.with(|n| n.set(n.get() + 1));
     let o = &key.opts;
     if key.n_cores != host.n_cores
-        || key.numa_nodes != host.numa_nodes
         || key.vms.len() != host.vms.len()
-        || o.hyperperiod != opts.candidates.hyperperiod().as_nanos()
-        || o.coalesce_threshold != opts.coalesce_threshold.as_nanos()
         || o.min_piece != opts.gen.min_piece.as_nanos()
         || o.first_stage != stage_code(opts.gen.first_stage)
         || o.peephole != opts.peephole
-        || o.periods.len() != opts.candidates.periods().len()
     {
         return false;
     }
-    // Branchless accumulate (no early exit) so the compiler can vectorize:
-    // the standard candidate set has 186 entries and this runs on every hit.
-    let periods_differ = o
-        .periods
-        .iter()
-        .zip(opts.candidates.periods())
-        .fold(0u64, |acc, (a, b)| acc | (a ^ b.as_nanos()));
-    if periods_differ != 0 {
-        return false;
-    }
-    // Single pass over the VMs covers both the grouping/pinning shape and
-    // the flat positional spec list.
+    // Single pass over the VMs covers both the grouping and the flat
+    // positional spec list.
     let mut specs = key.specs.iter();
-    for (k, vm) in key.vms.iter().zip(&host.vms) {
-        if k.0 != vm.vcpus.len() || k.1 != vm.numa_node {
+    for (&vcpus, vm) in key.vms.iter().zip(&host.vms) {
+        if vcpus != vm.vcpus.len() {
             return false;
         }
         for s in &vm.vcpus {
@@ -411,8 +369,8 @@ impl SharedPlanCache {
     }
 
     /// Returns the cached plan for `(host, opts)`, planning (and caching)
-    /// on miss. Plans computed under different [`PlannerOptions`] or NUMA
-    /// layouts never alias, even for the same flat spec list. The planner
+    /// on miss. Plans computed under different [`PlannerOptions`] never
+    /// alias, even for the same host. The planner
     /// runs under the lock, so concurrent requests for one shape plan once.
     ///
     /// # Errors
@@ -471,8 +429,8 @@ impl SharedPlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::postprocess::DEFAULT_THRESHOLD;
     use crate::vcpu::{Utilization, VcpuSpec, VmSpec};
+    use rtsched::generator::GenOptions;
     use rtsched::time::Nanos;
 
     fn host(n: usize, name_prefix: &str) -> HostConfig {
@@ -515,24 +473,27 @@ mod tests {
     #[test]
     fn different_options_never_alias() {
         // The regression for the stale-plan collision: the same host under
-        // two option sets must produce two distinct cache entries — the
-        // peephole pass and a different coalescing threshold both change
-        // the table, so serving the default-options plan would be wrong.
+        // three option sets must produce three distinct cache entries — the
+        // peephole pass and a clustered first stage both may change the
+        // table, so serving the default-options plan would be wrong.
         let cache = SharedPlanCache::new(8);
         let defaults = PlannerOptions::default();
         let peephole = PlannerOptions {
             peephole: true,
             ..PlannerOptions::default()
         };
-        let coarse = PlannerOptions {
-            coalesce_threshold: DEFAULT_THRESHOLD * 4,
+        let clustered = PlannerOptions {
+            gen: GenOptions {
+                first_stage: Stage::Clustered,
+                ..GenOptions::default()
+            },
             ..PlannerOptions::default()
         };
 
         let h = host(8, "vm");
         let a = cache.get_or_plan(&h, &defaults).unwrap();
         let b = cache.get_or_plan(&h, &peephole).unwrap();
-        let c = cache.get_or_plan(&h, &coarse).unwrap();
+        let c = cache.get_or_plan(&h, &clustered).unwrap();
         assert_eq!(
             counts(&cache),
             (0, 3),
@@ -549,37 +510,11 @@ mod tests {
     }
 
     #[test]
-    fn numa_layout_is_part_of_the_key() {
-        // Same flat spec list, same core count — but different NUMA pinning
-        // produces different placements, so these must not alias. This is a
-        // regression test: the original key ignored NUMA entirely.
-        let spec = VcpuSpec::capped(Utilization::from_percent(25), Nanos::from_millis(20));
-        let mut pinned0 = HostConfig::with_numa(4, 2);
-        let mut pinned1 = HostConfig::with_numa(4, 2);
-        for i in 0..4 {
-            pinned0.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec).on_node(0));
-            pinned1.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec).on_node(1));
-        }
-        let cache = SharedPlanCache::new(4);
-        let opts = PlannerOptions::default();
-        let _ = cache.get_or_plan(&pinned0, &opts).unwrap();
-        let _ = cache.get_or_plan(&pinned1, &opts).unwrap();
-        assert_eq!(counts(&cache), (0, 2), "NUMA pinning aliased a cached plan");
-
-        // Node count alone also discriminates (the node layout changes).
-        let mut flat = HostConfig::new(4);
-        for i in 0..4 {
-            flat.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec).on_node(0));
-        }
-        let _ = cache.get_or_plan(&flat, &opts).unwrap();
-        assert_eq!(counts(&cache), (0, 3));
-    }
-
-    #[test]
     fn vm_grouping_is_part_of_the_key() {
         // One VM with two vCPUs vs two single-vCPU VMs: the flat spec lists
-        // are identical, but grouping determines which vCPUs share a NUMA
-        // pin, so the cache keys them apart (conservatively, even unpinned).
+        // are identical, and so are the plans (the planner reads only the
+        // flat list; `prop_planner` holds that). The cache keeps the
+        // grouping word conservatively and keys them apart.
         let spec = VcpuSpec::capped(Utilization::from_percent(25), Nanos::from_millis(20));
         let mut grouped = HostConfig::new(2);
         grouped.add_vm(VmSpec::uniform("a", 2, spec));

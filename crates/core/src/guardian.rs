@@ -596,14 +596,10 @@ impl Guardian {
         // Evacuation target: the same guests on the surviving cores. vCPU
         // ids stay dense and identical (same VMs in the same order), so the
         // compact plan's lanes can be remapped onto the full core width.
-        let mut target = HostConfig::new(online.len());
-        for vm in &self.base_host.vms {
-            let mut vm = vm.clone();
-            // NUMA placement hints may reference lost cores; evacuation
-            // trades placement quality for service.
-            vm.numa_node = None;
-            target.add_vm(vm);
-        }
+        let target = HostConfig {
+            n_cores: online.len(),
+            vms: self.base_host.vms.clone(),
+        };
         match plan_with_fallback(
             Some((&self.installed.0, &self.installed.1)),
             &target,

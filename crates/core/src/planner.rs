@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use rtsched::generator::{generate_schedule_instrumented, GenError, GenOptions, Stage};
-use rtsched::hyperperiod::PeriodCandidates;
+use rtsched::hyperperiod::{PeriodCandidates, STANDARD_HYPERPERIOD};
 use rtsched::signature::CoreSharing;
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::time::Nanos;
@@ -50,30 +50,19 @@ use crate::table::{Allocation, Table};
 use crate::vcpu::{HostConfig, VcpuId, VcpuSpec};
 
 /// Planner tunables.
-#[derive(Debug, Clone)]
+///
+/// The period menu and the coalescing threshold are not among them: as in
+/// the paper, every period divides [`STANDARD_HYPERPERIOD`] (the menu is
+/// [`PeriodCandidates::standard`]) and slivers shorter than
+/// [`DEFAULT_THRESHOLD`] are coalesced away.
+#[derive(Debug, Clone, Default)]
 pub struct PlannerOptions {
-    /// Candidate periods (divisors of the hyperperiod above the
-    /// enforceability threshold).
-    pub candidates: PeriodCandidates,
-    /// Allocations shorter than this are coalesced away.
-    pub coalesce_threshold: Nanos,
     /// Options forwarded to the schedule generator.
     pub gen: GenOptions,
     /// Run the verified peephole preemption-reduction pass after
     /// generation (the paper's Sec. 5 future-work optimization; off by
     /// default to match the paper's baseline planner).
     pub peephole: bool,
-}
-
-impl Default for PlannerOptions {
-    fn default() -> PlannerOptions {
-        PlannerOptions {
-            candidates: PeriodCandidates::standard(),
-            coalesce_threshold: DEFAULT_THRESHOLD,
-            gen: GenOptions::default(),
-            peephole: false,
-        }
-    }
 }
 
 /// The periodic-task parameters chosen for one vCPU.
@@ -124,14 +113,11 @@ pub struct BinRecord {
     pub core_bins: Vec<Vec<VcpuId>>,
     /// Per-core coalescing reports (shared cores then dedicated cores, in
     /// table-core order), so a donated core contributes its share of
-    /// [`Plan::coalesce`] without coalescing again.
+    /// [`Plan::coalesce`] without coalescing again. A donated core is
+    /// reused when its bin's `(cost, period)` sequence is unchanged: its
+    /// EDF schedule and its coalescing are functions of that sequence (the
+    /// table length and the threshold are constants).
     pub coalesce_by_core: Vec<CoalesceReport>,
-    /// The coalescing threshold the plan was built under. A donated core is
-    /// reused when its bin's `(cost, period)` sequence and the table length
-    /// are unchanged; its EDF schedule is a function of those, and its
-    /// coalescing of those and this threshold. Every other option either
-    /// acts only outside plain partitioning or declines the donor.
-    pub coalesce_threshold: Nanos,
 }
 
 /// What a replan from a donor reused and what it rebuilt.
@@ -231,8 +217,12 @@ pub enum ReplanPath {
     /// Full from-scratch replan (no previous plan, or the planner declined
     /// it as a donor).
     Full,
-    /// Full replan under conservative default options after the requested
-    /// options failed.
+    /// Retired, never returned: the full replan under default options that
+    /// followed a failed request is deleted (DESIGN.md §5.5; with the
+    /// coalescing threshold fixed, a plan under the defaults fails exactly
+    /// as any request it served did). The variant survives only because
+    /// the end-to-end benchmark matches on this enum exhaustively; delete it
+    /// with the benchmark-side follow-up (ROADMAP item 1).
     FullConservative,
 }
 
@@ -285,88 +275,63 @@ impl std::fmt::Display for ReplanError {
 
 impl std::error::Error for ReplanError {}
 
-/// Plans `host` with graceful degradation: a plan under the requested
-/// options — taking the previous plan, when there is one, as its *donor* —
-/// then, if the requested options were non-default, a full replan under
-/// conservative defaults. Only when both fail is the reconfiguration
-/// rejected, with the per-rung diagnostic trail.
+/// Plans `host` for a reconfiguration, taking the previous plan, when there
+/// is one, as its *donor*. A failure rejects the reconfiguration with its
+/// diagnostic.
 ///
 /// The donor is the host's previous plan, as the planner made it (`prev`
 /// pairs it with the configuration it was planned for; the plan's own
 /// record is all the planner reads). The planner takes from it every core
 /// whose bin is unchanged and simulates only the rest (single-VM churn
 /// dirties one bin), reporting [`ReplanPath::Delta`]; it declines a donor
-/// that is not plainly partitioned, has another core count, table length
-/// or shared-core count, was planned under another coalescing threshold,
-/// or is offered to a peephole run, and then plans in full
+/// that is not plainly partitioned, has another core count or shared-core
+/// count, or is offered to a peephole run, and then plans in full
 /// ([`ReplanPath::Full`]). A declined donor is not an error and leaves no
 /// entry in `attempts`.
 ///
-/// Whichever rung answers, the plan equals [`plan`]`(host, opts)` (or
-/// `plan(host, defaults)` on the conservative rung) field for field: a
-/// table is a function of the request, never of the host's history, so
-/// ladder output can be cached under the `(host, opts)` key.
-///
-/// This is the planner's fault-tolerance ladder: a planner daemon facing a
-/// pathological reconfiguration (or a table push that was rolled back
-/// mid-switch) degrades to a slower but safer planning mode instead of
-/// leaving the host on a stale table with no explanation.
+/// Whichever path answers, the plan equals [`plan`]`(host, opts)` field for
+/// field: a table is a function of the request, never of the host's
+/// history, so the output can be cached under the `(host, opts)` key.
+/// There is no second rung under default options: the one it had served
+/// only requests with the peephole pass or another coalescing threshold,
+/// the threshold is a constant now, and the peephole pass runs after
+/// generation and cannot make a plan fail.
 ///
 /// # Errors
 ///
-/// [`ReplanError`] with one [`PlanError`] per attempted rung; the host's
-/// running table is untouched by any failed attempt.
+/// [`ReplanError`] with one [`ReplanPath::Full`] attempt; the host's
+/// running table is untouched by a failed attempt.
 pub fn plan_with_fallback(
     prev: Option<(&HostConfig, &Plan)>,
     host: &HostConfig,
     opts: &PlannerOptions,
 ) -> Result<ReplanOutcome, ReplanError> {
-    let mut attempts: Vec<(ReplanPath, PlanError)> = Vec::new();
     match pipeline(host, opts, prev.map(|(_, plan)| plan)) {
-        Ok((plan, _, delta)) => {
-            return Ok(ReplanOutcome {
-                plan,
-                path: match delta {
-                    Some(_) => ReplanPath::Delta,
-                    None => ReplanPath::Full,
-                },
-                delta,
-                attempts,
-            })
-        }
-        Err(e) => attempts.push((ReplanPath::Full, e)),
+        Ok((plan, _, delta)) => Ok(ReplanOutcome {
+            plan,
+            path: match delta {
+                Some(_) => ReplanPath::Delta,
+                None => ReplanPath::Full,
+            },
+            delta,
+            attempts: Vec::new(),
+        }),
+        Err(e) => Err(ReplanError {
+            attempts: vec![(ReplanPath::Full, e)],
+        }),
     }
-
-    // Conservative rescue: only meaningful when the requested options could
-    // have caused the failure (aggressive coalescing inflates minimum
-    // budgets; the peephole pass is optional by design).
-    let defaults = PlannerOptions::default();
-    let non_default = opts.peephole || opts.coalesce_threshold != defaults.coalesce_threshold;
-    if non_default {
-        match plan(host, &defaults) {
-            Ok(plan) => {
-                return Ok(ReplanOutcome {
-                    plan,
-                    path: ReplanPath::FullConservative,
-                    delta: None,
-                    attempts,
-                })
-            }
-            Err(e) => attempts.push((ReplanPath::FullConservative, e)),
-        }
-    }
-
-    Err(ReplanError { attempts })
 }
 
-/// Chooses a period for a vCPU SLA: the largest candidate `T` such that the
-/// worst-case blackout `2 * (1 - U) * T` stays within the latency goal `L`.
+/// Chooses a period for a vCPU SLA: the largest standard candidate `T`
+/// ([`PeriodCandidates::standard`]) such that the worst-case blackout
+/// `2 * (1 - U) * T` stays within the latency goal `L`.
 ///
 /// If even the smallest candidate exceeds the goal (an extremely tight
 /// latency goal), the smallest candidate is used best-effort — the bound is
 /// then as small as the platform can enforce, consistent with the paper's
 /// treatment of `L` as an upper bound the tenant may beat.
-pub fn period_for(spec: &VcpuSpec, candidates: &PeriodCandidates) -> Nanos {
+pub fn period_for(spec: &VcpuSpec) -> Nanos {
+    let candidates = PeriodCandidates::standard();
     let ppm = spec.utilization.ppm() as u128;
     debug_assert!(ppm < 1_000_000, "dedicated vCPUs have no period");
     // 2 * (1 - U) * T <= L  <=>  T <= L * 1e6 / (2 * (1e6 - ppm)).
@@ -418,16 +383,13 @@ struct Translation {
     pub shared_cores: usize,
     /// One implicit-deadline task per shared vCPU.
     pub tasks: Vec<PeriodicTask>,
-    /// Soft NUMA preferences, aligned with `tasks` by position.
-    pub prefs: Vec<Vec<usize>>,
     /// Chosen per-vCPU parameters, in vCPU-id order.
     pub params: Vec<VcpuParams>,
 }
 
 /// Planner stages 0 and 1: dedicated-core selection and SLA → `(C, T)`
 /// translation.
-fn translate(host: &HostConfig, opts: &PlannerOptions) -> Result<Translation, PlanError> {
-    let hyperperiod = opts.candidates.hyperperiod();
+fn translate(host: &HostConfig) -> Result<Translation, PlanError> {
     let vcpus = host.vcpus();
 
     // Stage 0: dedicated cores for U = 1 vCPUs, allocated from the highest
@@ -448,26 +410,21 @@ fn translate(host: &HostConfig, opts: &PlannerOptions) -> Result<Translation, Pl
     // Stage 1: SLA -> periodic task. Budgets shorter than twice the
     // coalescing threshold are rounded up so the guarantee survives
     // post-processing (providers sell a minimum granularity anyway).
-    let min_budget = opts.coalesce_threshold * 2;
+    let min_budget = DEFAULT_THRESHOLD * 2;
     let mut tasks: Vec<PeriodicTask> = Vec::new();
-    // Soft NUMA preferences, aligned with `tasks` by position: the cores of
-    // the owning VM's node, restricted to the shared-core range.
-    let mut prefs: Vec<Vec<usize>> = Vec::new();
     let mut params: Vec<VcpuParams> = Vec::new();
-    // The NUMA pin of each vCPU's VM, in vCPU-id order.
-    let nodes = (host.vms.iter()).flat_map(|vm| vm.vcpus.iter().map(|_| vm.numa_node));
-    for (&(vcpu, spec), node) in vcpus.iter().zip(nodes) {
+    for &(vcpu, spec) in &vcpus {
         if spec.utilization.is_full_core() {
             params.push(VcpuParams {
                 vcpu,
-                cost: hyperperiod,
-                period: hyperperiod,
+                cost: STANDARD_HYPERPERIOD,
+                period: STANDARD_HYPERPERIOD,
                 dedicated: true,
                 capped: spec.capped,
             });
             continue;
         }
-        let period = period_for(&spec, &opts.candidates);
+        let period = period_for(&spec);
         // Rounding the (floor-rounded) budget up to twice the coalescing
         // threshold can over-commit only configurations that reserve less
         // than ~0.03% per vCPU — rejected as over-utilized, which is fine.
@@ -477,15 +434,6 @@ fn translate(host: &HostConfig, opts: &PlannerOptions) -> Result<Translation, Pl
             .max(min_budget)
             .min(period);
         tasks.push(PeriodicTask::implicit(TaskId(vcpu.0), cost, period));
-        prefs.push(
-            node.map(|node| {
-                host.cores_of_node(node)
-                    .into_iter()
-                    .filter(|&c| c < shared_cores)
-                    .collect()
-            })
-            .unwrap_or_default(),
-        );
         params.push(VcpuParams {
             vcpu,
             cost,
@@ -499,7 +447,6 @@ fn translate(host: &HostConfig, opts: &PlannerOptions) -> Result<Translation, Pl
         dedicated,
         shared_cores,
         tasks,
-        prefs,
         params,
     })
 }
@@ -548,9 +495,7 @@ impl<'a> Donor<'a> {
             && prev.stage == Stage::Partitioned
             && prev.split_vcpus.is_empty()
             && prev.table.n_cores() == host.n_cores
-            && prev.table.len() == opts.candidates.hyperperiod()
-            && record.core_bins.len() == shared_cores
-            && record.coalesce_threshold == opts.coalesce_threshold;
+            && record.core_bins.len() == shared_cores;
         if !usable {
             return None;
         }
@@ -644,15 +589,13 @@ fn pipeline(
     let t_total = Instant::now();
     let mut timings = PlanTimings::default();
     let t0 = Instant::now();
-    let hyperperiod = opts.candidates.hyperperiod();
     let Translation {
         vcpus,
         dedicated,
         shared_cores,
         tasks,
-        prefs,
         params,
-    } = translate(host, opts)?;
+    } = translate(host)?;
     let donor = donor.and_then(|prev| Donor::accept(prev, host, opts, shared_cores));
     timings.pack += t0.elapsed();
 
@@ -665,9 +608,8 @@ fn pipeline(
     let outcome = generate_schedule_instrumented(
         &tasks,
         shared_cores,
-        hyperperiod,
+        STANDARD_HYPERPERIOD,
         &opts.gen,
-        &prefs,
         |core, bin| {
             let d = (donor.as_ref()).and_then(|d| d.core(core, bin, &mut donated_blackout));
             let kept = d.is_some();
@@ -714,9 +656,7 @@ fn pipeline(
                 vcpu: VcpuId(s.task.0),
             })
             .collect();
-        let report = coalesce_with(&mut allocs, opts.coalesce_threshold, |v| {
-            !split.contains(&v)
-        });
+        let report = coalesce_with(&mut allocs, DEFAULT_THRESHOLD, |v| !split.contains(&v));
         (Some(allocs), report)
     };
     let mut cores: Vec<(Option<Vec<Allocation>>, CoalesceReport)> =
@@ -767,7 +707,7 @@ fn pipeline(
     for &vcpu in &dedicated {
         let wall = Allocation {
             start: Nanos::ZERO,
-            end: hyperperiod,
+            end: STANDARD_HYPERPERIOD,
             vcpu,
         };
         cores.push((Some(vec![wall]), CoalesceReport::default()));
@@ -794,7 +734,7 @@ fn pipeline(
         }
         None => {
             let per_core = per_core.into_iter().flatten().collect();
-            Table::new_with_stamps(hyperperiod, per_core, &table_stamps)
+            Table::new_with_stamps(STANDARD_HYPERPERIOD, per_core, &table_stamps)
         }
     }
     .map_err(PlanError::Table)?;
@@ -812,7 +752,7 @@ fn pipeline(
     };
     let worst_blackout: Vec<(VcpuId, Nanos)> = vcpus
         .iter()
-        .map(|&(vcpu, _)| (vcpu, blackout_of(vcpu).unwrap_or(hyperperiod)))
+        .map(|&(vcpu, _)| (vcpu, blackout_of(vcpu).unwrap_or(STANDARD_HYPERPERIOD)))
         .collect();
     timings.verify += t0.elapsed();
     timings.total = t_total.elapsed();
@@ -826,7 +766,6 @@ fn pipeline(
             .map(|bin| bin.into_iter().map(|t| VcpuId(t.0)).collect())
             .collect(),
         coalesce_by_core,
-        coalesce_threshold: opts.coalesce_threshold,
     });
     let delta = donor.map(|_| {
         let (clean_cores, dirty_cores) = (0..shared_cores).partition(|&c| clean[c]);
@@ -876,7 +815,7 @@ mod tests {
     fn paper_parameters_reproduced() {
         // Sec. 7.2: U = 25%, L = 20 ms "results in the planner picking a
         // period of roughly 13 ms with a budget of about 3.2 ms".
-        let period = period_for(&paper_spec(), &PeriodCandidates::standard());
+        let period = period_for(&paper_spec());
         assert_eq!(period, Nanos(12_837_825)); // H / 8
         let cost = Utilization::from_percent(25).budget_in(period);
         assert_eq!(cost, Nanos(3_209_456)); // floor(T / 4)
@@ -894,7 +833,7 @@ mod tests {
     #[test]
     fn tight_latency_goals_get_small_periods() {
         let spec = VcpuSpec::new(Utilization::from_percent(25), ms(1));
-        let period = period_for(&spec, &PeriodCandidates::standard());
+        let period = period_for(&spec);
         // T <= 1 ms / 1.5 = 666 us.
         assert!(period <= Nanos::from_micros(667));
         assert!(period >= Nanos::from_micros(100));
@@ -903,7 +842,7 @@ mod tests {
     #[test]
     fn impossible_latency_goal_falls_back_to_smallest_candidate() {
         let spec = VcpuSpec::new(Utilization::from_percent(25), Nanos::from_micros(10));
-        let period = period_for(&spec, &PeriodCandidates::standard());
+        let period = period_for(&spec);
         assert_eq!(period, PeriodCandidates::standard().smallest());
     }
 
@@ -981,47 +920,6 @@ mod tests {
         let loose = p.params_of(VcpuId(1)).unwrap();
         assert!(tight.period < loose.period);
         assert!(p.blackout_of(VcpuId(0)).unwrap() <= ms(1));
-    }
-
-    #[test]
-    fn numa_pinning_places_vcpus_on_the_node() {
-        // 4 cores on 2 nodes; two VMs pinned to node 1 must land on cores
-        // {2, 3}.
-        let mut host = HostConfig::with_numa(4, 2);
-        for i in 0..2 {
-            host.add_vm(VmSpec::uniform(format!("pinned{i}"), 1, paper_spec()).on_node(1));
-        }
-        host.add_vm(VmSpec::uniform("free", 1, paper_spec()));
-        let p = plan(&host, &PlannerOptions::default()).unwrap();
-        for v in 0..2u32 {
-            let placement = p.table.placement(VcpuId(v)).unwrap();
-            for (core, _, _) in placement.allocations() {
-                assert!(
-                    host.cores_of_node(1).contains(&core),
-                    "{} landed off-node on core {core}",
-                    VcpuId(v)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn numa_preference_is_soft_not_an_admission_constraint() {
-        // Five 25% VMs all pinned to a one-core node: one must spill, and
-        // the plan still succeeds with every guarantee intact.
-        let mut host = HostConfig::with_numa(2, 2);
-        for i in 0..5 {
-            host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, paper_spec()).on_node(0));
-        }
-        let p = plan(&host, &PlannerOptions::default()).unwrap();
-        for (v, b) in &p.worst_blackout {
-            assert!(*b <= ms(20), "{v}: {b}");
-        }
-        // Node 0 (core 0) holds at most 4 of the 25% VMs.
-        let on_core0 = (0..5u32)
-            .filter(|&v| p.table.placement(VcpuId(v)).is_some_and(|pl| pl.only_on(0)))
-            .count();
-        assert_eq!(on_core0, 4);
     }
 
     #[test]
@@ -1122,41 +1020,18 @@ mod tests {
     }
 
     #[test]
-    fn fallback_ladder_rescues_bad_options_with_defaults() {
-        // A 50 ms coalescing threshold inflates every budget to a full
-        // period (over-utilized); the conservative rung with default options
-        // must rescue the reconfiguration.
-        let host = dense_host(2, 4, paper_spec());
-        let aggressive = PlannerOptions {
-            coalesce_threshold: ms(50),
-            ..PlannerOptions::default()
-        };
-        let out = plan_with_fallback(None, &host, &aggressive).unwrap();
-        assert_eq!(out.path, ReplanPath::FullConservative);
-        assert_eq!(out.attempts.len(), 1);
-        assert!(matches!(out.attempts[0].0, ReplanPath::Full));
-        for (v, b) in &out.plan.worst_blackout {
-            assert!(*b <= ms(20), "{v}: {b}");
-        }
-    }
-
-    #[test]
     fn fallback_ladder_rejects_with_full_diagnostic_trail() {
-        // Over-utilized no matter the options: every rung fails, and the
-        // error carries one diagnostic per rung on a single line.
+        // Over-utilized: the one attempt fails, and the error carries its
+        // diagnostic on a single line.
+        let opts = PlannerOptions::default();
         let prev_ok = dense_host(1, 4, paper_spec());
-        let prev = plan(&prev_ok, &PlannerOptions::default()).unwrap();
+        let prev = plan(&prev_ok, &opts).unwrap();
         let host = dense_host(1, 5, paper_spec());
-        let aggressive = PlannerOptions {
-            coalesce_threshold: ms(50),
-            ..PlannerOptions::default()
-        };
-        let err = plan_with_fallback(Some((&prev_ok, &prev)), &host, &aggressive).unwrap_err();
-        assert_eq!(err.attempts.len(), 2, "{err}");
+        let err = plan_with_fallback(Some((&prev_ok, &prev)), &host, &opts).unwrap_err();
+        assert_eq!(err.attempts.len(), 1, "{err}");
         let msg = err.to_string();
         assert!(!msg.contains('\n'), "multi-line diagnostic: {msg:?}");
         assert!(msg.contains("[full]"), "{msg}");
-        assert!(msg.contains("full-conservative"), "{msg}");
     }
 
     /// Replans `host` with `prev` as the donor under default options and
@@ -1346,16 +1221,6 @@ mod tests {
     }
 
     #[test]
-    fn another_threshold_declines_the_donor() {
-        let (prev_host, prev) = decline_donor();
-        let coarse = PlannerOptions {
-            coalesce_threshold: Nanos::from_micros(500),
-            ..PlannerOptions::default()
-        };
-        assert_declined(&prev_host, &prev, &with_newcomer(&prev_host), &coarse);
-    }
-
-    #[test]
     fn another_shared_core_count_declines_the_donor() {
         // A dedicated vCPU arrives: the donor's bin record covers 4 shared
         // cores, the request has 3.
@@ -1381,47 +1246,6 @@ mod tests {
         assert_eq!(err.attempts.len(), 1, "{err}");
         assert_eq!(err.attempts[0].0, ReplanPath::Full);
         assert_eq!(err.attempts[0].1, plan(&host, &opts).unwrap_err());
-    }
-
-    #[test]
-    fn a_conservative_plan_never_donates_under_other_options() {
-        // Host A plans only on the conservative rung (default options); a
-        // donor planned under those must not stand in for a plan under the
-        // requested 500 us threshold, whose coalescing differs.
-        let opts = PlannerOptions {
-            coalesce_threshold: Nanos::from_micros(500),
-            ..PlannerOptions::default()
-        };
-        let vms = [
-            (20, 40, true),
-            (10, 20, true),
-            (25, 3, true),
-            (25, 10, true),
-            (30, 1, false),
-            (25, 20, false),
-        ];
-        let build = |skip: Option<usize>| {
-            let mut host = HostConfig::new(2);
-            for (i, &(u, l, capped)) in vms.iter().enumerate() {
-                if Some(i) == skip {
-                    continue;
-                }
-                let (u, l) = (Utilization::from_percent(u), ms(l));
-                let spec = if capped {
-                    VcpuSpec::capped(u, l)
-                } else {
-                    VcpuSpec::new(u, l)
-                };
-                host.add_vm(VmSpec::uniform(format!("vm{i}"), 1, spec));
-            }
-            host
-        };
-        let (a, b) = (build(None), build(Some(4)));
-        let out_a = plan_with_fallback(None, &a, &opts).unwrap();
-        assert_eq!(out_a.path, ReplanPath::FullConservative);
-        let out_b = plan_with_fallback(Some((&a, &out_a.plan)), &b, &opts).unwrap();
-        assert_eq!(out_b.path, ReplanPath::Full);
-        assert_eq!(out_b.plan, plan(&b, &opts).unwrap());
     }
 
     #[test]

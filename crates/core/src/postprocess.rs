@@ -22,8 +22,10 @@ use rtsched::time::Nanos;
 use crate::table::Allocation;
 use crate::vcpu::VcpuId;
 
-/// Default coalescing threshold: allocations shorter than 20 µs are
-/// impossible to enforce given context-switch costs of a few µs.
+/// The planner's coalescing threshold: allocations shorter than 20 µs are
+/// impossible to enforce given context-switch costs of a few µs. A
+/// constant of the planner, not an option (`coalesce` and `coalesce_with`
+/// still take any threshold).
 pub const DEFAULT_THRESHOLD: Nanos = Nanos(20_000);
 
 /// What coalescing did to one core's allocation list.

@@ -136,35 +136,24 @@ impl VcpuSpec {
 /// A VM: a named bundle of vCPUs sharing one configuration.
 ///
 /// The paper evaluates single-vCPU VMs (four per core); multi-vCPU VMs are
-/// supported by giving each vCPU its own task.
+/// supported by giving each vCPU its own task. The planner places vCPUs,
+/// not VMs: a plan is a function of the core count and the flat vCPU list
+/// ([`HostConfig::vcpus`]), and VM boundaries only number the vCPUs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VmSpec {
     /// Human-readable VM name (used in reports and traces).
     pub name: String,
     /// Per-vCPU SLAs.
     pub vcpus: Vec<VcpuSpec>,
-    /// NUMA node whose memory this VM's pages live on, if pinned. The
-    /// planner treats it as a *soft* placement preference for the node's
-    /// cores (Sec. 5: partitioning "can easily incorporate" memory
-    /// locality).
-    #[serde(default)]
-    pub numa_node: Option<usize>,
 }
 
 impl VmSpec {
-    /// Creates a VM with `n` identical vCPUs and no NUMA pinning.
+    /// Creates a VM with `n` identical vCPUs.
     pub fn uniform(name: impl Into<String>, n: usize, spec: VcpuSpec) -> VmSpec {
         VmSpec {
             name: name.into(),
             vcpus: vec![spec; n],
-            numa_node: None,
         }
-    }
-
-    /// Pins the VM's memory to a NUMA node (builder style).
-    pub fn on_node(mut self, node: usize) -> VmSpec {
-        self.numa_node = Some(node);
-        self
     }
 }
 
@@ -175,39 +164,15 @@ pub struct HostConfig {
     pub n_cores: usize,
     /// Admitted VMs.
     pub vms: Vec<VmSpec>,
-    /// Number of NUMA nodes; cores are striped contiguously across nodes
-    /// (node of core `c` is `c / (n_cores / numa_nodes)`).
-    #[serde(default = "default_numa_nodes")]
-    pub numa_nodes: usize,
-}
-
-fn default_numa_nodes() -> usize {
-    1
 }
 
 impl HostConfig {
-    /// Creates an empty host with `n_cores` cores on one NUMA node.
+    /// Creates an empty host with `n_cores` cores.
     pub fn new(n_cores: usize) -> HostConfig {
         HostConfig {
             n_cores,
             vms: Vec::new(),
-            numa_nodes: 1,
         }
-    }
-
-    /// Creates an empty host with `n_cores` striped across `numa_nodes`.
-    pub fn with_numa(n_cores: usize, numa_nodes: usize) -> HostConfig {
-        HostConfig {
-            n_cores,
-            vms: Vec::new(),
-            numa_nodes: numa_nodes.max(1),
-        }
-    }
-
-    /// The cores belonging to `node`.
-    pub fn cores_of_node(&self, node: usize) -> Vec<usize> {
-        let per = (self.n_cores / self.numa_nodes.max(1)).max(1);
-        (0..self.n_cores).filter(|c| c / per == node).collect()
     }
 
     /// Adds a VM and returns its index.

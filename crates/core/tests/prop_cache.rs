@@ -9,16 +9,16 @@
 //! same `Arc` on every hit, count the same statistics and never hold more
 //! than `capacity` plans. The shape pool is built to trip a lazy key:
 //! same-sized shapes with equal scalars, a renamed copy, the same hosts
-//! under two option sets, and one shape the planner rejects.
+//! under three option sets, and one shape the planner rejects.
 
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
+use rtsched::generator::{GenOptions, Stage};
 use rtsched::time::Nanos;
 use tableau_core::cache::{CacheStats, SharedPlanCache};
 use tableau_core::planner::{plan, Plan, PlanError, PlannerOptions};
-use tableau_core::postprocess::DEFAULT_THRESHOLD;
 use tableau_core::vcpu::{HostConfig, Utilization, VcpuSpec, VmSpec};
 
 /// The naive reference: least recently used goes first, nothing else.
@@ -82,8 +82,8 @@ fn salted(n: usize, salt: u32, prefix: &str) -> HostConfig {
 /// Hosts, option sets, and what `plan` makes of each pair.
 struct Pool {
     hosts: Vec<HostConfig>,
-    opts: [PlannerOptions; 2],
-    plans: Vec<[Result<Plan, PlanError>; 2]>,
+    opts: [PlannerOptions; 3],
+    plans: Vec<[Result<Plan, PlanError>; 3]>,
 }
 
 fn pool() -> &'static Pool {
@@ -104,13 +104,20 @@ fn pool() -> &'static Pool {
         let opts = [
             PlannerOptions::default(),
             PlannerOptions {
-                coalesce_threshold: DEFAULT_THRESHOLD * 4,
+                peephole: true,
+                ..PlannerOptions::default()
+            },
+            PlannerOptions {
+                gen: GenOptions {
+                    first_stage: Stage::Clustered,
+                    ..GenOptions::default()
+                },
                 ..PlannerOptions::default()
             },
         ];
         let plans = hosts
             .iter()
-            .map(|h| [plan(h, &opts[0]), plan(h, &opts[1])])
+            .map(|h| opts.each_ref().map(|o| plan(h, o)))
             .collect();
         Pool { hosts, opts, plans }
     })
@@ -122,7 +129,7 @@ proptest! {
     #[test]
     fn cache_matches_the_reference_lru(
         capacity in 1usize..=8,
-        ops in proptest::collection::vec((0u8..3, 0usize..8, 0usize..2), 1..80),
+        ops in proptest::collection::vec((0u8..3, 0usize..8, 0usize..3), 1..80),
     ) {
         let pool = pool();
         let cache = SharedPlanCache::new(capacity);

@@ -6,8 +6,8 @@
 //! same coalesce bookkeeping — because the planner reuses a donor's cores
 //! only where the packing provably reproduces them. Random fleets are
 //! planned, hit with a random single-VM churn event (join, leave-of-last,
-//! mid-host leave, resize), and replanned both ways. The same holds for the
-//! whole fallback ladder, whichever rung answers, under default and
+//! mid-host leave, resize), and replanned both ways. The same holds for
+//! `plan_with_fallback`, whichever path answers, under default and
 //! non-default options alike: its output is a function of the request,
 //! never of the plan the host ran before.
 
@@ -186,27 +186,23 @@ proptest! {
         }
     }
 
-    /// A chain of churn events under a non-default coalescing threshold,
-    /// each replan taking the previous answer as its donor — whether the
-    /// requested options or the conservative defaults produced it. Each
-    /// answer is the full plan of its request under the options its rung
-    /// names, and a plan made under the defaults never donates to a
-    /// request under the threshold.
+    /// A chain of churn events under the peephole pass, each replan
+    /// offering the previous answer as its donor: the donor is declined
+    /// (the peephole pass rewrites allocations out from under a donated
+    /// core) and each answer is the full plan of its request.
     #[test]
     fn non_default_options_chain_matches_full_replans(
         (cores, vms) in arb_fleet_of(&[5, 10, 20, 25, 30]),
-        threshold_us in (0usize..4).prop_map(|i| [400u64, 800, 1200, 1600][i]),
         steps in proptest::collection::vec((arb_churn(), 0usize..16), 1..6),
     ) {
         let opts = PlannerOptions {
-            coalesce_threshold: Nanos::from_micros(threshold_us),
+            peephole: true,
             ..PlannerOptions::default()
         };
-        let defaults = PlannerOptions::default();
         let mut vms = vms;
         let mut host = build_host(cores, &vms);
         let mut current = plan_with_fallback(None, &host, &opts)
-            .expect("ladder plans an admissible fleet");
+            .expect("an admissible fleet plans");
         for (churn, pick) in steps {
             if vms.len() < 3 && matches!(churn, Churn::LeaveLast | Churn::LeaveMid) {
                 continue;
@@ -215,18 +211,12 @@ proptest! {
             let Ok(out) = plan_with_fallback(Some((&host, &current.plan)), &next, &opts) else {
                 continue;
             };
-            let under = match out.path {
-                ReplanPath::FullConservative => &defaults,
-                _ => &opts,
-            };
             prop_assert!(
-                out.plan == plan(&next, under).expect("the answering rung's options plan"),
-                "{:?} (pick {}) on {} cores x {:?}: the {} rung's plan depends on the donor",
+                out.plan == plan(&next, &opts).expect("the request plans"),
+                "{:?} (pick {}) on {} cores x {:?}: the {} path's plan depends on the donor",
                 churn, pick, cores, vms, out.path.label()
             );
-            if out.path == ReplanPath::Delta {
-                prop_assert!(current.path != ReplanPath::FullConservative);
-            }
+            prop_assert_eq!(out.path, ReplanPath::Full);
             vms = churned_vms(&vms, churn, pick);
             (host, current) = (next, out);
         }
@@ -311,33 +301,4 @@ fn ladder_after_a_split_history_returns_the_full_plan() {
     let out = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts).expect("10% more fits");
     assert_eq!(out.path, ReplanPath::Full);
     assert_eq!(out.plan, plan(&host, &opts).unwrap());
-}
-
-/// Node-pinned VMs stay on their node when a sibling joins through the
-/// ladder: the soft NUMA preferences reach the delta rung's packing just
-/// as they reach the full plan's.
-#[test]
-fn numa_pinning_survives_ladder_replans() {
-    let opts = PlannerOptions::default();
-    let spec = VcpuSpec::capped(Utilization::from_percent(25), Nanos::from_millis(20));
-    let build = |names: &[&str]| {
-        let mut h = HostConfig::with_numa(4, 2);
-        for n in names {
-            h.add_vm(VmSpec::uniform(*n, 1, spec).on_node(1));
-        }
-        h
-    };
-    let prev_host = build(&["a", "b"]);
-    let prev = plan(&prev_host, &opts).unwrap();
-    let host = build(&["a", "b", "c"]);
-    let out = plan_with_fallback(Some((&prev_host, &prev)), &host, &opts).unwrap();
-    assert_eq!(out.path, ReplanPath::Delta);
-    assert_eq!(out.plan, plan(&host, &opts).unwrap());
-    let node1 = host.cores_of_node(1);
-    for (vcpu, _) in host.vcpus() {
-        let placement = out.plan.table.placement(vcpu).unwrap();
-        for (core, _, _) in placement.allocations() {
-            assert!(node1.contains(&core), "{vcpu} off-node on core {core}");
-        }
-    }
 }

@@ -5,7 +5,9 @@
 //! nearly) its reserved utilization in every table round, and its maximum
 //! scheduling blackout respects its latency goal. Property testing sweeps
 //! random fleets of mixed tiers against those guarantees, plus the O(1)
-//! lookup's agreement with a naive scan and the binary format round-trip.
+//! lookup's agreement with a naive scan and the binary format round-trip,
+//! and that a plan is a function of the core count, the flat vCPU list and
+//! the options alone: how the vCPUs are grouped into VMs does not enter.
 
 use proptest::prelude::*;
 
@@ -49,8 +51,43 @@ fn arb_host() -> impl Strategy<Value = HostConfig> {
         })
 }
 
+/// `host`'s flat vCPU list regrouped into VMs: a VM ends after every vCPU
+/// whose `cuts` bit is set (and after the last), so the id order and every
+/// spec are kept and only the VM boundaries move.
+fn regrouped(host: &HostConfig, cuts: &[bool]) -> HostConfig {
+    let mut out = HostConfig::new(host.n_cores);
+    let mut vm = Vec::new();
+    let vcpus = host.vcpus();
+    for (i, (_, spec)) in vcpus.iter().enumerate() {
+        vm.push(*spec);
+        if i + 1 == vcpus.len() || cuts.get(i).copied().unwrap_or(false) {
+            let name = format!("group{}", out.vms.len());
+            out.add_vm(VmSpec {
+                name,
+                vcpus: std::mem::take(&mut vm),
+            });
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Regrouping the same flat vCPU list into other VMs plans the very
+    /// same plan: the planner places vCPUs, and VM boundaries only number
+    /// them.
+    #[test]
+    fn vm_grouping_does_not_change_the_plan(
+        host in arb_host(),
+        cuts in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        let regrouped = regrouped(&host, &cuts);
+        prop_assert_eq!(host.vcpus(), regrouped.vcpus());
+        let opts = PlannerOptions::default();
+        let p = plan(&host, &opts).expect("admissible host plans");
+        prop_assert_eq!(p, plan(&regrouped, &opts).expect("the same vCPUs plan"));
+    }
 
     /// Every admissible host plans — to the same plan every time it is
     /// asked — and every vCPU's observed blackout is within its latency

@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use rtsched::edf::simulate_edf;
 use rtsched::generator::Stage;
+use rtsched::hyperperiod::STANDARD_HYPERPERIOD;
 use rtsched::schedule::{CoreSchedule, MultiCoreSchedule, Segment};
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::time::Nanos;
@@ -190,14 +191,14 @@ fn unique_host_176(salt: u32) -> HostConfig {
 
 /// Times [`simulate_edf`] on one bin of the paper's shape — four 25 % tasks
 /// at the 1 ms goal over the standard hyperperiod: 156 periods, 624 jobs.
-fn edf_bin_entry(iters: u64, opts: &PlannerOptions) -> BenchEntry {
+fn edf_bin_entry(iters: u64) -> BenchEntry {
     let spec = VcpuSpec::capped(Utilization::from_percent(25), Nanos::from_millis(1));
-    let period = period_for(&spec, &opts.candidates);
+    let period = period_for(&spec);
     let cost = spec.utilization.budget_in(period);
     let bin: Vec<PeriodicTask> = (0..4)
         .map(|i| PeriodicTask::implicit(TaskId(i), cost, period))
         .collect();
-    let horizon = opts.candidates.hyperperiod();
+    let horizon = STANDARD_HYPERPERIOD;
     time_entry("edf/bin_4x1ms", iters.max(100), || {
         simulate_edf(&bin, horizon).expect("a full bin is feasible")
     })
@@ -350,7 +351,7 @@ pub fn planner_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
             })
         },
         delta_all_dirty_entry(paper_iters, &defaults),
-        edf_bin_entry(iters, &defaults),
+        edf_bin_entry(iters),
         verify_full,
         time_entry("cache/miss", iters, || {
             // A fresh cache per iteration: the full miss path (key build,
@@ -938,28 +939,49 @@ pub fn run(quick: bool, seed: u64) -> bool {
     let dispatch = dispatch_snapshot(quick, seed);
     let sim = sim_snapshot(quick, seed);
 
-    for (title, snap) in [
-        ("planner", &planner),
-        ("dispatch", &dispatch),
-        ("sim", &sim),
+    // Whole nanoseconds, so a ~100 ns row still shows a difference. A quick
+    // run also prints each row's committed mean and the ratio the gate
+    // judges.
+    for (title, snap, file) in [
+        ("planner", &planner, "BENCH_planner.json"),
+        ("dispatch", &dispatch, "BENCH_dispatch.json"),
+        ("sim", &sim, "BENCH_sim.json"),
     ] {
+        let committed = quick
+            .then(|| read_committed(&bench_dir().join(file), &snap.meta).ok())
+            .flatten();
         let rows: Vec<Vec<String>> = snap
             .entries
             .iter()
             .map(|e| {
-                vec![
+                let mut row = vec![
                     e.name.clone(),
                     e.iters.to_string(),
-                    format!("{:.1}", e.mean_ns / 1e3),
-                ]
+                    format!("{:.0}", e.mean_ns),
+                ];
+                if quick {
+                    let base = (committed.iter().flatten()).find(|(n, _)| *n == e.name);
+                    row.extend(match base {
+                        Some(&(_, base)) => {
+                            [format!("{base:.0}"), format!("{:.2}", e.mean_ns / base)]
+                        }
+                        None => ["-".to_string(), "-".to_string()],
+                    });
+                }
+                row
             })
             .collect();
+        let header: &[&str] = if quick {
+            &["entry", "iters", "mean(ns)", "committed(ns)", "ratio"]
+        } else {
+            &["entry", "iters", "mean(ns)"]
+        };
         print_table(
             &format!(
                 "bench snapshot [{title}] rev={} cores={} threads={}",
                 snap.meta.git_rev, snap.meta.machine_cores, snap.meta.threads
             ),
-            &["entry", "iters", "mean(us)"],
+            header,
             &rows,
         );
     }

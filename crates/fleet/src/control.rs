@@ -179,7 +179,10 @@ pub struct RungCounters {
     pub incremental: u64,
     /// Fallback ladder: full replan.
     pub full: u64,
-    /// Fallback ladder: conservative full replan.
+    /// Retired, always zero: the ladder's conservative rung is deleted
+    /// (DESIGN.md §5.5). The field survives for the serialized fleet
+    /// artifacts and the end-to-end benchmark, which read it; delete it
+    /// with the benchmark-side follow-up (ROADMAP item 1).
     pub full_conservative: u64,
 }
 
@@ -799,10 +802,9 @@ impl Fleet {
     /// hosts resolve to one entry), then one run of the fallback ladder
     /// with the host's running plan as the donor (single-VM churn touches
     /// one bin). A delta is inserted into the cache under the *new* shape,
-    /// so sibling hosts walking the same churn sequence hit it; any other
-    /// run is the cache's miss, and its plan is stored when it was planned
-    /// under the requested options. Returns the plan and the rung that
-    /// produced it, or the ladder's per-rung failures. Every rung returns
+    /// so sibling hosts walking the same churn sequence hit it; a full
+    /// plan is the cache's miss, and is stored. Returns the plan and the
+    /// rung that produced it, or the planner's failure. Every rung returns
     /// `plan(next, opts)` field for field, so which one answers — and with
     /// it everything the cache's capacity and eviction order decide — moves
     /// only the rung counters.
@@ -827,8 +829,7 @@ impl Fleet {
                 cache.record_miss(next, opts, Some(Arc::clone(&plan)));
                 Rung::CachePlan
             }
-            // Planned under conservative defaults after the requested
-            // options failed: not the plan of this key.
+            // `Incremental` and `FullConservative`: retired, never returned.
             path => {
                 cache.record_miss(next, opts, None);
                 Rung::Ladder(path)

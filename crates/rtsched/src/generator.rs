@@ -217,24 +217,12 @@ pub fn generate_schedule(
     horizon: Nanos,
     opts: &GenOptions,
 ) -> Result<Generated, GenError> {
-    generate_schedule_instrumented(tasks, n_cores, horizon, opts, &[], |_, _| false)
-        .map(|o| o.generated)
+    generate_schedule_instrumented(tasks, n_cores, horizon, opts, |_, _| false).map(|o| o.generated)
 }
 
-/// Like [`generate_schedule`], with *soft* per-task core preferences,
-/// additionally returning the core-sharing record and the per-stage timing
-/// breakdown, for a caller that may already hold the schedules of some
-/// stage-1 bins.
-///
-/// `prefs[i]` lists the cores task `i` would like to be placed on (e.g. the
-/// cores of its VM's NUMA node — the "memory locality" consideration the
-/// paper notes partitioning can easily incorporate). Preferences bias the
-/// worst-fit order of the partitioning stage: preferred cores are tried
-/// first; if none fits, any core is used, so admission is unaffected. The
-/// fallback stages (C=D splitting, clustering) ignore preferences — they
-/// only run for workloads that barely fit at all, where locality is the
-/// lesser concern. An empty `prefs` (or an empty inner list) means no
-/// preference.
+/// Like [`generate_schedule`], additionally returning the core-sharing
+/// record and the per-stage timing breakdown, for a caller that may already
+/// hold the schedules of some stage-1 bins.
 ///
 /// Once plain partitioning packs every task, `keep(core, bin)` is asked for
 /// each core in core order. A core it answers `true` for is the caller's:
@@ -247,7 +235,6 @@ pub fn generate_schedule_instrumented(
     n_cores: usize,
     horizon: Nanos,
     opts: &GenOptions,
-    prefs: &[Vec<usize>],
     mut keep: impl FnMut(usize, &[PeriodicTask]) -> bool,
 ) -> Result<GenOutcome, GenError> {
     let mut timings = GenTimings::default();
@@ -286,14 +273,10 @@ pub fn generate_schedule_instrumented(
     let mut memo = SigMemo::new();
     let mut last_error = String::new();
 
-    // Stage 1: plain partitioning (preference-biased worst-fit).
+    // Stage 1: plain partitioning (worst-fit decreasing).
     if opts.first_stage == Stage::Partitioned {
         let t0 = Instant::now();
-        let r = if prefs.is_empty() {
-            worst_fit_decreasing(tasks, n_cores, horizon)
-        } else {
-            crate::partition::worst_fit_decreasing_with_preferences(tasks, n_cores, horizon, prefs)
-        };
+        let r = worst_fit_decreasing(tasks, n_cores, horizon);
         timings.pack += t0.elapsed();
         if r.is_complete() {
             let bins = &r.bins.cores;
@@ -812,15 +795,9 @@ mod tests {
         // signature, so the second core must be stamped from the first, and
         // the result must match the direct engine bit for bit.
         let tasks: Vec<_> = (0..8).map(|i| imp(i, 2, 10)).collect();
-        let out = generate_schedule_instrumented(
-            &tasks,
-            2,
-            ms(10),
-            &GenOptions::default(),
-            &[],
-            |_, _| false,
-        )
-        .unwrap();
+        let out =
+            generate_schedule_instrumented(&tasks, 2, ms(10), &GenOptions::default(), |_, _| false)
+                .unwrap();
         assert_eq!(out.generated.stage, Stage::Partitioned);
         assert_eq!(out.sharing.stamped_count(), 1);
         let stamp = out.sharing.stamp_of(1).expect("core 1 shares core 0's bin");
@@ -850,7 +827,6 @@ mod tests {
             3,
             ms(10),
             &GenOptions::default(),
-            &[],
             |core, bin| {
                 asked.push((core, bin.len()));
                 core == 1
@@ -868,8 +844,7 @@ mod tests {
         // Not asked when stage 1 does not pack.
         let heavy = [imp(0, 6, 10), imp(1, 6, 10), imp(2, 6, 10)];
         let opts = GenOptions::default();
-        generate_schedule_instrumented(&heavy, 2, ms(10), &opts, &[], |_, _| unreachable!())
-            .unwrap();
+        generate_schedule_instrumented(&heavy, 2, ms(10), &opts, |_, _| unreachable!()).unwrap();
     }
 
     #[test]
@@ -877,15 +852,9 @@ mod tests {
         // Semi-partitioning produces C=D pieces; any bin holding one takes
         // the direct path, and the engines still agree exactly.
         let tasks = [imp(0, 6, 10), imp(1, 6, 10), imp(2, 6, 10)];
-        let out = generate_schedule_instrumented(
-            &tasks,
-            2,
-            ms(10),
-            &GenOptions::default(),
-            &[],
-            |_, _| false,
-        )
-        .unwrap();
+        let out =
+            generate_schedule_instrumented(&tasks, 2, ms(10), &GenOptions::default(), |_, _| false)
+                .unwrap();
         assert_eq!(out.generated.stage, Stage::SemiPartitioned);
         assert_eq!(out.sharing.stamped_count(), 0);
         let direct = GenOptions {

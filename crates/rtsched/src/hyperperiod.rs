@@ -11,6 +11,8 @@
 //! The paper reports 186 divisors above 100 µs; [`PeriodCandidates::standard`]
 //! computes exactly that set (a unit test pins the count).
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::time::Nanos;
@@ -88,8 +90,10 @@ impl PeriodCandidates {
 
     /// The standard Tableau candidate set: divisors of
     /// [`STANDARD_HYPERPERIOD`] that are at least [`MIN_ENFORCEABLE_PERIOD`].
-    pub fn standard() -> PeriodCandidates {
-        PeriodCandidates::new(STANDARD_HYPERPERIOD, MIN_ENFORCEABLE_PERIOD)
+    /// The planner's one period menu, built once per process.
+    pub fn standard() -> &'static PeriodCandidates {
+        static STANDARD: OnceLock<PeriodCandidates> = OnceLock::new();
+        STANDARD.get_or_init(|| PeriodCandidates::new(STANDARD_HYPERPERIOD, MIN_ENFORCEABLE_PERIOD))
     }
 
     /// Returns the hyperperiod all candidates divide.

@@ -135,22 +135,6 @@ pub fn worst_fit_decreasing(
     n_cores: usize,
     horizon: Nanos,
 ) -> PartitionResult {
-    worst_fit_decreasing_with_preferences(tasks, n_cores, horizon, &[])
-}
-
-/// Worst-fit decreasing with *soft* per-task core preferences.
-///
-/// `prefs[i]` (if present and non-empty) lists the cores task `i` should
-/// be tried on first — still in worst-fit order among themselves — before
-/// falling back to the remaining cores. Used for NUMA locality: a task
-/// whose memory lives on node 0 prefers node-0 cores but is never rejected
-/// merely for lack of local capacity.
-pub fn worst_fit_decreasing_with_preferences(
-    tasks: &[PeriodicTask],
-    n_cores: usize,
-    horizon: Nanos,
-    prefs: &[Vec<usize>],
-) -> PartitionResult {
     let mut bins = CoreBins::new(n_cores, horizon);
     let mut unassigned = Vec::new();
     // Worst-fit order, maintained incrementally: only the core that just
@@ -162,21 +146,10 @@ pub fn worst_fit_decreasing_with_preferences(
     let mut order: Vec<usize> = (0..n_cores).collect();
     for idx in decreasing_utilization_order(tasks) {
         let task = tasks[idx];
-        let preferred: &[usize] = prefs.get(idx).map(Vec::as_slice).unwrap_or(&[]);
-        let placed = order
-            .iter()
-            .copied()
-            .filter(|c| preferred.contains(c))
-            .chain(order.iter().copied().filter(|c| !preferred.contains(c)))
-            .find(|&core| core < n_cores && bins.fits(core, &task));
-        match placed {
-            Some(core) => {
+        match order.iter().position(|&core| bins.fits(core, &task)) {
+            Some(pos) => {
+                let core = order.remove(pos);
                 bins.assign(core, task);
-                let pos = order
-                    .iter()
-                    .position(|&c| c == core)
-                    .expect("core in order");
-                order.remove(pos);
                 slack[core] = bins.slack(core);
                 let key = (std::cmp::Reverse(slack[core]), core);
                 let at = order.partition_point(|&c| (std::cmp::Reverse(slack[c]), c) < key);
@@ -267,38 +240,6 @@ mod tests {
         assert_eq!(bins.slack(0), ms(10));
         assert_eq!(bins.slack(1), ms(20));
         assert_eq!(bins.worst_fit_order(), vec![1, 0]);
-    }
-
-    #[test]
-    fn preferences_bias_placement() {
-        // Four 25% tasks on 4 cores; all prefer cores {0, 1}: they stack
-        // two per preferred core instead of spreading across all four.
-        let tasks: Vec<_> = (0..4).map(|i| imp(i, 25, 100)).collect();
-        let prefs: Vec<Vec<usize>> = (0..4).map(|_| vec![0, 1]).collect();
-        let r = worst_fit_decreasing_with_preferences(&tasks, 4, ms(100), &prefs);
-        assert!(r.is_complete());
-        assert_eq!(r.bins.cores[0].len() + r.bins.cores[1].len(), 4);
-        assert!(r.bins.cores[2].is_empty() && r.bins.cores[3].is_empty());
-    }
-
-    #[test]
-    fn preferences_are_soft() {
-        // Node 0 (core 0) can hold two of the three 40% tasks; the third
-        // spills to core 1 rather than failing.
-        let tasks: Vec<_> = (0..3).map(|i| imp(i, 40, 100)).collect();
-        let prefs: Vec<Vec<usize>> = (0..3).map(|_| vec![0]).collect();
-        let r = worst_fit_decreasing_with_preferences(&tasks, 2, ms(100), &prefs);
-        assert!(r.is_complete());
-        assert_eq!(r.bins.cores[0].len(), 2);
-        assert_eq!(r.bins.cores[1].len(), 1);
-    }
-
-    #[test]
-    fn out_of_range_preferences_are_ignored() {
-        let tasks = [imp(0, 10, 100)];
-        let prefs = vec![vec![99]]; // nonsense core id
-        let r = worst_fit_decreasing_with_preferences(&tasks, 2, ms(100), &prefs);
-        assert!(r.is_complete());
     }
 
     #[test]
