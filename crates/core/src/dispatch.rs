@@ -657,11 +657,6 @@ impl Dispatcher {
         self.monitor = Some(monitor);
     }
 
-    /// The attached SLA monitor, if any.
-    pub fn sla_monitor(&self) -> Option<&SlaMonitor> {
-        self.monitor.as_ref()
-    }
-
     /// Mutable access to the attached SLA monitor, if any.
     pub fn sla_monitor_mut(&mut self) -> Option<&mut SlaMonitor> {
         self.monitor.as_mut()

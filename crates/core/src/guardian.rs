@@ -102,11 +102,6 @@ impl SlaMonitor {
         i
     }
 
-    /// The declared bound of `vcpu`, if monitored.
-    pub fn bound_of(&self, vcpu: VcpuId) -> Option<Nanos> {
-        self.bounds.get(vcpu.0 as usize).copied().flatten()
-    }
-
     /// Worst observed runnable-to-dispatch latency of `vcpu` so far.
     pub fn worst_of(&self, vcpu: VcpuId) -> Nanos {
         self.worst
@@ -716,11 +711,6 @@ impl Guardian {
     /// The plan behind the currently installed table.
     pub fn installed_plan(&self) -> &Plan {
         &self.installed.1
-    }
-
-    /// Whether `core` is believed online.
-    pub fn is_core_online(&self, core: usize) -> bool {
-        self.offline.get(core).is_some_and(|&off| !off)
     }
 
     /// Cores currently believed online.

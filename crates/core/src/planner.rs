@@ -41,7 +41,6 @@ use serde::{Deserialize, Serialize};
 
 use rtsched::generator::{generate_schedule_instrumented, GenError, GenOptions, Stage};
 use rtsched::hyperperiod::{PeriodCandidates, STANDARD_HYPERPERIOD};
-use rtsched::signature::CoreSharing;
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::time::Nanos;
 
@@ -133,7 +132,7 @@ pub struct DeltaReport {
 /// Wall-clock breakdown of one planning run, by pipeline stage.
 ///
 /// Side channel of [`plan_timed`]: [`Plan`] itself stays field-identical
-/// across engines and runs so plans can be compared structurally.
+/// across runs so plans can be compared structurally.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanTimings {
     /// Admission checks, SLA translation, partitioning, splitting, cluster
@@ -574,13 +573,12 @@ impl<'a> Donor<'a> {
 /// → coalesce → table → blackouts, returning the plan, its timings and —
 /// when `donor` was accepted and used — what it gave.
 ///
-/// A core's source is one of: the donor's core (kept by `Arc`, or
-/// relabelled), a stamp of a representative core with the same bin shape,
-/// or a fresh simulation. Everything taken from the donor or a stamp is
-/// what a fresh build would produce, so the plan is the same with or
-/// without a donor; a donor only keeps the work O(dirty bins): clean cores
-/// are neither simulated, verified, coalesced, compiled nor measured for
-/// blackouts again.
+/// A core is either the donor's (kept by `Arc`, or relabelled) or built
+/// fresh: generated, verified, coalesced and compiled on its own.
+/// Everything taken from the donor is what a fresh build would produce, so
+/// the plan is the same with or without a donor; a donor only keeps the
+/// work O(dirty bins): clean cores are neither simulated, verified,
+/// coalesced, compiled nor measured for blackouts again.
 fn pipeline(
     host: &HostConfig,
     opts: &PlannerOptions,
@@ -619,32 +617,25 @@ fn pipeline(
     )?;
     let donor = donor.filter(|_| !donated.is_empty());
     let mut generated = outcome.generated;
-    let mut sharing = outcome.sharing;
     timings.pack += outcome.timings.pack;
     timings.simulate += outcome.timings.simulate;
     timings.verify += outcome.timings.verify;
 
     let t0 = Instant::now();
     // Optional peephole pass: merge needlessly sliced allocations where the
-    // verifier confirms every guarantee survives. It mutates schedules in
-    // place, so any sharing record is stale afterwards and is dropped. It
-    // never runs with a donor (the donor rules decline one).
+    // verifier confirms every guarantee survives. It never runs with a
+    // donor (the donor rules decline one).
     if opts.peephole {
         rtsched::peephole::peephole(&tasks, &mut generated.schedule);
-        sharing = CoreSharing::none(shared_cores);
     }
 
     // Stage 3: post-processing — translate segments to allocations and
     // coalesce per core. Split vCPUs must never be *extended* by a
     // donation: their pieces on other cores begin exactly where a piece
     // ends, and growing one would schedule the vCPU on two cores at once.
-    // Coalescing is core-local; stamped cores (identical schedules modulo
-    // vCPU ids) reuse their representative's result under the id
-    // substitution — coalescing decisions depend only on interval geometry
-    // and the may-extend predicate, both of which the stamp preserves
-    // (stamped cores carry only whole, unsplit vCPUs). A donated core
-    // brings its report and, if its ids moved, its relabelled allocations;
-    // `None` allocations mean the donor's compiled core is kept as is.
+    // Coalescing is core-local. A donated core brings its report and, if
+    // its ids moved, its relabelled allocations; `None` allocations mean
+    // the donor's compiled core is kept as is.
     let split: Vec<VcpuId> = generated.split_tasks.iter().map(|t| VcpuId(t.0)).collect();
     let coalesce_core = |core: usize| -> (Option<Vec<Allocation>>, CoalesceReport) {
         let mut allocs: Vec<Allocation> = generated.schedule.cores[core]
@@ -662,44 +653,12 @@ fn pipeline(
     let mut cores: Vec<(Option<Vec<Allocation>>, CoalesceReport)> =
         Vec::with_capacity(host.n_cores);
     let mut clean = vec![false; host.n_cores];
-    // `table_stamps[core] = Some(rep)` once the remap checked out, so the
-    // slice-table build below can reuse the representative's CpuTable too.
-    let mut table_stamps: Vec<Option<usize>> = vec![None; host.n_cores];
-    for core in 0..shared_cores {
-        if let Some(d) = donated.get_mut(core).and_then(Option::take) {
-            clean[core] = true;
-            cores.push((d.relabeled, d.report));
-            continue;
-        }
-        let Some(stamp) = sharing.stamp_of(core) else {
-            cores.push(coalesce_core(core));
-            continue;
-        };
-        let rep = (stamp.rep < core).then(|| &cores[stamp.rep]);
-        let remapped = rep.and_then(|(rep_allocs, rep_report)| {
-            // One pair per task of the bin — a handful: the id
-            // substitution is a scan of the pairs, not a map.
-            let subst = |v: VcpuId| {
-                let (_, to) = stamp.map.iter().find(|(rep_id, _)| rep_id.0 == v.0)?;
-                Some(VcpuId(to.0))
-            };
-            let allocs: Vec<Allocation> = (rep_allocs.as_ref()?.iter())
-                .map(|a| {
-                    Some(Allocation {
-                        vcpu: subst(a.vcpu)?,
-                        ..*a
-                    })
-                })
-                .collect::<Option<_>>()?;
-            let report = rep_report.relabel(subst)?;
-            Some((Some(allocs), report))
-        });
-        match remapped {
-            Some(done) => {
-                table_stamps[core] = Some(stamp.rep);
-                cores.push(done);
+    for (core, clean) in clean.iter_mut().enumerate().take(shared_cores) {
+        match donated.get_mut(core).and_then(Option::take) {
+            Some(d) => {
+                *clean = true;
+                cores.push((d.relabeled, d.report));
             }
-            // Inconsistent stamp (never expected): coalesce directly.
             None => cores.push(coalesce_core(core)),
         }
     }
@@ -723,7 +682,7 @@ fn pipeline(
     timings.coalesce += t0.elapsed();
 
     // The donor's table is patched where this plan differs from it;
-    // without a donor every core is compiled, stamps re-used.
+    // without a donor every core is compiled.
     let t0 = Instant::now();
     let table = match &donor {
         Some(d) => {
@@ -734,7 +693,7 @@ fn pipeline(
         }
         None => {
             let per_core = per_core.into_iter().flatten().collect();
-            Table::new_with_stamps(STANDARD_HYPERPERIOD, per_core, &table_stamps)
+            Table::new(STANDARD_HYPERPERIOD, per_core)
         }
     }
     .map_err(PlanError::Table)?;

@@ -60,12 +60,11 @@ impl CoalesceReport {
 
     /// The same report with every vCPU id substituted through `f`.
     ///
-    /// Used when a core's coalescing result is reused for another core that
-    /// runs the identical schedule under an id substitution (see the
-    /// planner's schedule-sharing fast path): the donated/dropped intervals
-    /// are positionally the same, only the owners differ. Returns `None` if
-    /// `f` has no substitute for some vCPU — the caller then falls back to
-    /// coalescing that core directly.
+    /// Used when a donated core's coalescing result is carried over under
+    /// the request's vCPU ids (the planner's donor path; a leave shifts
+    /// later ids down): the donated/dropped intervals are positionally the same, only
+    /// the owners differ. Returns `None` if `f` has no substitute for some
+    /// vCPU — the caller then declines that core and builds it fresh.
     pub fn relabel(&self, f: impl Fn(VcpuId) -> Option<VcpuId>) -> Option<CoalesceReport> {
         Some(CoalesceReport {
             lost: self

@@ -319,11 +319,11 @@ impl CpuTable {
 
     /// Builds a core table by reusing a representative core's geometry.
     ///
-    /// When two cores carry positionally identical allocation lists that
-    /// differ only in vCPU ids (the planner's schedule-sharing fast path),
-    /// the slice index and segment arrays — the expensive part of
-    /// [`CpuTable::new`] — are the same structure; only `seg_vcpu` needs the
-    /// ids substituted. The reuse is *checked*, not trusted: every `(start,
+    /// When a core's new allocation list is positionally identical to a
+    /// compiled core's and differs only in vCPU ids (a donated core whose
+    /// ids moved, see [`Table::patched_from`]), the slice index and segment
+    /// arrays — the expensive part of [`CpuTable::new`] — are the same
+    /// structure; only `seg_vcpu` needs the ids substituted. The reuse is *checked*, not trusted: every `(start,
     /// end)` pair must match the representative's, allocation by
     /// allocation; any mismatch hands the allocations back and the caller
     /// builds the table from scratch. The result is field-for-field what
@@ -662,30 +662,9 @@ impl Table {
     /// 65 535 or above), and rejects a vCPU whose allocations overlap in
     /// time across cores (it cannot run on two cores at once).
     pub fn new(len: Nanos, per_core: Vec<Vec<Allocation>>) -> Result<Table, String> {
-        Table::new_with_stamps(len, per_core, &[])
-    }
-
-    /// Like [`Table::new`], with a schedule-sharing hint: `stamps[core] =
-    /// Some(rep)` proposes building `core`'s slice table by substituting ids
-    /// into core `rep`'s (which must have a lower index). Each hint is
-    /// verified by [`CpuTable::stamped_from`]; a hint that does not check
-    /// out (or is absent — pass `&[]` for none) falls back to a fresh
-    /// per-core build, so the produced table is always identical to
-    /// [`Table::new`]'s.
-    pub fn new_with_stamps(
-        len: Nanos,
-        per_core: Vec<Vec<Allocation>>,
-        stamps: &[Option<usize>],
-    ) -> Result<Table, String> {
         let mut cpus: Vec<Arc<CpuTable>> = Vec::with_capacity(per_core.len());
         for (core, allocs) in per_core.into_iter().enumerate() {
-            let rep = stamps
-                .get(core)
-                .copied()
-                .flatten()
-                .filter(|&rep| rep < core);
-            let cpu = CpuTable::compile(core, allocs, len, rep.map(|rep| &*cpus[rep]))?;
-            cpus.push(Arc::new(cpu));
+            cpus.push(Arc::new(CpuTable::compile(core, allocs, len, None)?));
         }
         // Every core checked it; a table with no cores is held to it too.
         check_table_len(len)?;
@@ -1158,20 +1137,6 @@ mod tests {
     }
 
     #[test]
-    fn table_with_stamps_equals_plain_table() {
-        let per_core = vec![
-            vec![alloc(0, 2, 0), alloc(5, 8, 1)],
-            vec![alloc(0, 2, 2), alloc(5, 8, 3)],
-        ];
-        let plain = Table::new(ms(10), per_core.clone()).unwrap();
-        let stamped = Table::new_with_stamps(ms(10), per_core.clone(), &[None, Some(0)]).unwrap();
-        assert_eq!(plain, stamped);
-        // A bogus hint (rep not below core) is ignored, not an error.
-        let bogus = Table::new_with_stamps(ms(10), per_core, &[Some(1), None]).unwrap();
-        assert_eq!(plain, bogus);
-    }
-
-    #[test]
     fn patched_table_matches_fresh_build() {
         let prev = Table::new(
             ms(10),
@@ -1299,9 +1264,11 @@ mod tests {
         let wide_then_overlap = vec![vec![alloc(0, 5, 1 << 20), alloc(4, 6, 0)]];
         let err = Table::new(ms(10), wide_then_overlap).unwrap_err();
         assert!(err.starts_with("core 0: allocations overlap"), "{err}");
-        // A stamp offered a wide id falls back to the build, which refuses.
-        let per_core = vec![vec![alloc(0, 5, 0)], vec![alloc(0, 5, 1 << 20)]];
-        assert!(Table::new_with_stamps(ms(10), per_core, &[None, Some(0)]).is_err());
+        // A core re-stamped from its previous self with a wide id falls
+        // back to the build, which refuses.
+        let prev = Table::new(ms(10), vec![vec![alloc(0, 5, 0)]]).unwrap();
+        let err = Table::patched_from(&prev, vec![(0, vec![alloc(0, 5, 1 << 20)])]).unwrap_err();
+        assert!(err.contains("16-bit"), "{err}");
     }
 
     #[test]

@@ -551,21 +551,6 @@ proptest! {
         let n = per_core.len();
         let fresh = Table::new(len, per_core.clone()).unwrap();
 
-        // Stamps: a geometric twin of the last core (other ids) checks out,
-        // every other hint must be refused without changing the result.
-        let mut twinned = per_core.clone();
-        twinned.push(
-            per_core[n - 1]
-                .iter()
-                .map(|a| Allocation { vcpu: VcpuId(a.vcpu.0 + 5_000), ..*a })
-                .collect(),
-        );
-        let hints: Vec<Option<usize>> = (0..=n).map(|c| c.checked_sub(1)).collect();
-        assert_eq!(
-            Table::new_with_stamps(len, twinned.clone(), &hints).unwrap(),
-            Table::new(len, twinned).unwrap()
-        );
-
         // Donors: the right core re-stamps to itself; the wrong one is
         // refused (allocations handed back) unless it is a geometric twin,
         // and then it yields the same core table anyway.

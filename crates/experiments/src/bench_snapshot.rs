@@ -585,6 +585,31 @@ fn probe_host_entry(name: &str, runs: u64, calls: u64, step: Nanos, install: boo
     }
 }
 
+/// What [`sim_snapshot`] runs in one mode.
+struct SimBudget {
+    /// Iterations per row (the `run_until` rows and the dense pair run at
+    /// least eight).
+    iters: u64,
+    /// Simulated horizon of `sim/run_until_dense` and `sim/run_until_sparse`.
+    /// The same in both modes: the quick gate divides a quick row by the
+    /// committed one, and only equal work makes that ratio mean anything.
+    horizon: Nanos,
+    /// Simulated horizon of `sim/events_per_sec`, a per-event mean.
+    scale_duration: Nanos,
+}
+
+fn sim_budget(quick: bool) -> SimBudget {
+    SimBudget {
+        iters: if quick { 1 } else { 5 },
+        horizon: Nanos::from_millis(200),
+        scale_duration: if quick {
+            Nanos::from_millis(100)
+        } else {
+            Nanos::from_secs(1)
+        },
+    }
+}
+
 /// Times the simulator engine itself: `run_until` wall-clock on a dense
 /// (I/O-churn) and a sparse (timer-tail) scenario, a pure-dense Tableau
 /// phase under the hybrid (batched) and unbatched engines, raw
@@ -592,12 +617,11 @@ fn probe_host_entry(name: &str, runs: u64, calls: u64, step: Nanos, install: boo
 /// install catch-up and simulated hour ([`probe_host_entry`]). `mean_ns` of
 /// `sim/events_per_sec` is ns *per event*: events/sec = 1e9 / mean_ns.
 pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
-    let iters: u64 = if quick { 1 } else { 5 };
-    let short = if quick {
-        Nanos::from_millis(20)
-    } else {
-        Nanos::from_millis(200)
-    };
+    let SimBudget {
+        iters,
+        horizon,
+        scale_duration,
+    } = sim_budget(quick);
 
     // Dense: four vCPUs per core all churning I/O — the event queue holds a
     // packed band of near-future timers, IPIs, and slice boundaries.
@@ -662,11 +686,6 @@ pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
     // the fastest half: the committed per-event figure drifted 101→160 ns
     // across PRs on single-run snapshots, which was scheduler noise on the
     // shared container, not a real slowdown.
-    let scale_duration = if quick {
-        Nanos::from_millis(100)
-    } else {
-        Nanos::from_secs(1)
-    };
     let machine = Machine {
         n_sockets: 1,
         cores_per_socket: 16,
@@ -750,9 +769,10 @@ pub fn sim_snapshot(quick: bool, seed: u64) -> BenchSnapshot {
          unbatched twin (min {unbatched_min:.0} ns)",
     );
 
-    let (dense_entry, _) = time_sim_entry_trimmed("sim/run_until_dense", pair_iters, short, dense);
+    let (dense_entry, _) =
+        time_sim_entry_trimmed("sim/run_until_dense", pair_iters, horizon, dense);
     let (sparse_entry, _) =
-        time_sim_entry_trimmed("sim/run_until_sparse", pair_iters, short, sparse);
+        time_sim_entry_trimmed("sim/run_until_sparse", pair_iters, horizon, sparse);
     let catch_up = crate::fleet::CONTROL_EPOCH * CATCH_UP_EPOCHS;
     let host_catch_up =
         probe_host_entry("sim/host_install_catch_up", pair_iters, 93, catch_up, true);
@@ -1090,6 +1110,14 @@ mod tests {
             delta_min * 8.0 < full_min,
             "delta {delta_min:.0} ns vs full {full_min:.0} ns (fastest iterations)",
         );
+    }
+
+    #[test]
+    fn quick_and_full_sim_rows_share_the_horizon() {
+        let (quick, full) = (sim_budget(true), sim_budget(false));
+        assert_eq!(quick.horizon, full.horizon);
+        assert_eq!(full.horizon, Nanos::from_millis(200));
+        assert!(quick.iters <= full.iters);
     }
 
     fn fake_snapshot(entries: &[(&str, f64)]) -> BenchSnapshot {

@@ -96,11 +96,6 @@ pub fn us(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Checks a JSON artifact path exists (test helper).
-pub fn artifact_exists(name: &str) -> bool {
-    Path::new(&results_dir().join(format!("{name}.json"))).exists()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,16 +20,15 @@
 //! is returned as an internal error rather than silently handed to the
 //! dispatcher.
 //!
-//! **Memoized engine.** High-density hosts are homogeneous, so most bins are
-//! the same task multiset modulo ids. The default [`GenEngine::Memoized`]
-//! engine simulates each *distinct* bin signature once (positionally, see
-//! [`crate::signature`]) and stamps the result onto every core sharing that
-//! signature via an id-substitution map, recording the sharing in a
-//! [`CoreSharing`] so verification, coalescing, and slice-table construction
-//! downstream can reuse per-core work too. [`GenEngine::Direct`] keeps the
-//! original per-core pipeline as a selectable reference engine; both produce
-//! bit-identical schedules (property-checked in `tableau-core`'s
-//! `prop_memoized_generator`).
+//! **Simulate once per shape.** High-density hosts are homogeneous, so most
+//! bins are the same task multiset modulo ids. The per-core simulation
+//! simulates each bin signature that two or more cores share once
+//! (positionally, see [`crate::signature`]) and relabels the result with
+//! each sharing core's own ids; every other bin is simulated directly. The
+//! memo is private: what leaves the generator is one schedule per core,
+//! equal to that core's own `simulate_edf` (held by this module's tests and
+//! by `tests/prop_generation.rs`), and the verifier checks every core the
+//! same way.
 //!
 //! **Single-threaded.** Cores (stage 1/2) and clusters (stage 3) hold
 //! disjoint task sets and are simulated one after another, in core order:
@@ -47,11 +46,11 @@ use crate::edf::{simulate_edf, simulate_edf_positional, DeadlineMiss};
 use crate::index::TaskIndex;
 use crate::partition::{worst_fit_decreasing, CoreBins};
 use crate::schedule::{CoreSchedule, MultiCoreSchedule};
-use crate::signature::{all_implicit, BinSignature, CoreSharing, SigMemo, Stamp};
+use crate::signature::{all_implicit, BinSignature, SigMemo};
 use crate::split::{semi_partition, SplitError};
 use crate::task::{PeriodicTask, TaskId};
 use crate::time::Nanos;
-use crate::verify::{verify_schedule, verify_schedule_shared};
+use crate::verify::verify_schedule;
 
 /// Which stage of the progression produced the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,21 +63,6 @@ pub enum Stage {
     Clustered,
 }
 
-/// Which generation pipeline to run.
-///
-/// Both engines produce bit-identical results; `Direct` exists as the
-/// reference to hold `Memoized` to (the heap-vs-wheel precedent from the
-/// simulator's event engines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum GenEngine {
-    /// Simulate once per distinct bin signature and stamp the schedule onto
-    /// every core sharing it (the default).
-    #[default]
-    Memoized,
-    /// Simulate every core from scratch (reference engine).
-    Direct,
-}
-
 /// Tunables for schedule generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GenOptions {
@@ -87,9 +71,6 @@ pub struct GenOptions {
     pub min_piece: Nanos,
     /// Skip straight to a later stage (used by ablation benchmarks).
     pub first_stage: Stage,
-    /// Which pipeline to run; engines are result-equivalent.
-    #[serde(default)]
-    pub engine: GenEngine,
 }
 
 impl Default for GenOptions {
@@ -97,7 +78,6 @@ impl Default for GenOptions {
         GenOptions {
             min_piece: Nanos::from_micros(100),
             first_stage: Stage::Partitioned,
-            engine: GenEngine::Memoized,
         }
     }
 }
@@ -124,17 +104,12 @@ pub struct GenTimings {
     pub verify: Duration,
 }
 
-/// A [`Generated`] schedule plus the sharing record and timing breakdown.
-///
-/// Side-channel result of [`generate_schedule_instrumented`]; `Generated`
-/// itself stays field-identical across engines so plans can be compared
-/// structurally.
+/// A [`Generated`] schedule plus its timing breakdown and stage-1 packing
+/// record: the result of [`generate_schedule_instrumented`].
 #[derive(Debug, Clone)]
 pub struct GenOutcome {
     /// The verified schedule.
     pub generated: Generated,
-    /// Which cores were stamped from which representatives.
-    pub sharing: CoreSharing,
     /// Per-stage wall-clock breakdown.
     pub timings: GenTimings,
     /// Stage-1 packing record: task ids per core, in bin order. Populated
@@ -220,16 +195,15 @@ pub fn generate_schedule(
     generate_schedule_instrumented(tasks, n_cores, horizon, opts, |_, _| false).map(|o| o.generated)
 }
 
-/// Like [`generate_schedule`], additionally returning the core-sharing
-/// record and the per-stage timing breakdown, for a caller that may already
+/// Like [`generate_schedule`], additionally returning the per-stage timing
+/// breakdown and the stage-1 packing record, for a caller that may already
 /// hold the schedules of some stage-1 bins.
 ///
 /// Once plain partitioning packs every task, `keep(core, bin)` is asked for
 /// each core in core order. A core it answers `true` for is the caller's:
-/// it is left idle in the returned schedule, never simulated, verified or
-/// used as a stamp representative, and only the tasks of the other cores
-/// are verified. `keep` is not asked when stage 1 does not run or does not
-/// pack, nor for an empty task set.
+/// it is left idle in the returned schedule, never simulated or verified,
+/// and only the tasks of the other cores are verified. `keep` is not asked
+/// when stage 1 does not run or does not pack, nor for an empty task set.
 pub fn generate_schedule_instrumented(
     tasks: &[PeriodicTask],
     n_cores: usize,
@@ -257,7 +231,6 @@ pub fn generate_schedule_instrumented(
                 stage: Stage::Partitioned,
                 split_tasks: Vec::new(),
             },
-            sharing: CoreSharing::none(n_cores),
             timings,
             core_bins: vec![Vec::new(); n_cores],
         });
@@ -285,14 +258,7 @@ pub fn generate_schedule_instrumented(
                 .iter()
                 .map(|bin| bin.iter().map(|t| t.id).collect())
                 .collect();
-            let (schedule, sharing) = simulate_bins(
-                &r.bins,
-                &kept,
-                horizon,
-                opts.engine,
-                &mut memo,
-                &mut timings,
-            )?;
+            let schedule = simulate_bins(&r.bins, &kept, horizon, &mut memo, &mut timings)?;
             let live: Vec<PeriodicTask>;
             let verified = if kept.contains(&true) {
                 let others = bins.iter().zip(&kept).filter(|&(_, &k)| !k);
@@ -306,7 +272,6 @@ pub fn generate_schedule_instrumented(
                 schedule,
                 Stage::Partitioned,
                 Vec::new(),
-                sharing,
                 timings,
                 core_bins,
             );
@@ -321,14 +286,12 @@ pub fn generate_schedule_instrumented(
         timings.pack += t0.elapsed();
         match sp {
             Ok(sp) => {
-                let (schedule, sharing) =
-                    simulate_bins(&sp.bins, &[], horizon, opts.engine, &mut memo, &mut timings)?;
+                let schedule = simulate_bins(&sp.bins, &[], horizon, &mut memo, &mut timings)?;
                 return finish(
                     tasks,
                     schedule,
                     Stage::SemiPartitioned,
                     sp.split_tasks,
-                    sharing,
                     timings,
                     Vec::new(),
                 );
@@ -340,13 +303,12 @@ pub fn generate_schedule_instrumented(
     }
 
     // Stage 3: clustered optimal scheduling.
-    match clustered_schedule(tasks, n_cores, horizon, opts, &mut memo, &mut timings) {
-        Ok((schedule, split, sharing)) => finish(
+    match clustered_schedule(tasks, n_cores, horizon, &mut memo, &mut timings) {
+        Ok((schedule, split)) => finish(
             tasks,
             schedule,
             Stage::Clustered,
             split,
-            sharing,
             timings,
             Vec::new(),
         ),
@@ -356,102 +318,62 @@ pub fn generate_schedule_instrumented(
     }
 }
 
-/// Simulates per-core EDF for a bin assignment, engine-dispatched. A core
-/// marked in `kept` gets an empty schedule and takes no part in sharing.
+/// Simulates per-core EDF for a bin assignment, in core order. A core
+/// marked in `kept` gets an empty schedule.
 ///
-/// Direct engine: every core simulated from scratch, in core order. Memoized
-/// engine: each all-implicit bin signature that two or more cores share is
-/// simulated once — at its lowest-index ("representative") core,
-/// positionally — and relabeled onto every core sharing it; bins whose
-/// signature is theirs alone, and non-sharable bins (any C=D piece
-/// present), take the direct path. Returned results and errors are
-/// identical across engines: the positional simulator differs from the
-/// direct one only in output labels, and the relabeling restores those
-/// exactly.
+/// Each all-implicit bin signature that two or more cores share is
+/// simulated once — at its lowest-index core, positionally — and relabelled
+/// with the ids of every core carrying it; bins whose signature is theirs
+/// alone, and bins holding a C=D piece, are simulated directly. Every
+/// result, error included, equals `simulate_edf` of that core's own bin:
+/// the positional simulator differs from the direct one only in output
+/// labels, and relabelling with the core's own ids restores those exactly.
 fn simulate_cores(
     bins: &CoreBins,
     kept: &[bool],
     horizon: Nanos,
-    engine: GenEngine,
     memo: &mut SigMemo,
-) -> (Vec<Result<CoreSchedule, DeadlineMiss>>, Vec<Option<Stamp>>) {
-    let n = bins.cores.len();
-    let mut stamps: Vec<Option<Stamp>> = vec![None; n];
+) -> Vec<Result<CoreSchedule, DeadlineMiss>> {
     let is_kept = |core: usize| kept.get(core) == Some(&true);
-    if engine == GenEngine::Direct {
-        let results = (bins.cores.iter().enumerate())
-            .map(|(core, bin)| {
-                if is_kept(core) {
-                    Ok(CoreSchedule::new())
-                } else {
-                    simulate_edf(bin, horizon)
-                }
-            })
-            .collect();
-        return (results, stamps);
-    }
-
     let sigs: Vec<Option<BinSignature>> = (bins.cores.iter().enumerate())
         .map(|(core, b)| (!is_kept(core) && all_implicit(b)).then(|| BinSignature::of(b)))
         .collect();
-    // Per signature: its lowest-index ("representative") core and how many
-    // cores carry it.
-    let mut rep_of: HashMap<&BinSignature, (usize, usize)> = HashMap::new();
-    for (core, sig) in sigs.iter().enumerate() {
-        if let Some(sig) = sig {
-            rep_of.entry(sig).or_insert((core, 0)).1 += 1;
-        }
+    // How many cores carry each signature.
+    let mut carriers: HashMap<&BinSignature, usize> = HashMap::new();
+    for sig in sigs.iter().flatten() {
+        *carriers.entry(sig).or_insert(0) += 1;
     }
-    // A signature nobody shares — every bin of an all-unique host — has
-    // nothing to stamp: simulating it positionally, memoizing it and
-    // relabeling the copy back would only add two passes over its segments.
-    // It is simulated under its own ids instead: `shared` keeps only the
-    // signatures that go through the memo.
-    let shared: Vec<Option<&BinSignature>> = sigs
-        .iter()
-        .map(|sig| {
-            let sig = sig.as_ref()?;
-            (rep_of[sig].1 > 1 || memo.edf_get(sig).is_some()).then_some(sig)
-        })
-        .collect();
-    let mut results = Vec::with_capacity(n);
-    for core in 0..n {
-        let bin = &bins.cores[core];
+    // A signature nobody shares — every bin of an all-unique host — gains
+    // nothing from the memo: simulating it positionally, memoizing it and
+    // relabelling the copy back would only add two passes over its
+    // segments. It is simulated under its own ids instead.
+    let mut results = Vec::with_capacity(bins.cores.len());
+    for (core, (bin, sig)) in bins.cores.iter().zip(&sigs).enumerate() {
         if is_kept(core) {
             results.push(Ok(CoreSchedule::new()));
             continue;
         }
-        // Unshared and non-sharable bins take the direct path.
-        let Some(sig) = shared[core] else {
+        let shared = sig
+            .as_ref()
+            .filter(|sig| carriers[sig] > 1 || memo.edf_get(sig).is_some());
+        let Some(sig) = shared else {
             results.push(simulate_edf(bin, horizon));
             continue;
         };
-        // A *new* shared signature is simulated once, at its representative
-        // (the lowest-index core carrying it, so the first to get here).
+        // A new shared signature is simulated once, by the first core to
+        // get here.
         if memo.edf_get(sig).is_none() {
             memo.edf_insert(sig.clone(), simulate_edf_positional(bin, horizon));
         }
-        let rep = rep_of[sig].0;
-        let result = match memo.edf_get(sig).expect("simulated above") {
+        results.push(match memo.edf_get(sig).expect("simulated above") {
             Ok(positional) => Ok(positional.relabel(|t| bin[t.0 as usize].id)),
             Err(miss) => Err(DeadlineMiss {
                 task: bin[miss.task.0 as usize].id,
                 ..*miss
             }),
-        };
-        if result.is_ok() && core != rep {
-            stamps[core] = Some(Stamp {
-                rep,
-                map: bins.cores[rep]
-                    .iter()
-                    .zip(bin.iter())
-                    .map(|(r, c)| (r.id, c.id))
-                    .collect(),
-            });
-        }
-        results.push(result);
+        });
     }
-    (results, stamps)
+    results
 }
 
 /// Simulates per-core EDF for a complete bin assignment.
@@ -462,22 +384,15 @@ fn simulate_bins(
     bins: &CoreBins,
     kept: &[bool],
     horizon: Nanos,
-    engine: GenEngine,
     memo: &mut SigMemo,
     timings: &mut GenTimings,
-) -> Result<(MultiCoreSchedule, CoreSharing), GenError> {
+) -> Result<MultiCoreSchedule, GenError> {
     let t0 = Instant::now();
-    let (results, stamps) = simulate_cores(bins, kept, horizon, engine, memo);
+    let results = simulate_cores(bins, kept, horizon, memo);
     let mut schedule = MultiCoreSchedule::idle(horizon, bins.cores.len());
-    let mut sharing = CoreSharing::none(bins.cores.len());
-    for (core, (result, stamp)) in results.into_iter().zip(stamps).enumerate() {
+    for (core, result) in results.into_iter().enumerate() {
         match result {
-            Ok(cs) => {
-                schedule.cores[core] = cs;
-                if let Some(s) = stamp {
-                    sharing.set(core, s);
-                }
-            }
+            Ok(cs) => schedule.cores[core] = cs,
             Err(miss) => {
                 timings.simulate += t0.elapsed();
                 return Err(GenError::VerificationFailed(format!(
@@ -488,26 +403,20 @@ fn simulate_bins(
         }
     }
     timings.simulate += t0.elapsed();
-    Ok((schedule, sharing))
+    Ok(schedule)
 }
 
 /// Runs the verifier, detects split tasks, and assembles the result.
-#[allow(clippy::too_many_arguments)]
 fn finish(
     tasks: &[PeriodicTask],
     schedule: MultiCoreSchedule,
     stage: Stage,
     mut split_tasks: Vec<TaskId>,
-    sharing: CoreSharing,
     mut timings: GenTimings,
     core_bins: Vec<Vec<TaskId>>,
 ) -> Result<GenOutcome, GenError> {
     let t0 = Instant::now();
-    let violations = if sharing.any_stamped() {
-        verify_schedule_shared(tasks, &schedule, &sharing)
-    } else {
-        verify_schedule(tasks, &schedule)
-    };
+    let violations = verify_schedule(tasks, &schedule);
     if let Some(v) = violations.first() {
         return Err(GenError::VerificationFailed(format!(
             "{v} ({} violation(s) total)",
@@ -545,7 +454,6 @@ fn finish(
             stage,
             split_tasks,
         },
-        sharing,
         timings,
         core_bins,
     })
@@ -558,10 +466,9 @@ fn clustered_schedule(
     tasks: &[PeriodicTask],
     n_cores: usize,
     horizon: Nanos,
-    opts: &GenOptions,
     memo: &mut SigMemo,
     timings: &mut GenTimings,
-) -> Result<(MultiCoreSchedule, Vec<TaskId>, CoreSharing), String> {
+) -> Result<(MultiCoreSchedule, Vec<TaskId>), String> {
     if n_cores == 0 {
         return Err("no cores".to_owned());
     }
@@ -572,7 +479,7 @@ fn clustered_schedule(
     // attempt. This mirrors the paper's repeated bin merging and terminates
     // at a single all-core cluster.
     for cluster_size in 2..=n_cores {
-        let attempt = try_clustered(tasks, n_cores, cluster_size, horizon, opts, memo, timings);
+        let attempt = try_clustered(tasks, n_cores, cluster_size, horizon, memo, timings);
         if let Some(result) = attempt {
             return Ok(result);
         }
@@ -587,10 +494,9 @@ fn try_clustered(
     n_cores: usize,
     cluster_size: usize,
     horizon: Nanos,
-    opts: &GenOptions,
     memo: &mut SigMemo,
     timings: &mut GenTimings,
-) -> Option<(MultiCoreSchedule, Vec<TaskId>, CoreSharing)> {
+) -> Option<(MultiCoreSchedule, Vec<TaskId>)> {
     let t0 = Instant::now();
     let packed = pack_cluster(tasks, n_cores, cluster_size, horizon);
     timings.pack += t0.elapsed();
@@ -603,7 +509,6 @@ fn try_clustered(
         n_cores,
         cluster_size,
         horizon,
-        opts.engine,
         memo,
     );
     timings.simulate += t0.elapsed();
@@ -651,40 +556,30 @@ fn pack_cluster(
 
 /// Generates DP-Fair on the cluster and EDF on the singles.
 ///
-/// Direct engine: per-core EDF on each single. Memoized engine: singles
-/// whose signature repeats across cores go through the signature memo (and
-/// hit it again should a later attempt simulate them), one-of-a-kind
-/// singles are simulated directly each time. Either way the cluster runs
+/// Singles whose signature repeats across cores go through the signature
+/// memo (and hit it again should a later attempt simulate them),
+/// one-of-a-kind singles are simulated directly each time. The cluster runs
 /// DP-Fair directly, once: `clustered_schedule` tries each cluster size at
-/// most once, so no later attempt could reuse it, and its cores are never
-/// stamped — DP-Fair produces them jointly, not per-bin.
+/// most once, so no later attempt could reuse it.
 fn generate_cluster_and_singles(
     cluster_tasks: &[PeriodicTask],
     single_bins: &CoreBins,
     n_cores: usize,
     cluster_size: usize,
     horizon: Nanos,
-    engine: GenEngine,
     memo: &mut SigMemo,
-) -> Option<(MultiCoreSchedule, Vec<TaskId>, CoreSharing)> {
-    let (single_results, single_stamps) = simulate_cores(single_bins, &[], horizon, engine, memo);
+) -> Option<(MultiCoreSchedule, Vec<TaskId>)> {
+    let single_results = simulate_cores(single_bins, &[], horizon, memo);
     let cluster_cores = dpfair_schedule(cluster_tasks, cluster_size, horizon).ok()?;
     let mut schedule = MultiCoreSchedule::idle(horizon, n_cores);
-    let mut sharing = CoreSharing::none(n_cores);
     for (i, cs) in cluster_cores.into_iter().enumerate() {
         schedule.cores[i] = cs;
     }
     for (i, cs) in single_results.into_iter().enumerate() {
         schedule.cores[cluster_size + i] = cs.ok()?;
     }
-    for (i, stamp) in single_stamps.into_iter().enumerate() {
-        if let Some(mut s) = stamp {
-            s.rep += cluster_size;
-            sharing.set(cluster_size + i, s);
-        }
-    }
     let split: Vec<TaskId> = cluster_tasks.iter().map(|t| t.id).collect();
-    Some((schedule, split, sharing))
+    Some((schedule, split))
 }
 
 #[cfg(test)]
@@ -790,36 +685,9 @@ mod tests {
     }
 
     #[test]
-    fn memoized_engine_stamps_equal_signature_bins() {
-        // Eight identical tasks on two cores: both bins carry the same
-        // signature, so the second core must be stamped from the first, and
-        // the result must match the direct engine bit for bit.
-        let tasks: Vec<_> = (0..8).map(|i| imp(i, 2, 10)).collect();
-        let out =
-            generate_schedule_instrumented(&tasks, 2, ms(10), &GenOptions::default(), |_, _| false)
-                .unwrap();
-        assert_eq!(out.generated.stage, Stage::Partitioned);
-        assert_eq!(out.sharing.stamped_count(), 1);
-        let stamp = out.sharing.stamp_of(1).expect("core 1 shares core 0's bin");
-        assert_eq!(stamp.rep, 0);
-        // The stamped core's ids are its own, not the representative's.
-        for (rep_id, this_id) in &stamp.map {
-            assert_ne!(rep_id, this_id);
-        }
-        let direct = GenOptions {
-            engine: GenEngine::Direct,
-            ..GenOptions::default()
-        };
-        let d = generate_schedule(&tasks, 2, ms(10), &direct).unwrap();
-        assert_eq!(out.generated.schedule, d.schedule);
-        assert_eq!(out.generated.split_tasks, d.split_tasks);
-    }
-
-    #[test]
     fn kept_cores_are_left_to_the_caller() {
-        // Three identical bins, the middle one kept: it is never simulated
-        // or stamped, the other two are (core 2 stamped from core 0), and
-        // only their tasks are verified.
+        // Three identical bins, the middle one kept: it is never simulated,
+        // the other two are, and only their tasks are verified.
         let tasks: Vec<_> = (0..6).map(|i| imp(i, 2, 10)).collect();
         let mut asked = Vec::new();
         let out = generate_schedule_instrumented(
@@ -839,7 +707,6 @@ mod tests {
         assert!(cores[1].segments().is_empty());
         assert_eq!(cores[0], full.schedule.cores[0]);
         assert_eq!(cores[2], full.schedule.cores[2]);
-        assert_eq!(out.sharing.stamp_of(2).map(|s| s.rep), Some(0));
         assert_eq!(out.core_bins.len(), 3);
         // Not asked when stage 1 does not pack.
         let heavy = [imp(0, 6, 10), imp(1, 6, 10), imp(2, 6, 10)];
@@ -847,36 +714,125 @@ mod tests {
         generate_schedule_instrumented(&heavy, 2, ms(10), &opts, |_, _| unreachable!()).unwrap();
     }
 
-    #[test]
-    fn split_bins_opt_out_of_stamping() {
-        // Semi-partitioning produces C=D pieces; any bin holding one takes
-        // the direct path, and the engines still agree exactly.
-        let tasks = [imp(0, 6, 10), imp(1, 6, 10), imp(2, 6, 10)];
-        let out =
-            generate_schedule_instrumented(&tasks, 2, ms(10), &GenOptions::default(), |_, _| false)
-                .unwrap();
-        assert_eq!(out.generated.stage, Stage::SemiPartitioned);
-        assert_eq!(out.sharing.stamped_count(), 0);
-        let direct = GenOptions {
-            engine: GenEngine::Direct,
-            ..GenOptions::default()
-        };
-        let d = generate_schedule(&tasks, 2, ms(10), &direct).unwrap();
-        assert_eq!(out.generated.schedule, d.schedule);
-        assert_eq!(out.generated.split_tasks, d.split_tasks);
+    /// `simulate_cores` with one memo over `calls` in turn (as stage
+    /// attempts share one), held to `simulate_edf` of each core's own bin:
+    /// a kept core is empty, and a miss names a task of its own core.
+    fn assert_matches_per_bin(calls: &[(CoreBins, Vec<bool>)]) {
+        let mut memo = SigMemo::new();
+        for (bins, kept) in calls {
+            let got = simulate_cores(bins, kept, bins.horizon, &mut memo);
+            assert_eq!(got.len(), bins.cores.len());
+            for (core, (got, bin)) in got.iter().zip(&bins.cores).enumerate() {
+                if kept.get(core) == Some(&true) {
+                    assert_eq!(got, &Ok(CoreSchedule::new()), "kept core {core}");
+                    continue;
+                }
+                assert_eq!(
+                    got,
+                    &simulate_edf(bin, bins.horizon),
+                    "core {core} of {bin:?}"
+                );
+                if let Err(miss) = got {
+                    assert!(bin.iter().any(|t| t.id == miss.task), "core {core}");
+                }
+            }
+        }
+    }
+
+    mod memo_property {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Periods: the divisors of 1 200 µs from 100 µs up.
+        const PERIODS_US: [u64; 9] = [100, 120, 150, 200, 240, 300, 400, 600, 1_200];
+
+        /// A bin shape: `(period index, utilization %)` per task. Up to four
+        /// tasks of up to 40 % each, so some shapes overload their core.
+        fn arb_shape() -> impl Strategy<Value = Vec<(usize, u64)>> {
+            proptest::collection::vec((0..PERIODS_US.len(), 5u64..=40), 1..=4)
+        }
+
+        /// Per core: `(pick, piece, kept, own shape)`. `pick` below the pool
+        /// size reuses a pool shape (repeated shapes); otherwise the core
+        /// gets its own (one-of-a-kind). `piece` turns the first task into
+        /// a C=D piece with the same cost and period.
+        type CoreDesc = (usize, bool, bool, Vec<(usize, u64)>);
+
+        fn arb_cores(pool: usize) -> impl Strategy<Value = Vec<CoreDesc>> {
+            let core = (0..pool + 2, 0u8..4, 0u8..5, arb_shape())
+                .prop_map(|(pick, piece, kept, own)| (pick, piece == 0, kept == 0, own));
+            proptest::collection::vec(core, 1..=10)
+        }
+
+        /// Two calls' worth of cores over one shape pool.
+        type Case = (Vec<Vec<(usize, u64)>>, Vec<CoreDesc>, Vec<CoreDesc>);
+
+        fn arb_case() -> impl Strategy<Value = Case> {
+            proptest::collection::vec(arb_shape(), 1..=3).prop_flat_map(|pool| {
+                let n = pool.len();
+                (Just(pool), arb_cores(n), arb_cores(n))
+            })
+        }
+
+        /// Builds one call's bins; ids are scattered and distinct across
+        /// both calls (`next_id` carries on).
+        fn build(
+            pool: &[Vec<(usize, u64)>],
+            cores: &[CoreDesc],
+            next_id: &mut u32,
+        ) -> (CoreBins, Vec<bool>) {
+            let horizon = Nanos::from_micros(1_200);
+            let mut bins = CoreBins::new(cores.len(), horizon);
+            let mut kept = Vec::new();
+            for (core, (pick, piece, keep, own)) in cores.iter().enumerate() {
+                let shape = pool.get(*pick).unwrap_or(own);
+                for (i, &(p, pct)) in shape.iter().enumerate() {
+                    let period = Nanos::from_micros(PERIODS_US[p]);
+                    let cost = Nanos(period.as_nanos() * pct / 100);
+                    let id = TaskId(*next_id);
+                    *next_id += 7;
+                    bins.cores[core].push(if *piece && i == 0 {
+                        PeriodicTask::with_window(id, cost, period, cost, Nanos::ZERO)
+                    } else {
+                        PeriodicTask::implicit(id, cost, period)
+                    });
+                }
+                kept.push(*keep);
+            }
+            (bins, kept)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The memo is invisible: every core's result, errors included,
+            /// is its own bin's `simulate_edf`.
+            #[test]
+            fn simulate_cores_equals_per_bin_simulate_edf((pool, first, second) in arb_case()) {
+                let mut next_id = 3;
+                let calls = [
+                    build(&pool, &first, &mut next_id),
+                    build(&pool, &second, &mut next_id),
+                ];
+                assert_matches_per_bin(&calls);
+            }
+        }
     }
 
     #[test]
-    fn engines_agree_on_infeasible_simulations() {
-        // Force clustering on a single core so the stage falls through, and
-        // check both engines produce the identical Exhausted diagnostic.
-        let tasks = [imp(0, 6, 10), imp(1, 6, 10)];
-        let memo_err = generate_schedule(&tasks, 1, ms(10), &GenOptions::default()).unwrap_err();
-        let direct = GenOptions {
-            engine: GenEngine::Direct,
-            ..GenOptions::default()
-        };
-        let direct_err = generate_schedule(&tasks, 1, ms(10), &direct).unwrap_err();
-        assert_eq!(memo_err, direct_err);
+    fn simulate_cores_matches_per_bin_simulation_at_figure_3_scale() {
+        // Fig. 3's heaviest cell: 176 VMs at 25 % and a 1 ms goal on 44
+        // cores, packed as the planner packs them: every bin one shape.
+        let bound = Nanos(1_000_000 * 1_000_000 / (2 * 750_000));
+        let candidates = crate::hyperperiod::PeriodCandidates::standard();
+        let period = candidates.largest_at_most(bound).unwrap();
+        let cost = Nanos(period.as_nanos() / 4);
+        let tasks: Vec<_> = (0..176)
+            .map(|i| PeriodicTask::implicit(TaskId(i), cost, period))
+            .collect();
+        let packed = worst_fit_decreasing(&tasks, 44, candidates.hyperperiod());
+        assert!(packed.is_complete());
+        assert!(packed.bins.cores.iter().all(|bin| bin.len() == 4));
+        assert_matches_per_bin(&[(packed.bins, Vec::new())]);
     }
 }

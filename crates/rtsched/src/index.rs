@@ -108,14 +108,6 @@ impl TaskIndex {
     pub(crate) fn first(&self, pos: usize) -> usize {
         self.first[pos] as usize
     }
-
-    /// The lowest position that repeats an earlier position's id.
-    pub(crate) fn first_duplicate(&self) -> Option<usize> {
-        self.first
-            .iter()
-            .enumerate()
-            .position(|(pos, &f)| f as usize != pos)
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +131,6 @@ mod tests {
         for probe in 0..12 {
             assert_eq!(ix.get(probe), reference_first(&ids, probe), "id {probe}");
         }
-        assert_eq!(ix.first_duplicate(), None);
     }
 
     #[test]
@@ -190,7 +181,6 @@ mod tests {
                 assert_eq!(ix.get(id), Some(want));
                 assert_eq!(ix.first(pos), want);
             }
-            assert_eq!(ix.first_duplicate(), Some(2));
         }
     }
 
@@ -198,6 +188,5 @@ mod tests {
     fn empty_list_finds_nothing() {
         let ix = index(&[]);
         assert_eq!(ix.get(0), None);
-        assert_eq!(ix.first_duplicate(), None);
     }
 }

@@ -57,11 +57,11 @@ pub mod time;
 pub mod verify;
 
 pub use generator::{
-    generate_schedule, generate_schedule_instrumented, GenEngine, GenError, GenOptions, GenOutcome,
+    generate_schedule, generate_schedule_instrumented, GenError, GenOptions, GenOutcome,
     GenTimings, Generated, Stage,
 };
 pub use hyperperiod::{PeriodCandidates, STANDARD_HYPERPERIOD};
 pub use schedule::{CoreSchedule, MultiCoreSchedule, Segment};
-pub use signature::{BinSignature, CoreSharing, SigMemo, Stamp};
+pub use signature::{BinSignature, SigMemo};
 pub use task::{PeriodicTask, TaskId, TaskSet};
 pub use time::Nanos;

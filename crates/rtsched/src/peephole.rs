@@ -30,13 +30,6 @@ pub struct PeepholeReport {
     pub segments_after: usize,
 }
 
-impl PeepholeReport {
-    /// Preemptions eliminated (two segments merge per accepted swap).
-    pub fn preemptions_removed(&self) -> usize {
-        self.segments_before - self.segments_after
-    }
-}
-
 /// Rebuilds one core's segment list with the window at `i..i+3` replaced.
 fn with_window_replaced(segments: &[Segment], i: usize, replacement: [Segment; 2]) -> Vec<Segment> {
     let mut out = Vec::with_capacity(segments.len() - 1);

@@ -1,12 +1,12 @@
-//! Canonical bin signatures and cross-core schedule sharing.
+//! Canonical bin signatures for the generator's simulate-once memo.
 //!
 //! High-density hosts are homogeneous: with four identical single-vCPU VMs
 //! per core, most bins handed to the EDF simulator are the *same task
-//! multiset modulo task ids*. Simulating, coalescing, and slice-building
-//! each of those bins from scratch repeats identical work `n_cores` times.
+//! multiset modulo task ids*. Simulating each of those bins from scratch
+//! repeats identical work `n_cores` times.
 //!
-//! This module provides the machinery to do that work once per *distinct*
-//! bin shape:
+//! This module provides what the generator needs to simulate once per
+//! *distinct* bin shape:
 //!
 //! * [`BinSignature`] — the id-free canonical form of a bin: the ordered
 //!   sequence of `(cost, period, deadline, offset)` tuples. The sequence is
@@ -20,22 +20,22 @@
 //! * [`SigMemo`] — a per-generation memo from signature to the *positional*
 //!   simulation result (task ids replaced by bin positions), shared across
 //!   all stage attempts of one `generate_schedule` call.
-//! * [`CoreSharing`] / [`Stamp`] — the record of which cores were stamped
-//!   from a representative core's schedule and under which id-substitution
-//!   map, consumed by `verify_schedule_shared` and the planner's coalesce /
-//!   slice-table stages so they can reuse per-core work downstream.
+//!
+//! The memo is private to the generator's per-core simulation: each core's
+//! schedule leaves the generator under its own ids, and nothing downstream
+//! (verification, coalescing, the slice table) knows whether it was
+//! simulated or relabelled from a copy.
 //!
 //! Only bins consisting entirely of implicit-deadline, zero-offset tasks
-//! participate in sharing. C=D split pieces carry offsets/deadlines that tie
-//! them to sibling pieces on *other* cores, and DP-Fair cluster cores are
-//! produced jointly rather than per-bin; both opt out and take the direct
-//! path (the memoized and direct engines must stay bit-for-bit identical).
+//! participate. C=D split pieces carry offsets/deadlines that tie them to
+//! sibling pieces on *other* cores, and DP-Fair cluster cores are produced
+//! jointly rather than per-bin; both are simulated directly.
 
 use std::collections::HashMap;
 
 use crate::edf::DeadlineMiss;
 use crate::schedule::CoreSchedule;
-use crate::task::{PeriodicTask, TaskId};
+use crate::task::PeriodicTask;
 
 /// The id-free canonical form of a bin: `(cost, period, deadline, offset)`
 /// per task, in bin order.
@@ -112,73 +112,11 @@ impl SigMemo {
     }
 }
 
-/// How one core's schedule was stamped from a representative core's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Stamp {
-    /// Index of the representative core (always lower than the stamped
-    /// core's own index, and itself never stamped).
-    pub rep: usize,
-    /// Task-id substitution, `(rep_id, this_id)` per bin position: the
-    /// stamped core's schedule is the representative's with each `rep_id`
-    /// replaced by the paired `this_id`.
-    pub map: Vec<(TaskId, TaskId)>,
-}
-
-/// Per-core record of schedule sharing for one generated plan.
-///
-/// `stamped[core]` is `Some(stamp)` iff that core's schedule was produced by
-/// relabeling a representative core's schedule rather than simulated
-/// directly. Downstream consumers (verification, coalescing, slice-table
-/// construction) may — after independently validating the stamp — reuse the
-/// representative's result. An empty/none record means every core took the
-/// direct path.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoreSharing {
-    stamped: Vec<Option<Stamp>>,
-}
-
-impl CoreSharing {
-    /// A sharing record with no stamped cores.
-    pub fn none(n_cores: usize) -> CoreSharing {
-        CoreSharing {
-            stamped: vec![None; n_cores],
-        }
-    }
-
-    /// Number of cores covered by this record.
-    pub fn n_cores(&self) -> usize {
-        self.stamped.len()
-    }
-
-    /// The stamp for `core`, if it was stamped.
-    pub fn stamp_of(&self, core: usize) -> Option<&Stamp> {
-        self.stamped.get(core).and_then(|s| s.as_ref())
-    }
-
-    /// Records that `core` was stamped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn set(&mut self, core: usize, stamp: Stamp) {
-        self.stamped[core] = Some(stamp);
-    }
-
-    /// Returns `true` if any core was stamped.
-    pub fn any_stamped(&self) -> bool {
-        self.stamped.iter().any(|s| s.is_some())
-    }
-
-    /// Number of stamped cores.
-    pub fn stamped_count(&self) -> usize {
-        self.stamped.iter().filter(|s| s.is_some()).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edf::{simulate_edf, simulate_edf_positional};
+    use crate::task::TaskId;
     use crate::time::Nanos;
 
     fn ms(v: u64) -> Nanos {
@@ -235,24 +173,5 @@ mod tests {
         }
         // And the memo really is shared: bin B's signature hits A's entry.
         assert!(memo.edf_get(&BinSignature::of(&bin_b)).is_some());
-    }
-
-    #[test]
-    fn sharing_record_roundtrip() {
-        let mut sharing = CoreSharing::none(3);
-        assert!(!sharing.any_stamped());
-        assert_eq!(sharing.n_cores(), 3);
-        sharing.set(
-            2,
-            Stamp {
-                rep: 0,
-                map: vec![(TaskId(0), TaskId(5))],
-            },
-        );
-        assert!(sharing.any_stamped());
-        assert_eq!(sharing.stamped_count(), 1);
-        assert_eq!(sharing.stamp_of(2).unwrap().rep, 0);
-        assert!(sharing.stamp_of(0).is_none());
-        assert!(sharing.stamp_of(9).is_none());
     }
 }

@@ -32,14 +32,13 @@
 //! corrupted task pays for a sorted copy. (`tests/prop_verify_index.rs`
 //! holds the hash-bucketing verifier this replaced as the oracle.)
 //!
-//! [`verify_schedule_shared`] additionally accepts the generator's
-//! core-sharing record: after independently validating each stamp (the
-//! verifier trusts nothing the generator claims), tasks on stamped cores
-//! are exact mirrors of their representatives and need no separate check.
+//! The verifier reads nothing but the tasks and the schedule. How the
+//! generator built a core — simulated it, or relabelled a copy of another
+//! core's simulation — is the generator's private business, and every core
+//! is checked the same way.
 
 use crate::index::TaskIndex;
 use crate::schedule::{MultiCoreSchedule, Segment};
-use crate::signature::CoreSharing;
 use crate::task::{PeriodicTask, TaskId};
 use crate::time::Nanos;
 
@@ -121,121 +120,6 @@ pub fn verify_schedule(tasks: &[PeriodicTask], schedule: &MultiCoreSchedule) -> 
     violations
 }
 
-/// Like [`verify_schedule`], but consulting the generator's core-sharing
-/// record to skip re-checking mirrored tasks.
-///
-/// The verifier stays independent of the generator: each stamp is
-/// *validated from the schedule itself* — the stamped core's segments must
-/// equal the representative's under the claimed id substitution, the
-/// substitution must be injective and pair parameter-identical tasks, and
-/// every mapped task must live only on its own core. Only then are the
-/// stamped core's tasks skipped (their checks are textually the
-/// representative's). Any stamp that fails validation, and any violation
-/// found at all, falls back to the full [`verify_schedule`] pass so the
-/// returned violation list is always exactly the full verifier's.
-pub fn verify_schedule_shared(
-    tasks: &[PeriodicTask],
-    schedule: &MultiCoreSchedule,
-    sharing: &CoreSharing,
-) -> Vec<Violation> {
-    match verify_shared_fast(tasks, schedule, sharing) {
-        Some(v) if v.is_empty() => v,
-        // A stamp failed validation, or violations exist (the fast list
-        // omits mirrored tasks): produce the complete, exactly-ordered list.
-        _ => verify_schedule(tasks, schedule),
-    }
-}
-
-/// Fast path of [`verify_schedule_shared`]: `None` if any stamp fails
-/// validation; otherwise the violations of the geometry pass plus all
-/// non-mirrored tasks (mirrored tasks violate iff their representatives do,
-/// so emptiness of this list is equivalent to emptiness of the full list).
-fn verify_shared_fast(
-    tasks: &[PeriodicTask],
-    schedule: &MultiCoreSchedule,
-    sharing: &CoreSharing,
-) -> Option<Vec<Violation>> {
-    let h = schedule.hyperperiod;
-    if sharing.n_cores() != schedule.cores.len() {
-        return None;
-    }
-    let ivs = TaskIntervals::of_schedule(tasks, schedule);
-    // Duplicate ids defeat the skip logic.
-    if ivs.index.first_duplicate().is_some() {
-        return None;
-    }
-    let index = &ivs.index;
-
-    let mut skip = vec![false; tasks.len()];
-    // Per task position, the stamp under validation — identified by the
-    // core it stamps, so entries left by an earlier stamp read as unset:
-    // `mirror[p] = (core, t)` maps representative task `p` to task id `t`,
-    // `mirrored[p] = core` marks task `p` as one of its targets.
-    let mut mirror = vec![(usize::MAX, 0u32); tasks.len()];
-    let mut mirrored = vec![usize::MAX; tasks.len()];
-    for core in 0..schedule.cores.len() {
-        let Some(stamp) = sharing.stamp_of(core) else {
-            continue;
-        };
-        let rep = stamp.rep;
-        // Representatives precede their mirrors and are themselves direct.
-        if rep >= core || sharing.stamp_of(rep).is_some() {
-            return None;
-        }
-        for &(rid, tid) in &stamp.map {
-            let ri = index.get(rid.0)?;
-            let ti = index.get(tid.0)?;
-            // Injective in both directions (ids are unique, so positions
-            // stand for them).
-            if mirror[ri].0 == core || mirrored[ti] == core {
-                return None;
-            }
-            mirror[ri] = (core, tid.0);
-            mirrored[ti] = core;
-            // Parameter-identical pairing.
-            let (a, b) = (&tasks[ri], &tasks[ti]);
-            if (a.cost, a.period, a.deadline, a.offset) != (b.cost, b.period, b.deadline, b.offset)
-            {
-                return None;
-            }
-            // Mapped tasks live only on their own core — otherwise the
-            // mirror argument (and the skip) would miss cross-core service.
-            if !ivs.only_on(ri, rep) || !ivs.only_on(ti, core) {
-                return None;
-            }
-        }
-        // The stamped core must be the representative's schedule under the
-        // substitution, segment for segment.
-        let a = schedule.cores[rep].segments();
-        let b = schedule.cores[core].segments();
-        if a.len() != b.len() {
-            return None;
-        }
-        for (x, y) in a.iter().zip(b) {
-            if x.start != y.start || x.end != y.end {
-                return None;
-            }
-            if index.get(x.task.0).map(|p| mirror[p]) != Some((core, y.task.0)) {
-                return None;
-            }
-        }
-        for &(_, tid) in &stamp.map {
-            skip[index.get(tid.0).expect("paired above")] = true;
-        }
-    }
-
-    let mut violations = Vec::new();
-    for (core, sched) in schedule.cores.iter().enumerate() {
-        violations.extend(core_geometry(core, sched.segments(), h));
-    }
-    for (i, task) in tasks.iter().enumerate() {
-        if !skip[i] {
-            violations.extend(check_task(task, ivs.of(i), h));
-        }
-    }
-    Some(violations)
-}
-
 /// Check (1): segments of one core are in range, ordered, non-overlapping.
 fn core_geometry(core: usize, segments: &[Segment], h: Nanos) -> Vec<Violation> {
     let mut found = Vec::new();
@@ -267,13 +151,7 @@ struct TaskIntervals {
     index: TaskIndex,
     starts: Vec<u32>,
     ivs: Vec<(Nanos, Nanos)>,
-    /// Per bucket: the one core its segments sit on, [`NO_CORE`] while it
-    /// is empty, [`MANY_CORES`] once a second core contributes.
-    core: Vec<u32>,
 }
-
-const NO_CORE: u32 = u32::MAX;
-const MANY_CORES: u32 = u32::MAX - 1;
 
 impl TaskIntervals {
     /// Buckets the segments of `schedule`'s cores by the tasks of `tasks`.
@@ -282,19 +160,10 @@ impl TaskIntervals {
         let index = TaskIndex::new(tasks.iter().map(|t| t.id.0));
         // starts[p + 1] counts bucket p, then is prefix-summed into its end.
         let mut starts = vec![0u32; tasks.len() + 1];
-        let mut core_of = vec![NO_CORE; tasks.len()];
-        for (core, segments) in cores.clone().enumerate() {
-            assert!(core < MANY_CORES as usize, "core index out of range");
+        for segments in cores.clone() {
             for seg in segments {
                 if let Some(p) = index.get(seg.task.0) {
                     starts[p + 1] += 1;
-                    if core_of[p] != core as u32 {
-                        core_of[p] = if core_of[p] == NO_CORE {
-                            core as u32
-                        } else {
-                            MANY_CORES
-                        };
-                    }
                 }
             }
         }
@@ -313,25 +182,13 @@ impl TaskIntervals {
                 }
             }
         }
-        TaskIntervals {
-            index,
-            starts,
-            ivs,
-            core: core_of,
-        }
+        TaskIntervals { index, starts, ivs }
     }
 
     /// The intervals of the task at position `i` of the indexed list.
     fn of(&self, i: usize) -> &[(Nanos, Nanos)] {
         let p = self.index.first(i);
         &self.ivs[self.starts[p] as usize..self.starts[p + 1] as usize]
-    }
-
-    /// Whether every segment of the task at position `i` sits on `core`
-    /// (vacuously true for a task with no segment).
-    fn only_on(&self, i: usize, core: usize) -> bool {
-        let seen = self.core[self.index.first(i)];
-        seen == NO_CORE || seen as usize == core
     }
 }
 
@@ -472,7 +329,6 @@ pub fn task_max_blackout(task: TaskId, schedule: &MultiCoreSchedule) -> Nanos {
 mod tests {
     use super::*;
     use crate::schedule::{CoreSchedule, Segment};
-    use crate::signature::Stamp;
 
     fn ms(v: u64) -> Nanos {
         Nanos::from_millis(v)
@@ -643,157 +499,5 @@ mod tests {
         // Continuous service [0,4) across two cores: gap is only the wrap
         // [4, 10) = 6.
         assert_eq!(task_max_blackout(TaskId(0), &s), ms(6));
-    }
-
-    #[test]
-    fn shared_verify_accepts_a_valid_stamp() {
-        // Core 1 is core 0's schedule under 0->2, 1->3; the stamp checks
-        // out, so the fast path validates it and reports no violations.
-        let tasks = [imp(0, 2, 10), imp(1, 5, 10), imp(2, 2, 10), imp(3, 5, 10)];
-        let s = sched(
-            10,
-            vec![
-                vec![seg(0, 2, 0), seg(2, 7, 1)],
-                vec![seg(0, 2, 2), seg(2, 7, 3)],
-            ],
-        );
-        let mut sharing = CoreSharing::none(2);
-        sharing.set(
-            1,
-            Stamp {
-                rep: 0,
-                map: vec![(TaskId(0), TaskId(2)), (TaskId(1), TaskId(3))],
-            },
-        );
-        assert!(verify_schedule_shared(&tasks, &s, &sharing).is_empty());
-    }
-
-    fn stamp(rep: usize, pairs: &[(u32, u32)]) -> Stamp {
-        Stamp {
-            rep,
-            map: pairs.iter().map(|&(r, t)| (TaskId(r), TaskId(t))).collect(),
-        }
-    }
-
-    #[test]
-    fn shared_fast_path_accepts_two_mirrors_of_one_representative() {
-        let tasks: Vec<_> = (0..3)
-            .flat_map(|c| [imp(2 * c, 2, 10), imp(2 * c + 1, 5, 10)])
-            .collect();
-        let core = |a: u32, b: u32| vec![seg(0, 2, a), seg(2, 7, b)];
-        let s = sched(10, vec![core(0, 1), core(2, 3), core(4, 5)]);
-        let mut sharing = CoreSharing::none(3);
-        sharing.set(1, stamp(0, &[(0, 2), (1, 3)]));
-        sharing.set(2, stamp(0, &[(0, 4), (1, 5)]));
-        assert_eq!(verify_shared_fast(&tasks, &s, &sharing), Some(Vec::new()));
-    }
-
-    #[test]
-    fn shared_fast_path_refuses_non_injective_maps() {
-        let tasks = [imp(0, 2, 10), imp(1, 5, 10), imp(2, 2, 10), imp(3, 5, 10)];
-        let s = sched(
-            10,
-            vec![
-                vec![seg(0, 2, 0), seg(2, 7, 1)],
-                vec![seg(0, 2, 2), seg(2, 7, 3)],
-            ],
-        );
-        for pairs in [
-            [(0, 2), (1, 3), (0, 2)], // a representative task twice
-            [(0, 2), (1, 3), (1, 2)], // a target twice
-        ] {
-            let mut sharing = CoreSharing::none(2);
-            sharing.set(1, stamp(0, &pairs));
-            assert_eq!(verify_shared_fast(&tasks, &s, &sharing), None, "{pairs:?}");
-        }
-    }
-
-    #[test]
-    fn shared_fast_path_forgets_the_previous_stamp() {
-        // Core 2's stamp pairs only task 0 -> 4, yet its second segment
-        // serves task 3 — the target core 1's stamp gave task 1. Trusting
-        // that leftover pairing would accept core 2, and task 3 (skipped as
-        // core 1's mirror) would be served twice unnoticed.
-        let tasks = [
-            imp(0, 2, 10),
-            imp(1, 5, 10),
-            imp(2, 2, 10),
-            imp(3, 5, 10),
-            imp(4, 2, 10),
-        ];
-        let s = sched(
-            10,
-            vec![
-                vec![seg(0, 2, 0), seg(2, 7, 1)],
-                vec![seg(0, 2, 2), seg(2, 7, 3)],
-                vec![seg(0, 2, 4), seg(2, 7, 3)],
-            ],
-        );
-        let mut sharing = CoreSharing::none(3);
-        sharing.set(1, stamp(0, &[(0, 2), (1, 3)]));
-        sharing.set(2, stamp(0, &[(0, 4)]));
-        assert_eq!(verify_shared_fast(&tasks, &s, &sharing), None);
-        let found = verify_schedule_shared(&tasks, &s, &sharing);
-        assert_eq!(found, verify_schedule(&tasks, &s));
-        assert!(found
-            .iter()
-            .any(|v| matches!(v, Violation::ParallelExecution { task, .. } if *task == TaskId(3))));
-    }
-
-    #[test]
-    fn shared_verify_falls_back_on_lying_stamp() {
-        // The stamp claims core 1 mirrors core 0, but core 1 underserves
-        // task 2: the relabel-equality check fails, the full verifier runs,
-        // and the exact violation list comes back.
-        let tasks = [imp(0, 2, 10), imp(1, 5, 10), imp(2, 2, 10), imp(3, 5, 10)];
-        let s = sched(
-            10,
-            vec![
-                vec![seg(0, 2, 0), seg(2, 7, 1)],
-                vec![seg(0, 1, 2), seg(2, 7, 3)],
-            ],
-        );
-        let mut sharing = CoreSharing::none(2);
-        sharing.set(
-            1,
-            Stamp {
-                rep: 0,
-                map: vec![(TaskId(0), TaskId(2)), (TaskId(1), TaskId(3))],
-            },
-        );
-        let shared = verify_schedule_shared(&tasks, &s, &sharing);
-        let full = verify_schedule(&tasks, &s);
-        assert_eq!(shared, full);
-        assert!(!shared.is_empty());
-    }
-
-    #[test]
-    fn shared_verify_rejects_parameter_mismatched_pairing() {
-        // Identical geometry, but the substitution pairs tasks with
-        // different costs: the fast path must refuse and defer to the full
-        // verifier (which flags the wrongly-served task).
-        let tasks = [imp(0, 2, 10), imp(1, 5, 10), imp(2, 3, 10), imp(3, 5, 10)];
-        let s = sched(
-            10,
-            vec![
-                vec![seg(0, 2, 0), seg(2, 7, 1)],
-                vec![seg(0, 2, 2), seg(2, 7, 3)],
-            ],
-        );
-        let mut sharing = CoreSharing::none(2);
-        sharing.set(
-            1,
-            Stamp {
-                rep: 0,
-                map: vec![(TaskId(0), TaskId(2)), (TaskId(1), TaskId(3))],
-            },
-        );
-        let shared = verify_schedule_shared(&tasks, &s, &sharing);
-        assert_eq!(shared, verify_schedule(&tasks, &s));
-        // Task 2 wants 3 but gets 2 -> the violation surfaces despite the
-        // stamp claiming it mirrors a correctly-served task.
-        assert!(shared
-            .iter()
-            .any(|v| matches!(v, Violation::WrongService { task, .. } if *task == TaskId(2))));
     }
 }

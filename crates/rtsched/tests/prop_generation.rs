@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use rtsched::analysis::{dbf, edf_schedulable, edf_schedulable_enumerative, qpa_schedulable};
 use rtsched::edf::simulate_edf;
-use rtsched::generator::{generate_schedule, GenOptions};
+use rtsched::generator::{generate_schedule, generate_schedule_instrumented, GenOptions, Stage};
 use rtsched::hyperperiod::divisors;
 use rtsched::task::{PeriodicTask, TaskId};
 use rtsched::time::Nanos;
@@ -59,8 +59,62 @@ fn arb_taskset(cores: usize) -> impl Strategy<Value = Vec<PeriodicTask>> {
         .prop_filter("non-empty", |t| !t.is_empty())
 }
 
+/// Strategy: a high-density host — `cores` cores and up to 16 identical
+/// tasks, trimmed to fit — so most bins share one shape.
+fn arb_homogeneous() -> impl Strategy<Value = (usize, Vec<PeriodicTask>)> {
+    (1usize..=4, 0usize..6, 5u64..=50, 1u32..=16).prop_map(|(cores, pi, upct, n)| {
+        let period = Nanos::from_micros(period_menu()[pi]);
+        let task = |i: u32| {
+            PeriodicTask::implicit(
+                TaskId(3 * i + 1),
+                Nanos(period.as_nanos() * upct / 100),
+                period,
+            )
+        };
+        let horizon = Nanos::from_micros(HYPER_US);
+        let fit = (horizon * cores as u64).as_nanos() / task(0).cost_per(horizon).as_nanos();
+        (cores, (0..n.min(fit as u32)).map(task).collect())
+    })
+}
+
+/// `tasks` fit `cores`, so they generate; every core of a partitioned
+/// outcome is `simulate_edf` of the tasks `core_bins` records for it, in
+/// bin order: however the generator arrived at a core's schedule, it is
+/// that core's own.
+fn assert_partitioned_cores_are_their_bins(tasks: &[PeriodicTask], cores: usize) {
+    let horizon = Nanos::from_micros(HYPER_US);
+    let opts = GenOptions {
+        min_piece: Nanos::from_micros(10),
+        ..GenOptions::default()
+    };
+    let out = generate_schedule_instrumented(tasks, cores, horizon, &opts, |_, _| false)
+        .expect("admissible set must generate");
+    if out.generated.stage != Stage::Partitioned {
+        return;
+    }
+    assert_eq!(out.core_bins.len(), cores);
+    for (core, ids) in out.core_bins.iter().enumerate() {
+        let bin: Vec<PeriodicTask> = ids
+            .iter()
+            .map(|id| *tasks.iter().find(|t| t.id == *id).expect("a packed task"))
+            .collect();
+        let own = simulate_edf(&bin, horizon).expect("a packed bin is feasible");
+        assert_eq!(out.generated.schedule.cores[core], own, "core {core}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Partitioned plans carry no trace of the generator's per-shape memo.
+    #[test]
+    fn partitioned_cores_equal_their_bins_simulation(
+        random in arb_taskset(3),
+        (cores, homogeneous) in arb_homogeneous(),
+    ) {
+        assert_partitioned_cores_are_their_bins(&random, 3);
+        assert_partitioned_cores_are_their_bins(&homogeneous, cores);
+    }
 
     /// Any admissible set generates, and the generated schedule verifies.
     #[test]

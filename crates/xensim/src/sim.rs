@@ -269,11 +269,6 @@ impl Sim {
         self.events = next;
     }
 
-    /// The event-queue engine in use.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.kind
-    }
-
     /// Starts recording every handled event as `(time, seq, debug string)`
     /// (engine-equivalence testing; unbounded, so not for long runs).
     pub fn enable_event_log(&mut self) {
